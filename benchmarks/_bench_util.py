@@ -14,8 +14,8 @@ performance *trajectory* of the repo survives across runs::
     }
 
 A legacy single-run file (the pre-v1 flat payload) is absorbed as the first
-run, so earlier measurements — e.g. the probe hot path *before* a
-micro-optimization — remain in the trajectory next to the new ones.
+run.  The files are run artifacts: git-ignored (so the tier-1 suite leaves
+``git status`` clean) and uploaded by the CI ``bench-smoke`` job.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from pathlib import Path
 
 SCHEMA = "bench-trajectory/v1"
 
-#: Cap on retained runs per benchmark, newest kept (the artifacts live in
-#: git — unbounded append would bloat every future diff).
+#: Cap on retained runs per benchmark, newest kept.
 MAX_RUNS = 25
 
 
@@ -60,18 +59,3 @@ def record_run(results_dir: Path, name: str, payload: dict, keep: int = MAX_RUNS
     document = {"schema": SCHEMA, "benchmark": name, "runs": runs[-keep:]}
     path.write_text(json.dumps(document, indent=2) + "\n")
     return path
-
-
-def latest_run(results_dir: Path, name: str) -> dict | None:
-    """The most recent run recorded for a benchmark, or None."""
-    path = Path(results_dir) / f"BENCH_{name}.json"
-    if not path.exists():
-        return None
-    try:
-        document = json.loads(path.read_text())
-    except ValueError:
-        return None
-    if isinstance(document, dict) and isinstance(document.get("runs"), list):
-        runs = [run for run in document["runs"] if isinstance(run, dict)]
-        return runs[-1] if runs else None
-    return document if isinstance(document, dict) else None

@@ -1,23 +1,23 @@
-"""Live resharding acceptance gate (PR 5).
+"""Live resharding acceptance gate (PR 5, re-pointed in PR 13).
 
-Wall-clock throughput of one CPU-bound equi-join session under a *drifting*
-load schedule: a calm phase one shard handles comfortably, then a sustained
-burst at several times the rate.  The static session keeps the shard count
-it was planned with (N=1, right for phase one); the elastic session runs the
-same plan but lets a :class:`ShardPlanner` watch the measured load and
-reshard mid-stream — repartitioning the resident window state — once the
-burst makes more shards worth their routing overhead.
+One CPU-bound equi-join session under a *drifting* load schedule: a calm
+phase one shard handles comfortably, then a sustained burst at several
+times the rate.  The static session keeps the shard count it was planned
+with (N=1); the elastic session runs the same plan but lets a
+:class:`ShardPlanner` watch the measured load and reshard mid-stream —
+repartitioning the resident window state — once the burst crosses its
+per-shard rate target.
 
-The gate requires the elastic session to reach ≥1.3× the static session's
-tuples/sec over the whole schedule, with the merged output identical
-pair-for-pair (the reshard must pay for itself *and* preserve the answer).
-The measured trajectory is appended to ``results/BENCH_resharding.json``.
-
-Both sessions run with ``columnar=False``: this benchmark isolates the
-*sharding* axis, whose serial-mode payoff is dividing per-candidate scalar
-probe work across shards.  The columnar probe path vectorises that work away
-(its scale-out story is ``BENCH_process_scaleout``, where shards are real
-processes), so measuring it here would compare two overhead-dominated loops.
+What is gated is what a live reshard has to deliver on the one remaining
+slice state: the planner does resize the session, the merged output stays
+identical pair-for-pair, and the whole schedule — drain, export, re-bucket,
+rebuild and splice included — keeps at least 0.75× the static session's
+tuples/sec (measured 0.96–1.00× here).  The former "elastic ≥1.3× static"
+gate rode on serial shards dividing a per-candidate Python scan; the
+columnar probe does not get cheaper per shard (2 serial shards = 0.93× a
+single engine, ``bench/README.md``), so that premise went with the deleted
+tuple-at-a-time state.  The measured trajectory is appended to
+``results/BENCH_resharding.json``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ KEY_DOMAIN = 180
 WINDOW = 3.0
 BATCH_SIZE = 64
 MAX_SHARDS = 4
-SPEEDUP_GATE = 1.3
+THROUGHPUT_FLOOR = 0.75  # elastic vs static tuples/sec over the whole schedule
 PLAN_EVERY = 64  # arrivals between ShardPlanner.should_reshard calls
 
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=KEY_DOMAIN)
@@ -93,8 +93,7 @@ def _run(elastic: bool, rounds: int = 3):
     events = []
     for _ in range(rounds):
         engine = ShardedStreamEngine(
-            CONDITION, shards=1, batch_size=BATCH_SIZE, probe="nested_loop",
-            columnar=False,
+            CONDITION, shards=1, batch_size=BATCH_SIZE, probe="nested_loop"
         )
         engine.add_query("Q", WINDOW)
         planner = _planner() if elastic else None
@@ -113,7 +112,7 @@ def _run(elastic: bool, rounds: int = 3):
     return best, outputs, final_shards, events
 
 
-def test_resharding_beats_static_under_drift(results_dir):
+def test_resharding_under_drift_is_exact_at_bounded_cost(results_dir):
     static_seconds, static_out, static_shards, _ = _run(elastic=False)
     elastic_seconds, elastic_out, elastic_shards, events = _run(elastic=True)
 
@@ -140,7 +139,6 @@ def test_resharding_beats_static_under_drift(results_dir):
             "equi_key_domain": KEY_DOMAIN,
             "batch_size": BATCH_SIZE,
             "probe": "nested_loop",
-            "columnar": False,
             "joined_pairs": len(static_out),
         },
         "results": [
@@ -167,14 +165,14 @@ def test_resharding_beats_static_under_drift(results_dir):
             },
         ],
         "speedup_elastic_vs_static": round(speedup, 3),
-        "gate": SPEEDUP_GATE,
+        "gate": THROUGHPUT_FLOOR,
     }
     path = record_run(results_dir, "resharding", payload)
 
-    # Full 1.3x gate locally; direction-check under CI's shared, xdist-loaded
-    # runners (both timings share the contention, but not always evenly).
-    gate = 1.1 if os.environ.get("CI") else SPEEDUP_GATE
-    assert speedup >= gate, (
-        f"the elastic session reached only {speedup:.2f}x the static "
-        f"throughput under drift (gate {gate}x); see {path}"
+    # Full floor locally; looser under CI's shared, xdist-loaded runners
+    # (both timings share the contention, but not always evenly).
+    floor = 0.6 if os.environ.get("CI") else THROUGHPUT_FLOOR
+    assert speedup >= floor, (
+        f"the elastic session fell to {speedup:.2f}x the static throughput "
+        f"under drift (floor {floor}x); see {path}"
     )

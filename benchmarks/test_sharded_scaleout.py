@@ -1,34 +1,22 @@
-"""Sharded scale-out acceptance gate (PR 4).
+"""Sharded session smoke on the benchmark workload (PR 4, re-pointed in PR 13).
 
-Wall-clock throughput of one CPU-bound equi-join session, unsharded versus
-key-partitioned across N serial :class:`StreamEngine` shards.  Serial
-sharding is an *algorithmic* win, not a parallelism win: every arrival
-probes only its own shard's window state, which holds ~1/N of the resident
-tuples, so the dominant nested-loop probe work drops by ~N even on one
-core.  The gate requires ≥1.8× the unsharded tuples/sec at 4 serial shards
-with the merged output identical pair-for-pair; the measured trajectory is
-appended to ``results/BENCH_sharding.json``.
-
-The workload is sized so each side's window state holds several hundred
-tuples (rate × window), which makes probing dominate routing/bookkeeping —
-the regime the ROADMAP's "as fast as the hardware allows" line cares about.
-
-All engines run with ``columnar=False``: the ~N algorithmic win this gate
-measures lives in per-candidate *scalar* probe work.  The columnar path
-vectorises that work into a handful of numpy calls whose cost barely depends
-on state size, so sharding it serially mostly re-measures call overhead (the
-columnar scale-out gate is ``BENCH_process_scaleout``, with real processes).
+This file used to gate "4 serial shards reach ≥1.8× the unsharded engine".
+That was an algorithmic win of the deleted tuple-at-a-time slice state:
+every arrival probed only its own shard's ~1/N of the window state, and a
+Python scan of 1/N the tuples is ~N× cheaper.  With the one remaining
+(columnar) state a probe is a handful of numpy calls whose cost barely
+depends on state size, so serial shards divide nothing: this workload
+measures 0.92–1.09× at 2 and 4 shards, and the steady-state benchmark
+records 2 serial shards at 0.93× the single engine (``bench/README.md``,
+restated in ``docs/benchmarks.md``).  The gate is deleted rather than kept
+with a threshold measured on a path that no longer exists; what remains is
+the answer-identity smoke of the process driver.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-from _bench_util import record_run
-
 from repro.query.predicates import EquiJoinCondition
-from repro.runtime import ShardedStreamEngine, StreamEngine
+from repro.runtime import ShardedStreamEngine
 from repro.streams.generators import equi_value_generator, generate_join_workload
 
 RATE = 250
@@ -36,7 +24,6 @@ DURATION = 6.0
 KEY_DOMAIN = 200
 WINDOW = 4.0
 BATCH_SIZE = 64
-SHARD_COUNTS = (2, 4)
 
 DATA = generate_join_workload(
     rate_a=RATE,
@@ -47,103 +34,9 @@ DATA = generate_join_workload(
 )
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=KEY_DOMAIN)
 
-SPEEDUP_GATE = 1.8  # 4 serial shards vs the unsharded engine
-
 
 def _pairs(results) -> list[tuple[int, int]]:
     return [(j.left.seqno, j.right.seqno) for j in results]
-
-
-def _run_unsharded(rounds: int = 3) -> tuple[float, list[tuple[int, int]]]:
-    best = float("inf")
-    outputs = None
-    for _ in range(rounds):
-        engine = StreamEngine(
-            CONDITION, batch_size=BATCH_SIZE, probe="nested_loop", columnar=False
-        )
-        engine.add_query("Q", WINDOW)
-        start = time.perf_counter()
-        engine.process_many(DATA.tuples)
-        engine.flush()
-        best = min(best, time.perf_counter() - start)
-        outputs = _pairs(engine.results("Q"))
-    return best, outputs
-
-
-def _run_sharded(shards: int, rounds: int = 3) -> tuple[float, list[tuple[int, int]]]:
-    best = float("inf")
-    outputs = None
-    for _ in range(rounds):
-        engine = ShardedStreamEngine(
-            CONDITION, shards=shards, batch_size=BATCH_SIZE, probe="nested_loop",
-            columnar=False,
-        )
-        engine.add_query("Q", WINDOW)
-        start = time.perf_counter()
-        engine.process_many(DATA.tuples)
-        engine.flush()
-        best = min(best, time.perf_counter() - start)
-        outputs = _pairs(engine.results("Q"))
-    return best, outputs
-
-
-def test_sharded_scaleout_gate(results_dir):
-    base_seconds, base_out = _run_unsharded()
-    arrivals = len(DATA.tuples)
-    rows = [
-        {
-            "shards": 1,
-            "mode": "unsharded StreamEngine",
-            "seconds": round(base_seconds, 6),
-            "tuples_per_sec": round(arrivals / base_seconds, 1),
-            "speedup_vs_unsharded": 1.0,
-        }
-    ]
-    speedups = {}
-    for shards in SHARD_COUNTS:
-        seconds, out = _run_sharded(shards)
-        # The merged output must be pair-identical (sorted: the sharded
-        # merge order is the global (timestamp, seqno) order, which equals
-        # the unsharded delivery order only up to batch-boundary ties).
-        assert sorted(out) == sorted(base_out), (
-            f"{shards}-shard output diverged from the unsharded engine"
-        )
-        speedups[shards] = base_seconds / seconds
-        rows.append(
-            {
-                "shards": shards,
-                "mode": "serial round-robin",
-                "seconds": round(seconds, 6),
-                "tuples_per_sec": round(arrivals / seconds, 1),
-                "speedup_vs_unsharded": round(speedups[shards], 3),
-            }
-        )
-    payload = {
-        "benchmark": "sharded_scaleout_equi_join",
-        "arrivals": arrivals,
-        "workload": {
-            "rate_per_stream": RATE,
-            "duration_seconds": DURATION,
-            "window_seconds": WINDOW,
-            "equi_key_domain": KEY_DOMAIN,
-            "batch_size": BATCH_SIZE,
-            "probe": "nested_loop",
-            "columnar": False,
-            "joined_pairs": len(base_out),
-        },
-        "results": rows,
-        "speedup_4_shards_vs_unsharded": round(speedups[4], 3),
-        "gate": SPEEDUP_GATE,
-    }
-    path = record_run(results_dir, "sharding", payload)
-
-    # Full 1.8x gate locally; direction-check under CI's shared, xdist-loaded
-    # runners (both timings share the contention, but not always evenly).
-    gate = 1.4 if os.environ.get("CI") else SPEEDUP_GATE
-    assert speedups[4] >= gate, (
-        f"4 serial shards reached only {speedups[4]:.2f}x the unsharded "
-        f"throughput (gate {gate}x); see {path}"
-    )
 
 
 def test_sharded_process_mode_smoke():

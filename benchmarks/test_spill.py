@@ -1,20 +1,22 @@
-"""Tiered window state acceptance gate (PR 8).
+"""Tiered window state acceptance gate (PR 8, re-pointed in PR 13).
 
 A memory-budgeted session must (a) hold an order of magnitude more window
 state than its in-core budget by spilling cold slices to the disk tier,
 (b) answer byte-identically to the unbudgeted session, and (c) keep at
-least half the unbudgeted throughput.  The measured trajectory is recorded
+least 0.35× the unbudgeted throughput.  The measured trajectory is recorded
 in ``results/BENCH_spill.json``.
 
 The budget is derived from the workload itself: the unbudgeted run's peak
 resident estimate ``R`` (the whole chain in core) divided by 12, so the
 ``state >= 10x budget`` gate holds by construction *and* is asserted on
-the measured peaks.  Both runs pin ``columnar=False`` and nested-loop
-probing — the representation whose in-core probe is a full state scan.
-The cold path answers the same probes from the per-segment equi-key index
-(decoding only the rows whose key matches), which is how a session paying
-disk I/O on most of its state can stay within 2x of the in-core wall
-clock.
+the measured peaks.  Both runs use nested-loop probing over the one slice
+state there is: in core that is a vectorized mask over the key column; the
+cold path answers the same probes from the per-segment equi-key index
+(decoding only the rows whose key matches).  Against the vectorized
+in-core probe this workload measures 0.51–0.56× (the steady-state
+benchmark's ``equi_spill`` row is 0.32× of ``equi_shared``,
+``bench/README.md``); the former 0.5× gate was measured against the
+deleted per-candidate Python scan (0.85×) and went with it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ DATA = generate_join_workload(rate_a=RATE, rate_b=RATE, duration=DURATION, seed=
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=KEY_DOMAIN)
 
 STATE_OVER_BUDGET_GATE = 10.0
-THROUGHPUT_GATE = 0.5
+THROUGHPUT_GATE = 0.35
 
 
 def _run_session(memory_budget: int | None) -> dict:
@@ -49,7 +51,6 @@ def _run_session(memory_budget: int | None) -> dict:
             CONDITION,
             batch_size=32,
             probe="nested_loop",
-            columnar=False,
             memory_budget_bytes=memory_budget,
         )
         for name, window in zip(("Q1", "Q2", "Q3"), WINDOWS):
@@ -96,7 +97,6 @@ def test_spill_gate(results_dir):
             "duration_seconds": DURATION,
             "equi_key_domain": KEY_DOMAIN,
             "probe": "nested_loop",
-            "columnar": False,
         },
         "memory_budget_bytes": budget,
         "peak_resident_bytes": {
@@ -138,7 +138,7 @@ def test_spill_gate(results_dir):
     )
     # Gate (c): wall-clock throughput.  Shared CI runners have noisy
     # clocks; keep the full gate for local/dedicated runs.
-    gate = 0.3 if os.environ.get("CI") else THROUGHPUT_GATE
+    gate = 0.2 if os.environ.get("CI") else THROUGHPUT_GATE
     assert throughput_ratio >= gate, (
         f"budgeted session reached only {throughput_ratio:.2f}x the "
         f"in-core throughput (gate {gate}x); see {path}"

@@ -97,7 +97,6 @@ class SlicedJoinChain(SlicedChainBase):
             left_stream=self.left_stream,
             right_stream=self.right_stream,
             probe=self.probe,
-            columnar=self.columnar,
             name=f"slice[{start:g},{end:g})",
         )
         join.bind_metrics(self.metrics)

@@ -50,7 +50,6 @@ class SlicedChainBase:
         right_stream: str = "B",
         metrics: MetricsCollector | None = None,
         probe: str = "nested_loop",
-        columnar: bool | str = "auto",
     ) -> None:
         bounds = self._coerce_boundaries(boundaries)
         self.condition = condition
@@ -58,7 +57,6 @@ class SlicedChainBase:
         self.right_stream = right_stream
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.probe = probe
-        self.columnar = columnar
         self.joins: list = [
             self._make_join(start, end) for start, end in zip(bounds, bounds[1:])
         ]
@@ -204,22 +202,14 @@ class SlicedChainBase:
         resident = 0
         spilled = 0
         for join in self.joins:
-            memory = getattr(join, "memory_bytes", None)
-            if memory is None:
-                resident += int(join.state_size() * tuple_bytes)
-            else:
-                join_resident, join_spilled = memory(tuple_bytes)
-                resident += join_resident
-                spilled += join_spilled
+            join_resident, join_spilled = join.memory_bytes(tuple_bytes)
+            resident += join_resident
+            spilled += join_spilled
         return resident, spilled
 
     def spilled_slice_count(self) -> int:
         """Number of slices currently living on the disk tier."""
-        return sum(
-            1
-            for join in self.joins
-            if getattr(join, "is_spilled", lambda: False)()
-        )
+        return sum(1 for join in self.joins if join.is_spilled())
 
     def state_tuples(self, stream: str) -> list[list[StreamTuple]]:
         """Per-slice state contents of one stream (oldest slice last)."""
@@ -299,8 +289,8 @@ class SlicedChainBase:
         """Merge slice ``index`` with slice ``index + 1``.
 
         The states of the two slices are concatenated (the later slice holds
-        the older tuples, so its state goes first — ``load_state`` also
-        rebuilds the hash index when probing is indexed) and the surviving
+        the older tuples, so its state goes first — an indexed state
+        rebuilds its key index as ``load_state`` loads it) and the surviving
         join's end boundary is extended, mirroring the merge procedure of
         Section 5.3.  The queue between the two slices is always empty in
         this harness because every arrival is propagated fully.
@@ -316,9 +306,7 @@ class SlicedChainBase:
             newer = keep.state_tuples(stream)
             keep.load_state(stream, older + newer)
         self._set_join_end(keep, self._join_bounds(absorb)[1])
-        release = getattr(absorb, "release_spill", None)
-        if release is not None:
-            release()
+        absorb.release_spill()
         del self.joins[index + 1]
         self._on_slice_removed(index + 1)
 
@@ -349,10 +337,7 @@ class SlicedChainBase:
         """
         if len(self.joins) < 2:
             raise MigrationError("cannot drop the only slice of a chain")
-        dropped = self.joins.pop()
-        release = getattr(dropped, "release_spill", None)
-        if release is not None:
-            release()
+        self.joins.pop().release_spill()
         self._on_slice_removed(len(self.joins))
 
     def slice_index_for_boundary(self, boundary) -> int | None:

@@ -15,8 +15,8 @@ cross-purge, because age is measured against the probing tuple.  A count
 slice's membership is a *rank range*, and ranks only move on same-stream
 insertions — a shrunk slice would keep probing tuples whose rank it no
 longer covers.  The split migration therefore moves the out-of-range ranks
-into the new slice eagerly (and the hash index, when enabled, is rebuilt by
-``load_state``), which keeps every probe exact at all times.
+into the new slice eagerly (an indexed state rebuilds its key index as
+``load_state`` loads it), which keeps every probe exact at all times.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class CountSlicedJoinChain(SlicedChainBase):
             left_stream=self.left_stream,
             right_stream=self.right_stream,
             probe=self.probe,
-            columnar=self.columnar,
             name=f"count-slice[{start},{end})",
         )
         join.bind_metrics(self.metrics)

@@ -1,9 +1,12 @@
-"""Columnar (struct-of-arrays) blocks for the hot path.
+"""The in-core slice state: columnar (struct-of-arrays) blocks.
 
-The sliced joins historically kept each slice's per-stream state as a deque
-of tuple objects and walked it attribute-lookup by attribute-lookup.  This
-module provides :class:`ColumnarState`: the same logical container laid out
-as parallel columns —
+:class:`ColumnarState` is the only in-core representation of one stream's
+slice state (its cold counterpart is
+:class:`~repro.engine.spill.SpilledState`; both answer the same protocol —
+``append``, ``purge``, ``probe``, ``candidates``, the deque-compatible read
+surface, ``load``, ``memory_bytes``, ``release`` — so the join operators
+keep only the male/female protocol of Figure 9 and never ask what a state
+is).  It is a timestamp-ordered container laid out as parallel columns —
 
 * ``timestamps`` — a ``float64`` array, used by cross-purging.  Because the
   state is timestamp-ordered, the purge predicate ``now - t >= end`` is
@@ -16,7 +19,10 @@ as parallel columns —
   a double go into the column (bools, ints with ``|v| <= 2**53``, floats);
   the first value outside that set permanently invalidates the column and
   probing falls back to per-tuple checks, so correctness never depends on
-  lossy conversions.
+  lossy conversions.  A state built for ``probe="hash"`` keeps, instead of
+  this column, a ``key -> resident tuples`` index maintained by ``append``,
+  ``popleft``, ``take`` and ``load``; an equi-probe is then one bucket
+  lookup over the time-ordered rows.
 * ``refs`` — the parallel Python list of the resident
   :class:`~repro.streams.tuples.StreamTuple` payload references.  Columns
   are an internal acceleration structure: everything that leaves the state
@@ -26,17 +32,25 @@ as parallel columns —
 
 The container is deque-compatible (``append``/``popleft``/``__getitem__``/
 iteration) so the per-tuple execution path and the keyed-state migration
-protocol work on it unchanged; the batched join path uses the columnar
-accessors (:meth:`purge_cut`, :meth:`take`, :meth:`columns`).
+protocol work on it unchanged; the batched join path uses :meth:`purge`
+and :meth:`probe`, which decide between the vectorized mask, the index
+bucket and the bound scalar fallback.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["ColumnarState", "key_level", "INT_EXACT_MAX", "FLOAT_EXACT_MAX"]
+__all__ = [
+    "ColumnarState",
+    "ProbeBinding",
+    "key_level",
+    "INT_EXACT_MAX",
+    "FLOAT_EXACT_MAX",
+]
 
 #: Integers up to this magnitude survive float64 *arithmetic* (modular
 #: matching adds two keys and reduces mod the domain) without rounding.
@@ -52,6 +66,8 @@ _MIN_CAPACITY = 16
 _COMPACT_AT = 64
 
 _MISSING = object()
+#: What purging or probing an empty state returns (shared, never mutated).
+_NOTHING = ((), 0)
 
 
 def key_level(value: Any) -> int:
@@ -78,23 +94,63 @@ def key_level(value: Any) -> int:
     return 2
 
 
+class ProbeBinding:
+    """One stream's side of a join condition, as its slice state sees it.
+
+    Fixed per stream when a join (re)configures its probe, so nothing about
+    orientation is re-derived per tuple: a state storing the condition's
+    *left* tuples keeps the left attribute as its key, reads the right
+    attribute off the probing tuple and binds the scalar fallback with
+    ``bind_right`` (and the mirror image for a state of right tuples).
+
+    ``indexed`` asks the in-core state for a per-key index in place of the
+    key column (``probe="hash"``); ``equi`` says the condition is a plain
+    equi-join, the only kind whose dict-lookup semantics an equality index
+    reproduces — the cold tier indexes its segments on it regardless of
+    ``indexed``.
+    """
+
+    __slots__ = (
+        "key_attribute", "probe_attribute", "all_match", "match_mask", "bind", "indexed", "equi",
+    )
+
+    def __init__(
+        self,
+        condition: Any,
+        stores_left: bool,
+        indexed: bool = False,
+        equi: bool = False,
+    ) -> None:
+        own, other = condition.columnar_attributes or (None, None)
+        if not stores_left:
+            own, other = other, own
+        self.key_attribute = own
+        self.probe_attribute = other
+        self.all_match = condition.columnar_all_match
+        self.match_mask = condition.match_mask
+        self.bind = condition.bind_right if stores_left else condition.bind_left
+        self.indexed = indexed
+        self.equi = equi
+
+
 class ColumnarState:
     """A timestamp-ordered slice state stored as parallel columns.
 
     Parameters
     ----------
-    key_attribute:
-        Attribute to maintain as the key column, or ``None`` when the join
-        condition has no columnar form (the key column is skipped entirely
-        and probing uses the per-tuple fallback).
+    binding:
+        The :class:`ProbeBinding` of the stream this state stores: which
+        attribute to keep as the key column (none when the condition has no
+        columnar form — probing then uses the per-tuple fallback) or to
+        index on, and how a probing tuple is matched against it.
     tuples:
         Initial resident tuples, oldest first.
     """
 
-    __slots__ = ("key_attribute", "_refs", "_ts", "_keys", "_head", "_key_level")
+    __slots__ = ("binding", "_refs", "_ts", "_keys", "_head", "_key_level", "_index")
 
-    def __init__(self, key_attribute: str | None = None, tuples: Iterable[Any] = ()) -> None:
-        self.key_attribute = key_attribute
+    def __init__(self, binding: ProbeBinding, tuples: Iterable[Any] = ()) -> None:
+        self.binding = binding
         self.load(tuples)
 
     # -- bulk (re)build -------------------------------------------------------
@@ -111,7 +167,15 @@ class ColumnarState:
         self._ts = ts
         self._keys = None
         self._key_level = 0
-        attribute = self.key_attribute
+        self._index = None
+        attribute = self.binding.key_attribute
+        if self.binding.indexed:
+            # The index supplies the candidates, so a key column would go
+            # unused.
+            index = self._index = defaultdict(deque)
+            for ref in refs:
+                index[ref.values.get(attribute, _MISSING)].append(ref)
+            return
         if attribute is None:
             return
         level = 0
@@ -156,7 +220,7 @@ class ColumnarState:
         self._ts[n] = ref.timestamp
         keys = self._keys
         if keys is not None:
-            value = ref.values.get(self.key_attribute, _MISSING)
+            value = ref.values.get(self.binding.key_attribute, _MISSING)
             value_level = key_level(value)
             if value_level >= 2:
                 self._keys = None
@@ -164,6 +228,8 @@ class ColumnarState:
                 if value_level > self._key_level:
                     self._key_level = value_level
                 keys[n] = value
+        elif self._index is not None:
+            self._index[ref.values.get(self.binding.key_attribute, _MISSING)].append(ref)
 
     def popleft(self) -> Any:
         head = self._head
@@ -173,8 +239,79 @@ class ColumnarState:
         ref = refs[head]
         refs[head] = None
         self._head = head + 1
+        if self._index is not None:
+            self._unindex((ref,))
         self._maybe_compact()
         return ref
+
+    # -- the slice-state protocol ----------------------------------------------
+    def purge(self, now: float, end: float) -> tuple[Any, int]:
+        """Expel every head tuple with ``now - t >= end``.
+
+        Returns ``(purged tuples oldest-first, comparison count)``.  The cut
+        is a binary search over the timestamp column; the count reproduces
+        the scan loop exactly (one per purged head, plus the failing check
+        when tuples remain).
+        """
+        size = len(self._refs) - self._head
+        if not size:
+            return _NOTHING
+        cut = self.purge_cut(now, end)
+        if not cut:
+            return (), 1
+        return self.take(cut), (cut + 1 if cut < size else cut)
+
+    def candidates(self, probing: Any) -> Any:
+        """The resident tuples a scalar probe by ``probing`` must examine.
+
+        Every resident tuple, or the probing key's bucket when indexed —
+        what the literal per-item Figure-9 path walks candidate by candidate.
+        """
+        if self._index is None:
+            return self._refs[self._head :]
+        key = probing.values.get(self.binding.probe_attribute, _MISSING)
+        return self._index.get(key, ())
+
+    def probe(self, probing: Any) -> tuple[Any, int]:
+        """The resident tuples matching ``probing``, oldest first.
+
+        Returns ``(matches, comparison count)`` — the count is the number of
+        candidates a scalar probe would have examined.  One vectorized mask
+        over the key column when the condition and both keys have an exact
+        columnar form; the index bucket when indexed; otherwise (float64-
+        hostile keys, conditions without a columnar form) the condition's
+        pre-bound scalar predicate, bound only when this fallback runs.
+        """
+        refs = self._refs
+        head = self._head
+        n = len(refs)
+        if n == head:
+            return _NOTHING
+        binding = self.binding
+        keys = self._keys
+        if keys is not None:
+            probe_key = probing.values.get(binding.probe_attribute, _MISSING)
+            if probe_key is not _MISSING:
+                sel = binding.match_mask(probe_key, keys[head:n], self._key_level == 0)
+                if sel is not None:
+                    hits = np.nonzero(sel)[0]
+                    if head:
+                        hits += head
+                    return [refs[row] for row in hits.tolist()], n - head
+        elif binding.all_match:
+            return refs[head:], n - head
+        candidates = self.candidates(probing)
+        if not candidates:
+            return _NOTHING
+        check = binding.bind(probing)
+        return [tup for tup in candidates if check(tup)], len(candidates)
+
+    def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
+        """``(resident, spilled)`` byte estimate: everything is resident."""
+        return int(len(self) * tuple_bytes), 0
+
+    def release(self) -> None:
+        """Nothing lives outside core, so a replaced state just goes away."""
 
     # -- columnar accessors ---------------------------------------------------
     def purge_cut(self, now: float, end: float) -> int:
@@ -214,27 +351,21 @@ class ColumnarState:
         for i in range(head, head + count):
             refs[i] = None
         self._head = head + count
+        if self._index is not None:
+            self._unindex(taken)
         self._maybe_compact()
         return taken
 
-    def columns(self) -> tuple[list[Any], int, Any, Any, bool]:
-        """Live-region views: ``(refs, offset, timestamps, keys, int_keys)``.
-
-        ``refs[offset + i]`` is the tuple behind row ``i`` of the views;
-        ``keys`` is ``None`` when the key column is absent or was invalidated,
-        and ``int_keys`` reports whether every key is arithmetic-safe
-        (:data:`INT_EXACT_MAX`), which modular matching requires.
-        """
-        head = self._head
-        n = len(self._refs)
-        keys = self._keys
-        return (
-            self._refs,
-            head,
-            self._ts[head:n],
-            keys[head:n] if keys is not None else None,
-            self._key_level == 0,
-        )
+    def _unindex(self, oldest: Iterable[Any]) -> None:
+        """Drop departing head tuples (oldest first) from the key index."""
+        index = self._index
+        attribute = self.binding.key_attribute
+        for ref in oldest:
+            key = ref.values.get(attribute, _MISSING)
+            bucket = index[key]
+            bucket.popleft()
+            if not bucket:
+                del index[key]  # empty buckets are deleted eagerly
 
     # -- storage management ---------------------------------------------------
     def _maybe_compact(self) -> None:
@@ -272,4 +403,4 @@ class ColumnarState:
             self._keys = keys
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"<ColumnarState key={self.key_attribute!r} size={len(self)}>"
+        return f"<ColumnarState key={self.binding.key_attribute!r} size={len(self)}>"

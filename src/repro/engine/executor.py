@@ -423,7 +423,7 @@ class ImmediateExecutor:
 
     # -- shared internals -----------------------------------------------------
     def _sample_memory(self) -> None:
-        self.metrics.sample_memory(self._last_timestamp, self.plan.total_state_size())
+        self.metrics.record_memory_sample(self._last_timestamp, self.plan.total_state_size())
         self._last_sampled_arrival = self._arrivals_seen
 
 

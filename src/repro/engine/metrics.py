@@ -47,19 +47,10 @@ class CostCategory:
 
 @dataclass(frozen=True, slots=True)
 class StateMemorySample:
-    """Snapshot of the total number of tuples resident in all join states.
-
-    ``resident_bytes`` / ``spilled_bytes`` split the estimated footprint by
-    tier for memory-budgeted sessions (PR 8): resident is what occupies
-    core (hot slices plus the spill tail buffers and segment metadata),
-    spilled is what lives in the disk tier's segment files.  Unbudgeted
-    sessions report their whole estimate as resident.
-    """
+    """Snapshot of the total number of tuples resident in all join states."""
 
     timestamp: float
     tuples_in_state: int
-    resident_bytes: float = 0.0
-    spilled_bytes: float = 0.0
 
 
 class MetricsSnapshot(dict):
@@ -171,8 +162,18 @@ class MetricsCollector:
         self.invocations: dict[str, int] = defaultdict(int)
         #: Number of tuples emitted per named query output.
         self.emitted: dict[str, int] = defaultdict(int)
-        #: Periodic samples of total join-state occupancy.
+        #: Retained samples of total join-state occupancy — only what
+        #: :meth:`record_memory_sample` keeps for the finite static runs
+        #: (:meth:`steady_state_memory` reads their tail).  A live session
+        #: folds its per-batch readings into the running gauges below via
+        #: :meth:`sample_memory`, so nothing here grows with session length.
         self.memory_samples: list[StateMemorySample] = []
+        self._memory_readings = 0
+        self._memory_tuples_sum = 0
+        self._memory_tuples_max = 0
+        self._resident_bytes = 0.0
+        self._spilled_bytes = 0.0
+        self._resident_bytes_max = 0.0
         #: The paper's ``Csys`` factor: CPU cost charged per operator invocation.
         self.system_overhead = float(system_overhead)
         #: Number of input tuples fed into the plan.
@@ -257,10 +258,32 @@ class MetricsCollector:
         resident_bytes: float = 0.0,
         spilled_bytes: float = 0.0,
     ) -> None:
-        self.memory_samples.append(
-            StateMemorySample(timestamp, tuples_in_state, resident_bytes, spilled_bytes)
-        )
+        """Fold one state-occupancy reading into the running gauges (O(1)).
+
+        ``resident_bytes`` / ``spilled_bytes`` split the estimated footprint
+        by tier for memory-budgeted sessions: resident is what occupies core
+        (hot slices plus the spill tail buffers and segment metadata),
+        spilled is what lives in the disk tier's segment files.  Unbudgeted
+        sessions report their whole estimate as resident.
+        """
+        self._memory_readings += 1
+        self._memory_tuples_sum += tuples_in_state
+        if tuples_in_state > self._memory_tuples_max:
+            self._memory_tuples_max = tuples_in_state
+        self._resident_bytes = resident_bytes
+        self._spilled_bytes = spilled_bytes
+        if resident_bytes > self._resident_bytes_max:
+            self._resident_bytes_max = resident_bytes
         self.observe_time(timestamp)
+
+    def record_memory_sample(self, timestamp: float, tuples_in_state: int) -> None:
+        """:meth:`sample_memory`, and keep the sample.
+
+        For the static executors, whose runs are finite and whose reports
+        need :meth:`steady_state_memory`'s tail of samples.
+        """
+        self.memory_samples.append(StateMemorySample(timestamp, tuples_in_state))
+        self.sample_memory(timestamp, tuples_in_state)
 
     # -- derived quantities -----------------------------------------------------
     @property
@@ -282,23 +305,20 @@ class MetricsCollector:
 
     def average_state_memory(self) -> float:
         """Time-averaged number of tuples resident in join states."""
-        if not self.memory_samples:
+        if not self._memory_readings:
             return 0.0
-        return sum(s.tuples_in_state for s in self.memory_samples) / len(
-            self.memory_samples
-        )
+        return self._memory_tuples_sum / self._memory_readings
 
     def max_state_memory(self) -> int:
-        if not self.memory_samples:
-            return 0
-        return max(s.tuples_in_state for s in self.memory_samples)
+        return self._memory_tuples_max
 
     def steady_state_memory(self, warmup_fraction: float = 0.5) -> float:
         """Average state memory over the tail of the run.
 
         The paper starts every experiment with empty states; the interesting
         figure is the occupancy once windows have filled, so the first
-        ``warmup_fraction`` of samples is discarded.
+        ``warmup_fraction`` of samples is discarded.  Reads the retained
+        samples (:meth:`record_memory_sample`), so it is a static-run figure.
         """
         if not self.memory_samples:
             return 0.0
@@ -333,6 +353,13 @@ class MetricsCollector:
         for key, value in other.observations.items():
             self.observations[key] += value
         self.memory_samples.extend(other.memory_samples)
+        if other._memory_readings:
+            self._memory_readings += other._memory_readings
+            self._memory_tuples_sum += other._memory_tuples_sum
+            self._memory_tuples_max = max(self._memory_tuples_max, other._memory_tuples_max)
+            self._resident_bytes = other._resident_bytes
+            self._spilled_bytes = other._spilled_bytes
+            self._resident_bytes_max = max(self._resident_bytes_max, other._resident_bytes_max)
         self.tuples_ingested += other.tuples_ingested
         self.reshards += other.reshards
         self.reshard_tuples_moved += other.reshard_tuples_moved
@@ -371,12 +398,9 @@ class MetricsCollector:
             data["respawn.count"] = float(self.respawns)
         data["memory.average"] = self.average_state_memory()
         data["memory.max"] = float(self.max_state_memory())
-        samples = self.memory_samples
-        data["memory.resident_bytes"] = samples[-1].resident_bytes if samples else 0.0
-        data["memory.spilled_bytes"] = samples[-1].spilled_bytes if samples else 0.0
-        data["memory.max_resident_bytes"] = (
-            max(sample.resident_bytes for sample in samples) if samples else 0.0
-        )
+        data["memory.resident_bytes"] = self._resident_bytes
+        data["memory.spilled_bytes"] = self._spilled_bytes
+        data["memory.max_resident_bytes"] = self._resident_bytes_max
         data["cpu_cost"] = self.cpu_cost()
         data["service_rate"] = self.service_rate()
         data["time.last"] = self.last_timestamp

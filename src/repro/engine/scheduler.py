@@ -101,7 +101,7 @@ class ScheduledExecutor:
             # count is not a multiple of the sampling stride, matching
             # ImmediateExecutor.finish — peak-memory numbers must not be
             # stride-dependent.
-            self.metrics.sample_memory(
+            self.metrics.record_memory_sample(
                 self._last_timestamp, self.plan.total_state_size()
             )
             self._last_sampled_arrival = self._arrivals_seen
@@ -128,7 +128,7 @@ class ScheduledExecutor:
         self._arrivals_seen += 1
         self._last_timestamp = tup.timestamp
         if self._arrivals_seen % self.memory_sample_interval == 0:
-            self.metrics.sample_memory(tup.timestamp, self.plan.total_state_size())
+            self.metrics.record_memory_sample(tup.timestamp, self.plan.total_state_size())
             self._last_sampled_arrival = self._arrivals_seen
 
     def drain(self) -> None:

@@ -11,10 +11,13 @@ hot/cold tier exploits.  This module provides the cold half:
   directory holding append-only segment files, plus the session-wide spill
   counters (segments written, slice evictions, cold rows decoded).
 
-* :class:`SpilledState` — a drop-in replacement for one stream's slice
-  state (the ``deque`` / :class:`~repro.engine.columns.ColumnarState`
-  surface: ``append`` / ``popleft`` / ``__len__`` / ``__iter__`` /
-  ``__getitem__``).  Resident tuples are encoded row-by-row with the PR-6
+* :class:`SpilledState` — the cold counterpart of
+  :class:`~repro.engine.columns.ColumnarState`, answering the same
+  slice-state protocol (``append`` / ``purge`` / ``probe`` /
+  ``candidates`` / ``popleft`` / ``__len__`` / ``__iter__`` /
+  ``__getitem__`` / ``load`` / ``memory_bytes`` / ``release``) from a small
+  in-core working set over a disk-resident bulk.  Resident tuples are
+  encoded row-by-row with the PR-6
   columnar wire format (:func:`~repro.streams.tuples.encode_batch`) into
   mmap'd segment files; per segment an in-memory ``float64`` timestamp
   column drives the cross-purge cut by binary search (the *exact* scalar
@@ -48,10 +51,9 @@ import sys
 import tempfile
 import weakref
 from array import array
-from collections import defaultdict
-from collections import deque as _deque
 from typing import Any, Iterable, Iterator
 
+from repro.engine.columns import ProbeBinding
 from repro.streams.tuples import StreamTuple, decode_batch, encode_batch
 
 __all__ = [
@@ -279,27 +281,37 @@ class SpilledState:
 
     Deque-compatible for everything that materializes state (iteration,
     keyed extract, migrations) and offering :meth:`purge` / :meth:`probe`
-    for the joins' cold hot path.  Rows keep global arrival order: segments
+    for the joins' hot path.  Rows keep global arrival order: segments
     oldest-first, then the resident tail buffer.
     """
 
-    __slots__ = ("store", "key_attribute", "flush_rows", "_segments", "_tail", "_length")
+    __slots__ = ("store", "binding", "key_attribute", "flush_rows", "_segments", "_tail", "_length")
 
     def __init__(
         self,
         store: SpillStore,
-        key_attribute: str | None = None,
+        binding: ProbeBinding,
         tuples: Iterable[StreamTuple] = (),
         flush_rows: int = DEFAULT_FLUSH_ROWS,
     ) -> None:
         self.store = store
-        self.key_attribute = key_attribute
+        self.binding = binding
+        #: Attribute of the per-segment key index.  Only a plain equi-join
+        #: may use the equality index (its dict-lookup semantics are exactly
+        #: those of the in-core hash probe); any other condition — including
+        #: value-based ones that expose key attributes — gets full scans,
+        #: with the bound predicate doing the matching.
+        self.key_attribute = binding.key_attribute if binding.equi else None
         self.flush_rows = int(flush_rows)
         self._segments: list[_Segment] = []
-        self._tail: list[StreamTuple] = list(tuples)
+        self.load(tuples)
+
+    def load(self, tuples: Iterable[StreamTuple]) -> None:
+        """Replace the resident set: one new segment holding ``tuples``."""
+        self.release()
+        self._tail = list(tuples)
         self._length = len(self._tail)
-        if self._tail:
-            self.flush()
+        self.flush()
 
     # -- deque-compatible surface --------------------------------------------
     def __len__(self) -> int:
@@ -354,7 +366,7 @@ class SpilledState:
             del segments[0]
         return self._tail.pop(0)
 
-    # -- cold hot path ---------------------------------------------------------
+    # -- the slice-state protocol ----------------------------------------------
     def purge(self, now: float, end: float) -> tuple[list[StreamTuple], int]:
         """Expel every head tuple with ``now - t >= end``.
 
@@ -387,17 +399,22 @@ class SpilledState:
         comparisons = len(purged) + (1 if self._length else 0)
         return purged, comparisons
 
-    def probe(self, key: Any = _ABSENT) -> list[StreamTuple]:
-        """Decode the probe candidates for ``key``, in arrival order.
+    def candidates(self, probing: StreamTuple) -> list[StreamTuple]:
+        """Decode the tuples a probe by ``probing`` must examine, in arrival order.
 
-        With a key index (equi-joins) only the matching rows of each
-        segment are decoded; ``_ABSENT`` (or an unindexable key) falls back
-        to a full scan.  Candidates may over-select — the caller re-checks
-        every one with the join condition's bound predicate, exactly like
-        the in-core hash-bucket probe.
+        With a key index (equi-joins) only the probing key's rows of each
+        segment are decoded; a probing tuple without the attribute (or an
+        unindexable key) falls back to a full scan.  Candidates may
+        over-select — :meth:`probe` re-checks every one with the join
+        condition's bound predicate, exactly like the in-core bucket probe.
         """
         attribute = self.key_attribute
-        use_index = attribute is not None and key is not _ABSENT
+        key = (
+            probing.values.get(self.binding.probe_attribute, _ABSENT)
+            if attribute is not None
+            else _ABSENT
+        )
+        use_index = key is not _ABSENT
         candidates: list[StreamTuple] = []
         read = 0
         for segment in self._segments:
@@ -434,6 +451,18 @@ class SpilledState:
                 candidates.extend(tail)
         return candidates
 
+    def probe(self, probing: StreamTuple) -> tuple[list[StreamTuple], int]:
+        """The resident tuples matching ``probing``, oldest first.
+
+        Returns ``(matches, comparison count)``: every decoded candidate is
+        one comparison, re-checked with the bound scalar predicate.
+        """
+        candidates = self.candidates(probing)
+        if not candidates:
+            return candidates, 0
+        check = self.binding.bind(probing)
+        return [tup for tup in candidates if check(tup)], len(candidates)
+
     # -- tiering management ----------------------------------------------------
     def flush(self) -> None:
         """Move the resident tail buffer into a new segment file."""
@@ -451,14 +480,17 @@ class SpilledState:
         self._tail = []
         self._length = 0
 
-    def resident_bytes(self, tuple_bytes: float) -> int:
-        """In-core footprint: tail buffer plus per-row segment metadata."""
-        rows = self._length - len(self._tail)
-        return int(len(self._tail) * tuple_bytes) + rows * _ROW_METADATA_BYTES
+    def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
+        """``(resident, spilled)`` byte estimate.
 
-    def spilled_bytes(self) -> int:
-        """Bytes of live (unconsumed) rows on the disk tier."""
-        return sum(segment.remaining_bytes() for segment in self._segments)
+        Resident is the tail buffer plus per-row segment metadata; spilled
+        is the bytes of live (unconsumed) rows on the disk tier.
+        """
+        rows = self._length - len(self._tail)
+        return (
+            int(len(self._tail) * tuple_bytes) + rows * _ROW_METADATA_BYTES,
+            sum(segment.remaining_bytes() for segment in self._segments),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -470,51 +502,27 @@ class SpilledState:
 class SpillableJoinMixin:
     """Tiering surface shared by the time- and count-sliced binary joins.
 
-    Assumes the host class keeps its per-stream states in ``self._states``,
-    its optional hash index in ``self._indexes`` and exposes ``condition``,
-    ``left_stream`` / ``right_stream`` and ``load_state`` — the same duck
-    surface :class:`~repro.operators.sliced_join.KeyedStateMixin` relies on.
+    Assumes the host class keeps its per-stream slice states in
+    ``self._states`` — the same duck surface
+    :class:`~repro.operators.sliced_join.KeyedStateMixin` relies on.
     """
 
-    def _spill_key_attrs(self) -> dict[str, str | None]:
-        """Per-stream key attribute for the cold tier's segment index.
-
-        Only a plain equi-join may use the equality index (its dict-lookup
-        semantics are exactly those of the in-core hash probe); any other
-        condition — including value-based ones that expose key attributes —
-        gets full scans, with the bound predicate doing the matching.
-        """
-        from repro.query.predicates import EquiJoinCondition
-
-        condition = self.condition
-        if not isinstance(condition, EquiJoinCondition):
-            return {self.left_stream: None, self.right_stream: None}
-        return {
-            self.left_stream: condition.left_attribute,
-            self.right_stream: condition.right_attribute,
-        }
-
     def is_spilled(self) -> bool:
-        return any(
-            isinstance(state, SpilledState) for state in self._states.values()
-        )
+        return any(isinstance(state, SpilledState) for state in self._states.values())
 
     def spill(self, store: SpillStore) -> None:
-        """Move both stream states of this slice to the disk tier."""
+        """Move both stream states of this slice to the disk tier.
+
+        The cold states inherit the in-core states' probe bindings; a
+        resident key index is simply dropped with the state it belonged to
+        (it would pin every spilled tuple in core — the per-segment key
+        index replaces it, and ``load_state`` rebuilds it on
+        re-materialization).
+        """
         if self.is_spilled():
             return
-        attrs = self._spill_key_attrs()
-        for stream in list(self._states):
-            self._states[stream] = SpilledState(
-                store, attrs[stream], list(self._states[stream])
-            )
-        if self._indexes is not None:
-            # The resident hash index would pin every spilled tuple in core;
-            # the spilled probe path uses the per-segment key index instead,
-            # and load_state rebuilds this one on re-materialization.
-            self._indexes = {
-                stream: defaultdict(_deque) for stream in self._states
-            }
+        for stream, state in self._states.items():
+            self._states[stream] = SpilledState(store, state.binding, state)
 
     def spill_flush(self) -> None:
         """Flush the resident tail buffers of every spilled state."""
@@ -525,17 +533,14 @@ class SpillableJoinMixin:
     def release_spill(self) -> None:
         """Delete this slice's segments (the slice is being discarded)."""
         for state in self._states.values():
-            if isinstance(state, SpilledState):
-                state.release()
+            state.release()
 
     def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
         """(resident, spilled) byte estimate of this slice's states."""
         resident = 0
         spilled = 0
         for state in self._states.values():
-            if isinstance(state, SpilledState):
-                resident += state.resident_bytes(tuple_bytes)
-                spilled += state.spilled_bytes()
-            else:
-                resident += int(len(state) * tuple_bytes)
+            state_resident, state_spilled = state.memory_bytes(tuple_bytes)
+            resident += state_resident
+            spilled += state_spilled
         return resident, spilled

@@ -32,29 +32,25 @@ Chains of count-sliced joins are managed by
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Iterable, Sequence
 
-import numpy as np
-
-from repro.engine.columns import ColumnarState
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
-from repro.engine.spill import SpillableJoinMixin, SpilledState
-from repro.operators.sliced_join import KeyedStateMixin, resolve_columnar, resolve_probe
-from repro.query.predicates import (
-    EquiJoinCondition,
-    JoinCondition,
-    Predicate,
-    TruePredicate,
+from repro.operators.sliced_join import SlicedJoinBase
+from repro.query.predicates import JoinCondition, Predicate, TruePredicate
+from repro.streams.tuples import (
+    FEMALE,
+    MALE,
+    JoinedTuple,
+    Punctuation,
+    RefTuple,
+    StreamTuple,
 )
-from repro.streams.tuples import FEMALE, JoinedTuple, Punctuation, RefTuple, StreamTuple
 
 __all__ = ["CountWindowJoin", "CountSlicedBinaryJoin", "CountTap", "SharedCountJoin"]
-
-_ABSENT = object()
 
 
 class CountWindowJoin(Operator):
@@ -279,22 +275,16 @@ class SharedCountJoin(Operator):
         )
 
 
-class CountSlicedBinaryJoin(SpillableJoinMixin, KeyedStateMixin, Operator):
+class CountSlicedBinaryJoin(SlicedJoinBase):
     """One slice ``[rank_start, rank_end)`` of a count-based sliced-join chain.
 
-    Ports mirror :class:`repro.operators.sliced_join.SlicedBinaryJoin`:
-    raw arrivals enter the head of the chain on ``left``/``right``;
-    reference tuples travel between slices on ``chain``/``next``;
-    results leave on ``output``; punctuations on ``punct``.  The keyed
-    extract/ingest surface comes from
-    :class:`~repro.operators.sliced_join.KeyedStateMixin`.
+    Ports, slice states, probe configuration, keyed extract/ingest and the
+    spill surface are those of
+    :class:`~repro.operators.sliced_join.SlicedJoinBase`, shared with the
+    time-sliced :class:`~repro.operators.sliced_join.SlicedBinaryJoin`;
+    what differs is eviction — a rank slice never purges on probe, it
+    overflows on insert.
     """
-
-    input_ports = ("left", "right", "chain")
-    output_ports = ("output", "next", "punct")
-    #: Raw arrivals are handled identically on either port (the tuple's own
-    #: stream decides which state it fills).
-    interchangeable_input_ports = ("left", "right")
 
     def __init__(
         self,
@@ -304,161 +294,33 @@ class CountSlicedBinaryJoin(SpillableJoinMixin, KeyedStateMixin, Operator):
         left_stream: str = "A",
         right_stream: str = "B",
         probe: str = "nested_loop",
-        columnar: bool | str = "auto",
         name: str | None = None,
     ) -> None:
-        super().__init__(name)
         if rank_start < 0 or rank_end <= rank_start:
             raise PlanError(
                 f"invalid rank slice [{rank_start}, {rank_end}) for {name!r}"
             )
+        super().__init__(condition, left_stream, right_stream, probe, name)
         self.rank_start = int(rank_start)
         self.rank_end = int(rank_end)
-        self.condition = condition
-        self.left_stream = left_stream
-        self.right_stream = right_stream
-        self.probe = resolve_probe(probe, condition)
-        self.columnar = resolve_columnar(columnar)
-        self._configure_probe()
-        self._states: dict[str, Any] = {
-            left_stream: self._new_state(left_stream),
-            right_stream: self._new_state(right_stream),
-        }
 
-    def _configure_probe(self) -> None:
-        """(Re)derive the probe-dependent structures from ``self.probe``."""
-        left_stream = self.left_stream
-        right_stream = self.right_stream
-        condition = self.condition
-        if self.probe == "hash":
-            assert isinstance(condition, EquiJoinCondition)
-            self._key_attrs: dict[str, str] = {
-                left_stream: condition.left_attribute,
-                right_stream: condition.right_attribute,
-            }
-            self._indexes: dict[str, dict[Any, Deque[StreamTuple]]] | None = {
-                left_stream: defaultdict(deque),
-                right_stream: defaultdict(deque),
-            }
-            # The hash index supplies candidates; no key column is needed.
-            self._column_attrs: dict[str, str | None] = {
-                left_stream: None,
-                right_stream: None,
-            }
-        else:
-            self._indexes = None
-            attributes = condition.columnar_attributes
-            if attributes is not None:
-                self._column_attrs = {
-                    left_stream: attributes[0],
-                    right_stream: attributes[1],
-                }
-            else:
-                self._column_attrs = {left_stream: None, right_stream: None}
-
-    def _new_state(self, stream: str, tuples: Iterable[StreamTuple] = ()) -> Any:
-        if self.columnar:
-            return ColumnarState(self._column_attrs[stream], tuples)
-        return deque(tuples)
-
-    def set_probe(self, probe: str) -> None:
-        """Switch the probing strategy in place, rebuilding derived state.
-
-        Used by per-shard probe tuning: the slice keeps its resident tuples
-        and reloads them so the hash index / key columns match the new
-        strategy.
-        """
-        resolved = resolve_probe(probe, self.condition)
-        if resolved == self.probe:
-            return
-        self.probe = resolved
-        self._configure_probe()
-        for stream in list(self._states):
-            self.load_state(stream, list(self._states[stream]))
-
-    # -- introspection --------------------------------------------------------
     @property
     def capacity(self) -> int:
         """Number of tuples of each stream this slice may hold."""
         return self.rank_end - self.rank_start
 
-    def _declares_state(self) -> bool:
-        return True
-
-    def state_size(self) -> int:
-        return sum(len(state) for state in self._states.values())
-
-    def state_tuples(self, stream: str) -> list[StreamTuple]:
-        return list(self._states[stream])
-
     def load_state(self, stream: str, tuples: Iterable[StreamTuple]) -> None:
         """Replace one stream's sliced state (migration helper).
 
         The count chain's split/merge migrations move rank ranges between
-        slices eagerly; the hash index, when enabled, is rebuilt here so
-        probing stays correct across migrations.  A replaced spilled state
-        has its segments deleted (cold slices re-materialize through here
-        before any migration crosses them — see ``docs/invariants.md``).
+        slices eagerly; an indexed state rebuilds its key index as it loads,
+        so probing stays correct across migrations.  A replaced spilled
+        state has its segments deleted (cold slices re-materialize through
+        here before any migration crosses them — see ``docs/invariants.md``).
         """
-        replaced = self._states.get(stream)
-        self._states[stream] = self._new_state(stream, tuples)
-        if isinstance(replaced, SpilledState):
-            replaced.release()
-        if self._indexes is not None:
-            index: dict[Any, Deque[StreamTuple]] = defaultdict(deque)
-            attribute = self._key_attrs[stream]
-            for tup in self._states[stream]:
-                index[tup[attribute]].append(tup)
-            self._indexes[stream] = index
-
-    def _insert(self, stream: str, tup: StreamTuple) -> StreamTuple | None:
-        """Append to the own state; return the evicted overflow tuple, if any.
-
-        A spilled state buffers the append in its resident tail and decodes
-        the overflow row from its oldest segment; the in-core hash index is
-        not maintained while spilled (the segment key index replaces it).
-        """
-        state = self._states[stream]
-        spilled = isinstance(state, SpilledState)
-        state.append(tup)
-        if self._indexes is not None and not spilled:
-            self._indexes[stream][tup[self._key_attrs[stream]]].append(tup)
-        if len(state) > self.capacity:
-            evicted = state.popleft()
-            if self._indexes is not None and not spilled:
-                index = self._indexes[stream]
-                bucket = index[evicted[self._key_attrs[stream]]]
-                bucket.popleft()
-                if not bucket:
-                    del index[evicted[self._key_attrs[stream]]]
-            return evicted
-        return None
+        self._install_state(stream, tuples)
 
     # -- execution --------------------------------------------------------------
-    def process(self, item: Any, port: str) -> list[Emission]:
-        self.metrics.record_invocation(self.name)
-        if isinstance(item, Punctuation):
-            return [("punct", item)]
-        if port in ("left", "right"):
-            if item.stream not in self._states:
-                raise PlanError(
-                    f"join {self.name!r} joins streams {sorted(self._states)}, got "
-                    f"{item.stream!r}"
-                )
-            emissions = self._process_male(item)
-            emissions.extend(self._process_female(item))
-            return emissions
-        if port == "chain":
-            if not isinstance(item, RefTuple):
-                raise PlanError(
-                    f"chain input of {self.name!r} expects reference tuples, got "
-                    f"{type(item).__name__}"
-                )
-            if item.is_male():
-                return self._process_male(item.base)
-            return self._process_female(item.base)
-        raise PlanError(f"unexpected port {port!r} for {self.name!r}")
-
     def process_batch(
         self,
         items: Iterable[Any],
@@ -470,215 +332,69 @@ class CountSlicedBinaryJoin(SpillableJoinMixin, KeyedStateMixin, Operator):
         if not chain_port and port not in ("left", "right"):
             raise PlanError(f"unexpected port {port!r} for {self.name!r}")
         states = self._states
-        indexes = self._indexes
-        key_attrs = self._key_attrs if indexes is not None else None
-        spilled = self.is_spilled()
-        columnar = self.columnar and indexes is None and not spilled
-        spill_attrs = self._spill_key_attrs() if spilled else None
-        column_attrs = self._column_attrs
-        condition = self.condition
-        all_match = condition.columnar_all_match
-        match_mask = condition.match_mask
-        nonzero = np.nonzero
-        left_stream = self.left_stream
-        right_stream = self.right_stream
-        bind_left = condition.bind_left
-        bind_right = condition.bind_right
+        orientation = self._orientation
+        capacity = self.capacity
         name = self.name
-        joined_tuple = JoinedTuple
         emissions: list[Emission] = []
         append = emissions.append
         probe_count = 0
         purge_count = 0
-
-        def run_male(tup: StreamTuple) -> None:
-            nonlocal probe_count
-            stream = tup.stream
-            if stream == left_stream:
-                opposite = right_stream
-            elif stream == right_stream:
-                opposite = left_stream
-            else:
-                raise PlanError(
-                    f"join {name!r} joins streams "
-                    f"{left_stream!r}/{right_stream!r}, got {stream!r}"
-                )
-            opposite_state = states[opposite]
-            if isinstance(opposite_state, SpilledState):
-                # Cold state: the per-segment key index supplies candidates
-                # (decoding only matching rows); the bound predicate
-                # re-checks every one.  Rank slices never purge on probe.
-                # Checked per state, not per slice — a migration's
-                # load_state materializes one stream at a time, so a slice
-                # can be half-spilled between those calls.
-                attribute = spill_attrs[stream]
-                probe_key = (
-                    tup.values.get(attribute, _ABSENT)
-                    if attribute is not None
-                    else _ABSENT
-                )
-                candidates = opposite_state.probe(probe_key)
-                probe_count += len(candidates)
-                if candidates:
-                    if stream == left_stream:
-                        check = bind_left(tup)
-                        for candidate in candidates:
-                            if check(candidate):
-                                append(("output", joined_tuple(tup, candidate)))
-                    else:
-                        check = bind_right(tup)
-                        for candidate in candidates:
-                            if check(candidate):
-                                append(("output", joined_tuple(candidate, tup)))
-                append(("next", RefTuple(tup, "male")))
-                if emit_punctuations:
-                    append(("punct", Punctuation(tup.timestamp, source=name)))
-                return
-            if columnar:
-                refs, offset, _ts, key_col, int_keys = states[opposite].columns()
-                remaining = len(refs) - offset
-                probe_count += remaining
-                if remaining:
-                    sel = None
-                    vector = all_match
-                    if not vector and key_col is not None:
-                        probe_key = tup.values.get(column_attrs[stream], _ABSENT)
-                        if probe_key is not _ABSENT:
-                            sel = match_mask(probe_key, key_col, int_keys)
-                            vector = sel is not None
-                    if vector:
-                        if sel is None:
-                            rows: Any = range(offset, offset + remaining)
-                        else:
-                            hits = nonzero(sel)[0]
-                            rows = (hits + offset if offset else hits).tolist()
-                        if stream == left_stream:
-                            for row in rows:
-                                append(("output", joined_tuple(tup, refs[row])))
-                        else:
-                            for row in rows:
-                                append(("output", joined_tuple(refs[row], tup)))
-                    elif stream == left_stream:
-                        check = bind_left(tup)
-                        for row in range(offset, offset + remaining):
-                            candidate = refs[row]
-                            if check(candidate):
-                                append(("output", joined_tuple(tup, candidate)))
-                    else:
-                        check = bind_right(tup)
-                        for row in range(offset, offset + remaining):
-                            candidate = refs[row]
-                            if check(candidate):
-                                append(("output", joined_tuple(candidate, tup)))
-                append(("next", RefTuple(tup, "male")))
-                if emit_punctuations:
-                    append(("punct", Punctuation(tup.timestamp, source=name)))
-                return
-            if indexes is not None:
-                candidates = indexes[opposite].get(tup[key_attrs[stream]], ())
-            else:
-                candidates = states[opposite]
-            probe_count += len(candidates)
-            if candidates:
-                # Pre-bound probe predicate (see JoinCondition.bind_left).
-                if stream == left_stream:
-                    check = bind_left(tup)
-                    for candidate in candidates:
-                        if check(candidate):
-                            append(("output", joined_tuple(tup, candidate)))
-                else:
-                    check = bind_right(tup)
-                    for candidate in candidates:
-                        if check(candidate):
-                            append(("output", joined_tuple(candidate, tup)))
-            append(("next", RefTuple(tup, "male")))
-            if emit_punctuations:
-                append(("punct", Punctuation(tup.timestamp, source=name)))
-
-        def run_female(tup: StreamTuple) -> None:
-            nonlocal purge_count
-            evicted = self._insert(tup.stream, tup)
-            if evicted is not None:
-                purge_count += 1
-                append(("next", RefTuple(evicted, FEMALE)))
-
         for item in batch:
             if isinstance(item, Punctuation):
                 append(("punct", item))
                 continue
+            base = item
+            male = female = True  # a raw arrival is its male, then its female copy
             if chain_port:
                 if not isinstance(item, RefTuple):
                     raise PlanError(
                         f"chain input of {self.name!r} expects reference tuples, got "
                         f"{type(item).__name__}"
                     )
-                if item.is_male():
-                    run_male(item.base)
-                else:
-                    run_female(item.base)
-                continue
-            if item.stream not in states:
-                raise PlanError(
-                    f"join {self.name!r} joins streams {sorted(states)}, got "
-                    f"{item.stream!r}"
+                base = item.base
+                female = item.gender == FEMALE
+                male = not female
+            if male:
+                # Probe the opposite sliced state, then propagate.  Rank
+                # slices never purge on probe.
+                opposite, male_is_left = orientation.get(base.stream) or self._oriented(
+                    base.stream  # raises: not a stream of this join
                 )
-            run_male(item)
-            run_female(item)
+                matches, comparisons = states[opposite].probe(base)
+                probe_count += comparisons
+                if male_is_left:
+                    for match in matches:
+                        append(("output", JoinedTuple(base, match)))
+                else:
+                    for match in matches:
+                        append(("output", JoinedTuple(match, base)))
+                append(("next", RefTuple(base, MALE)))
+                if emit_punctuations:
+                    append(("punct", Punctuation(base.timestamp, source=name)))
+            if female:
+                # Insert; hand the overflowing oldest tuple to the next slice.
+                state = states[base.stream]
+                state.append(base)
+                if len(state) > capacity:
+                    purge_count += 1
+                    append(("next", RefTuple(state.popleft(), FEMALE)))
         self.metrics.record_invocation(name, len(batch))
         self.metrics.count(CostCategory.PROBE, probe_count)
         self.metrics.count(CostCategory.PURGE, purge_count)
         return emissions
 
-    def _process_male(self, tup: StreamTuple) -> list[Emission]:
+    def _process_male(self, ref: RefTuple) -> list[Emission]:
         """Probe the opposite sliced state, then propagate down the chain."""
-        opposite = self._opposite(tup.stream)
-        emissions: list[Emission] = []
-        opposite_state = self._states[opposite]
-        if isinstance(opposite_state, SpilledState):
-            attribute = self._spill_key_attrs()[tup.stream]
-            candidates: Iterable[StreamTuple] = opposite_state.probe(
-                tup.values.get(attribute, _ABSENT) if attribute is not None else _ABSENT
-            )
-        elif self._indexes is not None:
-            candidates = self._indexes[opposite].get(
-                tup[self._key_attrs[tup.stream]], ()
-            )
-        else:
-            candidates = opposite_state
-        for candidate in candidates:
-            self.metrics.count(CostCategory.PROBE)
-            left, right = self._orient(tup, candidate)
-            if self.condition.matches(left, right):
-                emissions.append(("output", JoinedTuple(left, right)))
-        emissions.append(("next", RefTuple(tup, "male")))
-        emissions.append(("punct", Punctuation(tup.timestamp, source=self.name)))
-        return emissions
+        return self._probe_and_propagate(ref, [])
 
     def _process_female(self, tup: StreamTuple) -> list[Emission]:
         """Insert into the own sliced state; hand the overflow to the next slice."""
-        emissions: list[Emission] = []
-        evicted = self._insert(tup.stream, tup)
-        if evicted is not None:
-            self.metrics.count(CostCategory.PURGE)
-            emissions.append(("next", RefTuple(evicted, FEMALE)))
-        return emissions
-
-    def _opposite(self, stream: str) -> str:
-        if stream == self.left_stream:
-            return self.right_stream
-        if stream == self.right_stream:
-            return self.left_stream
-        raise PlanError(
-            f"join {self.name!r} joins streams "
-            f"{self.left_stream!r}/{self.right_stream!r}, got {stream!r}"
-        )
-
-    def _orient(
-        self, probing: StreamTuple, candidate: StreamTuple
-    ) -> tuple[StreamTuple, StreamTuple]:
-        if probing.stream == self.left_stream:
-            return probing, candidate
-        return candidate, probing
+        state = self._states[tup.stream]
+        state.append(tup)
+        if len(state) <= self.capacity:
+            return []
+        self.metrics.count(CostCategory.PURGE)
+        return [("next", RefTuple(state.popleft(), FEMALE))]
 
     def describe(self) -> str:
         return (

@@ -25,16 +25,13 @@ emitted; the order-preserving union uses it to release sorted output
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Any, Deque, Iterable
+from typing import Any, Iterable
 
-import numpy as np
-
-from repro.engine.columns import ColumnarState
+from repro.engine.columns import ColumnarState, ProbeBinding
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
-from repro.engine.spill import SpillableJoinMixin, SpilledState
+from repro.engine.spill import SpillableJoinMixin
 from repro.query.predicates import EquiJoinCondition, JoinCondition
 from repro.query.windows import WindowSlice
 from repro.streams.tuples import (
@@ -48,29 +45,11 @@ from repro.streams.tuples import (
 
 __all__ = [
     "KeyedStateMixin",
+    "SlicedJoinBase",
     "SlicedOneWayJoin",
     "SlicedBinaryJoin",
     "resolve_probe",
-    "resolve_columnar",
 ]
-
-_ABSENT = object()
-
-
-def resolve_columnar(columnar: bool | str) -> bool:
-    """Resolve a ``columnar`` option (``True``/``False``/``"auto"``).
-
-    ``"auto"`` enables the columnar state layout: exactness never depends on
-    it (non-columnizable keys and conditions fall back to per-tuple checks
-    row set by row set), so the only reason to disable it is to exercise the
-    tuple-at-a-time reference path, which the differential suites do
-    explicitly with ``columnar=False``.
-    """
-    if columnar == "auto":
-        return True
-    if not isinstance(columnar, bool):
-        raise PlanError(f"unknown columnar option {columnar!r}")
-    return columnar
 
 
 def resolve_probe(probe: str, condition: JoinCondition) -> str:
@@ -89,14 +68,17 @@ def resolve_probe(probe: str, condition: JoinCondition) -> str:
     return probe
 
 
+
+
 class KeyedStateMixin:
     """Keyed extract/ingest over per-stream sliced states.
 
     The repartition primitive behind live resharding
     (:meth:`repro.runtime.sharding.ShardedStreamEngine.reshard`), shared by
     the time- and count-sliced binary joins — both keep their resident
-    tuples in a per-stream ``_states`` map and rebuild any hash index via
-    ``load_state``, which is all this mixin requires.
+    tuples in a per-stream ``_states`` map and replace a state wholesale via
+    ``load_state`` (an indexed state rebuilds its key index as it loads),
+    which is all this mixin requires.
     """
 
     def extract_state(self, stream: str, predicate=None) -> list[StreamTuple]:
@@ -173,7 +155,6 @@ class SlicedOneWayJoin(Operator):
         window_end: float,
         condition: JoinCondition,
         enforce_bounds: bool = False,
-        columnar: bool | str = "auto",
         name: str | None = None,
     ) -> None:
         super().__init__(name)
@@ -183,17 +164,10 @@ class SlicedOneWayJoin(Operator):
         #: candidate pair.  Inside a well-formed chain this is redundant
         #: (Lemma 1) and disabled so the CPU accounting matches the paper.
         self.enforce_bounds = enforce_bounds
-        self.columnar = resolve_columnar(columnar)
-        if self.columnar:
-            attributes = condition.columnar_attributes
-            # The state holds left-stream (A) tuples, so the key column is
-            # built on the left attribute; the probing B tuple supplies the
-            # right attribute's value.
-            self._state: Deque[StreamTuple] | ColumnarState = ColumnarState(
-                attributes[0] if attributes is not None else None
-            )
-        else:
-            self._state = deque()
+        # The state holds left-stream (A) tuples, so the key column is
+        # built on the left attribute; the probing B tuple supplies the
+        # right attribute's value.
+        self._state = ColumnarState(ProbeBinding(condition, stores_left=True))
 
     # -- state introspection ----------------------------------------------------
     def _declares_state(self) -> bool:
@@ -217,10 +191,9 @@ class SlicedOneWayJoin(Operator):
             raise PlanError(f"unexpected port {port!r} for {self.name!r}")
         emissions: list[Emission] = []
         # 1. Cross-purge: expel A tuples with Tb - Ta >= Wend.
-        purged, comparisons = self._purge(item.timestamp)
+        purged, comparisons = _scan_purge(self._state, item.timestamp, self.slice.end)
         self.metrics.count(CostCategory.PURGE, comparisons)
-        for expired in purged:
-            emissions.append(("purged", expired))
+        emissions.extend(("purged", expired) for expired in purged)
         # 2. Probe: join the arriving B tuple against the remaining state.
         for candidate in self._state:
             self.metrics.count(CostCategory.PROBE)
@@ -251,21 +224,9 @@ class SlicedOneWayJoin(Operator):
         if port != "right":
             raise PlanError(f"unexpected port {port!r} for {self.name!r}")
         state = self._state
-        columnar = self.columnar
-        condition = self.condition
-        all_match = condition.columnar_all_match
-        match_mask = condition.match_mask
-        attributes = condition.columnar_attributes
-        probe_attribute = attributes[1] if attributes is not None else None
-        lower = self.slice.start
         end = self.slice.end
-        enforce = self.enforce_bounds
-        contains_offset = self.slice.contains_offset
-        bind_right = self.condition.bind_right
+        contains_offset = self.slice.contains_offset if self.enforce_bounds else None
         name = self.name
-        joined_tuple = JoinedTuple
-        punctuation = Punctuation
-        nonzero = np.nonzero
         emissions = []
         append = emissions.append
         purge_count = 0
@@ -275,88 +236,52 @@ class SlicedOneWayJoin(Operator):
                 append(("punct", item))
                 continue
             ts = item.timestamp
-            if columnar:
-                size = len(state)
-                if size:
-                    cut = state.purge_cut(ts, end)
-                    purge_count += cut + 1 if cut < size else cut
-                    for head in state.take(cut):
-                        append(("purged", head))
-                refs, offset, ts_col, key_col, int_keys = state.columns()
-                remaining = len(refs) - offset
-                probe_count += remaining
-                if remaining:
-                    sel = None
-                    vector = all_match
-                    if not vector and key_col is not None:
-                        probe_key = item.values.get(probe_attribute, _ABSENT)
-                        if probe_key is not _ABSENT:
-                            sel = match_mask(probe_key, key_col, int_keys)
-                            vector = sel is not None
-                    if vector:
-                        if enforce:
-                            offsets = ts - ts_col
-                            bounds = (offsets >= lower) & (offsets < end)
-                            sel = bounds if sel is None else sel & bounds
-                        if sel is None:
-                            rows = range(offset, offset + remaining)
-                        else:
-                            hits = nonzero(sel)[0]
-                            rows = (hits + offset if offset else hits).tolist()
-                        for row in rows:
-                            append(("output", joined_tuple(refs[row], item)))
-                    else:
-                        check = bind_right(item)
-                        for row in range(offset, offset + remaining):
-                            candidate = refs[row]
-                            if enforce and not contains_offset(ts - candidate.timestamp):
-                                continue
-                            if check(candidate):
-                                append(("output", joined_tuple(candidate, item)))
-            else:
-                while state:
-                    purge_count += 1
-                    head = state[0]
-                    if ts - head.timestamp >= end:
-                        state.popleft()
-                        append(("purged", head))
-                    else:
-                        break
-                probe_count += len(state)
-                if state:
-                    # Pre-bound probe predicate: the probing tuple's attribute
-                    # lookups happen once, not once per resident candidate.
-                    check = bind_right(item)
-                    for candidate in state:
-                        if enforce and not contains_offset(ts - candidate.timestamp):
-                            continue
-                        if check(candidate):
-                            append(("output", joined_tuple(candidate, item)))
+            purged, comparisons = state.purge(ts, end)
+            purge_count += comparisons
+            for expired in purged:
+                append(("purged", expired))
+            matches, comparisons = state.probe(item)
+            probe_count += comparisons
+            if contains_offset is not None:
+                matches = [m for m in matches if contains_offset(ts - m.timestamp)]
+            for match in matches:
+                append(("output", JoinedTuple(match, item)))
             append(("propagated", item))
-            append(("punct", punctuation(ts, source=name)))
+            append(("punct", Punctuation(ts, source=name)))
         self.metrics.record_invocation(name, len(batch))
         self.metrics.count(CostCategory.PURGE, purge_count)
         self.metrics.count(CostCategory.PROBE, probe_count)
         return emissions
 
-    def _purge(self, now: float) -> tuple[list[StreamTuple], int]:
-        purged: list[StreamTuple] = []
-        comparisons = 0
-        while self._state:
-            comparisons += 1
-            head = self._state[0]
-            if now - head.timestamp >= self.slice.end:
-                purged.append(self._state.popleft())
-            else:
-                break
-        return purged, comparisons
-
     def describe(self) -> str:
         return f"A{self.slice.describe()} s⋉ B on {self.condition.describe()}"
 
 
-class SlicedBinaryJoin(SpillableJoinMixin, KeyedStateMixin, Operator):
-    """Sliced binary window join (Definition 3, execution of Figure 9).
+def _scan_purge(state, now: float, end: float) -> tuple[list[StreamTuple], int]:
+    """The literal purge loop of Figures 6 and 9 over the deque surface.
+
+    Pops every head tuple with ``now - t >= end``; the comparison count is
+    one per purged head plus the failing check when tuples remain.
+    """
+    purged: list[StreamTuple] = []
+    comparisons = 0
+    while state:
+        comparisons += 1
+        if now - state[0].timestamp < end:
+            break
+        purged.append(state.popleft())
+    return purged, comparisons
+
+
+class SlicedJoinBase(SpillableJoinMixin, KeyedStateMixin, Operator):
+    """What the time- and count-sliced binary joins share.
+
+    Per-stream slice states behind one protocol, the probe configuration
+    with its orientation fixed per stream, ``set_probe``, state
+    introspection, the spill surface (:class:`SpillableJoinMixin`), keyed
+    extract/ingest (:class:`KeyedStateMixin`) and the literal per-item
+    Figure-9 path.  Subclasses keep what actually differs: a time slice
+    cross-purges on probe, a rank slice overflows on insert.
 
     Ports
     -----
@@ -368,21 +293,6 @@ class SlicedBinaryJoin(SpillableJoinMixin, KeyedStateMixin, Operator):
     * output ``output`` — joined result pairs.
     * output ``next`` — reference tuples for the next join in the chain.
     * output ``punct`` — punctuations emitted after a male finishes probing.
-
-    Parameters
-    ----------
-    window_start, window_end:
-        The slice boundaries ``[Wstart, Wend)`` shared by both stream states.
-    condition:
-        Pairwise join condition.
-    left_stream, right_stream:
-        Stream names used to decide which state a reference tuple belongs to.
-    probe:
-        ``"nested_loop"`` (the paper's cost model), ``"hash"`` (equi-joins
-        only: each sliced state keeps a key → tuples index, so a male probes
-        one bucket instead of the whole state), or ``"auto"``.  The hash
-        index is maintained under insert and cross-purge and rebuilt by
-        :meth:`load_state` when a migration replaces a state wholesale.
     """
 
     input_ports = ("left", "right", "chain")
@@ -394,71 +304,50 @@ class SlicedBinaryJoin(SpillableJoinMixin, KeyedStateMixin, Operator):
 
     def __init__(
         self,
-        window_start: float,
-        window_end: float,
         condition: JoinCondition,
-        left_stream: str = "A",
-        right_stream: str = "B",
-        enforce_bounds: bool = False,
-        probe: str = "nested_loop",
-        columnar: bool | str = "auto",
-        name: str | None = None,
+        left_stream: str,
+        right_stream: str,
+        probe: str,
+        name: str | None,
     ) -> None:
         super().__init__(name)
-        self.slice = WindowSlice(window_start, window_end)
         self.condition = condition
         self.left_stream = left_stream
         self.right_stream = right_stream
-        self.enforce_bounds = enforce_bounds
         self.probe = resolve_probe(probe, condition)
-        self.columnar = resolve_columnar(columnar)
+        #: Per stream: ``(stream whose state its males probe, whether the
+        #: male is the condition's left side)`` — which also decides whether
+        #: a result is ``(male, match)`` or ``(match, male)``.
+        self._orientation: dict[str, tuple[str, bool]] = {
+            left_stream: (right_stream, True),
+            right_stream: (left_stream, False),
+        }
         self._configure_probe()
-        self._states: dict[str, Deque[StreamTuple] | ColumnarState] = {
-            left_stream: self._new_state(left_stream),
-            right_stream: self._new_state(right_stream),
+        self._states: dict[str, Any] = {
+            stream: ColumnarState(binding) for stream, binding in self._bindings.items()
         }
 
     def _configure_probe(self) -> None:
-        """(Re)derive the probe-dependent lookup structures from ``self.probe``."""
-        condition = self.condition
-        if self.probe == "hash":
-            assert isinstance(condition, EquiJoinCondition)
-            #: Equi-key attribute per stream (the probing male looks up the
-            #: opposite index with its *own* stream's attribute value).
-            self._key_attrs: dict[str, str] = {
-                self.left_stream: condition.left_attribute,
-                self.right_stream: condition.right_attribute,
-            }
-            self._indexes: dict[str, dict[Any, Deque[StreamTuple]]] | None = {
-                self.left_stream: defaultdict(deque),
-                self.right_stream: defaultdict(deque),
-            }
-            # The hash index supplies the candidates, so the key column
-            # would go unused.
-            self._column_attrs = {self.left_stream: None, self.right_stream: None}
-        else:
-            self._indexes = None
-            attributes = self.condition.columnar_attributes
-            if attributes is None:
-                self._column_attrs = {self.left_stream: None, self.right_stream: None}
-            else:
-                self._column_attrs = {
-                    self.left_stream: attributes[0],
-                    self.right_stream: attributes[1],
-                }
+        """(Re)derive each stream's probe binding from ``self.probe``.
 
-    def _new_state(
-        self, stream: str, tuples: Iterable[StreamTuple] = ()
-    ) -> Deque[StreamTuple] | ColumnarState:
-        if self.columnar:
-            return ColumnarState(self._column_attrs[stream], tuples)
-        return deque(tuples)
+        Everything orientation-dependent — the key attribute a state keeps
+        (or indexes, for ``probe="hash"``), the attribute read off the
+        probing male, which ``bind_*`` the scalar fallback uses — is fixed
+        here, once per stream, and travels with the state.
+        """
+        condition = self.condition
+        indexed = self.probe == "hash"
+        equi = isinstance(condition, EquiJoinCondition)
+        self._bindings = {
+            self.left_stream: ProbeBinding(condition, True, indexed, equi),
+            self.right_stream: ProbeBinding(condition, False, indexed, equi),
+        }
 
     def set_probe(self, probe: str) -> None:
         """Switch the probe algorithm in place, rebuilding derived state.
 
         Used by per-shard probe tuning: the resident tuples are reloaded so
-        the hash index (or the columnar key columns) match the new probe
+        the key index (or the columnar key columns) match the new probe
         choice.  A no-op when the resolved algorithm is unchanged.
         """
         resolved = resolve_probe(probe, self.condition)
@@ -466,8 +355,17 @@ class SlicedBinaryJoin(SpillableJoinMixin, KeyedStateMixin, Operator):
             return
         self.probe = resolved
         self._configure_probe()
-        for stream in list(self._states):
-            self.load_state(stream, list(self._states[stream]))
+        for stream, state in list(self._states.items()):
+            self.load_state(stream, list(state))
+
+    def _oriented(self, stream: str) -> tuple[str, bool]:
+        try:
+            return self._orientation[stream]
+        except KeyError:
+            raise PlanError(
+                f"join {self.name!r} joins streams "
+                f"{self.left_stream!r}/{self.right_stream!r}, got {stream!r}"
+            ) from None
 
     # -- state introspection --------------------------------------------------------
     def _declares_state(self) -> bool:
@@ -479,70 +377,128 @@ class SlicedBinaryJoin(SpillableJoinMixin, KeyedStateMixin, Operator):
     def state_tuples(self, stream: str) -> list[StreamTuple]:
         return list(self._states[stream])
 
-    def load_state(self, stream: str, tuples: Iterable[StreamTuple]) -> None:
-        """Replace one stream's sliced state (migration helper).
+    def _install_state(self, stream: str, tuples: Iterable[StreamTuple]) -> None:
+        """Replace one stream's state by an in-core one holding ``tuples``."""
+        replaced = self._states[stream]
+        self._states[stream] = ColumnarState(self._bindings[stream], tuples)
+        replaced.release()
 
-        Used by the chain's merge migration; the hash index, when enabled,
-        is rebuilt so that probing stays correct across migrations.  A
-        replaced spilled state has its segments deleted — every migration
-        path (merge, keyed extract/ingest, probe switching) funnels through
-        here, which is what re-materializes cold slices before state
-        crosses a migration boundary (see ``docs/invariants.md``).
-        """
-        replaced = self._states.get(stream)
-        self._states[stream] = self._new_state(stream, tuples)
-        if isinstance(replaced, SpilledState):
-            replaced.release()
-        if self._indexes is not None:
-            index: dict[Any, Deque[StreamTuple]] = defaultdict(deque)
-            attribute = self._key_attrs[stream]
-            for tup in self._states[stream]:
-                index[tup[attribute]].append(tup)
-            self._indexes[stream] = index
-
-    def _insert(self, stream: str, tup: StreamTuple) -> None:
-        state = self._states[stream]
-        state.append(tup)
-        if self._indexes is not None and not isinstance(state, SpilledState):
-            self._indexes[stream][tup[self._key_attrs[stream]]].append(tup)
-
-    def _unindex_head(self, stream: str, head: StreamTuple) -> None:
-        """Drop the oldest tuple of ``stream`` from the hash index."""
-        index = self._indexes[stream]
-        bucket = index[head[self._key_attrs[stream]]]
-        bucket.popleft()
-        if not bucket:
-            del index[head[self._key_attrs[stream]]]
-
-    # -- execution (Figure 9) ----------------------------------------------------------
+    # -- per-item execution: the literal scalar path of Figure 9 ------------------
     def process(self, item: Any, port: str) -> list[Emission]:
         self.metrics.record_invocation(self.name)
         if isinstance(item, Punctuation):
             return [("punct", item)]
         if port in ("left", "right"):
-            return self._process_arrival(item)
+            # A raw arrival is captured as two reference copies (Section
+            # 4.2): the male copy purges/probes/propagates first, then the
+            # female copy is inserted into its own sliced state — the same
+            # purge, probe, insert order as the regular join of Figure 1.
+            emissions = self._process_male(RefTuple(item, MALE))
+            emissions.extend(self._process_female(item))
+            return emissions
         if port == "chain":
             if not isinstance(item, RefTuple):
                 raise PlanError(
                     f"chain input of {self.name!r} expects reference tuples, got "
                     f"{type(item).__name__}"
                 )
-            return self._process_reference(item)
+            if item.gender == FEMALE:
+                return self._process_female(item.base)
+            return self._process_male(item)
         raise PlanError(f"unexpected port {port!r} for {self.name!r}")
 
+    def _process_male(self, ref: RefTuple) -> list[Emission]:
+        raise NotImplementedError
+
+    def _process_female(self, tup: StreamTuple) -> list[Emission]:
+        raise NotImplementedError
+
+    def _probe_and_propagate(
+        self, ref: RefTuple, emissions: list[Emission], contains_offset=None
+    ) -> list[Emission]:
+        """Probe the opposite state candidate by candidate, then propagate.
+
+        The reference the batch kernel (``state.probe``) is tested against:
+        ``condition.matches`` per candidate the state hands out (all of it,
+        or the male's key bucket), one ``PROBE`` comparison each.
+        """
+        tup = ref.base
+        opposite, male_is_left = self._oriented(tup.stream)
+        for candidate in self._states[opposite].candidates(tup):
+            self.metrics.count(CostCategory.PROBE)
+            if contains_offset is not None and not contains_offset(
+                tup.timestamp - candidate.timestamp
+            ):
+                continue
+            left, right = (tup, candidate) if male_is_left else (candidate, tup)
+            if self.condition.matches(left, right):
+                emissions.append(("output", JoinedTuple(left, right)))
+        # Propagate the male copy to the next join and punctuate the union.
+        emissions.append(("next", ref))
+        emissions.append(("punct", Punctuation(tup.timestamp, source=self.name)))
+        return emissions
+
+
+class SlicedBinaryJoin(SlicedJoinBase):
+    """Sliced binary window join (Definition 3, execution of Figure 9).
+
+    Ports are those of :class:`SlicedJoinBase`.
+
+    Parameters
+    ----------
+    window_start, window_end:
+        The slice boundaries ``[Wstart, Wend)`` shared by both stream states.
+    condition:
+        Pairwise join condition.
+    left_stream, right_stream:
+        Stream names used to decide which state a reference tuple belongs to.
+    probe:
+        ``"nested_loop"`` (the paper's cost model, and the default),
+        ``"hash"`` (equi-joins only: each sliced state keeps a key → tuples
+        index, so a male probes one bucket instead of the whole state), or
+        ``"auto"``.  The index is a property of the state: maintained under
+        insert and cross-purge, rebuilt when :meth:`load_state` replaces a
+        state wholesale.
+    """
+
+    def __init__(
+        self,
+        window_start: float,
+        window_end: float,
+        condition: JoinCondition,
+        left_stream: str = "A",
+        right_stream: str = "B",
+        enforce_bounds: bool = False,
+        probe: str = "nested_loop",
+        name: str | None = None,
+    ) -> None:
+        super().__init__(condition, left_stream, right_stream, probe, name)
+        self.slice = WindowSlice(window_start, window_end)
+        self.enforce_bounds = enforce_bounds
+
+    def load_state(self, stream: str, tuples: Iterable[StreamTuple]) -> None:
+        """Replace one stream's sliced state (migration helper).
+
+        Used by the chain's merge migration; an indexed state rebuilds its
+        key index as it loads, so probing stays correct across migrations.
+        A replaced spilled state has its segments deleted — every migration
+        path (merge, keyed extract/ingest, probe switching) funnels through
+        here, which is what re-materializes cold slices before state
+        crosses a migration boundary (see ``docs/invariants.md``).
+        """
+        self._install_state(stream, tuples)
+
+    # -- execution (Figure 9) ----------------------------------------------------------
     def process_batch(
         self, items: Iterable[Any], port: str, emit_punctuations: bool = True
     ) -> list[Emission]:
         """Vectorized equivalent of per-item :meth:`process` over a FIFO batch.
 
         Raw arrivals (``left``/``right``) and chain reference tuples are both
-        handled; each male is purged/probed/propagated with all attribute
-        lookups hoisted out of the loop and the purge/probe comparisons
-        counted in bulk.  With the columnar state layout (the default) the
-        cross-purge cut is found by binary search over the timestamp column
-        and the probe evaluates the join condition as one vectorized mask
-        over the key column, falling back to the bound per-tuple check for
-        probe keys or conditions without an exact columnar form.
+        handled; each male is purged/probed/propagated through the opposite
+        state's ``purge`` and ``probe`` — binary-searched cut, vectorized
+        mask, index bucket, segment bucket or bound scalar fallback are the
+        state's business — with the purge/probe comparisons counted in bulk.
 
         ``emit_punctuations=False`` suppresses construction of the per-male
         punctuations for callers that discard them anyway (the sliced chain);
@@ -553,40 +509,12 @@ class SlicedBinaryJoin(SpillableJoinMixin, KeyedStateMixin, Operator):
         if not chain_port and port not in ("left", "right"):
             raise PlanError(f"unexpected port {port!r} for {self.name!r}")
         states = self._states
-        indexes = self._indexes
-        key_attrs = self._key_attrs if indexes is not None else None
-        spilled = self.is_spilled()
-        columnar = self.columnar and indexes is None and not spilled
-        spill_attrs = self._spill_key_attrs() if spilled else None
-        # Streams whose in-core hash index is live.  Per stream, not per
-        # slice: a migration's load_state materializes one stream at a
-        # time, so a slice can be half-spilled between those calls.
-        indexed_streams = (
-            None
-            if indexes is None
-            else {
-                s
-                for s, st in states.items()
-                if not isinstance(st, SpilledState)
-            }
-        )
-        column_attrs = self._column_attrs
-        condition = self.condition
-        all_match = condition.columnar_all_match
-        match_mask = condition.match_mask
-        left_stream = self.left_stream
-        right_stream = self.right_stream
-        lower = self.slice.start
+        orientation = self._orientation
         end = self.slice.end
-        enforce = self.enforce_bounds
-        contains_offset = self.slice.contains_offset
-        bind_left = self.condition.bind_left
-        bind_right = self.condition.bind_right
+        contains_offset = self.slice.contains_offset if self.enforce_bounds else None
         name = self.name
         joined_tuple = JoinedTuple
         ref_tuple = RefTuple
-        punctuation = Punctuation
-        nonzero = np.nonzero
         emissions: list[Emission] = []
         append = emissions.append
         purge_count = 0
@@ -602,285 +530,62 @@ class SlicedBinaryJoin(SpillableJoinMixin, KeyedStateMixin, Operator):
                         f"{type(item).__name__}"
                     )
                 base = item.base
-                stream = base.stream
                 if item.gender == FEMALE:
-                    # Insert: the female copy fills its own sliced state (a
-                    # spilled state buffers it in its resident tail; the
-                    # in-core hash index is not maintained while spilled).
-                    states[stream].append(base)
-                    if indexed_streams is not None and stream in indexed_streams:
-                        indexes[stream][base[key_attrs[stream]]].append(base)
+                    # Insert: the female copy fills its own sliced state.
+                    states[base.stream].append(base)
                     continue
                 ref = item
-                insert_after = False
             else:
                 base = item
-                stream = base.stream
-                if stream not in states:
-                    raise PlanError(
-                        f"join {self.name!r} joins streams {sorted(states)}, got a "
-                        f"tuple of stream {stream!r}"
-                    )
                 ref = ref_tuple(base, MALE)
-                insert_after = True
             # -- male: cross-purge, probe, propagate (Figure 9) ----------------
-            if stream == left_stream:
-                opposite = right_stream
-            elif stream == right_stream:
-                opposite = left_stream
-            else:
-                raise PlanError(
-                    f"join {self.name!r} joins streams "
-                    f"{left_stream!r}/{right_stream!r}, got {stream!r}"
-                )
+            opposite, male_is_left = orientation.get(base.stream) or self._oriented(
+                base.stream  # raises: not a stream of this join
+            )
             state = states[opposite]
             ts = base.timestamp
-            if isinstance(state, SpilledState):
-                # Cold state: purge via the segments' timestamp columns
-                # (bit-identical cut decisions), probe via the per-segment
-                # key index (decoding only candidate rows), re-checking
-                # every candidate with the bound condition predicate.
-                purged, purge_comparisons = state.purge(ts, end)
-                purge_count += purge_comparisons
-                for head in purged:
-                    append(("next", ref_tuple(head, FEMALE)))
-                attribute = spill_attrs[stream]
-                probe_key = (
-                    base.values.get(attribute, _ABSENT)
-                    if attribute is not None
-                    else _ABSENT
-                )
-                candidates = state.probe(probe_key)
-                probe_count += len(candidates)
-                if candidates:
-                    if stream == left_stream:
-                        check = bind_left(base)
-                        for candidate in candidates:
-                            if enforce and not contains_offset(ts - candidate.timestamp):
-                                continue
-                            if check(candidate):
-                                append(("output", joined_tuple(base, candidate)))
-                    else:
-                        check = bind_right(base)
-                        for candidate in candidates:
-                            if enforce and not contains_offset(ts - candidate.timestamp):
-                                continue
-                            if check(candidate):
-                                append(("output", joined_tuple(candidate, base)))
-            elif columnar:
-                # Purge: binary search over the timestamp column; the
-                # comparison count reproduces the scan loop exactly (one per
-                # purged head, plus the failing check when tuples remain).
-                size = len(state)
-                if size:
-                    cut = state.purge_cut(ts, end)
-                    purge_count += cut + 1 if cut < size else cut
-                    for head in state.take(cut):
-                        append(("next", ref_tuple(head, FEMALE)))
-                # Probe: one vectorized mask over the key column.
-                refs, offset, ts_col, key_col, int_keys = state.columns()
-                remaining = len(refs) - offset
-                probe_count += remaining
-                if remaining:
-                    sel = None
-                    vector = all_match
-                    if not vector and key_col is not None:
-                        probe_key = base.values.get(column_attrs[stream], _ABSENT)
-                        if probe_key is not _ABSENT:
-                            sel = match_mask(probe_key, key_col, int_keys)
-                            vector = sel is not None
-                    if vector:
-                        if enforce:
-                            offsets = ts - ts_col
-                            bounds = (offsets >= lower) & (offsets < end)
-                            sel = bounds if sel is None else sel & bounds
-                        if sel is None:
-                            rows = range(offset, offset + remaining)
-                        else:
-                            hits = nonzero(sel)[0]
-                            rows = (hits + offset if offset else hits).tolist()
-                        if stream == left_stream:
-                            for row in rows:
-                                append(("output", joined_tuple(base, refs[row])))
-                        else:
-                            for row in rows:
-                                append(("output", joined_tuple(refs[row], base)))
-                    elif stream == left_stream:
-                        check = bind_left(base)
-                        for row in range(offset, offset + remaining):
-                            candidate = refs[row]
-                            if enforce and not contains_offset(ts - candidate.timestamp):
-                                continue
-                            if check(candidate):
-                                append(("output", joined_tuple(base, candidate)))
-                    else:
-                        check = bind_right(base)
-                        for row in range(offset, offset + remaining):
-                            candidate = refs[row]
-                            if enforce and not contains_offset(ts - candidate.timestamp):
-                                continue
-                            if check(candidate):
-                                append(("output", joined_tuple(candidate, base)))
-            else:
-                while state:
-                    purge_count += 1
-                    head = state[0]
-                    if ts - head.timestamp >= end:
-                        state.popleft()
-                        if indexes is not None:
-                            self._unindex_head(opposite, head)
-                        append(("next", ref_tuple(head, FEMALE)))
-                    else:
-                        break
-                if indexes is not None:
-                    candidates = indexes[opposite].get(base[key_attrs[stream]], ())
+            purged, comparisons = state.purge(ts, end)
+            purge_count += comparisons
+            for head in purged:
+                append(("next", ref_tuple(head, FEMALE)))
+            matches, comparisons = state.probe(base)
+            probe_count += comparisons
+            if matches:
+                if contains_offset is not None:
+                    matches = [m for m in matches if contains_offset(ts - m.timestamp)]
+                if male_is_left:
+                    for match in matches:
+                        append(("output", joined_tuple(base, match)))
                 else:
-                    candidates = state
-                probe_count += len(candidates)
-                if candidates:
-                    # Pre-bound probe predicate (see JoinCondition.bind_left):
-                    # the probing male's attribute lookups are hoisted out of
-                    # the candidate loop, which dominates per-probe cost in the
-                    # nested-loop path.
-                    if stream == left_stream:
-                        check = bind_left(base)
-                        for candidate in candidates:
-                            if enforce and not contains_offset(ts - candidate.timestamp):
-                                continue
-                            if check(candidate):
-                                append(("output", joined_tuple(base, candidate)))
-                    else:
-                        check = bind_right(base)
-                        for candidate in candidates:
-                            if enforce and not contains_offset(ts - candidate.timestamp):
-                                continue
-                            if check(candidate):
-                                append(("output", joined_tuple(candidate, base)))
+                    for match in matches:
+                        append(("output", joined_tuple(match, base)))
             append(("next", ref))
             if emit_punctuations:
-                append(("punct", punctuation(ts, source=name)))
-            if insert_after:
+                append(("punct", Punctuation(ts, source=name)))
+            if not chain_port:
                 # The female copy of a raw arrival fills its own state after
-                # the male finished, matching :meth:`_process_arrival`.
-                states[stream].append(base)
-                if indexed_streams is not None and stream in indexed_streams:
-                    indexes[stream][base[key_attrs[stream]]].append(base)
+                # the male finished, matching the per-item path.
+                states[base.stream].append(base)
         self.metrics.record_invocation(name, len(batch))
         self.metrics.count(CostCategory.PURGE, purge_count)
         self.metrics.count(CostCategory.PROBE, probe_count)
         return emissions
 
-    def _process_arrival(self, tup: StreamTuple) -> list[Emission]:
-        """Handle a raw arrival at the head of the chain.
-
-        The tuple is captured as two reference copies (Section 4.2): the
-        male copy purges/probes/propagates first, then the female copy is
-        inserted into its own sliced state — the same purge, probe, insert
-        order as the regular join of Figure 1.
-        """
-        if tup.stream not in self._states:
-            raise PlanError(
-                f"join {self.name!r} joins streams {sorted(self._states)}, got a "
-                f"tuple of stream {tup.stream!r}"
-            )
-        emissions = self._process_reference(RefTuple(tup, MALE))
-        emissions.extend(self._process_reference(RefTuple(tup, FEMALE)))
-        return emissions
-
-    def _process_reference(self, ref: RefTuple) -> list[Emission]:
-        if ref.is_female():
-            # Insert: the female copy fills its own sliced state.
-            self._insert(ref.stream, ref.base)
-            return []
-        return self._process_male(ref)
-
     def _process_male(self, ref: RefTuple) -> list[Emission]:
-        opposite = self._opposite(ref.stream)
-        state = self._states[opposite]
-        emissions: list[Emission] = []
-        if isinstance(state, SpilledState):
-            return self._process_male_spilled(ref, state)
         # 1. Cross-purge the opposite sliced state with Wend.
-        comparisons = 0
-        while state:
-            comparisons += 1
-            head = state[0]
-            if ref.timestamp - head.timestamp >= self.slice.end:
-                state.popleft()
-                if self._indexes is not None:
-                    self._unindex_head(opposite, head)
-                emissions.append(("next", RefTuple(head, FEMALE)))
-            else:
-                break
+        state = self._states[self._oriented(ref.stream)[0]]
+        purged, comparisons = _scan_purge(state, ref.timestamp, self.slice.end)
         self.metrics.count(CostCategory.PURGE, comparisons)
-        # 2. Probe the opposite sliced state (one hash bucket when indexed).
-        if self._indexes is not None:
-            probe_key = ref.base[self._key_attrs[ref.stream]]
-            candidates: Iterable[StreamTuple] = self._indexes[opposite].get(
-                probe_key, ()
-            )
-        else:
-            candidates = state
-        for candidate in candidates:
-            self.metrics.count(CostCategory.PROBE)
-            if self.enforce_bounds and not self.slice.contains_offset(
-                ref.timestamp - candidate.timestamp
-            ):
-                continue
-            left, right = self._orient(ref.base, candidate)
-            if self.condition.matches(left, right):
-                emissions.append(("output", JoinedTuple(left, right)))
-        # 3. Propagate the male copy to the next join and punctuate the union.
-        emissions.append(("next", ref))
-        emissions.append(("punct", Punctuation(ref.timestamp, source=self.name)))
-        return emissions
-
-    def _process_male_spilled(
-        self, ref: RefTuple, state: SpilledState
-    ) -> list[Emission]:
-        """Per-tuple male path against a cold (spilled) opposite state."""
-        emissions: list[Emission] = []
-        purged, comparisons = state.purge(ref.timestamp, self.slice.end)
-        for head in purged:
-            emissions.append(("next", RefTuple(head, FEMALE)))
-        self.metrics.count(CostCategory.PURGE, comparisons)
-        attribute = self._spill_key_attrs()[ref.stream]
-        probe_key = (
-            ref.base.values.get(attribute, _ABSENT)
-            if attribute is not None
-            else _ABSENT
-        )
-        candidates = state.probe(probe_key)
-        self.metrics.count(CostCategory.PROBE, len(candidates))
-        for candidate in candidates:
-            if self.enforce_bounds and not self.slice.contains_offset(
-                ref.timestamp - candidate.timestamp
-            ):
-                continue
-            left, right = self._orient(ref.base, candidate)
-            if self.condition.matches(left, right):
-                emissions.append(("output", JoinedTuple(left, right)))
-        emissions.append(("next", ref))
-        emissions.append(("punct", Punctuation(ref.timestamp, source=self.name)))
-        return emissions
-
-    def _opposite(self, stream: str) -> str:
-        if stream == self.left_stream:
-            return self.right_stream
-        if stream == self.right_stream:
-            return self.left_stream
-        raise PlanError(
-            f"join {self.name!r} joins streams "
-            f"{self.left_stream!r}/{self.right_stream!r}, got {stream!r}"
+        emissions: list[Emission] = [("next", RefTuple(head, FEMALE)) for head in purged]
+        # 2./3. Probe it, propagate the male copy.
+        return self._probe_and_propagate(
+            ref, emissions, self.slice.contains_offset if self.enforce_bounds else None
         )
 
-    def _orient(
-        self, probing: StreamTuple, candidate: StreamTuple
-    ) -> tuple[StreamTuple, StreamTuple]:
-        """Order a (probing, candidate) pair as (left-stream, right-stream)."""
-        if probing.stream == self.left_stream:
-            return probing, candidate
-        return candidate, probing
+    def _process_female(self, tup: StreamTuple) -> list[Emission]:
+        # Insert: the female copy fills its own sliced state.
+        self._states[tup.stream].append(tup)
+        return []
 
     def describe(self) -> str:
         return (

@@ -48,11 +48,11 @@ selections are therefore applied to each query's results (window semantics:
 the N most recent *arrivals*, selections filter the answers).
 
 **Hash probing** — ``probe="hash"`` (equi-join conditions only, or
-``"auto"``) makes every slice maintain a per-stream hash index on the
-equi-key, so a probing tuple examines one bucket instead of the whole
-sliced state.  Indexes survive split/merge migrations (rebuilt by the
-chain's ``load_state``); the ≥2× throughput gate lives in
-``benchmarks/test_hash_probe.py``.
+``"auto"``; the constructor default is ``"nested_loop"``) makes every slice
+state keep a per-key index on the equi-key, so a probing tuple examines one
+bucket instead of the whole sliced state.  The index is a property of the
+state (:mod:`repro.engine.columns`): it survives split/merge migrations
+because ``load_state`` rebuilds it with the state it loads.
 
 **Adaptive re-optimization** — with ``collect_statistics=True`` (or an
 attached :class:`~repro.runtime.adaptive.AdaptivePolicy`) every processed
@@ -87,7 +87,7 @@ from repro.core.statistics import (
     StreamStatistics,
     filter_observation_key,
 )
-from repro.engine.errors import MigrationError, QueryError
+from repro.engine.errors import ExecutionError, MigrationError, QueryError
 from repro.engine.metrics import CostCategory, MetricsCollector
 from repro.engine.spill import SpillStore, estimate_tuple_bytes
 from repro.operators.sliced_join import resolve_probe
@@ -191,12 +191,8 @@ class StreamEngine:
         :class:`~repro.core.count_chain.CountSlicedJoinChain`.
     probe:
         Probe algorithm of every slice: ``"nested_loop"`` (the paper's cost
-        model), ``"hash"`` (equi-join conditions only) or ``"auto"``.
-    columnar:
-        ``True``/``"auto"`` (default) runs the slices' batch hot path over
-        columnar struct-of-arrays state (see
-        :mod:`repro.engine.columns`); ``False`` keeps the tuple-at-a-time
-        deque representation.  Results are identical either way.
+        model, and the default), ``"hash"`` (equi-join conditions only) or
+        ``"auto"`` (hash for equi-joins, nested loop otherwise).
     policy:
         Optional :class:`~repro.runtime.adaptive.AdaptivePolicy`; attaching
         one turns statistics collection on and lets the session re-optimize
@@ -219,6 +215,11 @@ class StreamEngine:
         ``None`` (default) keeps everything in core.
     """
 
+    #: Slice state is always columnar (:mod:`repro.engine.columns`); this
+    #: constant exists only because ``bench/workloads.resolved_knobs`` reads
+    #: ``session.columnar``, and goes with the next ``benchmark`` PR.
+    columnar = "auto"
+
     def __init__(
         self,
         condition: JoinCondition,
@@ -228,7 +229,6 @@ class StreamEngine:
         metrics: MetricsCollector | None = None,
         window_kind: str = "time",
         probe: str = "nested_loop",
-        columnar: bool | str = "auto",
         policy=None,
         collect_statistics: bool = False,
         memory_budget_bytes: int | None = None,
@@ -250,12 +250,12 @@ class StreamEngine:
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.window_kind = window_kind
         self.probe = probe
-        self.columnar = columnar
         self.stats = EngineStats()
         self._chain: SlicedJoinChain | CountSlicedJoinChain | None = None
         self._queries: dict[str, RegisteredQuery] = {}
         self._results: dict[str, list[JoinedTuple]] = {}
         self._pending: list[StreamTuple] = []
+        self._last_timestamp = float("-inf")
         self._routing: list[list[_Route]] = []
         self.policy = None
         self._observing = bool(collect_statistics)
@@ -338,9 +338,7 @@ class StreamEngine:
                 # segments its spilled slices held so they don't pile up in
                 # the store across teardown/re-admission cycles.
                 for join in chain.joins:
-                    release = getattr(join, "release_spill", None)
-                    if release is not None:
-                        release()
+                    join.release_spill()
             self._chain = None
             self._routing = []
             self._record_migration("teardown", query.window)
@@ -403,7 +401,6 @@ class StreamEngine:
             right_stream=self.right_stream,
             metrics=self.metrics,
             probe=self.probe,
-            columnar=self.columnar,
         )
 
     def set_probe(self, probe: str) -> None:
@@ -433,7 +430,18 @@ class StreamEngine:
 
     # -- execution -------------------------------------------------------------
     def process(self, tup: StreamTuple) -> None:
-        """Ingest one arriving tuple (buffered until the batch fills)."""
+        """Ingest one arriving tuple (buffered until the batch fills).
+
+        Arrivals must come in timestamp order (equal timestamps are legal):
+        every slice state is timestamp-ordered and its purge cut is a binary
+        search, which an out-of-order tuple would silently mis-cut.
+        """
+        if tup.timestamp < self._last_timestamp:
+            raise ExecutionError(
+                f"out-of-order arrival: timestamp {tup.timestamp!r} is lower than "
+                f"the last accepted one ({self._last_timestamp!r})"
+            )
+        self._last_timestamp = tup.timestamp
         self._pending.append(tup)
         if len(self._pending) >= self.batch_size:
             self._run_batch()
@@ -609,9 +617,7 @@ class StreamEngine:
         chain = self._chain
         if chain is not None:
             for join in chain.joins:
-                release = getattr(join, "release_spill", None)
-                if release is not None:
-                    release()
+                join.release_spill()
         if self._spill_store is not None:
             self._spill_store.close()
             self._spill_store = None
@@ -1113,7 +1119,6 @@ class CountStreamEngine(StreamEngine):
         batch_size: int = 32,
         metrics: MetricsCollector | None = None,
         probe: str = "nested_loop",
-        columnar: bool | str = "auto",
         policy=None,
         collect_statistics: bool = False,
         memory_budget_bytes: int | None = None,
@@ -1126,7 +1131,6 @@ class CountStreamEngine(StreamEngine):
             metrics=metrics,
             window_kind="count",
             probe=probe,
-            columnar=columnar,
             policy=policy,
             collect_statistics=collect_statistics,
             memory_budget_bytes=memory_budget_bytes,

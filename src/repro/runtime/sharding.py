@@ -112,7 +112,6 @@ class ShardConfig:
     batch_size: int = 32
     window_kind: str = "time"
     probe: str = "nested_loop"
-    columnar: bool | str = "auto"
     system_overhead: float = 0.0
     collect_statistics: bool = False
     #: Per-shard in-core state budget (the session budget split over the
@@ -129,7 +128,6 @@ class ShardConfig:
             metrics=MetricsCollector(system_overhead=self.system_overhead),
             window_kind=self.window_kind,
             probe=self.probe,
-            columnar=self.columnar,
             collect_statistics=self.collect_statistics,
             memory_budget_bytes=self.memory_budget_bytes,
         )
@@ -355,10 +353,13 @@ class ShardedStreamEngine:
         to disk, see :class:`StreamEngine`.  A :meth:`reshard` re-splits
         the session budget under the new modulus, so growing the session
         also grows nobody's total footprint.
-    batch_size / window_kind / probe / columnar / system_overhead /
-    collect_statistics:
+    batch_size / window_kind / probe / system_overhead / collect_statistics:
         Forwarded to every shard's engine, see :class:`StreamEngine`.
     """
+
+    #: See :attr:`StreamEngine.columnar` — read by
+    #: ``bench/workloads.resolved_knobs``; goes with the next ``benchmark`` PR.
+    columnar = "auto"
 
     def __init__(
         self,
@@ -370,7 +371,6 @@ class ShardedStreamEngine:
         batch_size: int = 32,
         window_kind: str = "time",
         probe: str = "nested_loop",
-        columnar: bool | str = "auto",
         system_overhead: float = 0.0,
         collect_statistics: bool = False,
         on_unsupported: str = "raise",
@@ -414,7 +414,6 @@ class ShardedStreamEngine:
         self.right_stream = right_stream
         self.window_kind = window_kind
         self.probe = probe
-        self.columnar = columnar
         self.batch_size = max(1, int(batch_size))
         self.ring_capacity = int(ring_capacity)
         self.max_respawns = int(max_respawns)
@@ -433,7 +432,6 @@ class ShardedStreamEngine:
             batch_size=self.batch_size,
             window_kind=window_kind,
             probe=probe,
-            columnar=columnar,
             system_overhead=system_overhead,
             collect_statistics=collect_statistics,
             memory_budget_bytes=self._per_shard_budget(self.shards),
@@ -919,8 +917,18 @@ class ShardedStreamEngine:
 
     # -- execution -------------------------------------------------------------
     def process(self, tup: StreamTuple) -> None:
-        """Ingest one arriving tuple, routing it to its key's shard."""
+        """Ingest one arriving tuple, routing it to its key's shard.
+
+        Global timestamp order is checked here: an arrival that is late
+        for the session can still be in order for its own shard, whose
+        engine would then accept it.
+        """
         self._check_open()
+        if tup.timestamp < self._clock and self._arrivals:
+            raise ExecutionError(
+                f"out-of-order arrival: timestamp {tup.timestamp!r} is lower than "
+                f"the last accepted one ({self._clock!r})"
+            )
         index = self.shard_of(tup)
         self._arrivals += 1
         self._clock = tup.timestamp

@@ -1,13 +1,16 @@
-"""Property tests: the columnar hot path is invisible in the output (PR 6).
+"""Property tests: the columnar batch kernel is invisible in the output.
 
-The columnar batch representation (struct-of-arrays blocks, see
-``repro.engine.columns``) is a pure performance substitution: every operator
-that grew a vectorized ``process_batch`` path — the sliced/count join
-chains, the selection filters, the engine's probe loop — must emit exactly
-the tuples (and the same delivery order) as the tuple-at-a-time scalar path,
-at every batch size, for every condition shape, and for payload values the
-float64 key columns cannot represent exactly (strings, bools, huge ints —
-the fallback paths).
+Slice state has one in-core representation (``repro.engine.columns``): the
+batched ``process_batch`` path runs ``state.purge`` / ``state.probe`` —
+binary-searched cut, vectorized mask, key index, bound scalar fallback —
+while the per-item ``process()`` path stays the literal scalar Figure-9
+loop over the same state's deque surface (``condition.matches`` per
+candidate).  The properties here hold the kernel to that reference and to
+the independent ``repro.baselines.unshared`` oracle: same pairs, same
+per-slice attribution, same resident state, same probe/purge comparison
+counts — at every batch size, for every condition shape, and for payload
+values the float64 key columns cannot represent exactly (strings, bools,
+huge ints — the fallback paths).
 
 These are the differential properties that make "byte-identical outputs"
 a checked invariant instead of a code-review claim.
@@ -17,8 +20,10 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.unshared import build_unshared_plan
 from repro.core.chain import SlicedJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
+from repro.engine.executor import execute_plan
 from repro.operators.selection import Selection, StreamFilter
 from repro.query.predicates import (
     CrossProductCondition,
@@ -27,6 +32,7 @@ from repro.query.predicates import (
     ThetaJoinCondition,
     selectivity_filter,
 )
+from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.runtime import StreamEngine
 from repro.streams.tuples import MALE, FEMALE, RefTuple, make_tuple
 
@@ -103,9 +109,41 @@ CONDITIONS = {
 }
 
 
-def _emitted(results):
-    """Flatten chain (slice, joined) emissions to comparable evidence."""
-    return [(joined.left.seqno, joined.right.seqno) for _, joined in results]
+BATCH_SIZES = [1, 3, 16, 64]
+
+
+def _tagged(results):
+    """Chain (slice, joined) emissions as order-free comparable evidence."""
+    return sorted((index, j.left.seqno, j.right.seqno) for index, j in results)
+
+
+def _batched(chain, tuples, batch_size):
+    results = []
+    for start in range(0, len(tuples), batch_size):
+        results.extend(chain.process_batch(tuples[start : start + batch_size]))
+    return results
+
+
+def _unshared(condition, windows, tuples, window_kind="time"):
+    """Per-query pairs of the independent no-sharing baseline plan."""
+    workload = QueryWorkload(
+        [ContinuousQuery(name, window, condition) for name, window in windows.items()]
+    )
+    report = execute_plan(build_unshared_plan(workload, window_kind=window_kind), tuples)
+    return {
+        name: sorted((j.left.seqno, j.right.seqno) for j in report.results[name])
+        for name in windows
+    }
+
+
+def _evidence(chain, results):
+    comparisons = chain.metrics.comparisons
+    return (
+        _tagged(results),
+        chain.state_sizes(),
+        comparisons.get("probe", 0),
+        comparisons.get("purge", 0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +154,21 @@ def _emitted(results):
     tuples=stream_events(),
     boundaries=slicings(),
     kind=st.sampled_from(sorted(CONDITIONS)),
+    batch_size=st.sampled_from(BATCH_SIZES),
 )
-def test_sliced_chain_columnar_equals_tuple_path(tuples, boundaries, kind):
-    runs = {}
-    for columnar in (False, True):
-        chain = SlicedJoinChain(boundaries, CONDITIONS[kind](), columnar=columnar)
-        results = _emitted(chain.process_all(tuples))
-        runs[columnar] = (results, chain.state_size())
-    assert runs[True] == runs[False]
+def test_sliced_chain_columnar_equals_tuple_path(tuples, boundaries, kind, batch_size):
+    """Batch kernel ≡ per-item ``process()`` ≡ unshared baseline (time slices)."""
+    condition = CONDITIONS[kind]()
+    per_item = SlicedJoinChain(boundaries, condition)
+    batched = SlicedJoinChain(boundaries, condition)
+    reference = per_item.process_all(tuples)
+    assert _evidence(batched, _batched(batched, tuples, batch_size)) == _evidence(
+        per_item, reference
+    )
+    window = boundaries[-1]
+    assert sorted(
+        (j.left.seqno, j.right.seqno) for _, j in reference
+    ) == _unshared(condition, {"Q": window}, tuples)["Q"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,15 +176,21 @@ def test_sliced_chain_columnar_equals_tuple_path(tuples, boundaries, kind):
     tuples=stream_events(),
     ranks=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3, unique=True),
     kind=st.sampled_from(sorted(CONDITIONS)),
+    batch_size=st.sampled_from(BATCH_SIZES),
 )
-def test_count_chain_columnar_equals_tuple_path(tuples, ranks, kind):
+def test_count_chain_columnar_equals_tuple_path(tuples, ranks, kind, batch_size):
+    """Batch kernel ≡ per-item ``process()`` ≡ unshared baseline (rank slices)."""
     boundaries = [0] + sorted(ranks)
-    runs = {}
-    for columnar in (False, True):
-        chain = CountSlicedJoinChain(boundaries, CONDITIONS[kind](), columnar=columnar)
-        results = _emitted(chain.process_all(tuples))
-        runs[columnar] = (results, chain.state_size())
-    assert runs[True] == runs[False]
+    condition = CONDITIONS[kind]()
+    per_item = CountSlicedJoinChain(boundaries, condition)
+    batched = CountSlicedJoinChain(boundaries, condition)
+    reference = per_item.process_all(tuples)
+    assert _evidence(batched, _batched(batched, tuples, batch_size)) == _evidence(
+        per_item, reference
+    )
+    assert sorted(
+        (j.left.seqno, j.right.seqno) for _, j in reference
+    ) == _unshared(condition, {"Q": boundaries[-1]}, tuples, "count")["Q"]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +199,7 @@ def test_count_chain_columnar_equals_tuple_path(tuples, ranks, kind):
 @settings(max_examples=25, deadline=None)
 @given(
     tuples=stream_events(keys=WEIRD_KEYS),
-    batch_size=st.sampled_from([1, 3, 16, 64]),
+    batch_size=st.sampled_from(BATCH_SIZES),
     window_kind=st.sampled_from(["time", "count"]),
     probe=st.sampled_from(["nested_loop", "hash"]),
 )
@@ -157,29 +208,33 @@ def test_engine_columnar_equals_tuple_path_on_weird_keys(
 ):
     """Engine sessions agree even when keys defeat the float64 columns.
 
-    Strings, bools, ints past 2**53, and missing attributes all force the
-    columnar layout's fallback behavior; the scalar path is the oracle.
+    Strings, bools and ints past 2**53 all force the columnar layout's
+    fallback behavior; the per-item chain path and the unshared baseline
+    are the oracles.
     """
     condition = EquiJoinCondition("join_key", "join_key", key_domain=13)
     windows = {"Q1": 2.0, "Q2": 3.0} if window_kind == "time" else {"Q1": 3, "Q2": 5}
-    runs = {}
-    for columnar in (False, True):
-        engine = StreamEngine(
-            condition,
-            batch_size=batch_size,
-            probe=probe,
-            columnar=columnar,
-            window_kind=window_kind,
-        )
-        for name, window in windows.items():
-            engine.add_query(name, window)
-        engine.process_many(tuples)
-        engine.flush()
-        runs[columnar] = {
-            name: [(j.left.seqno, j.right.seqno) for j in engine.results(name)]
-            for name in windows
-        }
-    assert runs[True] == runs[False]
+    engine = StreamEngine(
+        condition, batch_size=batch_size, probe=probe, window_kind=window_kind
+    )
+    for name, window in windows.items():
+        engine.add_query(name, window)
+    engine.process_many(tuples)
+    engine.flush()
+    delivered = {
+        name: sorted((j.left.seqno, j.right.seqno) for j in engine.results(name))
+        for name in windows
+    }
+    assert delivered == _unshared(condition, windows, tuples, window_kind)
+
+    chain_cls = SlicedJoinChain if window_kind == "time" else CountSlicedJoinChain
+    chain = chain_cls([0, *windows.values()], condition, probe=probe)
+    reference = chain.process_all(tuples)
+    restrict = chain.results_for_window if window_kind == "time" else chain.results_for_count
+    assert delivered == {
+        name: sorted((j.left.seqno, j.right.seqno) for j in restrict(reference, window))
+        for name, window in windows.items()
+    }
 
 
 # ---------------------------------------------------------------------------

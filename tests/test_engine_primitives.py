@@ -64,7 +64,7 @@ class TestMetricsCollector:
     def test_memory_statistics(self):
         metrics = MetricsCollector()
         for timestamp, size in [(1.0, 10), (2.0, 20), (3.0, 30), (4.0, 40)]:
-            metrics.sample_memory(timestamp, size)
+            metrics.record_memory_sample(timestamp, size)
         assert metrics.average_state_memory() == pytest.approx(25.0)
         assert metrics.max_state_memory() == 40
         assert metrics.steady_state_memory(warmup_fraction=0.5) == pytest.approx(35.0)
@@ -91,11 +91,39 @@ class TestMetricsCollector:
         second = MetricsCollector()
         second.count(CostCategory.PROBE, 7)
         second.record_invocation("op")
-        second.sample_memory(1.0, 3)
+        second.record_memory_sample(1.0, 3)
         first.merge(second)
         assert first.comparisons[CostCategory.PROBE] == 12
         assert first.total_invocations == 1
         assert len(first.memory_samples) == 1
+        assert first.max_state_memory() == 3
+
+    def test_memory_gauges_are_constant_size(self):
+        """A live session's per-batch readings must not accumulate.
+
+        ``sample_memory`` folds each reading into running count/sum/max/last
+        gauges, so a collector that absorbed 10**4 batches is no bigger than
+        one that absorbed one, and ``snapshot()`` rescans nothing.
+        """
+        metrics = MetricsCollector()
+        metrics.sample_memory(0.0, 1, resident_bytes=64.0)
+        size_after_one = len(metrics.__dict__), len(metrics.memory_samples)
+        for batch in range(1, 10**4):
+            metrics.sample_memory(float(batch), batch % 97, batch % 89 * 64.0, batch % 5)
+        assert (len(metrics.__dict__), len(metrics.memory_samples)) == size_after_one
+        assert all(
+            not isinstance(value, (list, dict)) or len(value) == 0
+            for value in metrics.__dict__.values()
+        )
+        snapshot = metrics.snapshot()
+        assert snapshot["memory.max"] == 96.0
+        assert snapshot["memory.max_resident_bytes"] == 88 * 64.0
+        assert snapshot["memory.resident_bytes"] == (10**4 - 1) % 89 * 64.0
+        assert snapshot["memory.spilled_bytes"] == (10**4 - 1) % 5
+        assert snapshot["memory.average"] == pytest.approx(
+            (1 + sum(batch % 97 for batch in range(1, 10**4))) / 10**4
+        )
+        assert metrics.steady_state_memory() == 0.0  # a static-run figure
 
     def test_snapshot_contains_expected_keys(self):
         metrics = MetricsCollector()

@@ -28,11 +28,11 @@ see ``test_pushed_filters_do_drop_state``).
 
 The suite runs 220 scenarios (140 time-window, 80 count-window), seeded and
 deterministic, plus 60 sharded and 40 resharded scenarios (see below).
-Every scenario additionally draws the batch *representation* — columnar
-struct-of-arrays blocks, the tuple-at-a-time scalar path, or ``"auto"`` —
-so the differential oracle covers both hot paths of PR 6; in the sharded
-and resharded families the two engines draw their representation
-independently, making the equality a cross-representation check.
+Slice state has one in-core representation (``repro.engine.columns``) and
+one cold one (``repro.engine.spill``); every scenario draws the probe
+algorithm and a memory budget, so the oracle covers the vectorized mask,
+the key index and the segment index, and in the sharded and resharded
+families the two engines draw them independently.
 
 Sharded family
 --------------
@@ -93,12 +93,11 @@ TIME_WINDOWS = (1.0, 1.5, 2.0, 3.0, 4.0)
 COUNT_WINDOWS = (2, 3, 5, 8, 12)
 THRESHOLDS = (0.15, 0.3, 0.5, 0.7, 0.85)
 BATCH_SIZES = (1, 2, 5, 16, 64)
-COLUMNAR_MODES = (False, True, "auto")
 #: Per-engine in-core state budgets: unbudgeted, tight (a few tuples stay
 #: resident — almost everything spills to the disk tier), and mid (spilling
 #: starts only when several windows' state piles up).  Every scenario draws
 #: one per engine, composing the spill path with admission/removal
-#: schedules, both probe algorithms, columnar batches and reshards.
+#: schedules, both probe algorithms and reshards.
 MEMORY_BUDGETS = (None, 2048, 32768)
 ARRIVALS = 110
 FOREVER = 10**9
@@ -246,7 +245,6 @@ def run_scenario(seed: int, window_kind: str) -> None:
         batch_size=batch_size,
         window_kind=window_kind,
         probe=probe,
-        columnar=rng.choice(COLUMNAR_MODES),
         memory_budget_bytes=memory_budget,
     )
     engine.add_query(
@@ -337,8 +335,7 @@ def run_sharded_scenario(seed: int) -> None:
             condition,
             batch_size=rng.choice(BATCH_SIZES),
             probe=rng.choice(("nested_loop", "hash", "auto")),
-            columnar=rng.choice(COLUMNAR_MODES),
-            memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
+                memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
         ),
         "sharded": ShardedStreamEngine(
             condition,
@@ -346,8 +343,7 @@ def run_sharded_scenario(seed: int) -> None:
             shard_mode=shard_mode,
             batch_size=rng.choice(BATCH_SIZES),
             probe=rng.choice(("nested_loop", "hash", "auto")),
-            columnar=rng.choice(COLUMNAR_MODES),
-            memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
+                memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
         ),
     }
     admissions: dict[int, list[int]] = {}
@@ -443,16 +439,14 @@ def run_resharded_scenario(seed: int) -> None:
             condition,
             batch_size=rng.choice(BATCH_SIZES),
             probe=rng.choice(("nested_loop", "hash", "auto")),
-            columnar=rng.choice(COLUMNAR_MODES),
-            memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
+                memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
         ),
         "resharded": ShardedStreamEngine(
             condition,
             shards=start_shards,
             batch_size=rng.choice(BATCH_SIZES),
             probe=rng.choice(("nested_loop", "hash", "auto")),
-            columnar=rng.choice(COLUMNAR_MODES),
-            memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
+                memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
         ),
     }
     admissions: dict[int, list[int]] = {}

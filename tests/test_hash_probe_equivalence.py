@@ -1,11 +1,12 @@
 """Property tests: hash probing ≡ nested-loop probing.
 
-The hash probe path of the sliced joins keeps a per-stream, per-slice index
-on the equi-join key, maintained under insert and expire and rebuilt across
-slice split/merge migrations.  These properties assert that for *any*
-arrival sequence and *any* migration schedule the hash path produces join
-outputs identical — same pairs, same order — to the nested-loop path, and
-that the internal index always agrees with the deque state it mirrors.
+With ``probe="hash"`` every slice state (``repro.engine.columns``) keeps a
+per-key index over its time-ordered rows, maintained under insert and expire
+and rebuilt across slice split/merge migrations.  These properties assert
+that for *any* arrival sequence and *any* migration schedule the hash path
+produces join outputs identical — same pairs, same order — to the
+nested-loop path, that the batch kernel's bucket probe agrees with the
+per-item path, and that the index always agrees with the rows it mirrors.
 """
 
 from __future__ import annotations
@@ -58,23 +59,22 @@ def tagged(results):
 
 
 def index_agrees_with_state(join):
-    """The hash index holds exactly the deque state, bucketed by key."""
-    if join._indexes is None:
-        return True
-    for stream, state in join._states.items():
-        indexed = [
-            tup.seqno
-            for bucket in join._indexes[stream].values()
-            for tup in bucket
-        ]
+    """Each indexed state's key index holds exactly its rows, bucketed by key."""
+    for state in join._states.values():
+        index = state._index
+        if index is None:
+            continue
+        indexed = [tup.seqno for bucket in index.values() for tup in bucket]
         if sorted(indexed) != sorted(tup.seqno for tup in state):
             return False
-        attribute = join._key_attrs[stream]
-        for key, bucket in join._indexes[stream].items():
+        attribute = state.binding.key_attribute
+        for key, bucket in index.items():
             if not bucket:
                 return False  # empty buckets must be deleted eagerly
             if any(tup[attribute] != key for tup in bucket):
                 return False
+            if [tup.seqno for tup in bucket] != sorted(tup.seqno for tup in bucket):
+                return False  # buckets keep the time order of the rows
     return True
 
 
@@ -109,6 +109,8 @@ class TestInsertExpire:
             want = sorted(tagged(per_tuple.process_all(tuples)))
             got = sorted(tagged(batched.process_batch(tuples)))
             assert want == got
+            # One comparison per bucket entry on both paths.
+            assert per_tuple.metrics.comparisons == batched.metrics.comparisons
 
 
 migration_schedules = st.lists(
@@ -154,7 +156,8 @@ class TestMigrations:
 
     The same arrival sequence and the same migration schedule are applied
     to a nested-loop chain and a hash chain; outputs must stay identical,
-    which pins down the index rebuilds performed by load_state.
+    which pins down the index rebuilds a state performs when load_state
+    loads it.
     """
 
     @settings(max_examples=60, deadline=None)

@@ -13,10 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.merge_graph import ChainCostParameters
-from repro.engine.errors import MigrationError, QueryError
+from repro.engine.errors import ExecutionError, MigrationError, QueryError
 from repro.query.predicates import selectivity_join
 from repro.runtime import CountStreamEngine, StreamEngine
 from repro.streams.generators import generate_join_workload
+from repro.streams.tuples import make_tuple
 
 CONDITION = selectivity_join(0.2)
 
@@ -615,9 +616,44 @@ class TestEngineAccounting:
         assert engine.stats.arrivals == 100
         assert engine.stats.batches >= 100 // 8
         assert engine.metrics.tuples_ingested == 100
-        assert engine.metrics.memory_samples, "memory must be sampled per batch"
+        # Memory is sampled per batch into O(1) gauges, not an ever-growing list.
+        assert engine.metrics.snapshot()["memory.max"] > 0
+        assert engine.metrics.memory_samples == []
         assert engine.state_size() > 0
         assert engine.stats.results_delivered == len(engine.results("Q1"))
+
+    def test_out_of_order_arrival_is_rejected(self):
+        """The binary-searched purge cut needs timestamp order; reject loudly."""
+        engine = StreamEngine(CONDITION, batch_size=4)
+        engine.add_query("Q1", 2.0)
+        engine.process(make_tuple("A", 1.0, join_key=1))
+        engine.process(make_tuple("B", 1.0, join_key=1))  # equal timestamps stay legal
+        with pytest.raises(ExecutionError, match="out-of-order"):
+            engine.process(make_tuple("A", 0.5, join_key=1))
+        engine.process(make_tuple("A", 1.5, join_key=1))  # the refused tuple left no trace
+        engine.flush()
+        assert engine.stats.arrivals == 3
+
+    def test_collector_size_is_flat_in_session_length(self):
+        """10**4 batches leave the collector as big as 10**2 did."""
+
+        def collector_size(metrics):
+            return sum(
+                len(value) if isinstance(value, (list, dict)) else 1
+                for value in vars(metrics).values()
+            )
+
+        engine = StreamEngine(CONDITION, batch_size=1)
+        engine.add_query("Q1", 0.05)
+        sizes = {}
+        for index in range(10**4):
+            engine.process(make_tuple("AB"[index % 2], index * 0.01, join_key=index % 5))
+            if index + 1 in (10**2, 10**4):
+                engine.pop_results("Q1")
+                sizes[index + 1] = collector_size(engine.metrics)
+        assert engine.stats.batches == 10**4
+        assert sizes[10**4] == sizes[10**2]
+        assert engine.metrics.snapshot()["memory.max"] > 0
 
     def test_pop_results_clears(self, stream):
         engine = StreamEngine(CONDITION, batch_size=8)

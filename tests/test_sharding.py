@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.merge_graph import ChainCostParameters
 from repro.core.statistics import StreamStatistics
-from repro.engine.errors import ShardingError
+from repro.engine.errors import ExecutionError, ShardingError
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
 from repro.query.predicates import (
     CrossProductCondition,
@@ -242,6 +242,23 @@ def test_admission_surface_validation():
 # ---------------------------------------------------------------------------
 # 4. Statistics aggregation and the planner
 # ---------------------------------------------------------------------------
+def test_out_of_order_arrival_is_rejected_session_wide():
+    """A late arrival is refused even when it is in order for its own shard."""
+    engine = ShardedStreamEngine(CONDITION, shards=2, batch_size=4)
+    engine.add_query("Q", 2.0)
+    keys = {shard_for_key(key, 2): key for key in range(24)}  # one key per shard
+    engine.process(make_tuple("A", 1.0, join_key=keys[0]))
+    engine.process(make_tuple("B", 2.0, join_key=keys[0]))
+    with pytest.raises(ExecutionError, match="out-of-order"):
+        # Late for the session (last accepted: 2.0) but the first arrival
+        # of shard 1, whose own engine would have accepted it.
+        engine.process(make_tuple("A", 1.5, join_key=keys[1]))
+    engine.process(make_tuple("A", 2.0, join_key=keys[1]))  # equal timestamps stay legal
+    engine.process(make_tuple("B", 2.5, join_key=keys[1]))
+    engine.flush()
+    assert len(engine.results("Q")) == 2
+
+
 def test_snapshot_aggregation_sums_counters():
     left = MetricsCollector()
     right = MetricsCollector()

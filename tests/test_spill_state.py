@@ -3,7 +3,9 @@
 The differential fuzz and benchmark suites exercise spilling end-to-end;
 this file pins the primitives in isolation: budget parsing, the
 deque-compatible :class:`SpilledState` surface, the per-segment key
-index, store cleanup, and the engine-level eviction/accounting contract.
+index, store cleanup, and the engine-level eviction/accounting contract
+(``tests/test_slice_state_protocol.py`` drives the whole state protocol
+against a model, together with the in-core state).
 """
 
 from __future__ import annotations
@@ -12,15 +14,24 @@ import os
 
 import pytest
 
+from repro.engine.columns import ProbeBinding
 from repro.engine.spill import (
     SpilledState,
     SpillStore,
     parse_memory_budget,
 )
-from repro.query.predicates import EquiJoinCondition
+from repro.query.predicates import EquiJoinCondition, selectivity_join
 from repro.runtime import StreamEngine
 from repro.runtime.engine import QueryError
 from repro.streams.tuples import StreamTuple
+
+
+#: A state of left ("A") tuples under an equi-join gets the segment key
+#: index; under a non-equi condition every probe is a full scan.
+KEYED = ProbeBinding(
+    EquiJoinCondition("join_key", "join_key", key_domain=8), stores_left=True, equi=True
+)
+UNKEYED = ProbeBinding(selectivity_join(0.5), stores_left=True)
 
 
 def make_tuples(count, stream="A", key_domain=4, spacing=0.01):
@@ -55,7 +66,7 @@ def test_parse_memory_budget_rejects_garbage(bad):
 def test_spilled_state_preserves_order_across_tiers():
     store = SpillStore()
     data = make_tuples(300)
-    state = SpilledState(store, "join_key", data[:200], flush_rows=64)
+    state = SpilledState(store, KEYED, data[:200], flush_rows=64)
     for tup in data[200:]:
         state.append(tup)
     assert len(state) == 300
@@ -69,7 +80,7 @@ def test_spilled_state_preserves_order_across_tiers():
 
 def test_spilled_state_getitem_bounds():
     store = SpillStore()
-    state = SpilledState(store, None, make_tuples(10), flush_rows=4)
+    state = SpilledState(store, UNKEYED, make_tuples(10), flush_rows=4)
     with pytest.raises(IndexError):
         state[10]
     with pytest.raises(IndexError):
@@ -81,7 +92,7 @@ def test_spilled_state_getitem_bounds():
 def test_spilled_state_purge_matches_in_core_scan():
     store = SpillStore()
     data = make_tuples(100, spacing=0.1)  # timestamps 0.0 .. 9.9
-    state = SpilledState(store, "join_key", data, flush_rows=16)
+    state = SpilledState(store, KEYED, data, flush_rows=16)
     purged, comparisons = state.purge(now=10.0, end=5.0)
     # now - t >= 5.0  <=>  t <= 5.0  <=>  the first 51 tuples.
     assert [t.seqno for t in purged] == [t.seqno for t in data[:51]]
@@ -96,29 +107,34 @@ def test_spilled_state_purge_matches_in_core_scan():
 def test_spilled_state_probe_uses_key_index():
     store = SpillStore()
     data = make_tuples(256, key_domain=8)
-    state = SpilledState(store, "join_key", data, flush_rows=64)
+    state = SpilledState(store, KEYED, data, flush_rows=64)
     before = store.cold_reads
-    hits = state.probe(3)
+    probing = StreamTuple("B", 9.0, {"join_key": 3})
+    hits, comparisons = state.probe(probing)
     assert [t.seqno for t in hits] == [t.seqno for t in data if t.values["join_key"] == 3]
     # The index decoded only the matching bucket, not the full state.
-    assert store.cold_reads - before == len(hits)
-    # Unindexed probe (no key) falls back to a full scan.
-    assert len(state.probe()) == 256
+    assert comparisons == len(hits) == store.cold_reads - before
+    # A probing tuple without the key attribute falls back to a full scan.
+    assert len(state.candidates(StreamTuple("B", 9.0, {}))) == 256
     # An unhashable key degrades gracefully to the scan path.
-    assert len(state.probe([])) >= 0
+    assert len(state.candidates(StreamTuple("B", 9.0, {"join_key": []}))) == 256
+    # Without an equi-join there is no index: every probe scans everything.
+    unkeyed = SpilledState(store, UNKEYED, data, flush_rows=64)
+    _, comparisons = unkeyed.probe(probing)
+    assert comparisons == 256
     store.close()
 
 
 def test_spill_store_close_removes_segment_directory():
     store = SpillStore()
     assert store.directory is None  # lazy: no tempdir until a segment exists
-    state = SpilledState(store, None, make_tuples(48), flush_rows=16)
+    state = SpilledState(store, UNKEYED, make_tuples(48), flush_rows=16)
     for tup in make_tuples(48):
         state.append(tup)  # three more flushes of 16 rows each
     directory = store.directory
     assert directory is not None and os.path.isdir(directory)
     assert store.segments_written >= 4
-    assert state.spilled_bytes() > 0
+    assert state.memory_bytes(256)[1] > 0
     store.close()
     assert not os.path.exists(directory)
     store.close()  # idempotent
