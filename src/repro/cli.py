@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "process"),
         default="serial",
         help="serial runs the shards round-robin in-process (algorithmic "
-        "probe win); process starts one worker per shard fed pickled "
-        "batches",
+        "probe win); process starts one worker per shard fed columnar "
+        "batch encodings through a shared-memory ring",
     )
     runtime.add_argument(
         "--reshard",

@@ -112,6 +112,22 @@ _EPSILON = 1e-9
 _Route = tuple[str, float | None, Predicate | None, Predicate | None]
 
 
+def normalize_window(name: str, window: float, window_kind: str) -> float:
+    """Validate a query's window: positive seconds, or a positive whole rank
+    count for a count-window session.  Raises :class:`QueryError` otherwise."""
+    if window_kind == "count":
+        if window != int(window) or int(window) <= 0:
+            raise QueryError(
+                f"query {name!r} needs a positive integer count window, "
+                f"got {window!r}"
+            )
+        return int(window)
+    window = float(window)
+    if window <= 0:
+        raise QueryError(f"query {name!r} has non-positive window {window}")
+    return window
+
+
 @dataclass(frozen=True)
 class RegisteredQuery:
     """One continuous query currently admitted to a :class:`StreamEngine`."""
@@ -286,7 +302,7 @@ class StreamEngine:
         """
         if name in self._queries:
             raise QueryError(f"query {name!r} is already registered")
-        window = self._normalize_window(name, window)
+        window = normalize_window(name, window, self.window_kind)
         self._drain()
         if self._chain is None:
             self._chain = self._make_chain(window)
@@ -378,19 +394,6 @@ class StreamEngine:
                 self._record_migration("merge", query.window)
         self._refresh_plan()
         return delivered
-
-    def _normalize_window(self, name: str, window: float) -> float:
-        if self.window_kind == "count":
-            if window != int(window) or int(window) <= 0:
-                raise QueryError(
-                    f"query {name!r} needs a positive integer count window, "
-                    f"got {window!r}"
-                )
-            return int(window)
-        window = float(window)
-        if window <= 0:
-            raise QueryError(f"query {name!r} has non-positive window {window}")
-        return window
 
     def _make_chain(self, window: float) -> SlicedJoinChain | CountSlicedJoinChain:
         chain_cls = SlicedJoinChain if self.window_kind == "time" else CountSlicedJoinChain

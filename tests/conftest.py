@@ -71,6 +71,15 @@ def make_stream(sequence, stream="A", start=0.0, gap=1.0, key="k"):
     ]
 
 
+def kill_worker(session, index: int) -> None:
+    """Kill the worker process behind shard ``index`` of a process-mode
+    :class:`~repro.runtime.ShardedStreamEngine` and wait for it to be gone."""
+    worker = session._shards[index].worker
+    worker.terminate()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+
+
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------

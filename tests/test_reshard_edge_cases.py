@@ -34,6 +34,7 @@ from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.query.predicates import CrossProductCondition, EquiJoinCondition
 from repro.runtime import ShardedStreamEngine, ShardPlanner, StreamEngine
 from repro.streams.tuples import make_tuple
+from tests.conftest import kill_worker
 
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=8)
 
@@ -362,8 +363,7 @@ def test_process_mode_reshard_with_a_dead_worker_recovers():
         engine.add_query("Q", 2.0)
         engine.process_many(tuples[:80])
         engine.flush()
-        engine._workers[0].terminate()
-        engine._workers[0].join(5)
+        kill_worker(engine, 0)
         event = engine.reshard(3)
         assert event.new_shards == 3
         engine.process_many(tuples[80:])
@@ -378,8 +378,7 @@ def test_process_mode_worker_death_exhausts_its_respawn_budget():
         engine.add_query("Q", 2.0)
         engine.process_many(make_stream(count=40))
         engine.flush()
-        engine._workers[0].terminate()
-        engine._workers[0].join(5)
+        kill_worker(engine, 0)
         with pytest.raises(ExecutionError, match="shard 0"):
             engine.flush()
     # close() after the failure is clean (the context manager just ran it).

@@ -20,6 +20,8 @@ against the serial driver (same protocol, same merged answers).
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,7 @@ from repro.runtime import (
 )
 from repro.streams.generators import generate_join_workload
 from repro.streams.tuples import make_tuple
+from tests.conftest import kill_worker
 
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=24)
 DATA = generate_join_workload(rate_a=30, rate_b=30, duration=6.0, seed=21)
@@ -210,18 +213,21 @@ def test_rebalance_fans_out_with_scaled_rates():
 
 def test_unsupported_workloads_raise_or_fall_back():
     cross = CrossProductCondition()
-    with pytest.raises(ShardingError):
+    with pytest.raises(ShardingError, match="equi-key"):
         ShardedStreamEngine(cross, shards=2)
-    with pytest.raises(ShardingError):
+    with pytest.raises(ShardingError, match="count windows"):
         ShardedStreamEngine(CONDITION, shards=2, window_kind="count")
-    fallback = ShardedStreamEngine(cross, shards=4, on_unsupported="fallback")
-    assert fallback.shards == 1
-    fallback.add_query("Q", 2.0)
-    fallback.process_many(DATA.tuples[:50])
+    with pytest.raises(TypeError):
+        ShardedStreamEngine(cross, shards=4, on_unsupported="fallback")  # knob deleted
+    # The unsharded path for such workloads is shards=1.
+    unsharded = ShardedStreamEngine(cross, shards=1)
+    assert not unsharded.partitionable
+    unsharded.add_query("Q", 2.0)
+    unsharded.process_many(DATA.tuples[:50])
     single = StreamEngine(cross, batch_size=32)
     single.add_query("Q", 2.0)
     single.process_many(DATA.tuples[:50])
-    assert pairs(fallback.results("Q")) == pairs(single.results("Q"))
+    assert pairs(unsharded.results("Q")) == pairs(single.results("Q"))
 
 
 def test_admission_surface_validation():
@@ -375,6 +381,11 @@ def test_process_mode_matches_serial():
         assert process.stats.arrivals == serial.stats.arrivals
         assert process.state_size() == serial.state_size()
         assert process.shard_boundaries() == serial.shard_boundaries()
+        assert process.slice_count() == serial.slice_count()
+        assert process.states_are_disjoint() and serial.states_are_disjoint()
+        # describe() prints the inner chain in both modes
+        assert process.describe() == serial.describe().replace("serial", "process")
+        assert "chain:" in process.describe()
         snapshot = process.merged_snapshot()
         assert snapshot["ingested.total"] == len(DATA.tuples)
 
@@ -397,15 +408,48 @@ def test_process_mode_rejects_use_after_close():
         engine.shard_boundaries()
 
 
-def test_process_mode_introspection_flushes_buffers():
-    """stats/state_size must reflect arrivals already handed to process()."""
+@pytest.mark.parametrize("mode", ["serial", "process"])
+def test_introspection_is_a_barrier_in_both_modes(mode):
+    """stats/state_size/... must reflect arrivals already handed to process()."""
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=1000
+        CONDITION, shards=2, shard_mode=mode, batch_size=1000
     ) as engine:
         engine.add_query("Q", 3.0)
         engine.process_many(DATA.tuples[:50])  # far below the batch size
         assert engine.stats.arrivals == 50
         assert engine.state_size() > 0
+        assert engine.states_are_disjoint()
+        assert engine.boundaries == (0.0, 3.0)
+        assert engine.slice_count() == 1
+        assert "Q[3s]" in engine.describe()
+
+
+@pytest.mark.parametrize("mode", ["serial", "process"])
+def test_failed_admission_leaves_the_session_working(mode):
+    """A refused admission reaches no shard, and a shard-side error reply
+    never leaves another shard's reply unread (the protocol stays in step)."""
+    from repro.engine.errors import QueryError
+
+    reference = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    reference.add_query("Q", 1.0)
+    reference.process_many(DATA.tuples)
+    with ShardedStreamEngine(
+        CONDITION, shards=2, shard_mode=mode, batch_size=16
+    ) as engine:
+        engine.add_query("Q", 1.0)
+        engine.process_many(DATA.tuples[:100])
+        with pytest.raises(QueryError, match="non-positive window"):
+            engine.add_query("bad", -1.0)
+        assert [q.name for q in engine.queries()] == ["Q"]
+        # An error raised on the shards themselves: every shard is named and
+        # every reply is consumed before the session raises.
+        with pytest.raises(ExecutionError, match="shard 0: .*; shard 1: "):
+            engine._request_all("pop", "never-admitted")
+        first = engine.pop_results("Q")
+        assert engine.state_size() > 0
+        engine.process_many(DATA.tuples[100:])
+        assert pairs(first + engine.pop_results("Q")) == pairs(reference.results("Q"))
+        assert engine.stats.arrivals == len(DATA.tuples)
 
 
 def test_process_mode_worker_kill_mid_stream_recovers():
@@ -422,13 +466,127 @@ def test_process_mode_worker_kill_mid_stream_recovers():
         engine.add_query("Q", 3.0)
         engine.process_many(DATA.tuples[:half])
         engine.flush()
-        engine._workers[1].terminate()
-        engine._workers[1].join(timeout=5)
+        kill_worker(engine, 1)
         engine.process_many(DATA.tuples[half:])
         engine.flush()
         assert pairs(engine.results("Q")) == pairs(serial.results("Q"))
         assert engine.metrics.respawns == 1
         assert engine.merged_snapshot()["respawn.count"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "ring_capacity",
+    [
+        pytest.param(2048, id="full-ring"),  # holds two or three ~650 B batches
+        pytest.param(64, id="oversize-pipe-batch"),  # no batch fits: marker + pipe
+    ],
+)
+def test_process_mode_worker_killed_while_pushing_recovers(ring_capacity):
+    """A worker that dies with nobody draining its ring (or reading its
+    pipe) is found dead by the push itself; the batch in flight is shipped
+    to the replacement exactly once."""
+    half = len(DATA.tuples) // 2
+    serial = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    serial.add_query("Q", 3.0)
+    serial.process_many(DATA.tuples)
+    with ShardedStreamEngine(
+        CONDITION,
+        shards=2,
+        shard_mode="process",
+        batch_size=16,
+        ring_capacity=ring_capacity,
+    ) as engine:
+        engine.add_query("Q", 3.0)
+        engine.process_many(DATA.tuples[:half])
+        engine.flush()
+        kill_worker(engine, 0)
+        engine.process_many(DATA.tuples[half:])  # no command until the very end
+        assert pairs(engine.results("Q")) == pairs(serial.results("Q"))
+        assert engine.metrics.respawns == 1
+
+
+def test_process_mode_worker_dying_inside_a_command_recovers():
+    """The worker accepts a command and dies before replying: the death
+    surfaces at the receive, and the command is retried on the replacement."""
+    import signal
+    import threading
+
+    serial = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    serial.add_query("Q", 3.0)
+    serial.process_many(DATA.tuples)
+    with ShardedStreamEngine(
+        CONDITION, shards=2, shard_mode="process", batch_size=16
+    ) as engine:
+        engine.add_query("Q", 3.0)
+        engine.process_many(DATA.tuples[:200])
+        worker = engine._shards[1].worker
+        os.kill(worker.pid, signal.SIGSTOP)  # alive, but answers nothing
+        killer = threading.Timer(0.3, worker.kill)
+        killer.start()
+        try:
+            engine.flush()  # sent to the stopped worker, whose death the recv sees
+        finally:
+            killer.join(5)
+        assert engine.metrics.respawns == 1
+        engine.process_many(DATA.tuples[200:])
+        assert pairs(engine.results("Q")) == pairs(serial.results("Q"))
+
+
+def test_process_mode_kill_after_reshard_and_rebalance_recovers():
+    """Recovery of a later generation: the replacement starts from the
+    bucket the reshard spliced in and adopts the rebalanced boundaries."""
+    params = ChainCostParameters(
+        arrival_rate_left=30.0, arrival_rate_right=30.0, system_overhead=0.5
+    )
+
+    def drive(engine, kill):
+        engine.add_query("big", 4.0)
+        engine.add_query(
+            "small", 1.0, left_filter=attribute_gt("value", 0.8, selectivity=0.2)
+        )
+        engine.process_many(DATA.tuples[:120])
+        engine.reshard(3)
+        engine.process_many(DATA.tuples[120:200])
+        boundaries = engine.rebalance(params)
+        if kill:
+            kill_worker(engine, 2)
+        engine.process_many(DATA.tuples[200:])
+        assert engine.shard_boundaries() == [boundaries] * 3
+        return {name: pairs(engine.results(name)) for name in ("big", "small")}
+
+    expected = drive(ShardedStreamEngine(CONDITION, shards=2, batch_size=16), False)
+    with ShardedStreamEngine(
+        CONDITION, shards=2, shard_mode="process", batch_size=16
+    ) as engine:
+        assert drive(engine, True) == expected
+        assert engine.metrics.respawns == 1
+
+
+def test_process_mode_count_window_and_idle_journal_recover():
+    """The journal's two other retention rules: rank-based for a count
+    session (one shard only), and nothing at all while no query is
+    registered."""
+    single = StreamEngine(CONDITION, batch_size=16, window_kind="count")
+    with ShardedStreamEngine(
+        CONDITION, shards=1, shard_mode="process", batch_size=16, window_kind="count"
+    ) as engine:
+        engine.process_many(DATA.tuples[:40])  # chainless: builds no state
+        single.process_many(DATA.tuples[:40])
+        engine.flush()
+        assert not engine._shards[0].journal
+        for session in (single, engine):
+            session.add_query("Q", 12)
+            session.process_many(DATA.tuples[40:200])
+        # Results are pulled every 16 arrivals: an undelivered result older
+        # than the journal's retention (two windows) dies with its worker.
+        assert pairs(engine.pop_results("Q")) == pairs(single.pop_results("Q"))
+        kill_worker(engine, 0)
+        for start in range(200, len(DATA.tuples), 16):
+            for session in (single, engine):
+                session.process_many(DATA.tuples[start : start + 16])
+            assert pairs(engine.pop_results("Q")) == pairs(single.pop_results("Q"))
+        assert engine.metrics.respawns == 1
+        assert engine.stats.results_delivered > 0
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +619,7 @@ def test_set_shard_probes_process_mode_and_respawn():
         engine.add_query("Q", 3.0)
         engine.process_many(DATA.tuples[:150])
         engine.set_shard_probes(["hash", "nested_loop"])
-        engine._workers[0].terminate()
-        engine._workers[0].join(timeout=5)
+        kill_worker(engine, 0)
         engine.process_many(DATA.tuples[150:])
         engine.flush()
         assert engine.shard_probes == ["hash", "nested_loop"]
@@ -502,12 +659,8 @@ def test_planner_recommend_probes_from_measured_density():
         "hash",
     ]
 
-    # a non-equi session has no hashable key: every shard stays nested-loop
-    # (the fallback also collapses it to one shard)
-    non_equi = ShardedStreamEngine(
-        CrossProductCondition(), shards=2, batch_size=16, on_unsupported="fallback"
-    )
-    assert non_equi.shards == 1
+    # a non-equi session (one shard only) has no hashable key: it stays nested-loop
+    non_equi = ShardedStreamEngine(CrossProductCondition(), shards=1, batch_size=16)
     assert planner.recommend_probes(non_equi, [dense]) == ["nested_loop"]
 
 
