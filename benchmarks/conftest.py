@@ -8,9 +8,12 @@ run (and can be diffed against EXPERIMENTS.md).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+
+from repro.engine.columns import ColumnarState, replay_sweep
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -31,3 +34,25 @@ def write_result(results_dir):
         return path
 
     return _write
+
+
+@pytest.fixture
+def scalar_schedule(monkeypatch):
+    """Context manager: in-core slice states answer ``sweep`` call by call.
+
+    Inside it ``ColumnarState.sweep`` is ``replay_sweep`` — the scalar
+    ``append``/``purge``/``probe`` schedule, one vectorized mask per male,
+    which is the schedule indexed (``probe="hash"``) and spilled states
+    always run.  The hash-probe and spill gates time their *reference* run
+    under it: the ratio then compares the index, or the disk tier, with the
+    scan at equal schedule, and stays put when the block kernel moves
+    (PR 15 made the default path 1.5–2x faster and neither of those).
+    """
+
+    @contextmanager
+    def _scalar_schedule():
+        with monkeypatch.context() as patch:
+            patch.setattr(ColumnarState, "sweep", replay_sweep)
+            yield
+
+    return _scalar_schedule

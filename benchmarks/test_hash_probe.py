@@ -13,6 +13,15 @@ hands out roughly ``state × S1`` candidates.  The margin is what the index
 buys over a numpy scan (1.6–1.8× here on 2 cores), not what it bought over
 the per-candidate Python scan it was first gated against (5.4×; that path
 is deleted), so the gate is 1.25×.
+
+"Per probe" is the gate's schedule: an indexed state always answers a batch
+call by call (``replay_sweep``), so the nested-loop reference is timed on
+that schedule too (the ``scalar_schedule`` fixture) — gate, workload and
+meaning as before PR 15.  That PR's block kernel gives the *scan* a
+schedule the index has not got (one 2-D mask per batch): on states this
+small the default path now beats the index (hash 0.7–0.9× of it), which the
+trajectory records as ``speedup_hash_vs_block_kernel`` and ROADMAP lists as
+a follow-up (a block path for indexed states); it is not gated.
 """
 
 from __future__ import annotations
@@ -50,10 +59,12 @@ def _run_chain(probe: str) -> tuple[float, list[tuple[int, int, int]]]:
     return best, outputs
 
 
-def test_hash_probe_speedup_gate(results_dir):
-    nested_seconds, nested_out = _run_chain("nested_loop")
+def test_hash_probe_speedup_gate(results_dir, scalar_schedule):
+    with scalar_schedule():
+        nested_seconds, nested_out = _run_chain("nested_loop")
+    block_seconds, block_out = _run_chain("nested_loop")
     hashed_seconds, hashed_out = _run_chain("hash")
-    assert nested_out == hashed_out, "hash probing changed the join answer"
+    assert nested_out == block_out == hashed_out, "hash probing changed the join answer"
 
     speedup = nested_seconds / hashed_seconds
     # Shared CI runners (now also running tier-1 under pytest-xdist) have
@@ -79,10 +90,12 @@ def test_hash_probe_speedup_gate(results_dir):
             }
             for name, seconds in (
                 ("nested_loop", nested_seconds),
+                ("nested_loop (block kernel)", block_seconds),
                 ("hash", hashed_seconds),
             )
         ],
         "speedup_hash_vs_nested_loop": round(speedup, 3),
+        "speedup_hash_vs_block_kernel": round(block_seconds / hashed_seconds, 3),
         "gate": SPEEDUP_GATE,
     }
     path = record_run(results_dir, "hash_probe", payload)

@@ -148,11 +148,13 @@ def test_throughput_batch_size_sweep(results_dir):
 
     The ratio is against the per-item ``process()`` path, the literal scalar
     Figure-9 reference.  The original 1.5x was set in PR 1 with the deque
-    state on both sides; with the one columnar state the batched side
-    measures 1.39-1.62x (median 1.45x over twelve runs).  PR 13 left the
-    batched seconds where they were and made the per-item side ~5% faster
-    (orientation fixed per stream, not re-derived per candidate), which is
-    what moved the ratio.
+    state on both sides; with the one columnar state and its per-male
+    kernel the batched side measured 1.39-1.62x (median 1.45x over twelve
+    runs).  PR 15's block kernel (one purge sweep and one 2-D probe per
+    state-batch, ``ColumnarState.sweep``) moved the batched seconds and left
+    the per-item side alone: best batch size >= 32 now measures 1.8-2.3x
+    (twelve runs; batch 7 only 1.1-1.5x).  The 1.3x floor
+    stays.
     """
     reference = execute_plan(build_state_slice_plan(WORKLOAD), DATA.tuples)
     baseline_seconds = _time_state_slice_run(1)

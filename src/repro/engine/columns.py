@@ -3,16 +3,17 @@
 :class:`ColumnarState` is the only in-core representation of one stream's
 slice state (its cold counterpart is
 :class:`~repro.engine.spill.SpilledState`; both answer the same protocol —
-``append``, ``purge``, ``probe``, ``candidates``, the deque-compatible read
-surface, ``load``, ``memory_bytes``, ``release`` — so the join operators
-keep only the male/female protocol of Figure 9 and never ask what a state
-is).  It is a timestamp-ordered container laid out as parallel columns —
+``sweep``, ``append``, ``purge``, ``probe``, ``candidates``, the
+deque-compatible read surface, ``load``, ``memory_bytes``, ``release`` — so
+the join operators keep only the male/female protocol of Figure 9 and never
+ask what a state is).  It is a timestamp-ordered container laid out as
+parallel columns —
 
-* ``timestamps`` — a ``float64`` array, used by cross-purging.  Because the
-  state is timestamp-ordered, the purge predicate ``now - t >= end`` is
-  monotone in ``t`` and the purge cut can be found by binary search over the
-  column using the *exact* scalar expression the tuple-at-a-time path
-  evaluates, so purge decisions are bit-identical.
+* ``timestamps`` — a ``float64`` array, used by cross-purging.  The purge
+  is a forward sweep from the head (or, within a block, from the previous
+  male's cut) evaluating the *exact* scalar expression ``now - t >= end``
+  the tuple-at-a-time path evaluates, on Python floats, so purge decisions
+  are bit-identical.
 * ``keys`` — a ``float64`` array of the join-key attribute, used by
   vectorized probing (see ``match_mask`` in :mod:`repro.query.predicates`).
   Only values whose Python comparison semantics are exactly representable in
@@ -32,21 +33,24 @@ is).  It is a timestamp-ordered container laid out as parallel columns —
 
 The container is deque-compatible (``append``/``popleft``/``__getitem__``/
 iteration) so the per-tuple execution path and the keyed-state migration
-protocol work on it unchanged; the batched join path uses :meth:`purge`
-and :meth:`probe`, which decide between the vectorized mask, the index
-bucket and the bound scalar fallback.
+protocol work on it unchanged.  The batched join path hands a state one
+whole batch through :meth:`ColumnarState.sweep`: vectorized when every key
+involved has an exact float64 form, otherwise :func:`replay_sweep`, the
+scalar ``append``/``purge``/``probe`` schedule it stands for (``probe``
+picks the vectorized mask, the index bucket or the bound scalar fallback).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "ColumnarState",
     "ProbeBinding",
+    "replay_sweep",
     "key_level",
     "INT_EXACT_MAX",
     "FLOAT_EXACT_MAX",
@@ -64,6 +68,12 @@ _MIN_CAPACITY = 16
 #: Compact the consumed prefix away once it is this long and at least half
 #: of the backing storage.
 _COMPACT_AT = 64
+
+#: Timestamps the forward purge sweep converts to Python floats at a time.
+_PURGE_CHUNK = 32
+#: Cap on the elements of one 2-D probe mask (males x visible rows): a
+#: block's temporaries stay within a few hundred KiB however long the slice.
+_BLOCK_ELEMENTS = 32768
 
 _MISSING = object()
 #: What purging or probing an empty state returns (shared, never mutated).
@@ -111,7 +121,8 @@ class ProbeBinding:
     """
 
     __slots__ = (
-        "key_attribute", "probe_attribute", "all_match", "match_mask", "bind", "indexed", "equi",
+        "key_attribute", "probe_attribute", "all_match", "match_mask", "mask_level", "bind",
+        "indexed", "equi",
     )
 
     def __init__(
@@ -128,6 +139,7 @@ class ProbeBinding:
         self.probe_attribute = other
         self.all_match = condition.columnar_all_match
         self.match_mask = condition.match_mask
+        self.mask_level = condition.mask_level
         self.bind = condition.bind_right if stores_left else condition.bind_left
         self.indexed = indexed
         self.equi = equi
@@ -248,18 +260,15 @@ class ColumnarState:
     def purge(self, now: float, end: float) -> tuple[Any, int]:
         """Expel every head tuple with ``now - t >= end``.
 
-        Returns ``(purged tuples oldest-first, comparison count)``.  The cut
-        is a binary search over the timestamp column; the count reproduces
-        the scan loop exactly (one per purged head, plus the failing check
-        when tuples remain).
+        Returns ``(purged tuples oldest-first, comparison count)``: one
+        comparison per purged head, plus the failing check when tuples
+        remain — the count of the literal scan loop.
         """
         size = len(self._refs) - self._head
         if not size:
             return _NOTHING
-        cut = self.purge_cut(now, end)
-        if not cut:
-            return (), 1
-        return self.take(cut), (cut + 1 if cut < size else cut)
+        (cut,) = self.purge_cut((now,), (size,), end)
+        return self.take(cut), cut + (cut < size)
 
     def candidates(self, probing: Any) -> Any:
         """The resident tuples a scalar probe by ``probing`` must examine.
@@ -291,13 +300,13 @@ class ColumnarState:
         keys = self._keys
         if keys is not None:
             probe_key = probing.values.get(binding.probe_attribute, _MISSING)
-            if probe_key is not _MISSING:
-                sel = binding.match_mask(probe_key, keys[head:n], self._key_level == 0)
-                if sel is not None:
-                    hits = np.nonzero(sel)[0]
-                    if head:
-                        hits += head
-                    return [refs[row] for row in hits.tolist()], n - head
+            level = max(self._key_level, key_level(probe_key))
+            if level <= binding.mask_level:
+                sel = binding.match_mask(float(probe_key), keys[head:n], level == 0)
+                hits = np.nonzero(sel)[0]
+                if head:
+                    hits += head
+                return [refs[row] for row in hits.tolist()], n - head
         elif binding.all_match:
             return refs[head:], n - head
         candidates = self.candidates(probing)
@@ -305,6 +314,72 @@ class ColumnarState:
             return _NOTHING
         check = binding.bind(probing)
         return [tup for tup in candidates if check(tup)], len(candidates)
+
+    def sweep(
+        self, females: Sequence[Any], males: Sequence[Any], preceding: Sequence[int], end: float
+    ) -> tuple[Sequence[Any], Sequence[Any], int, int]:
+        """One batch's traffic through this state, a block at a time.
+
+        ``females`` are appended in order; ``males[j]`` cross-purges with
+        ``end`` and probes once the first ``preceding[j]`` of them are in.
+        Returns ``(purged runs, matches, purge comparisons, probe
+        comparisons)``, one run and one match list per male — what
+        :func:`replay_sweep` yields, and that is what runs when a vectorized
+        answer could differ: an indexed or key-less state, a stored or
+        probing key above the condition's ``mask_level``.  Otherwise male
+        ``j`` sees the live rows ``[cut_j, end_j)`` — the rows at entry plus
+        ``preceding[j]``, less the running purge cut: one bulk extend, one
+        purge sweep, one 2-D mask per block of males whose *hit pairs* are
+        held to their male's range, one ``take``.
+        """
+        binding = self.binding
+        if self._keys is None:
+            return replay_sweep(self, females, males, preceding, end)
+        # Every key is vetted before the first mutation, so the replay never
+        # starts from a half-applied block.
+        female_keys = [tup.values.get(binding.key_attribute, _MISSING) for tup in females]
+        probe_keys = [tup.values.get(binding.probe_attribute, _MISSING) for tup in males]
+        stored_level = max([self._key_level, *map(key_level, female_keys)])
+        level = max([stored_level, *map(key_level, probe_keys)])
+        if level > binding.mask_level:
+            return replay_sweep(self, females, males, preceding, end)
+        # Offsets are relative to the live rows from here on: the extend may
+        # compact the columns (rows shift, ``_head`` resets), and nothing is
+        # purged until the single ``take`` at the end.
+        size = len(self)
+        self._extend(females, female_keys, stored_level)
+        if not males:
+            return (), (), 0, 0
+        stops = [size + count for count in preceding]
+        cuts = self.purge_cut([tup.timestamp for tup in males], stops, end)
+        refs = self._refs
+        head = self._head
+        keys = self._keys[None, head : head + stops[-1]]
+        probes = np.array(probe_keys, dtype=np.float64)[:, None]
+        matches: list[list[Any]] = [[] for _ in males]
+        # One 2-D mask per block of males over the rows any of them sees,
+        # ``[lo, hi)``: the whole batch against a short slice, a few males
+        # against a long one (sized by the widest range a later male could
+        # see, so never over _BLOCK_ELEMENTS).
+        first = 0
+        while first < len(males):
+            lo = cuts[first]
+            last = min(len(males), first + max(1, _BLOCK_ELEMENTS // max(1, stops[-1] - lo)))
+            hi = stops[last - 1]
+            if hi > lo:
+                sel = binding.match_mask(probes[first:last], keys[:, lo:hi], level == 0)
+                rows, cols = np.nonzero(sel)
+                for row, col in zip(rows.tolist(), cols.tolist()):
+                    row += first
+                    col += lo
+                    if cuts[row] <= col < stops[row]:
+                        matches[row].append(refs[head + col])
+            first = last
+        taken = self.take(cuts[-1])
+        purged = [taken[start:stop] for start, stop in zip([0] + cuts, cuts)]
+        # One comparison per purged head, plus each male's failing check.
+        purge_count = cuts[-1] + sum(cut < stop for cut, stop in zip(cuts, stops))
+        return purged, matches, purge_count, sum(stops) - sum(cuts)
 
     def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
         """``(resident, spilled)`` byte estimate: everything is resident."""
@@ -314,32 +389,35 @@ class ColumnarState:
         """Nothing lives outside core, so a replaced state just goes away."""
 
     # -- columnar accessors ---------------------------------------------------
-    def purge_cut(self, now: float, end: float) -> int:
-        """Number of head tuples with ``now - t >= end``.
+    def purge_cut(self, nows: Sequence[float], stops: Sequence[int], end: float) -> list[int]:
+        """Running purge cuts of a run of probing timestamps, one forward sweep.
 
-        Evaluates the *exact* scalar expression of the tuple-at-a-time purge
-        loop at each probe point; the predicate is monotone in ``t`` over the
-        timestamp-ordered column, so a binary search finds the same cut the
-        linear scan would.
+        ``cuts[j]`` is the number of head rows expelled once probe ``j`` has
+        purged, seeing the first ``stops[j]`` live rows.  Evaluates the
+        *exact* scalar expression of the tuple-at-a-time purge loop, ``now -
+        t >= end`` on Python floats, resuming at the previous probe's cut, so
+        purge decisions are bit-identical.  Removes nothing (:meth:`take`).
         """
-        head = self._head
-        n = len(self._refs)
-        if head >= n:
-            return 0
         ts = self._ts
-        if n - head <= 32:
-            i = head
-            while i < n and now - ts[i] >= end:
-                i += 1
-            return i - head
-        lo, hi = head, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if now - ts[mid] >= end:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - head
+        head = self._head
+        cuts: list[int] = []
+        cut = 0
+        base = 0
+        chunk: list[float] = []
+        for now, stop in zip(nows, stops):
+            while cut < stop:
+                offset = cut - base
+                if offset >= len(chunk):
+                    # Timestamps reach the loop as Python floats, a chunk at
+                    # a time: a numpy scalar per comparison costs ~10x more.
+                    base = cut
+                    chunk = ts[head + cut : head + cut + _PURGE_CHUNK].tolist()
+                    offset = 0
+                if now - chunk[offset] < end:
+                    break
+                cut += 1
+            cuts.append(cut)
+        return cuts
 
     def take(self, count: int) -> list[Any]:
         """Remove and return the ``count`` oldest resident tuples."""
@@ -385,15 +463,17 @@ class ColumnarState:
             self._keys[:live] = self._keys[head:n].copy()
         self._head = 0
 
-    def _ensure_room(self) -> None:
+    def _ensure_room(self, extra: int = 1) -> None:
         n = len(self._refs)
-        if n < self._ts.shape[0]:
+        if n + extra <= self._ts.shape[0]:
             return
         head = self._head
         if head and head * 2 >= n:
             self._compact()
-            return
-        capacity = max(_MIN_CAPACITY, 2 * self._ts.shape[0])
+            n -= head
+            if n + extra <= self._ts.shape[0]:
+                return
+        capacity = max(_MIN_CAPACITY, 2 * self._ts.shape[0], n + extra)
         ts = np.empty(capacity, dtype=np.float64)
         ts[:n] = self._ts[:n]
         self._ts = ts
@@ -402,5 +482,47 @@ class ColumnarState:
             keys[:n] = self._keys[:n]
             self._keys = keys
 
+    def _extend(self, tuples: Sequence[Any], keys: Sequence[Any], level: int) -> None:
+        """Bulk :meth:`append` of tuples whose keys were vetted at ``level``."""
+        if not tuples:
+            return
+        self._ensure_room(len(tuples))
+        refs = self._refs
+        n = len(refs)
+        refs.extend(tuples)
+        self._ts[n : len(refs)] = [tup.timestamp for tup in tuples]
+        self._keys[n : len(refs)] = keys
+        self._key_level = level
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<ColumnarState key={self.binding.key_attribute!r} size={len(self)}>"
+
+
+def replay_sweep(
+    state: Any, females: Sequence[Any], males: Sequence[Any], preceding: Sequence[int], end: float
+) -> tuple[list[Any], list[Any], int, int]:
+    """``sweep`` as the scalar schedule it stands for, call by call.
+
+    Each male lets in the females that precede it, purges, then probes,
+    through the state's own ``append``/``purge``/``probe`` — so an index, a
+    disk tier's flush timing and cold reads, or an invalid key column behave
+    exactly as under tuple-at-a-time delivery.  All of ``SpilledState.sweep``
+    and the reference the vectorized sweep is tested against.
+    """
+    purged_runs: list[Any] = []
+    matches: list[Any] = []
+    purge_count = probe_count = 0
+    fed = 0
+    for male, count in zip(males, preceding):
+        for female in females[fed:count]:
+            state.append(female)
+        fed = count
+        purged, comparisons = state.purge(male.timestamp, end)
+        purge_count += comparisons
+        purged_runs.append(purged)
+        matched, comparisons = state.probe(male)
+        probe_count += comparisons
+        matches.append(matched)
+    for female in females[fed:]:
+        state.append(female)
+    return purged_runs, matches, purge_count, probe_count

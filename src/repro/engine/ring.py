@@ -92,17 +92,19 @@ class SpscRing:
     def try_push(self, payload: bytes) -> bool:
         """Append one record; ``False`` when the ring lacks space right now.
 
-        Raises :class:`ValueError` for records that could *never* fit, so the
-        caller can fall back to its oversize transport (the pipe) instead of
-        spinning forever.
+        Raises :class:`ValueError` for a record, prefix included, of more
+        than half the capacity, so the caller falls back to its oversize
+        transport (the pipe) instead of spinning: records are contiguous, and
+        past half the ring there are write offsets where restarting at 0
+        (``tail + needed`` free bytes) fails for good even on an empty ring.
         """
         buf = self._shm.buf
         capacity = self.capacity
         length = len(payload)
         needed = 4 + length
-        if needed + 4 > capacity:
+        if needed > capacity // 2:
             raise ValueError(
-                f"record of {length} bytes cannot fit a ring of {capacity} bytes"
+                f"record of {length} bytes cannot always fit a ring of {capacity} bytes"
             )
         write = self._write
         read = _U64.unpack_from(buf, 8)[0]

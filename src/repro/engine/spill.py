@@ -14,7 +14,7 @@ hot/cold tier exploits.  This module provides the cold half:
 * :class:`SpilledState` — the cold counterpart of
   :class:`~repro.engine.columns.ColumnarState`, answering the same
   slice-state protocol (``append`` / ``purge`` / ``probe`` /
-  ``candidates`` / ``popleft`` / ``__len__`` / ``__iter__`` /
+  ``sweep`` / ``candidates`` / ``popleft`` / ``__len__`` / ``__iter__`` /
   ``__getitem__`` / ``load`` / ``memory_bytes`` / ``release``) from a small
   in-core working set over a disk-resident bulk.  Resident tuples are
   encoded row-by-row with the PR-6
@@ -53,7 +53,7 @@ import weakref
 from array import array
 from typing import Any, Iterable, Iterator
 
-from repro.engine.columns import ProbeBinding
+from repro.engine.columns import ProbeBinding, replay_sweep
 from repro.streams.tuples import StreamTuple, decode_batch, encode_batch
 
 __all__ = [
@@ -243,8 +243,8 @@ class _Segment:
         """Rows past the head with ``now - t >= end`` (exact scalar predicate).
 
         The column is timestamp-ordered, so the predicate is monotone and a
-        binary search finds the same cut a linear scan would — the same
-        contract as :meth:`ColumnarState.purge_cut`.
+        binary search finds the same cut the in-core state's forward scan
+        would.
         """
         timestamps = self.timestamps
         head = self.consumed
@@ -462,6 +462,10 @@ class SpilledState:
             return candidates, 0
         check = self.binding.bind(probing)
         return [tup for tup in candidates if check(tup)], len(candidates)
+
+    #: A cold slice replays the scalar calls in order, which keeps flush
+    #: timing and cold-read counts those of tuple-at-a-time delivery.
+    sweep = replay_sweep
 
     # -- tiering management ----------------------------------------------------
     def flush(self) -> None:

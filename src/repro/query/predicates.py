@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.engine.columns import FLOAT_EXACT_MAX, INT_EXACT_MAX, key_level
+from repro.engine.columns import FLOAT_EXACT_MAX
 from repro.engine.errors import QueryError
 from repro.streams.generators import JOIN_KEY_DOMAIN
 from repro.streams.tuples import StreamTuple
@@ -353,15 +353,21 @@ class JoinCondition:
     #: so the columnar probe can skip mask evaluation entirely.
     columnar_all_match: bool = False
 
+    #: Highest :func:`~repro.engine.columns.key_level`, over the stored *and*
+    #: the probing keys, at which :meth:`match_mask` is exact; ``-1`` when the
+    #: condition has no mask and probing takes the bound per-tuple check.
+    mask_level: int = -1
+
     def match_mask(self, probe_key: Any, keys: Any, int_keys: bool) -> Any:
         """Vectorized probe: a boolean mask over a candidate key column.
 
         ``keys`` is the float64 key column of the resident candidates (built
-        on the *opposite* side's attribute of :attr:`columnar_attributes`)
-        and ``int_keys`` reports whether every resident key is an
-        arithmetic-safe integer.  The mask must agree elementwise with the
-        bound per-tuple check; return ``None`` whenever exactness cannot be
-        guaranteed for this ``probe_key`` and the caller falls back.
+        on the *opposite* side's attribute of :attr:`columnar_attributes`);
+        ``probe_key`` is one probing key as a float, or an ``(m, 1)`` float64
+        column of them against a ``(1, n)`` row of ``keys`` for an ``(m, n)``
+        mask.  The caller vets every key on both sides against
+        :attr:`mask_level`; ``int_keys`` says all are arithmetic-safe
+        integers (level 0).  Must agree elementwise with the per-tuple check.
         """
         return None
 
@@ -450,9 +456,9 @@ class EquiJoinCondition(JoinCondition):
     def columnar_attributes(self) -> tuple[str, str]:  # type: ignore[override]
         return (self.left_attribute, self.right_attribute)
 
+    mask_level = 1
+
     def match_mask(self, probe_key: Any, keys: Any, int_keys: bool) -> Any:
-        if key_level(probe_key) >= 2:
-            return None
         return keys == probe_key
 
     def matches(self, left: StreamTuple, right: StreamTuple) -> bool:
@@ -514,15 +520,14 @@ class ModularMatchCondition(JoinCondition):
     def columnar_attributes(self) -> tuple[str, str]:  # type: ignore[override]
         return (self.attribute, self.attribute)
 
+    #: Modular arithmetic is only exact in float64 for small integers on
+    #: *both* sides; anything else takes the per-tuple check.
+    mask_level = 0
+
     def match_mask(self, probe_key: Any, keys: Any, int_keys: bool) -> Any:
-        kind = type(probe_key)
-        if kind is not int and kind is not bool:
+        if not int_keys:
             return None
-        if not int_keys or not -INT_EXACT_MAX <= probe_key <= INT_EXACT_MAX:
-            # Modular arithmetic is only exact in float64 for small integers
-            # on *both* sides; anything else takes the per-tuple check.
-            return None
-        return (keys + float(probe_key)) % self.domain < self.threshold
+        return (keys + probe_key) % self.domain < self.threshold
 
     def matches(self, left: StreamTuple, right: StreamTuple) -> bool:
         return (left[self.attribute] + right[self.attribute]) % self.domain < self.threshold

@@ -436,8 +436,8 @@ class StreamEngine:
         """Ingest one arriving tuple (buffered until the batch fills).
 
         Arrivals must come in timestamp order (equal timestamps are legal):
-        every slice state is timestamp-ordered and its purge cut is a binary
-        search, which an out-of-order tuple would silently mis-cut.
+        every slice state is timestamp-ordered and purged from its head,
+        which an out-of-order tuple would silently mis-cut.
         """
         if tup.timestamp < self._last_timestamp:
             raise ExecutionError(

@@ -18,6 +18,7 @@ a checked invariant instead of a code-review claim.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.unshared import build_unshared_plan
@@ -25,16 +26,18 @@ from repro.core.chain import SlicedJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.engine.executor import execute_plan
 from repro.operators.selection import Selection, StreamFilter
+from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.query.predicates import (
     CrossProductCondition,
     EquiJoinCondition,
     ModularMatchCondition,
     ThetaJoinCondition,
+    attribute_ge,
     selectivity_filter,
 )
 from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.runtime import StreamEngine
-from repro.streams.tuples import MALE, FEMALE, RefTuple, make_tuple
+from repro.streams.tuples import MALE, FEMALE, JoinedTuple, RefTuple, make_tuple
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -58,12 +61,12 @@ WEIRD_KEYS = [
 
 
 @st.composite
-def stream_events(draw, max_events: int = 48, keys=None):
-    """A timestamp-ordered sequence of A/B arrivals."""
+def stream_events(draw, max_events: int = 48, keys=None, min_gap: float = 0.01):
+    """A timestamp-ordered sequence of A/B arrivals (``min_gap=0`` allows ties)."""
     count = draw(st.integers(min_value=2, max_value=max_events))
     gaps = draw(
         st.lists(
-            st.floats(min_value=0.01, max_value=0.6, allow_nan=False),
+            st.floats(min_value=min_gap, max_value=0.6, allow_nan=False),
             min_size=count,
             max_size=count,
         )
@@ -169,6 +172,95 @@ def test_sliced_chain_columnar_equals_tuple_path(tuples, boundaries, kind, batch
     assert sorted(
         (j.left.seqno, j.right.seqno) for _, j in reference
     ) == _unshared(condition, {"Q": window}, tuples)["Q"]
+
+
+#: Around the block kernel's shapes: one male per sweep, a pair, a run that
+#: never divides the input evenly, the engine default, the whole input at once.
+BLOCK_BATCH_SIZES = [1, 2, 7, 32, 128]
+
+
+def _counters(chain):
+    """Every additive counter of the chain's ``MetricsSnapshot``."""
+    return {
+        key: value
+        for key, value in chain.metrics.snapshot().items()
+        if key.split(".")[0] in ("comparisons", "invocations", "emitted", "ingested")
+    }
+
+
+@pytest.mark.parametrize("batch_size", BLOCK_BATCH_SIZES)
+@settings(max_examples=20, deadline=None)
+@given(
+    tuples=stream_events(max_events=140, min_gap=0.0),
+    boundaries=slicings(),
+    kind=st.sampled_from(sorted(CONDITIONS)),
+    floors=st.lists(st.integers(0, 4), min_size=8, max_size=8),
+)
+def test_block_kernel_equals_per_item_with_ties_bounds_and_link_filters(
+    batch_size, tuples, boundaries, kind, floors
+):
+    """Equal timestamps, ``enforce_bounds`` and pushed-down link filters: the
+    batch path returns the per-item results *and* the per-item counters."""
+    condition = CONDITIONS[kind]()
+    links = [
+        (attribute_ge("join_key", floors[2 * i]), attribute_ge("join_key", floors[2 * i + 1]))
+        for i in range(len(boundaries) - 1)
+    ]
+    chains = []
+    for _ in range(2):
+        chain = SlicedJoinChain(boundaries, condition)
+        chain.set_link_filters(links)
+        for join in chain.joins:
+            join.enforce_bounds = True
+        chains.append(chain)
+    per_item, batched = chains
+    reference = per_item.process_all(tuples)
+    results = _batched(batched, tuples, batch_size)
+    assert _evidence(batched, results) == _evidence(per_item, reference)
+    assert _counters(batched) == _counters(per_item)
+    assert batched.state_tuples("A") == per_item.state_tuples("A")
+    assert batched.state_tuples("B") == per_item.state_tuples("B")
+
+
+def _trace(emissions):
+    """Emissions as comparable evidence that keeps their total order."""
+    trace = []
+    for port, item in emissions:
+        if isinstance(item, JoinedTuple):
+            trace.append((port, item.left.seqno, item.right.seqno))
+        elif isinstance(item, RefTuple):
+            trace.append((port, item.gender, item.seqno))
+        else:
+            trace.append((port, item.timestamp))
+    return trace
+
+
+@pytest.mark.parametrize("batch_size", BLOCK_BATCH_SIZES)
+@settings(max_examples=20, deadline=None)
+@given(
+    tuples=stream_events(max_events=140, min_gap=0.0, keys=WEIRD_KEYS[:6] * 3 + WEIRD_KEYS),
+    probe=st.sampled_from(["nested_loop", "hash"]),
+)
+def test_one_slice_batch_emits_exactly_the_per_item_sequence(batch_size, tuples, probe):
+    """A slice ``[0.3, 1.5)`` fed raw arrivals: its state also holds the
+    offsets ``[0, 0.3)``, so ``enforce_bounds`` does filter matches.  The
+    emission *sequence* — purged females, results, the male, its punctuation,
+    per male — is the per-item one, not merely the same set."""
+    condition = EquiJoinCondition("join_key", "join_key", key_domain=7)
+    per_item, batched = (
+        SlicedBinaryJoin(0.3, 1.5, condition, enforce_bounds=True, probe=probe, name="slice")
+        for _ in range(2)
+    )
+    reference = [
+        emission
+        for tup in tuples
+        for emission in per_item.process(tup, "left" if tup.stream == "A" else "right")
+    ]
+    emissions = []
+    for start in range(0, len(tuples), batch_size):
+        emissions.extend(batched.process_batch(tuples[start : start + batch_size], "left"))
+    assert _trace(emissions) == _trace(reference)
+    assert batched.metrics.snapshot() == per_item.metrics.snapshot()
 
 
 @settings(max_examples=40, deadline=None)

@@ -98,3 +98,32 @@ def test_capacity_validation_and_default():
     with pytest.raises(ValueError):
         SpscRing(32)
     assert DEFAULT_RING_CAPACITY >= 1 << 16
+
+
+def test_half_ring_record_is_pushed_or_refused_for_good_at_every_offset():
+    """A record of more than half the ring used to be refused *forever* at an
+    unlucky write offset, even by an empty ring (the contiguous restart needs
+    ``tail + needed`` free bytes), so a live worker's producer spun; it now
+    raises like any record that cannot fit.  The largest admitted record goes
+    through at every one of the 256 offsets."""
+    capacity = 256
+    fits = b"f" * (capacity // 2 - 4)
+    # A record starts at 0 or at least 4 bytes after one: 1..3 cannot be reached.
+    for offset in [0, *range(4, capacity)]:
+        ring = SpscRing(capacity)
+        try:
+            # Walk the write offset there in admissible steps; leave the ring empty.
+            remaining = offset
+            while remaining:
+                step = 100 if remaining > capacity // 2 else remaining
+                assert ring.try_push(b"s" * (step - 4))
+                assert ring.try_pop() is not None
+                remaining -= step
+            assert ring._write == offset and len(ring) == 0
+            with pytest.raises(ValueError):
+                ring.try_push(fits + b"!")
+            assert ring.try_push(fits), offset
+            assert ring.try_pop() == fits
+        finally:
+            ring.close()
+            ring.unlink()
