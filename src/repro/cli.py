@@ -187,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-mode",
         choices=("serial", "process"),
         default="serial",
-        help="serial runs the shards round-robin in-process (algorithmic "
-        "probe win); process starts one worker per shard fed columnar "
-        "batch encodings through a shared-memory ring",
+        help="serial runs the shards in the calling thread (same answers, "
+        "no speed-up: see bench/README.md); process starts one worker per "
+        "shard fed columnar batch encodings through a shared-memory ring",
     )
     runtime.add_argument(
         "--reshard",

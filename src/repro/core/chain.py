@@ -32,10 +32,11 @@ the filter placement must be re-derived after every online migration.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.core.chain_base import SliceResult, SlicedChainBase
-from repro.engine.errors import ChainError, MigrationError
+from repro.engine.errors import ChainError, MigrationError, QueryError
 from repro.operators.selection import StreamFilter
 from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.query.predicates import Predicate, TruePredicate
@@ -65,6 +66,8 @@ class SlicedJoinChain(SlicedChainBase):
     """
 
     joins: list[SlicedBinaryJoin]
+    window_unit = "s"
+    pushes_selections = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -76,15 +79,15 @@ class SlicedJoinChain(SlicedChainBase):
         ]
 
     # -- chain-base hooks -----------------------------------------------------
-    def _coerce_boundaries(self, boundaries: Sequence[float]) -> list[float]:
-        bounds = [float(b) for b in boundaries]
-        if len(bounds) < 2:
-            raise ChainError("a chain needs at least two boundaries (one slice)")
-        if abs(bounds[0]) > 1e-12:
-            raise ChainError(f"the first boundary must be 0, got {bounds[0]}")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ChainError(f"boundaries must be strictly increasing, got {bounds}")
-        return bounds
+    @classmethod
+    def normalize_window(cls, name: str, window: float) -> float:
+        """A positive, finite number of seconds (see the base class)."""
+        window = float(window)
+        if not math.isfinite(window):
+            raise QueryError(f"query {name!r} has non-finite window {window}")
+        if window <= 0:
+            raise QueryError(f"query {name!r} has non-positive window {window}")
+        return window
 
     def _coerce_boundary(self, boundary: float) -> float:
         return float(boundary)

@@ -10,8 +10,8 @@ slices — and stays in the subclasses).  :class:`SlicedChainBase` hosts that
 shared machinery once; subclasses provide the slice-kind specifics through
 a small hook surface:
 
-* ``_coerce_boundaries`` / ``_coerce_boundary`` — validate and type the
-  boundary values (floats starting at 0.0 vs strictly increasing ints);
+* ``_coerce_boundary`` — type one boundary value (float seconds vs int
+  ranks);
 * ``_make_join`` — construct one slice operator for ``[start, end)``;
 * ``_join_bounds`` / ``_set_join_end`` — read/extend a join's interval;
 * ``_describe_join`` — one slice's display form;
@@ -19,6 +19,10 @@ a small hook surface:
   slice (identity by default; the time chain overrides it, Section 6);
 * ``_on_slice_inserted`` / ``_on_slice_removed`` — keep per-link metadata
   (the time chain's filter list) aligned with structural migrations.
+
+What a *session* must know about its kind of chain is stated here as well
+(``window_unit`` … ``check_target``, ``normalize_window``): the runtime asks
+its chain instead of comparing ``window_kind`` strings.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Sequence
 
-from repro.engine.errors import MigrationError
+from repro.engine.errors import ChainError, MigrationError
 from repro.engine.metrics import MetricsCollector
+from repro.operators.sliced_join import resolve_probe
 from repro.query.predicates import JoinCondition
 from repro.streams.tuples import JoinedTuple, StreamTuple
 
@@ -42,6 +47,15 @@ _EPSILON = 1e-9
 class SlicedChainBase:
     """Common execution, introspection and migration core of sliced chains."""
 
+    #: Display unit of a window of this chain kind (``"s"`` / ``" rows"``).
+    window_unit: str
+    #: Whether selections may be pushed into the links (Section 6).
+    pushes_selections = False
+    #: Why a session over this chain kind may not CPU-Opt ``rebalance`` its
+    #: slices / run on more than one shard (the refusal's text), or ``None``.
+    rebalance_refusal: str | None = None
+    shard_refusal: str | None = None
+
     def __init__(
         self,
         boundaries: Sequence[float],
@@ -51,29 +65,29 @@ class SlicedChainBase:
         metrics: MetricsCollector | None = None,
         probe: str = "nested_loop",
     ) -> None:
-        bounds = self._coerce_boundaries(boundaries)
+        bounds = [self._coerce_boundary(b) for b in boundaries]
+        if len(bounds) < 2:
+            raise ChainError("a chain needs at least two boundaries (one slice)")
+        if abs(bounds[0]) > 1e-12:
+            raise ChainError(f"the first boundary must be 0, got {bounds[0]}")
+        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+            raise ChainError(f"boundaries must be strictly increasing, got {bounds}")
         self.condition = condition
         self.left_stream = left_stream
         self.right_stream = right_stream
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.probe = probe
+        #: The *resolved* probe kind of every slice, fixed at construction
+        #: (``"auto"`` is decided here against the condition).
+        self.probe = resolve_probe(probe, condition)
         self.joins: list = [
             self._make_join(start, end) for start, end in zip(bounds, bounds[1:])
         ]
 
-    def set_probe(self, probe: str) -> None:
-        """Switch every slice's probing strategy in place.
-
-        New slices created by later migrations inherit the new setting;
-        existing slices keep their resident state (see the joins'
-        ``set_probe``).
-        """
-        self.probe = probe
-        for join in self.joins:
-            join.set_probe(probe)
-
     # -- subclass hooks -------------------------------------------------------
-    def _coerce_boundaries(self, boundaries: Sequence[float]) -> list:
+    @classmethod
+    def normalize_window(cls, name: str, window: float):
+        """Query ``name``'s window, validated and typed for this chain kind:
+        :class:`QueryError` unless finite and positive (and whole, for ranks)."""
         raise NotImplementedError
 
     def _coerce_boundary(self, boundary: float):
@@ -105,6 +119,24 @@ class SlicedChainBase:
 
     def _on_slice_removed(self, index: int) -> None:
         """The slice at ``index`` was removed (migration bookkeeping hook)."""
+
+    def set_link_filters(self, predicates: Sequence[tuple]) -> None:
+        """Install pushed-down predicates, one ``(left, right)`` pair per link.
+
+        Only a chain that :attr:`pushes_selections` can hold any; here every
+        pair must be ``(None, None)``.
+        """
+        if any(pair != (None, None) for pair in predicates):
+            raise ChainError(f"{type(self).__name__} carries no pushed-down selections")
+
+    def link_filters(self) -> list[tuple]:
+        """The installed pushed-down predicates, one pair per link (none here)."""
+        return [(None, None)] * len(self.joins)
+
+    def check_target(self, target: Sequence[float], windows: dict[str, float]) -> None:
+        """Refuse (:class:`MigrationError`) a boundary list this chain kind
+        cannot serve the registered ``{query name: window}`` from; a time
+        chain serves any (the router re-checks results of wider slices)."""
 
     # -- execution ------------------------------------------------------------
     def process(self, tup: StreamTuple) -> list[SliceResult]:
@@ -206,10 +238,6 @@ class SlicedChainBase:
             resident += join_resident
             spilled += join_spilled
         return resident, spilled
-
-    def spilled_slice_count(self) -> int:
-        """Number of slices currently living on the disk tier."""
-        return sum(1 for join in self.joins if join.is_spilled())
 
     def state_tuples(self, stream: str) -> list[list[StreamTuple]]:
         """Per-slice state contents of one stream (oldest slice last)."""

@@ -21,10 +21,11 @@ into the new slice eagerly (an indexed state rebuilds its key index as
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.core.chain_base import SlicedChainBase
-from repro.engine.errors import ChainError, MigrationError
+from repro.engine.errors import ChainError, MigrationError, QueryError
 from repro.operators.count_join import CountSlicedBinaryJoin
 from repro.streams.tuples import JoinedTuple
 
@@ -45,17 +46,37 @@ class CountSlicedJoinChain(SlicedChainBase):
     """
 
     joins: list[CountSlicedBinaryJoin]
+    window_unit = " rows"
+    # A rank — unlike a timestamp gap — cannot be read off a joined pair, a
+    # filtered stream or a shard's subsequence (``docs/invariants.md``).
+    rebalance_refusal = (
+        "count-window sessions keep the Mem-Opt chain: merged rank "
+        "slices cannot be re-split by the result router"
+    )
+    shard_refusal = (
+        "count windows rank tuples over the whole stream, not a shard's "
+        "subsequence"
+    )
 
     # -- chain-base hooks -----------------------------------------------------
-    def _coerce_boundaries(self, boundaries: Sequence[float]) -> list[int]:
-        bounds = [int(b) for b in boundaries]
-        if len(bounds) < 2:
-            raise ChainError("a chain needs at least two boundaries (one slice)")
-        if bounds[0] != 0:
-            raise ChainError(f"the first boundary must be 0, got {bounds[0]}")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ChainError(f"boundaries must be strictly increasing, got {bounds}")
-        return bounds
+    @classmethod
+    def normalize_window(cls, name: str, window: float) -> int:
+        """A positive whole number of ranks (see the base class)."""
+        if not 0 < float(window) < math.inf or window != int(window):
+            raise QueryError(
+                f"query {name!r} needs a positive integer count window, "
+                f"got {window!r}"
+            )
+        return int(window)
+
+    def check_target(self, target: Sequence[float], windows: dict[str, float]) -> None:
+        """The Mem-Opt invariant: every registered count stays a boundary."""
+        for name, window in windows.items():
+            if window not in target:
+                raise MigrationError(
+                    f"count boundary {window:g} of query {name!r} missing from "
+                    f"target {target} (Mem-Opt invariant)"
+                )
 
     def _coerce_boundary(self, boundary: float) -> int:
         return int(boundary)

@@ -109,10 +109,6 @@ class ChainCostParameters:
             return self.join_selectivity
         return workload.join_condition.selectivity
 
-    @property
-    def combined_rate(self) -> float:
-        return self.arrival_rate_left + self.arrival_rate_right
-
 
 @dataclass(frozen=True)
 class SliceCostBreakdown:

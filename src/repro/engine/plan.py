@@ -171,9 +171,6 @@ class QueryPlan:
         """Total number of tuples currently held in operator states."""
         return sum(operator.state_size() for operator in self._operators.values())
 
-    def stateful_operators(self) -> list[Operator]:
-        return [op for op in self._operators.values() if op._declares_state()]
-
     def topological_order(self) -> list[Operator]:
         """Operators in a topological order; raises :class:`PlanError` on cycles."""
         indegree = {name: 0 for name in self._operators}

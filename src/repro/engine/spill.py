@@ -31,7 +31,7 @@ hot/cold tier exploits.  This module provides the cold half:
   reports (resident, spilled) byte estimates, and materialization back to
   core happens through the joins' ordinary ``load_state`` (which releases a
   replaced spilled state), so every existing migration primitive — merge,
-  split, keyed extract/ingest, probe switching — re-materializes spilled
+  split, keyed extract/ingest — re-materializes spilled
   slices without new code paths (see ``docs/invariants.md``).
 
 Everything that leaves a spilled state is decoded back to the original

@@ -68,8 +68,6 @@ def resolve_probe(probe: str, condition: JoinCondition) -> str:
     return probe
 
 
-
-
 class KeyedStateMixin:
     """Keyed extract/ingest over per-stream sliced states.
 
@@ -277,7 +275,7 @@ class SlicedJoinBase(SpillableJoinMixin, KeyedStateMixin, Operator):
     """What the time- and count-sliced binary joins share.
 
     Per-stream slice states behind one protocol, the probe configuration
-    with its orientation fixed per stream, ``set_probe``, state
+    with its orientation fixed per stream at construction, state
     introspection, the spill surface (:class:`SpillableJoinMixin`), keyed
     extract/ingest (:class:`KeyedStateMixin`) and the literal per-item
     Figure-9 path.  Subclasses keep what actually differs: a time slice
@@ -322,41 +320,19 @@ class SlicedJoinBase(SpillableJoinMixin, KeyedStateMixin, Operator):
             left_stream: (right_stream, True),
             right_stream: (left_stream, False),
         }
-        self._configure_probe()
-        self._states: dict[str, Any] = {
-            stream: ColumnarState(binding) for stream, binding in self._bindings.items()
-        }
-
-    def _configure_probe(self) -> None:
-        """(Re)derive each stream's probe binding from ``self.probe``.
-
-        Everything orientation-dependent — the key attribute a state keeps
-        (or indexes, for ``probe="hash"``), the attribute read off the
-        probing male, which ``bind_*`` the scalar fallback uses — is fixed
-        here, once per stream, and travels with the state.
-        """
-        condition = self.condition
+        # Everything orientation-dependent — the key attribute a state keeps
+        # (or indexes, for ``probe="hash"``), the attribute read off the
+        # probing male, which ``bind_*`` the scalar fallback uses — is fixed
+        # here, once per stream, and travels with the state.
         indexed = self.probe == "hash"
         equi = isinstance(condition, EquiJoinCondition)
         self._bindings = {
-            self.left_stream: ProbeBinding(condition, True, indexed, equi),
-            self.right_stream: ProbeBinding(condition, False, indexed, equi),
+            left_stream: ProbeBinding(condition, True, indexed, equi),
+            right_stream: ProbeBinding(condition, False, indexed, equi),
         }
-
-    def set_probe(self, probe: str) -> None:
-        """Switch the probe algorithm in place, rebuilding derived state.
-
-        Used by per-shard probe tuning: the resident tuples are reloaded so
-        the key index (or the columnar key columns) match the new probe
-        choice.  A no-op when the resolved algorithm is unchanged.
-        """
-        resolved = resolve_probe(probe, self.condition)
-        if resolved == self.probe:
-            return
-        self.probe = resolved
-        self._configure_probe()
-        for stream, state in list(self._states.items()):
-            self.load_state(stream, list(state))
+        self._states: dict[str, Any] = {
+            stream: ColumnarState(binding) for stream, binding in self._bindings.items()
+        }
 
     def _oriented(self, stream: str) -> tuple[str, bool]:
         try:
@@ -482,9 +458,9 @@ class SlicedBinaryJoin(SlicedJoinBase):
         Used by the chain's merge migration; an indexed state rebuilds its
         key index as it loads, so probing stays correct across migrations.
         A replaced spilled state has its segments deleted — every migration
-        path (merge, keyed extract/ingest, probe switching) funnels through
-        here, which is what re-materializes cold slices before state
-        crosses a migration boundary (see ``docs/invariants.md``).
+        path (merge, keyed extract/ingest) funnels through here, which is
+        what re-materializes cold slices before state crosses a migration
+        boundary (see ``docs/invariants.md``).
         """
         self._install_state(stream, tuples)
 

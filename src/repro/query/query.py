@@ -28,7 +28,6 @@ from repro.query.predicates import (
     TruePredicate,
     disjunction,
 )
-from repro.query.windows import TimeWindow
 
 __all__ = ["ContinuousQuery", "QueryWorkload"]
 
@@ -66,10 +65,6 @@ class ContinuousQuery:
             raise QueryError(
                 f"query {self.name!r} has non-positive window {self.window}"
             )
-
-    @property
-    def time_window(self) -> TimeWindow:
-        return TimeWindow(self.window)
 
     @property
     def has_selection(self) -> bool:

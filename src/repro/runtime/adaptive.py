@@ -210,7 +210,7 @@ class AdaptivePolicy:
         self._streak = 0
         self.baseline = estimate
         self._last_rebalance = now
-        if engine.window_kind != "time":
+        if engine.chain_class.rebalance_refusal is not None:
             # Count-window sessions keep the Mem-Opt chain; re-baselining is
             # the whole adaptation.  The first baseline is still a
             # "calibrate" event; only drift-triggered ones are recalibrations.

@@ -77,6 +77,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.core.chain import SlicedJoinChain
+from repro.core.chain_base import SlicedChainBase
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.core.cpu_opt import build_cpu_opt_chain
 from repro.core.merge_graph import DEFAULT_COLD_PROBE_PENALTY, ChainCostParameters
@@ -90,7 +91,6 @@ from repro.core.statistics import (
 from repro.engine.errors import ExecutionError, MigrationError, QueryError
 from repro.engine.metrics import CostCategory, MetricsCollector
 from repro.engine.spill import SpillStore, estimate_tuple_bytes
-from repro.operators.sliced_join import resolve_probe
 from repro.query.predicates import JoinCondition, Predicate, TruePredicate
 from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.streams.tuples import JoinedTuple, StreamTuple
@@ -112,20 +112,23 @@ _EPSILON = 1e-9
 _Route = tuple[str, float | None, Predicate | None, Predicate | None]
 
 
-def normalize_window(name: str, window: float, window_kind: str) -> float:
-    """Validate a query's window: positive seconds, or a positive whole rank
-    count for a count-window session.  Raises :class:`QueryError` otherwise."""
-    if window_kind == "count":
-        if window != int(window) or int(window) <= 0:
-            raise QueryError(
-                f"query {name!r} needs a positive integer count window, "
-                f"got {window!r}"
-            )
-        return int(window)
-    window = float(window)
-    if window <= 0:
-        raise QueryError(f"query {name!r} has non-positive window {window}")
-    return window
+#: The one decision ``window_kind`` makes: which chain class a session runs.
+#: Window validation, push-down, the Mem-Opt and partitioning refusals are
+#: facts of that class (:class:`~repro.core.chain_base.SlicedChainBase`).
+CHAIN_KINDS: dict[str, type[SlicedChainBase]] = {
+    "time": SlicedJoinChain,
+    "count": CountSlicedJoinChain,
+}
+
+
+def chain_class(window_kind: str) -> type[SlicedChainBase]:
+    """The chain class behind ``window_kind`` (:class:`QueryError` if unknown)."""
+    try:
+        return CHAIN_KINDS[window_kind]
+    except KeyError:
+        raise QueryError(
+            f"window_kind must be 'time' or 'count', got {window_kind!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -249,10 +252,8 @@ class StreamEngine:
         collect_statistics: bool = False,
         memory_budget_bytes: int | None = None,
     ) -> None:
-        if window_kind not in ("time", "count"):
-            raise QueryError(
-                f"window_kind must be 'time' or 'count', got {window_kind!r}"
-            )
+        #: The chain class this session builds (read-only; from ``window_kind``).
+        self.chain_class = chain_class(window_kind)
         if memory_budget_bytes is not None:
             memory_budget_bytes = int(memory_budget_bytes)
             if memory_budget_bytes <= 0:
@@ -267,7 +268,7 @@ class StreamEngine:
         self.window_kind = window_kind
         self.probe = probe
         self.stats = EngineStats()
-        self._chain: SlicedJoinChain | CountSlicedJoinChain | None = None
+        self._chain: SlicedChainBase | None = None
         self._queries: dict[str, RegisteredQuery] = {}
         self._results: dict[str, list[JoinedTuple]] = {}
         self._pending: list[StreamTuple] = []
@@ -302,10 +303,18 @@ class StreamEngine:
         """
         if name in self._queries:
             raise QueryError(f"query {name!r} is already registered")
-        window = normalize_window(name, window, self.window_kind)
+        window = self.chain_class.normalize_window(name, window)
         self._drain()
         if self._chain is None:
-            self._chain = self._make_chain(window)
+            # The one site a session's chain kind and probe kind are decided.
+            self._chain = self.chain_class(
+                [0, window],
+                self.condition,
+                left_stream=self.left_stream,
+                right_stream=self.right_stream,
+                metrics=self.metrics,
+                probe=self.probe,
+            )
             self._record_migration("create", window)
         else:
             chain = self._chain
@@ -347,14 +356,14 @@ class StreamEngine:
             raise QueryError(f"no registered query named {name!r}") from None
         self._drain()
         delivered = self._results.pop(name)
+        chain = self._chain
+        assert chain is not None
         if not self._queries:
-            chain = self._chain
-            if chain is not None:
-                # The whole chain's state is being discarded; delete any
-                # segments its spilled slices held so they don't pile up in
-                # the store across teardown/re-admission cycles.
-                for join in chain.joins:
-                    join.release_spill()
+            # The whole chain's state is being discarded; delete any
+            # segments its spilled slices held so they don't pile up in
+            # the store across teardown/re-admission cycles.
+            for join in chain.joins:
+                join.release_spill()
             self._chain = None
             self._routing = []
             self._record_migration("teardown", query.window)
@@ -362,8 +371,6 @@ class StreamEngine:
         if self._boundary_needed(query.window):
             self._refresh_plan()
             return delivered
-        chain = self._chain
-        assert chain is not None
         max_window = max(q.window for q in self._queries.values())
         if query.window > max_window + _EPSILON:
             # The largest window left: shed the chain's tail beyond the new
@@ -381,7 +388,7 @@ class StreamEngine:
             dropped = False
             while (
                 chain.slice_count() > 1
-                and self._tail_start() >= max_window - _EPSILON
+                and chain.boundaries[-2] >= max_window - _EPSILON
             ):
                 chain.drop_tail_slice()
                 dropped = True
@@ -394,36 +401,6 @@ class StreamEngine:
                 self._record_migration("merge", query.window)
         self._refresh_plan()
         return delivered
-
-    def _make_chain(self, window: float) -> SlicedJoinChain | CountSlicedJoinChain:
-        chain_cls = SlicedJoinChain if self.window_kind == "time" else CountSlicedJoinChain
-        return chain_cls(
-            [0, window],
-            self.condition,
-            left_stream=self.left_stream,
-            right_stream=self.right_stream,
-            metrics=self.metrics,
-            probe=self.probe,
-        )
-
-    def set_probe(self, probe: str) -> None:
-        """Switch the probing strategy of the running chain in place.
-
-        Per-shard probe tuning calls this on individual shard engines so a
-        hot shard can use hash probing while a sparse one stays with the
-        cheaper nested loop.  The resident slice states survive the switch.
-        """
-        self.probe = probe
-        if self._chain is not None:
-            self._chain.set_probe(probe)
-
-    def _tail_start(self) -> float:
-        chain = self._chain
-        assert chain is not None
-        tail = chain.joins[-1]
-        if self.window_kind == "time":
-            return tail.slice.start
-        return tail.rank_start
 
     def _boundary_needed(self, window: float) -> bool:
         return any(
@@ -649,7 +626,7 @@ class StreamEngine:
         metrics = self.metrics
         chain = self._chain
         assert chain is not None
-        if self._head_link_unfiltered():
+        if chain.link_filters()[0] == (None, None):
             post_left, post_right = chain.head_state_sizes()
             pre_left, pre_right = pre_sizes
             opportunities = (
@@ -681,15 +658,6 @@ class StreamEngine:
                     metrics.observe(
                         filter_observation_key(query.name, side, "pass"), passed
                     )
-
-    def _head_link_unfiltered(self) -> bool:
-        chain = self._chain
-        if chain is None:
-            return False
-        if self.window_kind != "time":
-            return True  # Count chains never carry pushed-down filters.
-        assert isinstance(chain, SlicedJoinChain)
-        return chain.link_filters()[0] == (None, None)
 
     def attach_policy(self, policy) -> None:
         """Attach an :class:`~repro.runtime.adaptive.AdaptivePolicy`.
@@ -759,13 +727,12 @@ class StreamEngine:
         """
         if not self._queries:
             raise MigrationError("cannot rebalance an engine with no queries")
-        if self.window_kind != "time":
-            raise MigrationError(
-                "count-window sessions keep the Mem-Opt chain: merged rank "
-                "slices cannot be re-split by the result router"
-            )
+        chain = self._chain
+        assert chain is not None
+        if chain.rebalance_refusal is not None:
+            raise MigrationError(chain.rebalance_refusal)
         self._drain()
-        if resolve_probe(self.probe, self.condition) == "hash" and not params.hash_probe:
+        if chain.probe == "hash" and not params.hash_probe:
             # Price the probes the way this session actually executes them:
             # a hash session probing one equi-key bucket per arrival must not
             # be rebalanced against the nested-loop cost model.
@@ -789,8 +756,7 @@ class StreamEngine:
         ).boundaries()[1:]
         self._migrate_to(target)
         self._refresh_plan()
-        assert self._chain is not None
-        return tuple(self._chain.boundaries)
+        return tuple(chain.boundaries)
 
     def _migrate_to(self, target: Iterable[float]) -> None:
         """Drain-and-splice the live chain to exactly ``target`` boundaries.
@@ -857,14 +823,9 @@ class StreamEngine:
                 f"target end {target[-1]:g} must keep the chain end "
                 f"{current_end:g} (admit or remove a query to move it)"
             )
-        if self.window_kind == "count":
-            for query in self._queries.values():
-                if all(abs(query.window - b) > _EPSILON for b in target):
-                    raise MigrationError(
-                        f"count boundary {query.window:g} of query "
-                        f"{query.name!r} missing from target {target} "
-                        f"(Mem-Opt invariant)"
-                    )
+        self._chain.check_target(
+            target, {query.name: query.window for query in self._queries.values()}
+        )
         self._drain()
         self._migrate_to(target)
         self._refresh_plan()
@@ -950,12 +911,10 @@ class StreamEngine:
     def link_filters(self) -> list[tuple[Predicate | None, Predicate | None]]:
         """The pushed-down predicates currently installed, one pair per link.
 
-        Time-window sessions only (count chains carry no pushed filters);
-        an idle engine returns an empty list.
+        All ``(None, None)`` on a count-window session (count chains carry
+        no pushed filters); an idle engine returns an empty list.
         """
-        if self._chain is None or self.window_kind != "time":
-            return []
-        return self._chain.link_filters()
+        return self._chain.link_filters() if self._chain is not None else []
 
     def slice_count(self) -> int:
         """Number of slices in the live chain (0 for an idle engine)."""
@@ -973,7 +932,7 @@ class StreamEngine:
         """One-line summary: registered queries and the chain layout."""
         if self._chain is None:
             return "StreamEngine (idle: no registered queries)"
-        unit = "s" if self.window_kind == "time" else " rows"
+        unit = self._chain.window_unit
         parts = []
         for q in self.queries():
             label = f"{q.name}[{q.window:g}{unit}]"
@@ -995,44 +954,24 @@ class StreamEngine:
         apart.
         """
         chain = self._chain
-        if chain is None:
-            self._routing = []
-            return
-        pushdown = self.window_kind == "time" and any(
-            query.has_selection for query in self._queries.values()
-        )
+        assert chain is not None  # teardown clears the routing itself
         pushed: list[tuple[Predicate, Predicate]] | None = None
-        if pushdown:
+        if chain.pushes_selections and any(
+            query.has_selection for query in self._queries.values()
+        ):
             workload = self.workload()
             pushed = [
                 (
-                    workload.slice_filter(self._slice_bounds(join)[0], side="left"),
-                    workload.slice_filter(self._slice_bounds(join)[0], side="right"),
+                    workload.slice_filter(start, side="left"),
+                    workload.slice_filter(start, side="right"),
                 )
-                for join in chain.joins
+                for start in chain.boundaries[:-1]
             ]
-        self._refresh_filters(pushed)
-        self._rebuild_routing(pushed)
-
-    def _refresh_filters(
-        self, pushed: list[tuple[Predicate, Predicate]] | None
-    ) -> None:
-        chain = self._chain
-        if chain is None or self.window_kind != "time":
-            return
-        assert isinstance(chain, SlicedJoinChain)
-        if pushed is None:
-            chain.set_link_filters([(None, None)] * chain.slice_count())
-            return
-        chain.set_link_filters(pushed)
-
-    def _slice_bounds(self, join) -> tuple[float, float]:
-        if self.window_kind == "time":
-            return join.slice.start, join.slice.end
-        return join.rank_start, join.rank_end
+        chain.set_link_filters(pushed or [(None, None)] * chain.slice_count())
+        self._rebuild_routing(chain, pushed)
 
     def _rebuild_routing(
-        self, pushed: list[tuple[Predicate, Predicate]] | None
+        self, chain: SlicedChainBase, pushed: list[tuple[Predicate, Predicate]] | None
     ) -> None:
         """Recompute the per-slice result routing after any migration.
 
@@ -1043,15 +982,10 @@ class StreamEngine:
         registered count stays a chain boundary.  A residual predicate is
         attached wherever the query's own selection is stronger than the
         disjunction pushed below the slice (σ' of Figure 10)."""
-        chain = self._chain
-        if chain is None:
-            self._routing = []
-            return
-        time_kind = self.window_kind == "time"
         trivial = TruePredicate()
         routing: list[list[_Route]] = []
-        for slice_index, join in enumerate(chain.joins):
-            start, end = self._slice_bounds(join)
+        bounds = chain.boundaries
+        for slice_index, (start, end) in enumerate(zip(bounds, bounds[1:])):
             if pushed is not None:
                 pushed_left, pushed_right = pushed[slice_index]
             else:
@@ -1061,11 +995,6 @@ class StreamEngine:
                 if end <= query.window + _EPSILON:
                     window_check: float | None = None
                 elif start < query.window - _EPSILON:
-                    if not time_kind:  # pragma: no cover - Mem-Opt invariant
-                        raise MigrationError(
-                            f"count boundary {query.window:g} lost from chain "
-                            f"{chain.describe()}"
-                        )
                     window_check = query.window
                 else:
                     continue

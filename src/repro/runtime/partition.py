@@ -48,21 +48,16 @@ def shard_for_key(key: object, shards: int) -> int:
     return zlib.crc32(data) % shards
 
 
-def unpartitionable_reason(condition: JoinCondition, window_kind: str) -> str | None:
+def unpartitionable_reason(condition: JoinCondition, chain) -> str | None:
     """Why a session cannot run more than one shard, or ``None`` if it can.
 
-    Sharding is answer-preserving only for equi-key workloads over
-    time-based windows: a non-equi condition has no partition key, and a
-    count window's rank is defined over the whole stream.
+    Sharding is answer-preserving only for equi-key workloads whose chain
+    (class or instance) states no ``shard_refusal``: a non-equi condition has
+    no partition key, and a count window's rank spans the whole stream.
     """
     if not isinstance(condition, EquiJoinCondition):
         return f"condition {condition.describe()!r} has no equi-key to partition on"
-    if window_kind != "time":
-        return (
-            "count windows rank tuples over the whole stream, not a shard's "
-            "subsequence"
-        )
-    return None
+    return chain.shard_refusal
 
 
 def repartition(

@@ -22,7 +22,6 @@ from repro.core.merge_graph import ChainCostParameters
 from repro.core.statistics import StreamStatistics
 from repro.engine.errors import ShardingError
 from repro.engine.metrics import MetricsSnapshot
-from repro.query.predicates import EquiJoinCondition
 
 if TYPE_CHECKING:
     from repro.runtime.sharding import ReshardEvent, ShardedStreamEngine
@@ -348,42 +347,11 @@ class ShardPlanner:
             return None
         return engine.reshard(decision.target, reason=decision.reason)
 
-    def recommend_probes(
-        self,
-        engine: ShardedStreamEngine,
-        snapshots: Sequence[MetricsSnapshot] | None = None,
-        min_scan_per_arrival: float = 8.0,
-    ) -> list[str]:
-        """Per-shard probe choice from each shard's *measured* probe density.
-
-        A hash index pays its build-and-maintain overhead only when probes
-        scan enough candidates to amortize it; under key skew that varies
-        per shard.  A shard whose measured scan volume exceeds
-        ``min_scan_per_arrival`` candidate comparisons per ingested arrival
-        is *hot* and gets ``"hash"``; sparse shards keep the cheap
-        ``"nested_loop"`` scan.  Non-equi sessions have no hashable key, so
-        every shard stays nested-loop.  Apply the result with
-        :meth:`ShardedStreamEngine.set_shard_probes` (or pass
-        ``tune_probes=True`` to :meth:`rebalance`).
-        """
-        if not isinstance(engine.condition, EquiJoinCondition):
-            return ["nested_loop"] * engine.shards
-        if snapshots is None:
-            snapshots = engine.shard_snapshots()
-        probes = []
-        for snapshot in snapshots:
-            ingested = snapshot.get("ingested.total", 0.0)
-            scanned = snapshot.get("comparisons.probe", 0.0)
-            dense = ingested > 0 and scanned / ingested >= min_scan_per_arrival
-            probes.append("hash" if dense else "nested_loop")
-        return probes
-
     def rebalance(
         self,
         engine: ShardedStreamEngine,
         system_overhead: float = 0.5,
         tuple_size: float = 1.0,
-        tune_probes: bool = False,
     ) -> tuple[float, ...]:
         """Re-price every shard's chain from its own measured statistics.
 
@@ -391,9 +359,7 @@ class ShardPlanner:
         therefore rebalanced with its *own* whole-session estimate, falling
         back to the merged global view (scaled to one shard's share) for
         quantities a thin shard could not measure.  Requires the session to
-        run with ``collect_statistics=True``.  With ``tune_probes=True``
-        the same snapshots also drive :meth:`recommend_probes`, and the
-        recommendation is applied to the session.
+        run with ``collect_statistics=True``.
         """
         snapshots = engine.shard_snapshots()
         merged = engine.merged_statistics(snapshots)
@@ -411,7 +377,4 @@ class ShardPlanner:
                 default_rate=max(sum(rates.values()), 1e-9),
             )
             plans.append((params, stats))
-        boundaries = engine.rebalance_shards(plans)
-        if tune_probes:
-            engine.set_shard_probes(self.recommend_probes(engine, snapshots))
-        return boundaries
+        return engine.rebalance_shards(plans)

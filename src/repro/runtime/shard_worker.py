@@ -126,7 +126,6 @@ COMMANDS: dict[str, Callable] = {
     "results": lambda engine, name: engine.results(name),
     "pop": lambda engine, name: engine.pop_results(name),
     "pop_all": lambda engine, names: {name: engine.pop_results(name) for name in names},
-    "probe": lambda engine, probe: engine.set_probe(probe),
     "sync": lambda engine, _: engine.flush(),
     "snapshot": _snapshot,
     "state": _state,

@@ -27,8 +27,8 @@ unsharded answer.
 * **two shard handles** — the session is written once against handles with
   ``push`` / ``send`` / ``recv`` / ``close``.  ``shard_mode="serial"`` picks
   :class:`_LocalShard`, which runs the command table on an engine in the
-  calling thread (still an algorithmic win: each nested-loop probe scans
-  ~1/N of the resident window state); ``shard_mode="process"`` picks
+  calling thread (the in-thread form of the same handle — see the
+  ``sharded_serial`` row of ``bench/README.md``); ``shard_mode="process"`` picks
   :class:`_WorkerShard`, a worker process fed through a shared-memory
   arrival ring (:class:`~repro.engine.ring.SpscRing`) of columnar batch
   encodings — no syscall or pickle round-trip per batch — with a pipe
@@ -65,7 +65,7 @@ from repro.engine.errors import ExecutionError, MigrationError, QueryError, Shar
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
 from repro.engine.ring import DEFAULT_RING_CAPACITY
 from repro.query.predicates import EquiJoinCondition, JoinCondition, Predicate, TruePredicate
-from repro.runtime.engine import EngineStats, RegisteredQuery, StreamEngine, normalize_window
+from repro.runtime.engine import EngineStats, RegisteredQuery, StreamEngine, chain_class
 from repro.runtime.partition import repartition, shard_for_key, unpartitionable_reason
 from repro.runtime.shard_planner import ReshardDecision, ShardPlan, ShardPlanner
 from repro.runtime.shard_worker import ShardConfig, reply_to, spawn_worker
@@ -144,8 +144,8 @@ class _WorkerShard:
     of arrivals not yet shipped) and the crash-recovery plane: a replay
     journal of shipped arrivals (bounded by twice the largest window),
     per-query admission and delivery frontiers expressed as push positions,
-    the state this worker generation started from, the chain boundaries and
-    probe choice it last acknowledged, and the respawn budget.  The plane is
+    the state this worker generation started from, the chain boundaries it
+    last acknowledged, and the respawn budget.  The plane is
     kept in step by :meth:`_observe`, from the worker's own replies.
     """
 
@@ -163,7 +163,6 @@ class _WorkerShard:
         #: Acknowledged admissions: name -> the ``add`` payload that made it.
         self.queries: dict[str, tuple] = {}
         self.boundaries: tuple[float, ...] | None = None
-        self.probe: str | None = None
         self._inflight: tuple[str, object] = ("", None)
         self._restart_journal()
         self.pipe, self.ring, self.worker = spawn_worker(config, ring_capacity)
@@ -291,8 +290,6 @@ class _WorkerShard:
             self.delivered.update(dict.fromkeys(payload, self.pushed))
         elif command in ("rebalance", "adopt"):
             self.boundaries = tuple(result)
-        elif command == "probe":
-            self.probe = payload
         elif command == "ingest":
             self.recovery_base = (self.boundaries, payload)
 
@@ -399,8 +396,8 @@ class _WorkerShard:
         :meth:`_recover`).  Undelivered results whose male fell off the
         journal's retention horizon (no result pull for more than one full
         window) are lost, as are the dead worker's metrics counters;
-        everything else — state, delivered results, the per-shard probe
-        override — survives the crash exactly.
+        everything else — state, delivered results — survives the crash
+        exactly.
         """
         self.respawns += 1
         if self.respawns > self.max_respawns:
@@ -421,8 +418,6 @@ class _WorkerShard:
         if state is not None:
             self._call("adopt", boundaries)
             self._call("ingest", state)
-        if self.probe is not None:
-            self._call("probe", self.probe)
         return recovered
 
 
@@ -444,9 +439,9 @@ class ShardedStreamEngine:
         :class:`ShardingError` for workloads that cannot be partitioned
         (non-equi condition, count windows).
     shard_mode:
-        ``"serial"`` (default) runs the shards in the calling thread —
-        already a throughput win, since each nested-loop probe scans ~1/N
-        of the window state; ``"process"`` starts one worker process per
+        ``"serial"`` (default) runs the shards in the calling thread — the
+        in-thread form of the same handle, not a speed-up (``bench/README.md``,
+        row ``sharded_serial``); ``"process"`` starts one worker process per
         shard and pushes ``encode_batch`` records of the arrivals through a
         shared-memory ring (conditions and predicates must then be
         picklable; close the session with :meth:`close` or use it as a
@@ -496,7 +491,9 @@ class ShardedStreamEngine:
             raise ShardingError(
                 f"shard_mode must be 'serial' or 'process', got {shard_mode!r}"
             )
-        problem = unpartitionable_reason(condition, window_kind)
+        #: The chain class every shard's engine builds (from ``window_kind``).
+        self.chain_class = chain_class(window_kind)
+        problem = unpartitionable_reason(condition, self.chain_class)
         if shards > 1 and problem is not None:
             raise ShardingError(
                 f"cannot run {shards} shards: {problem} (pass shards=1 to run "
@@ -547,9 +544,6 @@ class ShardedStreamEngine:
         # Set while a generation is being built: a worker death in there
         # cannot be recovered (see _build_generation), so it is not retried.
         self._respawn_guard = False
-        #: Per-shard probe overrides installed by :meth:`set_shard_probes`
-        #: (``None`` until then; reset by :meth:`reshard`).
-        self._shard_probes: list[str] | None = None
         #: Session-level collector: reshard events and moved-tuple accounting
         #: (per-shard work lives in the shard engines' own collectors).
         self.metrics = MetricsCollector()
@@ -754,7 +748,7 @@ class ShardedStreamEngine:
             self._check_open()
             if name in self._queries:
                 raise QueryError(f"query {name!r} is already registered")
-            window = normalize_window(name, window, self.window_kind)
+            window = self.chain_class.normalize_window(name, window)
             self._request_all("add", (name, window, left_filter, right_filter))
             query = RegisteredQuery(
                 name,
@@ -939,36 +933,6 @@ class ShardedStreamEngine:
             )
         return tuple(self._request_each("rebalance", list(plans))[0])
 
-    def set_shard_probes(self, probes: Sequence[str]) -> None:
-        """Install a per-shard probe choice (``"hash"`` / ``"nested_loop"``).
-
-        Unlike boundaries, the probe strategy is private to a shard — it
-        changes *how* a shard scans its state, never which results exist —
-        so shards may legally differ: a hot shard amortizes a hash index
-        over many candidates per probe while a sparse one is better off
-        nested-loop scanning a handful.  Each engine rebuilds its indexes
-        and reloads its state in place (:meth:`StreamEngine.set_probe`).
-        The choice survives worker respawns but is reset by
-        :meth:`reshard` (per-shard statistics do not survive a modulus
-        change); see :meth:`ShardPlanner.recommend_probes` for picking the
-        probes from measured statistics.
-        """
-        self._check_open()
-        probes = list(probes)
-        if len(probes) != self.shards:
-            raise ShardingError(
-                f"need one probe per shard ({self.shards}), got {len(probes)}"
-            )
-        self._request_each("probe", probes)
-        self._shard_probes = probes
-
-    @property
-    def shard_probes(self) -> list[str]:
-        """The effective per-shard probe strategies."""
-        if self._shard_probes is not None:
-            return list(self._shard_probes)
-        return [self.probe] * self.shards
-
     # -- live resharding -------------------------------------------------------
     def reshard(self, target: "int | ShardPlan", reason: str = "") -> ReshardEvent:
         """Change the shard count of the running session to ``target``.
@@ -1053,7 +1017,7 @@ class ShardedStreamEngine:
             self._check_open()
             if target < 1:
                 raise ShardingError(f"shard count must be at least 1, got {target}")
-            problem = unpartitionable_reason(self.condition, self.window_kind)
+            problem = unpartitionable_reason(self.condition, self.chain_class)
             if target > 1 and problem is not None:
                 raise ShardingError(f"cannot reshard to {target} shards: {problem}")
             old = self.shards
@@ -1082,14 +1046,10 @@ class ShardedStreamEngine:
             )
             carried = self._carry_results(exports)
             self._retire_counters(exports, stream_time)
-            # Per-shard probe overrides were chosen under the old modulus
-            # (the new generation starts from the config default until the
-            # planner re-tunes it), and the session memory budget is re-split
-            # under the new one (the retiring generation's segment stores
-            # were deleted by the export — state crosses the cut
-            # materialized, never as files).
+            # The session memory budget is re-split under the new modulus
+            # (the retiring generation's segment stores were deleted by the
+            # export — state crosses the cut materialized, never as files).
             self.shards = target
-            self._shard_probes = None
             self.config = replace(
                 self.config, memory_budget_bytes=self._per_shard_budget(target)
             )
@@ -1118,7 +1078,7 @@ class ShardedStreamEngine:
         (:func:`~repro.runtime.partition.unpartitionable_reason`); the
         reshard policy checks it before recommending growth.
         """
-        return unpartitionable_reason(self.condition, self.window_kind) is None
+        return unpartitionable_reason(self.condition, self.chain_class) is None
 
     @property
     def stream_clock(self) -> float:

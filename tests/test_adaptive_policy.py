@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.core.chain import SlicedJoinChain
 from repro.core.merge_graph import ChainCostParameters
 from repro.core.statistics import StreamStatistics
 from repro.query.predicates import selectivity_filter, selectivity_join
@@ -60,7 +61,7 @@ class _StubEngine:
 
     left_stream = "A"
     right_stream = "B"
-    window_kind = "time"
+    chain_class = SlicedJoinChain
 
     def __init__(self):
         from repro.engine.metrics import MetricsCollector

@@ -590,98 +590,39 @@ def test_process_mode_count_window_and_idle_journal_recover():
 
 
 # ---------------------------------------------------------------------------
-# Per-shard probe choice
+# The probe kind is fixed at construction
 # ---------------------------------------------------------------------------
-def test_set_shard_probes_preserves_answers_serially():
-    uniform = ShardedStreamEngine(CONDITION, shards=3, batch_size=16)
-    uniform.add_query("Q", 3.0)
-    uniform.process_many(DATA.tuples)
-    uniform.flush()
+@pytest.mark.parametrize("mode", ["serial", "process"])
+def test_hash_probe_holds_across_reshard_and_respawn(mode):
+    """All a fixed-at-construction probe has to guarantee: every shard
+    generation — after ``reshard(3)`` and, in process mode, after a worker
+    respawn — holds indexed slice states and answers like the default scan.
 
-    mixed = ShardedStreamEngine(CONDITION, shards=3, batch_size=16)
-    mixed.add_query("Q", 3.0)
-    mixed.process_many(DATA.tuples[:200])
-    mixed.set_shard_probes(["hash", "nested_loop", "hash"])
-    assert mixed.shard_probes == ["hash", "nested_loop", "hash"]
-    mixed.process_many(DATA.tuples[200:])
-    mixed.flush()
-    assert pairs(mixed.results("Q")) == pairs(uniform.results("Q"))
-
-    with pytest.raises(ShardingError):
-        mixed.set_shard_probes(["hash"])  # one probe per shard
-
-
-def test_set_shard_probes_process_mode_and_respawn():
-    """Per-shard probes reach the workers and survive a respawn."""
+    An indexed state hands a male its key bucket, so on an equi-join every
+    probe comparison is a result; the default scan compares the whole state.
+    """
+    plain = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    plain.add_query("Q", 3.0)
+    plain.process_many(DATA.tuples)
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=16
+        CONDITION, shards=2, shard_mode=mode, batch_size=16, probe="hash"
     ) as engine:
         engine.add_query("Q", 3.0)
         engine.process_many(DATA.tuples[:150])
-        engine.set_shard_probes(["hash", "nested_loop"])
-        kill_worker(engine, 0)
+        engine.reshard(3)
+        if mode == "process":
+            kill_worker(engine, 0)
         engine.process_many(DATA.tuples[150:])
-        engine.flush()
-        assert engine.shard_probes == ["hash", "nested_loop"]
-        assert engine.metrics.respawns == 1
-
-        serial = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
-        serial.add_query("Q", 3.0)
-        serial.process_many(DATA.tuples)
-        serial.flush()
-        assert pairs(engine.results("Q")) == pairs(serial.results("Q"))
-
-
-def test_shard_probes_reset_by_reshard():
-    engine = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
-    engine.add_query("Q", 2.0)
-    engine.process_many(DATA.tuples[:100])
-    engine.set_shard_probes(["hash", "hash"])
-    engine.reshard(3)
-    # per-shard statistics do not survive a modulus change
-    assert engine.shard_probes == [engine.probe] * 3
-
-
-def test_planner_recommend_probes_from_measured_density():
-    planner = ShardPlanner()
-    engine = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
-    engine.add_query("Q", 2.0)
-    dense = MetricsSnapshot({"ingested.total": 100.0, "comparisons.probe": 2000.0})
-    sparse = MetricsSnapshot({"ingested.total": 100.0, "comparisons.probe": 80.0})
-    assert planner.recommend_probes(engine, [dense, sparse]) == [
-        "hash",
-        "nested_loop",
-    ]
-    # a shard that ingested nothing has no evidence for an index
-    empty = MetricsSnapshot({"ingested.total": 0.0, "comparisons.probe": 0.0})
-    assert planner.recommend_probes(engine, [empty, dense]) == [
-        "nested_loop",
-        "hash",
-    ]
-
-    # a non-equi session (one shard only) has no hashable key: it stays nested-loop
-    non_equi = ShardedStreamEngine(CrossProductCondition(), shards=1, batch_size=16)
-    assert planner.recommend_probes(non_equi, [dense]) == ["nested_loop"]
-
-
-def test_planner_rebalance_tune_probes_applies_recommendation():
-    planner = ShardPlanner()
-    engine = ShardedStreamEngine(
-        CONDITION, shards=2, batch_size=16, collect_statistics=True
-    )
-    engine.add_query("Q", 3.0)
-    # every arrival carries one key: shard_for_key(7, 2) is hot, the other idle
-    hot = [
-        make_tuple(tup.stream, tup.timestamp, join_key=7, value=0.5)
-        for tup in DATA.tuples[:240]
-    ]
-    engine.process_many(hot)
-    engine.flush()
-    planner.rebalance(engine, tune_probes=True)
-    probes = engine.shard_probes
-    hot_shard = shard_for_key(7, 2)
-    assert probes[hot_shard] == "hash"
-    assert probes[1 - hot_shard] == "nested_loop"
+        assert pairs(engine.results("Q")) == pairs(plain.results("Q"))
+        assert engine.metrics.respawns == (1 if mode == "process" else 0)
+        assert engine.probe == "hash"
+        snapshots = engine.shard_snapshots()
+        assert len(snapshots) == 3
+        probed = [snapshot.get("comparisons.probe", 0.0) for snapshot in snapshots]
+        assert probed == [snapshot.get("emitted.Q", 0.0) for snapshot in snapshots]
+        assert sum(probed) > 0
+    scanned = sum(s["comparisons.probe"] for s in plain.shard_snapshots())
+    assert scanned > sum(s["emitted.Q"] for s in plain.shard_snapshots())
 
 
 # ---------------------------------------------------------------------------
