@@ -1,40 +1,37 @@
-"""Hash-probe acceptance gate (PR 2, re-pointed in PR 13).
+"""Hash-probe acceptance gate (PR 2, re-pointed in PR 13, made exact in PR 17).
 
-Wall-clock throughput of the sliced-join chain on an equi-join workload:
-``probe="nested_loop"`` — one vectorized ``match_mask`` over the slice
-state's key column per probe — versus ``probe="hash"`` — one bucket lookup
-in the state's per-key index.  Both run the only slice state there is
-(:mod:`repro.engine.columns`).  Outputs must be identical pair-for-pair;
-the measured trajectory is recorded in ``results/BENCH_hash_probe.json``.
+The sliced-join chain on an equi-join workload: ``probe="nested_loop"`` —
+a vectorized ``match_mask`` over the slice state's key column — versus
+``probe="hash"`` — one bucket lookup in the state's per-key index.  Both
+run the only slice state there is (:mod:`repro.engine.columns`).  Outputs
+must be identical pair-for-pair, and the gate is what the index guarantees
+*exactly*, in the paper's own unit: the scan is charged one probe comparison
+per resident tuple inside the window (counted here by a plain sliding
+window over the input), the index one per emitted pair — on this workload
+a factor of 945, about the 1000 keys the generator draws from.
 
-The workload is sized so each side's window state holds a few hundred
-tuples: the mask then touches hundreds of keys per arrival while the index
-hands out roughly ``state × S1`` candidates.  The margin is what the index
-buys over a numpy scan (1.6–1.8× here on 2 cores), not what it bought over
-the per-candidate Python scan it was first gated against (5.4×; that path
-is deleted), so the gate is 1.25×.
-
-"Per probe" is the gate's schedule: an indexed state always answers a batch
-call by call (``replay_sweep``), so the nested-loop reference is timed on
-that schedule too (the ``scalar_schedule`` fixture) — gate, workload and
-meaning as before PR 15.  That PR's block kernel gives the *scan* a
-schedule the index has not got (one 2-D mask per batch): on states this
-small the default path now beats the index (hash 0.7–0.9× of it), which the
-trajectory records as ``speedup_hash_vs_block_kernel`` and ROADMAP lists as
-a follow-up (a block path for indexed states); it is not gated.
+Wall-clock throughput is recorded in ``results/BENCH_hash_probe.json`` but
+not gated: a best-of-3 ratio of 13–21 ms runs stopped two tier-1 runs in
+three on a 2-vCPU host.  The trajectory keeps both ratios.  "Per probe"
+times the nested-loop reference on the schedule an indexed state always
+runs (call by call, ``replay_sweep`` — the ``scalar_schedule`` fixture),
+where the index is 1.4–1.7× the scan; against the default block kernel (one
+2-D mask per batch, PR 15) the index is 0.7–0.9× on states this small
+(``speedup_hash_vs_block_kernel``), which ROADMAP lists as a follow-up (a
+block path for indexed states).
 """
 
 from __future__ import annotations
 
-import os
 import time
+from collections import deque
 
 from _bench_util import record_run
 
 from repro.core.chain import SlicedJoinChain
 from repro.query.predicates import EquiJoinCondition
 from repro.runtime import StreamEngine
-from repro.streams.generators import generate_join_workload
+from repro.streams.generators import JOIN_KEY_DOMAIN, generate_join_workload
 
 RATE = 120
 DURATION = 6.0
@@ -43,34 +40,41 @@ BOUNDARIES = [0.0, 1.0, 3.0]
 DATA = generate_join_workload(rate_a=RATE, rate_b=RATE, duration=DURATION, seed=42)
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=KEY_DOMAIN)
 
-SPEEDUP_GATE = 1.25
 
-
-def _run_chain(probe: str) -> tuple[float, list[tuple[int, int, int]]]:
-    """Best-of-3 wall-clock seconds plus the tagged output pairs."""
+def _run_chain(probe: str) -> tuple[float, list[tuple[int, int, int]], float]:
+    """Best-of-3 wall-clock seconds, the tagged output pairs, probe comparisons."""
     best = float("inf")
-    outputs = None
     for _ in range(3):
         chain = SlicedJoinChain(BOUNDARIES, CONDITION, probe=probe)
         start = time.perf_counter()
         results = chain.process_batch(DATA.tuples)
         best = min(best, time.perf_counter() - start)
-        outputs = [(index, j.left.seqno, j.right.seqno) for index, j in results]
-    return best, outputs
+    outputs = [(index, j.left.seqno, j.right.seqno) for index, j in results]
+    return best, outputs, chain.metrics.comparisons["probe"]
+
+
+def _resident_pairs() -> int:
+    """(probing tuple, opposite-stream tuple still inside the chain's window)
+    pairs of the input: what a scan of the slice states must examine."""
+    window = BOUNDARIES[-1]
+    resident = {"A": deque(), "B": deque()}
+    pairs = 0
+    for tup in DATA.tuples:
+        opposite = resident["B" if tup.stream == "A" else "A"]
+        while opposite and tup.timestamp - opposite[0] >= window:
+            opposite.popleft()
+        pairs += len(opposite)
+        resident[tup.stream].append(tup.timestamp)
+    return pairs
 
 
 def test_hash_probe_speedup_gate(results_dir, scalar_schedule):
     with scalar_schedule():
-        nested_seconds, nested_out = _run_chain("nested_loop")
-    block_seconds, block_out = _run_chain("nested_loop")
-    hashed_seconds, hashed_out = _run_chain("hash")
+        nested_seconds, nested_out, nested_probes = _run_chain("nested_loop")
+    block_seconds, block_out, block_probes = _run_chain("nested_loop")
+    hashed_seconds, hashed_out, hashed_probes = _run_chain("hash")
     assert nested_out == block_out == hashed_out, "hash probing changed the join answer"
 
-    speedup = nested_seconds / hashed_seconds
-    # Shared CI runners (now also running tier-1 under pytest-xdist) have
-    # noisy wall clocks; keep the full gate for local/dedicated runs and
-    # direction-check on CI — the trajectory still records the measurement.
-    gate = 1.0 if os.environ.get("CI") else SPEEDUP_GATE
     arrivals = len(DATA.tuples)
     payload = {
         "benchmark": "hash_probe_equi_join",
@@ -87,23 +91,24 @@ def test_hash_probe_speedup_gate(results_dir, scalar_schedule):
                 "seconds": round(seconds, 6),
                 "tuples_per_sec": round(arrivals / seconds, 1),
                 "joined_pairs": len(nested_out),
+                "probe_comparisons": probes,
             }
-            for name, seconds in (
-                ("nested_loop", nested_seconds),
-                ("nested_loop (block kernel)", block_seconds),
-                ("hash", hashed_seconds),
+            for name, seconds, probes in (
+                ("nested_loop", nested_seconds, nested_probes),
+                ("nested_loop (block kernel)", block_seconds, block_probes),
+                ("hash", hashed_seconds, hashed_probes),
             )
         ],
-        "speedup_hash_vs_nested_loop": round(speedup, 3),
+        "speedup_hash_vs_nested_loop": round(nested_seconds / hashed_seconds, 3),
         "speedup_hash_vs_block_kernel": round(block_seconds / hashed_seconds, 3),
-        "gate": SPEEDUP_GATE,
     }
-    path = record_run(results_dir, "hash_probe", payload)
+    record_run(results_dir, "hash_probe", payload)
 
-    assert speedup >= gate, (
-        f"hash probing reached only {speedup:.2f}x nested-loop throughput "
-        f"(gate {gate}x); see {path}"
-    )
+    # The scan examines every resident tuple inside the window, on either
+    # schedule; the index only the tuples that match — one in ~JOIN_KEY_DOMAIN.
+    assert nested_probes == block_probes == _resident_pairs()
+    assert hashed_probes == len(hashed_out)
+    assert 0.8 * JOIN_KEY_DOMAIN < nested_probes / hashed_probes < 1.25 * JOIN_KEY_DOMAIN
 
 
 def test_hash_probe_engine_outputs_identical():

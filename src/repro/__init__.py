@@ -5,8 +5,8 @@ The package is organised in layers:
 
 * :mod:`repro.streams` — tuple model, schemas and synthetic stream
   generators;
-* :mod:`repro.engine` — the DSMS micro-kernel (operators, plans, executors,
-  cost accounting);
+* :mod:`repro.engine` — the DSMS micro-kernel (operators, plans, the one
+  synchronous executor, cost accounting);
 * :mod:`repro.operators` — stream operators, including the sliced window
   joins that are the paper's core construct;
 * :mod:`repro.query` — continuous queries, predicates, windows, parsing and
@@ -56,7 +56,6 @@ from repro.engine import (
     MetricsCollector,
     QueryPlan,
     RunReport,
-    ScheduledExecutor,
     execute_plan,
 )
 from repro.query import (
@@ -104,7 +103,6 @@ __all__ = [
     "state_slice_cost",
     "state_slice_savings",
     "ImmediateExecutor",
-    "ScheduledExecutor",
     "MetricsCollector",
     "QueryPlan",
     "RunReport",

@@ -6,8 +6,6 @@ from repro.core.cost_model import (
     CostEstimate,
     Savings,
     TwoQuerySettings,
-    cpu_savings_vs_pullup_grid,
-    cpu_savings_vs_pushdown_grid,
     savings_grid,
     selection_pullup_cost,
     selection_pushdown_cost,
@@ -53,8 +51,6 @@ __all__ = [
     "state_slice_cost",
     "state_slice_savings",
     "savings_grid",
-    "cpu_savings_vs_pullup_grid",
-    "cpu_savings_vs_pushdown_grid",
     "build_mem_opt_chain",
     "build_cpu_opt_chain",
     "brute_force_cpu_opt_chain",

@@ -252,10 +252,7 @@ class SlicedChainBase:
         runtime feeds into :class:`repro.core.statistics.StreamStatistics`.
         """
         head = self.joins[0]
-        return (
-            len(head.state_tuples(self.left_stream)),
-            len(head.state_tuples(self.right_stream)),
-        )
+        return head.state_size(self.left_stream), head.state_size(self.right_stream)
 
     def states_are_disjoint(self) -> bool:
         """Check the Lemma 1 property: per-stream slice states never overlap."""

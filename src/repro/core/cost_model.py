@@ -31,9 +31,6 @@ __all__ = [
     "Savings",
     "state_slice_savings",
     "savings_grid",
-    "cpu_savings_vs_pullup_grid",
-    "cpu_savings_vs_pushdown_grid",
-    "two_query_settings_from_statistics",
 ]
 
 
@@ -300,72 +297,3 @@ def savings_grid(
                 }
             )
     return rows
-
-
-def cpu_savings_vs_pullup_grid(
-    rho_values: Iterable[float],
-    s_sigma_values: Iterable[float],
-    join_selectivities: Iterable[float] = (0.4, 0.1, 0.025),
-) -> dict[float, list[dict[str, float]]]:
-    """CPU savings vs selection pull-up for each S1 — Figure 11(b)."""
-    return {
-        s1: savings_grid(rho_values, s_sigma_values, join_selectivity=s1)
-        for s1 in join_selectivities
-    }
-
-
-def cpu_savings_vs_pushdown_grid(
-    rho_values: Iterable[float],
-    s_sigma_values: Iterable[float],
-    join_selectivities: Iterable[float] = (0.4, 0.1, 0.025),
-) -> dict[float, list[dict[str, float]]]:
-    """CPU savings vs selection push-down for each S1 — Figure 11(c)."""
-    return {
-        s1: savings_grid(rho_values, s_sigma_values, join_selectivity=s1)
-        for s1 in join_selectivities
-    }
-
-
-def two_query_settings_from_statistics(
-    statistics,
-    window_small: float,
-    window_large: float,
-    tuple_size: float = 1.0,
-    hash_probe: bool = False,
-) -> TwoQuerySettings:
-    """Instantiate the two-query model from a measured statistics plane.
-
-    ``statistics`` is a :class:`repro.core.statistics.StreamStatistics`
-    (duck-typed here to keep this module free of upward imports).  The model
-    assumes λA = λB, so the two measured rates are averaged; the filter
-    selectivity is the measured Sσ of the single filtered query when exactly
-    one query carries a (left) selection, else the model default.
-    """
-    rates = [
-        statistics.rate(stream, 0.0)
-        for stream in (statistics.left_stream, statistics.right_stream)
-    ]
-    rates = [rate for rate in rates if rate > 0]
-    if not rates:
-        raise ConfigurationError(
-            "two_query_settings_from_statistics needs at least one measured "
-            "arrival rate"
-        )
-    measured_sigma = [
-        pair[0]
-        for pair in statistics.selection_selectivities.values()
-        if pair[0] is not None
-    ]
-    kwargs: dict[str, float] = {}
-    if len(measured_sigma) == 1:
-        kwargs["filter_selectivity"] = measured_sigma[0]
-    if statistics.join_selectivity is not None:
-        kwargs["join_selectivity"] = statistics.join_selectivity
-    return TwoQuerySettings(
-        arrival_rate=sum(rates) / len(rates),
-        window_small=window_small,
-        window_large=window_large,
-        tuple_size=tuple_size,
-        hash_probe=hash_probe,
-        **kwargs,
-    )

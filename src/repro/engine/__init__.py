@@ -1,4 +1,4 @@
-"""DSMS micro-kernel: operators, plans, executors and cost accounting."""
+"""DSMS micro-kernel: operators, plans, the executor and cost accounting."""
 
 from repro.engine.clock import VirtualClock
 from repro.engine.errors import (
@@ -10,15 +10,12 @@ from repro.engine.errors import (
     PlanError,
     QueryError,
     ReproError,
-    SchedulingError,
     SchemaError,
 )
 from repro.engine.executor import ImmediateExecutor, execute_plan
 from repro.engine.metrics import CostCategory, MetricsCollector, RunReport, StateMemorySample
 from repro.engine.operator import Operator, PassThrough
 from repro.engine.plan import Edge, Entry, Output, QueryPlan
-from repro.engine.queues import OperatorQueue
-from repro.engine.scheduler import RoundRobinScheduler, ScheduledExecutor
 
 __all__ = [
     "VirtualClock",
@@ -28,7 +25,6 @@ __all__ = [
     "QueryError",
     "ParseError",
     "ExecutionError",
-    "SchedulingError",
     "ChainError",
     "MigrationError",
     "ConfigurationError",
@@ -44,7 +40,4 @@ __all__ = [
     "Entry",
     "Output",
     "QueryPlan",
-    "OperatorQueue",
-    "RoundRobinScheduler",
-    "ScheduledExecutor",
 ]

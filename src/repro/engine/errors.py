@@ -14,7 +14,6 @@ __all__ = [
     "QueryError",
     "ParseError",
     "ExecutionError",
-    "SchedulingError",
     "ChainError",
     "MigrationError",
     "ConfigurationError",
@@ -44,10 +43,6 @@ class ParseError(QueryError):
 
 class ExecutionError(ReproError):
     """The executor encountered an inconsistent runtime condition."""
-
-
-class SchedulingError(ExecutionError):
-    """The scheduler was asked to do something impossible."""
 
 
 class ChainError(ReproError):

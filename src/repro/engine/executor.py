@@ -1,23 +1,19 @@
-"""Plan executors.
+"""The plan executor.
 
-Two executors are provided:
-
-* :class:`ImmediateExecutor` — a push-based executor that fully processes
-  each arriving tuple (and every item it transitively produces) before the
-  next arrival.  It is deterministic, matches the synchronous execution the
-  paper's analysis assumes, and is the executor used by the correctness
-  tests and the benchmark harness.  With ``batch_size > 1`` it amortizes
-  per-item dispatch by grouping consecutive arrivals into batches and
-  driving operators through their vectorized
-  :meth:`~repro.engine.operator.Operator.process_batch` path (see
-  "Batched execution" below).
-
-* :class:`ScheduledExecutor` (see :mod:`repro.engine.scheduler`) — an
-  operator-at-a-time executor with explicit inter-operator queues and a
-  round-robin scheduler, mirroring how the CAPE prototype runs operators.
-  It exposes asynchronous effects such as queue build-up.
-
-Both return a :class:`~repro.engine.metrics.RunReport`.
+:class:`ImmediateExecutor` is the one executor of static plans: a push-based
+executor that fully processes each arriving tuple (and every item it
+transitively produces) before the next arrival.  It is deterministic and
+matches the synchronous execution the paper's analysis assumes (Sections 3
+and 7 count comparisons and resident tuples), so it runs the correctness
+tests and every figure reproduction; it returns a
+:class:`~repro.engine.metrics.RunReport`.  With ``batch_size > 1`` it
+amortizes per-item dispatch by grouping consecutive arrivals into batches
+and driving operators through their vectorized
+:meth:`~repro.engine.operator.Operator.process_batch` path (see "Batched
+execution" below) — an operator-at-a-time schedule with a backlog of one
+batch between adjacent operators.  The paper's one asynchronous
+illustration, Table 2, is hand-scheduled with its own queue in
+:mod:`repro.experiments.traces`.
 
 Batched execution
 -----------------

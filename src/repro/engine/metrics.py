@@ -27,7 +27,19 @@ __all__ = [
     "MetricsSnapshot",
     "StateMemorySample",
     "RunReport",
+    "append_bounded",
 ]
+
+#: Entries an observability log keeps (the newest win).  An always-on session
+#: appends to its migration and policy logs forever, and a sharded session
+#: ships the migration log whole on every ``stats`` read.
+LOG_LIMIT = 256
+
+
+def append_bounded(log: list, entry) -> None:
+    """Append ``entry`` to an observability log, keeping the newest ``LOG_LIMIT``."""
+    log.append(entry)
+    del log[:-LOG_LIMIT]
 
 
 class CostCategory:
@@ -279,7 +291,7 @@ class MetricsCollector:
     def record_memory_sample(self, timestamp: float, tuples_in_state: int) -> None:
         """:meth:`sample_memory`, and keep the sample.
 
-        For the static executors, whose runs are finite and whose reports
+        For the static executor, whose runs are finite and whose reports
         need :meth:`steady_state_memory`'s tail of samples.
         """
         self.memory_samples.append(StateMemorySample(timestamp, tuples_in_state))

@@ -1,23 +1,18 @@
 """Stream operators: selections, joins, sliced joins, unions, routers."""
 
-from repro.operators.aggregate import AGGREGATE_FUNCTIONS, SlidingWindowAggregate
 from repro.operators.count_join import CountSlicedBinaryJoin, CountWindowJoin
 from repro.operators.join import OneWayWindowJoin, SlidingWindowJoin
-from repro.operators.projection import Projection
 from repro.operators.router import Route, Router
 from repro.operators.selection import JoinedFilter, Selection, StreamFilter
-from repro.operators.sink import CollectorSink, CountingSink
 from repro.operators.sliced_join import SlicedBinaryJoin, SlicedOneWayJoin
-from repro.operators.split import MultiSplit, Split
+from repro.operators.split import Split
 from repro.operators.union import BagUnion, OrderedUnion
 
 __all__ = [
     "Selection",
     "StreamFilter",
     "JoinedFilter",
-    "Projection",
     "Split",
-    "MultiSplit",
     "Route",
     "Router",
     "OneWayWindowJoin",
@@ -28,8 +23,4 @@ __all__ = [
     "SlicedBinaryJoin",
     "OrderedUnion",
     "BagUnion",
-    "CollectorSink",
-    "CountingSink",
-    "SlidingWindowAggregate",
-    "AGGREGATE_FUNCTIONS",
 ]

@@ -291,8 +291,6 @@ class JoinedFilter(Operator):
         super().__init__(name)
         self.left_predicate = left_predicate or TruePredicate()
         self.right_predicate = right_predicate or TruePredicate()
-        self._check_left = not isinstance(self.left_predicate, TruePredicate)
-        self._check_right = not isinstance(self.right_predicate, TruePredicate)
 
     def process(self, item: Any, port: str) -> list[Emission]:
         self.metrics.record_invocation(self.name)
@@ -309,32 +307,6 @@ class JoinedFilter(Operator):
             if not self.right_predicate.matches(item.right):
                 return []
         return [("out", item)]
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        batch = list(items)
-        check_left = self._check_left
-        check_right = self._check_right
-        left_matches = self.left_predicate.matches
-        right_matches = self.right_predicate.matches
-        emissions: list[Emission] = []
-        append = emissions.append
-        evaluated = 0
-        for item in batch:
-            if isinstance(item, Punctuation) or not isinstance(item, JoinedTuple):
-                append(("out", item))
-                continue
-            if check_left:
-                evaluated += 1
-                if not left_matches(item.left):
-                    continue
-            if check_right:
-                evaluated += 1
-                if not right_matches(item.right):
-                    continue
-            append(("out", item))
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.SELECT, evaluated)
-        return emissions
 
     def describe(self) -> str:
         return (

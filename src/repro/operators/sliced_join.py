@@ -206,51 +206,6 @@ class SlicedOneWayJoin(Operator):
         emissions.append(("punct", Punctuation(item.timestamp, source=self.name)))
         return emissions
 
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        """Vectorized equivalent of per-item :meth:`process` over a FIFO batch."""
-        batch = list(items)
-        if port == "left":
-            state_append = self._state.append
-            emissions: list[Emission] = []
-            for item in batch:
-                if isinstance(item, Punctuation):
-                    emissions.append(("punct", item))
-                else:
-                    state_append(item)
-            self.metrics.record_invocation(self.name, len(batch))
-            return emissions
-        if port != "right":
-            raise PlanError(f"unexpected port {port!r} for {self.name!r}")
-        state = self._state
-        end = self.slice.end
-        contains_offset = self.slice.contains_offset if self.enforce_bounds else None
-        name = self.name
-        emissions = []
-        append = emissions.append
-        purge_count = 0
-        probe_count = 0
-        for item in batch:
-            if isinstance(item, Punctuation):
-                append(("punct", item))
-                continue
-            ts = item.timestamp
-            purged, comparisons = state.purge(ts, end)
-            purge_count += comparisons
-            for expired in purged:
-                append(("purged", expired))
-            matches, comparisons = state.probe(item)
-            probe_count += comparisons
-            if contains_offset is not None:
-                matches = [m for m in matches if contains_offset(ts - m.timestamp)]
-            for match in matches:
-                append(("output", JoinedTuple(match, item)))
-            append(("propagated", item))
-            append(("punct", Punctuation(ts, source=name)))
-        self.metrics.record_invocation(name, len(batch))
-        self.metrics.count(CostCategory.PURGE, purge_count)
-        self.metrics.count(CostCategory.PROBE, probe_count)
-        return emissions
-
     def describe(self) -> str:
         return f"A{self.slice.describe()} s⋉ B on {self.condition.describe()}"
 
@@ -347,7 +302,10 @@ class SlicedJoinBase(SpillableJoinMixin, KeyedStateMixin, Operator):
     def _declares_state(self) -> bool:
         return True
 
-    def state_size(self) -> int:
+    def state_size(self, stream: str | None = None) -> int:
+        """Resident tuples of one stream's state, or of both."""
+        if stream is not None:
+            return len(self._states[stream])
         return sum(len(state) for state in self._states.values())
 
     def state_tuples(self, stream: str) -> list[StreamTuple]:

@@ -2,22 +2,20 @@
 
 The selection push-down sharing strategy of Section 3.2 partitions the input
 stream by the selection predicate so that each partial join only sees the
-tuples it needs.  :class:`Split` performs a two-way partition ("match" /
-"rest"); :class:`MultiSplit` generalises to many disjoint predicates for
-workloads with several distinct selections.
+tuples it needs.  :class:`Split` performs that two-way partition ("match" /
+"rest").
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
-from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
 from repro.query.predicates import Predicate
 from repro.streams.tuples import Punctuation
 
-__all__ = ["Split", "MultiSplit"]
+__all__ = ["Split"]
 
 
 class Split(Operator):
@@ -62,70 +60,3 @@ class Split(Operator):
 
     def describe(self) -> str:
         return f"split[{self.predicate.describe()}]"
-
-
-class MultiSplit(Operator):
-    """Routes each tuple to the first matching predicate's port.
-
-    ``routes`` is a sequence of ``(port_name, predicate)`` pairs evaluated in
-    order; tuples matching none go to the ``rest`` port.  The comparison
-    count equals the number of predicates evaluated, so a badly ordered
-    route list is visibly more expensive — the same effect the paper notes
-    for routers with large fanout.
-    """
-
-    input_ports = ("in",)
-
-    def __init__(
-        self,
-        routes: Sequence[tuple[str, Predicate]],
-        name: str | None = None,
-    ) -> None:
-        super().__init__(name)
-        if not routes:
-            raise PlanError("MultiSplit requires at least one route")
-        self.routes = list(routes)
-        ports = [port for port, _ in routes]
-        if len(ports) != len(set(ports)):
-            raise PlanError(f"duplicate ports in MultiSplit routes: {ports}")
-        self.output_ports = tuple(ports) + ("rest",)
-        self._compiled = [
-            (out_port, predicate.matches) for out_port, predicate in self.routes
-        ]
-
-    def process(self, item: Any, port: str) -> list[Emission]:
-        self.metrics.record_invocation(self.name)
-        if isinstance(item, Punctuation):
-            return [(out_port, item) for out_port in self.output_ports]
-        for out_port, predicate in self.routes:
-            self.metrics.count(CostCategory.SPLIT)
-            if predicate.matches(item):
-                return [(out_port, item)]
-        return [("rest", item)]
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        batch = list(items)
-        compiled = self._compiled
-        all_ports = self.output_ports
-        emissions: list[Emission] = []
-        append = emissions.append
-        evaluated = 0
-        for item in batch:
-            if isinstance(item, Punctuation):
-                for out_port in all_ports:
-                    append((out_port, item))
-                continue
-            for out_port, matches in compiled:
-                evaluated += 1
-                if matches(item):
-                    append((out_port, item))
-                    break
-            else:
-                append(("rest", item))
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.SPLIT, evaluated)
-        return emissions
-
-    def describe(self) -> str:
-        parts = ", ".join(f"{port}:{pred.describe()}" for port, pred in self.routes)
-        return f"multisplit[{parts}]"

@@ -36,13 +36,8 @@ class OrderedUnion(Operator):
     Ordering guarantee: the released stream is globally sorted provided all
     inputs reach the union in global timestamp order, which holds under the
     push-based :class:`~repro.engine.executor.ImmediateExecutor` (every
-    arrival is fully propagated before the next).  Under the asynchronous
-    :class:`~repro.engine.scheduler.ScheduledExecutor` different upstream
-    paths may lag behind the punctuations, in which case the union still
-    emits the correct result multiset but cross-input order can be violated;
-    a per-input watermark union would be needed for strict ordering there
-    (the paper's CAPE prototype keeps one queue per upstream join for the
-    same reason).
+    arrival is fully propagated before the next; its batched mode delivers
+    a batch's results before the punctuations that vouch for them).
     """
 
     input_ports = ("in",)
@@ -129,15 +124,6 @@ class BagUnion(Operator):
             return []
         self.metrics.count(CostCategory.UNION)
         return [("out", item)]
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        batch = list(items)
-        emissions = [
-            ("out", item) for item in batch if not isinstance(item, Punctuation)
-        ]
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.UNION, len(emissions))
-        return emissions
 
     def describe(self) -> str:
         return "union (bag)"

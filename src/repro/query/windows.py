@@ -1,11 +1,11 @@
 """Sliding-window specifications.
 
 The paper presents its techniques with time-based sliding windows and notes
-that count-based windows are handled identically.  Both are modelled here.
-
-A :class:`TimeWindow` of size ``W`` keeps a tuple ``a`` alive while a newer
-tuple ``b`` from the opposite stream satisfies ``Tb - Ta < W``.  A
-:class:`CountWindow` of size ``N`` keeps the last ``N`` tuples.
+that count-based windows are handled identically.  A query's window is a
+plain number (seconds, or a tuple count vetted by :func:`as_count`): a
+time window of size ``W`` keeps a tuple ``a`` alive while a newer tuple
+``b`` from the opposite stream satisfies ``Tb - Ta < W``, a count window of
+size ``N`` keeps the last ``N`` tuples.
 
 A :class:`WindowSlice` is the half-open interval ``[start, end)`` of
 timestamp offsets assigned to one sliced window join (Definition 1).
@@ -14,11 +14,10 @@ timestamp offsets assigned to one sliced window join (Definition 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.engine.errors import QueryError
 
-__all__ = ["TimeWindow", "CountWindow", "WindowSlice", "slice_boundaries", "as_count"]
+__all__ = ["WindowSlice", "as_count"]
 
 
 def as_count(window: float, context: str = "window") -> int:
@@ -34,38 +33,6 @@ def as_count(window: float, context: str = "window") -> int:
             f"{context} must be a positive integer tuple count, got {window!r}"
         )
     return count
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class TimeWindow:
-    """A time-based sliding window of ``size`` seconds."""
-
-    size: float
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise QueryError(f"window size must be positive, got {self.size}")
-
-    def contains(self, older_timestamp: float, newer_timestamp: float) -> bool:
-        """True when the older tuple is still inside the window of the newer."""
-        return (newer_timestamp - older_timestamp) < self.size
-
-    def describe(self) -> str:
-        return f"WINDOW {self.size:g} sec"
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class CountWindow:
-    """A count-based sliding window holding the most recent ``size`` tuples."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise QueryError(f"window size must be positive, got {self.size}")
-
-    def describe(self) -> str:
-        return f"WINDOW {self.size} rows"
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -99,23 +66,3 @@ class WindowSlice:
 
     def describe(self) -> str:
         return f"[{self.start:g}, {self.end:g})"
-
-
-def slice_boundaries(window_sizes: Sequence[float]) -> list[WindowSlice]:
-    """Build the Mem-Opt slice list for a set of query window sizes.
-
-    The returned slices are ``[0, w1), [w1, w2), ..., [w_{N-1}, w_N)`` for the
-    distinct window sizes sorted ascending — one slice per distinct window,
-    exactly the Mem-Opt chain of Section 5.1.
-    """
-    if not window_sizes:
-        raise QueryError("at least one window size is required")
-    distinct = sorted(set(float(w) for w in window_sizes))
-    if distinct[0] <= 0:
-        raise QueryError(f"window sizes must be positive, got {distinct[0]}")
-    slices = []
-    previous = 0.0
-    for size in distinct:
-        slices.append(WindowSlice(previous, size))
-        previous = size
-    return slices

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.statistics import StreamStatistics
-from repro.engine.metrics import MetricsSnapshot
+from repro.engine.metrics import MetricsSnapshot, append_bounded
 
 __all__ = ["AdaptivePolicy", "PolicyEvent"]
 
@@ -124,6 +124,8 @@ class AdaptivePolicy:
         self.system_overhead = float(system_overhead)
         self.tuple_size = float(tuple_size)
         self.calibrate_first = calibrate_first
+        #: The newest :data:`~repro.engine.metrics.LOG_LIMIT` of each: one
+        #: entry per estimation window would otherwise accumulate forever.
         self.events: list[PolicyEvent] = []
         self.estimates: list[StreamStatistics] = []
         self.rebalances = 0
@@ -167,7 +169,7 @@ class AdaptivePolicy:
             # A window that saw only one stream (late producer, burst) cannot
             # parameterize the cost model; wait for a complete window.
             return
-        self.estimates.append(estimate)
+        append_bounded(self.estimates, estimate)
         self.smoothed = (
             estimate
             if self.smoothed is None
@@ -179,22 +181,22 @@ class AdaptivePolicy:
             if self.calibrate_first:
                 self._apply(engine, estimate, now, drift=0.0, kind="calibrate")
             else:
-                self.events.append(PolicyEvent("calibrate", now, 0.0, estimate))
+                append_bounded(self.events, PolicyEvent("calibrate", now, 0.0, estimate))
             return
         drift = estimate.drift(self.baseline)
         if drift <= self.drift_threshold:
             self._streak = 0
-            self.events.append(PolicyEvent("estimate", now, drift, estimate))
+            append_bounded(self.events, PolicyEvent("estimate", now, drift, estimate))
             return
         self._streak += 1
         if self._streak < self.hysteresis:
-            self.events.append(PolicyEvent("estimate", now, drift, estimate))
+            append_bounded(self.events, PolicyEvent("estimate", now, drift, estimate))
             return
         if (
             self._last_rebalance is not None
             and now - self._last_rebalance < self.cooldown
         ):
-            self.events.append(PolicyEvent("estimate", now, drift, estimate))
+            append_bounded(self.events, PolicyEvent("estimate", now, drift, estimate))
             return
         self._apply(engine, estimate, now, drift)
 
@@ -215,7 +217,7 @@ class AdaptivePolicy:
             # the whole adaptation.  The first baseline is still a
             # "calibrate" event; only drift-triggered ones are recalibrations.
             count_kind = "calibrate" if kind == "calibrate" else "recalibrate"
-            self.events.append(PolicyEvent(count_kind, now, drift, estimate))
+            append_bounded(self.events, PolicyEvent(count_kind, now, drift, estimate))
             return
         params = estimate.chain_parameters(
             system_overhead=self.system_overhead, tuple_size=self.tuple_size
@@ -223,8 +225,9 @@ class AdaptivePolicy:
         boundaries = engine.rebalance(params, statistics=estimate)
         if kind == "rebalance":
             self.rebalances += 1
-        self.events.append(
-            PolicyEvent(kind, now, drift, estimate, boundaries=tuple(boundaries))
+        append_bounded(
+            self.events,
+            PolicyEvent(kind, now, drift, estimate, boundaries=tuple(boundaries)),
         )
 
     def describe(self) -> str:

@@ -89,7 +89,7 @@ from repro.core.statistics import (
     filter_observation_key,
 )
 from repro.engine.errors import ExecutionError, MigrationError, QueryError
-from repro.engine.metrics import CostCategory, MetricsCollector
+from repro.engine.metrics import CostCategory, MetricsCollector, append_bounded
 from repro.engine.spill import SpillStore, estimate_tuple_bytes
 from repro.query.predicates import JoinCondition, Predicate, TruePredicate
 from repro.query.query import ContinuousQuery, QueryWorkload
@@ -166,6 +166,7 @@ class EngineStats:
     arrivals: int = 0
     batches: int = 0
     results_delivered: int = 0
+    #: The newest :data:`~repro.engine.metrics.LOG_LIMIT` migrations.
     migrations: list[MigrationEvent] = field(default_factory=list)
 
     @classmethod
@@ -1010,13 +1011,14 @@ class StreamEngine:
         self._routing = routing
 
     def _record_migration(self, kind: str, boundary: float) -> None:
-        self.stats.migrations.append(
+        append_bounded(
+            self.stats.migrations,
             MigrationEvent(
                 kind=kind,
                 boundary=boundary,
                 arrival_count=self.stats.arrivals,
                 boundaries_after=self.boundaries,
-            )
+            ),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

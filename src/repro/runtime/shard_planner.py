@@ -6,22 +6,21 @@
 global :class:`~repro.core.statistics.StreamStatistics` view (counters
 summed, stream clock max'ed), from which the planner picks a shard count for
 the measured load, detects key skew from the per-shard ingest shares,
-decides when a live reshard is worth its migration, and re-prices every
-shard's chain with its *own* measured statistics.  It only reads the
-session's public surface — no transport, no shard mode.
+decides when a live reshard is worth its migration, and re-prices the
+session's chain from that same global view.  It only reads the session's
+public surface — no transport, no shard mode.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.merge_graph import ChainCostParameters
 from repro.core.statistics import StreamStatistics
 from repro.engine.errors import ShardingError
-from repro.engine.metrics import MetricsSnapshot
+from repro.engine.metrics import LOG_LIMIT, MetricsSnapshot
 
 if TYPE_CHECKING:
     from repro.runtime.sharding import ReshardEvent, ShardedStreamEngine
@@ -134,7 +133,7 @@ class ShardPlanner:
         #: Recent :class:`ReshardDecision` verdicts, newest last.  Bounded —
         #: an always-on session polls this policy indefinitely, so an
         #: unbounded log would be a slow leak.
-        self.decisions: deque[ReshardDecision] = deque(maxlen=256)
+        self.decisions: deque[ReshardDecision] = deque(maxlen=LOG_LIMIT)
         self._window_start: float | None = None
         self._window_snapshots: Sequence[MetricsSnapshot] | None = None
         self._window_shards: int | None = None
@@ -353,28 +352,20 @@ class ShardPlanner:
         system_overhead: float = 0.5,
         tuple_size: float = 1.0,
     ) -> tuple[float, ...]:
-        """Re-price every shard's chain from its own measured statistics.
+        """Re-price the session's chain from its measured statistics.
 
-        Under key skew the shards see different arrival rates; each shard is
-        therefore rebalanced with its *own* whole-session estimate, falling
-        back to the merged global view (scaled to one shard's share) for
-        quantities a thin shard could not measure.  Requires the session to
-        run with ``collect_statistics=True``.
+        One search input per session: the merged global view (counters
+        summed over the shards of the current generation) prices the chain,
+        and :meth:`ShardedStreamEngine.rebalance` hands every shard the
+        same ``1/N`` share of it, so all shards land on the same boundaries
+        whatever the key skew.  A stream that has not arrived yet is priced
+        at the other stream's rate.  Requires the session to run with
+        ``collect_statistics=True``.
         """
-        snapshots = engine.shard_snapshots()
-        merged = engine.merged_statistics(snapshots)
-        fallback = merged.scaled(1.0 / engine.shards)
-        plans: list[tuple[ChainCostParameters, StreamStatistics]] = []
-        for stats in engine.shard_statistics(snapshots):
-            if stats.join_selectivity is None:
-                stats = replace(stats, join_selectivity=merged.join_selectivity)
-            rates = dict(fallback.arrival_rates)
-            rates.update(stats.arrival_rates)
-            stats = replace(stats, arrival_rates=rates)
-            params = stats.chain_parameters(
-                system_overhead=system_overhead,
-                tuple_size=tuple_size,
-                default_rate=max(sum(rates.values()), 1e-9),
-            )
-            plans.append((params, stats))
-        return engine.rebalance_shards(plans)
+        merged = engine.merged_statistics()
+        params = merged.chain_parameters(
+            system_overhead=system_overhead,
+            tuple_size=tuple_size,
+            default_rate=max(sum(merged.arrival_rates.values()), 1e-9),
+        )
+        return engine.rebalance(params, statistics=merged)

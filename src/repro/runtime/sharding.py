@@ -848,36 +848,15 @@ class ShardedStreamEngine:
             parts.append(self.metrics.snapshot())
         return MetricsSnapshot.aggregate(parts)
 
-    def shard_statistics(
-        self, snapshots: Sequence[MetricsSnapshot] | None = None
-    ) -> list[StreamStatistics]:
-        """Statistics estimates, one per shard (measured per-shard rates —
-        unequal under key skew).
-
-        Estimated over the current shard *generation*: the window opens at
-        the last :meth:`reshard` (or session start), so rates are measured
-        under the modulus the counters were collected with.
-        """
-        if snapshots is None:
-            snapshots = self.shard_snapshots()
-        return [
-            StreamStatistics.from_metrics_delta(
-                snapshot.diff(self._epoch),
-                left_stream=self.left_stream,
-                right_stream=self.right_stream,
-            )
-            for snapshot in snapshots
-        ]
-
     def merged_statistics(
         self, snapshots: Sequence[MetricsSnapshot] | None = None
     ) -> StreamStatistics:
         """The global statistics view: per-shard observations aggregated
         before estimation (the input of a :class:`ShardPlanner`).
 
-        Like :meth:`shard_statistics`, the estimation window opens at the
-        last :meth:`reshard` — mixing counters measured under two different
-        moduli would bias every per-shard quantity.  Note the join factor
+        The estimation window opens at the last :meth:`reshard` (or session
+        start) — mixing counters measured under two different moduli would
+        bias every per-shard quantity.  Note the join factor
         of this view is the *within-shard* match rate — conditioned on key
         co-location, so ≈ N× the unpartitioned S1 under uniform keys.  That
         is deliberately the right quantity here: it is what a shard's
@@ -901,9 +880,10 @@ class ShardedStreamEngine:
 
         ``params`` and ``statistics`` describe the *global* session; each
         shard of an evenly partitioned stream sees ``1/N`` of the arrival
-        rates, so both are scaled down before the per-shard search runs
-        (selectivities are rate-invariant).  For skew-aware re-pricing from
-        each shard's own measurements use :meth:`ShardPlanner.rebalance`.
+        rates, so both are scaled down before the search runs
+        (selectivities are rate-invariant).  Every shard receives the same
+        search input, hence finds the same target: the shards stay replicas
+        of one plan, which ``reshard`` and the admission fan-out rely on.
         """
         self._check_open()
         scale = 1.0 / self.shards
@@ -913,25 +893,7 @@ class ShardedStreamEngine:
             arrival_rate_right=params.arrival_rate_right * scale,
         )
         shard_stats = statistics.scaled(scale) if statistics is not None else None
-        return self.rebalance_shards([(shard_params, shard_stats)] * self.shards)
-
-    def rebalance_shards(
-        self,
-        plans: Sequence[tuple[ChainCostParameters, StreamStatistics | None]],
-    ) -> tuple[float, ...]:
-        """Rebalance each shard with its own parameters/statistics.
-
-        All shards must keep identical boundaries (the admission fan-out
-        invariant), so the first shard's target is applied everywhere; the
-        per-shard inputs only matter for *pricing* under skew, where the
-        planner deliberately feeds every shard the same skew-aware view.
-        """
-        self._check_open()
-        if len(plans) != self.shards:
-            raise ShardingError(
-                f"need one plan per shard ({self.shards}), got {len(plans)}"
-            )
-        return tuple(self._request_each("rebalance", list(plans))[0])
+        return tuple(self._request_all("rebalance", (shard_params, shard_stats))[0])
 
     # -- live resharding -------------------------------------------------------
     def reshard(self, target: "int | ShardPlan", reason: str = "") -> ReshardEvent:

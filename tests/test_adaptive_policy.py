@@ -205,6 +205,16 @@ class TestDrift:
         assert len(stamps) <= span / 3.0 + 1 + 1e-9
 
 
+    def test_event_and_estimate_logs_keep_the_newest_256(self):
+        """One entry per estimation window forever would be a slow leak."""
+        policy = _make_stub_policy()
+        engine = _StubEngine()
+        _feed_windows(engine, policy, rates=[10] * 300)
+        assert len(policy.events) == len(policy.estimates) == 256
+        assert policy.events[-1].timestamp == 300.0
+        assert [e.timestamp for e in policy.events[:2]] == [45.0, 46.0]  # plain lists
+
+
 class TestConvergence:
     def test_online_estimates_match_ground_truth(self):
         engine = StreamEngine(

@@ -19,7 +19,6 @@ from repro.core.merge_graph import ChainCostParameters
 from repro.core.plan_builder import build_state_slice_plan
 from repro.engine.executor import ImmediateExecutor, execute_plan
 from repro.engine.operator import Operator, PassThrough
-from repro.engine.scheduler import ScheduledExecutor
 from repro.operators.router import Route, Router
 from repro.operators.selection import Selection, StreamFilter
 from repro.operators.sliced_join import SlicedBinaryJoin
@@ -130,21 +129,6 @@ class TestBatchedImmediateExecutor:
             name: [(i.left.seqno, i.right.seqno) for i in items]
             for name, items in executor.results.items()
         } == result_signature(base)
-
-    def test_scheduled_executor_batch_runs(self, workload, stream_data):
-        """The scheduled executor's run-batched invocations keep the multiset."""
-        immediate = execute_plan(build_state_slice_plan(workload), stream_data.tuples)
-        scheduled = ScheduledExecutor(
-            build_state_slice_plan(workload), batch_size=16
-        ).run(stream_data.tuples)
-        for name in immediate.results:
-            expected = sorted(
-                (i.left.seqno, i.right.seqno) for i in immediate.results[name]
-            )
-            got = sorted(
-                (i.left.seqno, i.right.seqno) for i in scheduled.results[name]
-            )
-            assert got == expected
 
 
 class TestMemorySamplingStride:

@@ -6,8 +6,6 @@ import pytest
 
 from repro.core.cost_model import (
     TwoQuerySettings,
-    cpu_savings_vs_pullup_grid,
-    cpu_savings_vs_pushdown_grid,
     savings_grid,
     selection_pullup_cost,
     selection_pushdown_cost,
@@ -187,18 +185,13 @@ class TestFigure11Grids:
         }
         assert by_point[(0.1, 0.1)] > by_point[(0.9, 0.9)]
 
-    def test_cpu_grids_have_one_surface_per_join_selectivity(self):
-        surfaces = cpu_savings_vs_pullup_grid((0.5,), (0.5,))
-        assert set(surfaces) == {0.4, 0.1, 0.025}
-        pushdown_surfaces = cpu_savings_vs_pushdown_grid((0.5,), (0.5,))
-        assert set(pushdown_surfaces) == {0.4, 0.1, 0.025}
-
     def test_cpu_saving_vs_pullup_grows_with_join_selectivity(self):
-        surfaces = cpu_savings_vs_pullup_grid((0.5,), (1.0 - 1e-9,))
         # With Sσ -> 1 the CPU saving vs pull-up is driven purely by S1.
-        high = surfaces[0.4][0]["cpu_saving_vs_pullup_pct"]
-        low = surfaces[0.025][0]["cpu_saving_vs_pullup_pct"]
-        assert high > low
+        high, low = (
+            savings_grid((0.5,), (1.0 - 1e-9,), join_selectivity=s1)[0]
+            for s1 in (0.4, 0.025)
+        )
+        assert high["cpu_saving_vs_pullup_pct"] > low["cpu_saving_vs_pullup_pct"]
 
 
 class TestHashProbeModel:
@@ -238,31 +231,3 @@ class TestHashProbeModel:
         # Memory ratios are probe-independent, so they match the closed form.
         nested = state_slice_savings(self._settings(hash_probe=False))
         assert savings.memory_vs_pullup == pytest.approx(nested.memory_vs_pullup)
-
-
-class TestTwoQuerySettingsFromStatistics:
-    def test_bridge_uses_measured_quantities(self):
-        from repro.core.cost_model import two_query_settings_from_statistics
-        from repro.core.statistics import StreamStatistics
-
-        stats = StreamStatistics(
-            arrival_rates={"A": 30.0, "B": 50.0},
-            join_selectivity=0.2,
-            selection_selectivities={"Q2": (0.4, None)},
-        )
-        settings = two_query_settings_from_statistics(
-            stats, window_small=10, window_large=40, hash_probe=True
-        )
-        assert settings.arrival_rate == pytest.approx(40.0)
-        assert settings.join_selectivity == pytest.approx(0.2)
-        assert settings.filter_selectivity == pytest.approx(0.4)
-        assert settings.hash_probe is True
-
-    def test_bridge_requires_a_measured_rate(self):
-        from repro.core.cost_model import two_query_settings_from_statistics
-        from repro.core.statistics import StreamStatistics
-
-        with pytest.raises(ConfigurationError):
-            two_query_settings_from_statistics(
-                StreamStatistics(), window_small=1, window_large=2
-            )

@@ -1,4 +1,4 @@
-"""Unit tests for the engine primitives: clock, metrics, queues, operator base."""
+"""Unit tests for the engine primitives: clock, metrics, operator base."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.engine.clock import VirtualClock
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.metrics import CostCategory, MetricsCollector, RunReport
 from repro.engine.operator import Operator, PassThrough
-from repro.engine.queues import OperatorQueue
 from repro.streams.tuples import make_tuple
 
 
@@ -141,36 +140,6 @@ class TestMetricsCollector:
         assert report.output_counts() == {"Q1": 3}
         assert report.cpu_cost == 10
         assert report.summary()["output.total"] == 3.0
-
-
-class TestOperatorQueue:
-    def test_fifo_order(self):
-        queue = OperatorQueue("q")
-        queue.push(1)
-        queue.push(2)
-        queue.extend([3, 4])
-        assert queue.pop() == 1
-        assert queue.peek() == 2
-        assert len(queue) == 3
-        assert list(queue) == [2, 3, 4]
-
-    def test_high_water_mark(self):
-        queue = OperatorQueue()
-        for value in range(5):
-            queue.push(value)
-        queue.pop()
-        queue.pop()
-        assert queue.max_size == 5
-        assert queue.total_enqueued == 5
-
-    def test_empty_queue_behaviour(self):
-        queue = OperatorQueue()
-        assert not queue
-        assert queue.peek() is None
-        queue.push("x")
-        assert queue
-        queue.clear()
-        assert len(queue) == 0
 
 
 class TestOperatorBase:

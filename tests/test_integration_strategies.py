@@ -12,7 +12,6 @@ from repro.baselines.unshared import build_unshared_plan
 from repro.core.mem_opt import build_mem_opt_chain
 from repro.core.plan_builder import build_state_slice_plan
 from repro.engine.executor import execute_plan
-from repro.engine.scheduler import ScheduledExecutor
 from repro.operators.join import SlidingWindowJoin
 from repro.query.workload import build_workload
 from repro.streams.generators import generate_join_workload
@@ -56,14 +55,6 @@ class TestAnswerEquivalence:
         # comparable).
         keys = result_keys(reports["state-slice"].results)
         assert set(keys["Q2"]) <= set(keys["Q3"])
-
-    def test_scheduled_executor_agrees_with_immediate(self):
-        plan = build_state_slice_plan(WORKLOAD)
-        scheduled = ScheduledExecutor(plan, invocations_per_arrival=3, batch_size=2).run(
-            DATA.tuples
-        )
-        immediate = execute_plan(build_state_slice_plan(WORKLOAD), DATA.tuples)
-        assert result_keys(scheduled.results) == result_keys(immediate.results)
 
 
 class TestResourceRankings:

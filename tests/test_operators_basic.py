@@ -1,5 +1,4 @@
-"""Unit tests for the stateless operators: selection, projection, split, router,
-union, sinks and the windowed aggregate."""
+"""Unit tests for the stateless operators: selection, split, router and union."""
 
 from __future__ import annotations
 
@@ -7,14 +6,11 @@ import pytest
 
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory, MetricsCollector
-from repro.operators.aggregate import SlidingWindowAggregate
-from repro.operators.projection import Projection
 from repro.operators.router import Route, Router
 from repro.operators.selection import JoinedFilter, Selection, StreamFilter
-from repro.operators.sink import CollectorSink, CountingSink
-from repro.operators.split import MultiSplit, Split
+from repro.operators.split import Split
 from repro.operators.union import BagUnion, OrderedUnion
-from repro.query.predicates import TruePredicate, attribute_gt, attribute_lt
+from repro.query.predicates import attribute_gt, attribute_lt
 from repro.streams.tuples import FEMALE, MALE, JoinedTuple, Punctuation, RefTuple, make_tuple
 
 
@@ -94,25 +90,6 @@ class TestJoinedFilter:
         assert residual.process(tup, "in") == [("out", tup)]
 
 
-class TestProjection:
-    def test_projects_stream_tuples(self):
-        projection = Projection(["x"], name="p")
-        out = projection.process(make_tuple("A", 1.0, x=1, y=2), "in")
-        assert out[0][1].values == {"x": 1}
-
-    def test_projects_joined_tuples_with_prefixed_names(self):
-        projection = Projection(["A.x"], name="p")
-        item = JoinedTuple(make_tuple("A", 1.0, x=7), make_tuple("B", 2.0, y=9))
-        out = projection.process(item, "in")
-        assert out[0][1].values == {"A.x": 7}
-        assert out[0][1].timestamp == 2.0
-
-    def test_punctuation_passes(self):
-        projection = Projection(["x"], name="p")
-        punct = Punctuation(0.5)
-        assert projection.process(punct, "in") == [("out", punct)]
-
-
 class TestSplit:
     def test_partitions_by_predicate(self):
         split = Split(attribute_gt("value", 0.5), name="split")
@@ -123,20 +100,6 @@ class TestSplit:
         split = Split(attribute_gt("value", 0.5), name="split")
         out = split.process(Punctuation(1.0), "in")
         assert {port for port, _ in out} == {"match", "rest"}
-
-    def test_multisplit_routes_first_match(self):
-        split = MultiSplit(
-            [("low", attribute_lt("value", 0.3)), ("high", attribute_gt("value", 0.7))]
-        )
-        assert split.process(make_tuple("A", 0.0, value=0.1), "in")[0][0] == "low"
-        assert split.process(make_tuple("A", 0.0, value=0.9), "in")[0][0] == "high"
-        assert split.process(make_tuple("A", 0.0, value=0.5), "in")[0][0] == "rest"
-
-    def test_multisplit_validation(self):
-        with pytest.raises(PlanError):
-            MultiSplit([])
-        with pytest.raises(PlanError):
-            MultiSplit([("p", TruePredicate()), ("p", TruePredicate())])
 
 
 class TestRouter:
@@ -229,65 +192,3 @@ class TestUnions:
         item = joined(0.0, 1.0)
         assert union.process(item, "in") == [("out", item)]
         assert union.process(Punctuation(5.0), "in") == []
-
-
-class TestSinks:
-    def test_collector_sink_stores_items_and_calls_back(self):
-        seen = []
-        sink = CollectorSink(name="sink", callback=seen.append)
-        tup = make_tuple("A", 0.0, x=1)
-        sink.process(tup, "in")
-        sink.process(Punctuation(1.0), "in")
-        assert sink.items == [tup]
-        assert seen == [tup]
-
-    def test_counting_sink_counts_without_storing(self):
-        sink = CountingSink(name="count")
-        for i in range(5):
-            sink.process(make_tuple("A", float(i), x=i), "in")
-        assert sink.count == 5
-
-
-class TestSlidingWindowAggregate:
-    def test_average_over_window(self):
-        aggregate = SlidingWindowAggregate(window=2.0, attribute="x", function="avg")
-        out = []
-        for ts, x in [(0.0, 2.0), (1.0, 4.0), (3.0, 6.0)]:
-            out.extend(aggregate.process(make_tuple("A", ts, x=x), "in"))
-        # At ts=3.0 the tuple at ts=0.0 has expired (age 3 >= 2), ts=1.0 expired too.
-        values = [item.values["aggregate"] for _, item in out]
-        assert values[0] == pytest.approx(2.0)
-        assert values[1] == pytest.approx(3.0)
-        assert values[2] == pytest.approx(6.0)
-
-    def test_named_functions(self):
-        for name, expected in [("count", 2.0), ("sum", 6.0), ("min", 2.0), ("max", 4.0)]:
-            aggregate = SlidingWindowAggregate(window=10.0, attribute="x", function=name)
-            aggregate.process(make_tuple("A", 0.0, x=2.0), "in")
-            out = aggregate.process(make_tuple("A", 1.0, x=4.0), "in")
-            assert out[0][1].values["aggregate"] == pytest.approx(expected)
-
-    def test_emit_every(self):
-        aggregate = SlidingWindowAggregate(
-            window=10.0, attribute="x", function="count", emit_every=2
-        )
-        first = aggregate.process(make_tuple("A", 0.0, x=1.0), "in")
-        second = aggregate.process(make_tuple("A", 1.0, x=1.0), "in")
-        assert first == []
-        assert len(second) == 1
-
-    def test_works_on_joined_tuples(self):
-        aggregate = SlidingWindowAggregate(window=10.0, attribute="A.x", function="sum")
-        item = JoinedTuple(make_tuple("A", 0.0, x=3.0), make_tuple("B", 1.0, y=1.0))
-        out = aggregate.process(item, "in")
-        assert out[0][1].values["aggregate"] == pytest.approx(3.0)
-
-    def test_validation(self):
-        with pytest.raises(PlanError):
-            SlidingWindowAggregate(window=0, attribute="x")
-        with pytest.raises(PlanError):
-            SlidingWindowAggregate(window=1, attribute="x", function="median")
-        aggregate = SlidingWindowAggregate(window=10.0, attribute="A.x", function="sum")
-        bad = JoinedTuple(make_tuple("A", 0.0, y=1.0), make_tuple("B", 0.0, y=1.0))
-        with pytest.raises(PlanError):
-            aggregate.process(bad, "in")

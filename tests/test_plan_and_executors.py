@@ -1,18 +1,19 @@
-"""Unit tests for the query plan DAG and the two executors."""
+"""Unit tests for the query plan DAG and the executor."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.engine.errors import ExecutionError, PlanError
+from repro.core.plan_builder import build_state_slice_plan
 from repro.engine.executor import ImmediateExecutor, execute_plan
-from repro.engine.metrics import MetricsCollector
 from repro.engine.operator import PassThrough
 from repro.engine.plan import QueryPlan
-from repro.engine.scheduler import RoundRobinScheduler, ScheduledExecutor
+from repro.operators.count_join import CountWindowJoin
 from repro.operators.join import SlidingWindowJoin
 from repro.operators.selection import Selection
-from repro.query.predicates import CrossProductCondition, attribute_gt
+from repro.query.predicates import CrossProductCondition, EquiJoinCondition, attribute_gt
+from repro.query.workload import build_workload
 from repro.streams.generators import generate_join_workload
 from repro.streams.tuples import make_tuple
 from tests.conftest import joined_keys, regular_join_reference
@@ -162,32 +163,28 @@ class TestImmediateExecutor:
         assert report.duration == pytest.approx(2.25)
 
 
-class TestScheduledExecutor:
-    def test_round_robin_scheduler_cycles(self):
-        scheduler = RoundRobinScheduler(["a", "b", "c"])
-        picks = [scheduler.next_operator() for _ in range(5)]
-        assert picks == ["a", "b", "c", "a", "b"]
+def test_union_output_is_sorted_under_synchronous_execution():
+    # Strict output ordering holds because inputs reach the unions in global
+    # timestamp order under the immediate executor.
+    workload = build_workload(
+        [0.5, 1.0, 2.0], join_selectivity=0.2, filter_selectivities=[1.0, 0.5, 0.5]
+    )
+    data = generate_join_workload(rate_a=20, rate_b=20, duration=6.0, seed=71)
+    report = execute_plan(build_state_slice_plan(workload), data.tuples)
+    for name, items in report.results.items():
+        stamps = [item.timestamp for item in items]
+        assert stamps == sorted(stamps), name
 
-    def test_scheduled_matches_immediate_results(self):
-        data = generate_join_workload(rate_a=10, rate_b=10, duration=5.0, seed=4)
-        immediate = execute_plan(simple_plan(), data.tuples)
-        scheduled = ScheduledExecutor(
-            simple_plan(), invocations_per_arrival=2, batch_size=1
-        ).run(data.tuples)
-        assert joined_keys(scheduled.results["Q"]) == joined_keys(immediate.results["Q"])
 
-    def test_queue_memory_tracks_buffered_items(self):
-        data = generate_join_workload(rate_a=20, rate_b=20, duration=3.0, seed=4)
-        executor = ScheduledExecutor(
-            simple_plan(), invocations_per_arrival=1, batch_size=1
-        )
-        executor.run(data.tuples)
-        assert executor.max_queue_memory() > 0
-        assert executor.queue_memory() == 0  # fully drained at the end
-
-    def test_metrics_shared_with_plan(self):
-        metrics = MetricsCollector()
-        executor = ScheduledExecutor(simple_plan(), metrics=metrics)
-        data = generate_join_workload(rate_a=10, rate_b=10, duration=2.0, seed=4)
-        executor.run(data.tuples)
-        assert metrics.total_comparisons > 0
+def test_count_window_join_runs_inside_a_query_plan():
+    data = generate_join_workload(rate_a=20, rate_b=20, duration=6.0, seed=71)
+    condition = EquiJoinCondition("join_key", "join_key", key_domain=25)
+    plan = QueryPlan("count-plan")
+    join = CountWindowJoin(10, 10, condition, name="count_join")
+    plan.add_operator(join)
+    plan.add_entry("A", join, "left")
+    plan.add_entry("B", join, "right")
+    plan.add_output("Q", join, "output")
+    report = execute_plan(plan, data.tuples)
+    assert report.results["Q"]
+    assert join.state_size() == 20

@@ -14,7 +14,7 @@ from repro.query.predicates import (
     selectivity_join,
 )
 from repro.query.query import ContinuousQuery, QueryWorkload, workload_from_windows
-from repro.query.windows import CountWindow, TimeWindow, WindowSlice, slice_boundaries
+from repro.query.windows import WindowSlice
 from repro.query.workload import (
     THREE_QUERY_DISTRIBUTIONS,
     TWELVE_QUERY_DISTRIBUTIONS,
@@ -28,17 +28,6 @@ from repro.streams.tuples import make_tuple
 
 
 class TestWindows:
-    def test_time_window_contains(self):
-        window = TimeWindow(2.0)
-        assert window.contains(0.0, 1.9)
-        assert not window.contains(0.0, 2.0)
-
-    def test_windows_must_be_positive(self):
-        with pytest.raises(QueryError):
-            TimeWindow(0)
-        with pytest.raises(QueryError):
-            CountWindow(0)
-
     def test_window_slice_validation(self):
         with pytest.raises(QueryError):
             WindowSlice(-1, 2)
@@ -50,14 +39,6 @@ class TestWindows:
         assert slice_.contains_offset(2.9)
         assert not slice_.contains_offset(3.0)
         assert not slice_.contains_offset(0.5)
-
-    def test_slice_boundaries_builds_mem_opt_slices(self):
-        slices = slice_boundaries([3.0, 1.0, 2.0, 2.0])
-        assert [(s.start, s.end) for s in slices] == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
-        with pytest.raises(QueryError):
-            slice_boundaries([])
-        with pytest.raises(QueryError):
-            slice_boundaries([0.0, 1.0])
 
 
 class TestContinuousQuery:

@@ -655,6 +655,18 @@ class TestEngineAccounting:
         assert sizes[10**4] == sizes[10**2]
         assert engine.metrics.snapshot()["memory.max"] > 0
 
+    def test_migration_log_keeps_the_newest_256(self):
+        """300 admit/remove cycles (≥ 2 events each) leave a bounded log."""
+        engine = StreamEngine(CONDITION)
+        engine.add_query("anchor", 4.0)
+        for cycle in range(300):
+            engine.add_query("guest", 1.0 + (cycle % 2))
+            engine.remove_query("guest")
+        log = engine.stats.migrations
+        assert isinstance(log, list) and len(log) == 256
+        assert [event.kind for event in log[-2:]] == ["split", "merge"]
+        assert log[-2].boundary == 2.0  # cycle 299 admitted the 2 s window
+
     def test_pop_results_clears(self, stream):
         engine = StreamEngine(CONDITION, batch_size=8)
         engine.add_query("Q1", 2.0)
