@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.chain_operators import OperatorJoinChain
 from repro.engine.columns import ColumnarState, replay_sweep
+from repro.runtime import engine as runtime_engine
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -37,21 +39,41 @@ def write_result(results_dir):
 
 
 @pytest.fixture
-def scalar_schedule(monkeypatch):
-    """Context manager: in-core slice states answer ``sweep`` call by call.
+def operator_chain(monkeypatch):
+    """Context manager: time-window sessions build the operator pipeline.
 
-    Inside it ``ColumnarState.sweep`` is ``replay_sweep`` — the scalar
+    Inside it the one table a session picks its chain from
+    (``repro.runtime.engine.CHAIN_KINDS``) names ``OperatorJoinChain`` — the
+    chain a memory-budgeted session runs — instead of the cursor chain, so a
+    reference session can be timed on the same per-slice states.
+    """
+
+    @contextmanager
+    def _operator_chain():
+        with monkeypatch.context() as patch:
+            patch.setitem(runtime_engine.CHAIN_KINDS, "time", OperatorJoinChain)
+            yield
+
+    return _operator_chain
+
+
+@pytest.fixture
+def scalar_schedule(monkeypatch, operator_chain):
+    """Context manager: a session's in-core slice states answer call by call.
+
+    Inside it time-window sessions run the operator chain (``operator_chain``)
+    and ``ColumnarState.sweep`` is ``replay_sweep`` — the scalar
     ``append``/``purge``/``probe`` schedule, one vectorized mask per male,
-    which is the schedule indexed (``probe="hash"``) and spilled states
-    always run.  The hash-probe and spill gates time their *reference* run
-    under it: the ratio then compares the index, or the disk tier, with the
-    scan at equal schedule, and stays put when the block kernel moves
-    (PR 15 made the default path 1.5–2x faster and neither of those).
+    which is the schedule spilled states always run.  The spill gate times
+    its *reference* run under it: the ratio then compares the disk tier with
+    the scan at equal schedule, and stays put when the in-core kernels move
+    (PR 15 made the default path 1.5–2x faster, PR 18's cursor chain 2x
+    again, and neither touched a cold slice).
     """
 
     @contextmanager
     def _scalar_schedule():
-        with monkeypatch.context() as patch:
+        with operator_chain(), monkeypatch.context() as patch:
             patch.setattr(ColumnarState, "sweep", replay_sweep)
             yield
 

@@ -117,11 +117,10 @@ def _time_state_slice_run(batch_size: int, rounds: int = 3) -> float:
 def _probe_hot_path_entry(rounds: int = 3) -> dict:
     """Nested-loop probe micro-benchmark riding along with the sweep.
 
-    Isolates the sliced-join probe inner loop (no executor, no routing) so
-    the trajectory shows hot-path changes — e.g. the pre-bound probe
-    predicate of ``JoinCondition.bind_left`` — separately from batching
-    effects.  Successive runs in ``BENCH_batching.json`` are the
-    before/after record.
+    Isolates the chain kernel (no executor, no routing: since PR 18 the
+    cursor chain's one column per stream) so the trajectory shows hot-path
+    changes separately from batching effects.  Successive runs in
+    ``BENCH_batching.json`` are the before/after record.
     """
     condition = selectivity_join(0.1)
     best = float("inf")
@@ -153,8 +152,11 @@ def test_throughput_batch_size_sweep(results_dir):
     runs).  PR 15's block kernel (one purge sweep and one 2-D probe per
     state-batch, ``ColumnarState.sweep``) moved the batched seconds and left
     the per-item side alone: best batch size >= 32 now measures 1.8-2.3x
-    (twelve runs; batch 7 only 1.1-1.5x).  The 1.3x floor
-    stays.
+    (twelve runs; batch 7 only 1.1-1.5x).  PR 18's cursor chain does not
+    enter this ratio — a static plan is made of operators on both sides
+    (re-measured 1.86-1.96x) — but it is what ``SlicedJoinChain`` below runs:
+    the ``probe_hot_path`` entry went 39-41k -> 70-71k tuples/s.  The 1.3x
+    floor stays.
     """
     reference = execute_plan(build_state_slice_plan(WORKLOAD), DATA.tuples)
     baseline_seconds = _time_state_slice_run(1)

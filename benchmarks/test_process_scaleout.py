@@ -8,17 +8,19 @@ shard).  The workload is probe-dominated and low-selectivity — a sparse key
 domain over a wide window — so almost all of the work is probing inside
 the shards.
 
-What is gated is a floor on what the transport may cost: process mode must
-keep at least ``OVERHEAD_FLOOR`` of the serial driver's tuples/sec, which
-still fails if the transport regresses to per-call pipe round-trips.
-Measured 0.53–0.56× on 2 cores with the one remaining (columnar) slice
-state, where a shard's probe is a few numpy calls and the transport is a
-correspondingly larger share; more cores can only raise the ratio, so the
-floor holds on any host.  The former "≥1.0× with ≥4 cores" branch was never
-recorded passing (0.67–0.96× across twelve runs, all on the deleted
-tuple-at-a-time state) and is gone; whether process mode wins at all is the
-``sharded_process`` row of ``bench/README.md`` (1.00× serial at 2 shards)
-and ROADMAP's "win or delete" item.
+What is gated is the property the former wall-clock floor (process ≥ 0.35×
+serial) stood for — *no per-batch pipe round-trip* — counted, not timed:
+over the timed region every shipped batch is one ring push (``ceil(shard
+arrivals / batch_size)`` per shard, none falling back to the pipe) and the
+pipe carries exactly the two barriers the driver asks for (``flush`` and
+``pop_results_all``: one reply per shard each), however many batches there
+were.  The ratio itself is still recorded, ungated: 0.53–0.56× on 2 cores
+before PR 18, 0.50–0.64× in three tier-1 runs since — its denominator, the
+serial driver's in-shard work, is what the cursor chain halved (a ~25 ms
+run now), while the workers' fixed wake-up cost stayed where it was, so a
+floor on it measures the host's scheduler more than the transport.  Whether process mode
+wins at all is the ``sharded_process`` row of ``bench/README.md`` (1.00×
+serial at 2 shards) and ROADMAP's "win or delete" item.
 
 The merged outputs must be pair-identical, worker startup is excluded from
 the timed region, and the measured trajectory is appended to
@@ -33,8 +35,9 @@ import time
 
 from _bench_util import record_run
 
+from repro.engine.ring import SpscRing
 from repro.query.predicates import EquiJoinCondition
-from repro.runtime import ShardedStreamEngine
+from repro.runtime import ShardedStreamEngine, sharding
 from repro.streams.tuples import make_tuple
 
 RATE = 500  # tuples/s per stream
@@ -43,7 +46,9 @@ KEY_DOMAIN = 40_000  # sparse: probes scan, almost nothing joins
 WINDOW = 6.0
 BATCH_SIZE = 256
 SHARDS = 4
-OVERHEAD_FLOOR = 0.35  # process vs serial tuples/sec
+#: Commands that cross the pipe in the timed region: one flush barrier and
+#: one batched result pull, each answered once per shard.
+BARRIERS = 2
 
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=KEY_DOMAIN)
 
@@ -101,19 +106,52 @@ def _run(mode: str, rounds: int = 3) -> tuple[float, dict]:
     return best, outputs
 
 
-def test_process_scaleout_gate(results_dir):
+def _count_transport(monkeypatch) -> dict[str, int]:
+    """Count accepted ring pushes and pipe replies from here on."""
+    counts = {"ring_pushes": 0, "pipe_replies": 0}
+    try_push, recv = SpscRing.try_push, sharding._WorkerShard.recv
+
+    def counted_push(ring, record):
+        accepted = try_push(ring, record)
+        counts["ring_pushes"] += bool(accepted)
+        return accepted
+
+    def counted_recv(shard):
+        counts["pipe_replies"] += 1
+        return recv(shard)
+
+    monkeypatch.setattr(SpscRing, "try_push", counted_push)
+    monkeypatch.setattr(sharding._WorkerShard, "recv", counted_recv)
+    return counts
+
+
+def test_process_scaleout_gate(results_dir, monkeypatch):
     cores = _usable_cores()
     serial_seconds, serial_out = _run("serial")
     process_seconds, process_out = _run("process")
+    # One more process run, counted (admission happens before the counters
+    # are read back to zero, so only the timed region's traffic is in them).
+    counts = _count_transport(monkeypatch)
+    with ShardedStreamEngine(
+        CONDITION, shards=SHARDS, batch_size=BATCH_SIZE, probe="nested_loop", shard_mode="process"
+    ) as engine:
+        engine.add_query("Q", WINDOW)
+        counts.update(ring_pushes=0, pipe_replies=0)
+        engine.process_many(DATA)
+        engine.flush()
+        counted_out = _pairs(engine.pop_results_all())
+        counts = dict(counts)  # the timed region ends here; reading totals is a command too
+        ingested = engine.shard_ingest_totals()
 
     # Answer preservation: the ring transport and batched result pulls must
     # not change a single joined pair.
-    assert process_out == serial_out, (
+    assert process_out == serial_out == counted_out, (
         "process-mode merged output diverged from the serial driver"
     )
 
     arrivals = len(DATA)
     speedup = serial_seconds / process_seconds
+    batches = sum(-(-count // BATCH_SIZE) for count in ingested)
     payload = {
         "benchmark": "process_scaleout_equi_join",
         "arrivals": arrivals,
@@ -143,13 +181,17 @@ def test_process_scaleout_gate(results_dir):
             },
         ],
         "speedup_process_vs_serial": round(speedup, 3),
-        "gate": OVERHEAD_FLOOR,
-        "gate_kind": "transport-overhead floor",
+        "transport": {"batches": batches, **counts},
+        "gate_kind": "no per-batch pipe round-trip (counted)",
     }
     path = record_run(results_dir, "process_scaleout", payload)
 
-    assert speedup >= OVERHEAD_FLOOR, (
-        f"process mode fell to {speedup:.2f}x the serial driver on a "
-        f"{cores}-core host (transport-overhead floor {OVERHEAD_FLOOR}x); "
-        f"see {path}"
+    assert sum(ingested) == arrivals
+    assert counts["ring_pushes"] == batches, (
+        f"{batches} batches were shipped but the rings accepted "
+        f"{counts['ring_pushes']} pushes; see {path}"
+    )
+    assert counts["pipe_replies"] == BARRIERS * SHARDS, (
+        f"the pipe answered {counts['pipe_replies']} times for {batches} batches: "
+        f"the transport is paying round-trips per batch, not per barrier; see {path}"
     )

@@ -15,6 +15,13 @@ cProfile charges every Python-level call but none of the work inside numpy,
 so it overstates call-heavy code: use it to *find* candidates and
 ``bench/run.py`` to *measure* them (``docs/benchmarks.md``).  A churn
 schedule is not replayed — this profiles the resident query set.
+
+Frames to look for since PR 18: on an unbudgeted time-window session the
+chain is ``chain.py (_slice_results)`` over ``columns.py (sweep)`` /
+``(purge_cut)`` / ``(probe)`` / ``(settle)`` and the routing is
+``engine.py (_run_batch)``; a budgeted one (``equi_spill``) still shows the
+operator chain, ``sliced_join.py (process_batch)`` over ``columns.py
+(sweep)`` and ``spill.py``.
 """
 
 from __future__ import annotations

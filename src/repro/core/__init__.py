@@ -1,6 +1,7 @@
 """The paper's contribution: state-slice chains and their optimization."""
 
 from repro.core.chain import SlicedJoinChain
+from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.core.cost_model import (
     CostEstimate,
@@ -40,6 +41,7 @@ from repro.core.statistics import CalibratedPredicate, StreamStatistics
 
 __all__ = [
     "SlicedJoinChain",
+    "OperatorJoinChain",
     "CountSlicedJoinChain",
     "CalibratedPredicate",
     "StreamStatistics",

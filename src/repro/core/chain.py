@@ -1,223 +1,255 @@
-"""Runtime chain of sliced binary joins.
+"""Runtime chain of sliced binary joins, stored as one column per stream.
 
-:class:`SlicedJoinChain` is a lightweight runtime harness that manages a
-chain of :class:`~repro.operators.sliced_join.SlicedBinaryJoin` operators
-directly — without building a full query plan.  It is the most convenient
-entry point for:
+:class:`SlicedJoinChain` is the runtime form of Definition 2 — what a
+time-window :class:`~repro.runtime.engine.StreamEngine` builds, and the
+entry point for checking the equivalence theorems (Theorems 1-3) against a
+regular window join, inspecting per-slice states (Lemma 1) and exercising
+the online migrations of Section 5.3.
 
-* verifying the equivalence theorems (Theorems 1-3) against a regular
-  window join,
-* inspecting the per-slice states (disjointness, Lemma 1),
-* exercising the online migration primitives of Section 5.3 — splitting a
-  slice into two and merging two adjacent slices while the stream is
-  running.
-
-The execution loop and the migration primitives shared with the count-based
-chain live in :class:`~repro.core.chain_base.SlicedChainBase`; this class
-adds the time-slice specifics: lazy splits (a shrunk slice re-purges its
-too-old tuples on the next probe) and the *pushed-down selections* of
-Section 6.  Each link (the queue in front of a slice, including the chain
-entry) can hold one :class:`~repro.operators.selection.StreamFilter` per
-stream, installed via :meth:`SlicedJoinChain.set_link_filters`.  A tuple
-failing the filter of a link never enters the slices behind it, which is
-what keeps the shared chain memory-minimal when queries carry selection
-predicates (Theorem 4).
-
-For shared multi-query execution with selections, routers and unions over a
-*static* workload, use :func:`repro.core.plan_builder.build_state_slice_plan`,
-which assembles a full :class:`~repro.engine.plan.QueryPlan` from the same
-building blocks; the chain-level filters exist for the runtime layer, where
-the filter placement must be re-derived after every online migration.
+The paper's chain stores every tuple once and stratifies it by age (Section
+4.2, Theorem 3), so the per-stream states of its slices are *consecutive
+ranges of one arrival-ordered sequence*.  This class keeps them that way:
+per stream one :class:`~repro.engine.columns.ChainColumn` for the whole
+chain and one cursor per slice boundary.  A raw arrival is appended once; a
+cross-purge advances a cursor; rows leave storage off the chain's end only;
+``split_slice`` duplicates a cursor (the shrunk slice re-purges lazily, as
+in Section 5.3), ``merge_slices`` deletes one.  A batch is classified once,
+each column runs one purge sweep per slice and one 2-D probe mask per block
+of males for *all* slices, and hit pairs are binned to slices afterwards by
+their own male's cuts.  Comparison counts, per-slice and per-filter
+invocations and the pushed-down selections' ``SELECT`` charges come from
+cursor arithmetic and equal, count for count, those of the operator
+pipeline, :class:`~repro.core.chain_operators.OperatorJoinChain` — the
+per-item reference ``tests/test_cursor_chain.py`` holds this class to.
+State crosses every migration boundary as per-slice tuple lists
+(``docs/invariants.md``).  For a *static* workload with routers and unions
+use :func:`repro.core.plan_builder.build_state_slice_plan`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
+from functools import lru_cache
+from operator import itemgetter
 
-from repro.core.chain_base import SliceResult, SlicedChainBase
-from repro.engine.errors import ChainError, MigrationError, QueryError
-from repro.operators.selection import StreamFilter
-from repro.operators.sliced_join import SlicedBinaryJoin
-from repro.query.predicates import Predicate, TruePredicate
-from repro.streams.tuples import JoinedTuple
+from repro.core.chain_base import SliceResult, TimeChainBase
+from repro.engine.columns import ChainColumn, ProbeBinding
+from repro.engine.errors import PlanError
+from repro.engine.metrics import CostCategory
+from repro.query.predicates import EquiJoinCondition
+from repro.streams.tuples import JoinedTuple, StreamTuple
 
 __all__ = ["SlicedJoinChain", "SliceResult"]
 
+_ORDER = itemgetter(0)
 
-class SlicedJoinChain(SlicedChainBase):
-    """A pipelined chain of sliced binary window joins (Definition 2).
 
-    Parameters
-    ----------
-    boundaries:
-        The window boundaries of the chain, for example ``[0, 2, 4]`` for
-        the two slices ``[0, 2)`` and ``[2, 4)``.  The first boundary must
-        be 0 and boundaries must be strictly increasing.
-    condition:
-        The join condition shared by every slice.
-    left_stream / right_stream:
-        Names of the two input streams.
-    metrics:
-        Optional shared metrics collector for cost accounting.
-    probe:
-        Probe algorithm of every slice: ``"nested_loop"``, ``"hash"``
-        (equi-joins only) or ``"auto"``.
+@lru_cache(maxsize=256)
+def _slice_name(start: float, end: float) -> str:
+    """A slice is named by its *current* bounds (an operator keeps the name
+    it was built with)."""
+    return f"slice[{start:g},{end:g})"
+
+
+class SlicedJoinChain(TimeChainBase):
+    """A chain of sliced binary window joins (Definition 2) over cursors.
+
+    ``boundaries`` are the window boundaries, for example ``[0, 2, 4]`` for
+    the slices ``[0, 2)`` and ``[2, 4)`` (the first must be 0, strictly
+    increasing); ``condition`` is shared by every slice; ``left_stream`` /
+    ``right_stream`` name the inputs; ``metrics`` is an optional shared
+    collector; ``probe`` is ``"nested_loop"``, ``"hash"`` (equi-joins only:
+    per-key posting lists of row numbers, two bisects per male) or ``"auto"``.
     """
 
-    joins: list[SlicedBinaryJoin]
-    window_unit = "s"
-    pushes_selections = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Pushed-down selections per link: ``_filters[i]`` is the
-        #: ``(left StreamFilter | None, right StreamFilter | None)`` pair in
-        #: front of slice ``i`` (``i = 0`` filters the raw arrivals).
-        self._filters: list[tuple[StreamFilter | None, StreamFilter | None]] = [
-            (None, None) for _ in self.joins
-        ]
-
-    # -- chain-base hooks -----------------------------------------------------
-    @classmethod
-    def normalize_window(cls, name: str, window: float) -> float:
-        """A positive, finite number of seconds (see the base class)."""
-        window = float(window)
-        if not math.isfinite(window):
-            raise QueryError(f"query {name!r} has non-finite window {window}")
-        if window <= 0:
-            raise QueryError(f"query {name!r} has non-positive window {window}")
-        return window
-
-    def _coerce_boundary(self, boundary: float) -> float:
-        return float(boundary)
-
-    def _make_join(self, start: float, end: float) -> SlicedBinaryJoin:
-        join = SlicedBinaryJoin(
-            window_start=start,
-            window_end=end,
-            condition=self.condition,
-            left_stream=self.left_stream,
-            right_stream=self.right_stream,
-            probe=self.probe,
-            name=f"slice[{start:g},{end:g})",
+    def _build(self, bounds: list[float]) -> None:
+        indexed = self.probe == "hash"
+        equi = isinstance(self.condition, EquiJoinCondition)
+        slices = [[] for _ in bounds[1:]]
+        self._streams = (self.left_stream, self.right_stream)
+        #: Per stream (left, right): the column its tuples live in.
+        self._columns = tuple(
+            ChainColumn(ProbeBinding(self.condition, stores_left, indexed, equi), slices)
+            for stores_left in (True, False)
         )
-        join.bind_metrics(self.metrics)
-        return join
 
-    def _join_bounds(self, join: SlicedBinaryJoin) -> tuple[float, float]:
-        return join.slice.start, join.slice.end
-
-    def _set_join_end(self, join: SlicedBinaryJoin, end: float) -> None:
-        join.slice = type(join.slice)(join.slice.start, end)
-
-    def _describe_join(self, join: SlicedBinaryJoin) -> str:
-        return join.slice.describe()
-
-    def _on_slice_inserted(self, index: int) -> None:
-        # The new link starts unfiltered; the owner of the chain recomputes
-        # the filter placement for the changed boundaries.
-        self._filters.insert(index, (None, None))
-
-    def _on_slice_removed(self, index: int) -> None:
-        del self._filters[index]
-
-    # -- pushed-down selections (Section 6) ---------------------------------------------
-    def set_link_filters(
-        self, predicates: Sequence[tuple[Predicate | None, Predicate | None]]
-    ) -> None:
-        """Install the pushed-down σ' predicates, one pair per link.
-
-        ``predicates[i]`` is the ``(left, right)`` predicate pair guarding
-        the queue in front of slice ``i``; ``None`` (or a
-        :class:`~repro.query.predicates.TruePredicate`) removes the filter.
-        The caller — typically :class:`repro.runtime.engine.StreamEngine` —
-        recomputes the placement from its workload after every migration.
-        """
-        if len(predicates) != len(self.joins):
-            raise ChainError(
-                f"expected {len(self.joins)} filter pairs, got {len(predicates)}"
-            )
-        filters: list[tuple[StreamFilter | None, StreamFilter | None]] = []
-        for index, (left, right) in enumerate(predicates):
-            start = self.joins[index].slice.start
-            pair = []
-            for stream, predicate in (
-                (self.left_stream, left),
-                (self.right_stream, right),
-            ):
-                if predicate is None or isinstance(predicate, TruePredicate):
-                    pair.append(None)
-                    continue
-                stream_filter = StreamFilter(
-                    predicate, stream=stream, name=f"σ'[{stream}]@{start:g}"
-                )
-                stream_filter.bind_metrics(self.metrics)
-                pair.append(stream_filter)
-            filters.append((pair[0], pair[1]))
-        self._filters = filters
-
-    def link_filters(self) -> list[tuple[Predicate | None, Predicate | None]]:
-        """The installed pushed-down predicates, one pair per link."""
-        return [
-            (
-                left.predicate if left is not None else None,
-                right.predicate if right is not None else None,
-            )
-            for left, right in self._filters
-        ]
-
-    def _through_link(self, index: int, items: list) -> list:
-        """Run a FIFO run of items through link ``index``'s filters."""
-        left, right = self._filters[index]
-        for stream_filter in (left, right):
-            if stream_filter is None or not items:
+    # -- execution ------------------------------------------------------------
+    def _slice_results(self, batch: list[StreamTuple]) -> list[tuple[int, list[JoinedTuple]]]:
+        metrics, filters, streams = self.metrics, self._filters, self._streams
+        # -- link 0 filters the raw arrivals; then the batch is classified once
+        for stream, entry in zip(streams, filters[0]):
+            if entry is not None and batch:
+                metrics.record_invocation(entry.name, len(batch))
+                metrics.count(CostCategory.SELECT, sum(tup.stream == stream for tup in batch))
+                passes = entry.predicate.matches
+                batch = [tup for tup in batch if tup.stream != stream or passes(tup)]
+        if not batch:
+            return []
+        arrivals: tuple[list, list] = ([], [])
+        #: Per arrival: its place in the batch, and how many arrivals of the
+        #: *other* stream precede it (the females it sees as a male).
+        places: tuple[list, list] = ([], [])
+        preceding: tuple[list, list] = ([], [])
+        for place, tup in enumerate(batch):
+            side = 0 if tup.stream == streams[0] else 1
+            if side and tup.stream != streams[1]:
+                raise PlanError(f"the chain joins streams {streams[0]!r}/{streams[1]!r}, got {tup.stream!r}")
+            preceding[side].append(len(arrivals[1 - side]))
+            places[side].append(place)
+            arrivals[side].append(tup)
+        reach = [self._reach(side, arrivals[side]) for side in (0, 1)]
+        # -- per column: extend, one purge sweep per slice, one probe, free
+        ends = self._bounds[1:]
+        bins: list[list] = [[] for _ in ends]
+        crossed: list[list] = [[], []]
+        purges = probes = 0
+        for side, column in enumerate(self._columns):
+            males = arrivals[1 - side]
+            size = column.extend(arrivals[side])
+            if not males:
                 continue
-            items = [
-                item for _port, item in stream_filter.process_batch(items, "in")
-            ]
-        return items
+            stops = [size + before for before in preceding[1 - side]]
+            cuts, crossed[side], purged, probed = column.sweep(
+                size,
+                [male.timestamp for male in males],
+                stops,
+                reach[1 - side],
+                ends,
+                [pair[side] and pair[side].predicate.matches for pair in filters],
+            )
+            if reach[1 - side][len(cuts) - 1] is reach[1 - side][0]:
+                own = list(zip(*reversed(cuts)))  # every male swept every slice
+            else:
+                own = [[] for _ in males]
+                for who, slice_cuts in zip(reversed(reach[1 - side][: len(cuts)]), reversed(cuts)):
+                    for j, cut in zip(who, slice_cuts):
+                        own[j].append(cut)
+            hits, counted = column.probe(males, own, stops)
+            place = places[1 - side]
+            if side:  # the right stream's column: its males are left tuples
+                for j, k, match in hits:
+                    bins[k].append((place[j], JoinedTuple(males[j], match)))
+            else:
+                for j, k, match in hits:
+                    bins[k].append((place[j], JoinedTuple(match, males[j])))
+            column.settle()
+            purges += purged
+            probes += probed + counted
+        metrics.count(CostCategory.PURGE, purges)
+        metrics.count(CostCategory.PROBE, probes)
+        # -- invocations, link by link: what the operator pipeline would see
+        items = len(batch)
+        for k, end in enumerate(ends):
+            if k:
+                # Slice k-1 sent on its males and the live rows they purged.
+                sent = [
+                    (len(reach[side][k - 1]), *(crossed[side][k] if k < len(crossed[side]) else (0, 0)))
+                    for side in (0, 1)
+                ]
+                items = sum(males + arrived for males, arrived, _ in sent)
+                for side, entry in enumerate(filters[k]):
+                    if entry is not None and items:
+                        metrics.record_invocation(entry.name, items)
+                        males, arrived, passed = sent[side]
+                        items -= males - len(reach[side][k]) + arrived - passed
+            if not items:
+                break
+            metrics.record_invocation(_slice_name(self._bounds[k], end), items)
+        results = []
+        for k, found in enumerate(bins):
+            if found:
+                if arrivals[0] and arrivals[1]:
+                    found.sort(key=_ORDER)  # two columns' runs into arrival order
+                results.append((k, [joined for _, joined in found]))
+        return results
 
-    # -- time-window specifics ------------------------------------------------
-    def results_for_window(
-        self, results: Sequence[SliceResult], window: float
-    ) -> list[JoinedTuple]:
-        """Restrict chain results to those a query with ``window`` receives.
+    def _reach(self, side: int, males: list[StreamTuple]) -> list[list[int]]:
+        """Per slice, the males (by index) of stream ``side`` that reach it: a
+        male's depth is fixed by the link filters of its own stream, each
+        charged one ``SELECT`` per male copy it sees (Equation 3).  An entry
+        no filter shortened is the same list object as ``reach[0]``."""
+        who = list(range(len(males)))
+        reach = [who]
+        for pair in self._filters[1:]:
+            entry = pair[side]
+            if entry is not None and who:
+                self.metrics.count(CostCategory.SELECT, len(who))
+                passes = entry.predicate.matches
+                who = [j for j in who if passes(males[j])]
+            reach.append(who)
+        return reach
 
-        For a Mem-Opt chain the answer of a query with window ``w_k`` is the
-        union of the results of slices 1..k; for a chain with merged slices
-        the results of the completing slice must additionally satisfy the
-        query's window constraint (the router check).
-        """
-        answer = []
-        for index, joined in results:
-            join = self.joins[index]
-            if join.slice.end <= window + 1e-12:
-                answer.append(joined)
-            elif join.slice.start < window:
-                gap = abs(joined.left.timestamp - joined.right.timestamp)
-                if gap < window:
-                    answer.append(joined)
-        return answer
+    # -- introspection ----------------------------------------------------------
+    def state_sizes(self) -> list[int]:
+        left, right = (column.sizes() for column in self._columns)
+        return [a + b for a, b in zip(left, right)]
 
+    def state_size(self) -> int:
+        return sum(len(column) - sum(column.dead) for column in self._columns)
+
+    def state_tuples(self, stream: str) -> list[list[StreamTuple]]:
+        return self._columns[self._streams.index(stream)].slices()
+
+    def head_state_sizes(self) -> tuple[int, int]:
+        left, right = (column.sizes()[0] for column in self._columns)
+        return left, right
+
+    # -- keyed state repartition ------------------------------------------------
+    def extract_keyed_state(self, predicate=None) -> list[dict[str, list[StreamTuple]]]:
+        state = [{} for _ in self._bounds[1:]]
+        for stream, column in zip(self._streams, self._columns):
+            taken = column.slices()
+            kept: list[list] = [[] for _ in taken]
+            if predicate is not None:
+                resident, taken = taken, [[] for _ in taken]
+                for k, tuples in enumerate(resident):
+                    for tup in tuples:
+                        (taken[k] if predicate(tup) else kept[k]).append(tup)
+            if predicate is None or any(taken):
+                column.load(kept)
+            for entry, tuples in zip(state, taken):
+                entry[stream] = tuples
+        return state
+
+    def _ingest(self, state) -> int:
+        moved = 0
+        for stream, column in zip(self._streams, self._columns):
+            incoming = [entry.get(stream, ()) for entry in state]
+            if any(incoming):
+                column.load(
+                    [
+                        sorted([*resident, *new], key=lambda tup: (tup.timestamp, tup.seqno))
+                        for resident, new in zip(column.slices(), incoming)
+                    ]
+                )
+                moved += sum(map(len, incoming))
+        return moved
+
+    # -- online migration -------------------------------------------------------
     def split_slice(self, index: int, boundary: float) -> None:
         """Split slice ``index`` at ``boundary`` into two adjacent slices.
 
-        Following Section 5.3, the existing join simply has its end window
-        shrunk and an empty join is inserted after it; the next probe tuples
-        will naturally purge the now-too-old tuples into the new slice, so
-        no state needs to be moved and no results are lost.
+        Following Section 5.3, the existing slice has its end window shrunk
+        and an empty slice is inserted after it — a duplicated cursor; the
+        next probe tuples will naturally purge the now-too-old tuples into
+        the new slice, so no state moves and no results are lost.
         """
-        if not 0 <= index < len(self.joins):
-            raise MigrationError(f"no slice with index {index}")
-        join = self.joins[index]
-        if not (join.slice.start < boundary < join.slice.end):
-            raise MigrationError(
-                f"split boundary {boundary:g} must lie strictly inside "
-                f"{join.slice.describe()}"
-            )
-        old_end = join.slice.end
-        new_join = self._make_join(boundary, old_end)
-        join.slice = type(join.slice)(join.slice.start, boundary)
-        self.joins.insert(index + 1, new_join)
-        self._on_slice_inserted(index + 1)
+        self._insert_boundary(index, self._coerce_boundary(boundary))
+        for column in self._columns:
+            column.cuts.insert(index + 1, column.cuts[index])
+            column.dead.insert(index + 1, 0)
+
+    def _merge(self, index: int) -> None:
+        for column in self._columns:
+            del column.cuts[index]
+            column.dead[index] += column.dead.pop(index + 1)
+
+    def _append(self, old_end: float, end: float) -> None:
+        for column in self._columns:
+            column.cuts.append(0)
+            column.dead.append(0)
+
+    def _drop_tail(self) -> None:
+        for column in self._columns:
+            column.cuts.pop()
+            column.dead.pop()
+            column.settle()  # the rows below the new last cursor go

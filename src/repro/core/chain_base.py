@@ -1,42 +1,36 @@
 """Shared runtime scaffolding of the sliced-join chains.
 
-:class:`SlicedJoinChain` (time windows) and
-:class:`~repro.core.count_chain.CountSlicedJoinChain` (count windows) share
-almost all of their runtime machinery: pipelined per-tuple and batched
-execution, state introspection, and the drain-and-splice migration
-primitives of Section 5.3 (merge / append / drop-tail; only *split* differs
-structurally — lazy re-purging for time slices, eager rank moves for count
-slices — and stays in the subclasses).  :class:`SlicedChainBase` hosts that
-shared machinery once; subclasses provide the slice-kind specifics through
-a small hook surface:
-
-* ``_coerce_boundary`` — type one boundary value (float seconds vs int
-  ranks);
-* ``_make_join`` — construct one slice operator for ``[start, end)``;
-* ``_join_bounds`` / ``_set_join_end`` — read/extend a join's interval;
-* ``_describe_join`` — one slice's display form;
-* ``_through_link`` — the pushed-down filter of the queue in front of a
-  slice (identity by default; the time chain overrides it, Section 6);
-* ``_on_slice_inserted`` / ``_on_slice_removed`` — keep per-link metadata
-  (the time chain's filter list) aligned with structural migrations.
-
-What a *session* must know about its kind of chain is stated here as well
-(``window_unit`` … ``check_target``, ``normalize_window``): the runtime asks
-its chain instead of comparing ``window_kind`` strings.
+* :class:`SlicedChainBase` — what a *session* knows of its chain: batched and
+  per-tuple execution (``process_batch`` is a template over the kind's
+  kernel), introspection, the Section 5.3 migrations as templates over small
+  hooks (*split* differs structurally per kind and stays in the subclasses),
+  the keyed extract/ingest pair behind live resharding, and the facts the
+  runtime asks instead of comparing ``window_kind`` strings (``window_unit``
+  … ``check_target``, ``normalize_window``).
+* :class:`TimeChainBase` — what the two time chains share: seconds as
+  boundaries and selection push-down (Section 6), one
+  :class:`~repro.operators.selection.StreamFilter` pair per link.
+* :class:`OperatorChainBase` — a chain as a pipeline of slice *operators*
+  (``self.joins``): the per-item reference path, one ``process_batch`` per
+  join and batch, migrations that re-load operator states, and the disk
+  tier, which spills one slice's states at a time.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Sequence
 
-from repro.engine.errors import ChainError, MigrationError
+from repro.engine.errors import ChainError, MigrationError, QueryError
 from repro.engine.metrics import MetricsCollector
+from repro.operators.selection import StreamFilter
 from repro.operators.sliced_join import resolve_probe
-from repro.query.predicates import JoinCondition
+from repro.query.predicates import JoinCondition, Predicate, TruePredicate
+from repro.query.windows import WindowSlice
 from repro.streams.tuples import JoinedTuple, StreamTuple
 
-__all__ = ["SlicedChainBase", "SliceResult"]
+__all__ = ["SlicedChainBase", "TimeChainBase", "OperatorChainBase", "SliceResult"]
 
 #: One result produced by a chain: the slice index and the joined tuple.
 SliceResult = tuple[int, JoinedTuple]
@@ -45,7 +39,17 @@ _EPSILON = 1e-9
 
 
 class SlicedChainBase:
-    """Common execution, introspection and migration core of sliced chains."""
+    """What a session asks of a sliced chain, whatever holds its state.
+
+    A chain kind provides ``normalize_window`` and ``_coerce_boundary`` (type
+    one window / boundary: float seconds, int ranks); ``_build(bounds)``
+    (create the empty slices; the base keeps the boundary list); the kernel
+    ``_slice_results(batch)`` — one FIFO batch through every slice, returning
+    ``(slice index, its results in arrival order)`` per slice that produced
+    any; ``state_tuples(stream)`` / ``state_sizes()`` / ``head_state_sizes()``;
+    ``extract_keyed_state`` / ``_ingest``; ``split_slice`` and the migration
+    hooks ``_merge(index)`` / ``_append(old_end, end)`` / ``_drop_tail()``.
+    """
 
     #: Display unit of a window of this chain kind (``"s"`` / ``" rows"``).
     window_unit: str
@@ -79,40 +83,17 @@ class SlicedChainBase:
         #: The *resolved* probe kind of every slice, fixed at construction
         #: (``"auto"`` is decided here against the condition).
         self.probe = resolve_probe(probe, condition)
-        self.joins: list = [
-            self._make_join(start, end) for start, end in zip(bounds, bounds[1:])
-        ]
+        self._bounds = bounds
+        self._build(bounds)
 
-    # -- subclass hooks -------------------------------------------------------
     @classmethod
     def normalize_window(cls, name: str, window: float):
         """Query ``name``'s window, validated and typed for this chain kind:
         :class:`QueryError` unless finite and positive (and whole, for ranks)."""
         raise NotImplementedError
 
-    def _coerce_boundary(self, boundary: float):
-        raise NotImplementedError
-
-    def _make_join(self, start, end):
-        raise NotImplementedError
-
-    def _join_bounds(self, join) -> tuple:
-        raise NotImplementedError
-
-    def _set_join_end(self, join, end) -> None:
-        raise NotImplementedError
-
-    def _describe_join(self, join) -> str:
-        start, end = self._join_bounds(join)
+    def _describe_slice(self, start, end) -> str:
         return f"[{start:g},{end:g})"
-
-    def _through_link(self, index: int, items: list) -> list:
-        """Run a FIFO run of items through the link in front of slice ``index``.
-
-        The base chain has no pushed-down selections; the time chain
-        overrides this with its per-link :class:`StreamFilter` pairs.
-        """
-        return items
 
     def _on_slice_inserted(self, index: int) -> None:
         """A slice was inserted at ``index`` (migration bookkeeping hook)."""
@@ -121,17 +102,14 @@ class SlicedChainBase:
         """The slice at ``index`` was removed (migration bookkeeping hook)."""
 
     def set_link_filters(self, predicates: Sequence[tuple]) -> None:
-        """Install pushed-down predicates, one ``(left, right)`` pair per link.
-
-        Only a chain that :attr:`pushes_selections` can hold any; here every
-        pair must be ``(None, None)``.
-        """
+        """Install pushed-down predicates, one ``(left, right)`` pair per link:
+        all ``(None, None)`` unless the chain :attr:`pushes_selections`."""
         if any(pair != (None, None) for pair in predicates):
             raise ChainError(f"{type(self).__name__} carries no pushed-down selections")
 
     def link_filters(self) -> list[tuple]:
         """The installed pushed-down predicates, one pair per link (none here)."""
-        return [(None, None)] * len(self.joins)
+        return [(None, None)] * self.slice_count()
 
     def check_target(self, target: Sequence[float], windows: dict[str, float]) -> None:
         """Refuse (:class:`MigrationError`) a boundary list this chain kind
@@ -140,12 +118,284 @@ class SlicedChainBase:
 
     # -- execution ------------------------------------------------------------
     def process(self, tup: StreamTuple) -> list[SliceResult]:
-        """Feed one arriving tuple through the whole chain.
+        """Feed one arriving tuple (in global timestamp order) through the
+        whole chain; returns every joined result produced, tagged with the
+        index of the slice that produced it."""
+        return self.process_batch([tup])
 
-        Returns every joined result produced, tagged with the index of the
-        slice that produced it.  Tuples must be fed in global timestamp
-        order.
+    def process_batch(self, tuples: Sequence[StreamTuple], binned: bool = False):
+        """Feed a FIFO batch of arrivals through the chain.
+
+        Results come in slice-major order — all of slice 0's for the batch,
+        then slice 1's, … — the same *set* as per-tuple processing, in
+        arrival order within a slice.  Returned as tagged ``(slice index,
+        joined)`` pairs, or with ``binned=True`` as the kernel's ``(slice
+        index, [joined, ...])`` bins (a session routes a slice at a time).
         """
+        bins = self._slice_results(list(tuples))
+        if binned:
+            return bins
+        return [(index, joined) for index, results in bins for joined in results]
+
+    def process_all(self, tuples: Sequence[StreamTuple]) -> list[SliceResult]:
+        """Feed a whole (timestamp-ordered) sequence of tuples, one at a time."""
+        return [pair for tup in tuples for pair in self.process(tup)]
+
+    # -- introspection ----------------------------------------------------------
+    @property
+    def boundaries(self) -> list:
+        return list(self._bounds)
+
+    def slice_count(self) -> int:
+        return len(self._bounds) - 1
+
+    def state_size(self) -> int:
+        """Total number of tuples stored across all slices of the chain."""
+        return sum(self.state_sizes())
+
+    def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
+        """(resident, spilled) byte estimate across all slices; ``tuple_bytes``
+        is the caller's per-tuple in-core estimate.  Everything is resident
+        unless the chain has a disk tier."""
+        return int(self.state_size() * tuple_bytes), 0
+
+    def states_are_disjoint(self) -> bool:
+        """Check the Lemma 1 property: per-stream slice states never overlap."""
+        for stream in (self.left_stream, self.right_stream):
+            seqnos = [tup.seqno for tuples in self.state_tuples(stream) for tup in tuples]
+            if len(set(seqnos)) != len(seqnos):
+                return False
+        return True
+
+    def release_spill(self) -> None:
+        """Delete whatever this chain's state holds outside core (nothing,
+        unless the chain has a disk tier: :class:`OperatorChainBase`)."""
+
+    # -- keyed state repartition (live resharding) ------------------------------
+    def ingest_keyed_state(
+        self, state: Sequence[dict[str, list[StreamTuple]]]
+    ) -> int:
+        """Splice extracted per-slice state into this chain's slices.
+
+        The receiving half of the repartition primitive behind
+        :meth:`repro.runtime.sharding.ShardedStreamEngine.reshard`; the donor
+        half, ``extract_keyed_state(predicate=None)``, removes and returns
+        the resident tuples matching ``predicate`` (``None``: all) as one
+        ``{stream: [tuples]}`` map per slice, head slice first, each list in
+        the ``(timestamp, seqno)`` arrival order every purge relies on.
+        ``state`` must have one entry per slice of this chain (the donor
+        chain must therefore hold the same boundaries — the admission
+        fan-out invariant of a sharded session).  Each slice merges the
+        incoming tuples with its resident ones in that order and rebuilds
+        its hash index when probing is indexed.  Returns the total number
+        of tuples spliced in.
+        """
+        if len(state) != self.slice_count():
+            raise MigrationError(
+                f"keyed state has {len(state)} slice entries, chain has "
+                f"{self.slice_count()} slices — repartition requires identical "
+                f"boundaries"
+            )
+        return self._ingest(state)
+
+    # -- online migration (Section 5.3) -----------------------------------------
+    def merge_slices(self, index: int) -> None:
+        """Merge slice ``index`` with slice ``index + 1`` (Section 5.3): their
+        states are concatenated, the older tuples of the later slice first,
+        and the surviving slice's end is extended.  The queue between the two
+        is always empty here: every arrival is propagated fully."""
+        if not 0 <= index < self.slice_count() - 1:
+            raise MigrationError(
+                f"cannot merge slice {index}: it has no successor in the chain"
+            )
+        self._merge(index)
+        del self._bounds[index + 1]
+        self._on_slice_removed(index + 1)
+
+    def append_slice(self, end) -> None:
+        """Extend the chain with a new empty tail slice ``[old_end, end)``.
+
+        For a query whose window exceeds the chain end: tuples purged off the
+        old tail (previously discarded) now flow into the new slice, so the
+        new query sees exactly the results a fresh chain over the remaining
+        stream suffix would see.
+        """
+        old_end = self._bounds[-1]
+        end = self._coerce_boundary(end)
+        if end <= old_end + 1e-12:
+            raise MigrationError(
+                f"appended boundary {end:g} must exceed the chain end {old_end:g}"
+            )
+        self._append(old_end, end)
+        self._bounds.append(end)
+        self._on_slice_inserted(self.slice_count() - 1)
+
+    def drop_tail_slice(self) -> None:
+        """Remove the last slice of the chain, discarding its state (when the
+        largest-window query leaves, the tail holds only tuples too old for
+        every remaining window)."""
+        if self.slice_count() < 2:
+            raise MigrationError("cannot drop the only slice of a chain")
+        self._drop_tail()
+        self._bounds.pop()
+        self._on_slice_removed(self.slice_count())
+
+    def _insert_boundary(self, index: int, boundary) -> None:
+        """The bookkeeping of a split of slice ``index`` at ``boundary``
+        (refused anywhere but strictly inside the slice)."""
+        if not 0 <= index < self.slice_count():
+            raise MigrationError(f"no slice with index {index}")
+        start, end = self._bounds[index : index + 2]
+        if not start < boundary < end:
+            raise MigrationError(
+                f"split boundary {boundary:g} must lie strictly inside "
+                f"{self._describe_slice(start, end)}"
+            )
+        self._bounds.insert(index + 1, boundary)
+        self._on_slice_inserted(index + 1)
+
+    def slice_index_for_boundary(self, boundary) -> int | None:
+        """Index of the slice whose *end* equals ``boundary``, if any."""
+        boundary = self._coerce_boundary(boundary)
+        for index, end in enumerate(self._bounds[1:]):
+            if abs(end - boundary) <= _EPSILON:
+                return index
+        return None
+
+    def slice_index_containing(self, boundary) -> int | None:
+        """Index of the slice with ``start < boundary < end``, if any."""
+        boundary = self._coerce_boundary(boundary)
+        bounds = self._bounds
+        for index, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            if start + _EPSILON < boundary < end - _EPSILON:
+                return index
+        return None
+
+    def describe(self) -> str:
+        bounds = self._bounds
+        return " -> ".join(
+            self._describe_slice(start, end) for start, end in zip(bounds, bounds[1:])
+        )
+
+
+class TimeChainBase(SlicedChainBase):
+    """The facts of a chain over time windows, however it stores its slices.
+
+    Boundaries are seconds, and each link (the queue in front of a slice,
+    the chain entry included) can hold one pushed-down ``StreamFilter`` per
+    stream (Section 6): a tuple failing a link's filter never enters the
+    slices behind it, which keeps the chain memory-minimal (Theorem 4).
+    """
+
+    window_unit = "s"
+    pushes_selections = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: ``_filters[i]`` is the ``(left StreamFilter | None, right
+        #: StreamFilter | None)`` pair in front of slice ``i`` (``i = 0``
+        #: filters the raw arrivals).
+        self._filters = [(None, None)] * self.slice_count()
+
+    @classmethod
+    def normalize_window(cls, name: str, window: float) -> float:
+        """A positive, finite number of seconds (see the base class)."""
+        window = float(window)
+        if not math.isfinite(window):
+            raise QueryError(f"query {name!r} has non-finite window {window}")
+        if window <= 0:
+            raise QueryError(f"query {name!r} has non-positive window {window}")
+        return window
+
+    def _coerce_boundary(self, boundary: float) -> float:
+        return float(boundary)
+
+    def _describe_slice(self, start: float, end: float) -> str:
+        return WindowSlice(start, end).describe()
+
+    def _on_slice_inserted(self, index: int) -> None:
+        # The new link starts unfiltered; the owner of the chain recomputes
+        # the filter placement for the changed boundaries.
+        self._filters.insert(index, (None, None))
+
+    def _on_slice_removed(self, index: int) -> None:
+        del self._filters[index]
+
+    def set_link_filters(
+        self, predicates: Sequence[tuple[Predicate | None, Predicate | None]]
+    ) -> None:
+        """Install the pushed-down σ' predicates, one pair per link.
+
+        ``predicates[i]`` is the ``(left, right)`` pair guarding the queue in
+        front of slice ``i``; ``None`` (or a ``TruePredicate``) removes the
+        filter.  The owner — :class:`repro.runtime.engine.StreamEngine` —
+        recomputes the placement after every migration.  Resident state is
+        not re-evaluated: a tuple meets a link's filter when it crosses it.
+        """
+        starts = self._bounds[:-1]
+        if len(predicates) != len(starts):
+            raise ChainError(f"expected {len(starts)} filter pairs, got {len(predicates)}")
+        filters = []
+        for start, pair in zip(starts, predicates):
+            installed = []
+            for stream, predicate in zip((self.left_stream, self.right_stream), pair):
+                if predicate is None or isinstance(predicate, TruePredicate):
+                    installed.append(None)
+                    continue
+                stream_filter = StreamFilter(
+                    predicate, stream=stream, name=f"σ'[{stream}]@{start:g}"
+                )
+                stream_filter.bind_metrics(self.metrics)
+                installed.append(stream_filter)
+            filters.append(tuple(installed))
+        self._filters = filters
+
+    def link_filters(self) -> list[tuple[Predicate | None, Predicate | None]]:
+        """The installed pushed-down predicates, one pair per link."""
+        return [
+            tuple(None if entry is None else entry.predicate for entry in pair)
+            for pair in self._filters
+        ]
+
+    def results_for_window(
+        self, results: Sequence[SliceResult], window: float
+    ) -> list[JoinedTuple]:
+        """Restrict chain results to those a query with ``window`` receives:
+        the union of the slices inside the window, plus — where a merged
+        slice straddles it — the results passing the router's gap check."""
+        bounds = self._bounds
+        answer = []
+        for index, joined in results:
+            if bounds[index + 1] <= window + 1e-12:
+                answer.append(joined)
+            elif bounds[index] < window:
+                gap = abs(joined.left.timestamp - joined.right.timestamp)
+                if gap < window:
+                    answer.append(joined)
+        return answer
+
+
+class OperatorChainBase(SlicedChainBase):
+    """A chain as a pipeline of slice operators, one per ``[start, end)``.
+
+    Subclasses provide ``_make_join(start, end)``,
+    ``_set_join_end(join, end)`` and may override ``_through_link`` (the
+    pushed-down filters of the queue in front of a slice: identity here).
+    """
+
+    joins: list
+
+    def _build(self, bounds: list) -> None:
+        self.joins = [self._make_join(start, end) for start, end in zip(bounds, bounds[1:])]
+
+    def _through_link(self, index: int, items: list) -> list:
+        """Run a FIFO run of items through the link in front of slice ``index``."""
+        return items
+
+    # -- execution ------------------------------------------------------------
+    def process(self, tup: StreamTuple) -> list[SliceResult]:
+        """One arrival through every operator's per-item ``process()``: the
+        literal scalar reference path."""
         results: list[SliceResult] = []
         port = "left" if tup.stream == self.left_stream else "right"
         pending: deque[tuple[int, tuple[str, Any]]] = deque()
@@ -163,120 +413,81 @@ class SlicedChainBase:
                         emissions = self.joins[next_index].process(passed, "chain")
                         for emission in emissions:
                             pending.append((next_index, emission))
-            # punctuations are dropped: the chain harness returns results
-            # directly instead of routing them through a union operator.
+            # Punctuations are dropped: results return directly, not via a union.
         return results
 
-    def process_batch(self, tuples: Sequence[StreamTuple]) -> list[SliceResult]:
-        """Feed a FIFO batch of arrivals through the chain, slice by slice.
-
-        The head join's raw ports are interchangeable (each arrival is
-        captured as its male/female reference pair from the tuple's own
-        stream), so the whole mixed-stream batch is delivered to it in one
-        ``process_batch`` call; later joins consume the propagated
-        references on their ``chain`` port.  Results are returned in
-        slice-major order: all of slice 0's results for the batch, then
-        slice 1's, and so on — the result *set* is identical to per-tuple
-        processing, and within one slice results keep arrival order.
-        """
-        batch: list[Any] = list(tuples)
-        results: list[SliceResult] = []
+    def _slice_results(self, batch: list) -> list[tuple[int, list[JoinedTuple]]]:
+        """Slice by slice: the head join takes the whole mixed-stream batch
+        on one raw port (each arrival becomes its male/female reference pair
+        from its own stream); later joins consume the propagated references
+        on their ``chain`` port."""
+        bins = []
         port = "left"
         for index, join in enumerate(self.joins):
             batch = self._through_link(index, batch)
             if not batch:
                 break
+            results: list[JoinedTuple] = []
             next_batch: list[Any] = []
-            # Punctuation construction is suppressed (the chain harness
-            # returns results directly instead of routing them through a
-            # union operator, so slice punctuations would be dropped here).
+            # No punctuations: results return directly, not through a union.
             for out_port, item in join.process_batch(batch, port, False):
                 if out_port == "output":
-                    results.append((index, item))
+                    results.append(item)
                 elif out_port == "next":
                     next_batch.append(item)
+            if results:
+                bins.append((index, results))
             batch = next_batch
             port = "chain"
-        return results
-
-    def process_all(self, tuples: Sequence[StreamTuple]) -> list[SliceResult]:
-        """Feed a whole (timestamp-ordered) sequence of tuples."""
-        results: list[SliceResult] = []
-        for tup in tuples:
-            results.extend(self.process(tup))
-        return results
+        return bins
 
     # -- introspection ----------------------------------------------------------
-    @property
-    def boundaries(self) -> list:
-        bounds = [self._join_bounds(self.joins[0])[0]]
-        bounds.extend(self._join_bounds(join)[1] for join in self.joins)
-        return bounds
-
-    def slice_count(self) -> int:
-        return len(self.joins)
-
-    def state_size(self) -> int:
-        """Total number of tuples stored across all slices of the chain."""
-        return sum(join.state_size() for join in self.joins)
-
     def state_sizes(self) -> list[int]:
         return [join.state_size() for join in self.joins]
 
-    def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
-        """(resident, spilled) byte estimate across all slices.
-
-        ``tuple_bytes`` is the caller's per-tuple in-core estimate (the
-        engine samples it from the first arrival); slices on the disk tier
-        report their segment bytes as spilled and only their tail buffer
-        and row metadata as resident.
-        """
-        resident = 0
-        spilled = 0
-        for join in self.joins:
-            join_resident, join_spilled = join.memory_bytes(tuple_bytes)
-            resident += join_resident
-            spilled += join_spilled
-        return resident, spilled
-
     def state_tuples(self, stream: str) -> list[list[StreamTuple]]:
-        """Per-slice state contents of one stream (oldest slice last)."""
         return [join.state_tuples(stream) for join in self.joins]
 
     def head_state_sizes(self) -> tuple[int, int]:
-        """(left, right) state occupancy of the head slice.
-
-        The head slice sees the unfiltered stream pair whenever its entry
-        link carries no selection, which makes its match/candidate ratio an
-        unbiased estimator of the join factor — the quantity the adaptive
-        runtime feeds into :class:`repro.core.statistics.StreamStatistics`.
-        """
         head = self.joins[0]
         return head.state_size(self.left_stream), head.state_size(self.right_stream)
 
-    def states_are_disjoint(self) -> bool:
-        """Check the Lemma 1 property: per-stream slice states never overlap."""
-        for stream in (self.left_stream, self.right_stream):
-            seen: set[int] = set()
-            for join in self.joins:
-                for tup in join.state_tuples(stream):
-                    if tup.seqno in seen:
-                        return False
-                    seen.add(tup.seqno)
-        return True
+    # -- the disk tier ------------------------------------------------------------
+    def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
+        """Slices on the disk tier report their segment bytes as spilled and
+        only their tail buffer and row metadata as resident."""
+        sizes = [join.memory_bytes(tuple_bytes) for join in self.joins]
+        return sum(size[0] for size in sizes), sum(size[1] for size in sizes)
 
-    # -- keyed state repartition (live resharding) ------------------------------
+    def release_spill(self) -> None:
+        """Delete every slice's segments (the chain's state is being discarded)."""
+        for join in self.joins:
+            join.release_spill()
+
+    def evict_cold(self, store, budget: int, tuple_bytes: float) -> tuple[int, int]:
+        """Move cold slices to ``store`` until the resident estimate fits
+        ``budget``; returns the ``(resident, spilled)`` estimate afterwards.
+        Eviction is by slice age, tail (oldest tuples) first; the head
+        slice absorbs every arrival and never spills, so the budget carries
+        one slice of slack.  Already-spilled slices first flush their
+        resident tail buffers (cheaper than spilling a new slice), then
+        unspilled cold slices go to disk."""
+        sizes = None
+        for spilled in (True, False):
+            for join in self.joins[:0:-1]:
+                if join.is_spilled() != spilled:
+                    continue
+                if not spilled:
+                    join.spill(store)
+                    store.evictions += 1
+                join.spill_flush()
+                sizes = self.memory_bytes(tuple_bytes)
+                if sizes[0] <= budget:
+                    return sizes
+        return sizes or self.memory_bytes(tuple_bytes)
+
+    # -- keyed state repartition ------------------------------------------------
     def extract_keyed_state(self, predicate=None) -> list[dict[str, list[StreamTuple]]]:
-        """Remove and return the resident tuples matching ``predicate``, per slice.
-
-        Returns one ``{stream: [tuples]}`` map per slice (head slice first);
-        ``predicate`` is evaluated on each resident tuple (``None`` extracts
-        everything).  Within each list the tuples keep their arrival order
-        — the ``(timestamp, seqno)`` order every purge loop relies on.  This
-        is the donor half of the repartition primitive behind
-        :meth:`repro.runtime.sharding.ShardedStreamEngine.reshard`; the
-        receiving half is :meth:`ingest_keyed_state`.
-        """
         return [
             {
                 stream: join.extract_state(stream, predicate)
@@ -285,102 +496,25 @@ class SlicedChainBase:
             for join in self.joins
         ]
 
-    def ingest_keyed_state(
-        self, state: Sequence[dict[str, list[StreamTuple]]]
-    ) -> int:
-        """Splice extracted per-slice state into this chain's slices.
+    def _ingest(self, state: Sequence[dict[str, list[StreamTuple]]]) -> int:
+        return sum(
+            join.ingest_state(stream, tuples)
+            for join, entry in zip(self.joins, state)
+            for stream, tuples in entry.items()
+        )
 
-        ``state`` must have one ``{stream: [tuples]}`` entry per slice of
-        this chain (the donor chain must therefore hold the same boundaries
-        — the admission fan-out invariant of a sharded session).  Each
-        slice merges the incoming tuples with its resident ones in global
-        ``(timestamp, seqno)`` order and rebuilds its hash index when
-        probing is indexed.  Returns the total number of tuples spliced in.
-        """
-        if len(state) != len(self.joins):
-            raise MigrationError(
-                f"keyed state has {len(state)} slice entries, chain has "
-                f"{len(self.joins)} slices — repartition requires identical "
-                f"boundaries"
-            )
-        moved = 0
-        for join, entry in zip(self.joins, state):
-            for stream, tuples in entry.items():
-                moved += join.ingest_state(stream, tuples)
-        return moved
-
-    # -- online migration (Section 5.3) -----------------------------------------
-    def merge_slices(self, index: int) -> None:
-        """Merge slice ``index`` with slice ``index + 1``.
-
-        The states of the two slices are concatenated (the later slice holds
-        the older tuples, so its state goes first — an indexed state
-        rebuilds its key index as ``load_state`` loads it) and the surviving
-        join's end boundary is extended, mirroring the merge procedure of
-        Section 5.3.  The queue between the two slices is always empty in
-        this harness because every arrival is propagated fully.
-        """
-        if not 0 <= index < len(self.joins) - 1:
-            raise MigrationError(
-                f"cannot merge slice {index}: it has no successor in the chain"
-            )
-        keep = self.joins[index]
-        absorb = self.joins[index + 1]
+    # -- online migration -------------------------------------------------------
+    def _merge(self, index: int) -> None:
+        # An indexed state rebuilds its key index as ``load_state`` loads it.
+        keep, absorb = self.joins[index : index + 2]
         for stream in (self.left_stream, self.right_stream):
-            older = absorb.state_tuples(stream)
-            newer = keep.state_tuples(stream)
-            keep.load_state(stream, older + newer)
-        self._set_join_end(keep, self._join_bounds(absorb)[1])
+            keep.load_state(stream, absorb.state_tuples(stream) + keep.state_tuples(stream))
+        self._set_join_end(keep, self._bounds[index + 2])
         absorb.release_spill()
         del self.joins[index + 1]
-        self._on_slice_removed(index + 1)
 
-    def append_slice(self, end) -> None:
-        """Extend the chain with a new empty tail slice ``[old_end, end)``.
-
-        Used when a query with a window larger than the current chain end
-        registers at runtime: tuples purged off the old tail (previously
-        discarded) now flow into the new slice, so the larger window fills
-        naturally from this point on — the new query sees exactly the
-        results a fresh chain over the remaining stream suffix would see.
-        """
-        old_end = self._join_bounds(self.joins[-1])[1]
-        end = self._coerce_boundary(end)
-        if end <= old_end + 1e-12:
-            raise MigrationError(
-                f"appended boundary {end:g} must exceed the chain end {old_end:g}"
-            )
+    def _append(self, old_end, end) -> None:
         self.joins.append(self._make_join(old_end, end))
-        self._on_slice_inserted(len(self.joins) - 1)
 
-    def drop_tail_slice(self) -> None:
-        """Remove the last slice of the chain, discarding its state.
-
-        Used when the largest-window query deregisters: the tail slice holds
-        only tuples too old for every remaining window, so its state can be
-        dropped wholesale without touching the rest of the chain.
-        """
-        if len(self.joins) < 2:
-            raise MigrationError("cannot drop the only slice of a chain")
+    def _drop_tail(self) -> None:
         self.joins.pop().release_spill()
-        self._on_slice_removed(len(self.joins))
-
-    def slice_index_for_boundary(self, boundary) -> int | None:
-        """Index of the slice whose *end* equals ``boundary``, if any."""
-        boundary = self._coerce_boundary(boundary)
-        for index, join in enumerate(self.joins):
-            if abs(self._join_bounds(join)[1] - boundary) <= _EPSILON:
-                return index
-        return None
-
-    def slice_index_containing(self, boundary) -> int | None:
-        """Index of the slice with ``start < boundary < end``, if any."""
-        boundary = self._coerce_boundary(boundary)
-        for index, join in enumerate(self.joins):
-            start, end = self._join_bounds(join)
-            if start + _EPSILON < boundary < end - _EPSILON:
-                return index
-        return None
-
-    def describe(self) -> str:
-        return " -> ".join(self._describe_join(join) for join in self.joins)

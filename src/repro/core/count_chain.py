@@ -8,7 +8,7 @@ equals the regular count-based join with the largest count window.
 
 The pipelined execution loop and the shared migration primitives (merge /
 append / drop-tail) come from
-:class:`~repro.core.chain_base.SlicedChainBase`; the one structural
+:class:`~repro.core.chain_base.OperatorChainBase`; the one structural
 difference lives here: rank boundaries cannot re-partition lazily.  A time
 slice whose end window shrinks expels its now-too-old tuples on the next
 cross-purge, because age is measured against the probing tuple.  A count
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.core.chain_base import SlicedChainBase
+from repro.core.chain_base import OperatorChainBase
 from repro.engine.errors import ChainError, MigrationError, QueryError
 from repro.operators.count_join import CountSlicedBinaryJoin
 from repro.streams.tuples import JoinedTuple
@@ -32,7 +32,7 @@ from repro.streams.tuples import JoinedTuple
 __all__ = ["CountSlicedJoinChain"]
 
 
-class CountSlicedJoinChain(SlicedChainBase):
+class CountSlicedJoinChain(OperatorChainBase):
     """A pipelined chain of count-based sliced binary joins.
 
     Parameters
@@ -94,9 +94,6 @@ class CountSlicedJoinChain(SlicedChainBase):
         join.bind_metrics(self.metrics)
         return join
 
-    def _join_bounds(self, join: CountSlicedBinaryJoin) -> tuple[int, int]:
-        return join.rank_start, join.rank_end
-
     def _set_join_end(self, join: CountSlicedBinaryJoin, end: int) -> None:
         join.rank_end = end
 
@@ -147,4 +144,5 @@ class CountSlicedJoinChain(SlicedChainBase):
                 join.load_state(stream, state[overflow:])
         join.rank_end = boundary
         self.joins.insert(index + 1, new_join)
+        self._bounds.insert(index + 1, boundary)
         self._on_slice_inserted(index + 1)

@@ -1,29 +1,28 @@
-"""The in-core slice state: columnar (struct-of-arrays) blocks.
+"""The in-core window state: columnar (struct-of-arrays) blocks.
 
-:class:`ColumnarState` is the only in-core representation of one stream's
-slice state (its cold counterpart is
+:class:`ColumnarState` is the in-core representation of one stream's state
+in one slice operator (its cold counterpart is
 :class:`~repro.engine.spill.SpilledState`; both answer the same protocol —
 ``sweep``, ``append``, ``purge``, ``probe``, ``candidates``, the
 deque-compatible read surface, ``load``, ``memory_bytes``, ``release`` — so
 the join operators keep only the male/female protocol of Figure 9 and never
-ask what a state is).  It is a timestamp-ordered container laid out as
-parallel columns —
+ask what a state is).  :class:`ChainColumn` is the same columns holding one
+stream's state for a *whole* cursor chain, its slices row ranges between
+cursors.  Either is a timestamp-ordered container of parallel columns —
 
 * ``timestamps`` — a ``float64`` array, used by cross-purging.  The purge
-  is a forward sweep from the head (or, within a block, from the previous
-  male's cut) evaluating the *exact* scalar expression ``now - t >= end``
-  the tuple-at-a-time path evaluates, on Python floats, so purge decisions
-  are bit-identical.
+  is a forward sweep from the head, a slice's cursor or the previous male's
+  cut, evaluating the *exact* scalar expression ``now - t >= end`` of the
+  tuple-at-a-time path on Python floats: purge decisions are bit-identical.
 * ``keys`` — a ``float64`` array of the join-key attribute, used by
   vectorized probing (see ``match_mask`` in :mod:`repro.query.predicates`).
   Only values whose Python comparison semantics are exactly representable in
   a double go into the column (bools, ints with ``|v| <= 2**53``, floats);
   the first value outside that set permanently invalidates the column and
   probing falls back to per-tuple checks, so correctness never depends on
-  lossy conversions.  A state built for ``probe="hash"`` keeps, instead of
-  this column, a ``key -> resident tuples`` index maintained by ``append``,
-  ``popleft``, ``take`` and ``load``; an equi-probe is then one bucket
-  lookup over the time-ordered rows.
+  lossy conversions.  Built for ``probe="hash"``, a state keeps a per-key
+  index instead (``key -> resident tuples``, or ``key -> row numbers`` in a
+  chain column), maintained by every call that adds or removes rows.
 * ``refs`` — the parallel Python list of the resident
   :class:`~repro.streams.tuples.StreamTuple` payload references.  Columns
   are an internal acceleration structure: everything that leaves the state
@@ -31,23 +30,27 @@ parallel columns —
   ``refs``, and state always crosses migration boundaries as plain tuple
   lists (see ``docs/invariants.md``).
 
-The container is deque-compatible (``append``/``popleft``/``__getitem__``/
-iteration) so the per-tuple execution path and the keyed-state migration
-protocol work on it unchanged.  The batched join path hands a state one
-whole batch through :meth:`ColumnarState.sweep`: vectorized when every key
-involved has an exact float64 form, otherwise :func:`replay_sweep`, the
-scalar ``append``/``purge``/``probe`` schedule it stands for (``probe``
-picks the vectorized mask, the index bucket or the bound scalar fallback).
+The batched paths are block-at-a-time: :meth:`ColumnarState.sweep` (one
+slice) and ``ChainColumn.sweep`` / ``probe`` (every slice) are vectorized
+when every key involved has an exact float64 form, and otherwise run the
+scalar schedule they stand for (:func:`replay_sweep`; the bound scalar
+check over the same row ranges).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
+from itertools import accumulate
+from operator import lt as _lt
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.engine.errors import MigrationError
+
 __all__ = [
+    "ChainColumn",
     "ColumnarState",
     "ProbeBinding",
     "replay_sweep",
@@ -184,9 +187,7 @@ class ColumnarState:
         if self.binding.indexed:
             # The index supplies the candidates, so a key column would go
             # unused.
-            index = self._index = defaultdict(deque)
-            for ref in refs:
-                index[ref.values.get(attribute, _MISSING)].append(ref)
+            self._index = self._build_index(refs)
             return
         if attribute is None:
             return
@@ -205,6 +206,14 @@ class ColumnarState:
             keys[:n] = values
         self._keys = keys
         self._key_level = level
+
+    def _build_index(self, refs: list[Any]) -> Any:
+        """``key -> resident tuples`` (oldest first) over freshly loaded rows."""
+        index = defaultdict(deque)
+        attribute = self.binding.key_attribute
+        for ref in refs:
+            index[ref.values.get(attribute, _MISSING)].append(ref)
+        return index
 
     # -- deque-compatible surface --------------------------------------------
     def __len__(self) -> int:
@@ -368,7 +377,8 @@ class ColumnarState:
             hi = stops[last - 1]
             if hi > lo:
                 sel = binding.match_mask(probes[first:last], keys[:, lo:hi], level == 0)
-                rows, cols = np.nonzero(sel)
+                # flatnonzero + divmod: numpy runs ``nonzero`` on a 2-D mask ~10x slower.
+                rows, cols = divmod(np.flatnonzero(sel), hi - lo)
                 for row, col in zip(rows.tolist(), cols.tolist()):
                     row += first
                     col += lo
@@ -389,7 +399,9 @@ class ColumnarState:
         """Nothing lives outside core, so a replaced state just goes away."""
 
     # -- columnar accessors ---------------------------------------------------
-    def purge_cut(self, nows: Sequence[float], stops: Sequence[int], end: float) -> list[int]:
+    def purge_cut(
+        self, nows: Sequence[float], stops: Sequence[int], end: float, start: int = 0
+    ) -> list[int]:
         """Running purge cuts of a run of probing timestamps, one forward sweep.
 
         ``cuts[j]`` is the number of head rows expelled once probe ``j`` has
@@ -397,12 +409,13 @@ class ColumnarState:
         *exact* scalar expression of the tuple-at-a-time purge loop, ``now -
         t >= end`` on Python floats, resuming at the previous probe's cut, so
         purge decisions are bit-identical.  Removes nothing (:meth:`take`).
+        ``start`` is the live row the sweep begins at: a slice boundary of a
+        :class:`ChainColumn`, the head of a one-slice state.
         """
         ts = self._ts
         head = self._head
         cuts: list[int] = []
-        cut = 0
-        base = 0
+        cut = base = start
         chunk: list[float] = []
         for now, stop in zip(nows, stops):
             while cut < stop:
@@ -439,11 +452,12 @@ class ColumnarState:
         index = self._index
         attribute = self.binding.key_attribute
         for ref in oldest:
-            key = ref.values.get(attribute, _MISSING)
-            bucket = index[key]
-            bucket.popleft()
-            if not bucket:
-                del index[key]  # empty buckets are deleted eagerly
+            if ref is not None:  # a chain column's filtered row left the index then
+                key = ref.values.get(attribute, _MISSING)
+                bucket = index[key]
+                del bucket[0]
+                if not bucket:
+                    del index[key]  # empty buckets are deleted eagerly
 
     # -- storage management ---------------------------------------------------
     def _maybe_compact(self) -> None:
@@ -483,19 +497,295 @@ class ColumnarState:
             self._keys = keys
 
     def _extend(self, tuples: Sequence[Any], keys: Sequence[Any], level: int) -> None:
-        """Bulk :meth:`append` of tuples whose keys were vetted at ``level``."""
+        """Bulk :meth:`append` of tuples whose keys were vetted at ``level``
+        (``keys=None``: there is no key column to fill)."""
         if not tuples:
             return
-        self._ensure_room(len(tuples))
+        self._ensure_room(len(tuples))  # may compact: offsets stay, positions move
         refs = self._refs
         n = len(refs)
         refs.extend(tuples)
         self._ts[n : len(refs)] = [tup.timestamp for tup in tuples]
-        self._keys[n : len(refs)] = keys
-        self._key_level = level
+        if keys is not None:
+            self._keys[n : len(refs)] = keys
+            self._key_level = level
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<ColumnarState key={self.binding.key_attribute!r} size={len(self)}>"
+
+
+class ChainColumn(ColumnarState):
+    """One stream's state for a whole cursor chain: slices are row ranges.
+
+    ``cuts[i]`` is the live row slice ``i`` starts at — slice ``i`` is
+    ``[cuts[i], cuts[i - 1])``, slice 0 ends at the newest row — so a
+    cross-purge advances a cursor and moves nothing.  Offsets count from the
+    oldest stored row, which compaction does not change; rows leave storage
+    off the chain's end only (:meth:`settle`), and that step rebases every
+    cursor at once.  A row filtered at a link keeps its place and drops its
+    payload (``None`` in ``refs``); ``dead[i]`` counts such rows inside slice
+    ``i``, and a slice without any is counted by cursor arithmetic alone.
+    With ``probe="hash"`` the index maps a key to the *row ids* of its live
+    rows — rows ever dropped (``_gone``) plus offset, which nothing moves.
+
+    One batch is ``extend`` → ``sweep`` → ``probe`` → ``settle``.  A row that
+    leaves a slice during the batch (purged deeper, filtered at a link,
+    purged off the end) stays visible in its old slice to the males before
+    the one that moved it: a hit is judged by its own male's cuts, a link
+    death is kept as ``row -> link`` in ``_died`` until :meth:`settle`, and
+    nothing is freed before the batch's hits are out.
+    """
+
+    __slots__ = ("cuts", "dead", "_died", "_gone")
+
+    def load(self, slices: Sequence[Sequence[Any]]) -> None:
+        """Replace the resident set by per-slice tuple lists, head slice first."""
+        self._gone = 0
+        self._died: dict[int, int] = {}
+        super().load([tup for tuples in reversed(slices) for tup in tuples])
+        stamps = self._ts[: len(self._refs)]
+        if (stamps[1:] < stamps[:-1]).any():
+            raise MigrationError("slice states are not time-layered: a deeper slice holds a younger tuple")
+        offset = len(self._refs)
+        self.cuts = [offset := offset - len(tuples) for tuples in slices]
+        self.dead = [0] * len(slices)
+
+    def _build_index(self, refs: list[Any]) -> Any:
+        index = defaultdict(list)
+        attribute = self.binding.key_attribute
+        for row, ref in enumerate(refs):
+            index[ref.values.get(attribute, _MISSING)].append(row)
+        return index
+
+    def slices(self) -> list[list[Any]]:
+        """The live tuples of every slice, head slice first, oldest first."""
+        refs, head = self._refs, self._head
+        tops = [len(refs) - head, *self.cuts]
+        return [
+            [ref for ref in refs[head + cut : head + top] if ref is not None]
+            for top, cut in zip(tops, self.cuts)
+        ]
+
+    def sizes(self) -> list[int]:
+        """Live tuples per slice."""
+        tops = [len(self), *self.cuts]
+        return [top - cut - dead for top, cut, dead in zip(tops, self.cuts, self.dead)]
+
+    def extend(self, tuples: Sequence[Any]) -> int:
+        """Append a batch's arrivals; returns the live rows there were before.
+        The first key without an exact float64 form invalidates the key
+        column (probing then takes the scalar check) until the next ``load``."""
+        size = len(self)
+        attribute = self.binding.key_attribute
+        keys, level = None, 0
+        if self._keys is not None and tuples:
+            keys = [tup.values.get(attribute, _MISSING) for tup in tuples]
+            level = max(self._key_level, *map(key_level, keys))
+            if level >= 2:
+                self._keys = keys = None
+        self._extend(tuples, keys, level)
+        if self._index is not None:
+            for row, tup in enumerate(tuples, self._gone + size):
+                self._index[tup.values.get(attribute, _MISSING)].append(row)
+        return size
+
+    def sweep(
+        self,
+        size: int,
+        nows: Sequence[float],
+        stops: Sequence[int],
+        reach: Sequence[Sequence[int]],
+        ends: Sequence[float],
+        predicates: Sequence[Any],
+    ) -> tuple[list[list[int]], list[tuple[int, int]], int, int]:
+        """One batch's cross-purges: per slice one forward sweep.
+
+        ``size`` live rows preceded the batch's own; male ``j`` (timestamp
+        ``nows[j]``) sees the first ``stops[j]`` rows and purges, with
+        ``ends[k]``, every slice ``k`` with ``j in reach[k]`` (``reach[0]`` is
+        every male; a deeper entry that *is* ``reach[0]`` says so without a
+        copy).  A live row that crosses link ``k`` meets ``predicates[k]`` (a
+        callable or ``None``) as installed now and, failing it, is dead from
+        slice ``k`` on.  Returns ``(cuts, crossed, purge comparisons, probe
+        comparisons)``: per swept slice the running cut of each of its males,
+        per link the live rows that ``(arrived, passed)``, and both counts as
+        the operator chain charges them — a purge comparison per live row
+        expelled plus each male's failing check, a probe comparison per live
+        row in a male's range (0 for an indexed column: :meth:`probe` counts).
+        """
+        cursors, dead, died = self.cuts, self.dead, self._died
+        refs, head = self._refs, self._head
+        everyone = reach[0]
+        swept: list[list[int]] = []
+        crossed = [(0, 0)]
+        purge = probe = 0
+        # Rows ``[top, new_top)`` entered the slice in this batch; ``alive``
+        # flags them, ``None`` standing for "all of them".
+        top, new_top, alive = size, len(refs) - head, None
+        for k, who in enumerate(reach):
+            start = cursors[k]
+            if k:
+                arrived = passed = new_top - top if alive is None else sum(alive)
+                predicate = predicates[k]
+                if predicate is not None and arrived:
+                    if alive is None:
+                        alive = [True] * arrived
+                    for offset, ref in enumerate(refs[head + top : head + new_top]):
+                        if alive[offset] and not predicate(ref):
+                            alive[offset] = False
+                            died[top + offset] = k
+                    passed = sum(alive)
+                crossed.append((arrived, passed))
+            entered_dead = 0 if alive is None else len(alive) - sum(alive)
+            if not who:
+                dead[k] += entered_dead
+                break
+            if who is not everyone:
+                nows_k = [nows[j] for j in who]
+                stops_k = [stops[j] for j in who]
+            else:
+                nows_k, stops_k = nows, stops
+            cuts = self.purge_cut(nows_k, stops_k, ends[k], start)
+            final = cuts[-1]
+            if not (dead[k] or entered_dead):
+                # No dead row in sight: both counts are cursor arithmetic.
+                purge += final - start + sum(map(_lt, cuts, stops_k))
+                if self._index is None:
+                    probe += sum(stops_k) - sum(cuts)
+                leaving = None
+            else:
+                leaving = [
+                    ref is not None and row not in died
+                    for row, ref in enumerate(refs[head + start : head + final], start)
+                ]
+                left = [0, *accumulate(leaving)]
+                entered = None if alive is None else [0, *accumulate(alive)]
+                live_before = top - start - dead[k]
+                gone = 0
+                for cut, stop in zip(cuts, stops_k):
+                    expelled = left[cut - start]
+                    live = live_before - expelled + (
+                        stop - top if entered is None else entered[stop - top]
+                    )
+                    purge += expelled - gone + (live > 0)
+                    if self._index is None:
+                        probe += live
+                    gone = expelled
+                dead[k] += entered_dead - (final - start - left[-1])
+            swept.append(cuts)
+            if who is not everyone:
+                stops = list(stops)
+                for j, cut in zip(who, cuts):
+                    stops[j] = cut
+            else:
+                stops = cuts
+            top, new_top, alive = start, final, leaving
+            cursors[k] = final
+        return swept, crossed, purge, probe
+
+    def probe(
+        self, males: Sequence[Any], cuts: Sequence[Sequence[int]], stops: Sequence[int]
+    ) -> tuple[list[tuple[int, int, Any]], int]:
+        """The hits of a swept batch, by male, then by row.
+
+        ``cuts[j]`` are male ``j``'s own cuts, deepest slice first (so
+        ascending): it sees the live rows ``[cuts[j][0], stops[j])``, a row
+        in the slice that the number of its cuts above the row names.
+        Returns ``([(male, slice, stored tuple)], comparisons)`` — those of
+        an indexed column, one per bucket entry in a male's range (else 0:
+        :meth:`sweep` counted rows).  With a valid key column and every key
+        within the condition's ``mask_level``: one 2-D ``match_mask`` per
+        block of males (at most ``_BLOCK_ELEMENTS``, sized by the widest range
+        of the block), only the hit pairs placed; otherwise the same row
+        ranges meet the condition's bound scalar check.
+        """
+        binding = self.binding
+        refs, head, died = self._refs, self._head, self._died
+        hits: list[tuple[int, int, Any]] = []
+
+        def place(j: int, row: int) -> int:
+            """The slice male ``j`` sees live row ``row`` in, or -1."""
+            own = cuts[j]
+            if row < own[0] or row >= stops[j] or refs[head + row] is None:
+                return -1
+            k = len(own) - bisect_right(own, row)
+            return -1 if died and died.get(row, k + 1) <= k else k
+
+        if self._index is not None:
+            comparisons = 0
+            for j, male in enumerate(males):
+                bucket = self._index.get(male.values.get(binding.probe_attribute, _MISSING))
+                if not bucket:
+                    continue
+                check = binding.bind(male)
+                first = bisect_left(bucket, self._gone + cuts[j][0])
+                for row in bucket[first : bisect_left(bucket, self._gone + stops[j], first)]:
+                    row -= self._gone
+                    k = place(j, row)
+                    if k >= 0:
+                        comparisons += 1
+                        if check(refs[head + row]):
+                            hits.append((j, k, refs[head + row]))
+            return hits, comparisons
+        probe_keys = [male.values.get(binding.probe_attribute, _MISSING) for male in males]
+        level = -1 if self._keys is None else max(self._key_level, *map(key_level, probe_keys))
+        if not 0 <= level <= binding.mask_level:
+            # No exact mask: the same row ranges, row by row.
+            for j, male in enumerate(males):
+                check = None
+                for row in range(cuts[j][0], stops[j]):
+                    k = place(j, row)
+                    if k >= 0:
+                        check = check or binding.bind(male)
+                        if check(refs[head + row]):
+                            hits.append((j, k, refs[head + row]))
+            return hits, 0
+        lows = [own[0] for own in cuts]
+        keys = self._keys[None, head : head + stops[-1]]
+        probes = np.array(probe_keys, dtype=np.float64)[:, None]
+        first = 0
+        while first < len(males):
+            # Males of one block differ in depth, so the deepest visible row
+            # is not monotone in j: size and bound the block by the minimum.
+            width = max(1, stops[-1] - min(lows[first:]))
+            last = min(len(males), first + max(1, _BLOCK_ELEMENTS // width))
+            lo, hi = min(lows[first:last]), stops[last - 1]
+            if hi > lo:
+                sel = binding.match_mask(probes[first:last], keys[:, lo:hi], level == 0)
+                rows, cols = divmod(np.flatnonzero(sel), hi - lo)
+                for j, row in zip(rows.tolist(), cols.tolist()):
+                    # place(), inlined: this loop runs once per mask hit.
+                    j += first
+                    row += lo
+                    own = cuts[j]
+                    ref = refs[head + row]
+                    if row < own[0] or row >= stops[j] or ref is None:
+                        continue
+                    k = len(own) - bisect_right(own, row)
+                    if not died or died.get(row, k + 1) > k:
+                        hits.append((j, k, ref))
+            first = last
+        return hits, 0
+
+    def settle(self) -> None:
+        """End of a batch: free what left — the payloads of rows filtered at
+        a link, and every row purged off the chain's end."""
+        refs, head = self._refs, self._head
+        for row in self._died:
+            if self._index is not None:
+                key = refs[head + row].values.get(self.binding.key_attribute, _MISSING)
+                bucket = self._index[key]
+                del bucket[bisect_left(bucket, self._gone + row)]
+                if not bucket:
+                    del self._index[key]
+            refs[head + row] = None
+        self._died.clear()
+        count = self.cuts[-1]
+        if count:
+            self.take(count)
+            self._gone += count
+            self.cuts = [cut - count for cut in self.cuts]
+
 
 
 def replay_sweep(

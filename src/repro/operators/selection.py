@@ -20,7 +20,7 @@ from typing import Any, Iterable
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
 from repro.query.predicates import Predicate, TruePredicate
-from repro.streams.tuples import MALE, JoinedTuple, Punctuation, RefTuple, StreamTuple
+from repro.streams.tuples import JoinedTuple, Punctuation, RefTuple, StreamTuple
 
 __all__ = ["Selection", "StreamFilter", "JoinedFilter"]
 
@@ -172,10 +172,6 @@ class StreamFilter(Operator):
 
     def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
         batch = list(items)
-        if len(batch) >= _MIN_COLUMNAR_BATCH:
-            emissions = self._process_batch_columnar(batch)
-            if emissions is not None:
-                return emissions
         matches = self.predicate.matches
         stream = self.stream
         emissions = []
@@ -195,73 +191,6 @@ class StreamFilter(Operator):
                     append(("out", item))
             else:
                 append(("out", item))
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.SELECT, evaluated)
-        return emissions
-
-    def _process_batch_columnar(self, batch: list[Any]) -> list[Emission] | None:
-        """Vectorized in-chain filter over this stream's reference tuples.
-
-        Gathers the predicate column for every item belonging to
-        ``self.stream`` (male/female reference copies and raw stream tuples)
-        and evaluates the predicate once as a mask; pass-through items keep
-        their positions.  Returns ``None`` — per-tuple fallback — when the
-        predicate has no mask form or any gathered value is not a plain
-        float, so the mask path never changes semantics.
-        """
-        attribute = getattr(self.predicate, "attribute", None)
-        if attribute is None:
-            return None
-        stream = self.stream
-        # Flags per item: 0 pass-through, 1 female ref (filtered, uncharged),
-        # 2 male ref, 3 raw stream tuple (both filtered and charged).
-        flags: list[int] = []
-        add_flag = flags.append
-        values: list[float] = []
-        add_value = values.append
-        evaluated = 0
-        for item in batch:
-            if isinstance(item, Punctuation):
-                add_flag(0)
-            elif isinstance(item, RefTuple) and item.stream == stream:
-                base = item.base
-                if type(base) is not StreamTuple:
-                    return None
-                value = base.values.get(attribute, _ABSENT)
-                if type(value) is not float:
-                    return None
-                add_value(value)
-                if item.gender == MALE:
-                    evaluated += 1
-                    add_flag(2)
-                else:
-                    add_flag(1)
-            elif not isinstance(item, RefTuple) and getattr(item, "stream", None) == stream:
-                if type(item) is not StreamTuple:
-                    return None
-                value = item.values.get(attribute, _ABSENT)
-                if type(value) is not float:
-                    return None
-                add_value(value)
-                evaluated += 1
-                add_flag(3)
-            else:
-                add_flag(0)
-        if not values:
-            return None
-        mask = self.predicate.match_mask(values)
-        if mask is None:
-            return None
-        emissions: list[Emission] = []
-        append = emissions.append
-        row = 0
-        for index, item in enumerate(batch):
-            if not flags[index]:
-                append(("out", item))
-                continue
-            if mask[row]:
-                append(("out", item))
-            row += 1
         self.metrics.record_invocation(self.name, len(batch))
         self.metrics.count(CostCategory.SELECT, evaluated)
         return emissions

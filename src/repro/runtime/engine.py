@@ -48,11 +48,10 @@ selections are therefore applied to each query's results (window semantics:
 the N most recent *arrivals*, selections filter the answers).
 
 **Hash probing** — ``probe="hash"`` (equi-join conditions only, or
-``"auto"``; the constructor default is ``"nested_loop"``) makes every slice
-state keep a per-key index on the equi-key, so a probing tuple examines one
-bucket instead of the whole sliced state.  The index is a property of the
-state (:mod:`repro.engine.columns`): it survives split/merge migrations
-because ``load_state`` rebuilds it with the state it loads.
+``"auto"``; the constructor default is ``"nested_loop"``) keeps a per-key
+index on the equi-key, so a probing tuple examines one bucket instead of the
+whole window state.  The index is a property of the state
+(:mod:`repro.engine.columns`) and is rebuilt with whatever a migration loads.
 
 **Adaptive re-optimization** — with ``collect_statistics=True`` (or an
 attached :class:`~repro.runtime.adaptive.AdaptivePolicy`) every processed
@@ -74,10 +73,12 @@ output independent of the batch size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterable
 
 from repro.core.chain import SlicedJoinChain
 from repro.core.chain_base import SlicedChainBase
+from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.core.cpu_opt import build_cpu_opt_chain
 from repro.core.merge_graph import DEFAULT_COLD_PROBE_PENALTY, ChainCostParameters
@@ -105,11 +106,12 @@ __all__ = [
 
 _EPSILON = 1e-9
 
-#: One per-slice routing entry: ``(query, window_check, left_res, right_res)``.
+#: One per-slice routing entry: ``(queries, window_check, left_res, right_res)``
+#: — the queries whose taps of the slice ask for exactly the same checks.
 #: ``window_check`` is None when every result of the slice is inside the
-#: query's window; the residual predicates are None when already implied by
-#: the filter pushed below the slice.
-_Route = tuple[str, float | None, Predicate | None, Predicate | None]
+#: queries' windows; the residual predicates are None when already implied
+#: by the filter pushed below the slice.
+_Route = tuple[list[str], float | None, Predicate | None, Predicate | None]
 
 
 #: The one decision ``window_kind`` makes: which chain class a session runs.
@@ -119,6 +121,14 @@ CHAIN_KINDS: dict[str, type[SlicedChainBase]] = {
     "time": SlicedJoinChain,
     "count": CountSlicedJoinChain,
 }
+#: What a memory-budgeted session builds instead: the disk tier spills one
+#: slice's states at a time, so its slices must be separate states.
+SPILLABLE_CHAINS: dict[type[SlicedChainBase], type[SlicedChainBase]] = {
+    SlicedJoinChain: OperatorJoinChain,
+}
+
+_ORDER_KEY = itemgetter(0)
+_NO_FILTER = TruePredicate()
 
 
 def chain_class(window_kind: str) -> type[SlicedChainBase]:
@@ -224,15 +234,14 @@ class StreamEngine:
         :class:`~repro.core.statistics.StreamStatistics` estimates from
         snapshot diffs themselves.
     memory_budget_bytes:
-        Optional in-core state budget.  After every batch the engine
-        estimates the resident footprint of the chain's join states; while
-        it exceeds the budget, cold slices (oldest first, never the head
-        slice) are spilled to an on-disk segment store
-        (:mod:`repro.engine.spill`).  Spilled slices keep answering
-        cross-purges and probes from disk, so results are byte-identical
-        to the unbudgeted session; migration and reshard boundaries
-        re-materialize them (``load_state`` is the single splice point).
-        ``None`` (default) keeps everything in core.
+        Optional in-core state budget.  The session then runs the operator
+        chain (separate states per slice) and, after every batch, spills
+        cold slices (oldest first, never the head slice) to an on-disk
+        segment store (:mod:`repro.engine.spill`) while the resident
+        estimate exceeds the budget.  Spilled slices keep answering purges
+        and probes from disk, so results are byte-identical; migration and
+        reshard boundaries re-materialize them (``load_state``).  ``None``
+        (default) keeps everything in core, in one column per stream.
     """
 
     #: Slice state is always columnar (:mod:`repro.engine.columns`); this
@@ -308,7 +317,10 @@ class StreamEngine:
         self._drain()
         if self._chain is None:
             # The one site a session's chain kind and probe kind are decided.
-            self._chain = self.chain_class(
+            kind = self.chain_class
+            if self.memory_budget_bytes is not None:
+                kind = SPILLABLE_CHAINS.get(kind, kind)
+            self._chain = kind(
                 [0, window],
                 self.condition,
                 left_stream=self.left_stream,
@@ -332,11 +344,7 @@ class StreamEngine:
                 chain.split_slice(index, window)
                 self._record_migration("split", window)
         query = RegisteredQuery(
-            name,
-            window,
-            self.stats.arrivals,
-            left_filter if left_filter is not None else TruePredicate(),
-            right_filter if right_filter is not None else TruePredicate(),
+            name, window, self.stats.arrivals, self._shared(left_filter), self._shared(right_filter)
         )
         self._queries[name] = query
         self._results[name] = []
@@ -363,14 +371,13 @@ class StreamEngine:
             # The whole chain's state is being discarded; delete any
             # segments its spilled slices held so they don't pile up in
             # the store across teardown/re-admission cycles.
-            for join in chain.joins:
-                join.release_spill()
+            chain.release_spill()
             self._chain = None
             self._routing = []
             self._record_migration("teardown", query.window)
             return delivered
-        if self._boundary_needed(query.window):
-            self._refresh_plan()
+        if any(abs(q.window - query.window) <= _EPSILON for q in self._queries.values()):
+            self._refresh_plan()  # another query still needs the boundary
             return delivered
         max_window = max(q.window for q in self._queries.values())
         if query.window > max_window + _EPSILON:
@@ -403,11 +410,17 @@ class StreamEngine:
         self._refresh_plan()
         return delivered
 
-    def _boundary_needed(self, window: float) -> bool:
-        return any(
-            abs(query.window - window) <= _EPSILON
-            for query in self._queries.values()
-        )
+    def _shared(self, predicate: Predicate | None) -> Predicate:
+        """``predicate`` (``None``: no selection) as the one object standing
+        for every equal filter of the registered queries, so the routing
+        table can tell by identity which queries re-check the same residual."""
+        if predicate is None:
+            return _NO_FILTER
+        for query in self._queries.values():
+            for known in (query.left_filter, query.right_filter):
+                if known is not _NO_FILTER and known == predicate:
+                    return known
+        return predicate
 
     # -- execution -------------------------------------------------------------
     def process(self, tup: StreamTuple) -> None:
@@ -461,40 +474,62 @@ class StreamEngine:
             pre_left, pre_right = chain.head_state_sizes()
         routing = self._routing
         results = self._results
-        block: dict[str, list[JoinedTuple]] = {}
+        #: Per query: ``(order key, result)`` entries delivered by this batch.
+        block: dict[str, list] = {}
         select_count = 0
         route_count = 0
         head_matches = 0
-        for index, joined in chain.process_batch(batch):
+        # A slice's results are routed at once, once per distinct set of
+        # checks: ROUTE and SELECT stay charged per (result, query) — each
+        # step's survivors times the queries asking — while the order key is
+        # computed per result and a residual per distinct tuple of the bin.
+        for index, joined_results in chain.process_batch(batch, binned=True):
             if index == 0:
-                head_matches += 1
-            gap = None
-            for query_name, window, left_res, right_res in routing[index]:
+                head_matches = len(joined_results)
+            entries = []
+            for joined in joined_results:
+                left, right = joined.left, joined.right
+                entries.append(
+                    ((max(left.timestamp, right.timestamp), left.seqno, right.seqno), joined)
+                )
+            verdicts: dict = {}
+            for names, window, left_res, right_res in routing[index]:
+                chosen = entries
                 if window is not None:
                     # One timestamp comparison per (result, window-checked
                     # route), matching the Router accounting of Section 3.1.
-                    route_count += 1
-                    if gap is None:
-                        gap = abs(joined.left.timestamp - joined.right.timestamp)
-                    if gap >= window:
-                        continue
-                if left_res is not None:
-                    select_count += 1
-                    if not left_res.matches(joined.left):
-                        continue
-                if right_res is not None:
-                    select_count += 1
-                    if not right_res.matches(joined.right):
-                        continue
-                block.setdefault(query_name, []).append(joined)
+                    route_count += len(chosen) * len(names)
+                    chosen = [
+                        entry
+                        for entry in chosen
+                        if abs(entry[1].left.timestamp - entry[1].right.timestamp) < window
+                    ]
+                for residual, side in ((left_res, 0), (right_res, 1)):
+                    if residual is not None and chosen:
+                        select_count += len(chosen) * len(names)
+                        # Equal filters are one object (_shared).
+                        seen = verdicts.setdefault((id(residual), side), {})
+                        matches = residual.matches
+                        kept = []
+                        for entry in chosen:
+                            tup = entry[1].right if side else entry[1].left
+                            verdict = seen.get(id(tup))
+                            if verdict is None:
+                                verdict = seen[id(tup)] = bool(matches(tup))
+                            if verdict:
+                                kept.append(entry)
+                        chosen = kept
+                if chosen:
+                    for query_name in names:
+                        block.setdefault(query_name, []).extend(chosen)
         delivered = 0
-        for query_name, items in block.items():
+        for query_name, entries in block.items():
             # Timestamp-ordered delivery (ties broken by sequence numbers)
             # makes per-query output independent of the batch size.
-            items.sort(key=lambda j: (j.timestamp, j.left.seqno, j.right.seqno))
-            results[query_name].extend(items)
-            metrics.record_emission(query_name, len(items))
-            delivered += len(items)
+            entries.sort(key=_ORDER_KEY)
+            results[query_name].extend([joined for _, joined in entries])
+            metrics.record_emission(query_name, len(entries))
+            delivered += len(entries)
         if select_count:
             metrics.count(CostCategory.SELECT, select_count)
         if route_count:
@@ -502,7 +537,13 @@ class StreamEngine:
         self.stats.results_delivered += delivered
         if self._tuple_bytes is None:
             self._tuple_bytes = max(64, estimate_tuple_bytes(batch[0]))
-        resident, spilled = self._enforce_budget()
+        resident, spilled = chain.memory_bytes(self._tuple_bytes)
+        budget = self.memory_budget_bytes
+        if budget is not None and resident > budget:
+            # Spill cold slices until the estimate fits (the chain says which).
+            if self._spill_store is None:
+                self._spill_store = SpillStore()
+            resident, spilled = chain.evict_cold(self._spill_store, budget, self._tuple_bytes)
         metrics.sample_memory(
             batch[-1].timestamp, chain.state_size(), resident, spilled
         )
@@ -516,56 +557,6 @@ class StreamEngine:
             self.policy.on_batch(self, batch[-1].timestamp)
 
     # -- tiered state (memory budget) -------------------------------------------
-    @property
-    def spill_store(self) -> SpillStore:
-        """The session's cold-tier segment store (created on first use)."""
-        if self._spill_store is None:
-            self._spill_store = SpillStore()
-        return self._spill_store
-
-    def memory_bytes(self) -> tuple[int, int]:
-        """``(resident, spilled)`` byte estimate of the chain's join states."""
-        if self._chain is None:
-            return 0, 0
-        return self._chain.memory_bytes(self._tuple_bytes or 256)
-
-    def _enforce_budget(self) -> tuple[int, int]:
-        """Spill cold slices until the resident estimate fits the budget.
-
-        Eviction is by slice age: the chain's tail slice holds the oldest
-        tuples, so slices spill tail-first.  The head slice never spills —
-        it absorbs every arrival, so its state is hot by construction; the
-        budget therefore carries one-slice slack.  Already-spilled slices
-        first flush their resident tail buffers (cheaper than spilling a
-        new slice), then unspilled cold slices go to disk oldest-first.
-        """
-        chain = self._chain
-        tuple_bytes = self._tuple_bytes or 256
-        assert chain is not None
-        resident, spilled = chain.memory_bytes(tuple_bytes)
-        budget = self.memory_budget_bytes
-        if budget is None or resident <= budget:
-            return resident, spilled
-        joins = chain.joins
-        for join in reversed(joins[1:]):
-            if not join.is_spilled():
-                continue
-            join.spill_flush()
-            resident, spilled = chain.memory_bytes(tuple_bytes)
-            if resident <= budget:
-                return resident, spilled
-        store = self.spill_store
-        for join in reversed(joins[1:]):
-            if join.is_spilled():
-                continue
-            join.spill(store)
-            join.spill_flush()
-            store.evictions += 1
-            resident, spilled = chain.memory_bytes(tuple_bytes)
-            if resident <= budget:
-                return resident, spilled
-        return resident, spilled
-
     def _report_spill_counters(self) -> None:
         """Publish the store's counter deltas as metric observations.
 
@@ -595,10 +586,8 @@ class StreamEngine:
         keyed state has been extracted (extraction materializes every
         spilled slice back into core, so nothing is lost).
         """
-        chain = self._chain
-        if chain is not None:
-            for join in chain.joins:
-                join.release_spill()
+        if self._chain is not None:
+            self._chain.release_spill()
         if self._spill_store is not None:
             self._spill_store.close()
             self._spill_store = None
@@ -985,6 +974,13 @@ class StreamEngine:
         disjunction pushed below the slice (σ' of Figure 10)."""
         trivial = TruePredicate()
         routing: list[list[_Route]] = []
+        # Equal filters are one object (_shared), so queries fall into
+        # families asking for the same residuals; only the window check
+        # (needed where a slice extends past the window) is a query's own.
+        families: dict[tuple[int, int], list[RegisteredQuery]] = {}
+        for query in self._queries.values():
+            family = (id(query.left_filter), id(query.right_filter))
+            families.setdefault(family, []).append(query)
         bounds = chain.boundaries
         for slice_index, (start, end) in enumerate(zip(bounds, bounds[1:])):
             if pushed is not None:
@@ -992,20 +988,16 @@ class StreamEngine:
             else:
                 pushed_left = pushed_right = trivial
             slice_routes: list[_Route] = []
-            for query in self._queries.values():
-                if end <= query.window + _EPSILON:
-                    window_check: float | None = None
-                elif start < query.window - _EPSILON:
-                    window_check = query.window
-                else:
-                    continue
-                slice_routes.append(
-                    (
-                        query.name,
-                        window_check,
-                        _residual(query.left_filter, pushed_left),
-                        _residual(query.right_filter, pushed_right),
-                    )
+            for members in families.values():
+                left_res = _residual(members[0].left_filter, pushed_left)
+                right_res = _residual(members[0].right_filter, pushed_right)
+                inside = [q.name for q in members if end <= q.window + _EPSILON]
+                if inside:
+                    slice_routes.append((inside, None, left_res, right_res))
+                slice_routes.extend(
+                    ([q.name], q.window, left_res, right_res)
+                    for q in members
+                    if start < q.window - _EPSILON and end > q.window + _EPSILON
                 )
             routing.append(slice_routes)
         self._routing = routing

@@ -79,8 +79,8 @@ class TestTheorem2Equivalence:
         chain = SlicedJoinChain([0.0, 1.0, 2.0], CrossProductCondition())
         for index, joined in chain.process_all(data.tuples):
             gap = abs(joined.left.timestamp - joined.right.timestamp)
-            slice_spec = chain.joins[index].slice
-            assert slice_spec.start <= gap < slice_spec.end
+            start, end = chain.boundaries[index : index + 2]
+            assert start <= gap < end
 
 
 class TestTheorem3Memory:

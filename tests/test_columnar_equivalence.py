@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.unshared import build_unshared_plan
 from repro.core.chain import SlicedJoinChain
+from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.engine.executor import execute_plan
 from repro.operators.selection import Selection, StreamFilter
@@ -162,7 +163,7 @@ def _evidence(chain, results):
 def test_sliced_chain_columnar_equals_tuple_path(tuples, boundaries, kind, batch_size):
     """Batch kernel ≡ per-item ``process()`` ≡ unshared baseline (time slices)."""
     condition = CONDITIONS[kind]()
-    per_item = SlicedJoinChain(boundaries, condition)
+    per_item = OperatorJoinChain(boundaries, condition)
     batched = SlicedJoinChain(boundaries, condition)
     reference = per_item.process_all(tuples)
     assert _evidence(batched, _batched(batched, tuples, batch_size)) == _evidence(
@@ -208,7 +209,7 @@ def test_block_kernel_equals_per_item_with_ties_bounds_and_link_filters(
     ]
     chains = []
     for _ in range(2):
-        chain = SlicedJoinChain(boundaries, condition)
+        chain = OperatorJoinChain(boundaries, condition)
         chain.set_link_filters(links)
         for join in chain.joins:
             join.enforce_bounds = True

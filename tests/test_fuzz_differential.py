@@ -214,7 +214,10 @@ def baseline_count(tuples, condition, count, left_filter, right_filter, interval
 # ---------------------------------------------------------------------------
 # One scenario
 # ---------------------------------------------------------------------------
-def run_scenario(seed: int, window_kind: str) -> None:
+def run_scenario(seed: int, window_kind: str, **pinned) -> None:
+    """One seeded scenario; ``pinned`` overrides drawn session arguments
+    (``batch_size=``, ``memory_budget_bytes=``) after the draw, so the rest
+    of the scenario is the seed's own."""
     rng = random.Random(seed)
     condition, key_domain = draw_condition(rng)
     tuples = make_stream(rng, key_domain)
@@ -237,8 +240,8 @@ def run_scenario(seed: int, window_kind: str) -> None:
         probe = rng.choice(("nested_loop", "hash", "auto"))
     else:
         probe = rng.choice(("nested_loop", "auto"))
-    batch_size = rng.choice(BATCH_SIZES)
-    memory_budget = rng.choice(MEMORY_BUDGETS)
+    batch_size = pinned.get("batch_size", rng.choice(BATCH_SIZES))
+    memory_budget = pinned.get("memory_budget_bytes", rng.choice(MEMORY_BUDGETS))
 
     engine = StreamEngine(
         condition,
@@ -524,6 +527,15 @@ def run_resharded_scenario(seed: int) -> None:
 def test_fuzz_time_window_sessions(chunk):
     for seed in range(chunk * 10, chunk * 10 + 10):
         run_scenario(seed, "time")
+
+
+def test_fuzz_batch_size_one_sessions_on_the_cursor_chain():
+    """``batch_size=1`` on the default (unbudgeted, cursor-chain) session: the
+    block kernel of PR 15 made this shape 2x slower and nothing but a
+    benchmark row said so; its *answers* are pinned here, its rate is
+    recorded in ``docs/benchmarks.md``."""
+    for seed in range(4000, 4020):
+        run_scenario(seed, "time", batch_size=1, memory_budget_bytes=None)
 
 
 @pytest.mark.parametrize("chunk", range(8))

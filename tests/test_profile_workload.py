@@ -20,7 +20,8 @@ def test_profile_workload_prints_a_rate_and_the_hot_rows():
     header, *rows = done.stdout.strip().splitlines()
     assert header.startswith("# equi_shared: 2 quanta of 128 after 0.5 warm stream-seconds")
     assert "fastest-decile quantum rate" in header
-    # The block kernel's frames are what the profile is for.
-    assert any("sliced_join.py" in row and "process_batch" in row for row in rows)
+    # The cursor kernel's frames are what the profile is for.
+    assert any("chain.py" in row and "_slice_results" in row for row in rows)
+    assert any("columns.py" in row and "(probe)" in row for row in rows)
     assert any("Ordered by: internal time" in row for row in rows)
 

@@ -330,9 +330,9 @@ class TestRebalance:
         last_ts = stream[-1].timestamp
         ages = [
             last_ts - tup.timestamp
-            for join in engine._chain.joins
             for side in ("A", "B")
-            for tup in join.state_tuples(side)
+            for tuples in engine._chain.state_tuples(side)
+            for tup in tuples
         ]
         assert max(ages) < 2.0 + 1e-6
 
