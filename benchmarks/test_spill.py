@@ -1,35 +1,28 @@
-"""Tiered window state acceptance gate (PR 8, re-pointed in PR 13).
+"""Tiered window state acceptance gate (PR 8, re-pointed in PR 13 and PR 19).
 
 A memory-budgeted session must (a) hold an order of magnitude more window
-state than its in-core budget by spilling cold slices to the disk tier,
-(b) answer byte-identically to the unbudgeted session, and (c) keep at
-least 0.35× the unbudgeted throughput.  The measured trajectory is recorded
-in ``results/BENCH_spill.json``.
+state than its in-core budget by moving cold rows to the disk tier, (b)
+answer byte-identically to the unbudgeted session, and (c) keep at least
+0.35x the unbudgeted throughput.  The measured trajectory is recorded in
+``results/BENCH_spill.json``.
 
 The budget is derived from the workload itself: the unbudgeted run's peak
 resident estimate ``R`` (the whole chain in core) divided by 12, so the
 ``state >= 10x budget`` gate holds by construction *and* is asserted on
-the measured peaks.  Both runs use nested-loop probing over the one slice
-state there is: in core that is a vectorized mask over the key column; the
-cold path answers the same probes from the per-segment equi-key index
-(decoding only the rows whose key matches).  Against the vectorized
-in-core probe this workload measures 0.51–0.56× (the steady-state
-benchmark's ``equi_spill`` row is 0.32× of ``equi_shared``,
-``bench/README.md``); the former 0.5× gate was measured against the
-deleted per-candidate Python scan (0.85×) and went with it.
+the measured peaks.
 
-Gate (c) asks what the *tier* costs, so its unbudgeted reference runs what
-the cold slices run: the operator chain (a budgeted session's slices must be
-separate states to spill one at a time, so it never builds the cursor chain)
-whose in-core states answer a batch call by call, as a spilled state always
-does (``replay_sweep``) — the ``scalar_schedule`` fixture pins both; gate,
-workload and meaning as before PR 15.  That PR's block kernel made the
-operator chain 1.5× faster in core and PR 18's cursor chain made the default
-session 2× faster again, neither touching a cold slice: the trajectory
-records the budgeted session against both, ungated, as
-``throughput_ratio_budgeted_vs_block_kernel`` (0.29–0.31×) and
-``throughput_ratio_budgeted_vs_default_session`` (0.13–0.15×; ROADMAP's
-disk-tier item owns closing it).  The gated ratio reads 0.52–0.56×.
+Gate (c) asks the honest question: the reference is the *default* session —
+same constructor arguments less the budget, hence the same cursor chain over
+the same columns.  Since PR 19 a budget changes no code path, only where the
+payloads of the oldest rows live: purges and the probe mask run over the cold
+rows' resident timestamps and keys, and what the ratio prices is the log
+(one pickled record written per arrival, one ``pread`` + decode per reported
+cold row).  It reads 0.5-0.6x (gate 0.35, unchanged since PR 13).  From PR
+13 to PR 18 the budgeted session ran the operator chain with per-slice
+``SpilledState``s and measured 0.13-0.15x the default session; the gate then
+held only against a reference pinned to the per-male schedule (the
+``scalar_schedule`` / ``operator_chain`` fixtures, deleted with their
+premise).
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from repro.streams.generators import generate_join_workload
 RATE = 110
 DURATION = 8.0
 KEY_DOMAIN = 60
-WINDOWS = (0.5, 2.0, 6.0)  # head slice [0, 0.5) stays hot; the rest may spill
+WINDOWS = (0.5, 2.0, 6.0)
 DATA = generate_join_workload(rate_a=RATE, rate_b=RATE, duration=DURATION, seed=77)
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=KEY_DOMAIN)
 
@@ -81,13 +74,8 @@ def _run_session(memory_budget: int | None) -> dict:
     return {"seconds": best, "outputs": outputs, "snapshot": snapshot}
 
 
-def test_spill_gate(results_dir, scalar_schedule, operator_chain):
-    with scalar_schedule():
-        unbudgeted = _run_session(None)
-    with operator_chain():
-        block = _run_session(None)
-    default = _run_session(None)
-    assert default["outputs"] == block["outputs"] == unbudgeted["outputs"]
+def test_spill_gate(results_dir):
+    unbudgeted = _run_session(None)
     peak_in_core = unbudgeted["snapshot"]["memory.max_resident_bytes"]
     assert peak_in_core > 0
     budget = int(peak_in_core // 12)
@@ -131,20 +119,9 @@ def test_spill_gate(results_dir, scalar_schedule, operator_chain):
                 "seconds": round(run["seconds"], 6),
                 "tuples_per_sec": round(arrivals / run["seconds"], 1),
             }
-            for mode, run in (
-                ("in_core", unbudgeted),
-                ("in_core (block kernel)", block),
-                ("in_core (default session: cursor chain)", default),
-                ("budgeted", budgeted),
-            )
+            for mode, run in (("in_core", unbudgeted), ("budgeted", budgeted))
         ],
         "throughput_ratio_budgeted_vs_in_core": round(throughput_ratio, 3),
-        "throughput_ratio_budgeted_vs_block_kernel": round(
-            block["seconds"] / budgeted["seconds"], 3
-        ),
-        "throughput_ratio_budgeted_vs_default_session": round(
-            default["seconds"] / budgeted["seconds"], 3
-        ),
         "gates": {
             "state_over_budget": STATE_OVER_BUDGET_GATE,
             "throughput_ratio": THROUGHPUT_GATE,
@@ -158,7 +135,7 @@ def test_spill_gate(results_dir, scalar_schedule, operator_chain):
         f"(gate {STATE_OVER_BUDGET_GATE}x); see {path}"
     )
     # ...and did so by actually using the disk tier, not by dodging the
-    # budget: segments were written, cold probes were answered, and the
+    # budget: segments were written, cold rows were read back, and the
     # resident peak dropped well below the in-core peak.
     assert segments > 0 and cold_reads > 0 and spilled_bytes > 0
     assert peak_budgeted <= 0.5 * peak_in_core, (

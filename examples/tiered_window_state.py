@@ -1,13 +1,13 @@
 """Tiered window state: a session holding 10x its memory budget.
 
 A multi-window session accumulates far more window state than it is
-allowed to keep in core.  With ``memory_budget_bytes`` set, the engine
-spills the cold tail slices of the chain to mmap'd disk segments and
-keeps only the hot head (plus per-row metadata) resident:
+allowed to keep in core.  With ``memory_budget_bytes`` set, the payloads of
+the chain's oldest rows move to an append-only log on disk and only the
+newest rows (plus per-row metadata: timestamp and key) stay resident:
 
-* the join answer is **identical** to the unbudgeted session — cold
-  slices stay live, answering purges and probes straight from their
-  segments via a per-segment equi-key index;
+* the join answer is **identical** to the unbudgeted session — cold rows
+  stay live, purged and probed through their resident timestamps and keys,
+  and read back only when a batch reports them;
 * ``MetricsSnapshot`` splits the footprint into ``memory.resident_bytes``
   and ``memory.spilled_bytes`` so the trade is observable;
 * sharded sessions split the budget per shard and re-split it on every
@@ -62,7 +62,7 @@ def main() -> None:
     )
     print(
         f"  {snap['observations.spill.segments']:.0f} segments written, "
-        f"{snap['observations.spill.evictions']:.0f} slice evictions, "
+        f"{snap['observations.spill.evictions']:.0f} rows evicted, "
         f"{snap['observations.spill.cold_reads']:.0f} cold rows read"
     )
     print("  answers identical to the in-core session across all three windows")
@@ -71,7 +71,6 @@ def main() -> None:
     session = ShardedStreamEngine(
         CONDITION, shards=2, batch_size=32, memory_budget_bytes=budget
     )
-    # Two windows: the chain needs a cold tail slice (the head never spills).
     session.add_query("fast", WINDOWS["fast"])
     session.add_query("slow", WINDOWS["slow"])
     half = len(DATA.tuples) // 2

@@ -28,6 +28,7 @@ REFERENCES = {  # test-only names that stay, and the test that needs each
     "enumerate_chains": "test_chain_specs: the space the exhaustive search scans",
     "PassThrough": "test_batch_execution, test_plan_and_executors: batch contract, wiring",
     "ThetaJoinCondition": "test_columnar_equivalence, test_slice_state_protocol: maskless probe",
+    "OperatorJoinChain": "test_cursor_chain: the per-item reference",
     **dict.fromkeys(
         LEFTOVERS.split(),
         "not a reference: caller-facing leftover outside the layers PR 17 audited (ROADMAP)",

@@ -204,10 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-budget",
         default=None,
         metavar="BYTES",
-        help="in-core state budget: cold slices spill to mmap'd disk "
-        "segments once the resident estimate exceeds it (results are "
-        "unchanged).  Accepts K/M/G suffixes, e.g. 64K or 2M; sharded "
-        "sessions split the budget across the live shards",
+        help="in-core state budget: once the resident estimate exceeds it "
+        "the oldest window state moves to an append-only log on disk "
+        "(results are unchanged).  Accepts K/M/G suffixes, fractions "
+        "included, e.g. 64K, 0.5M or 2M; sharded sessions split the budget "
+        "across the live shards",
     )
     runtime.add_argument(
         "--stats",
@@ -599,7 +600,8 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             f"spill: budget {memory_budget} B"
             f"{f' ({engine.per_shard_memory_budget} B/shard)' if sharded else ''}, "
             f"{spill_snap.get('observations.spill.segments', 0):g} segments written, "
-            f"{spill_snap.get('observations.spill.evictions', 0):g} slice evictions, "
+            f"{spill_snap.get('observations.spill.evictions', 0):g} "
+            f"{'row' if args.window_kind == 'time' else 'slice'} evictions, "
             f"{spill_snap.get('observations.spill.cold_reads', 0):g} cold rows read; "
             f"resident {spill_snap.get('memory.resident_bytes', 0):g} B, "
             f"spilled {spill_snap.get('memory.spilled_bytes', 0):g} B"

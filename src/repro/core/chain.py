@@ -22,19 +22,24 @@ cursor arithmetic and equal, count for count, those of the operator
 pipeline, :class:`~repro.core.chain_operators.OperatorJoinChain` — the
 per-item reference ``tests/test_cursor_chain.py`` holds this class to.
 State crosses every migration boundary as per-slice tuple lists
-(``docs/invariants.md``).  For a *static* workload with routers and unions
+(``docs/invariants.md``).  Under a session's memory budget the oldest rows of
+each column are *cold* — payload in an append-only log on disk, timestamp and
+key in the column — and the same kernel runs over them (:meth:`evict_cold`).
+For a *static* workload with routers and unions
 use :func:`repro.core.plan_builder.build_state_slice_plan`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import ceil
 from operator import itemgetter
 
 from repro.core.chain_base import SliceResult, TimeChainBase
 from repro.engine.columns import ChainColumn, ProbeBinding
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
+from repro.engine.spill import ROW_METADATA_BYTES, SpillLog, SpillStore
 from repro.query.predicates import EquiJoinCondition
 from repro.streams.tuples import JoinedTuple, StreamTuple
 
@@ -192,6 +197,35 @@ class SlicedJoinChain(TimeChainBase):
     def head_state_sizes(self) -> tuple[int, int]:
         left, right = (column.sizes()[0] for column in self._columns)
         return left, right
+
+    # -- the disk tier ------------------------------------------------------------
+    def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
+        """Hot tuples at ``tuple_bytes`` each plus the resident metadata of
+        the cold rows; the log's live bytes as spilled."""
+        hot, cold, spilled = map(sum, zip(*(column.tiers() for column in self._columns)))
+        return int(hot * tuple_bytes) + cold * ROW_METADATA_BYTES, spilled
+
+    def evict_cold(self, store: SpillStore, budget: int, tuple_bytes: float) -> tuple[int, int]:
+        """Make the oldest hot rows of both columns cold, in proportion to
+        their hot rows, until the resident estimate fits ``budget`` or nothing
+        is hot (the newest rows stay hot; the slack is the batch in flight).
+        Returns the ``(resident, spilled)`` estimate afterwards."""
+        saved = max(1.0, tuple_bytes - ROW_METADATA_BYTES)  # per tuple made cold
+        while True:
+            resident, spilled = self.memory_bytes(tuple_bytes)
+            hot = [len(column) - column.cold for column in self._columns]
+            if resident <= budget or not any(hot):
+                return resident, spilled
+            share = ceil((resident - budget) / saved) / sum(hot)  # of each column's hot rows
+            for column, own in zip(self._columns, hot):
+                if column.log is None:
+                    column.log = SpillLog(store)
+                store.evictions += column.evict(ceil(own * share))
+
+    def release_spill(self) -> None:
+        """Delete both logs (a column that was partly cold is discarded)."""
+        for column in self._columns:
+            column.release()
 
     # -- keyed state repartition ------------------------------------------------
     def extract_keyed_state(self, predicate=None) -> list[dict[str, list[StreamTuple]]]:

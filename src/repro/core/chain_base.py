@@ -12,8 +12,9 @@
   :class:`~repro.operators.selection.StreamFilter` pair per link.
 * :class:`OperatorChainBase` — a chain as a pipeline of slice *operators*
   (``self.joins``): the per-item reference path, one ``process_batch`` per
-  join and batch, migrations that re-load operator states, and the disk
-  tier, which spills one slice's states at a time.
+  join and batch, migrations that re-load operator states, and a disk tier
+  that spills one slice's states at a time (what a count session runs; the
+  cursor chain keeps its own in :mod:`repro.core.chain`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,11 @@ class SlicedChainBase:
     ``(slice index, its results in arrival order)`` per slice that produced
     any; ``state_tuples(stream)`` / ``state_sizes()`` / ``head_state_sizes()``;
     ``extract_keyed_state`` / ``_ingest``; ``split_slice`` and the migration
-    hooks ``_merge(index)`` / ``_append(old_end, end)`` / ``_drop_tail()``.
+    hooks ``_merge(index)`` / ``_append(old_end, end)`` / ``_drop_tail()``; and
+    the disk tier of a memory-budgeted session: ``memory_bytes(tuple_bytes)``
+    -> ``(resident, spilled)`` estimate, ``evict_cold(store, budget,
+    tuple_bytes)`` (the same, once the resident part fits) and
+    ``release_spill()`` (delete what the state holds outside core).
     """
 
     #: Display unit of a window of this chain kind (``"s"`` / ``" rows"``).
@@ -153,12 +158,6 @@ class SlicedChainBase:
         """Total number of tuples stored across all slices of the chain."""
         return sum(self.state_sizes())
 
-    def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
-        """(resident, spilled) byte estimate across all slices; ``tuple_bytes``
-        is the caller's per-tuple in-core estimate.  Everything is resident
-        unless the chain has a disk tier."""
-        return int(self.state_size() * tuple_bytes), 0
-
     def states_are_disjoint(self) -> bool:
         """Check the Lemma 1 property: per-stream slice states never overlap."""
         for stream in (self.left_stream, self.right_stream):
@@ -166,10 +165,6 @@ class SlicedChainBase:
             if len(set(seqnos)) != len(seqnos):
                 return False
         return True
-
-    def release_spill(self) -> None:
-        """Delete whatever this chain's state holds outside core (nothing,
-        unless the chain has a disk tier: :class:`OperatorChainBase`)."""
 
     # -- keyed state repartition (live resharding) ------------------------------
     def ingest_keyed_state(

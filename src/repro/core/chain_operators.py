@@ -3,13 +3,11 @@
 :class:`OperatorJoinChain` manages one
 :class:`~repro.operators.sliced_join.SlicedBinaryJoin` per slice, each with
 its own pair of slice states, and moves reference tuples between them item
-by item (``process``) or batch by batch.  It is what the cursor chain
-(:class:`~repro.core.chain.SlicedJoinChain`, the default of a time-window
-session) is fuzzed against — per-item ``process()`` here is the paper's
-Figure 9, comparison for comparison — and what a memory-budgeted session
-builds: the disk tier spills one slice's states at a time, so its slices
-must be separate states.  The time-window facts (seconds, link filters) are
-shared with the cursor chain through
+by item (``process``) or batch by batch.  No session builds it: it is the
+reference the cursor chain (:class:`~repro.core.chain.SlicedJoinChain`, what
+every time-window session runs) is fuzzed against — per-item ``process()``
+here is the paper's Figure 9, comparison for comparison.  The time-window
+facts (seconds, link filters) are shared with the cursor chain through
 :class:`~repro.core.chain_base.TimeChainBase`; a split is lazy (the shrunk
 join re-purges its too-old tuples into the new one on the next probe).
 """

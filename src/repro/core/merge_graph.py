@@ -24,7 +24,6 @@ from repro.query.predicates import TruePredicate
 from repro.query.query import QueryWorkload
 
 __all__ = [
-    "DEFAULT_COLD_PROBE_PENALTY",
     "ChainCostParameters",
     "SliceCostBreakdown",
     "slice_cpu_cost",
@@ -33,13 +32,6 @@ __all__ = [
     "chain_memory_cost",
     "MergeGraph",
 ]
-
-#: Default multiplier applied to the probe term of a slice whose state the
-#: memory budget pushes to the disk tier: a cold probe decodes matching rows
-#: from an mmap'd segment instead of walking resident objects.  Sessions
-#: override it via :attr:`ChainCostParameters.cold_probe_penalty`.
-DEFAULT_COLD_PROBE_PENALTY = 4.0
-
 
 @dataclass(frozen=True)
 class ChainCostParameters:
@@ -64,16 +56,10 @@ class ChainCostParameters:
         declared estimate.  Populated by
         :meth:`repro.core.statistics.StreamStatistics.chain_parameters` so
         the CPU-Opt search prices plans from observed stream behaviour.
-    memory_budget:
-        Optional in-core state budget in KB (the unit of
-        :func:`slice_memory_cost`).  Slices whose Mem-Opt prefix memory
-        already exceeds the budget are priced as *cold*: their probe term
-        is scaled by ``1 + cold_probe_penalty`` (disk-tier I/O).  ``None``
-        prices everything as resident.
-    cold_probe_penalty:
-        Relative extra cost of probing a spilled slice versus a resident
-        one (0 = disk probes are free).  Only used when ``memory_budget``
-        is set.
+
+    A session's memory budget is not a parameter: what it moves to disk is a
+    row offset of each stream's column, the same for every slicing, and a
+    cold row costs a read per *reported* match — a term no boundary moves.
     """
 
     arrival_rate_left: float = 50.0
@@ -82,8 +68,6 @@ class ChainCostParameters:
     tuple_size: float = 1.0
     hash_probe: bool = False
     join_selectivity: float | None = None
-    memory_budget: float | None = None
-    cold_probe_penalty: float = 0.0
 
     def __post_init__(self) -> None:
         if self.arrival_rate_left <= 0 or self.arrival_rate_right <= 0:
@@ -93,14 +77,6 @@ class ChainCostParameters:
         if self.join_selectivity is not None and not 0.0 <= self.join_selectivity <= 1.0:
             raise ChainError(
                 f"join_selectivity must lie in [0, 1], got {self.join_selectivity}"
-            )
-        if self.memory_budget is not None and self.memory_budget <= 0:
-            raise ChainError(
-                f"memory_budget must be positive (KB), got {self.memory_budget}"
-            )
-        if self.cold_probe_penalty < 0:
-            raise ChainError(
-                f"cold_probe_penalty must be non-negative, got {self.cold_probe_penalty}"
             )
 
     def effective_join_selectivity(self, workload: QueryWorkload) -> float:
@@ -157,32 +133,6 @@ def slice_memory_cost(
     return (left_tuples + right_tuples) * params.tuple_size
 
 
-def _prefix_memory(
-    workload: QueryWorkload, start: float, params: ChainCostParameters
-) -> float:
-    """Expected state memory (KB) held by tuples *newer* than ``start``.
-
-    Used to place the hot/cold tier boundary when ``params.memory_budget``
-    is set: the runtime evicts slices oldest-first and never evicts the
-    head, so a slice beginning at ``start`` is cold exactly when the state
-    in front of it (ages ``[0, start)``) already fills the budget.  The
-    prefix is always measured over the *Mem-Opt* slices of ``[0, start)``
-    — a function of ``start`` and the workload alone, never of how the
-    candidate chain happens to slice that prefix — so the merge graph's
-    edge costs stay path-independent and Lemma 2 (the principle of
-    optimality) continues to hold.
-    """
-    total = 0.0
-    boundaries = [0.0] + workload.window_sizes()
-    for a, b in zip(boundaries, boundaries[1:]):
-        if b > start + 1e-12:
-            break
-        total += slice_memory_cost(
-            workload, SliceSpec(start=a, end=b, covered_windows=(b,)), params
-        )
-    return total
-
-
 def slice_cpu_cost(
     workload: QueryWorkload,
     slice_spec: SliceSpec,
@@ -216,14 +166,6 @@ def slice_cpu_cost(
     probe = rate_left * rate_right * length + rate_right * rate_left * length
     if params.hash_probe:
         probe *= join_selectivity
-    if (
-        params.memory_budget is not None
-        and params.cold_probe_penalty > 0.0
-        and _prefix_memory(workload, slice_spec.start, params) >= params.memory_budget
-    ):
-        # The slice sits past the tier boundary: its probes read the disk
-        # tier's segments rather than resident state.
-        probe *= 1.0 + params.cold_probe_penalty
     # Cross-purging: one comparison per male per slice.
     purge = rate_left + rate_right
     # Pushed-down selections: one evaluation per original tuple that reaches

@@ -304,17 +304,8 @@ class StreamStatistics:
         tuple_size: float = 1.0,
         hash_probe: bool = False,
         default_rate: float | None = None,
-        memory_budget: float | None = None,
-        cold_probe_penalty: float = 0.0,
     ) -> ChainCostParameters:
-        """The cost-model parameters this statistics plane implies.
-
-        ``memory_budget`` (KB) and ``cold_probe_penalty`` place the
-        hot/cold tier boundary of a memory-budgeted session into the cost
-        model; a session-level budget is injected by
-        :meth:`repro.runtime.engine.StreamEngine.rebalance` when the caller
-        leaves them unset.
-        """
+        """The cost-model parameters this statistics plane implies."""
         return ChainCostParameters(
             arrival_rate_left=self.rate(self.left_stream, default_rate),
             arrival_rate_right=self.rate(self.right_stream, default_rate),
@@ -322,8 +313,6 @@ class StreamStatistics:
             tuple_size=tuple_size,
             hash_probe=hash_probe,
             join_selectivity=self.join_selectivity,
-            memory_budget=memory_budget,
-            cold_probe_penalty=cold_probe_penalty,
         )
 
     def calibrated_workload(self, workload: QueryWorkload) -> QueryWorkload:

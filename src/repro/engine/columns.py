@@ -528,6 +528,14 @@ class ChainColumn(ColumnarState):
     With ``probe="hash"`` the index maps a key to the *row ids* of its live
     rows — rows ever dropped (``_gone``) plus offset, which nothing moves.
 
+    Under a memory budget the oldest live rows ``[0, cold)`` are *cold*: they
+    keep their timestamp and key, so purging, cursor arithmetic and the probe
+    mask run over them as over any row, but their payload lives in ``log``
+    (a :class:`~repro.engine.spill.SpillLog`) and their ``refs`` entry is the
+    row id to read it by.  Only rows that are reported are read back
+    (:meth:`_thaw`): the placed hits of a batch, rows meeting a link filter,
+    :meth:`slices`; an indexed column also reads the rows it unindexes.
+
     One batch is ``extend`` → ``sweep`` → ``probe`` → ``settle``.  A row that
     leaves a slice during the batch (purged deeper, filtered at a link,
     purged off the end) stays visible in its old slice to the males before
@@ -536,10 +544,20 @@ class ChainColumn(ColumnarState):
     nothing is freed before the batch's hits are out.
     """
 
-    __slots__ = ("cuts", "dead", "_died", "_gone")
+    __slots__ = ("cuts", "dead", "_died", "_gone", "log", "cold", "_cold_dead")
+
+    def __init__(self, binding: ProbeBinding, slices: Sequence[Sequence[Any]]) -> None:
+        #: The cold rows' payloads; set by the chain before the first ``evict``.
+        self.log: Any = None
+        super().__init__(binding, slices)
 
     def load(self, slices: Sequence[Sequence[Any]]) -> None:
-        """Replace the resident set by per-slice tuple lists, head slice first."""
+        """Replace the resident set by per-slice tuple lists, head slice first
+        (every row hot: the log is emptied)."""
+        if self.log is not None:
+            self.log.free(float("inf"))
+        #: Live rows ``[0, cold)`` are cold; ``_cold_dead`` of them hold no payload.
+        self.cold = self._cold_dead = 0
         self._gone = 0
         self._died: dict[int, int] = {}
         super().load([tup for tuples in reversed(slices) for tup in tuples])
@@ -558,8 +576,11 @@ class ChainColumn(ColumnarState):
         return index
 
     def slices(self) -> list[list[Any]]:
-        """The live tuples of every slice, head slice first, oldest first."""
+        """The live tuples of every slice, head slice first, oldest first
+        (cold rows read from the log, which stays as it was)."""
         refs, head = self._refs, self._head
+        if self.cold:
+            refs, head = self._thaw(refs[head:]), 0
         tops = [len(refs) - head, *self.cuts]
         return [
             [ref for ref in refs[head + cut : head + top] if ref is not None]
@@ -630,7 +651,10 @@ class ChainColumn(ColumnarState):
                 if predicate is not None and arrived:
                     if alive is None:
                         alive = [True] * arrived
-                    for offset, ref in enumerate(refs[head + top : head + new_top]):
+                    crossing = refs[head + top : head + new_top]
+                    if top < self.cold:
+                        crossing = self._thaw(crossing)  # judged through the tier
+                    for offset, ref in enumerate(crossing):
                         if alive[offset] and not predicate(ref):
                             alive[offset] = False
                             died[top + offset] = k
@@ -717,20 +741,24 @@ class ChainColumn(ColumnarState):
                 bucket = self._index.get(male.values.get(binding.probe_attribute, _MISSING))
                 if not bucket:
                     continue
-                check = binding.bind(male)
                 first = bisect_left(bucket, self._gone + cuts[j][0])
+                found = []
                 for row in bucket[first : bisect_left(bucket, self._gone + stops[j], first)]:
-                    row -= self._gone
-                    k = place(j, row)
+                    k = place(j, row - self._gone)
                     if k >= 0:
-                        comparisons += 1
-                        if check(refs[head + row]):
-                            hits.append((j, k, refs[head + row]))
+                        found.append((j, k, refs[head + row - self._gone]))
+                if found:
+                    comparisons += len(found)
+                    check = binding.bind(male)
+                    hits.extend(hit for hit in self._warm(found) if check(hit[2]))
             return hits, comparisons
         probe_keys = [male.values.get(binding.probe_attribute, _MISSING) for male in males]
         level = -1 if self._keys is None else max(self._key_level, *map(key_level, probe_keys))
         if not 0 <= level <= binding.mask_level:
-            # No exact mask: the same row ranges, row by row.
+            # No exact mask: the same row ranges, row by row (a scalar check
+            # reads payloads, so every cold row is read once per batch).
+            if self.cold:
+                refs, head = self._thaw(refs[head:]), 0
             for j, male in enumerate(males):
                 check = None
                 for row in range(cuts[j][0], stops[j]):
@@ -765,12 +793,62 @@ class ChainColumn(ColumnarState):
                     if not died or died.get(row, k + 1) > k:
                         hits.append((j, k, ref))
             first = last
-        return hits, 0
+        return self._warm(hits), 0
+
+    def _warm(self, hits: list[tuple[int, int, Any]]) -> list[tuple[int, int, Any]]:
+        """Placed ``hits`` with the cold rows among them read back."""
+        if not self.cold:
+            return hits
+        refs = self._thaw([hit[2] for hit in hits])
+        return [(j, k, ref) for (j, k, _), ref in zip(hits, refs)]
+
+    def _thaw(self, refs: list[Any]) -> list[Any]:
+        """``refs`` with every cold entry (a row id) replaced by that row's
+        tuple, each distinct row read from the log once."""
+        rows = sorted({ref for ref in refs if type(ref) is int})
+        if not rows:
+            return refs
+        warm = dict(zip(rows, self.log.read(rows)))
+        return [warm[ref] if type(ref) is int else ref for ref in refs]
+
+    def evict(self, count: int) -> int:
+        """Make the ``count`` oldest hot rows cold: their payloads go to the
+        log, their ``refs`` entries become row ids.  Returns how many payloads
+        were written (a row filtered at a link has none)."""
+        start = self._head + self.cold
+        run = self._refs[start : start + count]
+        row = self._gone + self.cold
+        self.log.append(row, run)
+        marks = [None if ref is None else mark for mark, ref in enumerate(run, row)]
+        self._refs[start : start + len(run)] = marks
+        dead = marks.count(None)
+        self.cold += len(run)
+        self._cold_dead += dead
+        return len(run) - dead
+
+    def tiers(self) -> tuple[int, int, int]:
+        """``(hot tuples, cold rows, log bytes)``: the terms of a budget estimate."""
+        live = len(self) - sum(self.dead)
+        if not self.cold:
+            return live, 0, 0
+        return live - (self.cold - self._cold_dead), self.cold, self.log.live_bytes(self._gone)
+
+    def release(self) -> None:
+        """Delete the log; a state that was partly on it is discarded whole."""
+        if self.cold:
+            self.load([[] for _ in self.cuts])
+        self.log = None
 
     def settle(self) -> None:
         """End of a batch: free what left — the payloads of rows filtered at
         a link, and every row purged off the chain's end."""
-        refs, head = self._refs, self._head
+        refs, head, cold = self._refs, self._head, self.cold
+        count = self.cuts[-1]
+        if cold and self._index is not None:
+            # The index is keyed by payload: read back the rows about to leave it.
+            rows = [*{*range(min(count, cold)), *(row for row in self._died if row < cold)}]
+            for row, ref in zip(rows, self._thaw([refs[head + row] for row in rows])):
+                refs[head + row] = ref
         for row in self._died:
             if self._index is not None:
                 key = refs[head + row].values.get(self.binding.key_attribute, _MISSING)
@@ -779,12 +857,17 @@ class ChainColumn(ColumnarState):
                 if not bucket:
                     del self._index[key]
             refs[head + row] = None
+        if cold:
+            self._cold_dead += sum(row < cold for row in self._died)
         self._died.clear()
-        count = self.cuts[-1]
         if count:
-            self.take(count)
+            taken = self.take(count)
             self._gone += count
             self.cuts = [cut - count for cut in self.cuts]
+            if cold:
+                self._cold_dead -= taken[:cold].count(None)
+                self.cold = max(0, cold - count)
+                self.log.free(self._gone)
 
 
 

@@ -1,68 +1,60 @@
-"""Disk tier for cold sliced window state (memory-budgeted sessions).
+"""Disk tier for cold window state (memory-budgeted sessions).
 
-The lazy-purge sliced chain stratifies its state by age: the head slice
-holds the youngest tuples and sees every probe, while tail slices hold
-progressively older tuples whose only traffic is the steady trickle of
-cross-purged females moving down the chain plus the per-male probe of their
-(usually small) matching subset.  That access skew is exactly what a
-hot/cold tier exploits.  This module provides the cold half:
+The lazy-purge sliced chain stratifies its state by age, so "cold" is simply
+*the oldest rows*.  This module provides the cold half:
 
 * :class:`SpillStore` — one per engine: a lazily-created temporary
   directory holding append-only segment files, plus the session-wide spill
-  counters (segments written, slice evictions, cold rows decoded).
+  counters (segments written, evictions, cold rows decoded).
+* :class:`SpillLog` — the tier of a time-window session: per stream, the
+  payloads of a :class:`~repro.engine.columns.ChainColumn`'s cold prefix, one
+  pickled record per row.  Timestamps and keys of cold rows stay in the
+  column, so purges and the probe mask never touch the log; it is read by row
+  id, for the rows a batch reports (``docs/architecture.md``, *The disk tier*).
+* :class:`SpilledState` — the tier of a count-window session: the cold
+  counterpart of :class:`~repro.engine.columns.ColumnarState`, answering the
+  same slice-state protocol from mmap'd segments of rows in the columnar wire
+  format (:func:`~repro.streams.tuples.encode_batch`), each with an in-memory
+  timestamp column and ``key -> row ordinals`` index, behind a resident tail
+  buffer of ``flush_rows`` appends.
+* :class:`SpillableJoinMixin` — the slice-operator surface over it
+  (``spill()``, ``memory_bytes()``); a spilled slice re-materializes through
+  the joins' ordinary ``load_state`` (see ``docs/invariants.md``).
 
-* :class:`SpilledState` — the cold counterpart of
-  :class:`~repro.engine.columns.ColumnarState`, answering the same
-  slice-state protocol (``append`` / ``purge`` / ``probe`` /
-  ``sweep`` / ``candidates`` / ``popleft`` / ``__len__`` / ``__iter__`` /
-  ``__getitem__`` / ``load`` / ``memory_bytes`` / ``release``) from a small
-  in-core working set over a disk-resident bulk.  Resident tuples are
-  encoded row-by-row with the PR-6
-  columnar wire format (:func:`~repro.streams.tuples.encode_batch`) into
-  mmap'd segment files; per segment an in-memory ``float64`` timestamp
-  column drives the cross-purge cut by binary search (the *exact* scalar
-  predicate of the in-core purge loop, so purge decisions are bit-identical)
-  and a compact ``key -> row ordinals`` index lets equi-probes decode only
-  the matching rows.  A small resident tail buffer absorbs appends and is
-  flushed to a new segment once it reaches ``flush_rows``.
-
-* :class:`SpillableJoinMixin` — the slice-operator surface: ``spill()``
-  moves both stream states of a join to the disk tier, ``memory_bytes()``
-  reports (resident, spilled) byte estimates, and materialization back to
-  core happens through the joins' ordinary ``load_state`` (which releases a
-  replaced spilled state), so every existing migration primitive — merge,
-  split, keyed extract/ingest — re-materializes spilled
-  slices without new code paths (see ``docs/invariants.md``).
-
-Everything that leaves a spilled state is decoded back to the original
-:class:`~repro.streams.tuples.StreamTuple` objects (the wire format
-round-trips streams, timestamps, payloads and seqnos exactly), and every
-probe candidate the key index yields is re-checked with the join
-condition's bound predicate, so answers never depend on the tier a slice
-happens to live in.
+Everything that leaves either tier is decoded back to the original
+:class:`~repro.streams.tuples.StreamTuple` (stream, timestamp, payload and
+seqno round-trip exactly), and every candidate a key index yields is
+re-checked with the join condition's bound predicate, so answers never
+depend on the tier a row happens to live in.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import pickle
 import shutil
 import sys
 import tempfile
 import weakref
 from array import array
-from typing import Any, Iterable, Iterator
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.engine.columns import ProbeBinding, replay_sweep
 from repro.streams.tuples import StreamTuple, decode_batch, encode_batch
 
 __all__ = [
     "SpillStore",
+    "SpillLog",
     "SpilledState",
     "SpillableJoinMixin",
     "estimate_tuple_bytes",
     "parse_memory_budget",
     "DEFAULT_FLUSH_ROWS",
+    "LOG_SEGMENT_BYTES",
+    "ROW_METADATA_BYTES",
 ]
 
 _ABSENT = object()
@@ -72,9 +64,13 @@ _ABSENT = object()
 #: ``DEFAULT_FLUSH_ROWS * tuple_bytes`` per stream.
 DEFAULT_FLUSH_ROWS = 128
 
-#: Estimated in-core bytes per spilled row kept as segment metadata (one
-#: float64 timestamp, one int64 offset, index slots).
-_ROW_METADATA_BYTES = 32
+#: Estimated in-core bytes per spilled row kept as metadata (one float64
+#: timestamp, one int64 offset, key / index slots).
+ROW_METADATA_BYTES = 32
+
+#: A :class:`SpillLog` starts a new segment file once the current one holds
+#: this many bytes: what the files on disk may exceed the live rows by.
+LOG_SEGMENT_BYTES = 256 * 1024
 
 _SUFFIXES = {"": 1, "K": 1024, "M": 1024**2, "G": 1024**3}
 
@@ -91,8 +87,8 @@ def parse_memory_budget(text: str | int | None) -> int | None:
             raw = raw[:-1]
         suffix = raw[-1:] if raw[-1:] in ("K", "M", "G") else ""
         try:
-            budget = int(float(raw[: len(raw) - len(suffix)] or "x")) * _SUFFIXES[suffix]
-        except ValueError:
+            budget = int(float(raw[: len(raw) - len(suffix)] or "x") * _SUFFIXES[suffix])
+        except (ValueError, OverflowError):
             raise ValueError(f"unparseable memory budget {text!r}") from None
     if budget <= 0:
         raise ValueError(f"memory budget must be positive, got {text!r}")
@@ -127,7 +123,9 @@ class SpillStore:
         self._sequence = 0
         #: Segment files written over the store's lifetime (monotone).
         self.segments_written = 0
-        #: Slices moved to the disk tier by budget enforcement (monotone).
+        #: Moves to the disk tier by budget enforcement (monotone): rows whose
+        #: payload went to a :class:`SpillLog`, slices turned
+        #: :class:`SpilledState`.
         self.evictions = 0
         #: Rows decoded back from segment files (monotone).
         self.cold_reads = 0
@@ -162,6 +160,80 @@ class SpillStore:
             f"<SpillStore dir={self._directory!r} segments={self.segments_written} "
             f"cold_reads={self.cold_reads}>"
         )
+
+
+
+class SpillLog:
+    """One stream's cold payloads: an append-only log of one record per row,
+    cut into segment files of :data:`LOG_SEGMENT_BYTES`.
+
+    A row is named by the id its :class:`~repro.engine.columns.ChainColumn`
+    gives it; ids are consecutive, so a record is found by arithmetic.  Row
+    boundaries live in memory (a store is process-local), a read is one
+    ``pread`` of exactly one record (nothing is mapped, so cold bytes never
+    count as resident), and a file is unlinked once every row in it is freed.
+    """
+
+    __slots__ = ("store", "_segments")
+
+    def __init__(self, store: SpillStore) -> None:
+        self.store = store
+        #: Oldest first, ``(first row, offsets, file)``: record ``i`` of a
+        #: segment is row ``first + i``, bytes ``[offsets[i], offsets[i + 1])``.
+        self._segments: list[tuple[int, array, Any]] = []
+
+    def append(self, row: int, tuples: Iterable[StreamTuple | None]) -> None:
+        """Write the records of rows ``row``, ``row + 1``, … — ``None`` (a
+        row filtered at a link: no payload) as an empty record."""
+        records = [
+            b"" if tup is None else pickle.dumps(
+                (tup.stream, tup.timestamp, tup.values, tup.seqno), pickle.HIGHEST_PROTOCOL
+            )
+            for tup in tuples
+        ]
+        segments = self._segments
+        done = 0
+        while done < len(records):
+            if not segments or segments[-1][1][-1] >= LOG_SEGMENT_BYTES:
+                path = self.store.new_segment_path()
+                segments.append((row + done, array("q", [0]), open(path, "w+b", buffering=0)))
+            _, offsets, file = segments[-1]
+            ends = list(accumulate(map(len, records[done:]), initial=offsets[-1]))[1:]
+            fit = bisect_left(ends, LOG_SEGMENT_BYTES) + 1  # up to the record that fills it
+            offsets.extend(ends[:fit])
+            file.write(b"".join(records[done : done + fit]))
+            done += fit
+
+    def read(self, rows: Sequence[int]) -> list[StreamTuple]:
+        """The tuples of ``rows`` (ascending ids of rows with a payload)."""
+        self.store.cold_reads += len(rows)
+        tuples: list[StreamTuple] = []
+        segments = iter(self._segments)
+        end = -1  # the row the segment in hand ends before
+        for row in rows:
+            while row >= end:
+                first, offsets, file = next(segments)
+                fd, end = file.fileno(), first + len(offsets) - 1
+            start = offsets[row - first]
+            record = os.pread(fd, offsets[row - first + 1] - start, start)
+            tuples.append(StreamTuple(*pickle.loads(record)))
+        return tuples
+
+    def free(self, row: float) -> None:
+        """Every row below ``row`` is gone: unlink the files holding no other."""
+        segments = self._segments
+        while segments and segments[0][0] + len(segments[0][1]) - 1 <= row:
+            file = segments.pop(0)[2]
+            file.close()
+            try:
+                os.unlink(file.name)
+            except OSError:
+                pass
+
+    def live_bytes(self, row: int) -> int:
+        """Bytes of the records from ``row``, the oldest row kept, on."""
+        first, offsets, _ = self._segments[0]
+        return sum(segment[1][-1] for segment in self._segments) - offsets[row - first]
 
 
 class _Segment:
@@ -492,7 +564,7 @@ class SpilledState:
         """
         rows = self._length - len(self._tail)
         return (
-            int(len(self._tail) * tuple_bytes) + rows * _ROW_METADATA_BYTES,
+            int(len(self._tail) * tuple_bytes) + rows * ROW_METADATA_BYTES,
             sum(segment.remaining_bytes() for segment in self._segments),
         )
 

@@ -78,10 +78,9 @@ from typing import Iterable
 
 from repro.core.chain import SlicedJoinChain
 from repro.core.chain_base import SlicedChainBase
-from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.core.cpu_opt import build_cpu_opt_chain
-from repro.core.merge_graph import DEFAULT_COLD_PROBE_PENALTY, ChainCostParameters
+from repro.core.merge_graph import ChainCostParameters
 from repro.core.pushdown import residual_predicate
 from repro.core.statistics import (
     OBS_CHAIN_MATCHES,
@@ -120,11 +119,6 @@ _Route = tuple[list[str], float | None, Predicate | None, Predicate | None]
 CHAIN_KINDS: dict[str, type[SlicedChainBase]] = {
     "time": SlicedJoinChain,
     "count": CountSlicedJoinChain,
-}
-#: What a memory-budgeted session builds instead: the disk tier spills one
-#: slice's states at a time, so its slices must be separate states.
-SPILLABLE_CHAINS: dict[type[SlicedChainBase], type[SlicedChainBase]] = {
-    SlicedJoinChain: OperatorJoinChain,
 }
 
 _ORDER_KEY = itemgetter(0)
@@ -234,14 +228,16 @@ class StreamEngine:
         :class:`~repro.core.statistics.StreamStatistics` estimates from
         snapshot diffs themselves.
     memory_budget_bytes:
-        Optional in-core state budget.  The session then runs the operator
-        chain (separate states per slice) and, after every batch, spills
-        cold slices (oldest first, never the head slice) to an on-disk
-        segment store (:mod:`repro.engine.spill`) while the resident
-        estimate exceeds the budget.  Spilled slices keep answering purges
-        and probes from disk, so results are byte-identical; migration and
-        reshard boundaries re-materialize them (``load_state``).  ``None``
-        (default) keeps everything in core, in one column per stream.
+        Optional in-core state budget.  After every batch, while the resident
+        estimate exceeds it, the chain moves its oldest state to an on-disk
+        segment store (:mod:`repro.engine.spill`).  A time-window session
+        runs the same chain either way: the oldest rows of each column keep
+        timestamp and key in core, their payloads go to one append-only log
+        per stream, and only rows a batch reports are read back.  A
+        count-window session spills whole slices (never the head slice),
+        which answer purges and probes from disk and re-materialize at
+        migration boundaries.  Results are byte-identical.  ``None``
+        (default) keeps everything in core.
     """
 
     #: Slice state is always columnar (:mod:`repro.engine.columns`); this
@@ -317,10 +313,7 @@ class StreamEngine:
         self._drain()
         if self._chain is None:
             # The one site a session's chain kind and probe kind are decided.
-            kind = self.chain_class
-            if self.memory_budget_bytes is not None:
-                kind = SPILLABLE_CHAINS.get(kind, kind)
-            self._chain = kind(
+            self._chain = self.chain_class(
                 [0, window],
                 self.condition,
                 left_stream=self.left_stream,
@@ -368,9 +361,9 @@ class StreamEngine:
         chain = self._chain
         assert chain is not None
         if not self._queries:
-            # The whole chain's state is being discarded; delete any
-            # segments its spilled slices held so they don't pile up in
-            # the store across teardown/re-admission cycles.
+            # The whole chain's state is being discarded; delete the
+            # segments its cold state held so they don't pile up in the
+            # store across teardown/re-admission cycles.
             chain.release_spill()
             self._chain = None
             self._routing = []
@@ -540,7 +533,7 @@ class StreamEngine:
         resident, spilled = chain.memory_bytes(self._tuple_bytes)
         budget = self.memory_budget_bytes
         if budget is not None and resident > budget:
-            # Spill cold slices until the estimate fits (the chain says which).
+            # Move cold state out until the estimate fits (the chain says what).
             if self._spill_store is None:
                 self._spill_store = SpillStore()
             resident, spilled = chain.evict_cold(self._spill_store, budget, self._tuple_bytes)
@@ -581,10 +574,10 @@ class StreamEngine:
     def close(self) -> None:
         """Release the disk tier: segment files and the store directory.
 
-        End-of-session only — spilled slice state is discarded, not
+        End-of-session only — state on the tier is discarded, not
         re-materialized.  A retiring shard engine calls this after its
-        keyed state has been extracted (extraction materializes every
-        spilled slice back into core, so nothing is lost).
+        keyed state has been extracted (extraction reads everything cold
+        back into core, so nothing is lost).
         """
         if self._chain is not None:
             self._chain.release_spill()
@@ -727,19 +720,6 @@ class StreamEngine:
             # a hash session probing one equi-key bucket per arrival must not
             # be rebalanced against the nested-loop cost model.
             params = replace(params, hash_probe=True)
-        if self.memory_budget_bytes is not None and params.memory_budget is None:
-            # Same discipline for the tier boundary: slices whose state the
-            # budget pushes to disk pay the cold-probe I/O penalty, so the
-            # CPU-Opt search prices merges across the boundary correctly.
-            params = replace(
-                params,
-                memory_budget=self.memory_budget_bytes / 1024.0,
-                cold_probe_penalty=(
-                    params.cold_probe_penalty
-                    if params.cold_probe_penalty > 0.0
-                    else DEFAULT_COLD_PROBE_PENALTY
-                ),
-            )
         workload = self.workload()
         target = [0.0] + build_cpu_opt_chain(
             workload, params, statistics=statistics

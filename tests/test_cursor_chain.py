@@ -15,11 +15,20 @@ the per-name ``invocations.*``: an operator keeps the name it was built with
 (``slice[1,2)`` after a split shrank it to ``[1, 1.433)``) while the cursor
 chain names a slice by its current bounds.
 
-The hazards found while prototyping the kernel are pinned one by one below
-the properties; each of those tests fails on the naive version it names.
+Between batches both properties also draw a budget and call the cursor
+chain's ``evict_cold`` with it (the disk tier: the oldest rows of each column
+keep timestamp and key in core and their payload in a log), down to "nothing
+stays hot" and "the cold rows' metadata alone exceeds the budget" — every
+equality above must hold whatever is cold.
+
+The hazards found while prototyping the kernel, and then the tier, are pinned
+one by one below the properties; each of those tests fails on the naive
+version it names.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +36,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.chain import SlicedJoinChain
 from repro.core.chain_operators import OperatorJoinChain
 from repro.engine import columns
+from repro.engine.spill import ROW_METADATA_BYTES, SpillStore
 from repro.query.predicates import (
     CrossProductCondition,
     EquiJoinCondition,
@@ -35,7 +45,7 @@ from repro.query.predicates import (
     ThetaJoinCondition,
     attribute_ge,
 )
-from repro.streams.tuples import make_tuple
+from repro.streams.tuples import StreamTuple, make_tuple
 from tests.test_columnar_equivalence import BLOCK_BATCH_SIZES, WEIRD_KEYS, slicings
 
 #: Keys a float64 column cannot hold exactly, that still add and compare.
@@ -82,6 +92,30 @@ def scenarios(draw, max_events: int = 140):
             )
         )
     return make_condition, draw(st.sampled_from(probes)), tuples
+
+
+#: ``evict_cold`` budgets at ``TUPLE_BYTES`` a hot tuple (a cold row: 32 B):
+#: none, nothing hot, metadata alone over budget, a hot head of a few rows or
+#: of most rows.
+TUPLE_BYTES = 100
+BUDGETS = [None, None, 0, 200, 1500, 6000]
+
+
+def evict(chain, store, budget):
+    """Enforce a drawn budget on the cursor chain, then recount the tier: the
+    cold prefix holds row ids or nothing, the hot rows tuples or nothing, and
+    the estimate's terms are what a row-by-row count finds."""
+    if budget is not None:
+        resident, _ = chain.evict_cold(store, budget, TUPLE_BYTES)
+        rows = sum(len(column) for column in chain._columns)
+        assert resident <= max(budget, ROW_METADATA_BYTES * rows)
+    for column in chain._columns:
+        live = column._refs[column._head :]
+        cold, hot = live[: column.cold], live[column.cold :]
+        assert all(ref is None or type(ref) is int for ref in cold)
+        assert all(ref is None or type(ref) is StreamTuple for ref in hot)
+        assert column._cold_dead == cold.count(None)
+        assert column.tiers()[:2] == (sum(ref is not None for ref in hot), len(cold))
 
 
 def link_filters(floors, slices):
@@ -131,8 +165,11 @@ def assert_same_state(cursor, operators):
     scenario=scenarios(),
     boundaries=slicings(),
     floors=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+    budgets=st.lists(st.sampled_from(BUDGETS), min_size=1, max_size=12),
 )
-def test_cursor_chain_equals_per_item_operator_chain(batch_size, scenario, boundaries, floors):
+def test_cursor_chain_equals_per_item_operator_chain(
+    batch_size, scenario, boundaries, floors, budgets
+):
     make_condition, probe, tuples = scenario
     cursor, operators = (
         cls(boundaries, make_condition(), probe=probe)
@@ -140,12 +177,15 @@ def test_cursor_chain_equals_per_item_operator_chain(batch_size, scenario, bound
     )
     for chain in (cursor, operators):
         chain.set_link_filters(link_filters(floors, len(boundaries) - 1))
-    for start in range(0, len(tuples), batch_size):
+    store = SpillStore()
+    for batch, start in enumerate(range(0, len(tuples), batch_size)):
         feed(cursor, operators, tuples[start : start + batch_size])
+        evict(cursor, store, budgets[batch % len(budgets)])
     assert_same_state(cursor, operators)
     assert counters(cursor) == counters(operators)
     assert cursor.metrics.total_invocations == operators.metrics.total_invocations
     assert cursor.states_are_disjoint()
+    store.close()
 
 
 OPERATIONS = ["split", "merge", "merge0", "append", "drop", "filters", "extract", "extract_all"]
@@ -197,34 +237,41 @@ def migrate(chain, operation, fraction, floors):
         min_size=1,
         max_size=12,
     ),
+    budgets=st.lists(st.sampled_from(BUDGETS), min_size=1, max_size=12),
 )
 def test_cursor_chain_equals_operator_chain_under_migrations(
-    batch_size, scenario, boundaries, schedule
+    batch_size, scenario, boundaries, schedule, budgets
 ):
     """Between batches: split / merge (including index 0) / append /
     drop-tail / ``set_link_filters`` / keyed extract + ingest, on both chains.
     Boundaries and every slice state agree after each step, results after
     each batch, comparison counters and ``total_invocations`` at the end (see
-    the module docstring for why not the per-name invocations)."""
+    the module docstring for why not the per-name invocations).  A drawn
+    budget is enforced before each step, so every migration also runs over a
+    partly or wholly cold column."""
     make_condition, probe, tuples = scenario
     cursor, operators = (
         cls(boundaries, make_condition(), probe=probe)
         for cls in (SlicedJoinChain, OperatorJoinChain)
     )
+    store = SpillStore()
     steps = iter(schedule)
-    for start in range(0, len(tuples), batch_size):
+    for batch, start in enumerate(range(0, len(tuples), batch_size)):
         feed(cursor, operators, tuples[start : start + batch_size])
+        evict(cursor, store, budgets[batch % len(budgets)])
         step = next(steps, None)
         if step is not None:
             done = [migrate(chain, *step) for chain in (cursor, operators)]
             if isinstance(done[0], list):  # the same tuples left, slice by slice
                 assert done[0] == done[1]
             assert_same_state(cursor, operators)
+            evict(cursor, store, None)  # the step left the tier accounted
     assert_same_state(cursor, operators)
     assert cursor.states_are_disjoint()
     for key in ("comparisons.probe", "comparisons.purge", "comparisons.select"):
         assert cursor.metrics.snapshot()[key] == operators.metrics.snapshot()[key], key
     assert cursor.metrics.total_invocations == operators.metrics.total_invocations
+    store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +445,150 @@ def test_a_state_that_is_not_time_layered_is_refused():
     young, old = arrival("A", 5.0), arrival("A", 1.0)
     with pytest.raises(MigrationError, match="time-layered"):
         chain.ingest_keyed_state([{"A": [old]}, {"A": [young]}])
+
+
+# ---------------------------------------------------------------------------
+# Tier hazards, one regression test each
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def store():
+    store = SpillStore()
+    yield store
+    store.close()
+
+
+def freeze(chain, store):
+    """Every stored row cold (a budget nothing fits in)."""
+    chain.evict_cold(store, 0, TUPLE_BYTES)
+    assert [column.cold for column in chain._columns] == [len(column) for column in chain._columns]
+
+
+def test_a_cold_row_is_judged_at_a_link_through_the_tier_and_never_reported_again(store):
+    """(g) A cold row crossing a filtering link is read back and meets the
+    predicate as a tuple (handing the filter the row id raises; skipping the
+    cold rows keeps ``low`` alive); the row that fails drops its place in the
+    log's accounting with its payload and no later male reads it."""
+    cursor, operators = (cls([0, 1, 2], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain))
+    for chain in (cursor, operators):
+        chain.set_link_filters([(None, None), (None, attribute_ge("value", 2))])
+    low, high = arrival("B", 0.0, value=1), arrival("B", 0.1, value=3)
+    feed(cursor, operators, [low, high])
+    freeze(cursor, store)
+    feed(cursor, operators, [arrival("A", 1.5)])  # both cross link 1; ``low`` fails it
+    assert cursor.state_tuples("B") == [[], [high]]
+    column = cursor._columns[1]
+    assert column._refs[column._head : column._head + 2] == [None, column._gone + 1]
+    evict(cursor, store, None)
+    reads = store.cold_reads
+    feed(cursor, operators, [arrival("A", 1.6), arrival("A", 1.7)])
+    assert store.cold_reads == reads + 1  # ``high``, once for the batch; ``low`` never
+    assert_same_state(cursor, operators)
+    assert counters(cursor) == counters(operators)
+
+
+def test_an_indexed_column_unindexes_cold_rows_leaving_off_the_end(store):
+    """(h) ``probe="hash"`` finds a departing row's bucket by its key, which
+    for a cold row is in the log: without the read-back ``_unindex`` meets a
+    row id (``AttributeError``), and skipping cold rows leaves their ids in
+    the posting lists for good."""
+    cursor, operators = (
+        cls([0, 1, 2], EQUI, probe="hash") for cls in (SlicedJoinChain, OperatorJoinChain)
+    )
+    for chain in (cursor, operators):
+        chain.set_link_filters([(None, None), (None, attribute_ge("value", 2))])
+    rows = [arrival("B", 0.1 * step, value=step % 4, key=step % 3) for step in range(9)]
+    feed(cursor, operators, rows)
+    freeze(cursor, store)
+    feed(cursor, operators, [arrival("A", 1.45, key=1)])  # cold rows die at link 1
+    feed(cursor, operators, [arrival("A", 2.35, key=2), arrival("A", 5.0, key=0)])  # all leave
+    assert_same_state(cursor, operators)
+    assert counters(cursor) == counters(operators)
+    assert cursor._columns[1]._index == {} and len(cursor._columns[1]) == 0
+
+
+@pytest.mark.parametrize("hostile", [False, True])
+def test_the_scalar_check_reads_cold_rows_back(store, hostile):
+    """(i) Without an exact mask — a condition that has none, or an equi-join
+    whose key column a string just invalidated — the bound scalar check needs
+    payloads: handed a row id it raises, and skipping cold rows loses their
+    matches."""
+    condition = EQUI if hostile else ThetaJoinCondition(lambda a, b: a["join_key"] <= b["join_key"])
+    cursor, operators = (cls([0, 1, 2], condition) for cls in (SlicedJoinChain, OperatorJoinChain))
+    feed(cursor, operators, [arrival("B", 0.1 * step, key=step % 3) for step in range(12)])
+    freeze(cursor, store)
+    batch = [arrival("A", 1.25, key=1), arrival("A", 1.3, key=2)]
+    if hostile:
+        batch.insert(1, arrival("B", 1.27, key="red"))
+    feed(cursor, operators, batch)
+    feed(cursor, operators, [arrival("B", 1.4, key=2), arrival("A", 1.5, key=2)])
+    assert_same_state(cursor, operators)
+    assert counters(cursor) == counters(operators)
+
+
+def test_keyed_extract_and_ingest_over_a_half_cold_column(store):
+    """(j) ``extract_keyed_state(predicate)`` judges cold rows as tuples and
+    reloads the column hot (the log's files go); ``ingest`` merges into a
+    column that is cold again.  Taking row ids for tuples raises; reloading
+    without releasing the log leaks its files."""
+    cursor, operators = (cls([0, 1, 2], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain))
+    rows = [arrival("AB"[step % 2], 0.1 * step, key=step % 3) for step in range(24)]
+    feed(cursor, operators, rows)
+    cursor.evict_cold(store, 12 * TUPLE_BYTES, TUPLE_BYTES)
+    assert all(0 < column.cold < len(column) for column in cursor._columns)
+    assert len(os.listdir(store.directory)) == 2  # one log per stream
+    moved = [chain.extract_keyed_state(lambda tup: tup["join_key"] == 2) for chain in (cursor, operators)]
+    assert moved[0] == moved[1] and all(entry["A"] and entry["B"] for entry in moved[0])
+    assert os.listdir(store.directory) == []
+    assert_same_state(cursor, operators)
+    freeze(cursor, store)
+    for chain, state in zip((cursor, operators), moved):
+        assert chain.ingest_keyed_state(state) == 7
+    assert os.listdir(store.directory) == []
+    assert_same_state(cursor, operators)
+    feed(cursor, operators, [arrival("A", 2.45, key=1), arrival("B", 2.5, key=2)])
+    assert_same_state(cursor, operators)
+
+
+def test_introspection_leaves_the_tier_as_it_found_it(store):
+    """(k) ``state_tuples`` / ``states_are_disjoint`` read cold rows without
+    re-warming them: same cursor, same row ids in ``refs``, same files, and
+    the estimate a budget is held to does not move."""
+    chain, hot = (SlicedJoinChain([0, 1, 2], EQUI) for _ in range(2))
+    rows = [arrival("AB"[step % 2], 0.1 * step) for step in range(16)]
+    for twin in (chain, hot):
+        twin.process_batch(rows)
+    chain.evict_cold(store, 12 * TUPLE_BYTES, TUPLE_BYTES)
+    assert [column.cold for column in chain._columns] == [3, 3]
+
+    def tier():
+        return (
+            [(column.cold, list(column._refs)) for column in chain._columns],
+            sorted(os.listdir(store.directory)),
+            chain.memory_bytes(TUPLE_BYTES),
+        )
+
+    before = tier()
+    assert [chain.state_tuples(stream) for stream in "AB"] == [hot.state_tuples(stream) for stream in "AB"]
+    assert chain.states_are_disjoint()
+    assert chain.state_sizes() == hot.state_sizes()
+    assert tier() == before
+
+
+def test_a_cold_row_comes_back_exactly(store):
+    """(l) Stream, timestamp (its type included), values and seqno round-trip
+    through the log: a result built from a cold row equals the one built from
+    the tuple that arrived."""
+    condition = CrossProductCondition()
+    chain = SlicedJoinChain([0, 10], condition, left_stream="L", right_stream="R")
+    stored = [
+        StreamTuple("R", 0, {"join_key": 2**70, "tags": ("x", None), "nested": {"a": [1.5]}}),
+        StreamTuple("R", 0.5, {}),
+        StreamTuple("R", 1.0, {"join_key": "red", "value": float("inf")}, seqno=-7),
+    ]
+    chain.process_batch(stored)
+    freeze(chain, store)
+    male = StreamTuple("L", 2.0, {"join_key": 1})
+    found = [joined.right for _, joined in chain.process_batch([male])]
+    assert found == stored and all(a is not b for a, b in zip(found, stored))
+    assert [type(tup.timestamp) for tup in found] == [int, float, float]
+    assert chain.state_tuples("R") == [stored]

@@ -1,11 +1,15 @@
-"""Unit tests for the tiered window-state primitives (PR 8).
+"""Unit tests for the tiered window-state primitives (PR 8, PR 19).
 
 The differential fuzz and benchmark suites exercise spilling end-to-end;
 this file pins the primitives in isolation: budget parsing, the
 deque-compatible :class:`SpilledState` surface, the per-segment key
 index, store cleanup, and the engine-level eviction/accounting contract
 (``tests/test_slice_state_protocol.py`` drives the whole state protocol
-against a model, together with the in-core state).
+against a model, together with the in-core state) — including the two
+bounds a time-window session's tier states (resident estimate, files on
+disk) and every path that must release its log
+(``tests/test_cursor_chain.py`` holds the cold prefix itself to the
+per-item reference).
 """
 
 from __future__ import annotations
@@ -14,14 +18,16 @@ import os
 
 import pytest
 
+from repro.engine import spill
 from repro.engine.columns import ProbeBinding
 from repro.engine.spill import (
+    ROW_METADATA_BYTES,
     SpilledState,
     SpillStore,
     parse_memory_budget,
 )
 from repro.query.predicates import EquiJoinCondition, selectivity_join
-from repro.runtime import StreamEngine
+from repro.runtime import ShardedStreamEngine, StreamEngine
 from repro.runtime.engine import QueryError
 from repro.streams.tuples import StreamTuple
 
@@ -52,6 +58,9 @@ def test_parse_memory_budget_accepts_suffixes_and_plain_bytes():
     assert parse_memory_budget("64KB") == 64 * 1024
     assert parse_memory_budget(" 2m ") == 2 * 1024**2
     assert parse_memory_budget("1G") == 1024**3
+    # Scaled first, truncated second: a fraction of a unit is legal.
+    assert parse_memory_budget("1.5K") == 1536
+    assert parse_memory_budget("0.5M") == 512 * 1024
 
 
 @pytest.mark.parametrize("bad", ["", "nonsense", "12Q", "-4K", 0, -1])
@@ -200,3 +209,152 @@ def test_engine_close_releases_spill_store():
     engine.close()
     assert not os.path.exists(directory)
     assert engine._spill_store is None
+
+
+# -- the tier of a time-window session: bounds asserted, logs released -----------
+
+
+def interleaved(count, spacing=0.01, key_domain=4):
+    """``count`` arrivals per stream, merged in timestamp order."""
+    return sorted(
+        make_tuples(count, "A", key_domain, spacing) + make_tuples(count, "B", key_domain, spacing),
+        key=lambda t: (t.timestamp, t.seqno),
+    )
+
+
+def spill_files(engine):
+    directory = engine._spill_store.directory
+    return [os.path.join(directory, name) for name in os.listdir(directory)]
+
+
+@pytest.mark.parametrize("budget", [1, 2048, 16384])
+def test_resident_estimate_stays_within_the_budget_or_the_rows_metadata(budget):
+    """After every batch: ``resident <= max(budget, stored rows x metadata)``
+    — 1 B leaves nothing hot, 2 KiB is outgrown by the metadata alone, 16 KiB
+    keeps a hot head."""
+    engine = StreamEngine(
+        EquiJoinCondition("join_key", "join_key", key_domain=4),
+        batch_size=16,
+        memory_budget_bytes=budget,
+    )
+    engine.add_query("Q", 1.5)
+    engine.add_query("R", 0.4)
+    tuples = interleaved(400)
+    peak_rows = 0
+    for start in range(0, len(tuples), 16):
+        engine.process_many(tuples[start : start + 16])
+        rows = sum(len(column) for column in engine._chain._columns)
+        peak_rows = max(peak_rows, rows)
+        resident, spilled = engine._chain.memory_bytes(engine._tuple_bytes)
+        assert resident <= max(budget, rows * ROW_METADATA_BYTES)
+        assert (resident, spilled) == tuple(
+            engine.metrics.snapshot()[f"memory.{tier}_bytes"] for tier in ("resident", "spilled")
+        )
+    snapshot = engine.metrics.snapshot()
+    assert snapshot["memory.max_resident_bytes"] <= max(budget, peak_rows * ROW_METADATA_BYTES)
+    assert snapshot["observations.spill.evictions"] >= snapshot["memory.max"]
+    engine.close()
+
+
+def test_log_files_never_exceed_live_bytes_plus_a_segment_per_stream(monkeypatch):
+    """Over 25 window lengths the files on disk stay within the live spilled
+    bytes plus one segment per stream: a segment is unlinked as soon as every
+    row in it has been purged off the chain's end."""
+    monkeypatch.setattr(spill, "LOG_SEGMENT_BYTES", 2048)
+    engine = StreamEngine(
+        EquiJoinCondition("join_key", "join_key", key_domain=4),
+        batch_size=16,
+        memory_budget_bytes=4096,
+    )
+    engine.add_query("Q", 2.0)
+    engine.add_query("R", 0.5)
+    tuples = interleaved(2500, spacing=0.02)  # 50 s of stream: 25 windows
+    most_files = 0
+    for start in range(0, len(tuples), 16):
+        engine.process_many(tuples[start : start + 16])
+        if engine._spill_store is None:
+            continue
+        files = spill_files(engine)
+        most_files = max(most_files, len(files))
+        spilled = engine._chain.memory_bytes(engine._tuple_bytes)[1]
+        on_disk = sum(os.path.getsize(path) for path in files)
+        assert spilled <= on_disk <= spilled + 2 * (2048 + 128)  # a segment ends within a record of 2 KiB
+    store = engine._spill_store
+    assert store.segments_written > 10 * most_files  # files were retired all along
+    engine.close()
+
+
+def test_every_way_out_releases_the_log(monkeypatch):
+    """``drop_tail_slice``, a reload (``ChainColumn.load``: keyed extract and
+    ingest), query teardown and ``close()`` each delete the files of the rows
+    they discard or re-materialize."""
+    monkeypatch.setattr(spill, "LOG_SEGMENT_BYTES", 1024)
+    engine = StreamEngine(
+        EquiJoinCondition("join_key", "join_key", key_domain=4),
+        batch_size=16,
+        memory_budget_bytes=1024,
+    )
+    tuples = interleaved(300)
+
+    def refill():
+        for name, window in (("Q", 2.0), ("R", 0.5)):
+            if name not in {query.name for query in engine.queries()}:
+                engine.add_query(name, window)
+        engine.process_many(tuples)
+        engine.flush()
+        assert len(spill_files(engine)) > 20 and engine.state_size() > 100
+
+    refill()
+    engine.remove_query("Q")  # drop-tail: what stays is the 0.5 s head
+    assert all(column.cuts == [0] for column in engine._chain._columns)
+    spilled = engine._chain.memory_bytes(engine._tuple_bytes)[1]
+    assert spilled <= sum(map(os.path.getsize, spill_files(engine))) <= spilled + 2 * (1024 + 128)
+    assert len(spill_files(engine)) < 12
+    state = engine.extract_keyed_state()  # the export cut of a reshard
+    assert spill_files(engine) == [] and engine.state_size() == 0
+    assert engine.ingest_keyed_state(state) == sum(map(len, state[0].values()))
+    assert spill_files(engine) == []  # loaded hot; the next batch evicts again
+    engine.remove_query("R")  # teardown
+    assert engine._chain is None and spill_files(engine) == []
+    tuples = [StreamTuple(t.stream, t.timestamp + 10.0, t.values) for t in tuples]
+    refill()
+    directory = engine._spill_store.directory
+    engine.close()
+    assert not os.path.exists(directory)
+
+
+def test_budgeted_and_unbudgeted_sessions_build_the_same_chain():
+    condition = EquiJoinCondition("join_key", "join_key", key_domain=4)
+    chains = []
+    for budget in (None, 4096):
+        engine = StreamEngine(condition, memory_budget_bytes=budget)
+        engine.add_query("Q", 1.0)
+        chains.append(type(engine._chain))
+        engine.close()
+    assert chains[0] is chains[1] is StreamEngine(condition).chain_class
+
+
+def test_reshard_export_cut_releases_every_retiring_log():
+    """A reshard extracts the retiring shards' state as tuples (read through
+    ``slices()``) and closes them: no file of the old generation survives,
+    and the new generation evicts into stores of its own."""
+    condition = EquiJoinCondition("join_key", "join_key", key_domain=8)
+    tuples = interleaved(300, key_domain=8)
+    reference = StreamEngine(condition, batch_size=8)
+    sharded = ShardedStreamEngine(condition, shards=2, batch_size=8, memory_budget_bytes=4096)
+    for engine in (reference, sharded):
+        engine.add_query("Q", 1.5)
+        engine.process_many(tuples[:400])
+    sharded.flush()
+    retiring = [engine._spill_store.directory for engine in sharded.shard_engines]
+    assert all(os.listdir(directory) for directory in retiring)
+    sharded.reshard(3)
+    assert not any(os.path.exists(directory) for directory in retiring)
+    for engine in (reference, sharded):
+        engine.process_many(tuples[400:])
+        engine.flush()
+    assert sorted((j.left.seqno, j.right.seqno) for j in sharded.results("Q")) == sorted(
+        (j.left.seqno, j.right.seqno) for j in reference.results("Q")
+    )
+    assert any(engine._spill_store is not None for engine in sharded.shard_engines)
+    sharded.close()
