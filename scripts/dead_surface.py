@@ -18,9 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src/repro")
 AREAS = ("src", "examples", "benchmarks", "bench", "scripts", "tests")
 DEFS = (ast.ClassDef, ast.FunctionDef)
-LEFTOVERS = (  # tested by test_predicates, test_chain_specs, test_experiments, test_streams
-    "FunctionPredicate attribute_ge attribute_lt attribute_le attribute_eq workload_from_windows "
-    "SweepConfig paper_scale format_savings_summary expected_tuple_count"
+LEFTOVERS = (  # tested by test_predicates, test_chain_specs
+    "FunctionPredicate attribute_ge attribute_lt attribute_le attribute_eq workload_from_windows"
 )
 REFERENCES = {  # test-only names that stay, and the test that needs each
     "OneWayWindowJoin": "test_sliced_joins: Theorem 1, a one-way chain == the regular join",

@@ -527,7 +527,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             collect_statistics=args.stats,
             memory_budget_bytes=memory_budget,
         )
-    unit = "s" if args.window_kind == "time" else " rows"
+    unit = engine.chain_class.window_unit
     tuples = data.tuples
     windows = args.windows or [4.0]
     if args.window_kind == "count":
@@ -600,8 +600,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             f"spill: budget {memory_budget} B"
             f"{f' ({engine.per_shard_memory_budget} B/shard)' if sharded else ''}, "
             f"{spill_snap.get('observations.spill.segments', 0):g} segments written, "
-            f"{spill_snap.get('observations.spill.evictions', 0):g} "
-            f"{'row' if args.window_kind == 'time' else 'slice'} evictions, "
+            f"{spill_snap.get('observations.spill.evictions', 0):g} row evictions, "
             f"{spill_snap.get('observations.spill.cold_reads', 0):g} cold rows read; "
             f"resident {spill_snap.get('memory.resident_bytes', 0):g} B, "
             f"spilled {spill_snap.get('memory.spilled_bytes', 0):g} B"

@@ -3,25 +3,24 @@
 * :class:`SlicedChainBase` — what a *session* knows of its chain: batched and
   per-tuple execution (``process_batch`` is a template over the kind's
   kernel), introspection, the Section 5.3 migrations as templates over small
-  hooks (*split* differs structurally per kind and stays in the subclasses),
-  the keyed extract/ingest pair behind live resharding, and the facts the
-  runtime asks instead of comparing ``window_kind`` strings (``window_unit``
-  … ``check_target``, ``normalize_window``).
-* :class:`TimeChainBase` — what the two time chains share: seconds as
-  boundaries and selection push-down (Section 6), one
-  :class:`~repro.operators.selection.StreamFilter` pair per link.
-* :class:`OperatorChainBase` — a chain as a pipeline of slice *operators*
-  (``self.joins``): the per-item reference path, one ``process_batch`` per
-  join and batch, migrations that re-load operator states, and a disk tier
-  that spills one slice's states at a time (what a count session runs; the
-  cursor chain keeps its own in :mod:`repro.core.chain`).
+  hooks (*split* differs per kind and stays in the subclasses), the keyed
+  extract/ingest pair behind live resharding, and the facts the runtime asks
+  instead of comparing ``window_kind`` strings (``window_unit`` …
+  ``check_target``, ``normalize_window``).
+* :class:`TimeChainBase` — what the two time chains (the cursor chain and its
+  operator reference) share: seconds as boundaries and selection push-down
+  (Section 6), one :class:`~repro.operators.selection.StreamFilter` pair per
+  link.
+
+How a chain stores its slices is not decided here: both session kinds keep
+them as cursors over two columns (:class:`repro.core.chain.CursorChain`), the
+reference as a pipeline of operators (:mod:`repro.core.chain_operators`).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.engine.errors import ChainError, MigrationError, QueryError
 from repro.engine.metrics import MetricsCollector
@@ -31,7 +30,7 @@ from repro.query.predicates import JoinCondition, Predicate, TruePredicate
 from repro.query.windows import WindowSlice
 from repro.streams.tuples import JoinedTuple, StreamTuple
 
-__all__ = ["SlicedChainBase", "TimeChainBase", "OperatorChainBase", "SliceResult"]
+__all__ = ["SlicedChainBase", "TimeChainBase", "SliceResult"]
 
 #: One result produced by a chain: the slice index and the joined tuple.
 SliceResult = tuple[int, JoinedTuple]
@@ -49,11 +48,10 @@ class SlicedChainBase:
     ``(slice index, its results in arrival order)`` per slice that produced
     any; ``state_tuples(stream)`` / ``state_sizes()`` / ``head_state_sizes()``;
     ``extract_keyed_state`` / ``_ingest``; ``split_slice`` and the migration
-    hooks ``_merge(index)`` / ``_append(old_end, end)`` / ``_drop_tail()``; and
-    the disk tier of a memory-budgeted session: ``memory_bytes(tuple_bytes)``
-    -> ``(resident, spilled)`` estimate, ``evict_cold(store, budget,
-    tuple_bytes)`` (the same, once the resident part fits) and
-    ``release_spill()`` (delete what the state holds outside core).
+    hooks ``_merge(index)`` / ``_append(old_end, end)`` / ``_drop_tail()``.  A
+    chain a session builds also answers for the disk tier of a memory budget
+    (``memory_bytes`` / ``evict_cold`` / ``release_spill``:
+    :class:`repro.core.chain.CursorChain`).
     """
 
     #: Display unit of a window of this chain kind (``"s"`` / ``" rows"``).
@@ -295,7 +293,10 @@ class TimeChainBase(SlicedChainBase):
     @classmethod
     def normalize_window(cls, name: str, window: float) -> float:
         """A positive, finite number of seconds (see the base class)."""
-        window = float(window)
+        try:
+            window = float(window)
+        except (TypeError, ValueError, OverflowError):
+            raise QueryError(f"query {name!r} has non-numeric window {window!r}") from None
         if not math.isfinite(window):
             raise QueryError(f"query {name!r} has non-finite window {window}")
         if window <= 0:
@@ -368,148 +369,3 @@ class TimeChainBase(SlicedChainBase):
                 if gap < window:
                     answer.append(joined)
         return answer
-
-
-class OperatorChainBase(SlicedChainBase):
-    """A chain as a pipeline of slice operators, one per ``[start, end)``.
-
-    Subclasses provide ``_make_join(start, end)``,
-    ``_set_join_end(join, end)`` and may override ``_through_link`` (the
-    pushed-down filters of the queue in front of a slice: identity here).
-    """
-
-    joins: list
-
-    def _build(self, bounds: list) -> None:
-        self.joins = [self._make_join(start, end) for start, end in zip(bounds, bounds[1:])]
-
-    def _through_link(self, index: int, items: list) -> list:
-        """Run a FIFO run of items through the link in front of slice ``index``."""
-        return items
-
-    # -- execution ------------------------------------------------------------
-    def process(self, tup: StreamTuple) -> list[SliceResult]:
-        """One arrival through every operator's per-item ``process()``: the
-        literal scalar reference path."""
-        results: list[SliceResult] = []
-        port = "left" if tup.stream == self.left_stream else "right"
-        pending: deque[tuple[int, tuple[str, Any]]] = deque()
-        for entry in self._through_link(0, [tup]):
-            for emission in self.joins[0].process(entry, port):
-                pending.append((0, emission))
-        while pending:
-            index, (out_port, item) = pending.popleft()
-            if out_port == "output":
-                results.append((index, item))
-            elif out_port == "next":
-                next_index = index + 1
-                if next_index < len(self.joins):
-                    for passed in self._through_link(next_index, [item]):
-                        emissions = self.joins[next_index].process(passed, "chain")
-                        for emission in emissions:
-                            pending.append((next_index, emission))
-            # Punctuations are dropped: results return directly, not via a union.
-        return results
-
-    def _slice_results(self, batch: list) -> list[tuple[int, list[JoinedTuple]]]:
-        """Slice by slice: the head join takes the whole mixed-stream batch
-        on one raw port (each arrival becomes its male/female reference pair
-        from its own stream); later joins consume the propagated references
-        on their ``chain`` port."""
-        bins = []
-        port = "left"
-        for index, join in enumerate(self.joins):
-            batch = self._through_link(index, batch)
-            if not batch:
-                break
-            results: list[JoinedTuple] = []
-            next_batch: list[Any] = []
-            # No punctuations: results return directly, not through a union.
-            for out_port, item in join.process_batch(batch, port, False):
-                if out_port == "output":
-                    results.append(item)
-                elif out_port == "next":
-                    next_batch.append(item)
-            if results:
-                bins.append((index, results))
-            batch = next_batch
-            port = "chain"
-        return bins
-
-    # -- introspection ----------------------------------------------------------
-    def state_sizes(self) -> list[int]:
-        return [join.state_size() for join in self.joins]
-
-    def state_tuples(self, stream: str) -> list[list[StreamTuple]]:
-        return [join.state_tuples(stream) for join in self.joins]
-
-    def head_state_sizes(self) -> tuple[int, int]:
-        head = self.joins[0]
-        return head.state_size(self.left_stream), head.state_size(self.right_stream)
-
-    # -- the disk tier ------------------------------------------------------------
-    def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
-        """Slices on the disk tier report their segment bytes as spilled and
-        only their tail buffer and row metadata as resident."""
-        sizes = [join.memory_bytes(tuple_bytes) for join in self.joins]
-        return sum(size[0] for size in sizes), sum(size[1] for size in sizes)
-
-    def release_spill(self) -> None:
-        """Delete every slice's segments (the chain's state is being discarded)."""
-        for join in self.joins:
-            join.release_spill()
-
-    def evict_cold(self, store, budget: int, tuple_bytes: float) -> tuple[int, int]:
-        """Move cold slices to ``store`` until the resident estimate fits
-        ``budget``; returns the ``(resident, spilled)`` estimate afterwards.
-        Eviction is by slice age, tail (oldest tuples) first; the head
-        slice absorbs every arrival and never spills, so the budget carries
-        one slice of slack.  Already-spilled slices first flush their
-        resident tail buffers (cheaper than spilling a new slice), then
-        unspilled cold slices go to disk."""
-        sizes = None
-        for spilled in (True, False):
-            for join in self.joins[:0:-1]:
-                if join.is_spilled() != spilled:
-                    continue
-                if not spilled:
-                    join.spill(store)
-                    store.evictions += 1
-                join.spill_flush()
-                sizes = self.memory_bytes(tuple_bytes)
-                if sizes[0] <= budget:
-                    return sizes
-        return sizes or self.memory_bytes(tuple_bytes)
-
-    # -- keyed state repartition ------------------------------------------------
-    def extract_keyed_state(self, predicate=None) -> list[dict[str, list[StreamTuple]]]:
-        return [
-            {
-                stream: join.extract_state(stream, predicate)
-                for stream in (self.left_stream, self.right_stream)
-            }
-            for join in self.joins
-        ]
-
-    def _ingest(self, state: Sequence[dict[str, list[StreamTuple]]]) -> int:
-        return sum(
-            join.ingest_state(stream, tuples)
-            for join, entry in zip(self.joins, state)
-            for stream, tuples in entry.items()
-        )
-
-    # -- online migration -------------------------------------------------------
-    def _merge(self, index: int) -> None:
-        # An indexed state rebuilds its key index as ``load_state`` loads it.
-        keep, absorb = self.joins[index : index + 2]
-        for stream in (self.left_stream, self.right_stream):
-            keep.load_state(stream, absorb.state_tuples(stream) + keep.state_tuples(stream))
-        self._set_join_end(keep, self._bounds[index + 2])
-        absorb.release_spill()
-        del self.joins[index + 1]
-
-    def _append(self, old_end, end) -> None:
-        self.joins.append(self._make_join(old_end, end))
-
-    def _drop_tail(self) -> None:
-        self.joins.pop().release_spill()

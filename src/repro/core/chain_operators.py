@@ -1,32 +1,42 @@
 """The literal Definition-2 chain: a pipeline of sliced binary join operators.
 
 :class:`OperatorJoinChain` manages one
-:class:`~repro.operators.sliced_join.SlicedBinaryJoin` per slice, each with
-its own pair of slice states, and moves reference tuples between them item
-by item (``process``) or batch by batch.  No session builds it: it is the
-reference the cursor chain (:class:`~repro.core.chain.SlicedJoinChain`, what
-every time-window session runs) is fuzzed against — per-item ``process()``
-here is the paper's Figure 9, comparison for comparison.  The time-window
-facts (seconds, link filters) are shared with the cursor chain through
-:class:`~repro.core.chain_base.TimeChainBase`; a split is lazy (the shrunk
-join re-purges its too-old tuples into the new one on the next probe).
+:class:`~repro.operators.sliced_join.SlicedBinaryJoin` per slice
+(``self.joins``), each with its own pair of slice states, and moves reference
+tuples between them item by item (``process``) or batch by batch.  No session
+builds it: it is the reference the cursor chain
+(:class:`~repro.core.chain.SlicedJoinChain`, what every time-window session
+runs) is fuzzed against — per-item ``process()`` here is the paper's Figure 9,
+comparison for comparison.  The time-window facts (seconds, link filters) are
+shared with the cursor chain through
+:class:`~repro.core.chain_base.TimeChainBase`; a merge re-loads the surviving
+operator's states and a split is lazy (the shrunk join re-purges its too-old
+tuples into the new one on the next probe).
 """
 
 from __future__ import annotations
 
-from repro.core.chain_base import OperatorChainBase, TimeChainBase
+from collections import deque
+from typing import Any, Sequence
+
+from repro.core.chain_base import SliceResult, TimeChainBase
 from repro.operators.sliced_join import SlicedBinaryJoin
+from repro.query.windows import WindowSlice
+from repro.streams.tuples import JoinedTuple, StreamTuple
 
 __all__ = ["OperatorJoinChain"]
 
 
-class OperatorJoinChain(OperatorChainBase, TimeChainBase):
+class OperatorJoinChain(TimeChainBase):
     """A pipelined chain of sliced binary window joins (Definition 2).
 
     Same constructor as :class:`~repro.core.chain.SlicedJoinChain`.
     """
 
     joins: list[SlicedBinaryJoin]
+
+    def _build(self, bounds: list[float]) -> None:
+        self.joins = [self._make_join(start, end) for start, end in zip(bounds, bounds[1:])]
 
     def _make_join(self, start: float, end: float) -> SlicedBinaryJoin:
         join = SlicedBinaryJoin(
@@ -41,9 +51,6 @@ class OperatorJoinChain(OperatorChainBase, TimeChainBase):
         join.bind_metrics(self.metrics)
         return join
 
-    def _set_join_end(self, join: SlicedBinaryJoin, end: float) -> None:
-        join.slice = type(join.slice)(join.slice.start, end)
-
     def _through_link(self, index: int, items: list) -> list:
         """Run a FIFO run of items through link ``index``'s filters."""
         for stream_filter in self._filters[index]:
@@ -54,6 +61,84 @@ class OperatorJoinChain(OperatorChainBase, TimeChainBase):
             ]
         return items
 
+    # -- execution ------------------------------------------------------------
+    def process(self, tup: StreamTuple) -> list[SliceResult]:
+        """One arrival through every operator's per-item ``process()``: the
+        literal scalar reference path."""
+        results: list[SliceResult] = []
+        port = "left" if tup.stream == self.left_stream else "right"
+        pending: deque[tuple[int, tuple[str, Any]]] = deque()
+        for entry in self._through_link(0, [tup]):
+            for emission in self.joins[0].process(entry, port):
+                pending.append((0, emission))
+        while pending:
+            index, (out_port, item) = pending.popleft()
+            if out_port == "output":
+                results.append((index, item))
+            elif out_port == "next":
+                next_index = index + 1
+                if next_index < len(self.joins):
+                    for passed in self._through_link(next_index, [item]):
+                        emissions = self.joins[next_index].process(passed, "chain")
+                        for emission in emissions:
+                            pending.append((next_index, emission))
+            # Punctuations are dropped: results return directly, not via a union.
+        return results
+
+    def _slice_results(self, batch: list) -> list[tuple[int, list[JoinedTuple]]]:
+        """Slice by slice: the head join takes the whole mixed-stream batch
+        on one raw port (each arrival becomes its male/female reference pair
+        from its own stream); later joins consume the propagated references
+        on their ``chain`` port."""
+        bins = []
+        port = "left"
+        for index, join in enumerate(self.joins):
+            batch = self._through_link(index, batch)
+            if not batch:
+                break
+            results: list[JoinedTuple] = []
+            next_batch: list[Any] = []
+            # No punctuations: results return directly, not through a union.
+            for out_port, item in join.process_batch(batch, port, False):
+                if out_port == "output":
+                    results.append(item)
+                elif out_port == "next":
+                    next_batch.append(item)
+            if results:
+                bins.append((index, results))
+            batch = next_batch
+            port = "chain"
+        return bins
+
+    # -- introspection ----------------------------------------------------------
+    def state_sizes(self) -> list[int]:
+        return [join.state_size() for join in self.joins]
+
+    def state_tuples(self, stream: str) -> list[list[StreamTuple]]:
+        return [join.state_tuples(stream) for join in self.joins]
+
+    def head_state_sizes(self) -> tuple[int, int]:
+        head = self.joins[0]
+        return head.state_size(self.left_stream), head.state_size(self.right_stream)
+
+    # -- keyed state repartition ------------------------------------------------
+    def extract_keyed_state(self, predicate=None) -> list[dict[str, list[StreamTuple]]]:
+        return [
+            {
+                stream: join.extract_state(stream, predicate)
+                for stream in (self.left_stream, self.right_stream)
+            }
+            for join in self.joins
+        ]
+
+    def _ingest(self, state: Sequence[dict[str, list[StreamTuple]]]) -> int:
+        return sum(
+            join.ingest_state(stream, tuples)
+            for join, entry in zip(self.joins, state)
+            for stream, tuples in entry.items()
+        )
+
+    # -- online migration -------------------------------------------------------
     def split_slice(self, index: int, boundary: float) -> None:
         """Split slice ``index`` at ``boundary`` into two adjacent slices.
 
@@ -65,4 +150,18 @@ class OperatorJoinChain(OperatorChainBase, TimeChainBase):
         self._insert_boundary(index, boundary)
         join = self.joins[index]
         self.joins.insert(index + 1, self._make_join(boundary, join.slice.end))
-        self._set_join_end(join, boundary)
+        join.slice = WindowSlice(join.slice.start, boundary)
+
+    def _merge(self, index: int) -> None:
+        # An indexed state rebuilds its key index as ``load_state`` loads it.
+        keep, absorb = self.joins[index : index + 2]
+        for stream in (self.left_stream, self.right_stream):
+            keep.load_state(stream, absorb.state_tuples(stream) + keep.state_tuples(stream))
+        keep.slice = WindowSlice(keep.slice.start, self._bounds[index + 2])
+        del self.joins[index + 1]
+
+    def _append(self, old_end: float, end: float) -> None:
+        self.joins.append(self._make_join(old_end, end))
+
+    def _drop_tail(self) -> None:
+        self.joins.pop()

@@ -1,22 +1,20 @@
-"""Runtime chain of count-based sliced joins.
+"""Runtime chain of count-based sliced joins: slices as rank ranges.
 
-Mirror of :class:`repro.core.chain.SlicedJoinChain` for count-based sliding
-windows (the extension the paper's Section 2 mentions): the chain boundaries
-are tuple *counts* instead of time offsets, each slice stores the tuples of
-one contiguous rank range per stream, and the union of the slice outputs
-equals the regular count-based join with the largest count window.
+The count-window kind of :class:`~repro.core.chain.CursorChain` (the
+extension the paper's Section 2 mentions): the chain boundaries are tuple
+*counts* instead of time offsets, and the union of the slice outputs equals
+the regular count-based join with the largest count window.
 
-The pipelined execution loop and the shared migration primitives (merge /
-append / drop-tail) come from
-:class:`~repro.core.chain_base.OperatorChainBase`; the one structural
-difference lives here: rank boundaries cannot re-partition lazily.  A time
-slice whose end window shrinks expels its now-too-old tuples on the next
-cross-purge, because age is measured against the probing tuple.  A count
-slice's membership is a *rank range*, and ranks only move on same-stream
-insertions — a shrunk slice would keep probing tuples whose rank it no
-longer covers.  The split migration therefore moves the out-of-range ranks
-into the new slice eagerly (an indexed state rebuilds its key index as
-``load_state`` loads it), which keeps every probe exact at all times.
+A tuple's rank is the number of newer tuples of its own stream, so in a
+column holding ``n`` rows in arrival order slice ``[start, end)`` *is* the
+rows ``[n - end, n - start)``: every cursor is arithmetic on row counts.
+Nothing is swept and nothing overflows from slice to slice — a male that
+sees ``stop`` rows owns the cuts ``max(0, stop - end)``, a batch's ``PURGE``
+and ``PROBE`` charges and per-slice invocations follow from the same counts
+(and equal those of the per-item pipeline of
+:class:`~repro.operators.count_join.CountSlicedBinaryJoin`, which
+``tests/test_cursor_chain.py`` holds this class to), and a migration is a
+boundary inserted or deleted: membership is the rank, so no row moves.
 """
 
 from __future__ import annotations
@@ -24,16 +22,17 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.core.chain_base import OperatorChainBase
+from repro.core.chain import CursorChain
+from repro.engine.columns import ChainColumn
 from repro.engine.errors import ChainError, MigrationError, QueryError
-from repro.operators.count_join import CountSlicedBinaryJoin
-from repro.streams.tuples import JoinedTuple
+from repro.engine.metrics import CostCategory
+from repro.streams.tuples import JoinedTuple, StreamTuple
 
 __all__ = ["CountSlicedJoinChain"]
 
 
-class CountSlicedJoinChain(OperatorChainBase):
-    """A pipelined chain of count-based sliced binary joins.
+class CountSlicedJoinChain(CursorChain):
+    """A chain of count-based sliced binary joins over cursors.
 
     Parameters
     ----------
@@ -45,7 +44,6 @@ class CountSlicedJoinChain(OperatorChainBase):
         The join condition shared by every slice.
     """
 
-    joins: list[CountSlicedBinaryJoin]
     window_unit = " rows"
     # A rank — unlike a timestamp gap — cannot be read off a joined pair, a
     # filtered stream or a shard's subsequence (``docs/invariants.md``).
@@ -62,7 +60,11 @@ class CountSlicedJoinChain(OperatorChainBase):
     @classmethod
     def normalize_window(cls, name: str, window: float) -> int:
         """A positive whole number of ranks (see the base class)."""
-        if not 0 < float(window) < math.inf or window != int(window):
+        try:
+            whole = 0 < float(window) < math.inf and window == int(window)
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
             raise QueryError(
                 f"query {name!r} needs a positive integer count window, "
                 f"got {window!r}"
@@ -81,21 +83,49 @@ class CountSlicedJoinChain(OperatorChainBase):
     def _coerce_boundary(self, boundary: float) -> int:
         return int(boundary)
 
-    def _make_join(self, start: int, end: int) -> CountSlicedBinaryJoin:
-        join = CountSlicedBinaryJoin(
-            rank_start=start,
-            rank_end=end,
-            condition=self.condition,
-            left_stream=self.left_stream,
-            right_stream=self.right_stream,
-            probe=self.probe,
-            name=f"count-slice[{start},{end})",
-        )
-        join.bind_metrics(self.metrics)
-        return join
+    # -- execution ------------------------------------------------------------
+    def _slice_results(self, batch: list[StreamTuple]) -> list[tuple[int, list[JoinedTuple]]]:
+        metrics = self.metrics
+        arrivals, places, preceding = self._classify(batch)
+        bounds = self._bounds
+        ends = bounds[1:]
+        deepest_first = ends[::-1]
+        bins: list[list] = [[] for _ in ends]
+        #: Per slice: the inserts of this batch that found it full, both streams.
+        overflow = [0] * len(ends)
+        probes = 0
+        for side, column in enumerate(self._columns):
+            females, males = arrivals[side], arrivals[1 - side]
+            size = column.extend(females)
+            if males:
+                # Male j sees the rows before it; slice k of those is their
+                # ranks [start_k, end_k), whatever the batch adds later.
+                stops = [size + before for before in preceding[1 - side]]
+                own = [[max(0, stop - end) for end in deepest_first] for stop in stops]
+                probes += self._probe(side, column, males, own, stops, places[1 - side], bins)
+                if self.probe != "hash":  # one comparison per row in sight
+                    probes += sum(stops) - sum(cuts[0] for cuts in own)
+            for k, end in enumerate(ends):
+                overflow[k] += max(0, min(len(females), size + len(females) - end))
+            self._place(column)
+        metrics.count(CostCategory.PURGE, sum(overflow))
+        metrics.count(CostCategory.PROBE, probes)
+        # -- invocations: every slice sees the batch's males, and the rows the
+        # slice before it handed down
+        items = len(batch)
+        for start, end, handed_down in zip(bounds, ends, overflow):
+            metrics.record_invocation(f"count-slice[{start},{end})", items)
+            items = len(batch) + handed_down
+        return self._in_arrival_order(bins, arrivals)
 
-    def _set_join_end(self, join: CountSlicedBinaryJoin, end: int) -> None:
-        join.rank_end = end
+    def _place(self, column: ChainColumn) -> None:
+        """Every cursor of ``column`` at its rank (no row of a count chain is
+        ever dead: nothing is pushed into it); what is past the last goes."""
+        ends = self._bounds[1:]
+        rows = len(column)
+        column.cuts = [max(0, rows - end) for end in ends]
+        column.dead = [0] * len(ends)
+        column.settle()
 
     # -- count-window specifics -----------------------------------------------
     def results_for_count(
@@ -116,33 +146,10 @@ class CountSlicedJoinChain(OperatorChainBase):
         return [joined for index, joined in results if index <= last_slice]
 
     def split_slice(self, index: int, boundary: int) -> None:
-        """Split slice ``index`` at rank ``boundary`` into two adjacent slices.
-
-        Unlike the time-based split, the out-of-range ranks are moved into
-        the new slice eagerly (see the module docstring): each state keeps
-        its newest ``boundary - rank_start`` tuples and hands the older
-        remainder — exactly the ranks ``[boundary, rank_end)`` — to the new
-        slice, so the membership invariant every probe relies on keeps
-        holding.
-        """
-        if not 0 <= index < len(self.joins):
-            raise MigrationError(f"no slice with index {index}")
-        join = self.joins[index]
-        boundary = int(boundary)
-        if not join.rank_start < boundary < join.rank_end:
-            raise MigrationError(
-                f"split boundary {boundary} must lie strictly inside "
-                f"[{join.rank_start}, {join.rank_end})"
-            )
-        new_join = self._make_join(boundary, join.rank_end)
-        keep_capacity = boundary - join.rank_start
-        for stream in (self.left_stream, self.right_stream):
-            state = join.state_tuples(stream)  # oldest first
-            overflow = len(state) - keep_capacity
-            if overflow > 0:
-                new_join.load_state(stream, state[:overflow])
-                join.load_state(stream, state[overflow:])
-        join.rank_end = boundary
-        self.joins.insert(index + 1, new_join)
-        self._bounds.insert(index + 1, boundary)
-        self._on_slice_inserted(index + 1)
+        """Split slice ``index`` at rank ``boundary`` into two adjacent slices:
+        a cursor placed by rank.  A time slice that shrinks re-purges lazily,
+        because age is measured against the probing tuple; ranks only move on
+        same-stream insertions, so the new cursor is exact at once."""
+        self._insert_boundary(index, self._coerce_boundary(boundary))
+        for column in self._columns:
+            self._place(column)

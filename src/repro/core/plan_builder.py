@@ -7,7 +7,10 @@ slice serves several windows, and one order-preserving union per query that
 taps more than one slice.
 
 With ``window_kind="count"`` the same plan shape is built over
-:class:`~repro.operators.count_join.CountSlicedBinaryJoin` slices, under
+:class:`~repro.operators.count_join.CountSlicedBinaryJoin` slices — the one
+place those operators run, and, executed one tuple at a time, the per-item
+reference a count session's cursor chain
+(:class:`~repro.core.count_chain.CountSlicedJoinChain`) is held to — under
 the two structural restrictions of rank-based windows (the same ones the
 runtime layer documents on :class:`~repro.runtime.engine.CountStreamEngine`):
 the chain must be Mem-Opt — a merged slice's results cannot be re-split by
@@ -16,7 +19,7 @@ only, never pushed into the chain (a pushed filter would redefine which
 tuples occupy the most recent N ranks).
 
 The resulting :class:`~repro.engine.plan.QueryPlan` has one named output per
-query of the workload and can be executed by either executor.
+query of the workload (:func:`repro.engine.executor.execute_plan` runs it).
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """The in-core window state: columnar (struct-of-arrays) blocks.
 
-:class:`ColumnarState` is the in-core representation of one stream's state
-in one slice operator (its cold counterpart is
-:class:`~repro.engine.spill.SpilledState`; both answer the same protocol —
-``sweep``, ``append``, ``purge``, ``probe``, ``candidates``, the
-deque-compatible read surface, ``load``, ``memory_bytes``, ``release`` — so
-the join operators keep only the male/female protocol of Figure 9 and never
-ask what a state is).  :class:`ChainColumn` is the same columns holding one
-stream's state for a *whole* cursor chain, its slices row ranges between
-cursors.  Either is a timestamp-ordered container of parallel columns —
+:class:`ColumnarState` is one stream's state in one slice *operator* — the
+static plans and the per-item reference chain — behind the slice-state
+protocol (``sweep``, ``append``, ``purge``, ``probe``, ``candidates``, the
+deque-compatible read surface, ``load``), so the join operators keep only the
+male/female protocol of Figure 9 and never ask what a state is.
+:class:`ChainColumn` is the same columns holding one stream's state for a
+*whole* cursor chain — what every session runs, time or count windows — its
+slices row ranges between cursors and, under a memory budget, its oldest
+rows' payloads in a log on disk.  Either is a timestamp-ordered container of
+parallel columns —
 
 * ``timestamps`` — a ``float64`` array, used by cross-purging.  The purge
   is a forward sweep from the head, a slice's cursor or the previous male's
@@ -119,8 +120,9 @@ class ProbeBinding:
     ``indexed`` asks the in-core state for a per-key index in place of the
     key column (``probe="hash"``); ``equi`` says the condition is a plain
     equi-join, the only kind whose dict-lookup semantics an equality index
-    reproduces — the cold tier indexes its segments on it regardless of
-    ``indexed``.
+    reproduces — read only by the per-slice tier kept in
+    :mod:`repro.engine.spill`, which indexes its segments on it regardless of
+    ``indexed``; no chain or join sets it.
     """
 
     __slots__ = (
@@ -391,13 +393,6 @@ class ColumnarState:
         purge_count = cuts[-1] + sum(cut < stop for cut, stop in zip(cuts, stops))
         return purged, matches, purge_count, sum(stops) - sum(cuts)
 
-    def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
-        """``(resident, spilled)`` byte estimate: everything is resident."""
-        return int(len(self) * tuple_bytes), 0
-
-    def release(self) -> None:
-        """Nothing lives outside core, so a replaced state just goes away."""
-
     # -- columnar accessors ---------------------------------------------------
     def purge_cut(
         self, nows: Sequence[float], stops: Sequence[int], end: float, start: int = 0
@@ -536,8 +531,10 @@ class ChainColumn(ColumnarState):
     (:meth:`_thaw`): the placed hits of a batch, rows meeting a link filter,
     :meth:`slices`; an indexed column also reads the rows it unindexes.
 
-    One batch is ``extend`` → ``sweep`` → ``probe`` → ``settle``.  A row that
-    leaves a slice during the batch (purged deeper, filtered at a link,
+    One batch is ``extend`` → ``sweep`` → ``probe`` → ``settle``; a count
+    chain, whose cursors are arithmetic on row counts, sets ``cuts`` itself
+    and skips the sweep (it carries no link filters: ``dead`` stays zero).  A
+    row that leaves a slice during the batch (purged deeper, filtered at a link,
     purged off the end) stays visible in its old slice to the males before
     the one that moved it: a hit is judged by its own male's cuts, a link
     death is kept as ``row -> link`` in ``_died`` until :meth:`settle`, and

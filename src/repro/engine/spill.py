@@ -6,26 +6,21 @@ The lazy-purge sliced chain stratifies its state by age, so "cold" is simply
 * :class:`SpillStore` — one per engine: a lazily-created temporary
   directory holding append-only segment files, plus the session-wide spill
   counters (segments written, evictions, cold rows decoded).
-* :class:`SpillLog` — the tier of a time-window session: per stream, the
-  payloads of a :class:`~repro.engine.columns.ChainColumn`'s cold prefix, one
-  pickled record per row.  Timestamps and keys of cold rows stay in the
-  column, so purges and the probe mask never touch the log; it is read by row
-  id, for the rows a batch reports (``docs/architecture.md``, *The disk tier*).
-* :class:`SpilledState` — the tier of a count-window session: the cold
-  counterpart of :class:`~repro.engine.columns.ColumnarState`, answering the
-  same slice-state protocol from mmap'd segments of rows in the columnar wire
-  format (:func:`~repro.streams.tuples.encode_batch`), each with an in-memory
-  timestamp column and ``key -> row ordinals`` index, behind a resident tail
-  buffer of ``flush_rows`` appends.
-* :class:`SpillableJoinMixin` — the slice-operator surface over it
-  (``spill()``, ``memory_bytes()``); a spilled slice re-materializes through
-  the joins' ordinary ``load_state`` (see ``docs/invariants.md``).
+* :class:`SpillLog` — the tier of every session, time or count windows: per
+  stream, the payloads of a :class:`~repro.engine.columns.ChainColumn`'s cold
+  prefix, one pickled record per row.  Timestamps and keys of cold rows stay
+  in the column, so purges, cursors and the probe mask never touch the log; it
+  is read by row id, for the rows a batch reports (``docs/architecture.md``,
+  *The disk tier*).
+* :class:`SpilledState` / :class:`SpillableJoinMixin` — PR 8's per-slice tier
+  (a slice operator's state as mmap'd segment files behind the slice-state
+  protocol).  No session, chain or operator uses it any more; see the note
+  above :class:`_Segment` for why it is still here.
 
-Everything that leaves either tier is decoded back to the original
+Everything that leaves the tier is decoded back to the original
 :class:`~repro.streams.tuples.StreamTuple` (stream, timestamp, payload and
-seqno round-trip exactly), and every candidate a key index yields is
-re-checked with the join condition's bound predicate, so answers never
-depend on the tier a row happens to live in.
+seqno round-trip exactly), so answers never depend on the tier a row happens
+to live in.
 """
 
 from __future__ import annotations
@@ -124,8 +119,7 @@ class SpillStore:
         #: Segment files written over the store's lifetime (monotone).
         self.segments_written = 0
         #: Moves to the disk tier by budget enforcement (monotone): rows whose
-        #: payload went to a :class:`SpillLog`, slices turned
-        #: :class:`SpilledState`.
+        #: payload went to a :class:`SpillLog`.
         self.evictions = 0
         #: Rows decoded back from segment files (monotone).
         self.cold_reads = 0
@@ -236,6 +230,12 @@ class SpillLog:
         return sum(segment[1][-1] for segment in self._segments) - offsets[row - first]
 
 
+# From here to the end of the module: the per-slice tier count sessions ran
+# until they moved onto the cold prefix.  Nothing under ``src/`` calls it; it
+# stays, with its tests, because ``bench/trace.py`` wraps ``SpilledState.probe``
+# / ``purge`` / ``flush`` and ``SpillableJoinMixin.spill`` by name and
+# ``bench/`` may only change in a ``benchmark`` PR, which deletes both
+# (ROADMAP, "One benchmark harness").
 class _Segment:
     """One immutable append-only run of encoded rows, oldest first.
 

@@ -7,10 +7,8 @@ from repro.experiments.config import (
     JOIN_SELECTIVITIES,
     STREAM_RATES,
     ExperimentConfig,
-    SweepConfig,
     default_multi_query_config,
     default_three_query_config,
-    paper_scale,
 )
 from repro.experiments.cpu_study import FIGURE_18_PANELS, figure_18
 from repro.experiments.harness import (
@@ -27,7 +25,6 @@ from repro.experiments.memory_study import FIGURE_17_PANELS, figure_17
 from repro.experiments.report import (
     format_chain_points,
     format_memory_points,
-    format_savings_summary,
     format_service_rate_points,
     format_table,
     format_trace,
@@ -46,13 +43,11 @@ __all__ = [
     "FIGURE_19_PANELS",
     "chain_shapes",
     "ExperimentConfig",
-    "SweepConfig",
     "STREAM_RATES",
     "FILTER_SELECTIVITIES",
     "JOIN_SELECTIVITIES",
     "default_three_query_config",
     "default_multi_query_config",
-    "paper_scale",
     "STRATEGIES",
     "StrategyResult",
     "build_plan",
@@ -66,7 +61,6 @@ __all__ = [
     "format_service_rate_points",
     "format_chain_points",
     "format_trace",
-    "format_savings_summary",
     "PAPER_TABLE_2",
     "table_2_trace",
     "table_2_full_outputs",

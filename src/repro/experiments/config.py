@@ -15,7 +15,8 @@ query counts stay exactly as in the paper.  Scaling time uniformly scales
 the expected state occupancy (λ·W) and the probing work (λ²·W) of every
 strategy by the same factor, so the ratios between strategies — the shape
 of every figure — are preserved, only the absolute tuple counts shrink.
-``paper_scale()`` returns the unscaled settings for anyone willing to wait.
+``time_scale=1.0, duration=90.0`` is the unscaled setting for anyone willing
+to wait.
 
 The run duration defaults to ``duration_windows`` times the largest
 (scaled) window so that every window fills and the steady-state tail is
@@ -24,8 +25,7 @@ long enough to average over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 from repro.engine.errors import ConfigurationError
 from repro.query.workload import window_distribution
@@ -37,10 +37,8 @@ __all__ = [
     "THREE_QUERY_WINDOW_NAMES",
     "MULTI_QUERY_WINDOW_NAMES",
     "ExperimentConfig",
-    "SweepConfig",
     "default_three_query_config",
     "default_multi_query_config",
-    "paper_scale",
 ]
 
 #: Stream input rates (tuples/second) swept by Figures 17, 18 and 19.
@@ -126,9 +124,6 @@ class ExperimentConfig:
     def with_rate(self, rate: float) -> "ExperimentConfig":
         return replace(self, rate=rate)
 
-    def scaled(self, time_scale: float, duration: float | None = None) -> "ExperimentConfig":
-        return replace(self, time_scale=time_scale, duration=duration)
-
     def label(self) -> str:
         label = (
             f"{self.window_distribution}, {self.query_count} queries, "
@@ -138,17 +133,6 @@ class ExperimentConfig:
         if self.probe != "nested_loop":
             label += f", probe={self.probe}"
         return label
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """A sweep over stream rates for a fixed base configuration."""
-
-    base: ExperimentConfig
-    rates: Sequence[float] = field(default=STREAM_RATES)
-
-    def configs(self) -> list[ExperimentConfig]:
-        return [self.base.with_rate(rate) for rate in self.rates]
 
 
 def default_three_query_config(
@@ -180,8 +164,3 @@ def default_multi_query_config(
         filter_selectivity=1.0,
         time_scale=time_scale,
     )
-
-
-def paper_scale(config: ExperimentConfig) -> ExperimentConfig:
-    """Return the configuration at the paper's true windows and 90 s duration."""
-    return config.scaled(time_scale=1.0, duration=90.0)

@@ -21,7 +21,6 @@ __all__ = [
     "format_service_rate_points",
     "format_chain_points",
     "format_trace",
-    "format_savings_summary",
 ]
 
 
@@ -98,18 +97,4 @@ def format_trace(rows: Sequence[TraceRow]) -> str:
     ]
     return format_table(
         ["T", "Arr.", "OP", "A::[0,2)", "Queue", "A::[2,4)", "Output"], body
-    )
-
-
-def format_savings_summary(
-    rows: Sequence[dict[str, float]], value_key: str, title: str
-) -> str:
-    """Summarise a Figure 11 surface: min / mean / max saving over the grid."""
-    values = [row[value_key] for row in rows]
-    if not values:
-        return f"{title}: (no data)"
-    mean = sum(values) / len(values)
-    return (
-        f"{title}: min={min(values):.1f}%  mean={mean:.1f}%  max={max(values):.1f}% "
-        f"over {len(values)} grid points"
     )

@@ -26,8 +26,11 @@ the same way" (Section 2).  This module provides that extension:
   per-query dispatch happens inside the operator, one output port per
   registered tap.
 
-Chains of count-sliced joins are managed by
-:class:`repro.core.count_chain.CountSlicedJoinChain`.
+The sliced operator is what a *static* count plan is built from
+(:func:`repro.core.plan_builder.build_state_slice_plan` with
+``window_kind="count"``) and the per-item reference of a count session's
+chain, :class:`repro.core.count_chain.CountSlicedJoinChain`, which keeps the
+same slices as rank ranges of one column per stream and builds no operator.
 """
 
 from __future__ import annotations
@@ -278,8 +281,7 @@ class SharedCountJoin(Operator):
 class CountSlicedBinaryJoin(SlicedJoinBase):
     """One slice ``[rank_start, rank_end)`` of a count-based sliced-join chain.
 
-    Ports, slice states, probe configuration, keyed extract/ingest and the
-    spill surface are those of
+    Ports, slice states and probe configuration are those of
     :class:`~repro.operators.sliced_join.SlicedJoinBase`, shared with the
     time-sliced :class:`~repro.operators.sliced_join.SlicedBinaryJoin`;
     what differs is eviction — a rank slice never purges on probe, it
@@ -308,17 +310,6 @@ class CountSlicedBinaryJoin(SlicedJoinBase):
     def capacity(self) -> int:
         """Number of tuples of each stream this slice may hold."""
         return self.rank_end - self.rank_start
-
-    def load_state(self, stream: str, tuples: Iterable[StreamTuple]) -> None:
-        """Replace one stream's sliced state (migration helper).
-
-        The count chain's split/merge migrations move rank ranges between
-        slices eagerly; an indexed state rebuilds its key index as it loads,
-        so probing stays correct across migrations.  A replaced spilled
-        state has its segments deleted (cold slices re-materialize through
-        here before any migration crosses them — see ``docs/invariants.md``).
-        """
-        self._install_state(stream, tuples)
 
     # -- execution --------------------------------------------------------------
     def process_batch(

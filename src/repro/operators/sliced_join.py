@@ -21,6 +21,12 @@ punctuation with timestamp ``T`` asserts that every joined result with
 timestamp smaller than ``T`` reachable through this join has already been
 emitted; the order-preserving union uses it to release sorted output
 (Section 4.3 describes this role of the propagated male tuple).
+
+These operators run in the static figure/table plans and, as
+:class:`~repro.core.chain_operators.OperatorJoinChain`, as the per-item
+reference of the runtime: a session builds no slice operator (its chain keeps
+every slice as a row range of one column per stream, disk tier included), so
+the operators' states are always in core.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from repro.engine.columns import ColumnarState, ProbeBinding
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
-from repro.engine.spill import SpillableJoinMixin
 from repro.query.predicates import EquiJoinCondition, JoinCondition
 from repro.query.windows import WindowSlice
 from repro.streams.tuples import (
@@ -71,12 +76,12 @@ def resolve_probe(probe: str, condition: JoinCondition) -> str:
 class KeyedStateMixin:
     """Keyed extract/ingest over per-stream sliced states.
 
-    The repartition primitive behind live resharding
-    (:meth:`repro.runtime.sharding.ShardedStreamEngine.reshard`), shared by
-    the time- and count-sliced binary joins — both keep their resident
-    tuples in a per-stream ``_states`` map and replace a state wholesale via
-    ``load_state`` (an indexed state rebuilds its key index as it loads),
-    which is all this mixin requires.
+    The repartition primitive of the operator reference chain (a session's
+    cursor chain answers :meth:`repro.runtime.sharding.ShardedStreamEngine.reshard`
+    from its columns): the host keeps its resident tuples in a per-stream
+    ``_states`` map and replaces a state wholesale via ``load_state`` (an
+    indexed state rebuilds its key index as it loads), which is all this
+    mixin requires.
     """
 
     def extract_state(self, stream: str, predicate=None) -> list[StreamTuple]:
@@ -87,10 +92,7 @@ class KeyedStateMixin:
         coordinator; a keyed ``predicate`` supports donor-side filtering
         (e.g. splitting one slice's state by key in place).  The remaining
         tuples keep their arrival order and, when probing is indexed, the
-        hash index is rebuilt to match.  Note that for a *count* slice a
-        keyed extract changes the rank occupancy — a count chain is only
-        repartition-safe as a whole-state export, which is why resharding
-        refuses count-window sessions for more than one shard.
+        hash index is rebuilt to match.
         """
         state = self._states[stream]
         if predicate is None:
@@ -111,9 +113,8 @@ class KeyedStateMixin:
         The receiving half of the repartition primitive: ``tuples`` (the
         extract of another shard's same-boundary slice) are merged with the
         resident tuples in global ``(timestamp, seqno)`` order — the order
-        the purge loop relies on, and for a count slice exactly rank order,
-        since ranks follow the arrival sequence.  The hash index, when
-        enabled, is rebuilt.  Returns the number of tuples spliced in.
+        the purge loop relies on.  The hash index, when enabled, is rebuilt.
+        Returns the number of tuples spliced in.
         """
         incoming = list(tuples)
         if not incoming:
@@ -226,15 +227,15 @@ def _scan_purge(state, now: float, end: float) -> tuple[list[StreamTuple], int]:
     return purged, comparisons
 
 
-class SlicedJoinBase(SpillableJoinMixin, KeyedStateMixin, Operator):
+class SlicedJoinBase(Operator):
     """What the time- and count-sliced binary joins share.
 
     Per-stream slice states behind one protocol, the probe configuration
     with its orientation fixed per stream at construction, state
-    introspection, the spill surface (:class:`SpillableJoinMixin`), keyed
-    extract/ingest (:class:`KeyedStateMixin`) and the literal per-item
-    Figure-9 path.  Subclasses keep what actually differs: a time slice
-    cross-purges on probe, a rank slice overflows on insert.
+    introspection and the literal per-item Figure-9 path.  Subclasses keep
+    what actually differs: a time slice cross-purges on probe (and, as the
+    operator chain's slice, re-loads states under migrations), a rank slice
+    overflows on insert.
 
     Ports
     -----
@@ -280,10 +281,9 @@ class SlicedJoinBase(SpillableJoinMixin, KeyedStateMixin, Operator):
         # probing male, which ``bind_*`` the scalar fallback uses — is fixed
         # here, once per stream, and travels with the state.
         indexed = self.probe == "hash"
-        equi = isinstance(condition, EquiJoinCondition)
         self._bindings = {
-            left_stream: ProbeBinding(condition, True, indexed, equi),
-            right_stream: ProbeBinding(condition, False, indexed, equi),
+            left_stream: ProbeBinding(condition, True, indexed),
+            right_stream: ProbeBinding(condition, False, indexed),
         }
         self._states: dict[str, Any] = {
             stream: ColumnarState(binding) for stream, binding in self._bindings.items()
@@ -310,12 +310,6 @@ class SlicedJoinBase(SpillableJoinMixin, KeyedStateMixin, Operator):
 
     def state_tuples(self, stream: str) -> list[StreamTuple]:
         return list(self._states[stream])
-
-    def _install_state(self, stream: str, tuples: Iterable[StreamTuple]) -> None:
-        """Replace one stream's state by an in-core one holding ``tuples``."""
-        replaced = self._states[stream]
-        self._states[stream] = ColumnarState(self._bindings[stream], tuples)
-        replaced.release()
 
     # -- per-item execution: the literal scalar path of Figure 9 ------------------
     def process(self, item: Any, port: str) -> list[Emission]:
@@ -373,10 +367,11 @@ class SlicedJoinBase(SpillableJoinMixin, KeyedStateMixin, Operator):
         return emissions
 
 
-class SlicedBinaryJoin(SlicedJoinBase):
+class SlicedBinaryJoin(KeyedStateMixin, SlicedJoinBase):
     """Sliced binary window join (Definition 3, execution of Figure 9).
 
-    Ports are those of :class:`SlicedJoinBase`.
+    Ports are those of :class:`SlicedJoinBase`; keyed extract/ingest is
+    :class:`KeyedStateMixin`'s.
 
     Parameters
     ----------
@@ -413,14 +408,11 @@ class SlicedBinaryJoin(SlicedJoinBase):
     def load_state(self, stream: str, tuples: Iterable[StreamTuple]) -> None:
         """Replace one stream's sliced state (migration helper).
 
-        Used by the chain's merge migration; an indexed state rebuilds its
+        Every migration path of the operator chain (merge, keyed
+        extract/ingest) funnels through here; an indexed state rebuilds its
         key index as it loads, so probing stays correct across migrations.
-        A replaced spilled state has its segments deleted — every migration
-        path (merge, keyed extract/ingest) funnels through here, which is
-        what re-materializes cold slices before state crosses a migration
-        boundary (see ``docs/invariants.md``).
         """
-        self._install_state(stream, tuples)
+        self._states[stream] = ColumnarState(self._bindings[stream], tuples)
 
     # -- execution (Figure 9) ----------------------------------------------------------
     def process_batch(

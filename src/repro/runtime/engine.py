@@ -37,8 +37,10 @@ so the placement stays optimal as the query set evolves.
 **Count-based windows** — ``window_kind="count"`` (or the
 :class:`CountStreamEngine` convenience subclass) runs the same admission
 protocol over a :class:`~repro.core.count_chain.CountSlicedJoinChain`,
-whose boundaries are tuple *ranks* instead of time offsets.  Count-window
-sessions always keep the Mem-Opt chain (one boundary per registered count):
+whose boundaries are tuple *ranks* instead of time offsets — the same two
+columns as a time-window session's chain, its slices rank ranges, so a
+migration moves no row.  Count-window sessions always keep the Mem-Opt
+chain (one boundary per registered count):
 a merged slice's results cannot be re-split by rank at routing time, since
 a tuple's rank — unlike a timestamp gap — is not derivable from the joined
 pair itself.  For the same reason selections are *not* pushed into a count
@@ -50,8 +52,9 @@ the N most recent *arrivals*, selections filter the answers).
 **Hash probing** — ``probe="hash"`` (equi-join conditions only, or
 ``"auto"``; the constructor default is ``"nested_loop"``) keeps a per-key
 index on the equi-key, so a probing tuple examines one bucket instead of the
-whole window state.  The index is a property of the state
-(:mod:`repro.engine.columns`) and is rebuilt with whatever a migration loads.
+whole window state.  The index is a property of the column
+(:mod:`repro.engine.columns`: posting lists of row ids, which no split or
+merge touches) and is rebuilt with whatever a keyed ingest loads.
 
 **Adaptive re-optimization** — with ``collect_statistics=True`` (or an
 attached :class:`~repro.runtime.adaptive.AdaptivePolicy`) every processed
@@ -230,14 +233,12 @@ class StreamEngine:
     memory_budget_bytes:
         Optional in-core state budget.  After every batch, while the resident
         estimate exceeds it, the chain moves its oldest state to an on-disk
-        segment store (:mod:`repro.engine.spill`).  A time-window session
-        runs the same chain either way: the oldest rows of each column keep
-        timestamp and key in core, their payloads go to one append-only log
-        per stream, and only rows a batch reports are read back.  A
-        count-window session spills whole slices (never the head slice),
-        which answer purges and probes from disk and re-materialize at
-        migration boundaries.  Results are byte-identical.  ``None``
-        (default) keeps everything in core.
+        segment store (:mod:`repro.engine.spill`).  A session — time or
+        count windows — runs the same chain either way: the oldest rows of
+        each column keep timestamp and key in core, their payloads go to one
+        append-only log per stream, and only rows a batch reports are read
+        back.  Results are byte-identical.  ``None`` (default) keeps
+        everything in core.
     """
 
     #: Slice state is always columnar (:mod:`repro.engine.columns`); this

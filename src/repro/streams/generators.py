@@ -21,7 +21,6 @@ All generators are deterministic given a seed.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -287,8 +286,3 @@ def equi_value_generator(domain: int) -> Callable[[], SelectivityValueGenerator]
 def interleave(*sequences: Iterable[StreamTuple]) -> list[StreamTuple]:
     """Merge arbitrary tuple sequences into global timestamp order."""
     return _merge_by_timestamp([list(seq) for seq in sequences])
-
-
-def expected_tuple_count(rate: float, duration: float) -> int:
-    """Expected number of arrivals for a Poisson process (rounded)."""
-    return int(math.floor(rate * duration))

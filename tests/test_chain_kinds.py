@@ -40,7 +40,10 @@ def pairs(results):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("kind", SESSIONS)
 @pytest.mark.parametrize(
-    "window", [float("nan"), float("inf"), float("-inf"), 0, -1.0, -3]
+    "window",
+    [float("nan"), float("inf"), float("-inf"), 0, -1.0, -3]
+    # ... and what ``float()`` itself rejects (ValueError, TypeError, OverflowError)
+    + ["abc", None, pytest.param([4], id="list"), pytest.param(10**400, id="huge-int")],
 )
 def test_unusable_windows_are_refused_with_query_error(kind, window):
     session = SESSIONS[kind]()
@@ -61,6 +64,12 @@ def test_window_refusal_messages():
             QueryError, match="query 'q' needs a positive integer count window, got"
         ):
             count.add_query("q", window)
+    with pytest.raises(QueryError, match="query 'q' has non-numeric window 'abc'"):
+        time.add_query("q", "abc")
+    with pytest.raises(
+        QueryError, match="query 'q' needs a positive integer count window, got None"
+    ):
+        count.add_query("q", None)
     assert count.add_query("q", 4.0).window == 4  # whole floats are counts
     with pytest.raises(QueryError, match="window_kind must be 'time' or 'count'"):
         StreamEngine(CONDITION, window_kind="rows")

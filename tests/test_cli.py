@@ -198,6 +198,31 @@ class TestRuntimeCommand:
         assert "count windows" in out
         assert "engine stats:" in out
 
+    def test_runtime_count_windows_under_a_budget_report_rows(self, capsys):
+        """A count session's tier is the cold prefix too: the report counts
+        evicted *rows*, and the window unit comes from the chain class."""
+        out = run_cli(
+            capsys,
+            "runtime",
+            "--duration",
+            "8",
+            "--rate",
+            "40",
+            "--window-kind",
+            "count",
+            "--windows",
+            "200",
+            "50",
+            "--memory-budget",
+            "64K",
+            "--stats",
+        )
+        assert "+Q1 (window 200 rows)" in out and "Q2: window 50 rows" in out
+        spill = next(line for line in out.splitlines() if line.startswith("spill:"))
+        assert "budget 65536 B, 2 segments written" in spill  # one log per stream
+        assert " row evictions, " in spill and "slice" not in spill
+        assert " 0 row evictions" not in spill and "spilled 0 B" not in spill
+
     def test_runtime_sharded_with_stats(self, capsys):
         out = run_cli(
             capsys,

@@ -21,6 +21,13 @@ keep timestamp and key in core and their payload in a log), down to "nothing
 stays hot" and "the cold rows' metadata alone exceeds the budget" — every
 equality above must hold whatever is cold.
 
+The count chain (``CountSlicedJoinChain``: the same columns, cursors placed
+by rank arithmetic) has its own family below: a count *session* in drawn
+batches, with drawn budgets, against the static plan of
+``CountSlicedBinaryJoin`` operators executed one tuple at a time — equal
+results per registered count, equal ``PROBE`` and ``PURGE`` totals — and one
+test that its migrations move no row.
+
 The hazards found while prototyping the kernel, and then the tier, are pinned
 one by one below the properties; each of those tests fails on the naive
 version it names.
@@ -35,7 +42,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.chain import SlicedJoinChain
 from repro.core.chain_operators import OperatorJoinChain
+from repro.core.count_chain import CountSlicedJoinChain
+from repro.core.plan_builder import build_state_slice_plan
 from repro.engine import columns
+from repro.engine.executor import execute_plan
 from repro.engine.spill import ROW_METADATA_BYTES, SpillStore
 from repro.query.predicates import (
     CrossProductCondition,
@@ -45,7 +55,10 @@ from repro.query.predicates import (
     ThetaJoinCondition,
     attribute_ge,
 )
+from repro.query.query import ContinuousQuery, QueryWorkload
+from repro.runtime import StreamEngine
 from repro.streams.tuples import StreamTuple, make_tuple
+from tests.conftest import result_keys
 from tests.test_columnar_equivalence import BLOCK_BATCH_SIZES, WEIRD_KEYS, slicings
 
 #: Keys a float64 column cannot hold exactly, that still add and compare.
@@ -272,6 +285,92 @@ def test_cursor_chain_equals_operator_chain_under_migrations(
         assert cursor.metrics.snapshot()[key] == operators.metrics.snapshot()[key], key
     assert cursor.metrics.total_invocations == operators.metrics.total_invocations
     store.close()
+
+
+# ---------------------------------------------------------------------------
+# The count chain: rank ranges of the same columns
+# ---------------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(
+    scenario=scenarios(),
+    counts=st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
+    batch_size=st.integers(1, 32),
+    budgets=st.lists(st.sampled_from(BUDGETS), min_size=1, max_size=12),
+)
+def test_count_session_equals_the_per_item_count_operator_plan(
+    scenario, counts, batch_size, budgets
+):
+    """A count session (cursor chain, drawn batch size, a drawn budget
+    enforced between batches) against ``CountSlicedBinaryJoin`` operators run
+    one tuple at a time: the same results per registered count and, count
+    for count, the same ``PROBE`` and ``PURGE`` totals — whatever is cold."""
+    make_condition, probe, tuples = scenario
+    condition = make_condition()
+    workload = QueryWorkload(
+        [ContinuousQuery(f"Q{count}", window=count, join_condition=condition) for count in counts]
+    )
+    report = execute_plan(
+        build_state_slice_plan(workload, window_kind="count", probe=probe), tuples, batch_size=1
+    )
+    engine = StreamEngine(condition, batch_size=batch_size, window_kind="count", probe=probe)
+    for query in workload:
+        engine.add_query(query.name, query.window)
+    chain = engine._chain
+    assert type(chain) is CountSlicedJoinChain
+    store = SpillStore()
+    for batch, start in enumerate(range(0, len(tuples), batch_size)):
+        engine.process_many(tuples[start : start + batch_size])
+        engine.flush()
+        evict(chain, store, budgets[batch % len(budgets)])
+        assert chain.states_are_disjoint()
+        assert chain.state_size() <= 2 * max(counts)
+    assert result_keys({query.name: engine.results(query.name) for query in workload}) == result_keys(
+        report.results
+    )
+    session, reference = engine.metrics.snapshot(), report.metrics.snapshot()
+    for key in ("comparisons.probe", "comparisons.purge"):
+        assert session[key] == reference[key], key
+    store.close()
+
+
+def test_count_migrations_move_no_row():
+    """Membership is the rank: a split, a merge and an append insert or delete
+    a boundary and nothing else — the column holds the same objects in the
+    same order, regrouped — and only a drop-tail frees rows."""
+    chain = CountSlicedJoinChain([0, 4, 10], EQUI, probe="hash")
+    rows = [arrival("AB"[step % 2], 0.1 * step, key=step % 3) for step in range(30)]
+    chain.process_batch(rows)
+    a_rows = rows[0::2][-10:]  # the ten newest of stream A, oldest first
+
+    def stored():
+        return [list(column._refs[column._head :]) for column in chain._columns]
+
+    def by_rank(bounds):
+        return [a_rows[len(a_rows) - end : len(a_rows) - start] for start, end in zip(bounds, bounds[1:])]
+
+    before = stored()
+    assert all(len(refs) == 10 for refs in before)
+    assert chain.state_tuples("A") == by_rank([0, 4, 10])
+    for migrate, bounds in (
+        (lambda: chain.split_slice(1, 7), [0, 4, 7, 10]),
+        (lambda: chain.split_slice(0, 1), [0, 1, 4, 7, 10]),
+        (lambda: chain.merge_slices(1), [0, 1, 7, 10]),
+        (lambda: chain.append_slice(12), [0, 1, 7, 10, 12]),
+        (lambda: chain.merge_slices(0), [0, 7, 10, 12]),
+    ):
+        migrate()
+        assert chain.boundaries == bounds
+        assert all(kept is was for now, then in zip(stored(), before) for kept, was in zip(now, then))
+        assert [len(refs) for refs in stored()] == [10, 10]
+        assert chain.state_tuples("A") == by_rank(bounds)
+        assert chain.states_are_disjoint()
+    chain.drop_tail_slice()
+    chain.drop_tail_slice()
+    assert chain.boundaries == [0, 7] and chain.state_tuples("A") == [a_rows[-7:]]
+    assert stored() == [refs[-7:] for refs in before]
+    # The posting lists never noticed: probing still finds rank 0..6 only.
+    found = chain.process_batch([arrival("B", 9.0, key=1)])
+    assert [joined.left for _, joined in found] == [tup for tup in a_rows[-7:] if tup["join_key"] == 1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,8 @@ from repro.experiments.config import (
     JOIN_SELECTIVITIES,
     STREAM_RATES,
     ExperimentConfig,
-    SweepConfig,
     default_multi_query_config,
     default_three_query_config,
-    paper_scale,
 )
 from repro.experiments.cpu_study import FIGURE_18_PANELS
 from repro.experiments.cpu_study import run_panel as run_cpu_panel
@@ -33,7 +31,6 @@ from repro.experiments.memory_study import run_panel as run_memory_panel
 from repro.experiments.report import (
     format_chain_points,
     format_memory_points,
-    format_savings_summary,
     format_service_rate_points,
     format_table,
     format_trace,
@@ -59,11 +56,6 @@ class TestExperimentConfig:
         config = ExperimentConfig(duration=5.0)
         assert config.effective_duration() == 5.0
 
-    def test_paper_scale_restores_true_windows(self):
-        config = paper_scale(default_three_query_config("uniform"))
-        assert config.windows() == (10.0, 20.0, 30.0)
-        assert config.effective_duration() == 90.0
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(rate=0)
@@ -80,10 +72,6 @@ class TestExperimentConfig:
         config = FAST.with_rate(60)
         assert config.rate == 60
         assert "60" in config.label()
-
-    def test_sweep_config(self):
-        sweep = SweepConfig(FAST, rates=(10, 20))
-        assert [c.rate for c in sweep.configs()] == [10, 20]
 
     def test_multi_query_defaults(self):
         config = default_multi_query_config("small-large", query_count=12)
@@ -252,10 +240,5 @@ class TestReportFormatting:
         chain_points = run_chain_panel("a", rates=(20,), time_scale=0.04)
         assert "slices" in format_chain_points(chain_points, "a")
 
-    def test_format_trace_and_savings_summary(self):
+    def test_format_trace(self):
         assert "Queue" in format_trace(table_2_trace())
-        summary = format_savings_summary(
-            [{"x": 10.0}, {"x": 30.0}], value_key="x", title="t"
-        )
-        assert "mean=20.0%" in summary
-        assert format_savings_summary([], value_key="x", title="t").endswith("(no data)")

@@ -6,8 +6,8 @@ deque-compatible :class:`SpilledState` surface, the per-segment key
 index, store cleanup, and the engine-level eviction/accounting contract
 (``tests/test_slice_state_protocol.py`` drives the whole state protocol
 against a model, together with the in-core state) — including the two
-bounds a time-window session's tier states (resident estimate, files on
-disk) and every path that must release its log
+bounds a session's tier states (resident estimate, files on disk), for
+time and for count windows, and every path that must release its log
 (``tests/test_cursor_chain.py`` holds the cold prefix itself to the
 per-item reference).
 """
@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.core.chain import CursorChain
 from repro.engine import spill
 from repro.engine.columns import ProbeBinding
 from repro.engine.spill import (
@@ -28,7 +29,7 @@ from repro.engine.spill import (
 )
 from repro.query.predicates import EquiJoinCondition, selectivity_join
 from repro.runtime import ShardedStreamEngine, StreamEngine
-from repro.runtime.engine import QueryError
+from repro.runtime.engine import CHAIN_KINDS, QueryError
 from repro.streams.tuples import StreamTuple
 
 
@@ -211,7 +212,7 @@ def test_engine_close_releases_spill_store():
     assert engine._spill_store is None
 
 
-# -- the tier of a time-window session: bounds asserted, logs released -----------
+# -- the tier of a session, time or count windows: bounds asserted, logs released --
 
 
 def interleaved(count, spacing=0.01, key_domain=4):
@@ -227,18 +228,28 @@ def spill_files(engine):
     return [os.path.join(directory, name) for name in os.listdir(directory)]
 
 
-@pytest.mark.parametrize("budget", [1, 2048, 16384])
-def test_resident_estimate_stays_within_the_budget_or_the_rows_metadata(budget):
+#: Per window kind, two windows holding about the same state: 150 and 40 rows
+#: per stream at ``interleaved``'s 100 arrivals a second, 100 and 25 at 50.
+WINDOWS = {"time": ((1.5, 0.4), (2.0, 0.5)), "count": ((150, 40), (100, 25))}
+
+
+@pytest.mark.parametrize(
+    "window_kind, budget",
+    [pytest.param("time", budget, id=str(budget)) for budget in (1, 2048, 16384)]
+    + [pytest.param("count", budget, id=f"count-{budget}") for budget in (1, 2048, 16384)],
+)
+def test_resident_estimate_stays_within_the_budget_or_the_rows_metadata(window_kind, budget):
     """After every batch: ``resident <= max(budget, stored rows x metadata)``
     — 1 B leaves nothing hot, 2 KiB is outgrown by the metadata alone, 16 KiB
     keeps a hot head."""
     engine = StreamEngine(
         EquiJoinCondition("join_key", "join_key", key_domain=4),
         batch_size=16,
+        window_kind=window_kind,
         memory_budget_bytes=budget,
     )
-    engine.add_query("Q", 1.5)
-    engine.add_query("R", 0.4)
+    for name, window in zip("QR", WINDOWS[window_kind][0]):
+        engine.add_query(name, window)
     tuples = interleaved(400)
     peak_rows = 0
     for start in range(0, len(tuples), 16):
@@ -259,29 +270,33 @@ def test_resident_estimate_stays_within_the_budget_or_the_rows_metadata(budget):
 def test_log_files_never_exceed_live_bytes_plus_a_segment_per_stream(monkeypatch):
     """Over 25 window lengths the files on disk stay within the live spilled
     bytes plus one segment per stream: a segment is unlinked as soon as every
-    row in it has been purged off the chain's end."""
+    row in it has been purged off the chain's end — by age or by rank."""
     monkeypatch.setattr(spill, "LOG_SEGMENT_BYTES", 2048)
-    engine = StreamEngine(
-        EquiJoinCondition("join_key", "join_key", key_domain=4),
-        batch_size=16,
-        memory_budget_bytes=4096,
-    )
-    engine.add_query("Q", 2.0)
-    engine.add_query("R", 0.5)
     tuples = interleaved(2500, spacing=0.02)  # 50 s of stream: 25 windows
-    most_files = 0
-    for start in range(0, len(tuples), 16):
-        engine.process_many(tuples[start : start + 16])
-        if engine._spill_store is None:
-            continue
-        files = spill_files(engine)
-        most_files = max(most_files, len(files))
-        spilled = engine._chain.memory_bytes(engine._tuple_bytes)[1]
-        on_disk = sum(os.path.getsize(path) for path in files)
-        assert spilled <= on_disk <= spilled + 2 * (2048 + 128)  # a segment ends within a record of 2 KiB
-    store = engine._spill_store
-    assert store.segments_written > 10 * most_files  # files were retired all along
-    engine.close()
+    for window_kind, (_, windows) in WINDOWS.items():
+        engine = StreamEngine(
+            EquiJoinCondition("join_key", "join_key", key_domain=4),
+            batch_size=16,
+            window_kind=window_kind,
+            memory_budget_bytes=4096,
+        )
+        for name, window in zip("QR", windows):
+            engine.add_query(name, window)
+        most_files = 0
+        for start in range(0, len(tuples), 16):
+            engine.process_many(tuples[start : start + 16])
+            if engine._spill_store is None:
+                continue
+            files = spill_files(engine)
+            most_files = max(most_files, len(files))
+            spilled = engine._chain.memory_bytes(engine._tuple_bytes)[1]
+            on_disk = sum(os.path.getsize(path) for path in files)
+            # A segment ends within a record of 2 KiB.
+            assert spilled <= on_disk <= spilled + 2 * (2048 + 128), window_kind
+        store = engine._spill_store
+        assert store.segments_written > 10 * most_files, window_kind  # files were retired all along
+        assert all(type(column.log) is spill.SpillLog for column in engine._chain._columns)
+        engine.close()
 
 
 def test_every_way_out_releases_the_log(monkeypatch):
@@ -325,13 +340,15 @@ def test_every_way_out_releases_the_log(monkeypatch):
 
 def test_budgeted_and_unbudgeted_sessions_build_the_same_chain():
     condition = EquiJoinCondition("join_key", "join_key", key_domain=4)
-    chains = []
-    for budget in (None, 4096):
-        engine = StreamEngine(condition, memory_budget_bytes=budget)
-        engine.add_query("Q", 1.0)
-        chains.append(type(engine._chain))
-        engine.close()
-    assert chains[0] is chains[1] is StreamEngine(condition).chain_class
+    for window_kind in ("time", "count"):
+        chains = []
+        for budget in (None, 4096):
+            engine = StreamEngine(condition, window_kind=window_kind, memory_budget_bytes=budget)
+            engine.add_query("Q", 1.0)
+            chains.append(type(engine._chain))
+            engine.close()
+        assert chains[0] is chains[1] is CHAIN_KINDS[window_kind]
+        assert issubclass(chains[0], CursorChain)
 
 
 def test_reshard_export_cut_releases_every_retiring_log():

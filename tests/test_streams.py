@@ -14,7 +14,6 @@ from repro.streams.generators import (
     SelectivityValueGenerator,
     StreamGenerator,
     StreamSpec,
-    expected_tuple_count,
     generate_join_workload,
     interleave,
 )
@@ -156,6 +155,3 @@ class TestStreamGeneration:
         b = [make_tuple("B", t, x=1) for t in (1.0, 2.0)]
         merged = interleave(a, b)
         assert [t.timestamp for t in merged] == [0.5, 1.0, 2.0, 2.5]
-
-    def test_expected_tuple_count(self):
-        assert expected_tuple_count(rate=10, duration=2.5) == 25
