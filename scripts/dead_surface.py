@@ -6,6 +6,11 @@ identifier references outside its own definition (package ``__init__``
 re-exports excluded) by area; the README's python blocks count as examples.
 Fails on a name only ``tests/`` reference unless ``REFERENCES`` says which test
 needs it, and on an unbound ``__all__`` entry.  ``--table`` prints all counts.
+
+Also holds the package's layering: ``src/repro/`` imports only the standard
+library, ``repro`` itself and numpy (the one declared dependency); numpy is
+imported by ``engine/columns.py`` alone; and nothing under ``repro/query/``
+imports ``repro.engine.columns``.
 """
 
 import ast
@@ -25,8 +30,8 @@ REFERENCES = {  # test-only names that stay, and the test that needs each
     "OneWayWindowJoin": "test_sliced_joins: Theorem 1, a one-way chain == the regular join",
     "brute_force_cpu_opt_chain": "test_chain_specs, test_property_optimizers: Dijkstra == it",
     "enumerate_chains": "test_chain_specs: the space the exhaustive search scans",
-    "PassThrough": "test_batch_execution, test_plan_and_executors: batch contract, wiring",
-    "ThetaJoinCondition": "test_columnar_equivalence, test_slice_state_protocol: maskless probe",
+    "PassThrough": "test_plan_and_executors, test_engine_primitives: plan wiring, operator base",
+    "ThetaJoinCondition": "test_cursor_chain, test_slice_state_protocol: maskless probe",
     "OperatorJoinChain": "test_cursor_chain: the per-item reference",
     **dict.fromkeys(
         LEFTOVERS.split(),
@@ -45,6 +50,30 @@ def mentions(tree, aliases=True):
     )
 
 
+def imported_modules(tree):
+    """The dotted name of every absolute import in a tree (``from a.b import
+    c`` counts as ``a.b`` and ``a.b.c``: ``c`` may be a module)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def layering_problems(where, tree):
+    """Breaches of the import rules in the module docstring by one src module."""
+    for module in sorted(set(imported_modules(tree))):
+        top = module.partition(".")[0]
+        if top == "numpy":
+            if where != PACKAGE / "engine" / "columns.py":
+                yield f"{where}: imports numpy (only engine/columns.py may)"
+        elif top != "repro" and top not in sys.stdlib_module_names:
+            yield f"{where}: imports {module!r}, neither stdlib, repro nor numpy"
+        elif module == "repro.engine.columns" and PACKAGE / "query" in where.parents:
+            yield f"{where}: repro.query must not import repro.engine.columns"
+
+
 def main(argv):
     modules = {}  # repo-relative path -> (area, tree, identifier counts)
     for area in AREAS:
@@ -56,7 +85,10 @@ def main(argv):
     modules[Path("README.md")] = ("examples", quickstart, mentions(quickstart))
     problems = []
     for where, (own_area, tree, _) in modules.items():
-        for node in tree.body if PACKAGE in where.parents else ():
+        if PACKAGE not in where.parents:
+            continue
+        problems.extend(layering_problems(where, tree))
+        for node in tree.body:
             if isinstance(node, ast.Assign) and "__all__" in mentions(node):
                 bound = {n.name for n in tree.body if isinstance(n, DEFS)}
                 bound.update(n.asname or n.name for n in ast.walk(tree) if isinstance(n, ast.alias))

@@ -74,12 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--time-scale", type=float, default=0.1, help="time scaling factor")
     compare.add_argument("--seed", type=int, default=7)
     compare.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        help="executor arrival batch size (1 = per-tuple execution)",
-    )
-    compare.add_argument(
         "--probe",
         choices=("nested_loop", "hash", "auto"),
         default="nested_loop",
@@ -255,7 +249,6 @@ def _cmd_compare(args: argparse.Namespace) -> str:
         filter_selectivity=args.ssigma,
         time_scale=args.time_scale,
         seed=args.seed,
-        batch_size=args.batch_size,
         probe=args.probe,
     )
     strategies = (

@@ -3,11 +3,11 @@
 :class:`OperatorJoinChain` manages one
 :class:`~repro.operators.sliced_join.SlicedBinaryJoin` per slice
 (``self.joins``), each with its own pair of slice states, and moves reference
-tuples between them item by item (``process``) or batch by batch.  No session
-builds it: it is the reference the cursor chain
+tuples between them item by item: ``process(tup)`` is the paper's Figure 9,
+comparison for comparison, and a batch is its arrivals processed one after
+the other.  No session builds it: it is the reference the cursor chain
 (:class:`~repro.core.chain.SlicedJoinChain`, what every time-window session
-runs) is fuzzed against — per-item ``process()`` here is the paper's Figure 9,
-comparison for comparison.  The time-window facts (seconds, link filters) are
+runs) is fuzzed against.  The time-window facts (seconds, link filters) are
 shared with the cursor chain through
 :class:`~repro.core.chain_base.TimeChainBase`; a merge re-loads the surviving
 operator's states and a split is lazy (the shrunk join re-purges its too-old
@@ -51,64 +51,45 @@ class OperatorJoinChain(TimeChainBase):
         join.bind_metrics(self.metrics)
         return join
 
-    def _through_link(self, index: int, items: list) -> list:
-        """Run a FIFO run of items through link ``index``'s filters."""
-        for stream_filter in self._filters[index]:
-            if stream_filter is None or not items:
-                continue
-            items = [
-                item for _port, item in stream_filter.process_batch(items, "in")
-            ]
-        return items
+    def _through_link(self, index: int, item: Any) -> bool:
+        """Whether ``item`` survives link ``index``'s filters, judged one at
+        a time by ``StreamFilter.process`` (which also charges the check)."""
+        return all(
+            stream_filter is None or stream_filter.process(item, "in")
+            for stream_filter in self._filters[index]
+        )
 
     # -- execution ------------------------------------------------------------
     def process(self, tup: StreamTuple) -> list[SliceResult]:
         """One arrival through every operator's per-item ``process()``: the
         literal scalar reference path."""
         results: list[SliceResult] = []
+        if not self._through_link(0, tup):
+            return results
         port = "left" if tup.stream == self.left_stream else "right"
-        pending: deque[tuple[int, tuple[str, Any]]] = deque()
-        for entry in self._through_link(0, [tup]):
-            for emission in self.joins[0].process(entry, port):
-                pending.append((0, emission))
+        pending: deque[tuple[int, tuple[str, Any]]] = deque(
+            (0, emission) for emission in self.joins[0].process(tup, port)
+        )
         while pending:
             index, (out_port, item) = pending.popleft()
             if out_port == "output":
                 results.append((index, item))
             elif out_port == "next":
                 next_index = index + 1
-                if next_index < len(self.joins):
-                    for passed in self._through_link(next_index, [item]):
-                        emissions = self.joins[next_index].process(passed, "chain")
-                        for emission in emissions:
-                            pending.append((next_index, emission))
+                if next_index < len(self.joins) and self._through_link(next_index, item):
+                    for emission in self.joins[next_index].process(item, "chain"):
+                        pending.append((next_index, emission))
             # Punctuations are dropped: results return directly, not via a union.
         return results
 
     def _slice_results(self, batch: list) -> list[tuple[int, list[JoinedTuple]]]:
-        """Slice by slice: the head join takes the whole mixed-stream batch
-        on one raw port (each arrival becomes its male/female reference pair
-        from its own stream); later joins consume the propagated references
-        on their ``chain`` port."""
-        bins = []
-        port = "left"
-        for index, join in enumerate(self.joins):
-            batch = self._through_link(index, batch)
-            if not batch:
-                break
-            results: list[JoinedTuple] = []
-            next_batch: list[Any] = []
-            # No punctuations: results return directly, not through a union.
-            for out_port, item in join.process_batch(batch, port, False):
-                if out_port == "output":
-                    results.append(item)
-                elif out_port == "next":
-                    next_batch.append(item)
-            if results:
-                bins.append((index, results))
-            batch = next_batch
-            port = "chain"
-        return bins
+        """Each arrival through :meth:`process`, regrouped slice-major
+        (stably: a slice's results stay in arrival order)."""
+        bins: dict[int, list[JoinedTuple]] = {}
+        for tup in batch:
+            for index, joined in self.process(tup):
+                bins.setdefault(index, []).append(joined)
+        return sorted(bins.items())
 
     # -- introspection ----------------------------------------------------------
     def state_sizes(self) -> list[int]:

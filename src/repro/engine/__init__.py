@@ -1,6 +1,5 @@
 """DSMS micro-kernel: operators, plans, the executor and cost accounting."""
 
-from repro.engine.clock import VirtualClock
 from repro.engine.errors import (
     ChainError,
     ConfigurationError,
@@ -18,7 +17,6 @@ from repro.engine.operator import Operator, PassThrough
 from repro.engine.plan import Edge, Entry, Output, QueryPlan
 
 __all__ = [
-    "VirtualClock",
     "ReproError",
     "SchemaError",
     "PlanError",

@@ -1,8 +1,8 @@
 """The in-core window state: columnar (struct-of-arrays) blocks.
 
 :class:`ColumnarState` is one stream's state in one slice *operator* — the
-static plans and the per-item reference chain — behind the slice-state
-protocol (``sweep``, ``append``, ``purge``, ``probe``, ``candidates``, the
+static plans and the per-item reference chain — behind the scalar slice-state
+protocol (``append``, ``purge``, ``probe``, ``candidates``, the
 deque-compatible read surface, ``load``), so the join operators keep only the
 male/female protocol of Figure 9 and never ask what a state is.
 :class:`ChainColumn` is the same columns holding one stream's state for a
@@ -31,11 +31,10 @@ parallel columns —
   ``refs``, and state always crosses migration boundaries as plain tuple
   lists (see ``docs/invariants.md``).
 
-The batched paths are block-at-a-time: :meth:`ColumnarState.sweep` (one
-slice) and ``ChainColumn.sweep`` / ``probe`` (every slice) are vectorized
-when every key involved has an exact float64 form, and otherwise run the
-scalar schedule they stand for (:func:`replay_sweep`; the bound scalar
-check over the same row ranges).
+The block kernel lives in :class:`ChainColumn` only: ``sweep`` / ``probe``
+take a whole batch over every slice, vectorized when every key involved has
+an exact float64 form and otherwise the bound scalar check over the same row
+ranges.  A :class:`ColumnarState` is driven one call at a time.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ __all__ = [
     "ChainColumn",
     "ColumnarState",
     "ProbeBinding",
-    "replay_sweep",
     "key_level",
     "INT_EXACT_MAX",
     "FLOAT_EXACT_MAX",
@@ -325,73 +323,6 @@ class ColumnarState:
             return _NOTHING
         check = binding.bind(probing)
         return [tup for tup in candidates if check(tup)], len(candidates)
-
-    def sweep(
-        self, females: Sequence[Any], males: Sequence[Any], preceding: Sequence[int], end: float
-    ) -> tuple[Sequence[Any], Sequence[Any], int, int]:
-        """One batch's traffic through this state, a block at a time.
-
-        ``females`` are appended in order; ``males[j]`` cross-purges with
-        ``end`` and probes once the first ``preceding[j]`` of them are in.
-        Returns ``(purged runs, matches, purge comparisons, probe
-        comparisons)``, one run and one match list per male — what
-        :func:`replay_sweep` yields, and that is what runs when a vectorized
-        answer could differ: an indexed or key-less state, a stored or
-        probing key above the condition's ``mask_level``.  Otherwise male
-        ``j`` sees the live rows ``[cut_j, end_j)`` — the rows at entry plus
-        ``preceding[j]``, less the running purge cut: one bulk extend, one
-        purge sweep, one 2-D mask per block of males whose *hit pairs* are
-        held to their male's range, one ``take``.
-        """
-        binding = self.binding
-        if self._keys is None:
-            return replay_sweep(self, females, males, preceding, end)
-        # Every key is vetted before the first mutation, so the replay never
-        # starts from a half-applied block.
-        female_keys = [tup.values.get(binding.key_attribute, _MISSING) for tup in females]
-        probe_keys = [tup.values.get(binding.probe_attribute, _MISSING) for tup in males]
-        stored_level = max([self._key_level, *map(key_level, female_keys)])
-        level = max([stored_level, *map(key_level, probe_keys)])
-        if level > binding.mask_level:
-            return replay_sweep(self, females, males, preceding, end)
-        # Offsets are relative to the live rows from here on: the extend may
-        # compact the columns (rows shift, ``_head`` resets), and nothing is
-        # purged until the single ``take`` at the end.
-        size = len(self)
-        self._extend(females, female_keys, stored_level)
-        if not males:
-            return (), (), 0, 0
-        stops = [size + count for count in preceding]
-        cuts = self.purge_cut([tup.timestamp for tup in males], stops, end)
-        refs = self._refs
-        head = self._head
-        keys = self._keys[None, head : head + stops[-1]]
-        probes = np.array(probe_keys, dtype=np.float64)[:, None]
-        matches: list[list[Any]] = [[] for _ in males]
-        # One 2-D mask per block of males over the rows any of them sees,
-        # ``[lo, hi)``: the whole batch against a short slice, a few males
-        # against a long one (sized by the widest range a later male could
-        # see, so never over _BLOCK_ELEMENTS).
-        first = 0
-        while first < len(males):
-            lo = cuts[first]
-            last = min(len(males), first + max(1, _BLOCK_ELEMENTS // max(1, stops[-1] - lo)))
-            hi = stops[last - 1]
-            if hi > lo:
-                sel = binding.match_mask(probes[first:last], keys[:, lo:hi], level == 0)
-                # flatnonzero + divmod: numpy runs ``nonzero`` on a 2-D mask ~10x slower.
-                rows, cols = divmod(np.flatnonzero(sel), hi - lo)
-                for row, col in zip(rows.tolist(), cols.tolist()):
-                    row += first
-                    col += lo
-                    if cuts[row] <= col < stops[row]:
-                        matches[row].append(refs[head + col])
-            first = last
-        taken = self.take(cuts[-1])
-        purged = [taken[start:stop] for start, stop in zip([0] + cuts, cuts)]
-        # One comparison per purged head, plus each male's failing check.
-        purge_count = cuts[-1] + sum(cut < stop for cut, stop in zip(cuts, stops))
-        return purged, matches, purge_count, sum(stops) - sum(cuts)
 
     # -- columnar accessors ---------------------------------------------------
     def purge_cut(
@@ -865,34 +796,3 @@ class ChainColumn(ColumnarState):
                 self._cold_dead -= taken[:cold].count(None)
                 self.cold = max(0, cold - count)
                 self.log.free(self._gone)
-
-
-
-def replay_sweep(
-    state: Any, females: Sequence[Any], males: Sequence[Any], preceding: Sequence[int], end: float
-) -> tuple[list[Any], list[Any], int, int]:
-    """``sweep`` as the scalar schedule it stands for, call by call.
-
-    Each male lets in the females that precede it, purges, then probes,
-    through the state's own ``append``/``purge``/``probe`` — so an index, a
-    disk tier's flush timing and cold reads, or an invalid key column behave
-    exactly as under tuple-at-a-time delivery.  All of ``SpilledState.sweep``
-    and the reference the vectorized sweep is tested against.
-    """
-    purged_runs: list[Any] = []
-    matches: list[Any] = []
-    purge_count = probe_count = 0
-    fed = 0
-    for male, count in zip(males, preceding):
-        for female in females[fed:count]:
-            state.append(female)
-        fed = count
-        purged, comparisons = state.purge(male.timestamp, end)
-        purge_count += comparisons
-        purged_runs.append(purged)
-        matched, comparisons = state.probe(male)
-        probe_count += comparisons
-        matches.append(matched)
-    for female in females[fed:]:
-        state.append(female)
-    return purged_runs, matches, purge_count, probe_count

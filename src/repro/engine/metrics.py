@@ -216,9 +216,9 @@ class MetricsCollector:
     def record_invocation(self, operator_name: str, amount: int = 1) -> None:
         """Record ``amount`` operator invocations.
 
-        Batched operators pass ``amount=len(batch)`` so the simulated system
-        overhead (``Csys`` per invocation) stays identical to per-tuple
-        execution.
+        A cursor chain passes the items a slice saw in a batch, so the
+        simulated system overhead (``Csys`` per invocation) stays that of the
+        per-item operator plan.
         """
         if amount:
             self.invocations[operator_name] += amount

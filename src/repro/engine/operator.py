@@ -14,7 +14,7 @@ accounting.  This keeps operators independently testable.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.engine.errors import PlanError
 from repro.engine.metrics import MetricsCollector
@@ -44,21 +44,6 @@ class Operator:
     input_ports: tuple[str, ...] = ("in",)
     #: Names of the output ports produced by this operator type.
     output_ports: tuple[str, ...] = ("out",)
-    #: Whether the interleaving of items arriving from *different* upstream
-    #: edges on the same input port affects this operator's output.  True for
-    #: almost everything (a bag union forwards in arrival order); operators
-    #: that re-order by timestamp anyway (the punctuation-driven ordered
-    #: union) set this to False, which lets the batched executor keep them
-    #: outside the per-tuple ingest region.
-    merge_order_sensitive: bool = True
-    #: Input ports whose items may be delivered, interleaved, on any single
-    #: one of them: the operator decides what to do with each item from the
-    #: item itself (e.g. its stream name), not from the port.  The sliced
-    #: binary join declares ``("left", "right")`` — a raw arrival is captured
-    #: as male/female reference copies regardless of the port — which lets
-    #: the batched executor feed the head of a chain one ordered
-    #: mixed-stream batch instead of one tuple at a time.
-    interchangeable_input_ports: tuple[str, ...] = ()
 
     def __init__(self, name: Optional[str] = None) -> None:
         if name is None:
@@ -90,19 +75,6 @@ class Operator:
         tuple).
         """
         raise NotImplementedError
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        """Process a FIFO batch of items arriving on ``port``.
-
-        Must be equivalent to concatenating ``process(item, port)`` for every
-        item in order — same emissions, same metric totals.  The default does
-        exactly that; hot operators override it with a vectorized loop that
-        hoists attribute lookups and counts metrics in bulk.
-        """
-        emissions: list[Emission] = []
-        for item in items:
-            emissions.extend(self.process(item, port))
-        return emissions
 
     def flush(self) -> list[Emission]:
         """Emit any items buffered inside the operator at end of stream.
@@ -138,8 +110,3 @@ class PassThrough(Operator):
     def process(self, item: Any, port: str) -> list[Emission]:
         self.metrics.record_invocation(self.name)
         return [("out", item)]
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        batch = list(items)
-        self.metrics.record_invocation(self.name, len(batch))
-        return [("out", item) for item in batch]

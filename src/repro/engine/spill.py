@@ -37,7 +37,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.engine.columns import ProbeBinding, replay_sweep
+from repro.engine.columns import ProbeBinding
 from repro.streams.tuples import StreamTuple, decode_batch, encode_batch
 
 __all__ = [
@@ -534,10 +534,6 @@ class SpilledState:
             return candidates, 0
         check = self.binding.bind(probing)
         return [tup for tup in candidates if check(tup)], len(candidates)
-
-    #: A cold slice replays the scalar calls in order, which keeps flush
-    #: timing and cold-read counts those of tuple-at-a-time delivery.
-    sweep = replay_sweep
 
     # -- tiering management ----------------------------------------------------
     def flush(self) -> None:

@@ -79,8 +79,6 @@ class ExperimentConfig:
     seed: int = 7
     system_overhead: float = 0.25
     memory_sample_interval: int = 4
-    #: Arrival batch size for the executor (1 = per-tuple execution).
-    batch_size: int = 1
     #: Probe algorithm of every join: "nested_loop" (the paper's cost
     #: model), "hash" (builds an equi-join workload whose key-domain size
     #: approximates the requested S1) or "auto".
@@ -101,8 +99,6 @@ class ExperimentConfig:
             raise ConfigurationError("duration_windows must exceed 1")
         if self.query_count < 1:
             raise ConfigurationError("query_count must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be at least 1")
 
     # -- derived settings ---------------------------------------------------
     def windows(self) -> tuple[float, ...]:

@@ -226,7 +226,6 @@ def run_strategy(
         system_overhead=config.system_overhead,
         memory_sample_interval=config.memory_sample_interval,
         retain_results=retain_results,
-        batch_size=config.batch_size,
     )
     return StrategyResult(strategy=strategy, config=config, report=report)
 

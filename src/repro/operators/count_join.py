@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Iterable, Sequence
+from typing import Any, Deque, Sequence
 
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
@@ -46,7 +46,6 @@ from repro.operators.sliced_join import SlicedJoinBase
 from repro.query.predicates import JoinCondition, Predicate, TruePredicate
 from repro.streams.tuples import (
     FEMALE,
-    MALE,
     JoinedTuple,
     Punctuation,
     RefTuple,
@@ -95,48 +94,6 @@ class CountWindowJoin(Operator):
         if port == "right":
             return self._handle(item, from_left=False)
         raise PlanError(f"unexpected port {port!r} for {self.name!r}")
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        batch = list(items)
-        if port == "left":
-            from_left = True
-        elif port == "right":
-            from_left = False
-        else:
-            raise PlanError(f"unexpected port {port!r} for {self.name!r}")
-        own_state = self._left_state if from_left else self._right_state
-        other_state = self._right_state if from_left else self._left_state
-        own_limit = self.count_left if from_left else self.count_right
-        bind = self.condition.bind_left if from_left else self.condition.bind_right
-        joined_tuple = JoinedTuple
-        emissions: list[Emission] = []
-        append = emissions.append
-        probe_count = 0
-        purge_count = 0
-        for tup in batch:
-            if isinstance(tup, Punctuation):
-                continue
-            probe_count += len(other_state)
-            if other_state:
-                # Pre-bound probe predicate: the arriving tuple's attribute
-                # lookups happen once, not once per resident candidate.
-                check = bind(tup)
-                if from_left:
-                    for candidate in other_state:
-                        if check(candidate):
-                            append(("output", joined_tuple(tup, candidate)))
-                else:
-                    for candidate in other_state:
-                        if check(candidate):
-                            append(("output", joined_tuple(candidate, tup)))
-            own_state.append(tup)
-            if len(own_state) > own_limit:
-                purge_count += 1
-                own_state.popleft()
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.PROBE, probe_count)
-        self.metrics.count(CostCategory.PURGE, purge_count)
-        return emissions
 
     def _handle(self, tup: StreamTuple, from_left: bool) -> list[Emission]:
         own_state = self._left_state if from_left else self._right_state
@@ -312,68 +269,6 @@ class CountSlicedBinaryJoin(SlicedJoinBase):
         return self.rank_end - self.rank_start
 
     # -- execution --------------------------------------------------------------
-    def process_batch(
-        self,
-        items: Iterable[Any],
-        port: str,
-        emit_punctuations: bool = True,
-    ) -> list[Emission]:
-        batch = list(items)
-        chain_port = port == "chain"
-        if not chain_port and port not in ("left", "right"):
-            raise PlanError(f"unexpected port {port!r} for {self.name!r}")
-        states = self._states
-        orientation = self._orientation
-        capacity = self.capacity
-        name = self.name
-        emissions: list[Emission] = []
-        append = emissions.append
-        probe_count = 0
-        purge_count = 0
-        for item in batch:
-            if isinstance(item, Punctuation):
-                append(("punct", item))
-                continue
-            base = item
-            male = female = True  # a raw arrival is its male, then its female copy
-            if chain_port:
-                if not isinstance(item, RefTuple):
-                    raise PlanError(
-                        f"chain input of {self.name!r} expects reference tuples, got "
-                        f"{type(item).__name__}"
-                    )
-                base = item.base
-                female = item.gender == FEMALE
-                male = not female
-            if male:
-                # Probe the opposite sliced state, then propagate.  Rank
-                # slices never purge on probe.
-                opposite, male_is_left = orientation.get(base.stream) or self._oriented(
-                    base.stream  # raises: not a stream of this join
-                )
-                matches, comparisons = states[opposite].probe(base)
-                probe_count += comparisons
-                if male_is_left:
-                    for match in matches:
-                        append(("output", JoinedTuple(base, match)))
-                else:
-                    for match in matches:
-                        append(("output", JoinedTuple(match, base)))
-                append(("next", RefTuple(base, MALE)))
-                if emit_punctuations:
-                    append(("punct", Punctuation(base.timestamp, source=name)))
-            if female:
-                # Insert; hand the overflowing oldest tuple to the next slice.
-                state = states[base.stream]
-                state.append(base)
-                if len(state) > capacity:
-                    purge_count += 1
-                    append(("next", RefTuple(state.popleft(), FEMALE)))
-        self.metrics.record_invocation(name, len(batch))
-        self.metrics.count(CostCategory.PROBE, probe_count)
-        self.metrics.count(CostCategory.PURGE, purge_count)
-        return emissions
-
     def _process_male(self, ref: RefTuple) -> list[Emission]:
         """Probe the opposite sliced state, then propagate down the chain."""
         return self._probe_and_propagate(ref, [])

@@ -10,7 +10,7 @@ and is one of the inefficiencies the state-slice paradigm eliminates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
@@ -64,21 +64,6 @@ class Router(Operator):
             raise PlanError(f"duplicate output ports in router routes: {ports}")
         self.routes = list(routes)
         self.output_ports = tuple(ports)
-        #: Dispatch table for the batched path, built once: trivial filters
-        #: compile to None so the hot loop skips them without isinstance.
-        self._compiled = [
-            (
-                route.port,
-                route.window,
-                None
-                if isinstance(route.left_filter, TruePredicate)
-                else route.left_filter.matches,
-                None
-                if isinstance(route.right_filter, TruePredicate)
-                else route.right_filter.matches,
-            )
-            for route in self.routes
-        ]
 
     def process(self, item: Any, port: str) -> list[Emission]:
         self.metrics.record_invocation(self.name)
@@ -104,43 +89,6 @@ class Router(Operator):
                 if not route.right_filter.matches(item.right):
                     continue
             emissions.append((route.port, item))
-        return emissions
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        batch = list(items)
-        compiled = self._compiled
-        emissions: list[Emission] = []
-        append = emissions.append
-        route_checks = 0
-        filter_checks = 0
-        for item in batch:
-            if isinstance(item, Punctuation):
-                for out_port, _, _, _ in compiled:
-                    append((out_port, item))
-                continue
-            if not isinstance(item, JoinedTuple):
-                raise PlanError(
-                    f"router {self.name!r} expects joined tuples, got "
-                    f"{type(item).__name__}"
-                )
-            gap = abs(item.left.timestamp - item.right.timestamp)
-            for out_port, window, left_matches, right_matches in compiled:
-                if window is not None:
-                    route_checks += 1
-                    if gap >= window:
-                        continue
-                if left_matches is not None:
-                    filter_checks += 1
-                    if not left_matches(item.left):
-                        continue
-                if right_matches is not None:
-                    filter_checks += 1
-                    if not right_matches(item.right):
-                        continue
-                append((out_port, item))
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.ROUTE, route_checks)
-        self.metrics.count(CostCategory.SELECT, filter_checks)
         return emissions
 
     def describe(self) -> str:

@@ -15,19 +15,14 @@ Three variants are provided:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
 from repro.query.predicates import Predicate, TruePredicate
-from repro.streams.tuples import JoinedTuple, Punctuation, RefTuple, StreamTuple
+from repro.streams.tuples import JoinedTuple, Punctuation, RefTuple
 
 __all__ = ["Selection", "StreamFilter", "JoinedFilter"]
-
-_ABSENT = object()
-
-#: Below this batch size the columnar filter path costs more than it saves.
-_MIN_COLUMNAR_BATCH = 4
 
 
 class Selection(Operator):
@@ -54,72 +49,6 @@ class Selection(Operator):
         if self.predicate.matches(item):
             return [("out", item)]
         return []
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        batch = list(items)
-        if len(batch) >= _MIN_COLUMNAR_BATCH:
-            emissions = self._process_batch_columnar(batch)
-            if emissions is not None:
-                return emissions
-        matches = self.predicate.matches
-        emissions = []
-        append = emissions.append
-        evaluated = 0
-        for item in batch:
-            if isinstance(item, Punctuation):
-                append(("out", item))
-                continue
-            evaluated += 1
-            if matches(item):
-                append(("out", item))
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.SELECT, evaluated)
-        return emissions
-
-    def _process_batch_columnar(self, batch: list[Any]) -> list[Emission] | None:
-        """Vectorized filter: gather the predicate column, mask once.
-
-        Returns ``None`` (fall back to per-tuple evaluation) whenever the
-        predicate has no mask form or any value is not a plain float — the
-        column path only runs when its semantics are exactly the per-tuple
-        comparison's.
-        """
-        attribute = getattr(self.predicate, "attribute", None)
-        if attribute is None:
-            return None
-        values: list[float] = []
-        add_value = values.append
-        puncts = []
-        add_punct = puncts.append
-        for index, item in enumerate(batch):
-            if isinstance(item, Punctuation):
-                add_punct(index)
-                continue
-            if type(item) is not StreamTuple:
-                return None
-            value = item.values.get(attribute, _ABSENT)
-            if type(value) is not float:
-                return None
-            add_value(value)
-        if not values:
-            return None
-        mask = self.predicate.match_mask(values)
-        if mask is None:
-            return None
-        emissions: list[Emission] = []
-        append = emissions.append
-        punct_set = set(puncts)
-        row = 0
-        for index, item in enumerate(batch):
-            if index in punct_set:
-                append(("out", item))
-                continue
-            if mask[row]:
-                append(("out", item))
-            row += 1
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.SELECT, len(values))
-        return emissions
 
     def describe(self) -> str:
         return f"σ[{self.predicate.describe()}]"
@@ -169,31 +98,6 @@ class StreamFilter(Operator):
                 return [("out", item)]
             return []
         return [("out", item)]
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        batch = list(items)
-        matches = self.predicate.matches
-        stream = self.stream
-        emissions = []
-        append = emissions.append
-        evaluated = 0
-        for item in batch:
-            if isinstance(item, Punctuation):
-                append(("out", item))
-            elif isinstance(item, RefTuple) and item.stream == stream:
-                if item.is_male():
-                    evaluated += 1
-                if matches(item.base):
-                    append(("out", item))
-            elif not isinstance(item, RefTuple) and getattr(item, "stream", None) == stream:
-                evaluated += 1
-                if matches(item):
-                    append(("out", item))
-            else:
-                append(("out", item))
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.SELECT, evaluated)
-        return emissions
 
     def describe(self) -> str:
         return f"σ[{self.stream}: {self.predicate.describe()}] (in-chain)"

@@ -251,10 +251,6 @@ class SlicedJoinBase(Operator):
 
     input_ports = ("left", "right", "chain")
     output_ports = ("output", "next", "punct")
-    #: A raw arrival is handled identically on either port (the tuple's own
-    #: stream decides which state it fills), so ordered mixed-stream batches
-    #: may be delivered on one port.
-    interchangeable_input_ports = ("left", "right")
 
     def __init__(
         self,
@@ -346,7 +342,6 @@ class SlicedJoinBase(Operator):
     ) -> list[Emission]:
         """Probe the opposite state candidate by candidate, then propagate.
 
-        The reference the block kernel (``state.sweep``) is tested against:
         ``condition.matches`` per candidate the state hands out (all of it,
         or the male's key bucket), one ``PROBE`` comparison each.
         """
@@ -415,106 +410,9 @@ class SlicedBinaryJoin(KeyedStateMixin, SlicedJoinBase):
         self._states[stream] = ColumnarState(self._bindings[stream], tuples)
 
     # -- execution (Figure 9) ----------------------------------------------------------
-    def process_batch(
-        self, items: Iterable[Any], port: str, emit_punctuations: bool = True
-    ) -> list[Emission]:
-        """Block equivalent of per-item :meth:`process` over a FIFO batch.
-
-        Raw arrivals (``left``/``right``) and chain reference tuples are both
-        handled.  A state sees only its own stream's females and the opposite
-        stream's males, so the batch is classified per state (females gained,
-        probing males, how many of those females precede each male), each
-        state answers the run with one ``sweep`` — vectorized or replayed is
-        its business — and the emissions are assembled in per-item order.
-
-        ``emit_punctuations=False`` suppresses construction of the per-male
-        punctuations for callers that discard them anyway (the sliced chain);
-        every data emission and every metric is unchanged.
-        """
-        batch = list(items)
-        chain_port = port == "chain"
-        if not chain_port and port not in ("left", "right"):
-            raise PlanError(f"unexpected port {port!r} for {self.name!r}")
-        orientation = self._orientation
-        # -- classify: nothing is mutated until the whole batch is understood
-        females: dict[str, list[StreamTuple]] = {stream: [] for stream in orientation}
-        males: dict[str, list[StreamTuple]] = {stream: [] for stream in orientation}
-        preceding: dict[str, list[int]] = {stream: [] for stream in orientation}
-        #: Per punctuation or male, in batch order: what assembly emits for it.
-        steps: list[Any] = []
-        for item in batch:
-            if isinstance(item, Punctuation):
-                steps.append(item)
-                continue
-            if chain_port:
-                if not isinstance(item, RefTuple):
-                    raise PlanError(
-                        f"chain input of {self.name!r} expects reference tuples, got "
-                        f"{type(item).__name__}"
-                    )
-                base = item.base
-                if item.gender == FEMALE:
-                    # Insert: the female copy fills its own sliced state.
-                    if base.stream not in females:
-                        self._oriented(base.stream)  # raises: not a stream of this join
-                    females[base.stream].append(base)
-                    continue
-                ref = item
-            else:
-                base = item
-                ref = RefTuple(base, MALE)
-            opposite, male_is_left = orientation.get(base.stream) or self._oriented(
-                base.stream  # raises: not a stream of this join
-            )
-            males[opposite].append(base)
-            preceding[opposite].append(len(females[opposite]))
-            steps.append((ref, opposite, male_is_left))
-            if not chain_port:
-                # The female copy of a raw arrival fills its own state after
-                # the male finished, matching the per-item path.
-                females[base.stream].append(base)
-        # -- sweep: cross-purge, probe and insert, one call per state
-        end = self.slice.end
-        answers = {}
-        purge_count = probe_count = 0
-        for stream, state in self._states.items():
-            purged, matches, purges, probes = state.sweep(
-                females[stream], males[stream], preceding[stream], end
-            )
-            answers[stream] = zip(purged, matches)
-            purge_count += purges
-            probe_count += probes
-        # -- assemble: per male its purged females, results, itself (Figure 9)
-        contains_offset = self.slice.contains_offset if self.enforce_bounds else None
-        name = self.name
-        emissions: list[Emission] = []
-        append = emissions.append
-        for step in steps:
-            if type(step) is not tuple:
-                append(("punct", step))
-                continue
-            ref, opposite, male_is_left = step
-            purged, matches = next(answers[opposite])
-            for head in purged:
-                append(("next", RefTuple(head, FEMALE)))
-            if matches:
-                base = ref.base
-                if contains_offset is not None:
-                    ts = base.timestamp
-                    matches = [m for m in matches if contains_offset(ts - m.timestamp)]
-                if male_is_left:
-                    for match in matches:
-                        append(("output", JoinedTuple(base, match)))
-                else:
-                    for match in matches:
-                        append(("output", JoinedTuple(match, base)))
-            append(("next", ref))
-            if emit_punctuations:
-                append(("punct", Punctuation(ref.timestamp, source=name)))
-        self.metrics.record_invocation(name, len(batch))
-        self.metrics.count(CostCategory.PURGE, purge_count)
-        self.metrics.count(CostCategory.PROBE, probe_count)
-        return emissions
+    # Kept defined here for ``bench/trace.py``, which wraps it by owning class; nothing calls it.
+    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
+        return [emission for item in items for emission in self.process(item, port)]
 
     def _process_male(self, ref: RefTuple) -> list[Emission]:
         # 1. Cross-purge the opposite sliced state with Wend.

@@ -8,7 +8,7 @@ tuples it needs.  :class:`Split` performs that two-way partition ("match" /
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
@@ -40,23 +40,6 @@ class Split(Operator):
         if self.predicate.matches(item):
             return [("match", item)]
         return [("rest", item)]
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        batch = list(items)
-        matches = self.predicate.matches
-        emissions: list[Emission] = []
-        append = emissions.append
-        evaluated = 0
-        for item in batch:
-            if isinstance(item, Punctuation):
-                append(("match", item))
-                append(("rest", item))
-                continue
-            evaluated += 1
-            append(("match", item) if matches(item) else ("rest", item))
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.SPLIT, evaluated)
-        return emissions
 
     def describe(self) -> str:
         return f"split[{self.predicate.describe()}]"

@@ -21,7 +21,7 @@ the propagated "male" tuple of the last sliced join as that progress marker
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable
+from typing import Any
 
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
@@ -36,16 +36,11 @@ class OrderedUnion(Operator):
     Ordering guarantee: the released stream is globally sorted provided all
     inputs reach the union in global timestamp order, which holds under the
     push-based :class:`~repro.engine.executor.ImmediateExecutor` (every
-    arrival is fully propagated before the next; its batched mode delivers
-    a batch's results before the punctuations that vouch for them).
+    arrival is fully propagated before the next).
     """
 
     input_ports = ("in",)
     output_ports = ("out",)
-    #: Buffered results are released in timestamp order regardless of which
-    #: upstream delivered them first, so cross-upstream interleaving does not
-    #: change the output (up to timestamp ties).
-    merge_order_sensitive = False
 
     def __init__(self, name: str | None = None) -> None:
         super().__init__(name)
@@ -65,25 +60,6 @@ class OrderedUnion(Operator):
         key = getattr(item, "timestamp", 0.0)
         heapq.heappush(self._heap, (key, self._counter, id(item), item))
         return []
-
-    def process_batch(self, items: Iterable[Any], port: str) -> list[Emission]:
-        batch = list(items)
-        heap = self._heap
-        push = heapq.heappush
-        counter = self._counter
-        emissions: list[Emission] = []
-        punctuations = 0
-        for item in batch:
-            if isinstance(item, Punctuation):
-                punctuations += 1
-                emissions.extend(self._release(item.timestamp))
-                continue
-            counter += 1
-            push(heap, (getattr(item, "timestamp", 0.0), counter, id(item), item))
-        self._counter = counter
-        self.metrics.record_invocation(self.name, len(batch))
-        self.metrics.count(CostCategory.UNION, punctuations)
-        return emissions
 
     def flush(self) -> list[Emission]:
         emissions: list[Emission] = []

@@ -24,9 +24,6 @@ import operator as _operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
-from repro.engine.columns import FLOAT_EXACT_MAX
 from repro.engine.errors import QueryError
 from repro.streams.generators import JOIN_KEY_DOMAIN
 from repro.streams.tuples import StreamTuple
@@ -80,17 +77,6 @@ class Predicate:
 
     def __call__(self, tup: StreamTuple) -> bool:
         return self.matches(tup)
-
-    def match_mask(self, values: Sequence[float]) -> Any:
-        """Vectorized :meth:`matches` over a column of attribute values.
-
-        ``values`` must contain only exact ``float`` objects (the caller
-        checks this while building the column).  Returns a boolean ndarray
-        elementwise-identical to ``matches``, or ``None`` when this
-        predicate has no columnar form and the caller must fall back to
-        per-tuple evaluation.
-        """
-        return None
 
     # -- composition -------------------------------------------------------
     def __and__(self, other: "Predicate") -> "Predicate":
@@ -154,19 +140,6 @@ class ComparisonPredicate(Predicate):
 
     def matches(self, tup: StreamTuple) -> bool:
         return _COMPARATORS[self.op](tup[self.attribute], self.constant)
-
-    def match_mask(self, values: Sequence[float]) -> Any:
-        constant = self.constant
-        kind = type(constant)
-        if kind is not float:
-            # Ints (and bools) compare exactly against a float column only
-            # while they are exactly representable in a double.
-            if kind is not int and kind is not bool:
-                return None
-            if not -FLOAT_EXACT_MAX <= constant <= FLOAT_EXACT_MAX:
-                return None
-            constant = float(constant)
-        return _COMPARATORS[self.op](np.asarray(values, dtype=np.float64), constant)
 
     def describe(self) -> str:
         return f"{self.attribute} {self.op} {self.constant!r}"

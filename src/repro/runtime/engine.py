@@ -67,8 +67,8 @@ snapshot diffs of those counters yield live
 search on *measured* rates and selectivities — the policy automates exactly
 that loop, with hysteresis and a cooldown so stable load never migrates.
 
-Arrivals are processed through the vectorized ``process_batch`` path in
-batches of ``batch_size`` (1 = per-tuple).  Per-query results are delivered
+Arrivals are processed by the cursor chain's block kernel in batches of
+``batch_size`` (1 = per-tuple).  Per-query results are delivered
 in timestamp order (ties broken by sequence numbers), which makes the
 output independent of the batch size.
 """

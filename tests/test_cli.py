@@ -25,6 +25,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "12"])
 
+    def test_only_a_session_has_a_batch_size(self, capsys):
+        """A static plan runs one arrival at a time; a session's batch is the
+        cursor kernel's."""
+        helps = {}
+        for command in ("compare", "runtime"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            helps[command] = capsys.readouterr().out
+        assert "--batch-size" not in helps["compare"]
+        assert "--batch-size" in helps["runtime"]
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(["compare", "--batch-size", "8"])
+        assert usage.value.code == 2
+
 
 class TestCommands:
     def test_cost_command(self, capsys):

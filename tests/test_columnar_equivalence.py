@@ -1,10 +1,10 @@
 """Property tests: the columnar batch kernel is invisible in the output.
 
-Slice state has one in-core representation (``repro.engine.columns``): the
-batched ``process_batch`` path runs ``state.purge`` / ``state.probe`` —
-binary-searched cut, vectorized mask, key index, bound scalar fallback —
-while the per-item ``process()`` path stays the literal scalar Figure-9
-loop over the same state's deque surface (``condition.matches`` per
+Slice state has one in-core representation (``repro.engine.columns``): a
+session's cursor chain runs the block kernel over it (``ChainColumn.sweep`` /
+``probe`` — forward purge cuts, vectorized mask, key index, bound scalar
+fallback) while the operators' per-item ``process()`` path stays the literal
+scalar Figure-9 loop over a state's deque surface (``condition.matches`` per
 candidate).  The properties here hold the kernel to that reference and to
 the independent ``repro.baselines.unshared`` oracle: same pairs, same
 per-slice attribution, same resident state, same probe/purge comparison
@@ -26,19 +26,16 @@ from repro.core.chain import SlicedJoinChain
 from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.engine.executor import execute_plan
-from repro.operators.selection import Selection, StreamFilter
-from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.query.predicates import (
     CrossProductCondition,
     EquiJoinCondition,
     ModularMatchCondition,
     ThetaJoinCondition,
     attribute_ge,
-    selectivity_filter,
 )
 from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.runtime import StreamEngine
-from repro.streams.tuples import MALE, FEMALE, JoinedTuple, RefTuple, make_tuple
+from repro.streams.tuples import make_tuple
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -223,47 +220,6 @@ def test_block_kernel_equals_per_item_with_ties_bounds_and_link_filters(
     assert batched.state_tuples("B") == per_item.state_tuples("B")
 
 
-def _trace(emissions):
-    """Emissions as comparable evidence that keeps their total order."""
-    trace = []
-    for port, item in emissions:
-        if isinstance(item, JoinedTuple):
-            trace.append((port, item.left.seqno, item.right.seqno))
-        elif isinstance(item, RefTuple):
-            trace.append((port, item.gender, item.seqno))
-        else:
-            trace.append((port, item.timestamp))
-    return trace
-
-
-@pytest.mark.parametrize("batch_size", BLOCK_BATCH_SIZES)
-@settings(max_examples=20, deadline=None)
-@given(
-    tuples=stream_events(max_events=140, min_gap=0.0, keys=WEIRD_KEYS[:6] * 3 + WEIRD_KEYS),
-    probe=st.sampled_from(["nested_loop", "hash"]),
-)
-def test_one_slice_batch_emits_exactly_the_per_item_sequence(batch_size, tuples, probe):
-    """A slice ``[0.3, 1.5)`` fed raw arrivals: its state also holds the
-    offsets ``[0, 0.3)``, so ``enforce_bounds`` does filter matches.  The
-    emission *sequence* — purged females, results, the male, its punctuation,
-    per male — is the per-item one, not merely the same set."""
-    condition = EquiJoinCondition("join_key", "join_key", key_domain=7)
-    per_item, batched = (
-        SlicedBinaryJoin(0.3, 1.5, condition, enforce_bounds=True, probe=probe, name="slice")
-        for _ in range(2)
-    )
-    reference = [
-        emission
-        for tup in tuples
-        for emission in per_item.process(tup, "left" if tup.stream == "A" else "right")
-    ]
-    emissions = []
-    for start in range(0, len(tuples), batch_size):
-        emissions.extend(batched.process_batch(tuples[start : start + batch_size], "left"))
-    assert _trace(emissions) == _trace(reference)
-    assert batched.metrics.snapshot() == per_item.metrics.snapshot()
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     tuples=stream_events(),
@@ -328,39 +284,3 @@ def test_engine_columnar_equals_tuple_path_on_weird_keys(
         name: sorted((j.left.seqno, j.right.seqno) for j in restrict(reference, window))
         for name, window in windows.items()
     }
-
-
-# ---------------------------------------------------------------------------
-# Selection operators: vectorized filter ≡ per-item predicate
-# ---------------------------------------------------------------------------
-@settings(max_examples=30, deadline=None)
-@given(tuples=stream_events(max_events=64), threshold=st.floats(0.0, 1.0))
-def test_selection_batch_equals_per_item(tuples, threshold):
-    predicate = selectivity_filter(1.0 - threshold)
-    batch_op = Selection(predicate)
-    item_op = Selection(predicate)
-    batched = batch_op.process_batch(list(tuples), "in")
-    singly = [em for tup in tuples for em in item_op.process(tup, "in")]
-    assert [(port, item.seqno) for port, item in batched] == [
-        (port, item.seqno) for port, item in singly
-    ]
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    tuples=stream_events(max_events=64),
-    threshold=st.floats(0.0, 1.0),
-    genders=st.lists(st.sampled_from([MALE, FEMALE]), min_size=64, max_size=64),
-)
-def test_stream_filter_batch_equals_per_item(tuples, threshold, genders):
-    refs = [
-        RefTuple(tup, gender) for tup, gender in zip(tuples, genders)
-    ]
-    predicate = selectivity_filter(1.0 - threshold)
-    batch_op = StreamFilter(predicate, "A")
-    item_op = StreamFilter(predicate, "A")
-    batched = batch_op.process_batch(list(refs), "in")
-    singly = [em for ref in refs for em in item_op.process(ref, "in")]
-    assert [(port, item.seqno, item.gender) for port, item in batched] == [
-        (port, item.seqno, item.gender) for port, item in singly
-    ]

@@ -80,18 +80,6 @@ class TestCountDifferential:
         )
         assert result_keys(sliced.results) == expected
 
-    def test_state_slice_agrees_at_larger_batch_sizes(self, stream_data):
-        workload = count_workload()
-        per_tuple = execute_plan(
-            build_state_slice_plan(workload, window_kind="count"), stream_data.tuples
-        )
-        batched = execute_plan(
-            build_state_slice_plan(workload, window_kind="count"),
-            stream_data.tuples,
-            batch_size=16,
-        )
-        assert result_keys(batched.results) == result_keys(per_tuple.results)
-
     def test_static_plan_matches_runtime_count_engine(self, stream_data):
         workload = count_workload()
         report = execute_plan(

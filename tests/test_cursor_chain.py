@@ -310,7 +310,7 @@ def test_count_session_equals_the_per_item_count_operator_plan(
         [ContinuousQuery(f"Q{count}", window=count, join_condition=condition) for count in counts]
     )
     report = execute_plan(
-        build_state_slice_plan(workload, window_kind="count", probe=probe), tuples, batch_size=1
+        build_state_slice_plan(workload, window_kind="count", probe=probe), tuples
     )
     engine = StreamEngine(condition, batch_size=batch_size, window_kind="count", probe=probe)
     for query in workload:

@@ -1,5 +1,8 @@
 """Runs ``scripts/dead_surface.py``: no public name of ``src/repro/`` is
-reached only by its own tests, and every ``__all__`` entry resolves."""
+reached only by its own tests, every ``__all__`` entry resolves, and the
+package imports only the standard library, itself and numpy — numpy from
+``engine/columns.py`` alone, and ``repro.engine.columns`` from nowhere under
+``repro/query/``."""
 
 from __future__ import annotations
 

@@ -1,41 +1,13 @@
-"""Unit tests for the engine primitives: clock, metrics, operator base."""
+"""Unit tests for the engine primitives: metrics, operator base."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.clock import VirtualClock
-from repro.engine.errors import ExecutionError, PlanError
+from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory, MetricsCollector, RunReport
 from repro.engine.operator import Operator, PassThrough
 from repro.streams.tuples import make_tuple
-
-
-class TestVirtualClock:
-    def test_advance_to_moves_forward(self):
-        clock = VirtualClock()
-        assert clock.now == 0.0
-        clock.advance_to(2.5)
-        assert clock.now == 2.5
-        assert clock.elapsed == 2.5
-
-    def test_advance_backwards_raises(self):
-        clock = VirtualClock(start=5.0)
-        with pytest.raises(ExecutionError):
-            clock.advance_to(4.0)
-
-    def test_observe_never_moves_backwards(self):
-        clock = VirtualClock()
-        clock.observe(3.0)
-        clock.observe(1.0)
-        assert clock.now == 3.0
-
-    def test_reset(self):
-        clock = VirtualClock()
-        clock.observe(9.0)
-        clock.reset(1.0)
-        assert clock.now == 1.0
-        assert clock.elapsed == 0.0
 
 
 class TestMetricsCollector:

@@ -162,6 +162,18 @@ class TestImmediateExecutor:
         report = execute_plan(plan, tuples)
         assert report.duration == pytest.approx(2.25)
 
+    def test_out_of_order_arrival_is_refused(self):
+        """A lower timestamp than the last accepted one raises, as a session
+        does (it used to be clamped and silently mis-purged); equal
+        timestamps stay legal."""
+        executor = ImmediateExecutor(simple_plan())
+        executor.process_arrival(make_tuple("A", 5.0, value=0.9))
+        executor.process_arrival(make_tuple("B", 5.0, value=0.9))
+        with pytest.raises(ExecutionError, match="out-of-order arrival"):
+            executor.process_arrival(make_tuple("A", 0.5, value=0.9))
+        assert len(executor.results["Q"]) == 1
+        assert executor.metrics.tuples_ingested == 2
+
 
 def test_union_output_is_sorted_under_synchronous_execution():
     # Strict output ordering holds because inputs reach the unions in global
