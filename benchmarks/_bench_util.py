@@ -1,6 +1,6 @@
 """Shared trajectory writer for the ``BENCH_*.json`` artifacts.
 
-Every perf acceptance gate (hash probing, adaptive rebalance,
+Every perf acceptance gate (hash probing, live resharding,
 sharded scale-out) records its measurements in a machine-readable JSON file
 under ``benchmarks/results/``.  Historically each benchmark hand-rolled its
 own ``json.dumps``/``write_text`` and clobbered the previous run; this

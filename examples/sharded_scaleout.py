@@ -81,9 +81,7 @@ def main() -> None:
     # -- 3. the planner: merged statistics, sizing, skew --------------------
     print("\nShardPlanner on the merged statistics view")
     planner = ShardPlanner(max_shards=8, target_rate_per_shard=60.0)
-    observed = ShardedStreamEngine(
-        CONDITION, shards=2, batch_size=64, collect_statistics=True
-    )
+    observed = ShardedStreamEngine(CONDITION, shards=2, batch_size=64)
     observed.add_query("Q", 2.0)
     observed.process_many(tuples)
     observed.flush()
@@ -94,9 +92,7 @@ def main() -> None:
     print(f"  -> {plan.reason}")
 
     # A hot key concentrates the stream on one shard.
-    skewed = ShardedStreamEngine(
-        CONDITION, shards=4, batch_size=64, collect_statistics=True
-    )
+    skewed = ShardedStreamEngine(CONDITION, shards=4, batch_size=64)
     skewed.add_query("Q", 2.0)
     skewed.process_many(
         make_tuple(t.stream, t.timestamp, join_key=7, value=0.5)

@@ -69,7 +69,6 @@ from repro.query import (
     three_query_workload,
 )
 from repro.runtime import (
-    AdaptivePolicy,
     CountStreamEngine,
     RegisteredQuery,
     ReshardDecision,
@@ -88,7 +87,6 @@ __all__ = [
     "build_pullup_plan",
     "build_pushdown_plan",
     "build_unshared_plan",
-    "AdaptivePolicy",
     "ChainCostParameters",
     "ChainSpec",
     "SliceSpec",

@@ -11,14 +11,14 @@ Exposes the most common tasks without writing Python:
     python -m repro optimize --queries 12 --windows small-large --probe hash
     python -m repro chains   --queries 12 --windows small-large --rate 60
     python -m repro cost     --rho 0.25 --ssigma 0.2 --s1 0.1
-    python -m repro runtime  --adaptive --stats
+    python -m repro runtime  --stats
 
 ``compare`` runs every sharing strategy on one configuration; ``figure`` and
 ``table`` regenerate the paper's figures/tables; ``optimize`` runs the chain
 optimizers — hash-probe-aware when asked — and prices the candidates under
 the analytical cost model (``chains`` is its older, cost-silent sibling);
 ``cost`` evaluates the analytical two-query cost model; ``runtime`` demos a
-live session, optionally with the adaptive rebalance policy attached.
+live session admitting queries mid-stream.
 """
 
 from __future__ import annotations
@@ -210,30 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the session's EngineStats, migration history and "
         "metrics snapshot after the run",
     )
-    runtime.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="attach an AdaptivePolicy: the session estimates its own "
-        "arrival rates/selectivities and re-optimizes the chain on drift",
-    )
-    runtime.add_argument(
-        "--drift-threshold",
-        type=float,
-        default=0.25,
-        help="relative statistics change that counts as drift (adaptive)",
-    )
-    runtime.add_argument(
-        "--policy-window",
-        type=float,
-        default=2.0,
-        help="estimation window in stream-seconds (adaptive)",
-    )
-    runtime.add_argument(
-        "--cooldown",
-        type=float,
-        default=6.0,
-        help="minimum stream-seconds between rebalances (adaptive)",
-    )
     return parser
 
 
@@ -382,7 +358,7 @@ def _cmd_optimize(args: argparse.Namespace) -> str:
         for name, chain in (("Mem-Opt", mem_opt), ("CPU-Opt", cpu_opt))
     ]
     probe_note = (
-        f"hash (probe term scaled by S1={params.effective_join_selectivity(workload):g})"
+        f"hash (probe term scaled by S1={workload.join_condition.selectivity:g})"
         if params.hash_probe
         else "nested loops (the paper's model)"
     )
@@ -429,12 +405,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
         selectivity_filter,
         selectivity_join,
     )
-    from repro.runtime import (
-        AdaptivePolicy,
-        ShardedStreamEngine,
-        ShardPlanner,
-        StreamEngine,
-    )
+    from repro.runtime import ShardedStreamEngine, ShardPlanner, StreamEngine
     from repro.streams.generators import (
         equi_key_domain,
         equi_value_generator,
@@ -464,11 +435,6 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             "window ranks tuples over the whole stream, not a shard's "
             "subsequence)"
         )
-    if sharded and args.adaptive:
-        raise SystemExit(
-            "error: --adaptive is per-engine; for sharded sessions use the "
-            "ShardPlanner (shown under --stats) instead"
-        )
     from repro.engine.spill import parse_memory_budget
 
     try:
@@ -493,13 +459,6 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
         seed=args.seed,
         value_generator=value_generator,
     )
-    policy = None
-    if args.adaptive:
-        policy = AdaptivePolicy(
-            window=args.policy_window,
-            drift_threshold=args.drift_threshold,
-            cooldown=args.cooldown,
-        )
     if sharded:
         engine = ShardedStreamEngine(
             condition,
@@ -507,7 +466,6 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             shard_mode=args.shard_mode,
             batch_size=args.batch_size,
             probe=args.probe,
-            collect_statistics=args.stats,
             memory_budget_bytes=memory_budget,
         )
     else:
@@ -516,8 +474,6 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             batch_size=args.batch_size,
             window_kind=args.window_kind,
             probe=args.probe,
-            policy=policy,
-            collect_statistics=args.stats,
             memory_budget_bytes=memory_budget,
         )
     unit = engine.chain_class.window_unit
@@ -598,16 +554,6 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             f"resident {spill_snap.get('memory.resident_bytes', 0):g} B, "
             f"spilled {spill_snap.get('memory.spilled_bytes', 0):g} B"
         )
-    if policy is not None:
-        lines.append("")
-        lines.append(policy.describe())
-        for event in policy.events:
-            if event.kind in ("rebalance", "calibrate", "recalibrate"):
-                lines.append(
-                    f"  t={event.timestamp:7.2f}s  {event.kind} "
-                    f"(drift {event.drift:.0%}) "
-                    f"boundaries={list(event.boundaries)}"
-                )
     if args.stats:
         lines.append("")
         lines.append("engine stats:")

@@ -37,13 +37,12 @@ from repro.core.pushdown import (
     residual_filters,
 )
 from repro.core.slices import ChainSpec, SliceSpec
-from repro.core.statistics import CalibratedPredicate, StreamStatistics
+from repro.core.statistics import StreamStatistics
 
 __all__ = [
     "SlicedJoinChain",
     "OperatorJoinChain",
     "CountSlicedJoinChain",
-    "CalibratedPredicate",
     "StreamStatistics",
     "TwoQuerySettings",
     "CostEstimate",

@@ -6,7 +6,7 @@
   hooks (*split* differs per kind and stays in the subclasses), the keyed
   extract/ingest pair behind live resharding, and the facts the runtime asks
   instead of comparing ``window_kind`` strings (``window_unit`` …
-  ``check_target``, ``normalize_window``).
+  ``shard_refusal``, ``normalize_window``).
 * :class:`TimeChainBase` — what the two time chains (the cursor chain and its
   operator reference) share: seconds as boundaries and selection push-down
   (Section 6), one :class:`~repro.operators.selection.StreamFilter` pair per
@@ -58,9 +58,8 @@ class SlicedChainBase:
     window_unit: str
     #: Whether selections may be pushed into the links (Section 6).
     pushes_selections = False
-    #: Why a session over this chain kind may not CPU-Opt ``rebalance`` its
-    #: slices / run on more than one shard (the refusal's text), or ``None``.
-    rebalance_refusal: str | None = None
+    #: Why a session over this chain kind may not run on more than one shard
+    #: (the refusal's text), or ``None``.
     shard_refusal: str | None = None
 
     def __init__(
@@ -113,11 +112,6 @@ class SlicedChainBase:
     def link_filters(self) -> list[tuple]:
         """The installed pushed-down predicates, one pair per link (none here)."""
         return [(None, None)] * self.slice_count()
-
-    def check_target(self, target: Sequence[float], windows: dict[str, float]) -> None:
-        """Refuse (:class:`MigrationError`) a boundary list this chain kind
-        cannot serve the registered ``{query name: window}`` from; a time
-        chain serves any (the router re-checks results of wider slices)."""
 
     # -- execution ------------------------------------------------------------
     def process(self, tup: StreamTuple) -> list[SliceResult]:

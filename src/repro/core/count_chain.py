@@ -24,7 +24,7 @@ from typing import Sequence
 
 from repro.core.chain import CursorChain
 from repro.engine.columns import ChainColumn
-from repro.engine.errors import ChainError, MigrationError, QueryError
+from repro.engine.errors import ChainError, QueryError
 from repro.engine.metrics import CostCategory
 from repro.streams.tuples import JoinedTuple, StreamTuple
 
@@ -45,12 +45,8 @@ class CountSlicedJoinChain(CursorChain):
     """
 
     window_unit = " rows"
-    # A rank — unlike a timestamp gap — cannot be read off a joined pair, a
-    # filtered stream or a shard's subsequence (``docs/invariants.md``).
-    rebalance_refusal = (
-        "count-window sessions keep the Mem-Opt chain: merged rank "
-        "slices cannot be re-split by the result router"
-    )
+    # A rank — unlike a timestamp gap — cannot be read off a filtered stream
+    # or a shard's subsequence (``docs/invariants.md``).
     shard_refusal = (
         "count windows rank tuples over the whole stream, not a shard's "
         "subsequence"
@@ -70,15 +66,6 @@ class CountSlicedJoinChain(CursorChain):
                 f"got {window!r}"
             )
         return int(window)
-
-    def check_target(self, target: Sequence[float], windows: dict[str, float]) -> None:
-        """The Mem-Opt invariant: every registered count stays a boundary."""
-        for name, window in windows.items():
-            if window not in target:
-                raise MigrationError(
-                    f"count boundary {window:g} of query {name!r} missing from "
-                    f"target {target} (Mem-Opt invariant)"
-                )
 
     def _coerce_boundary(self, boundary: float) -> int:
         return int(boundary)

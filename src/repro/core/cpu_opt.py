@@ -9,64 +9,30 @@ O(N²) including edge-cost evaluation — the complexity the paper states.
 
 A brute-force optimizer over all 2^(N-1) boundary subsets is also provided;
 it is exponential and only used by tests to certify optimality.
+
+The search prices *static* plans (``state-slice-cpu-opt``, Figure 19,
+``repro chains`` / ``repro optimize``) in the paper's simulated cost.  No
+session calls it: a live chain has no per-operator ``Csys`` to save by
+merging and stays the Mem-Opt chain (:mod:`repro.runtime.engine`).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import replace
 from itertools import combinations
 from typing import Sequence
 
 from repro.core.merge_graph import ChainCostParameters, MergeGraph
 from repro.core.slices import ChainSpec
-from repro.core.statistics import StreamStatistics
 from repro.engine.errors import ChainError
 from repro.query.query import QueryWorkload
 
 __all__ = [
     "shortest_path",
-    "apply_statistics",
     "build_cpu_opt_chain",
     "brute_force_cpu_opt_chain",
     "enumerate_chains",
 ]
-
-
-def apply_statistics(
-    workload: QueryWorkload,
-    params: ChainCostParameters | None,
-    statistics: StreamStatistics | None,
-) -> tuple[QueryWorkload, ChainCostParameters]:
-    """Fold a statistics plane into a (workload, parameters) pair.
-
-    Measured arrival rates and the measured join factor replace the
-    corresponding parameter fields (hand-set overhead/tuple-size/probe kind
-    are kept), and the workload's predicates are recalibrated to the
-    measured selection selectivities.  With ``statistics=None`` this is the
-    identity on the declared inputs — the static planning path.
-    """
-    if statistics is None:
-        return workload, params or ChainCostParameters()
-    workload = statistics.calibrated_workload(workload)
-    if params is None:
-        params = statistics.chain_parameters()
-    else:
-        params = replace(
-            params,
-            arrival_rate_left=statistics.rate(
-                statistics.left_stream, params.arrival_rate_left
-            ),
-            arrival_rate_right=statistics.rate(
-                statistics.right_stream, params.arrival_rate_right
-            ),
-            join_selectivity=(
-                statistics.join_selectivity
-                if statistics.join_selectivity is not None
-                else params.join_selectivity
-            ),
-        )
-    return workload, params
 
 
 def shortest_path(graph: MergeGraph) -> list[int]:
@@ -99,19 +65,14 @@ def shortest_path(graph: MergeGraph) -> list[int]:
 def build_cpu_opt_chain(
     workload: QueryWorkload,
     params: ChainCostParameters | None = None,
-    statistics: StreamStatistics | None = None,
 ) -> ChainSpec:
     """Build the CPU-optimal chain for a workload.
 
     ``params`` supplies the arrival rates and the system overhead factor
     ``Csys`` that drive the merge/no-merge trade-off; the defaults of
     :class:`ChainCostParameters` match the paper's moderate settings.
-    ``statistics`` (a :class:`~repro.core.statistics.StreamStatistics`)
-    overrides the declared rates/selectivities with measured ones — the
-    path the adaptive runtime takes.
     """
-    workload, params = apply_statistics(workload, params, statistics)
-    graph = MergeGraph(workload, params)
+    graph = MergeGraph(workload, params or ChainCostParameters())
     path = shortest_path(graph)
     return graph.chain_from_path(path)
 
@@ -136,11 +97,9 @@ def enumerate_chains(workload: QueryWorkload, params: ChainCostParameters) -> li
 def brute_force_cpu_opt_chain(
     workload: QueryWorkload,
     params: ChainCostParameters | None = None,
-    statistics: StreamStatistics | None = None,
 ) -> ChainSpec:
     """Exhaustive CPU-Opt search; certifies :func:`build_cpu_opt_chain` in tests."""
-    workload, params = apply_statistics(workload, params, statistics)
-    graph = MergeGraph(workload, params)
+    graph = MergeGraph(workload, params or ChainCostParameters())
     n = graph.node_count
     interior = list(range(1, n - 1))
     best_path: Sequence[int] | None = None

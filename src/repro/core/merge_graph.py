@@ -11,6 +11,10 @@ one merged slice ``[w_i, w_j)`` serving queries ``i+1 .. j``.  Every path
 from node 0 to node N is a valid chain; the CPU-Opt chain is the shortest
 path under the per-edge CPU cost computed here (Lemma 2 makes the edge
 costs independent, so the principle of optimality applies).
+
+The costs are the paper's *simulated* ones (comparisons plus ``Csys`` per
+operator invocation) and every input is declared: nothing here reads a
+running session, and no session re-slices itself from them.
 """
 
 from __future__ import annotations
@@ -51,11 +55,6 @@ class ChainCostParameters:
         sliced joins: a probing tuple examines only its equi-key bucket, an
         expected ``S1`` fraction of the sliced state, instead of the whole
         state (nested loops, the paper's default).
-    join_selectivity:
-        Optional measured join factor S1 overriding the join condition's
-        declared estimate.  Populated by
-        :meth:`repro.core.statistics.StreamStatistics.chain_parameters` so
-        the CPU-Opt search prices plans from observed stream behaviour.
 
     A session's memory budget is not a parameter: what it moves to disk is a
     row offset of each stream's column, the same for every slicing, and a
@@ -67,23 +66,12 @@ class ChainCostParameters:
     system_overhead: float = 0.5
     tuple_size: float = 1.0
     hash_probe: bool = False
-    join_selectivity: float | None = None
 
     def __post_init__(self) -> None:
         if self.arrival_rate_left <= 0 or self.arrival_rate_right <= 0:
             raise ChainError("arrival rates must be positive")
         if self.system_overhead < 0:
             raise ChainError("system_overhead must be non-negative")
-        if self.join_selectivity is not None and not 0.0 <= self.join_selectivity <= 1.0:
-            raise ChainError(
-                f"join_selectivity must lie in [0, 1], got {self.join_selectivity}"
-            )
-
-    def effective_join_selectivity(self, workload: QueryWorkload) -> float:
-        """The S1 the cost model should price with: measured, else declared."""
-        if self.join_selectivity is not None:
-            return self.join_selectivity
-        return workload.join_condition.selectivity
 
 
 @dataclass(frozen=True)
@@ -155,7 +143,7 @@ def slice_cpu_cost(
     * overhead — ``Csys`` per tuple passing through the slice's operators.
     """
     s_left, s_right = _slice_selectivities(workload, slice_spec)
-    join_selectivity = params.effective_join_selectivity(workload)
+    join_selectivity = workload.join_condition.selectivity
     rate_left = params.arrival_rate_left * s_left
     rate_right = params.arrival_rate_right * s_right
     length = slice_spec.length

@@ -192,8 +192,7 @@ class MetricsCollector:
         self.tuples_ingested = 0
         #: Per-stream ingest counters (populated when callers pass a stream).
         self.ingested: dict[str, int] = defaultdict(int)
-        #: Free-form monotone counters used by online estimators (e.g. the
-        #: adaptive policy's match/opportunity and filter pass/seen counts).
+        #: Free-form monotone counters (a session's ``spill.*`` deltas).
         #: Observations are bookkeeping, not simulated work: they never enter
         #: ``cpu_cost``.
         self.observations: dict[str, float] = defaultdict(float)
@@ -232,7 +231,7 @@ class MetricsCollector:
             self.ingested[stream] += amount
 
     def observe(self, name: str, amount: float = 1) -> None:
-        """Record ``amount`` estimator observations (not CPU cost)."""
+        """Record ``amount`` bookkeeping observations (not CPU cost)."""
         if amount:
             self.observations[name] += amount
 

@@ -59,7 +59,7 @@ def chain_parameters(
 ) -> ChainCostParameters:
     """The chain cost-model parameters implied by an experiment config.
 
-    This is the declared statistics plane of the harness: configured arrival
+    Everything is declared by the configuration: configured arrival
     rates, the configured ``Csys``, and a probe term matching how the built
     plans will actually probe (``hash_probe`` whenever the configuration
     resolves to hash probing), so the CPU-Opt search prices the same

@@ -6,25 +6,20 @@ package adds the dynamic half of the paper's story (Section 5.3): a
 :class:`StreamEngine` session owns a live shared sliced-join chain and lets
 continuous queries register and deregister *while the stream is running*,
 migrating the chain incrementally — splitting and merging window slices
-in place — so no in-flight join state is lost or duplicated.
-
-:class:`AdaptivePolicy` closes the feedback loop: the session estimates its
-own arrival rates, join factor and selection selectivities from windowed
-metric-counter deltas (one shared statistics plane with the static
-optimizer, :mod:`repro.core.statistics`) and re-runs the CPU-Opt chain
-search — migrating the live chain and re-deriving the selection push-down —
-whenever the observed statistics drift from the ones the chain was
-optimized for.
+in place — so no in-flight join state is lost or duplicated.  Admission
+and removal are the only things that move a boundary: a session's chain is
+always the Mem-Opt chain of its registered windows (the CPU-Opt search of
+:mod:`repro.core.cpu_opt` prices static plans only).
 
 :class:`ShardedStreamEngine` scales the session out: for equi-join
 workloads both input streams are hash-partitioned on the join key across N
 inner engines (serial or one worker process per shard), with admissions
 fanned out to every shard and per-shard results merged into a
 deterministic global order; :class:`ShardPlanner` sizes N and detects key
-skew from the aggregated statistics plane.
+skew from the per-shard snapshot windows (arrival rates,
+:mod:`repro.core.statistics`).
 """
 
-from repro.runtime.adaptive import AdaptivePolicy, PolicyEvent
 from repro.runtime.engine import (
     CountStreamEngine,
     EngineStats,
@@ -43,11 +38,9 @@ from repro.runtime.sharding import (
 )
 
 __all__ = [
-    "AdaptivePolicy",
     "CountStreamEngine",
     "EngineStats",
     "MigrationEvent",
-    "PolicyEvent",
     "RegisteredQuery",
     "ReshardDecision",
     "ReshardEvent",

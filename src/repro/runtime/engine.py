@@ -14,6 +14,13 @@ the registered queries using the paper's online migration primitives
 * ``remove_query`` *merges* the slice ending at the orphaned boundary into
   its successor (or drops the tail slice when the largest window leaves).
 
+Nothing else moves a boundary, so a session's chain is always the Mem-Opt
+chain of Section 5.1 — one boundary per distinct registered window — and
+every result of a slice lies inside the window of every query tapping it.
+The CPU-Opt chain of Section 5.2 trades merged slices against ``Csys``, a
+per-operator overhead a session (one column per stream, slices as cursors)
+does not pay; it lives in the static plans (:mod:`repro.core.cpu_opt`).
+
 Every migration is a drain-and-splice: the engine first flushes any
 buffered arrival batch (so all inter-slice queues are empty — the drain),
 then rewrites the slice boundaries in place (the splice).  In-flight join
@@ -39,11 +46,7 @@ so the placement stays optimal as the query set evolves.
 protocol over a :class:`~repro.core.count_chain.CountSlicedJoinChain`,
 whose boundaries are tuple *ranks* instead of time offsets — the same two
 columns as a time-window session's chain, its slices rank ranges, so a
-migration moves no row.  Count-window sessions always keep the Mem-Opt
-chain (one boundary per registered count):
-a merged slice's results cannot be re-split by rank at routing time, since
-a tuple's rank — unlike a timestamp gap — is not derivable from the joined
-pair itself.  For the same reason selections are *not* pushed into a count
+migration moves no row.  Selections are *not* pushed into a count
 chain: a pushed filter would change which tuples occupy the "most recent
 N" ranks, silently redefining every query's window.  Count-window
 selections are therefore applied to each query's results (window semantics:
@@ -56,17 +59,6 @@ whole window state.  The index is a property of the column
 (:mod:`repro.engine.columns`: posting lists of row ids, which no split or
 merge touches) and is rebuilt with whatever a keyed ingest loads.
 
-**Adaptive re-optimization** — with ``collect_statistics=True`` (or an
-attached :class:`~repro.runtime.adaptive.AdaptivePolicy`) every processed
-batch also records the estimator observations of the shared statistics
-plane (:mod:`repro.core.statistics`): per-stream ingest counts, head-slice
-match/candidate counts, and per-query selection pass rates.  Windowed
-snapshot diffs of those counters yield live
-:class:`~repro.core.statistics.StreamStatistics` estimates, and
-:meth:`StreamEngine.rebalance` accepts such an estimate to run the CPU-Opt
-search on *measured* rates and selectivities — the policy automates exactly
-that loop, with hysteresis and a cooldown so stable load never migrates.
-
 Arrivals are processed by the cursor chain's block kernel in batches of
 ``batch_size`` (1 = per-tuple).  Per-query results are delivered
 in timestamp order (ties broken by sequence numbers), which makes the
@@ -75,22 +67,15 @@ output independent of the batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable
 
 from repro.core.chain import SlicedJoinChain
 from repro.core.chain_base import SlicedChainBase
 from repro.core.count_chain import CountSlicedJoinChain
-from repro.core.cpu_opt import build_cpu_opt_chain
-from repro.core.merge_graph import ChainCostParameters
 from repro.core.pushdown import residual_predicate
-from repro.core.statistics import (
-    OBS_CHAIN_MATCHES,
-    OBS_CHAIN_OPPORTUNITIES,
-    StreamStatistics,
-    filter_observation_key,
-)
+from repro.core.statistics import StreamStatistics
 from repro.engine.errors import ExecutionError, MigrationError, QueryError
 from repro.engine.metrics import CostCategory, MetricsCollector, append_bounded
 from repro.engine.spill import SpillStore, estimate_tuple_bytes
@@ -108,16 +93,16 @@ __all__ = [
 
 _EPSILON = 1e-9
 
-#: One per-slice routing entry: ``(queries, window_check, left_res, right_res)``
-#: — the queries whose taps of the slice ask for exactly the same checks.
-#: ``window_check`` is None when every result of the slice is inside the
-#: queries' windows; the residual predicates are None when already implied
-#: by the filter pushed below the slice.
-_Route = tuple[list[str], float | None, Predicate | None, Predicate | None]
+#: One per-slice routing entry: ``(queries, left_res, right_res)`` — the
+#: queries whose taps of the slice ask for exactly the same checks.  Every
+#: result of a slice is inside the windows of the queries tapping it (each
+#: window is a boundary), so there is no window check; a residual predicate
+#: is None when already implied by the filter pushed below the slice.
+_Route = tuple[list[str], Predicate | None, Predicate | None]
 
 
 #: The one decision ``window_kind`` makes: which chain class a session runs.
-#: Window validation, push-down, the Mem-Opt and partitioning refusals are
+#: Window validation, push-down and the partitioning refusal are
 #: facts of that class (:class:`~repro.core.chain_base.SlicedChainBase`).
 CHAIN_KINDS: dict[str, type[SlicedChainBase]] = {
     "time": SlicedJoinChain,
@@ -220,16 +205,6 @@ class StreamEngine:
         Probe algorithm of every slice: ``"nested_loop"`` (the paper's cost
         model, and the default), ``"hash"`` (equi-join conditions only) or
         ``"auto"`` (hash for equi-joins, nested loop otherwise).
-    policy:
-        Optional :class:`~repro.runtime.adaptive.AdaptivePolicy`; attaching
-        one turns statistics collection on and lets the session re-optimize
-        its own chain from observed drift.
-    collect_statistics:
-        Record the estimator observations (per-stream ingest rates, head
-        slice match/opportunity counts, per-query selection pass rates)
-        even without a policy, so callers can build
-        :class:`~repro.core.statistics.StreamStatistics` estimates from
-        snapshot diffs themselves.
     memory_budget_bytes:
         Optional in-core state budget.  After every batch, while the resident
         estimate exceeds it, the chain moves its oldest state to an on-disk
@@ -255,8 +230,6 @@ class StreamEngine:
         metrics: MetricsCollector | None = None,
         window_kind: str = "time",
         probe: str = "nested_loop",
-        policy=None,
-        collect_statistics: bool = False,
         memory_budget_bytes: int | None = None,
     ) -> None:
         #: The chain class this session builds (read-only; from ``window_kind``).
@@ -281,14 +254,10 @@ class StreamEngine:
         self._pending: list[StreamTuple] = []
         self._last_timestamp = float("-inf")
         self._routing: list[list[_Route]] = []
-        self.policy = None
-        self._observing = bool(collect_statistics)
         self.memory_budget_bytes = memory_budget_bytes
         self._spill_store: SpillStore | None = None
         self._tuple_bytes: int | None = None
         self._spill_reported: dict[str, int] = {}
-        if policy is not None:
-            self.attach_policy(policy)
 
     # -- admission -------------------------------------------------------------
     def add_query(
@@ -375,27 +344,11 @@ class StreamEngine:
             return delivered
         max_window = max(q.window for q in self._queries.values())
         if query.window > max_window + _EPSILON:
-            # The largest window left: shed the chain's tail beyond the new
-            # largest window (its state is too old for every remaining
-            # query).  A prior rebalance may have merged the new largest
-            # window's boundary away, so re-introduce it with a split first;
-            # the next cross-purges then expel the now-too-old tuples off
-            # the shortened chain end.  (Count-window sessions keep the
-            # Mem-Opt invariant — every registered count is a boundary — so
-            # the split branch never triggers there.)
-            index = chain.slice_index_containing(max_window)
-            if index is not None:
-                chain.split_slice(index, max_window)
-                self._record_migration("split", max_window)
-            dropped = False
-            while (
-                chain.slice_count() > 1
-                and chain.boundaries[-2] >= max_window - _EPSILON
-            ):
-                chain.drop_tail_slice()
-                dropped = True
-            if dropped:
-                self._record_migration("drop-tail", query.window)
+            # The largest window left: shed the tail slice — its state is
+            # too old for every remaining query, and the new largest window
+            # is the boundary in front of it.
+            chain.drop_tail_slice()
+            self._record_migration("drop-tail", query.window)
         else:
             index = chain.slice_index_for_boundary(query.window)
             if index is not None and index < chain.slice_count() - 1:
@@ -463,23 +416,16 @@ class StreamEngine:
         if chain is None:
             metrics.observe_time(batch[-1].timestamp)
             return  # No registered queries: arrivals pass through unjoined.
-        observing = self._observing
-        if observing:
-            pre_left, pre_right = chain.head_state_sizes()
         routing = self._routing
         results = self._results
         #: Per query: ``(order key, result)`` entries delivered by this batch.
         block: dict[str, list] = {}
         select_count = 0
-        route_count = 0
-        head_matches = 0
         # A slice's results are routed at once, once per distinct set of
-        # checks: ROUTE and SELECT stay charged per (result, query) — each
-        # step's survivors times the queries asking — while the order key is
+        # checks: SELECT stays charged per (result, query) — each step's
+        # survivors times the queries asking — while the order key is
         # computed per result and a residual per distinct tuple of the bin.
         for index, joined_results in chain.process_batch(batch, binned=True):
-            if index == 0:
-                head_matches = len(joined_results)
             entries = []
             for joined in joined_results:
                 left, right = joined.left, joined.right
@@ -487,17 +433,8 @@ class StreamEngine:
                     ((max(left.timestamp, right.timestamp), left.seqno, right.seqno), joined)
                 )
             verdicts: dict = {}
-            for names, window, left_res, right_res in routing[index]:
+            for names, left_res, right_res in routing[index]:
                 chosen = entries
-                if window is not None:
-                    # One timestamp comparison per (result, window-checked
-                    # route), matching the Router accounting of Section 3.1.
-                    route_count += len(chosen) * len(names)
-                    chosen = [
-                        entry
-                        for entry in chosen
-                        if abs(entry[1].left.timestamp - entry[1].right.timestamp) < window
-                    ]
                 for residual, side in ((left_res, 0), (right_res, 1)):
                     if residual is not None and chosen:
                         select_count += len(chosen) * len(names)
@@ -526,8 +463,6 @@ class StreamEngine:
             delivered += len(entries)
         if select_count:
             metrics.count(CostCategory.SELECT, select_count)
-        if route_count:
-            metrics.count(CostCategory.ROUTE, route_count)
         self.stats.results_delivered += delivered
         if self._tuple_bytes is None:
             self._tuple_bytes = max(64, estimate_tuple_bytes(batch[0]))
@@ -542,13 +477,6 @@ class StreamEngine:
             batch[-1].timestamp, chain.state_size(), resident, spilled
         )
         self._report_spill_counters()
-        if observing:
-            self._observe_batch(
-                batch, left_arrivals, right_arrivals,
-                (pre_left, pre_right), head_matches,
-            )
-        if self.policy is not None:
-            self.policy.on_batch(self, batch[-1].timestamp)
 
     # -- tiered state (memory budget) -------------------------------------------
     def _report_spill_counters(self) -> None:
@@ -586,72 +514,7 @@ class StreamEngine:
             self._spill_store.close()
             self._spill_store = None
 
-    # -- statistics observation ------------------------------------------------
-    def _observe_batch(
-        self,
-        batch: list[StreamTuple],
-        left_arrivals: int,
-        right_arrivals: int,
-        pre_sizes: tuple[int, int],
-        head_matches: int,
-    ) -> None:
-        """Record the estimator observations of one processed batch.
-
-        The join factor is observed at the head slice (matches vs candidate
-        pairs, candidate counts averaged over the batch), which is unbiased
-        whenever the head link carries no pushed-down filter — the usual
-        case, since any query without a selection keeps the entry
-        disjunction trivial.  Selection selectivities are observed by
-        evaluating each registered non-trivial predicate on the raw
-        arrivals of its stream; these evaluations are estimator
-        bookkeeping, not plan work, so they are recorded as observations
-        rather than comparisons.
-        """
-        metrics = self.metrics
-        chain = self._chain
-        assert chain is not None
-        if chain.link_filters()[0] == (None, None):
-            post_left, post_right = chain.head_state_sizes()
-            pre_left, pre_right = pre_sizes
-            opportunities = (
-                left_arrivals * (pre_right + post_right) / 2
-                + right_arrivals * (pre_left + post_left) / 2
-            )
-            if opportunities > 0:
-                metrics.observe(OBS_CHAIN_OPPORTUNITIES, opportunities)
-                metrics.observe(OBS_CHAIN_MATCHES, head_matches)
-        for query in self._queries.values():
-            for side, predicate, stream in (
-                ("left", query.left_filter, self.left_stream),
-                ("right", query.right_filter, self.right_stream),
-            ):
-                if isinstance(predicate, TruePredicate):
-                    continue
-                seen = 0
-                passed = 0
-                for tup in batch:
-                    if tup.stream != stream:
-                        continue
-                    seen += 1
-                    if predicate.matches(tup):
-                        passed += 1
-                if seen:
-                    metrics.observe(
-                        filter_observation_key(query.name, side, "seen"), seen
-                    )
-                    metrics.observe(
-                        filter_observation_key(query.name, side, "pass"), passed
-                    )
-
-    def attach_policy(self, policy) -> None:
-        """Attach an :class:`~repro.runtime.adaptive.AdaptivePolicy`.
-
-        Turns statistics collection on; the policy is called after every
-        processed batch with the stream time of its last arrival.
-        """
-        self.policy = policy
-        self._observing = True
-
+    # -- statistics ----------------------------------------------------------------
     def estimated_statistics(
         self, since: "object | None" = None
     ) -> StreamStatistics:
@@ -659,9 +522,7 @@ class StreamEngine:
 
         ``since`` is an earlier :meth:`MetricsCollector.snapshot` value
         marking the window start; by default the whole session is the
-        window.  Requires ``collect_statistics=True`` (or an attached
-        policy) for join/selection estimates; arrival rates are always
-        available.
+        window.
         """
         before = since if since is not None else type(self.metrics)().snapshot()
         return StreamStatistics.from_metrics_window(
@@ -690,118 +551,6 @@ class StreamEngine:
         self._results[name] = []
         return delivered
 
-    # -- adaptive re-slicing ---------------------------------------------------
-    def rebalance(
-        self,
-        params: ChainCostParameters,
-        statistics: StreamStatistics | None = None,
-    ) -> tuple[float, ...]:
-        """Migrate the live chain to the CPU-Opt boundaries for the current
-        workload (Section 5.2/6.2) and return the new boundaries.
-
-        The target chain is found by the shortest-path search over the merge
-        graph; the live chain is then moved there incrementally — splits
-        first (they only need an enclosing slice), merges second — with the
-        usual drain-and-splice discipline, so the session keeps running.
-        ``statistics`` (typically a windowed estimate from the adaptive
-        policy) overrides the declared rates/selectivities with measured
-        ones before the search runs.  Time-window sessions only: a
-        count-window session keeps the Mem-Opt chain (see the class
-        docstring).
-        """
-        if not self._queries:
-            raise MigrationError("cannot rebalance an engine with no queries")
-        chain = self._chain
-        assert chain is not None
-        if chain.rebalance_refusal is not None:
-            raise MigrationError(chain.rebalance_refusal)
-        self._drain()
-        if chain.probe == "hash" and not params.hash_probe:
-            # Price the probes the way this session actually executes them:
-            # a hash session probing one equi-key bucket per arrival must not
-            # be rebalanced against the nested-loop cost model.
-            params = replace(params, hash_probe=True)
-        workload = self.workload()
-        target = [0.0] + build_cpu_opt_chain(
-            workload, params, statistics=statistics
-        ).boundaries()[1:]
-        self._migrate_to(target)
-        self._refresh_plan()
-        return tuple(chain.boundaries)
-
-    def _migrate_to(self, target: Iterable[float]) -> None:
-        """Drain-and-splice the live chain to exactly ``target`` boundaries.
-
-        Splits run first (they only need an enclosing slice), merges second;
-        the caller re-derives the filter placement and routing afterwards.
-        """
-        chain = self._chain
-        assert chain is not None
-        target = list(target)
-        for boundary in target:
-            if all(abs(boundary - b) > _EPSILON for b in chain.boundaries):
-                index = chain.slice_index_containing(boundary)
-                if index is not None:
-                    chain.split_slice(index, boundary)
-                    self._record_migration("split", boundary)
-        for boundary in list(chain.boundaries[1:-1]):
-            if all(abs(boundary - t) > _EPSILON for t in target):
-                index = chain.slice_index_for_boundary(boundary)
-                if index is not None:
-                    chain.merge_slices(index)
-                    self._record_migration("merge", boundary)
-
-    def set_boundaries(self, boundaries: Iterable[float]) -> tuple[float, ...]:
-        """Migrate the live chain to exactly the given boundaries.
-
-        The adoption half of state repartitioning: a replacement shard built
-        for an existing session must reproduce the donor chain's boundaries
-        — which a prior :meth:`rebalance` may have moved off the Mem-Opt
-        positions — before any per-slice state can be spliced in.  Runs the
-        usual drain-and-splice migration and re-derives the pushed-down
-        filters and routing for the new slice structure.
-
-        Parameters
-        ----------
-        boundaries:
-            The target boundaries.  Must start at 0, strictly increase, and
-            keep the current chain end (the retained horizon cannot be moved
-            by fiat — admit or remove a query instead).  A count-window
-            session must additionally keep every registered count a boundary
-            (the Mem-Opt invariant; see the class docstring).
-
-        Returns
-        -------
-        tuple[float, ...]
-            The chain boundaries after the migration (== ``boundaries``).
-
-        Raises
-        ------
-        MigrationError
-            If the engine has no chain, or the target violates the
-            constraints above.
-        """
-        if self._chain is None:
-            raise MigrationError("cannot set boundaries on an engine with no queries")
-        target = [self._chain._coerce_boundary(b) for b in boundaries]
-        if len(target) < 2 or abs(target[0]) > _EPSILON:
-            raise MigrationError(f"boundaries must start at 0, got {target}")
-        if any(b2 <= b1 for b1, b2 in zip(target, target[1:])):
-            raise MigrationError(f"boundaries must strictly increase, got {target}")
-        current_end = self._chain.boundaries[-1]
-        if abs(target[-1] - current_end) > _EPSILON:
-            raise MigrationError(
-                f"target end {target[-1]:g} must keep the chain end "
-                f"{current_end:g} (admit or remove a query to move it)"
-            )
-        self._chain.check_target(
-            target, {query.name: query.window for query in self._queries.values()}
-        )
-        self._drain()
-        self._migrate_to(target)
-        self._refresh_plan()
-        return tuple(self._chain.boundaries)
-
     # -- keyed state repartition (live resharding) ------------------------------
     def extract_keyed_state(self, predicate=None) -> list[dict[str, list[StreamTuple]]]:
         """Drain, then remove and return resident tuples matching ``predicate``.
@@ -823,9 +572,9 @@ class StreamEngine:
     ) -> int:
         """Drain, then splice extracted per-slice state into the live chain.
 
-        ``state`` must carry one entry per slice (the donor chain must hold
-        identical boundaries — use :meth:`set_boundaries` first).  Returns
-        the number of tuples spliced in.
+        ``state`` must carry one entry per slice (the donor chain held
+        identical boundaries: it served the same queries).  Returns the
+        number of tuples spliced in.
 
         Raises
         ------
@@ -916,7 +665,7 @@ class StreamEngine:
     def _refresh_plan(self) -> None:
         """Re-derive the pushed-down filters and result routing.
 
-        Called after every admission, removal and rebalance — the splice
+        Called after every admission and removal — the splice
         half of drain-and-splice for the selection placement: the σ'
         disjunctions in front of each slice and the per-query residuals
         both depend on the current query set *and* the current boundaries.
@@ -946,24 +695,20 @@ class StreamEngine:
     ) -> None:
         """Recompute the per-slice result routing after any migration.
 
-        A query taps every slice that starts inside its window.  A window
-        check is needed only where the slice extends past the window (a
-        merged or split slice serving a smaller query, the router check of
-        Figure 13(b)); count-window sessions never need it because every
-        registered count stays a chain boundary.  A residual predicate is
-        attached wherever the query's own selection is stronger than the
-        disjunction pushed below the slice (σ' of Figure 10)."""
+        A query taps every slice that ends inside its window — no slice
+        straddles a window, every registered window being a boundary.  A
+        residual predicate is attached wherever the query's own selection is
+        stronger than the disjunction pushed below the slice (σ' of
+        Figure 10)."""
         trivial = TruePredicate()
         routing: list[list[_Route]] = []
         # Equal filters are one object (_shared), so queries fall into
-        # families asking for the same residuals; only the window check
-        # (needed where a slice extends past the window) is a query's own.
+        # families asking for the same residuals.
         families: dict[tuple[int, int], list[RegisteredQuery]] = {}
         for query in self._queries.values():
             family = (id(query.left_filter), id(query.right_filter))
             families.setdefault(family, []).append(query)
-        bounds = chain.boundaries
-        for slice_index, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        for slice_index, end in enumerate(chain.boundaries[1:]):
             if pushed is not None:
                 pushed_left, pushed_right = pushed[slice_index]
             else:
@@ -974,12 +719,7 @@ class StreamEngine:
                 right_res = _residual(members[0].right_filter, pushed_right)
                 inside = [q.name for q in members if end <= q.window + _EPSILON]
                 if inside:
-                    slice_routes.append((inside, None, left_res, right_res))
-                slice_routes.extend(
-                    ([q.name], q.window, left_res, right_res)
-                    for q in members
-                    if start < q.window - _EPSILON and end > q.window + _EPSILON
-                )
+                    slice_routes.append((inside, left_res, right_res))
             routing.append(slice_routes)
         self._routing = routing
 
@@ -1026,8 +766,6 @@ class CountStreamEngine(StreamEngine):
         batch_size: int = 32,
         metrics: MetricsCollector | None = None,
         probe: str = "nested_loop",
-        policy=None,
-        collect_statistics: bool = False,
         memory_budget_bytes: int | None = None,
     ) -> None:
         super().__init__(
@@ -1038,7 +776,5 @@ class CountStreamEngine(StreamEngine):
             metrics=metrics,
             window_kind="count",
             probe=probe,
-            policy=policy,
-            collect_statistics=collect_statistics,
             memory_budget_bytes=memory_budget_bytes,
         )

@@ -3,21 +3,24 @@
 Everything here is a pure function of its arguments — no session, no
 transport, no shard mode.  :func:`shard_for_key` places an arrival,
 :func:`unpartitionable_reason` says whether a workload has a partition key
-at all, and :func:`repartition` re-buckets the exported window state of one
+at all, :func:`repartition` re-buckets the exported window state of one
 shard generation under a new modulus (the data half of
-:meth:`~repro.runtime.sharding.ShardedStreamEngine.reshard`).
+:meth:`~repro.runtime.sharding.ShardedStreamEngine.reshard`), and
+:func:`relayer` regroups one shard's state when queries have left since it
+was taken (crash recovery).
 """
 
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from collections import defaultdict
 from typing import Mapping, Sequence
 
 from repro.query.predicates import EquiJoinCondition, JoinCondition
 from repro.streams.tuples import StreamTuple
 
-__all__ = ["repartition", "shard_for_key", "unpartitionable_reason"]
+__all__ = ["relayer", "repartition", "shard_for_key", "unpartitionable_reason"]
 
 #: One shard's keyed window state: per slice (head first), per stream, the
 #: resident tuples oldest first (``StreamEngine.extract_keyed_state``).
@@ -112,3 +115,26 @@ def repartition(
             depth = min(depth, donor_depth)
             buckets[new_index][depth][stream].append(tup)
     return buckets, moved, resident
+
+
+def relayer(
+    state: KeyedState, base_boundaries: Sequence[float], boundaries: Sequence[float]
+) -> KeyedState:
+    """Regroup keyed state laid out under ``base_boundaries`` onto ``boundaries``.
+
+    ``boundaries`` must be a subset of ``base_boundaries`` — the chain of
+    the queries that remain of those the state was taken under, both chains
+    keeping one boundary per distinct window — so every base slice lies
+    inside exactly one current slice, or wholly beyond the current chain
+    end (too old for every remaining query: dropped, as the removal that
+    shortened the chain dropped it).  Base slices are concatenated shallow
+    to deep; :meth:`StreamEngine.ingest_keyed_state` restores the
+    ``(timestamp, seqno)`` order within a slice.
+    """
+    layered: KeyedState = [{} for _ in boundaries[1:]]
+    for base_end, entry in zip(base_boundaries[1:], state):
+        index = bisect_left(boundaries, base_end) - 1  # the slice ending at or after it
+        if index < len(layered):
+            for stream, tuples in entry.items():
+                layered[index].setdefault(stream, []).extend(tuples)
+    return layered

@@ -1,14 +1,13 @@
 """Statistics-driven sizing of a sharded session: how many shards, and when.
 
-:class:`ShardPlanner` closes the sizing loop with the statistics plane of
-:mod:`repro.core.statistics`: the per-shard metrics snapshots of a
+:class:`ShardPlanner` closes the sizing loop from measured arrival rates
+(:mod:`repro.core.statistics`): the per-shard metrics snapshots of a
 :class:`~repro.runtime.sharding.ShardedStreamEngine` are aggregated into one
 global :class:`~repro.core.statistics.StreamStatistics` view (counters
 summed, stream clock max'ed), from which the planner picks a shard count for
-the measured load, detects key skew from the per-shard ingest shares,
-decides when a live reshard is worth its migration, and re-prices the
-session's chain from that same global view.  It only reads the session's
-public surface — no transport, no shard mode.
+the measured load, detects key skew from the per-shard ingest shares, and
+decides when a live reshard is worth its migration.  It only reads the
+session's public surface — no transport, no shard mode.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ class ReshardDecision:
 
 
 class ShardPlanner:
-    """Statistics-driven sizing, re-pricing and live resizing of a sharded session.
+    """Statistics-driven sizing and live resizing of a sharded session.
 
     Parameters
     ----------
@@ -85,7 +84,7 @@ class ShardPlanner:
         counts as skewed (hot keys concentrating on few shards).
     window:
         Length of one :meth:`should_reshard` estimation window in
-        stream-seconds (mirrors :class:`~repro.runtime.adaptive.AdaptivePolicy`).
+        stream-seconds.
     hysteresis:
         Consecutive estimation windows that must agree on a different shard
         count before :meth:`should_reshard` says yes; one conforming window
@@ -206,8 +205,7 @@ class ShardPlanner:
         """Decide whether the session should change its shard count *now*.
 
         Call periodically while ingesting (every K arrivals, or from an
-        external ticker).  The policy mirrors
-        :class:`~repro.runtime.adaptive.AdaptivePolicy`'s stability layers:
+        external ticker).  The policy has four stability layers:
 
         * estimates are *windowed* — rates come from per-shard snapshot
           deltas over ``window`` stream-seconds, never from whole-session
@@ -345,27 +343,3 @@ class ShardPlanner:
         if not decision.reshard:
             return None
         return engine.reshard(decision.target, reason=decision.reason)
-
-    def rebalance(
-        self,
-        engine: ShardedStreamEngine,
-        system_overhead: float = 0.5,
-        tuple_size: float = 1.0,
-    ) -> tuple[float, ...]:
-        """Re-price the session's chain from its measured statistics.
-
-        One search input per session: the merged global view (counters
-        summed over the shards of the current generation) prices the chain,
-        and :meth:`ShardedStreamEngine.rebalance` hands every shard the
-        same ``1/N`` share of it, so all shards land on the same boundaries
-        whatever the key skew.  A stream that has not arrived yet is priced
-        at the other stream's rate.  Requires the session to run with
-        ``collect_statistics=True``.
-        """
-        merged = engine.merged_statistics()
-        params = merged.chain_parameters(
-            system_overhead=system_overhead,
-            tuple_size=tuple_size,
-            default_rate=max(sum(merged.arrival_rates.values()), 1e-9),
-        )
-        return engine.rebalance(params, statistics=merged)

@@ -37,7 +37,6 @@ class ShardConfig:
     window_kind: str = "time"
     probe: str = "nested_loop"
     system_overhead: float = 0.0
-    collect_statistics: bool = False
     #: Per-shard in-core state budget (the session budget split over the
     #: current shard count); re-derived by every
     #: :meth:`~repro.runtime.sharding.ShardedStreamEngine.reshard`.
@@ -53,7 +52,6 @@ class ShardConfig:
             metrics=MetricsCollector(system_overhead=self.system_overhead),
             window_kind=self.window_kind,
             probe=self.probe,
-            collect_statistics=self.collect_statistics,
             memory_budget_bytes=self.memory_budget_bytes,
         )
 
@@ -129,9 +127,7 @@ COMMANDS: dict[str, Callable] = {
     "sync": lambda engine, _: engine.flush(),
     "snapshot": _snapshot,
     "state": _state,
-    "rebalance": lambda engine, plan: tuple(engine.rebalance(plan[0], statistics=plan[1])),
     "export": _export,
-    "adopt": lambda engine, boundaries: engine.set_boundaries(boundaries),
     "ingest": lambda engine, state: engine.ingest_keyed_state(state),
 }
 

@@ -14,8 +14,8 @@ unsharded answer.
   is the tuple's side of the shared equi-join condition; the partitioner is
   a stable CRC-32 hash, deterministic across processes and runs (so the
   process-parallel driver and the differential tests agree on placement);
-* **one fan-out** — ``add_query`` / ``remove_query`` / ``rebalance`` and every
-  other session call reach the shards through :meth:`ShardedStreamEngine._request_each`,
+* **one fan-out** — ``add_query`` / ``remove_query`` and every other
+  session call reach the shards through :meth:`ShardedStreamEngine._request_each`,
   which sends one command of the shard command table
   (:mod:`repro.runtime.shard_worker`) to every shard, so all shards keep
   identical chain boundaries and pushed-down filters (one logical session,
@@ -59,14 +59,18 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Sequence
 
-from repro.core.merge_graph import ChainCostParameters
 from repro.core.statistics import StreamStatistics
 from repro.engine.errors import ExecutionError, MigrationError, QueryError, ShardingError
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
 from repro.engine.ring import DEFAULT_RING_CAPACITY
 from repro.query.predicates import EquiJoinCondition, JoinCondition, Predicate, TruePredicate
 from repro.runtime.engine import EngineStats, RegisteredQuery, StreamEngine, chain_class
-from repro.runtime.partition import repartition, shard_for_key, unpartitionable_reason
+from repro.runtime.partition import (
+    relayer,
+    repartition,
+    shard_for_key,
+    unpartitionable_reason,
+)
 from repro.runtime.shard_planner import ReshardDecision, ShardPlan, ShardPlanner
 from repro.runtime.shard_worker import ShardConfig, reply_to, spawn_worker
 from repro.streams.tuples import JoinedTuple, StreamTuple, encode_batch
@@ -144,9 +148,9 @@ class _WorkerShard:
     of arrivals not yet shipped) and the crash-recovery plane: a replay
     journal of shipped arrivals (bounded by twice the largest window),
     per-query admission and delivery frontiers expressed as push positions,
-    the state this worker generation started from, the chain boundaries it
-    last acknowledged, and the respawn budget.  The plane is
-    kept in step by :meth:`_observe`, from the worker's own replies.
+    the state this worker generation started from, and the respawn budget.
+    The plane is kept in step by :meth:`_observe`, from the commands the
+    worker acknowledged.
     """
 
     engine = None  # no in-thread engine (see ShardedStreamEngine.shard_engines)
@@ -162,7 +166,6 @@ class _WorkerShard:
         self.buffer: list[StreamTuple] = []
         #: Acknowledged admissions: name -> the ``add`` payload that made it.
         self.queries: dict[str, tuple] = {}
-        self.boundaries: tuple[float, ...] | None = None
         self._inflight: tuple[str, object] = ("", None)
         self._restart_journal()
         self.pipe, self.ring, self.worker = spawn_worker(config, ring_capacity)
@@ -241,7 +244,7 @@ class _WorkerShard:
         except (EOFError, OSError) as exc:
             raise self._died(f"during {command!r} ({type(exc).__name__})") from exc
         if status == "ok":
-            self._observe(command, payload, result)
+            self._observe(command, payload)
         return status, result
 
     def _call(self, command: str, payload=None):
@@ -269,7 +272,7 @@ class _WorkerShard:
         self._release()
 
     # -- crash recovery ----------------------------------------------------------
-    def _observe(self, command: str, payload, result) -> None:
+    def _observe(self, command: str, payload) -> None:
         """Fold one acknowledged command into the recovery plane."""
         if command == "add":
             name = payload[0]
@@ -278,20 +281,19 @@ class _WorkerShard:
             # crash replay must not fabricate results for males this shard
             # ingested before the admission.
             self.admitted[name] = self.delivered[name] = self.pushed
-            self.boundaries = tuple(result)
         elif command == "remove":
             for registry in (self.queries, self.admitted, self.delivered):
                 registry.pop(payload, None)
-            self.boundaries = tuple(result[1]) if self.queries else None
         elif command == "pop":
             # Everything pushed so far is now delivered for this query.
             self.delivered[payload] = self.pushed
         elif command == "pop_all":
             self.delivered.update(dict.fromkeys(payload, self.pushed))
-        elif command in ("rebalance", "adopt"):
-            self.boundaries = tuple(result)
         elif command == "ingest":
-            self.recovery_base = (self.boundaries, payload)
+            # The state is layered on the chain of the queries registered
+            # now: one boundary per distinct window.
+            windows = sorted({query[1] for query in self.queries.values()})
+            self.recovery_base = ((0, *windows), payload)
 
     def _journal_append(self, tuples: Sequence[StreamTuple]) -> None:
         """Journal shipped arrivals, then trim to the retention horizon.
@@ -332,7 +334,7 @@ class _WorkerShard:
         a segment's results are kept for a query only when its delivery
         frontier lies at or before the segment start — results the dead
         worker had already handed out are discarded, undelivered ones are
-        returned for the carryover view.  Returns ``(state, boundaries,
+        returned for the carryover view.  Returns ``(state,
         recovered_results)``; ``state`` is ``None`` when no query is
         registered.
         """
@@ -352,9 +354,10 @@ class _WorkerShard:
 
         admit_through(0)
         if self.recovery_base is not None and admitted_names:
+            # Queries may have left since the base was taken: regroup its
+            # slices onto the chain of those that remain.
             base_boundaries, bucket = self.recovery_base
-            engine.set_boundaries(base_boundaries)
-            engine.ingest_keyed_state(bucket)
+            engine.ingest_keyed_state(relayer(bucket, base_boundaries, engine.boundaries))
         entries = list(self.journal)
         cuts = sorted({*admitted.values(), *delivered.values()})
         cuts.append(self.pushed)
@@ -377,21 +380,15 @@ class _WorkerShard:
             admit_through(cut)
             previous = cut
         if not admitted_names:
-            return None, self.boundaries, recovered
-        engine.flush()
-        boundaries = self.boundaries
-        if boundaries is not None and tuple(engine.boundaries) != tuple(boundaries):
-            engine.set_boundaries(boundaries)
-        else:
-            boundaries = tuple(engine.boundaries)
-        return engine.extract_keyed_state(), boundaries, recovered
+            return None, recovered
+        return engine.extract_keyed_state(), recovered
 
     def respawn(self, died: ShardDied) -> dict[str, list[JoinedTuple]]:
         """Replace the dead worker and recover its state; returns the
         undelivered results recovered from the journal.
 
         The replacement is rebuilt from this handle alone: admissions
-        replay from its registry, chain boundaries from its cache, window
+        replay from its registry (which fixes the chain boundaries), window
         state and undelivered results from the replay journal (see
         :meth:`_recover`).  Undelivered results whose male fell off the
         journal's retention horizon (no result pull for more than one full
@@ -408,7 +405,7 @@ class _WorkerShard:
         if self.worker.is_alive():  # a broken pipe does not imply a dead process
             self.worker.terminate()
         self._release()
-        state, boundaries, recovered = self._recover()
+        state, recovered = self._recover()
         self.pipe, self.ring, self.worker = spawn_worker(self.config, self.ring_capacity)
         # The recovered state is the replacement's generation base: restart
         # the journal from it, then replay the admissions over the pipe.
@@ -416,7 +413,6 @@ class _WorkerShard:
         for payload in list(self.queries.values()):
             self._call("add", payload)
         if state is not None:
-            self._call("adopt", boundaries)
             self._call("ingest", state)
         return recovered
 
@@ -461,7 +457,7 @@ class ShardedStreamEngine:
         to disk, see :class:`StreamEngine`.  A :meth:`reshard` re-splits
         the session budget under the new modulus, so growing the session
         also grows nobody's total footprint.
-    batch_size / window_kind / probe / system_overhead / collect_statistics:
+    batch_size / window_kind / probe / system_overhead:
         Forwarded to every shard's engine, see :class:`StreamEngine`.
     """
 
@@ -480,7 +476,6 @@ class ShardedStreamEngine:
         window_kind: str = "time",
         probe: str = "nested_loop",
         system_overhead: float = 0.0,
-        collect_statistics: bool = False,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         max_respawns: int = 3,
         memory_budget_bytes: int | None = None,
@@ -525,7 +520,6 @@ class ShardedStreamEngine:
             window_kind=window_kind,
             probe=probe,
             system_overhead=system_overhead,
-            collect_statistics=collect_statistics,
             memory_budget_bytes=self._per_shard_budget(self.shards),
         )
         if isinstance(condition, EquiJoinCondition):
@@ -851,17 +845,13 @@ class ShardedStreamEngine:
     def merged_statistics(
         self, snapshots: Sequence[MetricsSnapshot] | None = None
     ) -> StreamStatistics:
-        """The global statistics view: per-shard observations aggregated
+        """The global statistics view: per-shard ingest counters aggregated
         before estimation (the input of a :class:`ShardPlanner`).
 
         The estimation window opens at the last :meth:`reshard` (or session
         start) — mixing counters measured under two different moduli would
-        bias every per-shard quantity.  Note the join factor
-        of this view is the *within-shard* match rate — conditioned on key
-        co-location, so ≈ N× the unpartitioned S1 under uniform keys.  That
-        is deliberately the right quantity here: it is what a shard's
-        probes actually hit, hence what prices a shard's chain; the arrival
-        rates remain global (summed across shards)."""
+        bias every per-shard quantity.  The arrival rates are global
+        (summed across shards)."""
         if snapshots is None:
             snapshots = self.shard_snapshots()
         return StreamStatistics.from_shard_windows(
@@ -869,31 +859,6 @@ class ShardedStreamEngine:
             left_stream=self.left_stream,
             right_stream=self.right_stream,
         )
-
-    # -- re-optimization -------------------------------------------------------
-    def rebalance(
-        self,
-        params: ChainCostParameters,
-        statistics: StreamStatistics | None = None,
-    ) -> tuple[float, ...]:
-        """Migrate every shard's chain to the CPU-Opt boundaries.
-
-        ``params`` and ``statistics`` describe the *global* session; each
-        shard of an evenly partitioned stream sees ``1/N`` of the arrival
-        rates, so both are scaled down before the search runs
-        (selectivities are rate-invariant).  Every shard receives the same
-        search input, hence finds the same target: the shards stay replicas
-        of one plan, which ``reshard`` and the admission fan-out rely on.
-        """
-        self._check_open()
-        scale = 1.0 / self.shards
-        shard_params = replace(
-            params,
-            arrival_rate_left=params.arrival_rate_left * scale,
-            arrival_rate_right=params.arrival_rate_right * scale,
-        )
-        shard_stats = statistics.scaled(scale) if statistics is not None else None
-        return tuple(self._request_all("rebalance", (shard_params, shard_stats))[0])
 
     # -- live resharding -------------------------------------------------------
     def reshard(self, target: "int | ShardPlan", reason: str = "") -> ReshardEvent:
@@ -916,11 +881,10 @@ class ShardedStreamEngine:
            generation's counters move into the session-level carryover
            views;
         4. **rebuild** (:meth:`_build_generation`) — ``target`` fresh shards
-           replay the current admissions (which re-derives the pushed-down
-           filters), adopt the donor generation's exact chain boundaries
-           (:meth:`StreamEngine.set_boundaries` — a prior rebalance may
-           have moved them off the Mem-Opt positions), and splice their
-           bucket in (:meth:`StreamEngine.ingest_keyed_state` — per-slice
+           replay the current admissions (which re-derives the donor
+           generation's chain boundaries and pushed-down filters: both
+           follow from the query set alone), and splice their bucket in
+           (:meth:`StreamEngine.ingest_keyed_state` — per-slice
            ``(timestamp, seqno)`` merge, hash indexes rebuilt).
 
         Ingestion resumes against the new generation; subsequent statistics
@@ -995,7 +959,6 @@ class ShardedStreamEngine:
                     reason=reason or "no-op: already at the target shard count",
                 )
             exports = self._export_shards()
-            boundaries = tuple(exports[0]["boundaries"])
             stream_time = max(
                 (export["snapshot"].get("time.last", 0.0) for export in exports),
                 default=0.0,
@@ -1015,7 +978,7 @@ class ShardedStreamEngine:
             self.config = replace(
                 self.config, memory_budget_bytes=self._per_shard_budget(target)
             )
-            self._build_generation(boundaries, buckets)
+            self._build_generation(buckets)
             self.metrics.record_reshard(moved)
             self.metrics.observe_time(stream_time)
             event = ReshardEvent(
@@ -1098,11 +1061,9 @@ class ShardedStreamEngine:
         self._epoch = MetricsSnapshot({"time.last": stream_time})
 
     def _build_generation(
-        self,
-        boundaries: tuple[float, ...],
-        buckets: "list[list[dict[str, list[StreamTuple]]]]",
+        self, buckets: "list[list[dict[str, list[StreamTuple]]]]"
     ) -> None:
-        """Start ``self.shards`` fresh shards at the donor boundaries and
+        """Start ``self.shards`` fresh shards on the current admissions and
         splice each one's repartitioned state bucket in.
 
         A worker death in here cannot be recovered from a journal (the
@@ -1121,7 +1082,6 @@ class ShardedStreamEngine:
                     (query.name, query.window, query.left_filter, query.right_filter),
                 )
             if self._queries:
-                self._request_all("adopt", boundaries)
                 self._request_each("ingest", buckets)
         finally:
             self._respawn_guard = False

@@ -1,27 +1,26 @@
 """What a session asks of its chain kind, pinned for both kinds.
 
 ``window_kind`` picks a chain class once (``repro.runtime.engine.CHAIN_KINDS``);
-window validation, push-down, the Mem-Opt refusals and the partitioning
-refusal are facts of that class.  These tests drive a time and a count
-session through the calls that used to branch on the string and pin what
-each answers — including every count-session refusal and its message.
+window validation, push-down and the partitioning refusal are facts of
+that class.  These tests drive a time and a count session through the calls
+that used to branch on the string and pin what each answers — including
+every count-session refusal and its message — and hold every session kind to
+the one chain it may have: the Mem-Opt chain of its registered windows.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.merge_graph import ChainCostParameters
-from repro.engine.errors import MigrationError, QueryError, ShardingError
+from repro.engine.errors import QueryError, ShardingError
 from repro.query.predicates import EquiJoinCondition, attribute_gt
 from repro.runtime import ShardedStreamEngine, StreamEngine
 from repro.streams.generators import generate_join_workload
 
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=12)
 DATA = generate_join_workload(rate_a=20, rate_b=20, duration=4.0, seed=5)
-PARAMS = ChainCostParameters(
-    arrival_rate_left=20.0, arrival_rate_right=20.0, system_overhead=0.5
-)
 SELECTION = attribute_gt("value", 0.4, selectivity=0.6)
 
 SESSIONS = {
@@ -102,7 +101,7 @@ def test_rejected_admission_leaves_the_session_intact(kind):
 
 
 # ---------------------------------------------------------------------------
-# admit -> rebalance -> set_boundaries -> link_filters -> describe
+# admit -> link_filters -> remove -> describe
 # ---------------------------------------------------------------------------
 def test_time_session_walk():
     engine = SESSIONS["time"]()
@@ -110,21 +109,13 @@ def test_time_session_walk():
     engine.add_query("Q2", 2.0, left_filter=SELECTION)
     engine.process_many(DATA.tuples[:80])
     assert engine.boundaries == (0.0, 2.0, 4.0)
-    rebalanced = engine.rebalance(PARAMS)
-    assert rebalanced == engine.boundaries
-    assert rebalanced[0] == 0.0 and rebalanced[-1] == 4.0
-    # A time chain may leave the Mem-Opt positions: the router re-checks.
-    assert engine.set_boundaries([0, 4]) == (0.0, 4.0)
-    assert engine.set_boundaries([0, 1, 2, 4]) == (0.0, 1.0, 2.0, 4.0)
-    with pytest.raises(MigrationError, match="must keep the chain end 4"):
-        engine.set_boundaries([0, 2, 5])
     # Q1 has no selection, so nothing can be pushed below any slice ...
-    assert engine.link_filters() == [(None, None)] * 3
+    assert engine.link_filters() == [(None, None)] * 2
     engine.remove_query("Q1")
     # ... and once every remaining query filters, the entry link does.
-    assert engine.boundaries == (0.0, 1.0, 2.0)
+    assert engine.boundaries == (0.0, 2.0)
     assert engine.link_filters()[0][0] is not None
-    assert engine.describe() == "StreamEngine (Q2[2s]σ) chain: [0, 1) -> [1, 2)"
+    assert engine.describe() == "StreamEngine (Q2[2s]σ) chain: [0, 2)"
 
 
 def test_count_session_walk_pins_the_refusals():
@@ -133,24 +124,6 @@ def test_count_session_walk_pins_the_refusals():
     engine.add_query("Q2", 3, left_filter=SELECTION)
     engine.process_many(DATA.tuples[:80])
     assert engine.boundaries == (0, 3, 8)
-    with pytest.raises(MigrationError) as refusal:
-        engine.rebalance(PARAMS)
-    assert str(refusal.value) == (
-        "count-window sessions keep the Mem-Opt chain: merged rank slices "
-        "cannot be re-split by the result router"
-    )
-    with pytest.raises(MigrationError) as refusal:
-        engine.set_boundaries([0, 8])
-    assert str(refusal.value) == (
-        "count boundary 3 of query 'Q2' missing from target [0, 8] "
-        "(Mem-Opt invariant)"
-    )
-    assert engine.boundaries == (0, 3, 8)  # a refused target moves nothing
-    # Extra boundaries are fine: every registered count is still one.
-    assert engine.set_boundaries([0, 3, 5, 8]) == (0, 3, 5, 8)
-    assert engine.set_boundaries([0.0, 3.0, 8.0]) == (0, 3, 8)
-    with pytest.raises(MigrationError, match="must keep the chain end 8"):
-        engine.set_boundaries([0, 3, 9])
     # Selections filter a count query's answers; none is ever pushed down.
     assert all(pair == (None, None) for pair in engine.link_filters())
     engine.remove_query("Q1")
@@ -173,3 +146,62 @@ def test_count_sessions_are_refused_more_than_one_shard():
         single.reshard(2)
     assert str(refusal.value) == f"cannot reshard to 2 shards: {reason}"
     assert ShardedStreamEngine(CONDITION, shards=1).partitionable
+
+
+# ---------------------------------------------------------------------------
+# A session's chain is the Mem-Opt chain: admission and removal are the only
+# things that move a boundary
+# ---------------------------------------------------------------------------
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 6)),
+        st.tuples(st.just("remove"), st.integers(0, 5)),
+        st.tuples(st.just("batch"), st.integers(1, 40)),
+        st.tuples(st.just("reshard"), st.integers(1, 3)),
+    ),
+    max_size=14,
+)
+
+
+@pytest.mark.parametrize("kind", SESSIONS)
+@settings(max_examples=40, deadline=None)
+@given(steps=STEPS)
+def test_a_sessions_chain_is_the_mem_opt_chain_of_its_windows(kind, steps):
+    """After any sequence of admissions, removals, batches (and reshards of
+    the sharded session): one boundary per distinct registered window on the
+    session and on every shard, every slice routed to exactly the queries
+    whose window reaches its end — no route re-checks a window — and nothing
+    ever charged to ``comparisons.route``."""
+    session = SESSIONS[kind]()
+    sharded = kind == "sharded"
+    windows: dict[str, int] = {}
+    admitted = fed = 0
+    for step, argument in steps:
+        if step == "add":
+            admitted += 1
+            windows[f"Q{admitted}"] = argument
+            filtered = SELECTION if admitted % 2 else None
+            session.add_query(f"Q{admitted}", argument, left_filter=filtered)
+        elif step == "remove" and windows:
+            name = sorted(windows)[argument % len(windows)]
+            del windows[name]
+            session.remove_query(name)
+        elif step == "batch":
+            session.process_many(DATA.tuples[fed : fed + argument])
+            fed += argument
+        elif step == "reshard" and sharded:
+            session.reshard(argument)
+        expected = (0, *sorted(set(windows.values()))) if windows else ()
+        assert session.boundaries == expected
+        if sharded:
+            assert session.shard_boundaries() == [expected] * session.shards
+        for engine in session.shard_engines if sharded else [session]:
+            assert len(engine._routing) == len(expected[1:])
+            for end, routes in zip(expected[1:], engine._routing):
+                tapping = [name for names, _left, _right in routes for name in names]
+                assert sorted(tapping) == sorted(
+                    name for name, window in windows.items() if window >= end
+                )
+    snapshot = session.merged_snapshot() if sharded else session.metrics.snapshot()
+    assert snapshot.get("comparisons.route", 0.0) == 0
+    session.close()

@@ -2,9 +2,35 @@
 
 from __future__ import annotations
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+DOCUMENTED = [
+    ROOT / "README.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+
+
+def documented_command_lines() -> list[tuple[str, list[str]]]:
+    """Every ``python -m repro …`` line inside a fenced block of the docs, as
+    ``(where, argv)``; a trailing ``# comment`` is dropped."""
+    found = []
+    for path in DOCUMENTED:
+        fenced = False
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+            elif fenced and (match := re.search(r"python3? -m repro\s+(.*)", line)):
+                argv = shlex.split(match.group(1), comments=True)
+                found.append((f"{path.name}:{number}", argv))
+    return found
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -38,6 +64,26 @@ class TestParser:
         with pytest.raises(SystemExit) as usage:
             build_parser().parse_args(["compare", "--batch-size", "8"])
         assert usage.value.code == 2
+
+    def test_a_session_has_no_chain_selector(self, capsys):
+        """A session's chain follows from its queries: nothing to switch on."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["runtime", "--help"])
+        listed = capsys.readouterr().out
+        for flag in ("--adaptive", "--drift-threshold", "--policy-window", "--cooldown"):
+            assert flag not in listed
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(["runtime", "--adaptive"])
+        assert usage.value.code == 2
+
+    def test_documented_command_lines_parse(self):
+        lines = documented_command_lines()
+        assert len(lines) >= 12, "the README and the verify skill show the CLI"
+        for where, argv in lines:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{where}: `python -m repro {' '.join(argv)}` is not accepted")
 
 
 class TestCommands:
@@ -184,12 +230,8 @@ class TestRuntimeCommand:
             "16",
             "--rate",
             "20",
-            "--adaptive",
             "--stats",
-            "--policy-window",
-            "1.5",
         )
-        assert "AdaptivePolicy" in out
         assert "engine stats:" in out
         assert "migration history:" in out
         assert "StreamStatistics" in out

@@ -524,31 +524,6 @@ def test_chain_ingest_requires_matching_boundaries():
         chain.ingest_keyed_state(state)
 
 
-def test_engine_set_boundaries_guard_rails():
-    engine = StreamEngine(CONDITION, batch_size=8)
-    with pytest.raises(MigrationError, match="no queries"):
-        engine.set_boundaries([0.0, 1.0])
-    engine.add_query("Q", 2.0)
-    engine.add_query("R", 1.0)
-    with pytest.raises(MigrationError, match="keep the chain end"):
-        engine.set_boundaries([0.0, 3.0])
-    with pytest.raises(MigrationError, match="start at 0"):
-        engine.set_boundaries([1.0, 2.0])
-    # Merging the inner boundary away is legal: the router's window check
-    # takes over for the smaller query.
-    assert engine.set_boundaries([0.0, 2.0]) == (0.0, 2.0)
-    tuples = make_stream(count=80)
-    reference = StreamEngine(CONDITION, batch_size=8)
-    reference.add_query("Q", 2.0)
-    reference.add_query("R", 1.0)
-    engine.process_many(tuples)
-    reference.process_many(tuples)
-    engine.flush()
-    reference.flush()
-    for name in ("Q", "R"):
-        assert pairs(engine.results(name)) == pairs(reference.results(name))
-
-
 # ---------------------------------------------------------------------------
 # Memory-budgeted sessions: per-shard spill budgets across reshards
 # ---------------------------------------------------------------------------

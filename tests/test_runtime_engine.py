@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.merge_graph import ChainCostParameters
-from repro.engine.errors import ExecutionError, MigrationError, QueryError
+from repro.engine.errors import ExecutionError, QueryError
 from repro.query.predicates import selectivity_join
 from repro.runtime import CountStreamEngine, StreamEngine
 from repro.streams.generators import generate_join_workload
@@ -242,101 +241,6 @@ class TestMigrationEquivalence:
         assert len(big) == len(set(big))
 
 
-class TestRebalance:
-    def test_rebalance_keeps_results_exact(self, stream):
-        params = ChainCostParameters(
-            arrival_rate_left=15, arrival_rate_right=15, system_overhead=5.0
-        )
-        engine = StreamEngine(CONDITION, batch_size=16)
-        for name, window in (("Q1", 1.0), ("Q2", 2.0), ("Q3", 4.0)):
-            engine.add_query(name, window)
-        mem_opt_boundaries = engine.boundaries
-        assert mem_opt_boundaries == (0.0, 1.0, 2.0, 4.0)
-        half = len(stream) // 2
-        for tup in stream[:half]:
-            engine.process(tup)
-        boundaries = engine.rebalance(params)
-        # A high Csys makes merging profitable: fewer slices than Mem-Opt.
-        assert len(boundaries) < len(mem_opt_boundaries)
-        for tup in stream[half:]:
-            engine.process(tup)
-        engine.flush()
-        for name, window in (("Q1", 1.0), ("Q2", 2.0), ("Q3", 4.0)):
-            got = delivered_pairs(engine.results(name))
-            assert len(got) == len(set(got)), "duplicated results"
-            assert set(got) == reference_pairs(stream, window)
-
-    def test_rebalance_requires_queries(self):
-        engine = StreamEngine(CONDITION)
-        with pytest.raises(MigrationError):
-            engine.rebalance(ChainCostParameters())
-
-    def test_rebalance_prices_hash_probing(self, monkeypatch):
-        """A hash session must be rebalanced against the hash cost model,
-        not nested loops, even when the caller passes default params."""
-        import repro.runtime.engine as engine_module
-        from repro.query.predicates import EquiJoinCondition
-
-        captured = {}
-        real = engine_module.build_cpu_opt_chain
-
-        def spy(workload, params, statistics=None):
-            captured["params"] = params
-            return real(workload, params, statistics=statistics)
-
-        monkeypatch.setattr(engine_module, "build_cpu_opt_chain", spy)
-        engine = StreamEngine(
-            EquiJoinCondition("join_key", "join_key", key_domain=5), probe="hash"
-        )
-        engine.add_query("Q1", 2.0)
-        engine.add_query("Q2", 4.0)
-        engine.rebalance(ChainCostParameters())
-        assert captured["params"].hash_probe is True
-
-        captured.clear()
-        nested = StreamEngine(CONDITION, probe="nested_loop")
-        nested.add_query("Q1", 2.0)
-        nested.rebalance(ChainCostParameters())
-        assert captured["params"].hash_probe is False
-
-    def test_remove_largest_after_rebalance_sheds_merged_tail(self, stream):
-        """A rebalance can merge the next-largest window's boundary away;
-        removing the largest query must still shed the tail state by
-        re-splitting at the new largest window first."""
-        params = ChainCostParameters(
-            arrival_rate_left=15, arrival_rate_right=15, system_overhead=50.0
-        )
-        engine = StreamEngine(CONDITION, batch_size=16)
-        engine.add_query("Qsmall", 2.0)
-        engine.add_query("Qbig", 6.0)
-        half = len(stream) // 2
-        for tup in stream[:half]:
-            engine.process(tup)
-        boundaries = engine.rebalance(params)
-        assert boundaries == (0.0, 6.0), "high Csys should merge to one slice"
-        engine.remove_query("Qbig")
-        # The chain must shrink back to the remaining query's window...
-        assert engine.boundaries == (0.0, 2.0)
-        assert engine.stats.migrations[-1].kind == "drop-tail"
-        # ...and keep producing exact results for it.
-        for tup in stream[half:]:
-            engine.process(tup)
-        engine.flush()
-        got = delivered_pairs(engine.results("Qsmall"))
-        assert len(got) == len(set(got))
-        assert set(got) == reference_pairs(stream, 2.0)
-        # State converges to the 2-second window's occupancy: nothing older
-        # than the window survives once the purges catch up.
-        last_ts = stream[-1].timestamp
-        ages = [
-            last_ts - tup.timestamp
-            for side in ("A", "B")
-            for tuples in engine._chain.state_tuples(side)
-            for tup in tuples
-        ]
-        assert max(ages) < 2.0 + 1e-6
-
-
 class TestSelections:
     """Per-query selections: shared push-down recomputed on add/remove."""
 
@@ -461,12 +365,6 @@ class TestCountSessions:
             engine.add_query("C1", 2.5)
         with pytest.raises(QueryError):
             engine.add_query("C1", 0)
-
-    def test_rebalance_rejected_for_count_sessions(self):
-        engine = CountStreamEngine(CONDITION)
-        engine.add_query("C1", 8)
-        with pytest.raises(MigrationError):
-            engine.rebalance(ChainCostParameters())
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
     def test_split_then_merge_matches_fresh_plan(self, stream, batch_size):

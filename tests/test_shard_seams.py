@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.merge_graph import ChainCostParameters
 from repro.engine.errors import ExecutionError
 from repro.engine.metrics import MetricsSnapshot
 from repro.query.predicates import EquiJoinCondition, attribute_gt
@@ -82,12 +81,6 @@ def test_run_command_covers_the_whole_table():
     with pytest.raises(ExecutionError, match="unknown shard state field"):
         run("state", "_pending")
 
-    # rebalance changes how the shard works, never its answers
-    params = ChainCostParameters(
-        arrival_rate_left=30.0, arrival_rate_right=30.0, system_overhead=0.5
-    )
-    assert run("rebalance", (params, None)) == tuple(reference.rebalance(params))
-
     # remove hands back the results and the boundaries the removal left behind
     engine.process_many(DATA.tuples[half + 5 :])
     reference.process_many(DATA.tuples[half + 5 :])
@@ -95,21 +88,20 @@ def test_run_command_covers_the_whole_table():
     assert pairs(removed) == pairs(reference.remove_query("small"))
     assert boundaries == reference.boundaries == (0.0, 3.0)
 
-    # export strips the engine; adopt + ingest rebuild it elsewhere
+    # export strips the engine; the admissions + ingest rebuild it elsewhere
     export = run("export", ["big"])
     assert set(export) == {"boundaries", "state", "results", "stats", "snapshot"}
     assert export["boundaries"] == (0.0, 3.0)
     assert pairs(export["results"]["big"]) == pairs(reference.pop_results("big"))
     assert engine.state_size() == 0
     heir = config.build()
-    run_command(heir, "add", ("big", 3.0, None, None))
-    assert run_command(heir, "adopt", export["boundaries"]) == (0.0, 3.0)
+    assert run_command(heir, "add", ("big", 3.0, None, None)) == export["boundaries"]
     run_command(heir, "ingest", export["state"])
-    exercised.update({"adopt", "ingest"})
+    exercised.add("ingest")
     assert heir.state_size() == reference.state_size()
 
     assert exercised == set(COMMANDS), "a command of the table was not driven"
-    assert len(COMMANDS) == 12
+    assert len(COMMANDS) == 10
 
 
 def test_unknown_command_and_the_wire_form_of_errors():

@@ -6,7 +6,7 @@ Four properties carry the sharded engine's correctness story:
    ``(key, shards)`` (identical across runs and processes) and spreads
    random key domains evenly (frequency bound, hypothesis-checked).
 2. **Equivalence** — a sharded session delivers exactly the single-engine
-   answer under admissions, removals, selections and rebalances (the
+   answer under admissions, removals and selections (the
    per-scenario differential family lives in ``test_fuzz_differential.py``;
    scripted cases here keep the failure surface small).
 3. **Fan-out invariants** — every shard keeps identical chain boundaries
@@ -21,13 +21,11 @@ against the serial driver (same protocol, same merged answers).
 from __future__ import annotations
 
 import os
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.merge_graph import ChainCostParameters
 from repro.core.statistics import StreamStatistics
 from repro.engine.errors import ExecutionError, ShardingError
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
@@ -186,32 +184,6 @@ def test_fanout_keeps_shard_boundaries_identical():
     assert sharded.slice_count() == 1
 
 
-def test_rebalance_fans_out_with_scaled_rates():
-    sharded = ShardedStreamEngine(CONDITION, shards=4, batch_size=16)
-    sharded.add_query("big", 4.0)
-    sharded.add_query(
-        "small", 1.0, left_filter=attribute_gt("value", 0.8, selectivity=0.2)
-    )
-    sharded.process_many(DATA.tuples[:300])
-    params = ChainCostParameters(
-        arrival_rate_left=30.0, arrival_rate_right=30.0, system_overhead=0.5
-    )
-    boundaries = sharded.rebalance(params)
-    assert sharded.shard_boundaries() == [boundaries] * 4
-    # still answer-identical to a single engine after the migration
-    single = StreamEngine(CONDITION, batch_size=16)
-    single.add_query("big", 4.0)
-    single.add_query(
-        "small", 1.0, left_filter=attribute_gt("value", 0.8, selectivity=0.2)
-    )
-    single.process_many(DATA.tuples[:300])
-    single.rebalance(params)
-    sharded.process_many(DATA.tuples[300:])
-    single.process_many(DATA.tuples[300:])
-    for name in ("big", "small"):
-        assert pairs(sharded.results(name)) == pairs(single.results(name))
-
-
 def test_unsupported_workloads_raise_or_fall_back():
     cross = CrossProductCondition()
     with pytest.raises(ShardingError, match="equi-key"):
@@ -286,9 +258,7 @@ def test_snapshot_aggregation_sums_counters():
 
 
 def test_merged_statistics_global_rates():
-    sharded = ShardedStreamEngine(
-        CONDITION, shards=4, batch_size=16, collect_statistics=True
-    )
+    sharded = ShardedStreamEngine(CONDITION, shards=4, batch_size=16)
     sharded.add_query("Q", 3.0)
     sharded.process_many(DATA.tuples)
     sharded.flush()
@@ -300,9 +270,7 @@ def test_merged_statistics_global_rates():
 
 def test_shard_windows_aggregate_matches_engine_view():
     empty = MetricsCollector().snapshot()
-    sharded = ShardedStreamEngine(
-        CONDITION, shards=2, batch_size=16, collect_statistics=True
-    )
+    sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
     sharded.add_query("Q", 3.0)
     sharded.process_many(DATA.tuples[:200])
     stats = StreamStatistics.from_shard_windows(
@@ -310,7 +278,6 @@ def test_shard_windows_aggregate_matches_engine_view():
     )
     merged = sharded.merged_statistics()
     assert stats.arrival_rates == merged.arrival_rates
-    assert stats.join_selectivity == merged.join_selectivity
 
 
 def test_planner_recommend_and_skew():
@@ -327,9 +294,7 @@ def test_planner_recommend_and_skew():
 
 def test_planner_plan_flags_hot_keys():
     planner = ShardPlanner(target_rate_per_shard=15.0, skew_threshold=1.8)
-    sharded = ShardedStreamEngine(
-        CONDITION, shards=4, batch_size=16, collect_statistics=True
-    )
+    sharded = ShardedStreamEngine(CONDITION, shards=4, batch_size=16)
     sharded.add_query("Q", 2.0)
     # every arrival carries the same key -> one hot shard
     hot = [
@@ -343,57 +308,6 @@ def test_planner_plan_flags_hot_keys():
     assert "hot keys" in plan.reason
     assert plan.shards >= 1
     assert "skewed" in plan.describe()
-
-
-def test_planner_rebalance_reprices_each_shard():
-    planner = ShardPlanner()
-    sharded = ShardedStreamEngine(
-        CONDITION, shards=2, batch_size=16, collect_statistics=True
-    )
-    sharded.add_query("big", 4.0)
-    sharded.add_query(
-        "small", 1.0, left_filter=attribute_gt("value", 0.8, selectivity=0.2)
-    )
-    sharded.process_many(DATA.tuples)
-    boundaries = planner.rebalance(sharded, system_overhead=0.5)
-    assert boundaries[0] == 0.0
-    assert sharded.shard_boundaries() == [boundaries] * 2
-
-
-@pytest.mark.parametrize("mode", ["serial", "process"])
-def test_planner_rebalance_under_key_skew_keeps_shards_replicas(mode):
-    """One search input per session: 92 % of the arrivals hash to shard 1, so
-    per-shard pricing used to leave shard 0 on a coarser chain than shard 1 —
-    and the next ``reshard`` raised after the old generation was closed."""
-    rng = random.Random(0)
-    condition = EquiJoinCondition("k", "k", key_domain=50)
-    hot = [k for k in range(50) if shard_for_key(k, 2) == 1]
-    cold = [k for k in range(50) if shard_for_key(k, 2) == 0]
-    tuples = [
-        make_tuple(
-            rng.choice("AB"), i / 100.0, k=rng.choice(hot if rng.random() < 0.92 else cold)
-        )
-        for i in range(2400)
-    ]
-    windows = {f"Q{w:g}": w for w in (0.5, 2.0, 3.0, 4.0, 6.0, 8.0)}
-    single = StreamEngine(condition)
-    with ShardedStreamEngine(
-        condition, shards=2, shard_mode=mode, collect_statistics=True
-    ) as sharded:
-        for name, window in windows.items():
-            single.add_query(name, window)
-            sharded.add_query(name, window)
-        sharded.process_many(tuples[:1800])
-        boundaries = ShardPlanner().rebalance(sharded, system_overhead=0.0)
-        assert sharded.shard_boundaries() == [boundaries] * 2
-        resident = sharded.state_size()
-        sharded.reshard(3)
-        assert sharded.state_size() == resident
-        assert sharded.shard_boundaries() == [boundaries] * 3
-        sharded.process_many(tuples[1800:])
-        single.process_many(tuples)
-        for name in windows:
-            assert pairs(sharded.results(name)) == pairs(single.results(name))
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +478,9 @@ def test_process_mode_worker_dying_inside_a_command_recovers():
         assert pairs(engine.results("Q")) == pairs(serial.results("Q"))
 
 
-def test_process_mode_kill_after_reshard_and_rebalance_recovers():
+def test_process_mode_kill_after_reshard_recovers():
     """Recovery of a later generation: the replacement starts from the
-    bucket the reshard spliced in and adopts the rebalanced boundaries."""
-    params = ChainCostParameters(
-        arrival_rate_left=30.0, arrival_rate_right=30.0, system_overhead=0.5
-    )
+    bucket the reshard spliced in."""
 
     def drive(engine, kill):
         engine.add_query("big", 4.0)
@@ -579,14 +490,48 @@ def test_process_mode_kill_after_reshard_and_rebalance_recovers():
         engine.process_many(DATA.tuples[:120])
         engine.reshard(3)
         engine.process_many(DATA.tuples[120:200])
-        boundaries = engine.rebalance(params)
         if kill:
             kill_worker(engine, 2)
         engine.process_many(DATA.tuples[200:])
-        assert engine.shard_boundaries() == [boundaries] * 3
+        assert engine.shard_boundaries() == [(0.0, 1.0, 4.0)] * 3
         return {name: pairs(engine.results(name)) for name in ("big", "small")}
 
     expected = drive(ShardedStreamEngine(CONDITION, shards=2, batch_size=16), False)
+    with ShardedStreamEngine(
+        CONDITION, shards=2, shard_mode="process", batch_size=16
+    ) as engine:
+        assert drive(engine, True) == expected
+        assert engine.metrics.respawns == 1
+
+
+@pytest.mark.parametrize("removed", ["small", "big"])
+def test_process_mode_kill_after_reshard_and_removal_recovers(removed):
+    """A query leaves between the reshard and the crash: the generation's
+    base state was layered on the chain of both queries and is regrouped
+    onto the chain of the one that remains (removing the larger one used to
+    leave the session dead)."""
+
+    def drive(engine, kill):
+        engine.add_query("big", 4.0)
+        engine.add_query("small", 1.0)
+        engine.process_many(DATA.tuples[:120])
+        engine.reshard(3)
+        engine.process_many(DATA.tuples[120:200])
+        engine.remove_query(removed)
+        (kept,) = engine.queries()
+        delivered = engine.pop_results(kept.name)
+        if kill:
+            kill_worker(engine, 1)
+        # Results are pulled every 16 arrivals: an undelivered result older
+        # than the journal's retention (two windows) dies with its worker.
+        for start in range(200, len(DATA.tuples), 16):
+            engine.process_many(DATA.tuples[start : start + 16])
+            delivered += engine.pop_results(kept.name)
+        assert engine.shard_boundaries() == [(0.0, kept.window)] * 3
+        return pairs(delivered)
+
+    expected = drive(ShardedStreamEngine(CONDITION, shards=2, batch_size=16), False)
+    assert expected
     with ShardedStreamEngine(
         CONDITION, shards=2, shard_mode="process", batch_size=16
     ) as engine:

@@ -1,38 +1,13 @@
-"""Tests for the shared statistics plane (core/statistics.py) and the
-snapshot/diff counter machinery it is built on."""
+"""Tests for the arrival-rate estimates (core/statistics.py) and the
+snapshot/diff counter machinery they are built on."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.cpu_opt import build_cpu_opt_chain
-from repro.core.merge_graph import ChainCostParameters, slice_cpu_cost
-from repro.core.statistics import (
-    OBS_CHAIN_MATCHES,
-    OBS_CHAIN_OPPORTUNITIES,
-    CalibratedPredicate,
-    StreamStatistics,
-    filter_observation_key,
-)
-from repro.engine.errors import ChainError, ConfigurationError
+from repro.core.statistics import StreamStatistics
+from repro.engine.errors import ConfigurationError
 from repro.engine.metrics import CostCategory, MetricsCollector
-from repro.query.predicates import selectivity_filter, selectivity_join
-from repro.query.query import ContinuousQuery, QueryWorkload
-
-
-def make_workload(s_sigma: float = 0.5) -> QueryWorkload:
-    condition = selectivity_join(0.1)
-    return QueryWorkload(
-        [
-            ContinuousQuery("Q1", window=1.0, join_condition=condition),
-            ContinuousQuery(
-                "Q2",
-                window=3.0,
-                join_condition=condition,
-                left_filter=selectivity_filter(s_sigma),
-            ),
-        ]
-    )
 
 
 class TestSnapshotDiff:
@@ -104,31 +79,16 @@ class TestSnapshotDiff:
 
 
 class TestStreamStatisticsConstruction:
-    def test_from_workload_prior(self):
-        stats = StreamStatistics.from_workload(make_workload(0.4), 25.0, 35.0)
-        assert stats.rate("A") == 25.0
-        assert stats.rate("B") == 35.0
-        assert stats.join_selectivity == pytest.approx(0.1)
-        assert stats.selection_selectivity("Q2", "left") == pytest.approx(0.4)
-        assert stats.selection_selectivity("Q1", "left") is None
-        assert not stats.is_estimate
-
     def test_from_metrics_window(self):
         metrics = MetricsCollector()
         metrics.sample_memory(0.0, 0)
         before = metrics.snapshot()
         metrics.record_ingest(40, stream="A")
         metrics.record_ingest(20, stream="B")
-        metrics.observe(OBS_CHAIN_OPPORTUNITIES, 1000)
-        metrics.observe(OBS_CHAIN_MATCHES, 150)
-        metrics.observe(filter_observation_key("Q2", "left", "seen"), 40)
-        metrics.observe(filter_observation_key("Q2", "left", "pass"), 10)
         metrics.sample_memory(2.0, 0)
         stats = StreamStatistics.from_metrics_window(before, metrics.snapshot())
         assert stats.rate("A") == pytest.approx(20.0)
         assert stats.rate("B") == pytest.approx(10.0)
-        assert stats.join_selectivity == pytest.approx(0.15)
-        assert stats.selection_selectivity("Q2", "left") == pytest.approx(0.25)
         assert stats.is_estimate
         assert stats.sample_arrivals == 60
         assert stats.window == pytest.approx(2.0)
@@ -138,8 +98,6 @@ class TestStreamStatisticsConstruction:
         before = metrics.snapshot()
         stats = StreamStatistics.from_metrics_window(before, metrics.snapshot())
         assert stats.arrival_rates == {}
-        assert stats.join_selectivity is None
-        assert stats.selection_selectivities == {}
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -147,113 +105,6 @@ class TestStreamStatisticsConstruction:
 
 
 class TestStreamStatisticsConsumers:
-    def test_chain_parameters_carry_measured_quantities(self):
-        stats = StreamStatistics(
-            arrival_rates={"A": 12.0, "B": 14.0}, join_selectivity=0.2
-        )
-        params = stats.chain_parameters(system_overhead=0.75, hash_probe=True)
-        assert params.arrival_rate_left == 12.0
-        assert params.arrival_rate_right == 14.0
-        assert params.system_overhead == 0.75
-        assert params.hash_probe is True
-        assert params.join_selectivity == pytest.approx(0.2)
-
-    def test_effective_join_selectivity_override(self):
-        workload = make_workload()
-        declared = ChainCostParameters()
-        measured = ChainCostParameters(join_selectivity=0.42)
-        assert declared.effective_join_selectivity(workload) == pytest.approx(0.1)
-        assert measured.effective_join_selectivity(workload) == pytest.approx(0.42)
-        slice_spec = build_cpu_opt_chain(workload, declared).slices[0]
-        # A larger measured S1 inflates route/hash terms deterministically.
-        cost_declared = slice_cpu_cost(workload, slice_spec, declared)
-        cost_measured = slice_cpu_cost(
-            workload, slice_spec, ChainCostParameters(hash_probe=True, join_selectivity=0.42)
-        )
-        assert cost_measured.probe != cost_declared.probe
-
-    def test_calibrated_workload_preserves_predicate_identity(self):
-        workload = make_workload(0.5)
-        stats = StreamStatistics(
-            arrival_rates={"A": 10.0, "B": 10.0},
-            selection_selectivities={"Q2": (0.15, None)},
-        )
-        calibrated = stats.calibrated_workload(workload)
-        original = workload.query("Q2").left_filter
-        replaced = calibrated.query("Q2").left_filter
-        assert isinstance(replaced, CalibratedPredicate)
-        assert replaced.selectivity == pytest.approx(0.15)
-        assert replaced.describe() == original.describe()
-        # Matching behaviour is delegated to the wrapped predicate.
-        from repro.streams.tuples import make_tuple
-
-        tup = make_tuple("A", 0.0, value=0.9)
-        assert replaced.matches(tup) == original.matches(tup)
-        # Queries without measurements are untouched (identity workload if
-        # nothing changed).
-        assert stats.calibrated_workload(make_workload(1.0)) is not None
-
-    def test_cpu_opt_with_statistics_reacts_to_measured_selectivity(self):
-        """The merge decision flips when measured Sσ diverges from declared.
-
-        The workload declares an ineffective selection (Sσ = 1 in the data):
-        under measured statistics the optimizer should merge (routing is
-        cheaper than the per-slice overhead at low rate), while the declared
-        strong selection (Sσ = 0.2) keeps the chain split.
-        """
-        condition = selectivity_join(0.05)
-        workload = QueryWorkload(
-            [
-                ContinuousQuery("Q1", window=0.2, join_condition=condition),
-                ContinuousQuery(
-                    "Q2",
-                    window=1.0,
-                    join_condition=condition,
-                    left_filter=selectivity_filter(0.2),
-                ),
-            ]
-        )
-        params = ChainCostParameters(
-            arrival_rate_left=40, arrival_rate_right=40, system_overhead=0.5
-        )
-        declared = build_cpu_opt_chain(workload, params)
-        measured = StreamStatistics(
-            arrival_rates={"A": 40.0, "B": 40.0},
-            join_selectivity=0.05,
-            selection_selectivities={"Q2": (1.0, None)},
-        )
-        adapted = build_cpu_opt_chain(workload, params, statistics=measured)
-        assert len(declared) == 2  # strong selection: keep the boundary
-        assert len(adapted) == 1  # ineffective selection: merge it away
-
-    def test_drift_measures_largest_relative_change(self):
-        base = StreamStatistics(
-            arrival_rates={"A": 10.0, "B": 10.0},
-            join_selectivity=0.1,
-            selection_selectivities={"Q2": (0.5, None)},
-        )
-        same = StreamStatistics(
-            arrival_rates={"A": 10.5, "B": 9.5},
-            join_selectivity=0.1,
-            selection_selectivities={"Q2": (0.5, None)},
-        )
-        assert same.drift(base) == pytest.approx(0.05)
-        shifted = StreamStatistics(
-            arrival_rates={"A": 10.0, "B": 10.0},
-            join_selectivity=0.1,
-            selection_selectivities={"Q2": (0.2, None)},
-        )
-        assert shifted.drift(base) == pytest.approx(0.6)
-        # Quantities measured on only one side are ignored.
-        partial = StreamStatistics(arrival_rates={"A": 10.0})
-        assert partial.drift(base) == 0.0
-
     def test_describe_mentions_origin(self):
-        prior = StreamStatistics.from_workload(make_workload(), 10.0)
+        prior = StreamStatistics(arrival_rates={"A": 10.0, "B": 10.0})
         assert "declared prior" in prior.describe()
-
-
-class TestChainCostParameterValidation:
-    def test_join_selectivity_bounds(self):
-        with pytest.raises(ChainError):
-            ChainCostParameters(join_selectivity=1.5)
