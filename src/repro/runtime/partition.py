@@ -6,8 +6,8 @@ transport, no shard mode.  :func:`shard_for_key` places an arrival,
 at all, :func:`repartition` re-buckets the exported window state of one
 shard generation under a new modulus (the data half of
 :meth:`~repro.runtime.sharding.ShardedStreamEngine.reshard`), and
-:func:`relayer` regroups one shard's state when queries have left since it
-was taken (crash recovery).
+:func:`relayer` regroups one shard's state when a query leaves after it
+was taken (the base a crash recovery replays from).
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from repro.engine.errors import MigrationError
 from repro.query.predicates import EquiJoinCondition, JoinCondition
 from repro.streams.tuples import StreamTuple
 
@@ -118,22 +119,35 @@ def repartition(
 
 
 def relayer(
-    state: KeyedState, base_boundaries: Sequence[float], boundaries: Sequence[float]
+    state: KeyedState, base_windows: Iterable[float], windows: Iterable[float]
 ) -> KeyedState:
-    """Regroup keyed state laid out under ``base_boundaries`` onto ``boundaries``.
+    """Regroup keyed state taken under the queries of ``base_windows`` onto
+    the chain of those that remain, ``windows``.
 
-    ``boundaries`` must be a subset of ``base_boundaries`` — the chain of
-    the queries that remain of those the state was taken under, both chains
-    keeping one boundary per distinct window — so every base slice lies
-    inside exactly one current slice, or wholly beyond the current chain
+    Both chains keep one boundary per distinct window, so every base slice
+    lies inside exactly one current slice, or wholly beyond the current chain
     end (too old for every remaining query: dropped, as the removal that
     shortened the chain dropped it).  Base slices are concatenated shallow
     to deep; :meth:`StreamEngine.ingest_keyed_state` restores the
     ``(timestamp, seqno)`` order within a slice.
+
+    Raises
+    ------
+    MigrationError
+        If ``state`` is not one entry per distinct base window, or a
+        remaining window is not a base window: its boundary would cut a base
+        slice, and only a live purge can tell which rows lie on which side.
     """
-    layered: KeyedState = [{} for _ in boundaries[1:]]
-    for base_end, entry in zip(base_boundaries[1:], state):
-        index = bisect_left(boundaries, base_end) - 1  # the slice ending at or after it
+    base_ends = sorted(set(base_windows))
+    ends = sorted(set(windows))
+    if len(state) != len(base_ends) or not set(ends) <= set(base_ends):
+        raise MigrationError(
+            f"cannot regroup {len(state)} slices taken under windows {base_ends} "
+            f"onto windows {ends}"
+        )
+    layered: KeyedState = [{} for _ in ends]
+    for base_end, entry in zip(base_ends, state):
+        index = bisect_left(ends, base_end)  # the slice ending at or after it
         if index < len(layered):
             for stream, tuples in entry.items():
                 layered[index].setdefault(stream, []).extend(tuples)

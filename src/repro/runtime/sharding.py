@@ -177,7 +177,9 @@ class _WorkerShard:
         self.pushed = 0
         self.admitted = {name: 0 for name in self.queries}
         self.delivered = {name: 0 for name in self.queries}
-        self.recovery_base: tuple | None = None
+        #: The state this generation started from and the windows, by name, of
+        #: the still-registered queries whose chain it is layered on.
+        self.recovery_base: tuple[dict[str, float], list] | None = None
 
     def _died(self, what: str) -> ShardDied:
         return ShardDied(
@@ -284,16 +286,23 @@ class _WorkerShard:
         elif command == "remove":
             for registry in (self.queries, self.admitted, self.delivered):
                 registry.pop(payload, None)
+            if self.recovery_base is not None and payload in self.recovery_base[0]:
+                # The base follows the removal as the worker's chain did
+                # (slices merged, or the tail dropped): it stays layered on
+                # the chain of its own queries that are still registered.
+                windows, bucket = self.recovery_base
+                before = list(windows.values())
+                del windows[payload]
+                self.recovery_base = (windows, relayer(bucket, before, windows.values()))
         elif command == "pop":
             # Everything pushed so far is now delivered for this query.
             self.delivered[payload] = self.pushed
         elif command == "pop_all":
             self.delivered.update(dict.fromkeys(payload, self.pushed))
         elif command == "ingest":
-            # The state is layered on the chain of the queries registered
-            # now: one boundary per distinct window.
-            windows = sorted({query[1] for query in self.queries.values()})
-            self.recovery_base = ((0, *windows), payload)
+            # The state is layered on the chain of the queries registered now.
+            windows = {name: query[1] for name, query in self.queries.items()}
+            self.recovery_base = (windows, payload)
 
     def _journal_append(self, tuples: Sequence[StreamTuple]) -> None:
         """Journal shipped arrivals, then trim to the retention horizon.
@@ -330,11 +339,12 @@ class _WorkerShard:
 
         Replays the generation's base state plus the journaled arrivals
         through a fresh local engine, replaying admissions at their
-        recorded push positions.  Results are popped per journal segment:
-        a segment's results are kept for a query only when its delivery
-        frontier lies at or before the segment start — results the dead
-        worker had already handed out are discarded, undelivered ones are
-        returned for the carryover view.  Returns ``(state,
+        recorded push positions — the base's own queries before its
+        ingest, every other one after it.  Results are popped per journal
+        segment: a segment's results are kept for a query only when its
+        delivery frontier lies at or before the segment start — results the
+        dead worker had already handed out are discarded, undelivered ones
+        are returned for the carryover view.  Returns ``(state,
         recovered_results)``; ``state`` is ``None`` when no query is
         registered.
         """
@@ -344,20 +354,29 @@ class _WorkerShard:
         recovered: dict[str, list[JoinedTuple]] = {}
         admitted_names: set[str] = set()
 
-        def admit_through(position: int) -> None:
-            for name, (_, window, left_filter, right_filter) in self.queries.items():
-                if name not in admitted_names and admitted.get(name, 0) <= position:
-                    engine.add_query(
-                        name, window, left_filter=left_filter, right_filter=right_filter
-                    )
-                    admitted_names.add(name)
+        def admit(names) -> None:
+            for name in names:
+                _, window, left_filter, right_filter = self.queries[name]
+                engine.add_query(
+                    name, window, left_filter=left_filter, right_filter=right_filter
+                )
+                admitted_names.add(name)
 
+        def admit_through(position: int) -> None:
+            admit(
+                name
+                for name in self.queries
+                if name not in admitted_names and admitted.get(name, 0) <= position
+            )
+
+        if self.recovery_base is not None:
+            # The base goes in under exactly the queries it is layered on; a
+            # query admitted since (even before any arrival) then splits or
+            # appends a slice and re-purges lazily, as it did live.
+            base_windows, bucket = self.recovery_base
+            admit(base_windows)
+            engine.ingest_keyed_state(bucket)
         admit_through(0)
-        if self.recovery_base is not None and admitted_names:
-            # Queries may have left since the base was taken: regroup its
-            # slices onto the chain of those that remain.
-            base_boundaries, bucket = self.recovery_base
-            engine.ingest_keyed_state(relayer(bucket, base_boundaries, engine.boundaries))
         entries = list(self.journal)
         cuts = sorted({*admitted.values(), *delivered.values()})
         cuts.append(self.pushed)

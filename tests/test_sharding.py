@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.statistics import StreamStatistics
-from repro.engine.errors import ExecutionError, ShardingError
+from repro.engine.errors import ExecutionError, MigrationError, ShardingError
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
 from repro.query.predicates import (
     CrossProductCondition,
@@ -40,7 +40,8 @@ from repro.runtime import (
     StreamEngine,
     shard_for_key,
 )
-from repro.streams.generators import generate_join_workload
+from repro.runtime.partition import relayer
+from repro.streams.generators import SelectivityValueGenerator, generate_join_workload
 from repro.streams.tuples import make_tuple
 from tests.conftest import kill_worker
 
@@ -537,6 +538,63 @@ def test_process_mode_kill_after_reshard_and_removal_recovers(removed):
     ) as engine:
         assert drive(engine, True) == expected
         assert engine.metrics.respawns == 1
+
+
+@pytest.mark.parametrize("window", [2.0, 0.5, 4.0])
+def test_process_mode_kill_after_reshard_and_admission_recovers(window):
+    """A query joins between the reshard and the crash, before its shard saw
+    an arrival: the base state is ingested under the chain it was taken on
+    and the newcomer splits a slice afterwards, as it did live (admitting it
+    first used to leave rows one slice too deep, and the new query silently
+    lost its results against them).  ``4.0`` re-admits a removed name: the
+    tail its removal dropped stays dropped."""
+
+    # Three keys: every row of the base state meets a male of each query.
+    data = generate_join_workload(
+        30, 30, 6.0, seed=21, value_generator=lambda: SelectivityValueGenerator(key_domain=3)
+    ).tuples
+
+    def drive(engine, kill):
+        engine.add_query("big", 4.0)
+        engine.add_query("small", 1.0)
+        engine.process_many(data[:120])
+        engine.reshard(3)
+        if window == 4.0:
+            engine.remove_query("big")
+            engine.add_query("big", 4.0)
+        else:
+            engine.add_query("new", window)
+        if kill:
+            kill_worker(engine, 1)
+        delivered = {query.name: [] for query in engine.queries()}
+        # Results are pulled every 16 arrivals: an undelivered result older
+        # than the journal's retention (two windows) dies with its worker.
+        for start in range(120, len(data), 16):
+            engine.process_many(data[start : start + 16])
+            for name, results in delivered.items():
+                results += engine.pop_results(name)
+        assert len(set(engine.shard_boundaries())) == 1
+        return {name: pairs(results) for name, results in delivered.items()}
+
+    expected = drive(ShardedStreamEngine(CONDITION, shards=2, batch_size=16), False)
+    assert all(expected.values())
+    with ShardedStreamEngine(
+        CONDITION, shards=2, shard_mode="process", batch_size=16
+    ) as engine:
+        assert drive(engine, True) == expected
+        assert engine.metrics.respawns == 1
+
+
+def test_relayer_regroups_onto_a_subset_and_refuses_anything_else():
+    old, mid, new = (make_tuple("A", t, join_key=0, value=0.5) for t in (0.2, 1.5, 2.5))
+    state = [{"A": [new]}, {"A": [mid]}, {"A": [old]}]
+    assert relayer(state, [1.0, 2.0, 4.0, 4.0], [1.0, 4.0]) == [{"A": [new]}, {"A": [mid, old]}]
+    assert relayer(state, [1.0, 2.0, 4.0], [2.0]) == [{"A": [new, mid]}]  # tail dropped
+    assert relayer(state, [1.0, 2.0, 4.0], []) == []
+    with pytest.raises(MigrationError, match="regroup"):
+        relayer(state, [1.0, 2.0, 4.0], [1.0, 3.0])  # 3 would cut the base slice (2, 4]
+    with pytest.raises(MigrationError, match="regroup"):
+        relayer(state[:2], [1.0, 2.0, 4.0], [1.0])
 
 
 def test_process_mode_count_window_and_idle_journal_recover():
