@@ -1,14 +1,13 @@
-"""Live resharding: a session that resizes itself when the load drifts.
+"""Live resharding: the caller resizes a running session when the load drifts.
 
 The demo runs one key-partitioned session through a two-phase load — calm,
-then a sustained burst — with a :class:`~repro.runtime.ShardPlanner`
-watching the measured arrival rates.  When the burst makes more shards
-worth their routing overhead, the planner reshards the *running* session:
-resident window state is repartitioned under the new modulus, undelivered
-results are carried across, and the answers stay exactly what a
-never-resharded single engine would deliver (the property fuzzed by
-``tests/test_fuzz_differential.py`` and gated in
-``benchmarks/test_resharding.py``).
+then a sustained burst — and reshards the *running* session from 1 to 4
+shards when the burst starts: resident window state is repartitioned under
+the new modulus, undelivered results are carried across, and the answers
+stay exactly what a never-resharded single engine would deliver (the
+property fuzzed by ``tests/test_fuzz_differential.py`` and pinned by
+``tests/test_reshard_edge_cases.py``).  When to reshard, and to how many
+shards, is the caller's decision; the session only carries it out.
 
 Run with::
 
@@ -20,11 +19,12 @@ from __future__ import annotations
 import random
 
 from repro.query.predicates import EquiJoinCondition
-from repro.runtime import ShardedStreamEngine, ShardPlanner, StreamEngine
+from repro.runtime import ShardedStreamEngine, StreamEngine
 from repro.streams.tuples import make_tuple
 
 KEY_DOMAIN = 60
 WINDOW = 2.5
+CALM_SECONDS = 3.0
 
 
 def drifting_stream():
@@ -32,7 +32,7 @@ def drifting_stream():
     rng = random.Random(11)
     tuples = []
     timestamp = 0.0
-    for rate, seconds in ((80, 3.0), (320, 3.0)):
+    for rate, seconds in ((80, CALM_SECONDS), (320, 3.0)):
         end = timestamp + seconds
         while timestamp < end:
             timestamp += rng.expovariate(2 * rate)
@@ -48,7 +48,7 @@ def drifting_stream():
 
 
 def main() -> None:
-    """Run the self-resizing session and check it against a single engine."""
+    """Reshard the session at the burst and check it against a single engine."""
     tuples = drifting_stream()
     condition = EquiJoinCondition("join_key", "join_key", key_domain=KEY_DOMAIN)
 
@@ -57,21 +57,12 @@ def main() -> None:
     reference = StreamEngine(condition, batch_size=32)
     reference.add_query("Q", WINDOW)
 
-    planner = ShardPlanner(
-        max_shards=4,
-        target_rate_per_shard=200.0,  # one shard absorbs the calm phase
-        window=0.5,
-        hysteresis=2,
-        cooldown=2.0,
-    )
     print(f"{len(tuples)} arrivals over {tuples[-1].timestamp:.1f} stream-seconds")
-    for index, tup in enumerate(tuples):
+    for tup in tuples:
+        if session.shards == 1 and tup.timestamp >= CALM_SECONDS:
+            print(f"  burst at t={tup.timestamp:.2f}s: {session.reshard(4).describe()}")
         session.process(tup)
         reference.process(tup)
-        if index % 64 == 63:
-            event = planner.maybe_reshard(session)
-            if event is not None:
-                print(f"  {event.describe()}")
     session.flush()
     reference.flush()
 
@@ -81,10 +72,9 @@ def main() -> None:
     print(
         f"final: {session.shards} shards, {len(ours)} pairs "
         f"(identical to the single engine), "
-        f"{len(session.reshard_events)} reshard(s)"
+        f"{len(session.reshard_events)} reshard(s); "
+        f"per-shard arrivals since the reshard: {session.shard_ingest_totals()}"
     )
-    for plan_decision in list(planner.decisions)[-3:]:
-        print(f"  last decisions: {plan_decision.describe()}")
 
 
 if __name__ == "__main__":

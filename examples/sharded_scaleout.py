@@ -10,9 +10,9 @@ Three short scenarios on top of :class:`repro.runtime.ShardedStreamEngine`
 2. **Admission fan-out** — queries register and deregister mid-stream; the
    migration runs on every shard, keeping all shard chains at identical
    boundaries.
-3. **The planner** — a :class:`repro.runtime.ShardPlanner` reads the merged
-   statistics view (per-shard counters aggregated into global rates), sizes
-   the shard count for the measured load, and flags hot-key skew.
+3. **Hot keys** — ``shard_ingest_totals()`` reads how many arrivals each
+   shard took: uniform keys spread evenly, one hot key lands every arrival
+   on one shard (more shards cannot split a key).
 
 Run with:  python examples/sharded_scaleout.py
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 
 from repro.query.predicates import EquiJoinCondition, attribute_gt
-from repro.runtime import ShardedStreamEngine, ShardPlanner
+from repro.runtime import ShardedStreamEngine
 from repro.streams.generators import equi_value_generator, generate_join_workload
 from repro.streams.tuples import make_tuple
 
@@ -78,30 +78,17 @@ def main() -> None:
     session.flush()
     print(f"  every shard identical: {session.shard_boundaries()}")
 
-    # -- 3. the planner: merged statistics, sizing, skew --------------------
-    print("\nShardPlanner on the merged statistics view")
-    planner = ShardPlanner(max_shards=8, target_rate_per_shard=60.0)
-    observed = ShardedStreamEngine(CONDITION, shards=2, batch_size=64)
-    observed.add_query("Q", 2.0)
-    observed.process_many(tuples)
-    observed.flush()
-    merged = observed.merged_statistics()
-    plan = planner.plan(observed)
-    print(f"  {merged.describe()}")
-    print(f"  {plan.describe()}")
-    print(f"  -> {plan.reason}")
-
-    # A hot key concentrates the stream on one shard.
-    skewed = ShardedStreamEngine(CONDITION, shards=4, batch_size=64)
-    skewed.add_query("Q", 2.0)
-    skewed.process_many(
-        make_tuple(t.stream, t.timestamp, join_key=7, value=0.5)
-        for t in tuples[: len(tuples) // 2]
-    )
-    skewed.flush()
-    plan = planner.plan(skewed)
-    print(f"  hot-key session: {plan.describe()}")
-    print(f"  -> {plan.reason}")
+    # -- 3. hot keys: per-shard ingest totals -------------------------------
+    print("\nPer-shard arrivals on 4 shards")
+    half = tuples[: len(tuples) // 2]
+    hot = [make_tuple(t.stream, t.timestamp, join_key=7, value=0.5) for t in half]
+    for label, stream in (("uniform keys", half), ("one hot key", hot)):
+        session = ShardedStreamEngine(CONDITION, shards=4, batch_size=64)
+        session.add_query("Q", 2.0)
+        session.process_many(stream)
+        totals = session.shard_ingest_totals()
+        busiest = max(totals) / (sum(totals) / len(totals))
+        print(f"  {label:>12}: {totals} (busiest shard {busiest:.2f}x the mean)")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from repro.core import (
     ChainSpec,
     SlicedJoinChain,
     SliceSpec,
-    StreamStatistics,
     TwoQuerySettings,
     build_cpu_opt_chain,
     build_mem_opt_chain,
@@ -71,10 +70,8 @@ from repro.query import (
 from repro.runtime import (
     CountStreamEngine,
     RegisteredQuery,
-    ReshardDecision,
     ReshardEvent,
     ShardedStreamEngine,
-    ShardPlanner,
     StreamEngine,
     shard_for_key,
 )
@@ -91,7 +88,6 @@ __all__ = [
     "ChainSpec",
     "SliceSpec",
     "SlicedJoinChain",
-    "StreamStatistics",
     "TwoQuerySettings",
     "build_cpu_opt_chain",
     "build_mem_opt_chain",
@@ -109,9 +105,7 @@ __all__ = [
     "QueryWorkload",
     "CountStreamEngine",
     "RegisteredQuery",
-    "ReshardDecision",
     "ReshardEvent",
-    "ShardPlanner",
     "ShardedStreamEngine",
     "StreamEngine",
     "shard_for_key",

@@ -187,12 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runtime.add_argument(
         "--reshard",
+        type=int,
         default=None,
-        metavar="auto|N",
-        help="change the shard count of the running session: an integer "
-        "reshards once mid-stream to exactly N shards; 'auto' attaches a "
-        "ShardPlanner that reshards whenever the measured load drifts "
-        "(implies the sharded equi-join session, even with --shards 1)",
+        metavar="N",
+        help="reshard the running session once, mid-stream, to exactly N "
+        "shards (implies the sharded equi-join session, even with --shards 1)",
     )
     runtime.add_argument(
         "--memory-budget",
@@ -405,30 +404,16 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
         selectivity_filter,
         selectivity_join,
     )
-    from repro.runtime import ShardedStreamEngine, ShardPlanner, StreamEngine
+    from repro.runtime import ShardedStreamEngine, StreamEngine
     from repro.streams.generators import (
         equi_key_domain,
         equi_value_generator,
         generate_join_workload,
     )
 
-    reshard_target: int | None = None
-    reshard_auto = False
-    if args.reshard is not None:
-        if args.reshard == "auto":
-            reshard_auto = True
-        else:
-            try:
-                reshard_target = int(args.reshard)
-            except ValueError:
-                raise SystemExit(
-                    f"error: --reshard takes 'auto' or a shard count, got "
-                    f"{args.reshard!r}"
-                ) from None
-            if reshard_target < 1:
-                raise SystemExit("error: --reshard N must be at least 1")
-    resharding = reshard_auto or reshard_target is not None
-    sharded = args.shards > 1 or resharding
+    if args.reshard is not None and args.reshard < 1:
+        raise SystemExit("error: --reshard N must be at least 1")
+    sharded = args.shards > 1 or args.reshard is not None
     if sharded and args.window_kind == "count":
         raise SystemExit(
             "error: --shards > 1 / --reshard needs time windows (a count "
@@ -492,17 +477,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
         f"{shard_note}",
         "",
     ]
-    reshard_at = len(tuples) // 2 if reshard_target is not None else None
-    reshard_planner = None
-    if reshard_auto:
-        # Tuned so the constant-rate demo drifts past one shard's target and
-        # the planner visibly resizes the session mid-stream.
-        reshard_planner = ShardPlanner(
-            max_shards=8,
-            target_rate_per_shard=max(args.rate / 2.0, 1.0),
-            window=max(args.duration / 8.0, 0.5),
-            cooldown=max(args.duration / 4.0, 1.0),
-        )
+    reshard_at = len(tuples) // 2 if args.reshard is not None else None
     for index, tup in enumerate(tuples):
         if index in admissions:
             window = admissions[index]
@@ -520,15 +495,12 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
                 f"boundaries={list(engine.boundaries)}"
             )
         if index == reshard_at:
-            event = engine.reshard(
-                reshard_target, reason="operator request (--reshard)"
+            event = engine.reshard(args.reshard)
+            lines.append(
+                f"t={tup.timestamp:7.2f}s  {event.describe()} "
+                f"(operator request (--reshard))"
             )
-            lines.append(f"t={tup.timestamp:7.2f}s  {event.describe()}")
         engine.process(tup)
-        if reshard_planner is not None and index % 64 == 63:
-            event = reshard_planner.maybe_reshard(engine)
-            if event is not None:
-                lines.append(f"t={tup.timestamp:7.2f}s  {event.describe()}")
     engine.flush()
     lines.append("")
     for query in engine.queries():
@@ -610,14 +582,6 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
                 f"  per-shard arrivals (measured under modulus {engine.shards}, "
                 f"since the last reshard): {engine.shard_ingest_totals(shard_snaps)}"
             )
-            lines.append(f"  {engine.merged_statistics(shard_snaps).describe()}")
-            plan = ShardPlanner(
-                max_shards=max(8, engine.shards),
-                target_rate_per_shard=max(2 * args.rate / max(engine.shards, 1), 1.0),
-            ).plan(engine)
-            lines.append(f"  {plan.describe()} — {plan.reason}")
-        else:
-            lines.append(f"  {engine.estimated_statistics().describe()}")
     if sharded:
         engine.close()
     return "\n".join(lines)

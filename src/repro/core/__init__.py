@@ -37,13 +37,11 @@ from repro.core.pushdown import (
     residual_filters,
 )
 from repro.core.slices import ChainSpec, SliceSpec
-from repro.core.statistics import StreamStatistics
 
 __all__ = [
     "SlicedJoinChain",
     "OperatorJoinChain",
     "CountSlicedJoinChain",
-    "StreamStatistics",
     "TwoQuerySettings",
     "CostEstimate",
     "Savings",

@@ -70,9 +70,9 @@ class MetricsSnapshot(dict):
 
     Behaves as a flat ``{key: float}`` dictionary (so existing report code
     keeps working) and adds :meth:`diff`, which turns two snapshots taken
-    around a stream window into the *windowed* counter deltas — the raw
-    material for online rate/selectivity estimation
-    (:mod:`repro.core.statistics`) without resetting the collector.
+    around a stream window into the *windowed* counter deltas without
+    resetting the collector, and :meth:`aggregate`, which folds disjoint
+    collectors (a sharded session's shards) into one view.
     """
 
     #: Key prefixes that denote monotone counters (safe to subtract).
@@ -114,13 +114,6 @@ class MetricsSnapshot(dict):
         cost = delta.get("cpu_cost", 0.0)
         delta["service_rate"] = delta.get("emitted.total", 0.0) / cost if cost > 0 else 0.0
         return delta
-
-    def rate(self, key: str, per: str = "time.elapsed") -> float:
-        """A windowed rate: ``self[key] / self[per]`` guarding zero spans."""
-        denominator = self.get(per, 0.0)
-        if denominator <= 0:
-            return 0.0
-        return self.get(key, 0.0) / denominator
 
     #: Gauges that sum across disjoint collectors: each shard's join states
     #: are disjoint partitions of one logical session, so total resident
@@ -245,10 +238,10 @@ class MetricsCollector:
 
         Moved-tuple accounting is bookkeeping, not simulated work: like
         estimator observations it never enters ``cpu_cost`` (the wall-clock
-        price of a reshard is what ``benchmarks/test_resharding.py``
-        measures).  Snapshots expose the counters as ``reshard.count`` and
-        ``reshard.moved`` — monotone, so windowed :meth:`MetricsSnapshot.diff`
-        views report reshards per estimation window.
+        price of a reshard is ``bench/``'s ``migration_pause_ms`` on the
+        ``churn`` workload).  Snapshots expose the counters as
+        ``reshard.count`` and ``reshard.moved`` — monotone, so windowed
+        :meth:`MetricsSnapshot.diff` views report reshards per window.
         """
         self.reshards += 1
         self.reshard_tuples_moved += int(tuples_moved)

@@ -15,9 +15,8 @@ always the Mem-Opt chain of its registered windows (the CPU-Opt search of
 workloads both input streams are hash-partitioned on the join key across N
 inner engines (serial or one worker process per shard), with admissions
 fanned out to every shard and per-shard results merged into a
-deterministic global order; :class:`ShardPlanner` sizes N and detects key
-skew from the per-shard snapshot windows (arrival rates,
-:mod:`repro.core.statistics`).
+deterministic global order.  N is the caller's — the constructor's
+``shards`` and every live ``reshard(n)``.
 """
 
 from repro.runtime.engine import (
@@ -28,12 +27,9 @@ from repro.runtime.engine import (
     StreamEngine,
 )
 from repro.runtime.sharding import (
-    ReshardDecision,
     ReshardEvent,
     ShardConfig,
     ShardedStreamEngine,
-    ShardPlan,
-    ShardPlanner,
     shard_for_key,
 )
 
@@ -42,11 +38,8 @@ __all__ = [
     "EngineStats",
     "MigrationEvent",
     "RegisteredQuery",
-    "ReshardDecision",
     "ReshardEvent",
     "ShardConfig",
-    "ShardPlan",
-    "ShardPlanner",
     "ShardedStreamEngine",
     "StreamEngine",
     "shard_for_key",

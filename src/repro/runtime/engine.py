@@ -75,7 +75,6 @@ from repro.core.chain import SlicedJoinChain
 from repro.core.chain_base import SlicedChainBase
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.core.pushdown import residual_predicate
-from repro.core.statistics import StreamStatistics
 from repro.engine.errors import ExecutionError, MigrationError, QueryError
 from repro.engine.metrics import CostCategory, MetricsCollector, append_bounded
 from repro.engine.spill import SpillStore, estimate_tuple_bytes
@@ -375,8 +374,15 @@ class StreamEngine:
 
         Arrivals must come in timestamp order (equal timestamps are legal):
         every slice state is timestamp-ordered and purged from its head,
-        which an out-of-order tuple would silently mis-cut.
+        which an out-of-order tuple would silently mis-cut.  A tuple of
+        neither joined stream is refused before it is buffered (buffered, it
+        would fail the whole batch it rides in).
         """
+        if tup.stream != self.left_stream and tup.stream != self.right_stream:
+            raise QueryError(
+                f"session joins streams {sorted((self.left_stream, self.right_stream))}, "
+                f"got a tuple of stream {tup.stream!r}"
+            )
         if tup.timestamp < self._last_timestamp:
             raise ExecutionError(
                 f"out-of-order arrival: timestamp {tup.timestamp!r} is lower than "
@@ -513,24 +519,6 @@ class StreamEngine:
         if self._spill_store is not None:
             self._spill_store.close()
             self._spill_store = None
-
-    # -- statistics ----------------------------------------------------------------
-    def estimated_statistics(
-        self, since: "object | None" = None
-    ) -> StreamStatistics:
-        """Statistics estimated from this session's counters.
-
-        ``since`` is an earlier :meth:`MetricsCollector.snapshot` value
-        marking the window start; by default the whole session is the
-        window.
-        """
-        before = since if since is not None else type(self.metrics)().snapshot()
-        return StreamStatistics.from_metrics_window(
-            before,
-            self.metrics.snapshot(),
-            left_stream=self.left_stream,
-            right_stream=self.right_stream,
-        )
 
     # -- results ---------------------------------------------------------------
     def results(self, name: str) -> list[JoinedTuple]:

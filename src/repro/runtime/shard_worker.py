@@ -59,10 +59,9 @@ class ShardConfig:
 # ---------------------------------------------------------------------------
 # The command table
 # ---------------------------------------------------------------------------
-def _add(engine: StreamEngine, payload) -> tuple[float, ...]:
+def _add(engine: StreamEngine, payload) -> None:
     name, window, left_filter, right_filter = payload
     engine.add_query(name, window, left_filter=left_filter, right_filter=right_filter)
-    return engine.boundaries
 
 
 def _snapshot(engine: StreamEngine, _payload):
@@ -94,13 +93,12 @@ def _state(engine: StreamEngine, field: str):
 def _export(engine: StreamEngine, names) -> dict:
     """Live-reshard donor half: drain the engine and strip it.
 
-    Ships boundaries, the whole keyed state, undelivered results (``names``
-    are the registered queries) and this generation's counters back to the
+    Ships the whole keyed state, undelivered results (``names`` are the
+    registered queries) and this generation's counters back to the
     coordinator.
     """
     engine.flush()
     payload = {
-        "boundaries": engine.boundaries,
         "state": engine.extract_keyed_state(),
         "results": {name: engine.pop_results(name) for name in names},
         "stats": engine.stats,
@@ -119,8 +117,7 @@ def _export(engine: StreamEngine, names) -> dict:
 #: instrumentation and per-instance test doubles are honoured.
 COMMANDS: dict[str, Callable] = {
     "add": _add,
-    # The removal may have shrunk the chain: the new boundaries ride along.
-    "remove": lambda engine, name: (engine.remove_query(name), engine.boundaries),
+    "remove": lambda engine, name: engine.remove_query(name),
     "results": lambda engine, name: engine.results(name),
     "pop": lambda engine, name: engine.pop_results(name),
     "pop_all": lambda engine, names: {name: engine.pop_results(name) for name in names},

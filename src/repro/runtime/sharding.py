@@ -42,10 +42,11 @@ rank ("the N most recent arrivals") is defined over the *whole* stream, not
 a shard's subsequence — both therefore raise :class:`ShardingError` for
 ``shards > 1`` (pass ``shards=1`` to run them unsharded).
 
-The partitioner lives in :mod:`repro.runtime.partition`, the shard side
-(config, command table, worker process) in :mod:`repro.runtime.shard_worker`
-and the sizing policy in :mod:`repro.runtime.shard_planner`; their public
-names are re-exported here.
+The shard count is the caller's: the constructor's ``shards`` and every
+:meth:`ShardedStreamEngine.reshard` target; nothing here picks one.  The
+partitioner lives in :mod:`repro.runtime.partition` and the shard side
+(config, command table, worker process) in :mod:`repro.runtime.shard_worker`;
+their public names are re-exported here.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Sequence
 
-from repro.core.statistics import StreamStatistics
 from repro.engine.errors import ExecutionError, MigrationError, QueryError, ShardingError
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
 from repro.engine.ring import DEFAULT_RING_CAPACITY
@@ -71,16 +71,12 @@ from repro.runtime.partition import (
     shard_for_key,
     unpartitionable_reason,
 )
-from repro.runtime.shard_planner import ReshardDecision, ShardPlan, ShardPlanner
 from repro.runtime.shard_worker import ShardConfig, reply_to, spawn_worker
 from repro.streams.tuples import JoinedTuple, StreamTuple, encode_batch
 
 __all__ = [
-    "ReshardDecision",
     "ReshardEvent",
     "ShardConfig",
-    "ShardPlan",
-    "ShardPlanner",
     "ShardedStreamEngine",
     "shard_for_key",
 ]
@@ -97,7 +93,6 @@ class ReshardEvent:
     carried_results: int  #: Undelivered per-query results carried across generations.
     arrivals: int  #: Session arrivals ingested when the reshard ran.
     stream_time: float  #: Stream clock at the reshard (max per-shard ``time.last``).
-    reason: str = ""  #: Why the reshard happened (planner decision or caller note).
 
     def describe(self) -> str:
         """One-line human-readable form of this event."""
@@ -105,7 +100,6 @@ class ReshardEvent:
             f"reshard {self.old_shards}->{self.new_shards} @ t={self.stream_time:g}s: "
             f"moved {self.moved_tuples}/{self.resident_tuples} resident tuples, "
             f"carried {self.carried_results} results"
-            + (f" ({self.reason})" if self.reason else "")
         )
 
 
@@ -563,13 +557,10 @@ class ShardedStreamEngine:
         #: Reshard history, newest last (see :class:`ReshardEvent`).
         self.reshard_events: list[ReshardEvent] = []
         # Carryover views across reshard generations: undelivered per-query
-        # results, retired EngineStats/metrics counters, and the statistics
-        # epoch (zero counters at the stream time of the last reshard, so
-        # post-reshard rate estimates use the right time span).
+        # results and retired EngineStats/metrics counters.
         self._carryover: dict[str, list[JoinedTuple]] = {}
         self._stats_base: EngineStats | None = None
         self._snapshot_base: MetricsSnapshot | None = None
-        self._epoch: MetricsSnapshot = MetricsCollector().snapshot()
         # Admissions, removals and reshards serialize on this lock (a reshard
         # must never observe a half-fanned-out admission); the owner check
         # turns same-thread re-entry into an error instead of a deadlock.
@@ -696,17 +687,20 @@ class ShardedStreamEngine:
 
     # -- routing ---------------------------------------------------------------
     def shard_of(self, tup: StreamTuple) -> int:
-        """The shard an arrival is routed to (pure in the tuple's key)."""
+        """The shard an arrival is routed to (pure in the tuple's key).
+
+        A tuple of neither joined stream is refused here, in every shard
+        mode and at every shard count, before any shard buffers it.
+        """
+        if tup.stream != self.left_stream and tup.stream != self.right_stream:
+            raise QueryError(
+                f"sharded session joins streams "
+                f"{sorted((self.left_stream, self.right_stream))}, got a tuple of "
+                f"stream {tup.stream!r}"
+            )
         if self.shards == 1 or self._key_attrs is None:
             return 0
-        try:
-            attribute = self._key_attrs[tup.stream]
-        except KeyError:
-            raise QueryError(
-                f"sharded session joins streams {sorted(self._key_attrs)}, got a "
-                f"tuple of stream {tup.stream!r}"
-            ) from None
-        return shard_for_key(tup.values[attribute], self.shards)
+        return shard_for_key(tup.values[self._key_attrs[tup.stream]], self.shards)
 
     # -- execution -------------------------------------------------------------
     def process(self, tup: StreamTuple) -> None:
@@ -782,7 +776,7 @@ class ShardedStreamEngine:
         with self._serialized("remove a query"):
             self._check_open()
             self.query(name)  # raises QueryError for an unknown name
-            delivered = [results for results, _ in self._request_all("remove", name)]
+            delivered = self._request_all("remove", name)
             del self._queries[name]
             delivered.append(self._carryover.pop(name, []))
             return self._merge(delivered)
@@ -861,26 +855,8 @@ class ShardedStreamEngine:
             parts.append(self.metrics.snapshot())
         return MetricsSnapshot.aggregate(parts)
 
-    def merged_statistics(
-        self, snapshots: Sequence[MetricsSnapshot] | None = None
-    ) -> StreamStatistics:
-        """The global statistics view: per-shard ingest counters aggregated
-        before estimation (the input of a :class:`ShardPlanner`).
-
-        The estimation window opens at the last :meth:`reshard` (or session
-        start) — mixing counters measured under two different moduli would
-        bias every per-shard quantity.  The arrival rates are global
-        (summed across shards)."""
-        if snapshots is None:
-            snapshots = self.shard_snapshots()
-        return StreamStatistics.from_shard_windows(
-            [(self._epoch, snapshot) for snapshot in snapshots],
-            left_stream=self.left_stream,
-            right_stream=self.right_stream,
-        )
-
     # -- live resharding -------------------------------------------------------
-    def reshard(self, target: "int | ShardPlan", reason: str = "") -> ReshardEvent:
+    def reshard(self, target: int) -> ReshardEvent:
         """Change the shard count of the running session to ``target``.
 
         The one migration primitive the fan-out invariant cannot express:
@@ -906,9 +882,9 @@ class ShardedStreamEngine:
            (:meth:`StreamEngine.ingest_keyed_state` — per-slice
            ``(timestamp, seqno)`` merge, hash indexes rebuilt).
 
-        Ingestion resumes against the new generation; subsequent statistics
-        views are measured under the new modulus (the estimation epoch
-        resets to the reshard's stream time).  "Without stopping ingestion"
+        Ingestion resumes against the new generation, whose per-shard
+        counters (:meth:`shard_ingest_totals`) start from zero under the new
+        modulus.  "Without stopping ingestion"
         means no arrival is lost or reordered across the cut in the ingest
         loop — it does **not** make ``process``/``flush`` safe to call from
         another thread while the reshard runs: ingestion is single-threaded
@@ -918,13 +894,9 @@ class ShardedStreamEngine:
         Parameters
         ----------
         target:
-            The new shard count, or a :class:`ShardPlan` whose ``shards``
-            (and ``reason``) are used.  ``1`` is the degenerate single
-            engine; values above 1 require an equi-join time-window session
-            (the same constraint as constructing a sharded session).
-        reason:
-            Free-form note recorded on the :class:`ReshardEvent` (the
-            planner passes its decision reason).
+            The new shard count.  ``1`` is the degenerate single engine;
+            values above 1 require an equi-join time-window session (the
+            same constraint as constructing a sharded session).
 
         Returns
         -------
@@ -946,9 +918,6 @@ class ShardedStreamEngine:
             If the session is closed, or a process-mode worker died — the
             session is then in an undefined state and must be closed.
         """
-        if isinstance(target, ShardPlan):
-            reason = reason or target.reason
-            target = target.shards
         if (
             isinstance(target, bool)
             or not isinstance(target, (int, float))
@@ -975,7 +944,6 @@ class ShardedStreamEngine:
                     carried_results=0,
                     arrivals=self._arrivals,
                     stream_time=self._clock,
-                    reason=reason or "no-op: already at the target shard count",
                 )
             exports = self._export_shards()
             stream_time = max(
@@ -989,7 +957,7 @@ class ShardedStreamEngine:
                 (self.left_stream, self.right_stream),
             )
             carried = self._carry_results(exports)
-            self._retire_counters(exports, stream_time)
+            self._retire_counters(exports)
             # The session memory budget is re-split under the new modulus
             # (the retiring generation's segment stores were deleted by the
             # export — state crosses the cut materialized, never as files).
@@ -1008,31 +976,9 @@ class ShardedStreamEngine:
                 carried_results=carried,
                 arrivals=self._arrivals,
                 stream_time=stream_time,
-                reason=reason,
             )
             self.reshard_events.append(event)
             return event
-
-    @property
-    def partitionable(self) -> bool:
-        """Whether this session can run more than one shard.
-
-        True for equi-join time-window sessions — the same rule the
-        constructor and :meth:`reshard` enforce
-        (:func:`~repro.runtime.partition.unpartitionable_reason`); the
-        reshard policy checks it before recommending growth.
-        """
-        return unpartitionable_reason(self.condition, self.chain_class) is None
-
-    @property
-    def stream_clock(self) -> float:
-        """Stream timestamp of the last ingested arrival (no shard I/O).
-
-        Tracked by the coordinator, so reading it never flushes a shard —
-        the cheap clock :meth:`ShardPlanner.should_reshard` polls between
-        estimation windows.
-        """
-        return self._clock
 
     def _export_shards(self) -> list[dict]:
         """Drain and strip the retiring generation (state, results,
@@ -1053,9 +999,9 @@ class ShardedStreamEngine:
                 self._carryover.setdefault(name, []).extend(pending)
         return carried
 
-    def _retire_counters(self, exports: Sequence[dict], stream_time: float) -> None:
+    def _retire_counters(self, exports: Sequence[dict]) -> None:
         """Fold the retiring generation's counters into the session-level
-        bases and restart the statistics epoch at the cut.
+        bases.
 
         Memory gauges are dropped: generations overlap in time, so their
         occupancies must not sum.
@@ -1077,7 +1023,6 @@ class ShardedStreamEngine:
         ):
             snapshot_base.pop(gauge, None)
         self._snapshot_base = snapshot_base
-        self._epoch = MetricsSnapshot({"time.last": stream_time})
 
     def _build_generation(
         self, buckets: "list[list[dict[str, list[StreamTuple]]]]"
@@ -1164,7 +1109,12 @@ class ShardedStreamEngine:
     def shard_ingest_totals(
         self, snapshots: Sequence[MetricsSnapshot] | None = None
     ) -> list[int]:
-        """Arrivals routed to each shard (the raw material of skew detection)."""
+        """Arrivals routed to each shard of the current generation.
+
+        The counters restart at every :meth:`reshard`, so the shares are
+        measured under the current modulus (``self.shards``) only; a hot key
+        shows as one shard carrying most of them.
+        """
         if snapshots is None:
             snapshots = self.shard_snapshots()
         return [int(snapshot.get("ingested.total", 0.0)) for snapshot in snapshots]

@@ -141,11 +141,11 @@ def test_count_sessions_are_refused_more_than_one_shard():
         f"cannot run 2 shards: {reason} (pass shards=1 to run unsharded)"
     )
     single = ShardedStreamEngine(CONDITION, shards=1, window_kind="count")
-    assert not single.partitionable
     with pytest.raises(ShardingError) as refusal:
         single.reshard(2)
     assert str(refusal.value) == f"cannot reshard to 2 shards: {reason}"
-    assert ShardedStreamEngine(CONDITION, shards=1).partitionable
+    # The same session over time windows is partitionable: it reshards.
+    assert ShardedStreamEngine(CONDITION, shards=1).reshard(2).new_shards == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Live resharding: planner-driven N changes with keyed state repartitioning.
+"""Live resharding: caller-driven N changes with keyed state repartitioning.
 
 Covers the reshard edge cases the differential fuzz cannot target
 deterministically:
@@ -6,6 +6,8 @@ deterministically:
 * answer preservation across grow and shrink (including the degenerate
   reshard to N=1), with results delivered *before* the reshard carried
   across the generation change;
+* one reshard under a drifting load, pinned to the exact number of resident
+  tuples it moves;
 * the layering regression: donors with different lazy-purge progress must
   merge into a chain whose slices stay time-layered (old tuples pulled
   shallower, never younger tuples pushed deeper);
@@ -15,14 +17,13 @@ deterministically:
 * process mode with a dead worker: the shard is respawned and its state
   recovered from the parent-side replay journal (an :class:`ExecutionError`
   only once the respawn budget is spent);
-* hot-key skew, where :meth:`ShardPlanner.should_reshard` must *refuse* to
-  grow (more shards cannot split one key);
 * the keyed extract/ingest primitives at the operator, chain and engine
   layers that the reshard orchestration is built from.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 
@@ -32,14 +33,14 @@ from repro.core.chain import SlicedJoinChain
 from repro.engine.errors import ExecutionError, MigrationError, ShardingError
 from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.query.predicates import CrossProductCondition, EquiJoinCondition
-from repro.runtime import ShardedStreamEngine, ShardPlanner, StreamEngine
+from repro.runtime import ShardedStreamEngine, StreamEngine
 from repro.streams.tuples import make_tuple
 from tests.conftest import kill_worker
 
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=8)
 
 
-def make_stream(count=240, domain=8, spacing=0.02, start=0.0, hot_key=None):
+def make_stream(count=240, domain=8, spacing=0.02, start=0.0):
     """A dense, deterministic two-stream arrival sequence."""
     tuples = []
     timestamp = start
@@ -47,7 +48,7 @@ def make_stream(count=240, domain=8, spacing=0.02, start=0.0, hot_key=None):
         timestamp += spacing
         # Groups of three consecutive (mixed-stream) arrivals share a key, so
         # both streams populate every key and pairs actually join.
-        key = hot_key if hot_key is not None else (index // 3) % domain
+        key = (index // 3) % domain
         tuples.append(
             make_tuple(
                 "A" if index % 2 == 0 else "B",
@@ -159,6 +160,53 @@ def test_lazy_purge_donors_merge_into_layered_slices():
         assert pairs(sharded.results(name)) == pairs(single.results(name))
 
 
+def make_drifting_stream():
+    """Two-phase arrival sequence: 2 s at 120/s per stream, then 3.5 s at 450/s."""
+    rng = random.Random(23)
+    tuples = []
+    timestamp = 0.0
+    for rate, seconds in ((120, 2.0), (450, 3.5)):
+        phase_end = timestamp + seconds
+        while timestamp < phase_end:
+            timestamp += rng.expovariate(2 * rate)
+            tuples.append(
+                make_tuple(
+                    rng.choice("AB"),
+                    timestamp,
+                    join_key=rng.randrange(180),
+                    value=rng.random(),
+                )
+            )
+    return tuples
+
+
+def test_one_reshard_under_drift_is_exact_and_bounded():
+    """The caller grows the session 1 -> 4 once the burst is under way: the
+    repartition moves each resident tuple at most once (the counts are
+    exact — input and cut are deterministic) and the answer is unchanged."""
+    tuples = make_drifting_stream()
+    condition = EquiJoinCondition("join_key", "join_key", key_domain=180)
+    static = ShardedStreamEngine(condition, shards=1, batch_size=64)
+    elastic = ShardedStreamEngine(condition, shards=1, batch_size=64)
+    events = []
+    for engine in (static, elastic):
+        engine.add_query("Q", 3.0)
+    for index, tup in enumerate(tuples):
+        if index == 1536:
+            events.append(elastic.reshard(4))
+        static.process(tup)
+        elastic.process(tup)
+    assert pairs(elastic.results("Q")) == pairs(static.results("Q"))
+    (event,) = elastic.reshard_events
+    assert events == [event] and elastic.shards == 4
+    assert (event.old_shards, event.new_shards) == (1, 4)
+    assert 2.0 < event.stream_time < 2.0 + 3.5  # inside the burst
+    assert round(event.stream_time, 3) == 3.184
+    assert (event.moved_tuples, event.resident_tuples) == (1130, 1485)
+    # Per-shard counters restart with the new generation.
+    assert sum(elastic.shard_ingest_totals()) == len(tuples) - 1536
+
+
 # ---------------------------------------------------------------------------
 # Carryover and accounting
 # ---------------------------------------------------------------------------
@@ -199,7 +247,7 @@ def test_reshard_event_and_metrics_accounting():
     sharded.process_many(tuples[:120])
     sharded.flush()
     resident = sharded.state_size()
-    event = sharded.reshard(4, reason="test")
+    event = sharded.reshard(4)
     assert event.resident_tuples == resident
     assert 0 < event.moved_tuples <= event.resident_tuples
     assert sharded.state_size() == resident  # repartitioned, not dropped
@@ -211,24 +259,6 @@ def test_reshard_event_and_metrics_accounting():
     assert snapshot["ingested.total"] == 120.0
     # Arrivals survive in the aggregated EngineStats too.
     assert sharded.stats.arrivals == 120
-
-
-def test_statistics_epoch_resets_at_the_reshard():
-    tuples = make_stream(count=240, spacing=0.02)  # 4.8 stream-seconds
-    sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
-    sharded.add_query("Q", 2.0)
-    sharded.process_many(tuples[:120])
-    sharded.flush()
-    event = sharded.reshard(4)
-    sharded.process_many(tuples[120:])
-    sharded.flush()
-    stats = sharded.merged_statistics()
-    # Rates are measured under the new modulus only: the estimation window
-    # opens at the reshard's stream time, not at the session start.
-    assert stats.window == pytest.approx(
-        tuples[-1].timestamp - event.stream_time, rel=0.05
-    )
-    assert stats.sample_arrivals == 120
 
 
 def test_noop_reshard_is_not_recorded():
@@ -254,6 +284,8 @@ def test_reshard_target_must_be_a_whole_number():
     with pytest.raises(ShardingError, match="whole number"):
         sharded.reshard(2.5)
     assert sharded.reshard(3.0).new_shards == 3  # integral floats are fine
+    with pytest.raises(TypeError):
+        sharded.reshard(2, reason="x")  # the count is the whole request
 
 
 # ---------------------------------------------------------------------------
@@ -382,106 +414,6 @@ def test_process_mode_worker_death_exhausts_its_respawn_budget():
         with pytest.raises(ExecutionError, match="shard 0"):
             engine.flush()
     # close() after the failure is clean (the context manager just ran it).
-
-
-# ---------------------------------------------------------------------------
-# The planner policy
-# ---------------------------------------------------------------------------
-def planner(**overrides):
-    settings = dict(
-        max_shards=4,
-        target_rate_per_shard=20.0,
-        skew_threshold=1.5,
-        window=0.4,
-        hysteresis=2,
-        cooldown=1.0,
-        min_arrivals=16,
-    )
-    settings.update(overrides)
-    return ShardPlanner(**settings)
-
-
-def drive(engine, tuples, policy, every=16):
-    decisions = []
-    for index, tup in enumerate(tuples):
-        engine.process(tup)
-        if index % every == every - 1:
-            decisions.append(policy.should_reshard(engine))
-    return decisions
-
-
-def test_should_reshard_recommends_growth_under_load():
-    # 0.01s spacing = 100 arrivals/s against a 20/s-per-shard target.
-    tuples = make_stream(count=300, spacing=0.01)
-    engine = ShardedStreamEngine(CONDITION, shards=1, batch_size=8)
-    engine.add_query("Q", 1.0)
-    policy = planner()
-    decisions = drive(engine, tuples, policy)
-    fired = [d for d in decisions if d.reshard]
-    assert fired, "sustained overload must eventually fire"
-    assert fired[0].target > 1
-    # Hysteresis: the first over-target window did not fire on its own.
-    first_over = next(i for i, d in enumerate(decisions) if d.plan is not None)
-    assert not decisions[first_over].reshard
-
-
-def test_should_reshard_refuses_to_grow_under_hot_key_skew():
-    tuples = make_stream(count=300, spacing=0.01, hot_key=5)
-    engine = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
-    engine.add_query("Q", 1.0)
-    policy = planner(hysteresis=1)
-    decisions = drive(engine, tuples, policy)
-    refusals = [
-        d for d in decisions if d.plan is not None and d.plan.skewed
-    ]
-    assert refusals, "a single hot key must register as skew"
-    assert all(not d.reshard for d in refusals)
-    assert any("hot-key" in d.reason for d in refusals)
-    assert engine.shards == 2
-
-
-def test_should_reshard_holds_on_unpartitionable_sessions():
-    """The auto-resize loop must hold, not crash, on a legal shards=1
-    session whose condition/window kind cannot be partitioned."""
-    tuples = make_stream(count=300, spacing=0.01)
-    engine = ShardedStreamEngine(CrossProductCondition(), shards=1, batch_size=8)
-    engine.add_query("Q", 1.0)
-    policy = planner(hysteresis=1)
-    for index, tup in enumerate(tuples):
-        engine.process(tup)
-        if index % 16 == 15:
-            assert policy.maybe_reshard(engine) is None  # never throws
-    holds = [d for d in policy.decisions if "not partitionable" in d.reason]
-    assert holds, "the overloaded session must explain why it cannot grow"
-    assert engine.shards == 1
-
-
-def test_should_reshard_cooldown_bounds_the_frequency():
-    tuples = make_stream(count=400, spacing=0.01)
-    engine = ShardedStreamEngine(CONDITION, shards=1, batch_size=8)
-    engine.add_query("Q", 1.0)
-    policy = planner(hysteresis=1, cooldown=100.0, max_shards=8)
-    fired = 0
-    for index, tup in enumerate(tuples):
-        engine.process(tup)
-        if index % 16 == 15:
-            decision = policy.should_reshard(engine)
-            if decision.reshard:
-                engine.reshard(decision.target, reason=decision.reason)
-                fired += 1
-    assert fired <= 1, "the cooldown must bound the reshard frequency"
-
-
-def test_plan_reports_its_measured_modulus():
-    engine = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
-    engine.add_query("Q", 1.0)
-    engine.process_many(make_stream(count=120))
-    plan = ShardPlanner().plan(engine)
-    assert plan.measured_shards == 2
-    assert "measured under modulus 2" in plan.describe()
-    engine.reshard(3)
-    plan = ShardPlanner().plan(engine)
-    assert plan.measured_shards == 3
 
 
 # ---------------------------------------------------------------------------

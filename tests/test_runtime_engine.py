@@ -10,11 +10,13 @@ engine's batch size.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.engine.errors import ExecutionError, QueryError
-from repro.query.predicates import selectivity_join
-from repro.runtime import CountStreamEngine, StreamEngine
+from repro.query.predicates import EquiJoinCondition, selectivity_join
+from repro.runtime import CountStreamEngine, ShardedStreamEngine, StreamEngine
 from repro.streams.generators import generate_join_workload
 from repro.streams.tuples import make_tuple
 
@@ -580,3 +582,42 @@ class TestEngineAccounting:
         workload = engine.workload()
         assert workload.window_sizes() == [2.0, 4.0]
         assert workload.names() == ["Q1", "Q2"]
+
+
+@pytest.mark.parametrize(
+    "make_session",
+    [
+        pytest.param(StreamEngine, id="engine"),
+        pytest.param(CountStreamEngine, id="count-engine"),
+        pytest.param(partial(ShardedStreamEngine, shards=1), id="1-shard-serial"),
+        pytest.param(partial(ShardedStreamEngine, shards=2), id="2-shards-serial"),
+        pytest.param(
+            partial(ShardedStreamEngine, shards=1, shard_mode="process"),
+            id="1-shard-process",
+        ),
+    ],
+)
+def test_a_foreign_stream_is_refused_before_it_is_buffered(make_session):
+    """A tuple of neither joined stream is refused at ``process``, in every
+    session kind and shard mode, and the arrivals buffered around it are
+    joined as if it had never been offered."""
+    condition = EquiJoinCondition("k", "k")
+    a1, b2, b4 = (make_tuple(stream, t, k=1) for stream, t in (("A", 1), ("B", 2), ("B", 4)))
+
+    def run(offer_foreign):
+        session = make_session(condition)
+        try:
+            session.add_query("Q", 10.0)
+            session.process(a1)
+            session.process(b2)
+            if offer_foreign:
+                with pytest.raises(QueryError, match="got a tuple of stream 'C'"):
+                    session.process(make_tuple("C", 3, k=1))
+            session.process(b4)
+            return delivered_pairs(session.results("Q")), session.stats.arrivals
+        finally:
+            session.close()
+
+    clean = run(offer_foreign=False)
+    assert clean == ([(a1.seqno, b2.seqno), (a1.seqno, b4.seqno)], 3)
+    assert run(offer_foreign=True) == clean

@@ -47,8 +47,10 @@ def test_run_command_covers_the_whole_table():
         return run_command(engine, command, payload)
 
     selection = attribute_gt("value", 0.4, selectivity=0.6)
-    assert run("add", ("big", 3.0, None, None)) == (0.0, 3.0)
-    assert run("add", ("small", 1.0, selection, None)) == (0.0, 1.0, 3.0)
+    assert run("add", ("big", 3.0, None, None)) is None
+    assert run("state", "boundaries") == (0.0, 3.0)
+    assert run("add", ("small", 1.0, selection, None)) is None
+    assert run("state", "boundaries") == (0.0, 1.0, 3.0)
     reference.add_query("big", 3.0)
     reference.add_query("small", 1.0, left_filter=selection)
     half = len(DATA.tuples) // 2
@@ -81,21 +83,21 @@ def test_run_command_covers_the_whole_table():
     with pytest.raises(ExecutionError, match="unknown shard state field"):
         run("state", "_pending")
 
-    # remove hands back the results and the boundaries the removal left behind
+    # remove hands back the results; the removal shrank the chain
     engine.process_many(DATA.tuples[half + 5 :])
     reference.process_many(DATA.tuples[half + 5 :])
-    removed, boundaries = run("remove", "small")
+    removed = run("remove", "small")
     assert pairs(removed) == pairs(reference.remove_query("small"))
-    assert boundaries == reference.boundaries == (0.0, 3.0)
+    assert run("state", "boundaries") == reference.boundaries == (0.0, 3.0)
 
     # export strips the engine; the admissions + ingest rebuild it elsewhere
     export = run("export", ["big"])
-    assert set(export) == {"boundaries", "state", "results", "stats", "snapshot"}
-    assert export["boundaries"] == (0.0, 3.0)
+    assert set(export) == {"state", "results", "stats", "snapshot"}
     assert pairs(export["results"]["big"]) == pairs(reference.pop_results("big"))
     assert engine.state_size() == 0
     heir = config.build()
-    assert run_command(heir, "add", ("big", 3.0, None, None)) == export["boundaries"]
+    assert run_command(heir, "add", ("big", 3.0, None, None)) is None
+    assert run_command(heir, "state", "boundaries") == (0.0, 3.0)
     run_command(heir, "ingest", export["state"])
     exercised.add("ingest")
     assert heir.state_size() == reference.state_size()
@@ -112,7 +114,7 @@ def test_unknown_command_and_the_wire_form_of_errors():
         "error",
         "ExecutionError: unknown shard command 'frobnicate'",
     )
-    assert reply_to(engine, "add", ("Q", 2.0, None, None)) == ("ok", (0.0, 2.0))
+    assert reply_to(engine, "add", ("Q", 2.0, None, None)) == ("ok", None)
     status, text = reply_to(engine, "add", ("Q", 2.0, None, None))
     assert status == "error" and text.startswith("QueryError: ")
     status, text = reply_to(engine, "pop", "missing")

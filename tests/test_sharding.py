@@ -1,6 +1,6 @@
 """Tests for the key-partitioned sharded runtime.
 
-Four properties carry the sharded engine's correctness story:
+Three properties carry the sharded engine's correctness story:
 
 1. **Partitioner** — :func:`shard_for_key` is a pure, stable function of
    ``(key, shards)`` (identical across runs and processes) and spreads
@@ -11,10 +11,9 @@ Four properties carry the sharded engine's correctness story:
    scripted cases here keep the failure surface small).
 3. **Fan-out invariants** — every shard keeps identical chain boundaries
    and the merged output is in deterministic global order.
-4. **Planner** — the merged statistics view sizes N with the measured
-   load, and hot keys are reported as skew.
 
-The optional process-parallel driver is smoke-tested for correctness
+Per-shard counters aggregate into one session view, and per-shard ingest
+totals expose a hot key.  The optional process-parallel driver is smoke-tested for correctness
 against the serial driver (same protocol, same merged answers).
 """
 
@@ -26,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.statistics import StreamStatistics
 from repro.engine.errors import ExecutionError, MigrationError, ShardingError
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
 from repro.query.predicates import (
@@ -34,12 +32,7 @@ from repro.query.predicates import (
     EquiJoinCondition,
     attribute_gt,
 )
-from repro.runtime import (
-    ShardedStreamEngine,
-    ShardPlanner,
-    StreamEngine,
-    shard_for_key,
-)
+from repro.runtime import ShardedStreamEngine, StreamEngine, shard_for_key
 from repro.runtime.partition import relayer
 from repro.streams.generators import SelectivityValueGenerator, generate_join_workload
 from repro.streams.tuples import make_tuple
@@ -195,7 +188,8 @@ def test_unsupported_workloads_raise_or_fall_back():
         ShardedStreamEngine(cross, shards=4, on_unsupported="fallback")  # knob deleted
     # The unsharded path for such workloads is shards=1.
     unsharded = ShardedStreamEngine(cross, shards=1)
-    assert not unsharded.partitionable
+    with pytest.raises(ShardingError, match="equi-key"):
+        unsharded.reshard(2)
     unsharded.add_query("Q", 2.0)
     unsharded.process_many(DATA.tuples[:50])
     single = StreamEngine(cross, batch_size=32)
@@ -220,7 +214,7 @@ def test_admission_surface_validation():
 
 
 # ---------------------------------------------------------------------------
-# 4. Statistics aggregation and the planner
+# Session-wide order, counter aggregation, hot keys
 # ---------------------------------------------------------------------------
 def test_out_of_order_arrival_is_rejected_session_wide():
     """A late arrival is refused even when it is in order for its own shard."""
@@ -258,43 +252,7 @@ def test_snapshot_aggregation_sums_counters():
     assert merged["service_rate"] == pytest.approx(3.0 / merged["cpu_cost"])
 
 
-def test_merged_statistics_global_rates():
-    sharded = ShardedStreamEngine(CONDITION, shards=4, batch_size=16)
-    sharded.add_query("Q", 3.0)
-    sharded.process_many(DATA.tuples)
-    sharded.flush()
-    merged = sharded.merged_statistics()
-    # Global rates survive the partitioning: ~30/s per stream.
-    assert merged.rate("A") == pytest.approx(30.0, rel=0.25)
-    assert merged.rate("B") == pytest.approx(30.0, rel=0.25)
-
-
-def test_shard_windows_aggregate_matches_engine_view():
-    empty = MetricsCollector().snapshot()
-    sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
-    sharded.add_query("Q", 3.0)
-    sharded.process_many(DATA.tuples[:200])
-    stats = StreamStatistics.from_shard_windows(
-        [(empty, snapshot) for snapshot in sharded.shard_snapshots()]
-    )
-    merged = sharded.merged_statistics()
-    assert stats.arrival_rates == merged.arrival_rates
-
-
-def test_planner_recommend_and_skew():
-    planner = ShardPlanner(max_shards=8, target_rate_per_shard=25.0)
-    stats = StreamStatistics(arrival_rates={"A": 60.0, "B": 60.0})
-    assert planner.recommend(stats) == 5
-    assert planner.recommend(StreamStatistics()) == 1
-    assert planner.recommend(StreamStatistics(arrival_rates={"A": 1000.0})) == 8
-
-    assert planner.imbalance([100, 100, 100, 100]) == 1.0
-    assert planner.imbalance([400, 0, 0, 0]) == 4.0
-    assert planner.imbalance([]) == 1.0
-
-
-def test_planner_plan_flags_hot_keys():
-    planner = ShardPlanner(target_rate_per_shard=15.0, skew_threshold=1.8)
+def test_shard_ingest_totals_expose_a_hot_key():
     sharded = ShardedStreamEngine(CONDITION, shards=4, batch_size=16)
     sharded.add_query("Q", 2.0)
     # every arrival carries the same key -> one hot shard
@@ -303,12 +261,9 @@ def test_planner_plan_flags_hot_keys():
         for tup in DATA.tuples[:240]
     ]
     sharded.process_many(hot)
-    plan = planner.plan(sharded)
-    assert plan.skewed
-    assert plan.imbalance == pytest.approx(4.0)
-    assert "hot keys" in plan.reason
-    assert plan.shards >= 1
-    assert "skewed" in plan.describe()
+    totals = sharded.shard_ingest_totals()
+    assert totals[shard_for_key(7, 4)] == 240
+    assert sorted(totals) == [0, 0, 0, 240]  # the busiest shard: 4x the mean
 
 
 # ---------------------------------------------------------------------------

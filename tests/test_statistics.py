@@ -1,12 +1,11 @@
-"""Tests for the arrival-rate estimates (core/statistics.py) and the
-snapshot/diff counter machinery they are built on."""
+"""Tests for the snapshot/diff counter machinery of
+:class:`~repro.engine.metrics.MetricsSnapshot`: windowed counter deltas
+taken without resetting the collector."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.statistics import StreamStatistics
-from repro.engine.errors import ConfigurationError
 from repro.engine.metrics import CostCategory, MetricsCollector
 
 
@@ -57,15 +56,6 @@ class TestSnapshotDiff:
         delta = metrics.snapshot().diff(before)
         assert delta["invocations.late_op"] == 2.0
 
-    def test_windowed_rate_helper(self):
-        metrics = MetricsCollector()
-        metrics.sample_memory(0.0, 0)
-        before = metrics.snapshot()
-        metrics.record_ingest(30, stream="A")
-        metrics.sample_memory(2.0, 0)
-        delta = metrics.snapshot().diff(before)
-        assert delta.rate("ingested.A") == pytest.approx(15.0)
-
     def test_merge_folds_new_counters(self):
         first = MetricsCollector()
         second = MetricsCollector()
@@ -76,35 +66,3 @@ class TestSnapshotDiff:
         assert first.ingested["A"] == 4
         assert first.observations["x"] == 2
         assert first.last_timestamp == 7.0
-
-
-class TestStreamStatisticsConstruction:
-    def test_from_metrics_window(self):
-        metrics = MetricsCollector()
-        metrics.sample_memory(0.0, 0)
-        before = metrics.snapshot()
-        metrics.record_ingest(40, stream="A")
-        metrics.record_ingest(20, stream="B")
-        metrics.sample_memory(2.0, 0)
-        stats = StreamStatistics.from_metrics_window(before, metrics.snapshot())
-        assert stats.rate("A") == pytest.approx(20.0)
-        assert stats.rate("B") == pytest.approx(10.0)
-        assert stats.is_estimate
-        assert stats.sample_arrivals == 60
-        assert stats.window == pytest.approx(2.0)
-
-    def test_from_metrics_window_omits_unmeasured_quantities(self):
-        metrics = MetricsCollector()
-        before = metrics.snapshot()
-        stats = StreamStatistics.from_metrics_window(before, metrics.snapshot())
-        assert stats.arrival_rates == {}
-
-    def test_invalid_rates_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StreamStatistics(arrival_rates={"A": -1.0})
-
-
-class TestStreamStatisticsConsumers:
-    def test_describe_mentions_origin(self):
-        prior = StreamStatistics(arrival_rates={"A": 10.0, "B": 10.0})
-        assert "declared prior" in prior.describe()
