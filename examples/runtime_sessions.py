@@ -18,7 +18,7 @@ Run with:  python examples/runtime_sessions.py
 
 from __future__ import annotations
 
-from repro import CountStreamEngine, StreamEngine, generate_join_workload
+from repro import StreamEngine, generate_join_workload
 from repro.query.predicates import EquiJoinCondition, attribute_gt
 
 
@@ -50,7 +50,7 @@ def main() -> None:
         print(f"  pushed σ' in front of slice {index + 1}: {left_text}")
 
     # -- 2. count windows: rank-based slices, same migrations ---------------
-    counts = CountStreamEngine(condition, batch_size=32)
+    counts = StreamEngine(condition, batch_size=32, window_kind="count")
     counts.add_query("C20", 20)
     print("\nCount windows")
     for index, tup in enumerate(tuples):

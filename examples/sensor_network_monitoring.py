@@ -1,12 +1,26 @@
-"""Sensor-network monitoring: SQL-like queries, all sharing strategies, and a
-downstream alert count.
+"""Sensor-network monitoring: the paper's example queries, all sharing
+strategies, and a downstream alert count.
 
 The scenario follows the paper's introduction: several monitoring
 applications register similar continuous queries over temperature and
 humidity sensor streams, differing in window length and in the temperature
-threshold they care about.  The script:
+threshold they care about.  In the paper's SQL dialect they read::
 
-1. parses the queries from the paper's SQL dialect (WINDOW clause included);
+    SELECT A.* FROM Temperature A, Humidity B
+    WHERE A.LocationId = B.LocationId
+    WINDOW 30 sec;
+
+    SELECT A.* FROM Temperature A, Humidity B
+    WHERE A.LocationId = B.LocationId AND A.Value > 30
+    WINDOW 60 sec;
+
+    SELECT A.* FROM Temperature A, Humidity B
+    WHERE A.LocationId = B.LocationId AND A.Value > 30
+    WINDOW 120 sec
+
+The script:
+
+1. builds those three queries as :class:`~repro.query.query.ContinuousQuery`;
 2. builds the shared plans for every sharing strategy;
 3. replays the same synthetic sensor feed through each plan and reports the
    per-strategy state memory and CPU cost;
@@ -20,25 +34,11 @@ from __future__ import annotations
 
 import random
 
-from repro import QueryWorkload, execute_plan
+from repro import ContinuousQuery, QueryWorkload, execute_plan
 from repro.baselines import build_pullup_plan, build_pushdown_plan, build_unshared_plan
 from repro.core import build_state_slice_plan
-from repro.query import parse_workload_text
+from repro.query import EquiJoinCondition, TruePredicate, attribute_gt
 from repro.streams import StreamTuple, interleave
-
-QUERY_TEXT = """
-    SELECT A.* FROM Temperature A, Humidity B
-    WHERE A.LocationId = B.LocationId
-    WINDOW 30 sec;
-
-    SELECT A.* FROM Temperature A, Humidity B
-    WHERE A.LocationId = B.LocationId AND A.Value > 30
-    WINDOW 60 sec;
-
-    SELECT A.* FROM Temperature A, Humidity B
-    WHERE A.LocationId = B.LocationId AND A.Value > 30
-    WINDOW 120 sec
-"""
 
 LOCATIONS = 25
 HOT_FRACTION = 0.3  # fraction of temperature readings above the threshold
@@ -69,10 +69,20 @@ def generate_sensor_feed(rate: float, duration: float, seed: int) -> list[Stream
 
 
 def main() -> None:
-    queries = parse_workload_text(
-        QUERY_TEXT, filter_selectivity=HOT_FRACTION, key_domain=LOCATIONS
+    join = EquiJoinCondition("LocationId", "LocationId", key_domain=LOCATIONS)
+    hot = attribute_gt("Value", 30.0, HOT_FRACTION)
+    workload = QueryWorkload(
+        [
+            ContinuousQuery(
+                name, window, join, left_filter, left_stream="Temperature", right_stream="Humidity"
+            )
+            for name, window, left_filter in (
+                ("Q1", 30.0, TruePredicate()),
+                ("Q2", 60.0, hot),
+                ("Q3", 120.0, hot),
+            )
+        ]
     )
-    workload = QueryWorkload(queries)
     print("Registered continuous queries:")
     print(workload.describe())
     print()

@@ -1,11 +1,19 @@
 #!/usr/bin/env python3
 """Dead-surface gate for CI (stdlib only; static, nothing is imported).
 
-Counts, for every public top-level class/function under ``src/repro/``, the
-identifier references outside its own definition (package ``__init__``
-re-exports excluded) by area; the README's python blocks count as examples.
-Fails on a name only ``tests/`` reference unless ``REFERENCES`` says which test
-needs it, and on an unbound ``__all__`` entry.  ``--table`` prints all counts.
+Surface is what a root reaches.  The units are every top-level class and
+function under ``src/repro/`` and every method of those classes.  The roots
+are the module-level statements of ``src/repro/`` (imports and ``__all__``
+bookkeeping excluded: a re-export reaches nothing), every file under
+``bench/``, ``benchmarks/`` and ``examples/``, ``scripts/profile_workload.py``,
+the README's python blocks and the ``REFERENCES`` allow-list.  A name counts as
+mentioned where it appears as a name, an attribute, an imported name or an
+identifier string (``getattr(obj, "name")``).  A top-level unit is reached
+when a root or a reached unit mentions its name; a method, when its class is
+reached and its name is mentioned, or it is a dunder.  Every unit not reached
+fails, and so does a ``REFERENCES`` entry that is reached anyway or whose
+tests do not mention it.  ``--table`` prints each reached unit with what
+reached it.  An unbound ``__all__`` entry fails too.
 
 Also holds the package's layering: ``src/repro/`` imports only the standard
 library, ``repro`` itself and numpy (the one declared dependency); numpy is
@@ -16,38 +24,90 @@ imports ``repro.engine.columns``.
 import ast
 import re
 import sys
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src/repro")
-AREAS = ("src", "examples", "benchmarks", "bench", "scripts", "tests")
-DEFS = (ast.ClassDef, ast.FunctionDef)
-LEFTOVERS = (  # tested by test_predicates, test_chain_specs
-    "FunctionPredicate attribute_ge attribute_lt attribute_le attribute_eq workload_from_windows"
-)
-REFERENCES = {  # test-only names that stay, and the test that needs each
+ROOTS = ("bench", "benchmarks", "examples", "scripts/profile_workload.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (ast.ClassDef, *FUNCTIONS)
+REFERENCES = {  # units only tests reach, and the tests that use each as a reference or oracle
     "OneWayWindowJoin": "test_sliced_joins: Theorem 1, a one-way chain == the regular join",
     "brute_force_cpu_opt_chain": "test_chain_specs, test_property_optimizers: Dijkstra == it",
     "enumerate_chains": "test_chain_specs: the space the exhaustive search scans",
     "PassThrough": "test_plan_and_executors, test_engine_primitives: plan wiring, operator base",
     "ThetaJoinCondition": "test_cursor_chain, test_slice_state_protocol: maskless probe",
     "OperatorJoinChain": "test_cursor_chain: the per-item reference",
-    **dict.fromkeys(
-        LEFTOVERS.split(),
-        "not a reference: caller-facing leftover outside the layers PR 17 audited (ROADMAP)",
-    ),
 }
 
 
-def mentions(tree, aliases=True):
-    """Every identifier a tree mentions: names, attributes, imported names."""
-    kinds = (ast.Name, ast.Attribute, ast.alias) if aliases else (ast.Name, ast.Attribute)
-    return Counter(
-        getattr(n, "id", None) or getattr(n, "attr", None) or n.name.rpartition(".")[2]
-        for n in ast.walk(tree)
-        if isinstance(n, kinds)
+def mentions(*nodes):
+    """Every identifier the nodes mention: names, attributes, imported names
+    and string constants that are identifiers."""
+    found = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                found.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                found.add(n.attr)
+            elif isinstance(n, ast.alias):
+                found.add(n.name.rpartition(".")[2])
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+                found.add(n.value)
+    return found
+
+
+def is_bookkeeping(node):
+    """An import, or a statement that builds ``__all__``: it reaches nothing."""
+    return isinstance(node, (ast.Import, ast.ImportFrom)) or any(
+        isinstance(n, ast.Name) and n.id == "__all__" for n in ast.walk(node)
     )
+
+
+def units_of(where, tree):
+    """``{key: (name, owning class key or None, mentions)}`` of one module.
+    A class owns the mentions of its decorators, bases and non-method
+    statements; each method is a unit of its own."""
+    units = {}
+    for node in tree.body:
+        if not isinstance(node, DEFS):
+            continue
+        key = f"{where}::{node.name}"
+        own = [node]
+        if isinstance(node, ast.ClassDef):
+            own = [*node.decorator_list, *node.bases, *node.keywords]
+            for member in node.body:
+                if isinstance(member, FUNCTIONS):
+                    units[f"{key}.{member.name}"] = (member.name, key, mentions(member))
+                else:
+                    own.append(member)
+        units[key] = (node.name, None, mentions(*own))
+    return units
+
+
+def walk(units, mentioned, forced=()):
+    """Grow ``mentioned`` (name -> what mentioned it first) to the fixed point
+    and return the reached units."""
+    reached = set(forced)
+    for key in forced:
+        for name in units[key][2]:
+            mentioned.setdefault(name, key)
+    grew = True
+    while grew:
+        grew = False
+        for key, (name, owner, found) in units.items():
+            if key in reached:
+                continue
+            dunder = name.startswith("__") and name.endswith("__")
+            if (owner is None and name in mentioned) or (
+                owner in reached and (dunder or name in mentioned)
+            ):
+                reached.add(key)
+                for other in found:
+                    mentioned.setdefault(other, key)
+                grew = True
+    return reached
 
 
 def imported_modules(tree):
@@ -74,37 +134,63 @@ def layering_problems(where, tree):
             yield f"{where}: repro.query must not import repro.engine.columns"
 
 
-def main(argv):
-    modules = {}  # repo-relative path -> (area, tree, identifier counts)
-    for area in AREAS:
-        for path in sorted((ROOT / area).rglob("*.py")):
-            tree, reexports = ast.parse(path.read_text("utf-8")), path.name == "__init__.py"
-            modules[path.relative_to(ROOT)] = (area, tree, mentions(tree, not reexports))
+def unbound_exports(where, tree):
+    """``__all__`` entries of one src module that the module does not bind."""
+    bound = {n.name for n in tree.body if isinstance(n, DEFS)}
+    bound.update(n.asname or n.name for n in ast.walk(tree) if isinstance(n, ast.alias))
+    bound.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and is_bookkeeping(node):
+            for name in sorted(set(ast.literal_eval(node.value)) - bound):
+                yield f"{where}: __all__ entry {name!r} is not bound"
+
+
+def root_trees():
+    """``(label, tree)`` of every root outside ``src/``: the files under
+    ``ROOTS`` and the README's python blocks."""
+    for root in map(ROOT.joinpath, ROOTS):
+        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root] if root.exists() else []:
+            yield str(path.relative_to(ROOT)), ast.parse(path.read_text("utf-8"))
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
-    quickstart = ast.parse("\n".join(blocks))
-    modules[Path("README.md")] = ("examples", quickstart, mentions(quickstart))
-    problems = []
-    for where, (own_area, tree, _) in modules.items():
-        if PACKAGE not in where.parents:
-            continue
+    yield "README.md", ast.parse("\n".join(blocks))
+
+
+def main(argv):
+    problems, units, mentioned = [], {}, {}  # mentioned: name -> what mentioned it first
+    for path in sorted((ROOT / PACKAGE).rglob("*.py")):
+        where, tree = path.relative_to(ROOT), ast.parse(path.read_text("utf-8"))
         problems.extend(layering_problems(where, tree))
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and "__all__" in mentions(node):
-                bound = {n.name for n in tree.body if isinstance(n, DEFS)}
-                bound.update(n.asname or n.name for n in ast.walk(tree) if isinstance(n, ast.alias))
-                bound.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
-                for name in sorted(set(ast.literal_eval(node.value)) - bound):
-                    problems.append(f"{where}: __all__ entry {name!r} is not bound")
-            if not isinstance(node, DEFS) or node.name[0] == "_":
-                continue
-            counts = Counter({own_area: -mentions(node)[node.name]})
-            for area, _, found in modules.values():
-                counts[area] += found[node.name]
-            if "--table" in argv:
-                print(where, node.name, *(f"{area}={counts[area]}" for area in AREAS))
-            if counts["tests"] == sum(counts.values()) > 0 and node.name not in REFERENCES:
-                problems.append(f"{where}::{node.name} is referenced only under tests/")
-    print("\n".join(problems) or "dead_surface: every public name is reached or a reference")
+        problems.extend(unbound_exports(where, tree))
+        units.update(units_of(where, tree))
+        body = [n for n in tree.body if not isinstance(n, DEFS) and not is_bookkeeping(n)]
+        for name in mentions(*body):
+            mentioned.setdefault(name, str(where))
+    for label, tree in root_trees():
+        for name in mentions(tree):
+            mentioned.setdefault(name, label)
+
+    qualified = {key.partition("::")[2]: key for key in units}
+    for name, why in REFERENCES.items():
+        if name not in qualified:
+            problems.append(f"REFERENCES[{name!r}] names no unit of src/repro/")
+        for test in why.partition(":")[0].split(", "):
+            path = ROOT / "tests" / f"{test}.py"
+            used = path.exists() and name.rpartition(".")[2] in mentions(ast.parse(path.read_text("utf-8")))
+            if not used:
+                problems.append(f"REFERENCES[{name!r}]: tests/{test}.py does not use it")
+    reached = walk(units, mentioned)
+    for name in sorted(REFERENCES.keys() & qualified.keys()):
+        if qualified[name] in reached:
+            problems.append(f"REFERENCES[{name!r}] is reached without it: drop the entry")
+    forced = {qualified[name] for name in REFERENCES.keys() & qualified.keys()}
+    reached = walk(units, mentioned, reached | forced)
+    for key in units:
+        if key not in reached:
+            problems.append(f"{key} is reached from no root")
+        elif "--table" in argv:
+            name, owner, _ = units[key]
+            print(key, "<-", mentioned.get(name, owner if owner else "REFERENCES"))
+    print("\n".join(problems) or "dead_surface: every unit is reached from a root")
     return 1 if problems else 0
 
 

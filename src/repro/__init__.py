@@ -9,8 +9,8 @@ The package is organised in layers:
   synchronous executor, cost accounting);
 * :mod:`repro.operators` — stream operators, including the sliced window
   joins that are the paper's core construct;
-* :mod:`repro.query` — continuous queries, predicates, windows, parsing and
-  workload generation;
+* :mod:`repro.query` — continuous queries, predicates, windows and workload
+  generation;
 * :mod:`repro.core` — the state-slice sharing paradigm: chain
   specifications, the Mem-Opt and CPU-Opt chain builders, selection
   push-down, online migration and the analytical cost model;
@@ -62,13 +62,11 @@ from repro.query import (
     QueryWorkload,
     build_workload,
     multi_query_workload,
-    parse_query,
     selectivity_filter,
     selectivity_join,
     three_query_workload,
 )
 from repro.runtime import (
-    CountStreamEngine,
     RegisteredQuery,
     ReshardEvent,
     ShardedStreamEngine,
@@ -103,7 +101,6 @@ __all__ = [
     "execute_plan",
     "ContinuousQuery",
     "QueryWorkload",
-    "CountStreamEngine",
     "RegisteredQuery",
     "ReshardEvent",
     "ShardedStreamEngine",
@@ -112,7 +109,6 @@ __all__ = [
     "build_workload",
     "multi_query_workload",
     "three_query_workload",
-    "parse_query",
     "selectivity_filter",
     "selectivity_join",
     "StreamTuple",

@@ -79,7 +79,7 @@ def build_pushdown_plan(
     redefines which tuples occupy the most recent N ranks, so stream
     partition cannot preserve count-window semantics (count windows range
     over raw arrivals; selections filter answers only — the convention
-    shared with :class:`~repro.runtime.engine.CountStreamEngine`).
+    shared with a ``window_kind="count"`` session, :mod:`repro.runtime.engine`).
     """
     if window_kind == "count":
         from repro.baselines.pullup import build_pullup_plan

@@ -10,8 +10,8 @@ With ``window_kind="count"`` each query gets its own
 :class:`~repro.operators.count_join.CountWindowJoin` instead.  Count
 windows range over the *raw* arrivals of each stream (filtering the input
 would redefine which tuples occupy the most recent N ranks), so selections
-are applied to each query's joined results — the same semantics the runtime
-layer's :class:`~repro.runtime.engine.CountStreamEngine` defines.
+are applied to each query's joined results — the same semantics a runtime
+session with ``window_kind="count"`` defines (:mod:`repro.runtime.engine`).
 """
 
 from __future__ import annotations

@@ -140,10 +140,6 @@ class CursorChain(SlicedChainBase):
     def state_tuples(self, stream: str) -> list[list[StreamTuple]]:
         return self._columns[self._streams.index(stream)].slices()
 
-    def head_state_sizes(self) -> tuple[int, int]:
-        left, right = (column.sizes()[0] for column in self._columns)
-        return left, right
-
     # -- the disk tier ------------------------------------------------------------
     def memory_bytes(self, tuple_bytes: float) -> tuple[int, int]:
         """``(resident, spilled)`` estimate: hot tuples at ``tuple_bytes`` each

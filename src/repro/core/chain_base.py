@@ -46,7 +46,7 @@ class SlicedChainBase:
     (create the empty slices; the base keeps the boundary list); the kernel
     ``_slice_results(batch)`` — one FIFO batch through every slice, returning
     ``(slice index, its results in arrival order)`` per slice that produced
-    any; ``state_tuples(stream)`` / ``state_sizes()`` / ``head_state_sizes()``;
+    any; ``state_tuples(stream)`` / ``state_sizes()``;
     ``extract_keyed_state`` / ``_ingest``; ``split_slice`` and the migration
     hooks ``_merge(index)`` / ``_append(old_end, end)`` / ``_drop_tail()``.  A
     chain a session builds also answers for the disk tier of a memory budget
@@ -346,20 +346,3 @@ class TimeChainBase(SlicedChainBase):
             tuple(None if entry is None else entry.predicate for entry in pair)
             for pair in self._filters
         ]
-
-    def results_for_window(
-        self, results: Sequence[SliceResult], window: float
-    ) -> list[JoinedTuple]:
-        """Restrict chain results to those a query with ``window`` receives:
-        the union of the slices inside the window, plus — where a merged
-        slice straddles it — the results passing the router's gap check."""
-        bounds = self._bounds
-        answer = []
-        for index, joined in results:
-            if bounds[index + 1] <= window + 1e-12:
-                answer.append(joined)
-            elif bounds[index] < window:
-                gap = abs(joined.left.timestamp - joined.right.timestamp)
-                if gap < window:
-                    answer.append(joined)
-        return answer

@@ -98,10 +98,6 @@ class OperatorJoinChain(TimeChainBase):
     def state_tuples(self, stream: str) -> list[list[StreamTuple]]:
         return [join.state_tuples(stream) for join in self.joins]
 
-    def head_state_sizes(self) -> tuple[int, int]:
-        head = self.joins[0]
-        return head.state_size(self.left_stream), head.state_size(self.right_stream)
-
     # -- keyed state repartition ------------------------------------------------
     def extract_keyed_state(self, predicate=None) -> list[dict[str, list[StreamTuple]]]:
         return [

@@ -20,11 +20,10 @@ boundary inserted or deleted: membership is the rank, so no row moves.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.core.chain import CursorChain
 from repro.engine.columns import ChainColumn
-from repro.engine.errors import ChainError, QueryError
+from repro.engine.errors import QueryError
 from repro.engine.metrics import CostCategory
 from repro.streams.tuples import JoinedTuple, StreamTuple
 
@@ -113,24 +112,6 @@ class CountSlicedJoinChain(CursorChain):
         column.cuts = [max(0, rows - end) for end in ends]
         column.dead = [0] * len(ends)
         column.settle()
-
-    # -- count-window specifics -----------------------------------------------
-    def results_for_count(
-        self, results: Sequence[tuple[int, JoinedTuple]], count: int
-    ) -> list[JoinedTuple]:
-        """Restrict chain results to those a query with count window ``count`` gets.
-
-        Only prefix counts matching a chain boundary can be answered exactly
-        (the Mem-Opt construction guarantees one boundary per registered
-        query); other counts raise :class:`ChainError`.
-        """
-        boundaries = self.boundaries
-        if count not in boundaries[1:]:
-            raise ChainError(
-                f"count {count} is not a chain boundary; boundaries: {boundaries}"
-            )
-        last_slice = boundaries[1:].index(count)
-        return [joined for index, joined in results if index <= last_slice]
 
     def split_slice(self, index: int, boundary: int) -> None:
         """Split slice ``index`` at rank ``boundary`` into two adjacent slices:

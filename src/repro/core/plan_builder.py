@@ -12,7 +12,7 @@ place those operators run, and, executed one tuple at a time, the per-item
 reference a count session's cursor chain
 (:class:`~repro.core.count_chain.CountSlicedJoinChain`) is held to — under
 the two structural restrictions of rank-based windows (the same ones the
-runtime layer documents on :class:`~repro.runtime.engine.CountStreamEngine`):
+runtime layer documents for ``window_kind="count"``, :mod:`repro.runtime.engine`):
 the chain must be Mem-Opt — a merged slice's results cannot be re-split by
 rank at routing time — and selections are applied to each query's results
 only, never pushed into the chain (a pushed filter would redefine which

@@ -123,11 +123,6 @@ class ChainSpec:
                 return index
         raise ChainError(f"no slice covers window {window:g}")
 
-    def slices_for_query(self, query: ContinuousQuery) -> list[int]:
-        """Indices of all slices whose results feed ``query`` (a chain prefix)."""
-        last = self.slice_for_window(query.window)
-        return list(range(last + 1))
-
     def queries_completing_in(self, slice_index: int) -> list[ContinuousQuery]:
         """Queries whose window is covered by slice ``slice_index``."""
         slice_spec = self.slices[slice_index]

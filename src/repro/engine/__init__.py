@@ -5,7 +5,6 @@ from repro.engine.errors import (
     ConfigurationError,
     ExecutionError,
     MigrationError,
-    ParseError,
     PlanError,
     QueryError,
     ReproError,
@@ -21,7 +20,6 @@ __all__ = [
     "SchemaError",
     "PlanError",
     "QueryError",
-    "ParseError",
     "ExecutionError",
     "ChainError",
     "MigrationError",

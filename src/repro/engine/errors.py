@@ -12,7 +12,6 @@ __all__ = [
     "SchemaError",
     "PlanError",
     "QueryError",
-    "ParseError",
     "ExecutionError",
     "ChainError",
     "MigrationError",
@@ -35,10 +34,6 @@ class PlanError(ReproError):
 
 class QueryError(ReproError):
     """A continuous-query specification is invalid."""
-
-
-class ParseError(QueryError):
-    """The SQL-like query text could not be parsed."""
 
 
 class ExecutionError(ReproError):

@@ -89,13 +89,6 @@ class Operator:
         """Number of tuples currently resident in this operator's state."""
         return 0
 
-    def is_stateful(self) -> bool:
-        return self.state_size() > 0 or self._declares_state()
-
-    def _declares_state(self) -> bool:
-        """Whether this operator type keeps state even when currently empty."""
-        return False
-
     def describe(self) -> str:
         """One-line human-readable description used by plan pretty-printing."""
         return type(self).__name__

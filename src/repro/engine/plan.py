@@ -16,7 +16,7 @@ exactly as described in Section 2 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.engine.errors import PlanError
 from repro.engine.metrics import MetricsCollector
@@ -70,10 +70,6 @@ class QueryPlan:
         self._operators[operator.name] = operator
         return operator
 
-    def add_operators(self, operators: Iterable[Operator]) -> None:
-        for operator in operators:
-            self.add_operator(operator)
-
     def connect(
         self,
         source: Operator | str,
@@ -122,10 +118,6 @@ class QueryPlan:
         return dict(self._operators)
 
     @property
-    def edges(self) -> list[Edge]:
-        return list(self._edges)
-
-    @property
     def entries(self) -> list[Entry]:
         return list(self._entries)
 
@@ -135,9 +127,6 @@ class QueryPlan:
 
     def output_names(self) -> list[str]:
         return [output.name for output in self._outputs]
-
-    def entries_for(self, stream: str) -> list[Entry]:
-        return [entry for entry in self._entries if entry.stream == stream]
 
     def downstream(self, operator: str, port: str) -> list[Edge]:
         """Edges leaving ``(operator, port)``."""

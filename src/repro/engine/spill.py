@@ -124,11 +124,6 @@ class SpillStore:
         #: Rows decoded back from segment files (monotone).
         self.cold_reads = 0
 
-    @property
-    def directory(self) -> str | None:
-        """The backing directory, or ``None`` before the first write."""
-        return self._directory
-
     def _ensure_directory(self) -> str:
         if self._directory is None:
             self._directory = tempfile.mkdtemp(prefix="repro-spill-")
@@ -595,12 +590,6 @@ class SpillableJoinMixin:
             return
         for stream, state in self._states.items():
             self._states[stream] = SpilledState(store, state.binding, state)
-
-    def spill_flush(self) -> None:
-        """Flush the resident tail buffers of every spilled state."""
-        for state in self._states.values():
-            if isinstance(state, SpilledState):
-                state.flush()
 
     def release_spill(self) -> None:
         """Delete this slice's segments (the slice is being discarded)."""

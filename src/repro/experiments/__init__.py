@@ -1,7 +1,7 @@
 """Evaluation harness regenerating every figure and table of the paper."""
 
 from repro.experiments.analytical import figure_11a, figure_11b, figure_11c
-from repro.experiments.chain_study import FIGURE_19_PANELS, chain_shapes, figure_19
+from repro.experiments.chain_study import FIGURE_19_PANELS, chain_shapes
 from repro.experiments.config import (
     FILTER_SELECTIVITIES,
     JOIN_SELECTIVITIES,
@@ -10,7 +10,7 @@ from repro.experiments.config import (
     default_multi_query_config,
     default_three_query_config,
 )
-from repro.experiments.cpu_study import FIGURE_18_PANELS, figure_18
+from repro.experiments.cpu_study import FIGURE_18_PANELS
 from repro.experiments.harness import (
     STRATEGIES,
     StrategyResult,
@@ -19,9 +19,8 @@ from repro.experiments.harness import (
     make_stream_data,
     make_workload,
     run_strategy,
-    sweep_rates,
 )
-from repro.experiments.memory_study import FIGURE_17_PANELS, figure_17
+from repro.experiments.memory_study import FIGURE_17_PANELS
 from repro.experiments.report import (
     format_chain_points,
     format_memory_points,
@@ -35,9 +34,6 @@ __all__ = [
     "figure_11a",
     "figure_11b",
     "figure_11c",
-    "figure_17",
-    "figure_18",
-    "figure_19",
     "FIGURE_17_PANELS",
     "FIGURE_18_PANELS",
     "FIGURE_19_PANELS",
@@ -55,7 +51,6 @@ __all__ = [
     "make_stream_data",
     "make_workload",
     "run_strategy",
-    "sweep_rates",
     "format_table",
     "format_memory_points",
     "format_service_rate_points",

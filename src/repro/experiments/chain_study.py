@@ -30,7 +30,7 @@ from repro.core.merge_graph import ChainCostParameters
 from repro.experiments.config import STREAM_RATES, ExperimentConfig, default_multi_query_config
 from repro.experiments.harness import compare_strategies, make_workload
 
-__all__ = ["FIGURE_19_PANELS", "ChainPoint", "run_panel", "figure_19", "chain_shapes"]
+__all__ = ["FIGURE_19_PANELS", "ChainPoint", "run_panel", "chain_shapes"]
 
 #: Panel name -> (window distribution, query count).
 FIGURE_19_PANELS: dict[str, tuple[str, int]] = {
@@ -106,16 +106,4 @@ def run_panel(
                     slice_count=slice_count,
                 )
             )
-    return points
-
-
-def figure_19(
-    panels: tuple[str, ...] = tuple(FIGURE_19_PANELS),
-    rates: tuple[float, ...] = STREAM_RATES,
-    time_scale: float = 0.05,
-) -> list[ChainPoint]:
-    """Regenerate every requested panel of Figure 19."""
-    points: list[ChainPoint] = []
-    for panel in panels:
-        points.extend(run_panel(panel, rates=rates, time_scale=time_scale))
     return points

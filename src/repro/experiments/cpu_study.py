@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.experiments.config import STREAM_RATES, ExperimentConfig, default_three_query_config
 from repro.experiments.harness import compare_strategies
 
-__all__ = ["FIGURE_18_PANELS", "ServiceRatePoint", "run_panel", "figure_18"]
+__all__ = ["FIGURE_18_PANELS", "ServiceRatePoint", "run_panel"]
 
 #: Panel name -> (window distribution, join selectivity, filter selectivity).
 FIGURE_18_PANELS: dict[str, tuple[str, float, float]] = {
@@ -86,16 +86,4 @@ def run_panel(
                     outputs=result.output_count,
                 )
             )
-    return points
-
-
-def figure_18(
-    panels: tuple[str, ...] = tuple(FIGURE_18_PANELS),
-    rates: tuple[float, ...] = STREAM_RATES,
-    time_scale: float = 0.1,
-) -> list[ServiceRatePoint]:
-    """Regenerate every requested panel of Figure 18."""
-    points: list[ServiceRatePoint] = []
-    for panel in panels:
-        points.extend(run_panel(panel, rates=rates, time_scale=time_scale))
     return points

@@ -9,7 +9,7 @@ comparisons of Figures 17-19 are apples-to-apples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.baselines.pullup import build_pullup_plan
 from repro.baselines.pushdown import build_pushdown_plan
@@ -243,15 +243,3 @@ def compare_strategies(
             strategy, config, data=data, retain_results=retain_results
         )
     return results
-
-
-def sweep_rates(
-    base: ExperimentConfig,
-    rates: Iterable[float],
-    strategies: Sequence[str] = ("selection-pullup", "state-slice", "selection-pushdown"),
-) -> list[dict[str, StrategyResult]]:
-    """Run a rate sweep (the x-axis of Figures 17-19)."""
-    return [compare_strategies(base.with_rate(rate), strategies) for rate in rates]
-
-
-__all__.append("sweep_rates")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.experiments.config import STREAM_RATES, ExperimentConfig, default_three_query_config
 from repro.experiments.harness import compare_strategies
 
-__all__ = ["FIGURE_17_PANELS", "MemoryPoint", "run_panel", "figure_17"]
+__all__ = ["FIGURE_17_PANELS", "MemoryPoint", "run_panel"]
 
 #: Panel name -> (window distribution, join selectivity, filter selectivity).
 FIGURE_17_PANELS: dict[str, tuple[str, float, float]] = {
@@ -84,16 +84,4 @@ def run_panel(
                     memory_tuples=result.memory,
                 )
             )
-    return points
-
-
-def figure_17(
-    panels: tuple[str, ...] = tuple(FIGURE_17_PANELS),
-    rates: tuple[float, ...] = STREAM_RATES,
-    time_scale: float = 0.1,
-) -> list[MemoryPoint]:
-    """Regenerate every requested panel of Figure 17."""
-    points: list[MemoryPoint] = []
-    for panel in panels:
-        points.extend(run_panel(panel, rates=rates, time_scale=time_scale))
     return points

@@ -79,9 +79,6 @@ class CountWindowJoin(Operator):
         self._left_state: Deque[StreamTuple] = deque()
         self._right_state: Deque[StreamTuple] = deque()
 
-    def _declares_state(self) -> bool:
-        return True
-
     def state_size(self) -> int:
         return len(self._left_state) + len(self._right_state)
 
@@ -175,9 +172,6 @@ class SharedCountJoin(Operator):
         self.output_ports = tuple(ports)
         self._left_state: Deque[StreamTuple] = deque()
         self._right_state: Deque[StreamTuple] = deque()
-
-    def _declares_state(self) -> bool:
-        return True
 
     def state_size(self) -> int:
         return len(self._left_state) + len(self._right_state)

@@ -109,9 +109,6 @@ class OneWayWindowJoin(Operator):
         self.condition = condition
         self._state = _WindowState()
 
-    def _declares_state(self) -> bool:
-        return True
-
     def state_size(self) -> int:
         return len(self._state)
 
@@ -183,17 +180,8 @@ class SlidingWindowJoin(Operator):
         self._left_state = _WindowState(left_key)
         self._right_state = _WindowState(right_key)
 
-    def _declares_state(self) -> bool:
-        return True
-
     def state_size(self) -> int:
         return len(self._left_state) + len(self._right_state)
-
-    def left_state_tuples(self) -> list[StreamTuple]:
-        return list(self._left_state.tuples)
-
-    def right_state_tuples(self) -> list[StreamTuple]:
-        return list(self._right_state.tuples)
 
     def process(self, item: Any, port: str) -> list[Emission]:
         self.metrics.record_invocation(self.name)

@@ -169,9 +169,6 @@ class SlicedOneWayJoin(Operator):
         self._state = ColumnarState(ProbeBinding(condition, stores_left=True))
 
     # -- state introspection ----------------------------------------------------
-    def _declares_state(self) -> bool:
-        return True
-
     def state_size(self) -> int:
         return len(self._state)
 
@@ -295,9 +292,6 @@ class SlicedJoinBase(Operator):
             ) from None
 
     # -- state introspection --------------------------------------------------------
-    def _declares_state(self) -> bool:
-        return True
-
     def state_size(self, stream: str | None = None) -> int:
         """Resident tuples of one stream's state, or of both."""
         if stream is not None:

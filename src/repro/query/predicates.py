@@ -36,15 +36,9 @@ __all__ = [
     "AndPredicate",
     "OrPredicate",
     "NotPredicate",
-    "FunctionPredicate",
     "attribute_gt",
-    "attribute_ge",
-    "attribute_lt",
-    "attribute_le",
-    "attribute_eq",
     "selectivity_filter",
     "disjunction",
-    "conjunction",
     "JoinCondition",
     "EquiJoinCondition",
     "ModularMatchCondition",
@@ -145,21 +139,6 @@ class ComparisonPredicate(Predicate):
         return f"{self.attribute} {self.op} {self.constant!r}"
 
 
-@dataclass(frozen=True)
-class FunctionPredicate(Predicate):
-    """Wraps an arbitrary callable; used by tests and advanced callers."""
-
-    function: Callable[[StreamTuple], bool]
-    selectivity: float = 0.5
-    label: str = "fn"
-
-    def matches(self, tup: StreamTuple) -> bool:
-        return bool(self.function(tup))
-
-    def describe(self) -> str:
-        return self.label
-
-
 class AndPredicate(Predicate):
     """Conjunction of child predicates (independence-based selectivity)."""
 
@@ -224,22 +203,6 @@ def attribute_gt(attribute: str, constant: Any, selectivity: float = 0.5) -> Pre
     return ComparisonPredicate(attribute, ">", constant, selectivity)
 
 
-def attribute_ge(attribute: str, constant: Any, selectivity: float = 0.5) -> Predicate:
-    return ComparisonPredicate(attribute, ">=", constant, selectivity)
-
-
-def attribute_lt(attribute: str, constant: Any, selectivity: float = 0.5) -> Predicate:
-    return ComparisonPredicate(attribute, "<", constant, selectivity)
-
-
-def attribute_le(attribute: str, constant: Any, selectivity: float = 0.5) -> Predicate:
-    return ComparisonPredicate(attribute, "<=", constant, selectivity)
-
-
-def attribute_eq(attribute: str, constant: Any, selectivity: float = 0.1) -> Predicate:
-    return ComparisonPredicate(attribute, "==", constant, selectivity)
-
-
 def selectivity_filter(selectivity: float, attribute: str = "value") -> Predicate:
     """A filter with selectivity exactly ``selectivity`` on uniform [0, 1) data.
 
@@ -289,20 +252,6 @@ def disjunction(predicates: Iterable[Predicate]) -> Predicate:
         return children[0]
     return OrPredicate(children)
 
-
-def conjunction(predicates: Iterable[Predicate]) -> Predicate:
-    """AND-combine predicates, simplifying trivial cases and duplicates."""
-    children = _dedupe(list(predicates))
-    if not children:
-        return TruePredicate()
-    if any(isinstance(p, FalsePredicate) for p in children):
-        return FalsePredicate()
-    children = [p for p in children if not isinstance(p, TruePredicate)]
-    if not children:
-        return TruePredicate()
-    if len(children) == 1:
-        return children[0]
-    return AndPredicate(children)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ disjunctions and everything else the chain builders need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from repro.engine.errors import QueryError
 from repro.query.predicates import (
@@ -71,9 +71,6 @@ class ContinuousQuery:
         return not isinstance(self.left_filter, TruePredicate) or not isinstance(
             self.right_filter, TruePredicate
         )
-
-    def with_window(self, window: float) -> "ContinuousQuery":
-        return replace(self, window=window)
 
     def describe(self) -> str:
         parts = [
@@ -164,9 +161,6 @@ class QueryWorkload:
     def names(self) -> list[str]:
         return [query.name for query in self.queries]
 
-    def has_selections(self) -> bool:
-        return any(query.has_selection for query in self.queries)
-
     def queries_with_window_at_least(self, window: float) -> list[ContinuousQuery]:
         """Queries whose window is >= ``window`` (they consume that slice)."""
         return [query for query in self.queries if query.window >= window]
@@ -193,37 +187,3 @@ class QueryWorkload:
     def describe(self) -> str:
         return "\n".join(query.describe() for query in self.queries)
 
-
-def workload_from_windows(
-    windows: Sequence[float],
-    join_condition: JoinCondition,
-    left_filters: Sequence[Predicate] | None = None,
-    right_filters: Sequence[Predicate] | None = None,
-    left_stream: str = "A",
-    right_stream: str = "B",
-    name_prefix: str = "Q",
-) -> QueryWorkload:
-    """Build a workload from parallel lists of windows and filters."""
-    count = len(windows)
-    lefts = list(left_filters) if left_filters is not None else [TruePredicate()] * count
-    rights = list(right_filters) if right_filters is not None else [TruePredicate()] * count
-    if len(lefts) != count or len(rights) != count:
-        raise QueryError(
-            "left_filters and right_filters must have the same length as windows"
-        )
-    queries = [
-        ContinuousQuery(
-            name=f"{name_prefix}{i + 1}",
-            window=float(windows[i]),
-            join_condition=join_condition,
-            left_filter=lefts[i],
-            right_filter=rights[i],
-            left_stream=left_stream,
-            right_stream=right_stream,
-        )
-        for i in range(count)
-    ]
-    return QueryWorkload(queries)
-
-
-__all__.append("workload_from_windows")

@@ -20,7 +20,6 @@ deterministic global order.  N is the caller's — the constructor's
 """
 
 from repro.runtime.engine import (
-    CountStreamEngine,
     EngineStats,
     MigrationEvent,
     RegisteredQuery,
@@ -34,7 +33,6 @@ from repro.runtime.sharding import (
 )
 
 __all__ = [
-    "CountStreamEngine",
     "EngineStats",
     "MigrationEvent",
     "RegisteredQuery",

@@ -41,8 +41,7 @@ re-evaluated only where the pushed disjunction is weaker than the query's
 own predicate.  Filter splicing rides the same drain-and-splice migration,
 so the placement stays optimal as the query set evolves.
 
-**Count-based windows** — ``window_kind="count"`` (or the
-:class:`CountStreamEngine` convenience subclass) runs the same admission
+**Count-based windows** — ``window_kind="count"`` runs the same admission
 protocol over a :class:`~repro.core.count_chain.CountSlicedJoinChain`,
 whose boundaries are tuple *ranks* instead of time offsets — the same two
 columns as a time-window session's chain, its slices rank ranges, so a
@@ -78,12 +77,12 @@ from repro.core.pushdown import residual_predicate
 from repro.engine.errors import ExecutionError, MigrationError, QueryError
 from repro.engine.metrics import CostCategory, MetricsCollector, append_bounded
 from repro.engine.spill import SpillStore, estimate_tuple_bytes
+from repro.operators.sliced_join import resolve_probe
 from repro.query.predicates import JoinCondition, Predicate, TruePredicate
 from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.streams.tuples import JoinedTuple, StreamTuple
 
 __all__ = [
-    "CountStreamEngine",
     "EngineStats",
     "MigrationEvent",
     "RegisteredQuery",
@@ -233,6 +232,7 @@ class StreamEngine:
     ) -> None:
         #: The chain class this session builds (read-only; from ``window_kind``).
         self.chain_class = chain_class(window_kind)
+        resolve_probe(probe, condition)  # refuse a bad probe= now, not at admission
         if memory_budget_bytes is not None:
             memory_budget_bytes = int(memory_budget_bytes)
             if memory_budget_bytes <= 0:
@@ -735,34 +735,3 @@ def _residual(query_filter: Predicate, pushed: Predicate) -> Predicate | None:
     residual = residual_predicate(query_filter, pushed)
     return None if isinstance(residual, TruePredicate) else residual
 
-
-class CountStreamEngine(StreamEngine):
-    """A :class:`StreamEngine` over count-based windows.
-
-    Convenience subclass: ``CountStreamEngine(condition)`` is
-    ``StreamEngine(condition, window_kind="count")``.  Windows are positive
-    integer tuple counts ("the N most recent arrivals of each stream");
-    selections are applied to each query's results (see the base class
-    notes on why rank-based windows cannot share pushed-down filters).
-    """
-
-    def __init__(
-        self,
-        condition: JoinCondition,
-        left_stream: str = "A",
-        right_stream: str = "B",
-        batch_size: int = 32,
-        metrics: MetricsCollector | None = None,
-        probe: str = "nested_loop",
-        memory_budget_bytes: int | None = None,
-    ) -> None:
-        super().__init__(
-            condition,
-            left_stream=left_stream,
-            right_stream=right_stream,
-            batch_size=batch_size,
-            metrics=metrics,
-            window_kind="count",
-            probe=probe,
-            memory_budget_bytes=memory_budget_bytes,
-        )

@@ -63,8 +63,9 @@ from typing import Iterable, Sequence
 from repro.engine.errors import ExecutionError, MigrationError, QueryError, ShardingError
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
 from repro.engine.ring import DEFAULT_RING_CAPACITY
+from repro.operators.sliced_join import resolve_probe
 from repro.query.predicates import EquiJoinCondition, JoinCondition, Predicate, TruePredicate
-from repro.runtime.engine import EngineStats, RegisteredQuery, StreamEngine, chain_class
+from repro.runtime.engine import EngineStats, RegisteredQuery, chain_class
 from repro.runtime.partition import (
     relayer,
     repartition,
@@ -146,8 +147,6 @@ class _WorkerShard:
     The plane is kept in step by :meth:`_observe`, from the commands the
     worker acknowledged.
     """
-
-    engine = None  # no in-thread engine (see ShardedStreamEngine.shard_engines)
 
     def __init__(
         self, index: int, config: ShardConfig, ring_capacity: int, max_respawns: int
@@ -501,6 +500,7 @@ class ShardedStreamEngine:
             )
         #: The chain class every shard's engine builds (from ``window_kind``).
         self.chain_class = chain_class(window_kind)
+        resolve_probe(probe, condition)  # refuse a bad probe= before any shard exists
         problem = unpartitionable_reason(condition, self.chain_class)
         if shards > 1 and problem is not None:
             raise ShardingError(
@@ -659,12 +659,6 @@ class ShardedStreamEngine:
     def per_shard_memory_budget(self) -> int | None:
         """The budget each live shard engine currently enforces."""
         return self.config.memory_budget_bytes
-
-    @property
-    def shard_engines(self) -> list[StreamEngine]:
-        """The engines of the shards that run in this thread (none in
-        process mode — those live in the workers)."""
-        return [shard.engine for shard in self._shards if shard.engine is not None]
 
     def close(self) -> None:
         """Shut the session down: worker processes and their rings (process

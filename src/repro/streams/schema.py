@@ -2,15 +2,14 @@
 
 A :class:`Schema` describes the attributes carried by every tuple of a
 stream.  Schemas are purely declarative — the engine does not enforce them
-on every tuple for performance reasons — but the query parser, the plan
-builder and the synthetic generators use them to validate attribute
-references, derive join compatibility and size estimates.
+on every tuple for performance reasons — but the synthetic generators use
+them to describe the streams they produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator
 
 from repro.engine.errors import SchemaError
 
@@ -80,41 +79,6 @@ class Schema:
 
     def names(self) -> list[str]:
         return [attribute.name for attribute in self.attributes]
-
-    # -- derived properties ------------------------------------------------
-    @property
-    def tuple_size_bytes(self) -> int:
-        """Estimated per-tuple payload size (the paper's ``Mt``)."""
-        return sum(attribute.size_bytes for attribute in self.attributes)
-
-    # -- construction helpers ----------------------------------------------
-    @classmethod
-    def from_mapping(cls, stream: str, fields: Mapping[str, type]) -> "Schema":
-        attributes = tuple(Attribute(name, dtype) for name, dtype in fields.items())
-        return cls(stream=stream, attributes=attributes)
-
-    def project(self, names: Iterable[str]) -> "Schema":
-        """Return a schema restricted to ``names`` (raising on unknowns)."""
-        wanted = list(names)
-        kept = tuple(self.attribute(name) for name in wanted)
-        return Schema(stream=self.stream, attributes=kept)
-
-    def renamed(self, stream: str) -> "Schema":
-        return Schema(stream=stream, attributes=self.attributes)
-
-    def validate_tuple(self, values: Mapping[str, Any]) -> None:
-        """Raise :class:`SchemaError` when ``values`` does not fit the schema."""
-        for attribute in self.attributes:
-            if attribute.name not in values:
-                raise SchemaError(
-                    f"tuple for stream {self.stream!r} is missing attribute "
-                    f"{attribute.name!r}"
-                )
-        unknown = set(values) - set(self.names())
-        if unknown:
-            raise SchemaError(
-                f"tuple for stream {self.stream!r} carries unknown attributes {sorted(unknown)}"
-            )
 
 
 #: Schema used by the paper's motivating sensor-network example: a reading

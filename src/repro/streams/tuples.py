@@ -79,12 +79,6 @@ class StreamTuple:
     def attributes(self) -> Iterator[str]:
         return iter(self.values)
 
-    def with_values(self, **updates: Any) -> "StreamTuple":
-        """Return a copy of this tuple with some attribute values replaced."""
-        merged = dict(self.values)
-        merged.update(updates)
-        return StreamTuple(self.stream, self.timestamp, merged)
-
     def age(self, now: float) -> float:
         """Age of the tuple relative to clock time ``now`` (seconds)."""
         return now - self.timestamp
@@ -159,9 +153,6 @@ class RefTuple:
 
     def is_male(self) -> bool:
         return self.gender == MALE
-
-    def is_female(self) -> bool:
-        return self.gender == FEMALE
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         tag = "m" if self.is_male() else "f"

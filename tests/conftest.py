@@ -34,6 +34,17 @@ def result_keys(results: dict) -> dict[str, list[tuple[int, int]]]:
     return {name: joined_keys(items) for name, items in results.items()}
 
 
+def prefix_results(chain, results, window) -> list[JoinedTuple]:
+    """What a query whose window is a boundary of ``chain`` receives from the
+    chain's tagged ``results``: those of the slices inside its window."""
+    return [joined for index, joined in results if chain.boundaries[index + 1] <= window]
+
+
+def shard_engines(session) -> list:
+    """The engines of a serial-mode sharded session's shards."""
+    return [shard.engine for shard in session._shards]
+
+
 def regular_join_reference(
     tuples,
     window: float,

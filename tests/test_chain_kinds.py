@@ -18,6 +18,7 @@ from repro.engine.errors import QueryError, ShardingError
 from repro.query.predicates import EquiJoinCondition, attribute_gt
 from repro.runtime import ShardedStreamEngine, StreamEngine
 from repro.streams.generators import generate_join_workload
+from tests.conftest import shard_engines
 
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=12)
 DATA = generate_join_workload(rate_a=20, rate_b=20, duration=4.0, seed=5)
@@ -195,7 +196,7 @@ def test_a_sessions_chain_is_the_mem_opt_chain_of_its_windows(kind, steps):
         assert session.boundaries == expected
         if sharded:
             assert session.shard_boundaries() == [expected] * session.shards
-        for engine in session.shard_engines if sharded else [session]:
+        for engine in shard_engines(session) if sharded else [session]:
             assert len(engine._routing) == len(expected[1:])
             for end, routes in zip(expected[1:], engine._routing):
                 tapping = [name for names, _left, _right in routes for name in names]

@@ -11,7 +11,7 @@ from repro.engine.metrics import MetricsCollector
 from repro.operators.join import SlidingWindowJoin
 from repro.query.predicates import CrossProductCondition, EquiJoinCondition, selectivity_join
 from repro.streams.generators import generate_join_workload
-from tests.conftest import joined_keys, regular_join_reference
+from tests.conftest import joined_keys, prefix_results, regular_join_reference
 
 
 def chain_results(chain: SlicedJoinChain, tuples):
@@ -103,7 +103,7 @@ class TestTheorem3Memory:
         chain = SlicedJoinChain([0.0, 0.8, 1.6], condition)
         results = chain.process_all(data.tuples)
         for window in (0.8, 1.6):
-            answer = chain.results_for_window(results, window)
+            answer = prefix_results(chain, results, window)
             assert joined_keys(answer) == reference(data.tuples, window, condition)
 
 

@@ -22,13 +22,11 @@ from repro.core.merge_graph import (
 )
 from repro.core.slices import ChainSpec, SliceSpec
 from repro.engine.errors import ChainError
-from repro.query.predicates import selectivity_join
-from repro.query.query import workload_from_windows
 from repro.query.workload import build_workload, multi_query_workload
 
 
 def plain_workload(windows):
-    return workload_from_windows(list(windows), selectivity_join(0.1))
+    return build_workload(list(windows), 0.1)
 
 
 class TestSliceSpec:
@@ -97,8 +95,6 @@ class TestChainSpec:
         workload = plain_workload([1.0, 2.0, 4.0])
         chain = build_mem_opt_chain(workload)
         assert chain.slice_for_window(2.0) == 1
-        q3 = workload.query("Q3")
-        assert chain.slices_for_query(q3) == [0, 1, 2]
         assert [q.name for q in chain.queries_completing_in(0)] == ["Q1"]
         assert [q.name for q in chain.queries_tapping(2)] == ["Q3"]
         with pytest.raises(ChainError):

@@ -27,15 +27,16 @@ from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.engine.executor import execute_plan
 from repro.query.predicates import (
+    ComparisonPredicate,
     CrossProductCondition,
     EquiJoinCondition,
     ModularMatchCondition,
     ThetaJoinCondition,
-    attribute_ge,
 )
 from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.runtime import StreamEngine
 from repro.streams.tuples import make_tuple
+from tests.conftest import prefix_results
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -201,7 +202,10 @@ def test_block_kernel_equals_per_item_with_ties_bounds_and_link_filters(
     batch path returns the per-item results *and* the per-item counters."""
     condition = CONDITIONS[kind]()
     links = [
-        (attribute_ge("join_key", floors[2 * i]), attribute_ge("join_key", floors[2 * i + 1]))
+        (
+            ComparisonPredicate("join_key", ">=", floors[2 * i]),
+            ComparisonPredicate("join_key", ">=", floors[2 * i + 1]),
+        )
         for i in range(len(boundaries) - 1)
     ]
     chains = []
@@ -279,8 +283,9 @@ def test_engine_columnar_equals_tuple_path_on_weird_keys(
     chain_cls = SlicedJoinChain if window_kind == "time" else CountSlicedJoinChain
     chain = chain_cls([0, *windows.values()], condition, probe=probe)
     reference = chain.process_all(tuples)
-    restrict = chain.results_for_window if window_kind == "time" else chain.results_for_count
     assert delivered == {
-        name: sorted((j.left.seqno, j.right.seqno) for j in restrict(reference, window))
+        name: sorted(
+            (j.left.seqno, j.right.seqno) for j in prefix_results(chain, reference, window)
+        )
         for name, window in windows.items()
     }

@@ -4,7 +4,7 @@ The runtime layer has supported count windows since PR 2; this suite covers
 the static builders added by the statistics-plane PR: ``plan_builder`` and
 all three baselines must build count-window plans whose per-query answers
 are identical to each other, to the per-query unshared reference, and to a
-live :class:`CountStreamEngine` session over the same arrivals.
+live ``window_kind="count"`` :class:`StreamEngine` session over the same arrivals.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.query.predicates import (
     selectivity_join,
 )
 from repro.query.query import ContinuousQuery, QueryWorkload
-from repro.runtime import CountStreamEngine
+from repro.runtime import StreamEngine
 from repro.streams.generators import SelectivityValueGenerator, generate_join_workload
 from tests.conftest import joined_keys, result_keys
 
@@ -85,7 +85,7 @@ class TestCountDifferential:
         report = execute_plan(
             build_state_slice_plan(workload, window_kind="count"), stream_data.tuples
         )
-        engine = CountStreamEngine(workload.join_condition, batch_size=8)
+        engine = StreamEngine(workload.join_condition, batch_size=8, window_kind="count")
         for query in workload:
             engine.add_query(
                 query.name,

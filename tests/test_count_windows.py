@@ -10,8 +10,8 @@ from repro.engine.errors import ChainError, PlanError
 from repro.operators.count_join import CountSlicedBinaryJoin, CountWindowJoin
 from repro.query.predicates import CrossProductCondition, EquiJoinCondition
 from repro.streams.generators import generate_join_workload
-from repro.streams.tuples import Punctuation, make_tuple
-from tests.conftest import joined_keys
+from repro.streams.tuples import FEMALE, Punctuation, make_tuple
+from tests.conftest import joined_keys, prefix_results
 
 
 def reference_count_join(tuples, count, condition, left_stream="A", right_stream="B"):
@@ -83,7 +83,7 @@ class TestCountSlicedBinaryJoin:
         forwarded_females = [
             item
             for port, item in emitted
-            if port == "next" and hasattr(item, "is_female") and item.is_female()
+            if port == "next" and getattr(item, "gender", None) == FEMALE
         ]
         assert len(forwarded_females) == 2
         assert join.state_tuples("A")[0].timestamp == 2.0
@@ -115,12 +115,10 @@ class TestCountSlicedJoinChain:
         chain = CountSlicedJoinChain([0, 4, 10], condition)
         results = chain.process_all(data.tuples)
         for count in (4, 10):
-            answer = chain.results_for_count(results, count)
+            answer = prefix_results(chain, results, count)
             assert joined_keys(answer) == reference_count_join(
                 data.tuples, count, condition
             )
-        with pytest.raises(ChainError):
-            chain.results_for_count(results, 7)
 
     def test_states_disjoint_and_bounded(self):
         data = generate_join_workload(rate_a=25, rate_b=25, duration=4.0, seed=59)

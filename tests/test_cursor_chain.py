@@ -48,12 +48,12 @@ from repro.engine import columns
 from repro.engine.executor import execute_plan
 from repro.engine.spill import ROW_METADATA_BYTES, SpillStore
 from repro.query.predicates import (
+    ComparisonPredicate,
     CrossProductCondition,
     EquiJoinCondition,
-    FunctionPredicate,
     ModularMatchCondition,
+    Predicate,
     ThetaJoinCondition,
-    attribute_ge,
 )
 from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.runtime import StreamEngine
@@ -131,10 +131,14 @@ def evict(chain, store, budget):
         assert column.tiers()[:2] == (sum(ref is not None for ref in hot), len(cold))
 
 
+def at_least(floor):
+    return ComparisonPredicate("value", ">=", floor)
+
+
 def link_filters(floors, slices):
     """One ``value >= floor`` pair per link; floor 0 passes everything."""
     return [
-        (attribute_ge("value", floors[2 * i]), attribute_ge("value", floors[2 * i + 1]))
+        (at_least(floors[2 * i]), at_least(floors[2 * i + 1]))
         for i in range(slices)
     ]
 
@@ -165,7 +169,6 @@ def assert_same_state(cursor, operators):
         assert cursor.state_tuples(stream) == operators.state_tuples(stream)
     assert cursor.state_sizes() == operators.state_sizes()
     assert cursor.state_size() == operators.state_size()
-    assert cursor.head_state_sizes() == operators.head_state_sizes()
     assert cursor.link_filters() == operators.link_filters()
 
 
@@ -406,7 +409,7 @@ def test_a_row_filtered_at_a_link_mid_batch_is_judged_by_each_males_own_cuts(pro
     must not see it in slice 1 (applying the death at once loses the first
     result; never applying it invents the second)."""
     chain = SlicedJoinChain([0, 1, 2], EQUI, probe=probe)
-    chain.set_link_filters([(None, None), (None, attribute_ge("value", 2))])
+    chain.set_link_filters([(None, None), (None, at_least(2))])
     b = arrival("B", 0.0, value=1)
     chain.process_batch([b])
     males = [arrival("A", 0.5), arrival("A", 1.5)]
@@ -420,7 +423,13 @@ def test_a_female_meets_the_filter_installed_when_it_crosses_uncharged():
     filter a row meets is the one installed when it crosses the link, and
     only male copies are charged ``SELECT``."""
     calls = []
-    spy = FunctionPredicate(lambda tup: calls.append(tup.seqno) or tup["value"] >= 2)
+
+    class Spy(Predicate):
+        def matches(self, tup):
+            calls.append(tup.seqno)
+            return tup["value"] >= 2
+
+    spy = Spy()
     chain = SlicedJoinChain([0, 1, 2], EQUI)
     rows = [arrival("B", 0.0, value=1), arrival("B", 0.1, value=3)]
     chain.process_batch(rows)
@@ -439,7 +448,7 @@ def test_deeper_sweeps_skip_a_filtered_row_uncounted():
     probe comparison in any deeper slice."""
     cursor, operators = (cls([0, 1, 2, 3], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain))
     for chain in (cursor, operators):
-        chain.set_link_filters([(None, None), (None, attribute_ge("value", 2)), (None, None)])
+        chain.set_link_filters([(None, None), (None, at_least(2)), (None, None)])
     batches = [
         [arrival("B", 0.0, value=1), arrival("B", 0.1, value=1), arrival("B", 0.2, value=3)],
         [arrival("A", 1.5)],
@@ -459,7 +468,7 @@ def test_migrations_do_not_resurrect_rows_filtered_at_a_link(operation):
     them as alive) and when a split inserts a link in front of them."""
     cursor, operators = (cls([0, 1, 2], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain))
     for chain in (cursor, operators):
-        chain.set_link_filters([(None, None), (None, attribute_ge("value", 2))])
+        chain.set_link_filters([(None, None), (None, at_least(2))])
     feed(cursor, operators, [arrival("B", 0.0, value=1), arrival("B", 0.2, value=3)])
     feed(cursor, operators, [arrival("A", 1.3)])
     for chain in (cursor, operators):
@@ -478,7 +487,7 @@ def test_slices_no_dead_row_has_reached_are_counted_by_cursor_arithmetic():
     """(d) Only the slices behind a filtering link ever hold dead rows; the
     others keep ``dead == 0`` and are counted as ``stop - cut``."""
     chain = SlicedJoinChain([0, 1, 2, 3], EQUI)
-    chain.set_link_filters([(None, None), (None, None), (None, attribute_ge("value", 2))])
+    chain.set_link_filters([(None, None), (None, None), (None, at_least(2))])
     for step in range(40):
         chain.process_batch([arrival("B", step * 0.1, value=step % 3), arrival("A", step * 0.1)])
     left, right = chain._columns
@@ -495,7 +504,7 @@ def test_a_block_is_bounded_by_the_minimum_over_its_males(monkeypatch):
     monkeypatch.setattr(columns, "_BLOCK_ELEMENTS", 64)
     cursor, operators = (cls([0, 1, 4], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain))
     for chain in (cursor, operators):
-        chain.set_link_filters([(None, None), (attribute_ge("value", 2), None)])
+        chain.set_link_filters([(None, None), (at_least(2), None)])
     feed(cursor, operators, [arrival("B", step * 0.1) for step in range(30)])
     # Shallow males (value 1) and deep ones (value 3) alternate.
     feed(cursor, operators, [arrival("A", 3.0 + step * 0.01, value=1 + 2 * (step % 2)) for step in range(12)])
@@ -511,7 +520,7 @@ def test_compaction_rebases_nothing_and_posting_lists_survive_it(probe):
         cls([0, 0.5, 1.0, 2.0], EQUI, probe=probe) for cls in (SlicedJoinChain, OperatorJoinChain)
     )
     for chain in (cursor, operators):
-        chain.set_link_filters([(None, None), (None, None), (attribute_ge("value", 1), attribute_ge("value", 2))])
+        chain.set_link_filters([(None, None), (None, None), (at_least(1), at_least(2))])
     compactions = 0
     for step in range(60):
         batch = [
@@ -569,7 +578,7 @@ def test_a_cold_row_is_judged_at_a_link_through_the_tier_and_never_reported_agai
     log's accounting with its payload and no later male reads it."""
     cursor, operators = (cls([0, 1, 2], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain))
     for chain in (cursor, operators):
-        chain.set_link_filters([(None, None), (None, attribute_ge("value", 2))])
+        chain.set_link_filters([(None, None), (None, at_least(2))])
     low, high = arrival("B", 0.0, value=1), arrival("B", 0.1, value=3)
     feed(cursor, operators, [low, high])
     freeze(cursor, store)
@@ -594,7 +603,7 @@ def test_an_indexed_column_unindexes_cold_rows_leaving_off_the_end(store):
         cls([0, 1, 2], EQUI, probe="hash") for cls in (SlicedJoinChain, OperatorJoinChain)
     )
     for chain in (cursor, operators):
-        chain.set_link_filters([(None, None), (None, attribute_ge("value", 2))])
+        chain.set_link_filters([(None, None), (None, at_least(2))])
     rows = [arrival("B", 0.1 * step, value=step % 4, key=step % 3) for step in range(9)]
     feed(cursor, operators, rows)
     freeze(cursor, store)
@@ -634,15 +643,15 @@ def test_keyed_extract_and_ingest_over_a_half_cold_column(store):
     feed(cursor, operators, rows)
     cursor.evict_cold(store, 12 * TUPLE_BYTES, TUPLE_BYTES)
     assert all(0 < column.cold < len(column) for column in cursor._columns)
-    assert len(os.listdir(store.directory)) == 2  # one log per stream
+    assert len(os.listdir(store._directory)) == 2  # one log per stream
     moved = [chain.extract_keyed_state(lambda tup: tup["join_key"] == 2) for chain in (cursor, operators)]
     assert moved[0] == moved[1] and all(entry["A"] and entry["B"] for entry in moved[0])
-    assert os.listdir(store.directory) == []
+    assert os.listdir(store._directory) == []
     assert_same_state(cursor, operators)
     freeze(cursor, store)
     for chain, state in zip((cursor, operators), moved):
         assert chain.ingest_keyed_state(state) == 7
-    assert os.listdir(store.directory) == []
+    assert os.listdir(store._directory) == []
     assert_same_state(cursor, operators)
     feed(cursor, operators, [arrival("A", 2.45, key=1), arrival("B", 2.5, key=2)])
     assert_same_state(cursor, operators)
@@ -662,7 +671,7 @@ def test_introspection_leaves_the_tier_as_it_found_it(store):
     def tier():
         return (
             [(column.cold, list(column._refs)) for column in chain._columns],
-            sorted(os.listdir(store.directory)),
+            sorted(os.listdir(store._directory)),
             chain.memory_bytes(TUPLE_BYTES),
         )
 

@@ -141,5 +141,4 @@ class TestOperatorBase:
     def test_default_state_is_empty(self):
         operator = PassThrough(name="p")
         assert operator.state_size() == 0
-        assert not operator.is_stateful()
         assert operator.flush() == []

@@ -189,7 +189,7 @@ def baseline_count(tuples, condition, count, left_filter, right_filter, interval
 
     Window semantics of the engine: an arriving tuple joins the ``count``
     most recent tuples of the opposite stream (selections filter the
-    answers, not the ranks — see the CountStreamEngine docstring).
+    answers, not the ranks — see the count-window notes of repro.runtime.engine).
     """
     pairs = set()
     seen = {"A": [], "B": []}

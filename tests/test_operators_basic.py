@@ -10,7 +10,7 @@ from repro.operators.router import Route, Router
 from repro.operators.selection import JoinedFilter, Selection, StreamFilter
 from repro.operators.split import Split
 from repro.operators.union import BagUnion, OrderedUnion
-from repro.query.predicates import attribute_gt, attribute_lt
+from repro.query.predicates import ComparisonPredicate, attribute_gt
 from repro.streams.tuples import FEMALE, MALE, JoinedTuple, Punctuation, RefTuple, make_tuple
 
 
@@ -70,7 +70,7 @@ class TestJoinedFilter:
     def test_applies_left_and_right_predicates(self):
         residual = JoinedFilter(
             left_predicate=attribute_gt("value", 0.5),
-            right_predicate=attribute_lt("value", 0.5),
+            right_predicate=ComparisonPredicate("value", "<", 0.5),
         )
         good = JoinedTuple(make_tuple("A", 0.0, value=0.9), make_tuple("B", 0.0, value=0.1))
         bad = JoinedTuple(make_tuple("A", 0.0, value=0.9), make_tuple("B", 0.0, value=0.9))

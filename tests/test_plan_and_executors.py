@@ -24,7 +24,8 @@ def simple_plan() -> QueryPlan:
     plan = QueryPlan("simple")
     selection = Selection(attribute_gt("value", 0.25, 0.75), name="sel")
     join = SlidingWindowJoin(2.0, 2.0, CrossProductCondition(), name="join")
-    plan.add_operators([selection, join])
+    plan.add_operator(selection)
+    plan.add_operator(join)
     plan.add_entry("A", selection, "in")
     plan.add_entry("B", join, "right")
     plan.connect(selection, "out", join, "left")
@@ -48,7 +49,7 @@ class TestQueryPlan:
         with pytest.raises(PlanError):
             plan.connect(a, "out", b, "bogus")
         plan.connect(a, "out", b, "in")
-        assert len(plan.edges) == 1
+        assert [edge.target for edge in plan.downstream("a", "out")] == ["b"]
 
     def test_unknown_operator_lookup(self):
         plan = QueryPlan("p")

@@ -20,7 +20,8 @@ from repro.operators.selection import StreamFilter
 from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.operators.union import OrderedUnion
 from repro.query.predicates import selectivity_filter, selectivity_join
-from repro.query.query import ContinuousQuery, QueryWorkload, workload_from_windows
+from repro.query.query import ContinuousQuery, QueryWorkload
+from repro.query.workload import build_workload
 from tests.conftest import joined_keys, regular_join_reference
 
 
@@ -90,13 +91,13 @@ class TestStateSlicePlanStructure:
         assert (joins[1].slice.start, joins[1].slice.end) == (1.0, 3.0)
 
     def test_no_selection_workload_has_no_filters_or_routers(self):
-        workload = workload_from_windows([1.0, 2.0, 3.0], selectivity_join(0.2))
+        workload = build_workload([1.0, 2.0, 3.0], 0.2)
         plan = build_state_slice_plan(workload)
         assert not any(isinstance(op, StreamFilter) for op in plan.operators.values())
         assert not any(isinstance(op, Router) for op in plan.operators.values())
 
     def test_cpu_opt_chain_plan_contains_router_for_merged_slice(self):
-        workload = workload_from_windows([1.0, 1.2, 5.0], selectivity_join(0.2))
+        workload = build_workload([1.0, 1.2, 5.0], 0.2)
         params = ChainCostParameters(
             arrival_rate_left=50, arrival_rate_right=50, system_overhead=2.0
         )
@@ -125,7 +126,7 @@ class TestStateSlicePlanCorrectness:
         )
 
     def test_cpu_opt_chain_results(self, small_stream_data):
-        workload = workload_from_windows([0.5, 0.7, 2.0], selectivity_join(0.3))
+        workload = build_workload([0.5, 0.7, 2.0], 0.3)
         params = ChainCostParameters(
             arrival_rate_left=30, arrival_rate_right=30, system_overhead=2.0
         )
@@ -160,7 +161,7 @@ class TestStateSlicePlanCorrectness:
         assert_plan_matches_reference(plan, workload, small_stream_data.tuples)
 
     def test_single_query_degenerates_to_one_slice(self, small_stream_data):
-        workload = workload_from_windows([1.5], selectivity_join(0.3))
+        workload = build_workload([1.5], 0.3)
         plan = build_state_slice_plan(workload)
         joins = [op for op in plan.operators.values() if isinstance(op, SlicedBinaryJoin)]
         assert len(joins) == 1
@@ -186,7 +187,7 @@ class TestBaselines:
         )
 
     def test_pushdown_without_selections_falls_back_to_pullup_shape(self):
-        workload = workload_from_windows([1.0, 2.0], selectivity_join(0.2))
+        workload = build_workload([1.0, 2.0], 0.2)
         plan = build_pushdown_plan(workload)
         assert "shared_join" in plan.operators
 
@@ -228,7 +229,7 @@ class TestBaselines:
 
     def test_hash_algorithm_variants_agree(self, small_stream_data):
         condition = selectivity_join(1.0)  # cross product cannot use hash
-        workload = workload_from_windows([1.0, 2.0], selectivity_join(0.2))
+        workload = build_workload([1.0, 2.0], 0.2)
         # Only meaningful for equi-joins; here just confirm the nested-loop
         # and unshared plans agree on the same data.
         shared = execute_plan(build_pullup_plan(workload), small_stream_data.tuples)

@@ -13,18 +13,12 @@ from repro.query.predicates import (
     CrossProductCondition,
     EquiJoinCondition,
     FalsePredicate,
-    FunctionPredicate,
     ModularMatchCondition,
     NotPredicate,
     OrPredicate,
     ThetaJoinCondition,
     TruePredicate,
-    attribute_eq,
-    attribute_ge,
     attribute_gt,
-    attribute_le,
-    attribute_lt,
-    conjunction,
     disjunction,
     selectivity_filter,
     selectivity_join,
@@ -40,11 +34,11 @@ class TestComparisonPredicates:
     def test_operators(self):
         assert attribute_gt("x", 5).matches(tup(x=6))
         assert not attribute_gt("x", 5).matches(tup(x=5))
-        assert attribute_ge("x", 5).matches(tup(x=5))
-        assert attribute_lt("x", 5).matches(tup(x=4))
-        assert attribute_le("x", 5).matches(tup(x=5))
-        assert attribute_eq("x", 5).matches(tup(x=5))
-        assert not attribute_eq("x", 5).matches(tup(x=6))
+        assert ComparisonPredicate("x", ">=", 5).matches(tup(x=5))
+        assert ComparisonPredicate("x", "<", 5).matches(tup(x=4))
+        assert ComparisonPredicate("x", "<=", 5).matches(tup(x=5))
+        assert ComparisonPredicate("x", "==", 5).matches(tup(x=5))
+        assert not ComparisonPredicate("x", "==", 5).matches(tup(x=6))
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(QueryError):
@@ -70,10 +64,10 @@ class TestTrivialAndComposite:
         assert FalsePredicate().selectivity == 0.0
 
     def test_and_or_not(self):
-        p = attribute_gt("x", 0) & attribute_lt("x", 10)
+        p = attribute_gt("x", 0) & ComparisonPredicate("x", "<", 10)
         assert p.matches(tup(x=5))
         assert not p.matches(tup(x=20))
-        q = attribute_lt("x", 0) | attribute_gt("x", 10)
+        q = ComparisonPredicate("x", "<", 0) | attribute_gt("x", 10)
         assert q.matches(tup(x=20))
         assert not q.matches(tup(x=5))
         assert (~attribute_gt("x", 0)).matches(tup(x=-1))
@@ -91,12 +85,6 @@ class TestTrivialAndComposite:
         with pytest.raises(QueryError):
             OrPredicate(())
 
-    def test_function_predicate(self):
-        predicate = FunctionPredicate(lambda t: t["x"] % 2 == 0, selectivity=0.5, label="even")
-        assert predicate.matches(tup(x=4))
-        assert not predicate.matches(tup(x=3))
-        assert predicate.describe() == "even"
-
 
 class TestDisjunctionConjunctionHelpers:
     def test_disjunction_simplifications(self):
@@ -112,13 +100,6 @@ class TestDisjunctionConjunctionHelpers:
         b = selectivity_filter(0.5)
         combined = disjunction([a, b])
         assert combined.describe() == a.describe()
-
-    def test_conjunction_simplifications(self):
-        a = attribute_gt("x", 0, selectivity=0.5)
-        assert isinstance(conjunction([]), TruePredicate)
-        assert isinstance(conjunction([FalsePredicate(), a]), FalsePredicate)
-        assert conjunction([TruePredicate(), a]) is a
-        assert conjunction([a, a]) is a
 
     def test_selectivity_filter_extremes(self):
         assert isinstance(selectivity_filter(1.0), TruePredicate)

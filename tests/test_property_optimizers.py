@@ -16,8 +16,6 @@ from repro.core.cpu_opt import brute_force_cpu_opt_chain, build_cpu_opt_chain
 from repro.core.mem_opt import build_mem_opt_chain
 from repro.core.merge_graph import ChainCostParameters, chain_cpu_cost, chain_memory_cost
 from repro.core.plan_builder import build_state_slice_plan
-from repro.query.predicates import selectivity_join
-from repro.query.query import workload_from_windows
 from repro.query.workload import build_workload
 
 settings_strategy = st.builds(
@@ -90,7 +88,7 @@ class TestOptimizerProperties:
     @settings(max_examples=25, deadline=None)
     @given(windows=window_sets, params=cost_params)
     def test_dijkstra_cost_equals_brute_force_cost(self, windows, params):
-        workload = workload_from_windows(sorted(windows), selectivity_join(0.1))
+        workload = build_workload(sorted(windows), 0.1)
         fast = build_cpu_opt_chain(workload, params)
         exhaustive = brute_force_cpu_opt_chain(workload, params)
         assert chain_cpu_cost(fast, params) <= chain_cpu_cost(exhaustive, params) + 1e-9
@@ -112,7 +110,7 @@ class TestOptimizerProperties:
     @settings(max_examples=25, deadline=None)
     @given(windows=window_sets, params=cost_params)
     def test_cpu_opt_chain_never_worse_than_mem_opt(self, windows, params):
-        workload = workload_from_windows(sorted(windows), selectivity_join(0.05))
+        workload = build_workload(sorted(windows), 0.05)
         mem_opt = build_mem_opt_chain(workload)
         cpu_opt = build_cpu_opt_chain(workload, params)
         assert chain_cpu_cost(cpu_opt, params) <= chain_cpu_cost(mem_opt, params) + 1e-9
@@ -120,7 +118,7 @@ class TestOptimizerProperties:
     @settings(max_examples=15, deadline=None)
     @given(windows=window_sets)
     def test_every_chain_yields_a_buildable_plan(self, windows):
-        workload = workload_from_windows(sorted(windows), selectivity_join(0.1))
+        workload = build_workload(sorted(windows), 0.1)
         chain = build_mem_opt_chain(workload)
         plan = build_state_slice_plan(workload, chain=chain)
         plan.validate()

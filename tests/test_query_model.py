@@ -1,19 +1,18 @@
-"""Unit tests for windows, continuous queries, workloads, the parser and the
+"""Unit tests for windows, continuous queries, workloads and the
 window-distribution generators."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.errors import ConfigurationError, ParseError, QueryError
-from repro.query.parser import parse_query, parse_workload_text
+from repro.engine.errors import ConfigurationError, QueryError
 from repro.query.predicates import (
     EquiJoinCondition,
     TruePredicate,
     selectivity_filter,
     selectivity_join,
 )
-from repro.query.query import ContinuousQuery, QueryWorkload, workload_from_windows
+from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.query.windows import WindowSlice
 from repro.query.workload import (
     THREE_QUERY_DISTRIBUTIONS,
@@ -24,7 +23,6 @@ from repro.query.workload import (
     three_query_workload,
     window_distribution,
 )
-from repro.streams.tuples import make_tuple
 
 
 class TestWindows:
@@ -66,10 +64,6 @@ class TestContinuousQuery:
         )
         text = query.describe()
         assert "Q2" in text and "Temperature" in text and "value" in text
-
-    def test_with_window(self):
-        query = ContinuousQuery("Q", window=1.0, join_condition=selectivity_join(0.5))
-        assert query.with_window(9.0).window == 9.0
 
 
 class TestQueryWorkload:
@@ -138,87 +132,11 @@ class TestQueryWorkload:
         with pytest.raises(QueryError):
             two_query_workload.slice_filter(0.0, side="middle")
 
-    def test_workload_from_windows(self):
-        condition = selectivity_join(0.5)
-        workload = workload_from_windows([2.0, 1.0], condition)
+    def test_build_workload_names_queries_in_input_order(self):
+        workload = build_workload([2.0, 1.0], join_selectivity=0.5)
         assert workload.names() == ["Q2", "Q1"]
-        with pytest.raises(QueryError):
-            workload_from_windows([1.0], condition, left_filters=[])
-
-    def test_has_selections(self, two_query_workload, three_query_workload_fixture):
-        assert two_query_workload.has_selections()
-        assert three_query_workload_fixture.has_selections()
-        no_filters = workload_from_windows([1.0, 2.0], selectivity_join(0.5))
-        assert not no_filters.has_selections()
-
-
-class TestParser:
-    EXAMPLE = """
-        SELECT A.* FROM Temperature A, Humidity B
-        WHERE A.LocationId = B.LocationId AND A.Value > 10
-        WINDOW 60 min
-    """
-
-    def test_parses_the_paper_example(self):
-        query = parse_query(self.EXAMPLE, name="Q2", filter_selectivity=0.01)
-        assert query.window == pytest.approx(3600.0)
-        assert query.left_stream == "Temperature"
-        assert query.right_stream == "Humidity"
-        assert isinstance(query.join_condition, EquiJoinCondition)
-        assert query.left_filter.describe() == "Value > 10.0"
-        assert query.left_filter.selectivity == pytest.approx(0.01)
-        assert isinstance(query.right_filter, TruePredicate)
-
-    def test_filter_predicate_evaluates(self):
-        query = parse_query(self.EXAMPLE)
-        assert query.left_filter.matches(make_tuple("Temperature", 0.0, Value=20.0))
-        assert not query.left_filter.matches(make_tuple("Temperature", 0.0, Value=5.0))
-
-    def test_window_units(self):
-        base = "SELECT A.* FROM S A, T B WHERE A.k = B.k WINDOW {}"
-        assert parse_query(base.format("90 sec")).window == pytest.approx(90.0)
-        assert parse_query(base.format("2 hours")).window == pytest.approx(7200.0)
-        assert parse_query(base.format("30")).window == pytest.approx(30.0)
-
-    def test_right_side_filters(self):
-        text = (
-            "SELECT A.* FROM S A, T B WHERE A.k = B.k AND B.v <= 3 WINDOW 10 sec"
-        )
-        query = parse_query(text)
-        assert isinstance(query.left_filter, TruePredicate)
-        assert query.right_filter.describe() == "v <= 3.0"
-
-    def test_missing_join_predicate_rejected(self):
-        with pytest.raises(ParseError):
-            parse_query("SELECT A.* FROM S A, T B WHERE A.v > 1 WINDOW 10 sec")
-
-    def test_malformed_queries_rejected(self):
-        with pytest.raises(ParseError):
-            parse_query("SELECT * FROM S WINDOW 10 sec")
-        with pytest.raises(ParseError):
-            parse_query("SELECT A.* FROM S A, T B, U C WHERE A.k = B.k WINDOW 10")
-        with pytest.raises(ParseError):
-            parse_query("SELECT A.* FROM S A, T B WHERE A.k = B.k WINDOW ten minutes")
-        with pytest.raises(ParseError):
-            parse_query("SELECT A.* FROM S A, T B WHERE A.k = B.k WINDOW 10 fortnights")
-        with pytest.raises(ParseError):
-            parse_query("SELECT A.* FROM S A, T B WHERE C.v > 1 AND A.k = B.k WINDOW 10")
-
-    def test_parse_workload_text(self):
-        text = """
-            SELECT A.* FROM S A, T B WHERE A.k = B.k WINDOW 1 min;
-            SELECT A.* FROM S A, T B WHERE A.k = B.k AND A.v > 5 WINDOW 60 min
-        """
-        queries = parse_workload_text(text)
-        assert [q.name for q in queries] == ["Q1", "Q2"]
-        assert queries[0].window == pytest.approx(60.0)
-        assert queries[1].window == pytest.approx(3600.0)
-        workload = QueryWorkload(queries)
-        assert workload.window_sizes() == [60.0, 3600.0]
-
-    def test_parse_workload_text_empty(self):
-        with pytest.raises(ParseError):
-            parse_workload_text("   ")
+        assert workload.window_sizes() == [1.0, 2.0]
+        assert not any(query.has_selection for query in workload)
 
 
 class TestWindowDistributions:
@@ -267,4 +185,4 @@ class TestWindowDistributions:
     def test_multi_query_workload_shape(self):
         workload = multi_query_workload("small-large", query_count=12)
         assert len(workload) == 12
-        assert not workload.has_selections()
+        assert not any(query.has_selection for query in workload)

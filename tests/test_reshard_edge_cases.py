@@ -35,7 +35,7 @@ from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.query.predicates import CrossProductCondition, EquiJoinCondition
 from repro.runtime import ShardedStreamEngine, StreamEngine
 from repro.streams.tuples import make_tuple
-from tests.conftest import kill_worker
+from tests.conftest import kill_worker, shard_engines
 
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=8)
 
@@ -111,7 +111,7 @@ def test_shrink_to_one_is_the_degenerate_single_engine():
     for name in ("Q", "R"):
         assert pairs(sharded.results(name)) == pairs(single.results(name))
     # One shard holds the whole window state again.
-    assert sharded.state_size() == sharded.shard_engines[0].state_size()
+    assert sharded.state_size() == shard_engines(sharded)[0].state_size()
 
 
 def test_grow_then_shrink_mid_stream():
@@ -313,14 +313,14 @@ def test_reshard_waits_for_an_inflight_admission():
     sharded.process_many(make_stream(count=60))
     entered = threading.Event()
     release = threading.Event()
-    original = sharded.shard_engines[1].add_query
+    original = shard_engines(sharded)[1].add_query
 
     def slow_add(name, window, **kwargs):
         entered.set()
         assert release.wait(5), "test deadlock: admission never released"
         return original(name, window, **kwargs)
 
-    sharded.shard_engines[1].add_query = slow_add
+    shard_engines(sharded)[1].add_query = slow_add
     admission = threading.Thread(target=sharded.add_query, args=("R", 0.9))
     admission.start()
     assert entered.wait(5)
@@ -345,7 +345,7 @@ def test_reentrant_migration_raises_instead_of_deadlocking():
     sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
     sharded.add_query("Q", 2.0)
     caught = []
-    original = sharded.shard_engines[0].add_query
+    original = shard_engines(sharded)[0].add_query
 
     def reentrant_add(name, window, **kwargs):
         try:
@@ -354,7 +354,7 @@ def test_reentrant_migration_raises_instead_of_deadlocking():
             caught.append(exc)
         return original(name, window, **kwargs)
 
-    sharded.shard_engines[0].add_query = reentrant_add
+    shard_engines(sharded)[0].add_query = reentrant_add
     sharded.add_query("R", 0.9)
     assert caught, "re-entrant reshard should raise MigrationError"
     assert sharded.shards == 2  # the inner reshard did not run
@@ -477,14 +477,14 @@ def test_reshard_resplits_the_spill_budget_and_deletes_retired_segments():
             # Capture the retiring generation's segment stores, then grow:
             # the session budget must be re-split under the new modulus.
             retired_dirs = [
-                engine._spill_store.directory
-                for engine in sharded.shard_engines
+                engine._spill_store._directory
+                for engine in shard_engines(sharded)
                 if engine._spill_store is not None
-                and engine._spill_store.directory is not None
+                and engine._spill_store._directory is not None
             ]
             sharded.reshard(4)
             assert sharded.per_shard_memory_budget == 8192 // 4
-            assert [e.memory_budget_bytes for e in sharded.shard_engines] == (
+            assert [e.memory_budget_bytes for e in shard_engines(sharded)] == (
                 [8192 // 4] * 4
             )
         if index == 220:
@@ -503,5 +503,5 @@ def test_reshard_resplits_the_spill_budget_and_deletes_retired_segments():
     assert retired_dirs, "the 4096 B/shard budget should have forced spilling"
     for directory in retired_dirs:
         assert not os.path.exists(directory)
-    assert [e.memory_budget_bytes for e in sharded.shard_engines] == [8192]
+    assert [e.memory_budget_bytes for e in shard_engines(sharded)] == [8192]
     sharded.close()

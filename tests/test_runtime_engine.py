@@ -14,9 +14,9 @@ from functools import partial
 
 import pytest
 
-from repro.engine.errors import ExecutionError, QueryError
+from repro.engine.errors import ExecutionError, PlanError, QueryError
 from repro.query.predicates import EquiJoinCondition, selectivity_join
-from repro.runtime import CountStreamEngine, ShardedStreamEngine, StreamEngine
+from repro.runtime import ShardedStreamEngine, StreamEngine
 from repro.streams.generators import generate_join_workload
 from repro.streams.tuples import make_tuple
 
@@ -340,21 +340,21 @@ class TestCountSessions:
     """Count-window sessions mirror the time-window admission protocol."""
 
     def test_admission_inside_slice_splits(self):
-        engine = CountStreamEngine(CONDITION)
+        engine = StreamEngine(CONDITION, window_kind="count")
         engine.add_query("C1", 8)
         engine.add_query("C2", 3)
         assert engine.boundaries == (0, 3, 8)
         assert engine.stats.migrations[-1].kind == "split"
 
     def test_larger_count_appends_tail(self):
-        engine = CountStreamEngine(CONDITION)
+        engine = StreamEngine(CONDITION, window_kind="count")
         engine.add_query("C1", 8)
         engine.add_query("C2", 12)
         assert engine.boundaries == (0, 8, 12)
         assert engine.stats.migrations[-1].kind == "append"
 
     def test_remove_interior_boundary_merges(self):
-        engine = CountStreamEngine(CONDITION)
+        engine = StreamEngine(CONDITION, window_kind="count")
         engine.add_query("C1", 8)
         engine.add_query("C2", 3)
         engine.remove_query("C2")
@@ -362,7 +362,7 @@ class TestCountSessions:
         assert engine.stats.migrations[-1].kind == "merge"
 
     def test_count_windows_must_be_positive_integers(self):
-        engine = CountStreamEngine(CONDITION)
+        engine = StreamEngine(CONDITION, window_kind="count")
         with pytest.raises(QueryError):
             engine.add_query("C1", 2.5)
         with pytest.raises(QueryError):
@@ -372,7 +372,7 @@ class TestCountSessions:
     def test_split_then_merge_matches_fresh_plan(self, stream, batch_size):
         """Admission inside a slice mid-stream: the small query immediately
         sees the retained rank history; the survivor sees everything."""
-        engine = CountStreamEngine(CONDITION, batch_size=batch_size)
+        engine = StreamEngine(CONDITION, batch_size=batch_size, window_kind="count")
         engine.add_query("Cbig", 8)
         split_at = len(stream) // 3
         merge_at = 2 * len(stream) // 3
@@ -402,7 +402,7 @@ class TestCountSessions:
         already discarded, so the new query starts from the retained
         count-5 history and converges to the full count-9 answer — exactly
         the results a fresh shared plan over the suffix would produce."""
-        engine = CountStreamEngine(CONDITION, batch_size=batch_size)
+        engine = StreamEngine(CONDITION, batch_size=batch_size, window_kind="count")
         engine.add_query("Cbig", 5)
         extend_at = len(stream) // 2
         for index, tup in enumerate(stream):
@@ -439,7 +439,7 @@ class TestCountSessions:
     def test_remove_largest_count_drops_tail(self, stream):
         """Largest-window removal: the tail rank slices are shed and the
         remaining query keeps producing exact results."""
-        engine = CountStreamEngine(CONDITION, batch_size=16)
+        engine = StreamEngine(CONDITION, batch_size=16, window_kind="count")
         engine.add_query("Csmall", 4)
         engine.add_query("Cbig", 10)
         half = len(stream) // 2
@@ -460,7 +460,7 @@ class TestCountSessions:
     def test_output_identical_across_batch_sizes(self, stream):
         signatures = []
         for batch_size in (1, 7, 64):
-            engine = CountStreamEngine(CONDITION, batch_size=batch_size)
+            engine = StreamEngine(CONDITION, batch_size=batch_size, window_kind="count")
             engine.add_query("Cbig", 8)
             removed = {}
             for index, tup in enumerate(stream):
@@ -482,7 +482,7 @@ class TestCountSessions:
         assert signatures[0] == signatures[1] == signatures[2]
 
     def test_states_stay_disjoint_across_migrations(self, stream):
-        engine = CountStreamEngine(CONDITION, batch_size=16)
+        engine = StreamEngine(CONDITION, batch_size=16, window_kind="count")
         engine.add_query("C1", 8)
         checkpoints = {
             len(stream) // 5: ("add", "C2", 3),
@@ -588,7 +588,7 @@ class TestEngineAccounting:
     "make_session",
     [
         pytest.param(StreamEngine, id="engine"),
-        pytest.param(CountStreamEngine, id="count-engine"),
+        pytest.param(partial(StreamEngine, window_kind="count"), id="count-engine"),
         pytest.param(partial(ShardedStreamEngine, shards=1), id="1-shard-serial"),
         pytest.param(partial(ShardedStreamEngine, shards=2), id="2-shards-serial"),
         pytest.param(
@@ -621,3 +621,28 @@ def test_a_foreign_stream_is_refused_before_it_is_buffered(make_session):
     clean = run(offer_foreign=False)
     assert clean == ([(a1.seqno, b2.seqno), (a1.seqno, b4.seqno)], 3)
     assert run(offer_foreign=True) == clean
+
+
+@pytest.mark.parametrize(
+    "make_session",
+    [
+        pytest.param(StreamEngine, id="engine"),
+        pytest.param(partial(StreamEngine, window_kind="count"), id="count-engine"),
+        pytest.param(partial(ShardedStreamEngine, shards=1), id="1-shard-serial"),
+        pytest.param(partial(ShardedStreamEngine, shards=2), id="2-shards-serial"),
+        pytest.param(
+            partial(ShardedStreamEngine, shards=1, shard_mode="process"),
+            id="1-shard-process",
+        ),
+    ],
+)
+def test_a_bad_probe_is_refused_at_construction(make_session):
+    """An unknown ``probe=``, or ``"hash"`` on a condition without an
+    equi-key, fails the constructor — not every later admission (or, in a
+    sharded session, one wrapped copy of the error per shard)."""
+    for condition, probe in (
+        (EquiJoinCondition("k", "k"), "bogus"),
+        (selectivity_join(0.1), "hash"),
+    ):
+        with pytest.raises(PlanError):
+            make_session(condition, probe=probe)

@@ -115,7 +115,7 @@ class TestSlicedBinaryJoin:
         # produced, the male is propagated and a punctuation emitted.
         next_items = [item for port, item in out if port == "next"]
         assert len(next_items) == 2
-        assert isinstance(next_items[0], RefTuple) and next_items[0].is_female()
+        assert isinstance(next_items[0], RefTuple) and not next_items[0].is_male()
         assert next_items[1] is male_a
         assert "punct" in ports
         assert all(port != "output" for port, _ in out)

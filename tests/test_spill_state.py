@@ -31,6 +31,7 @@ from repro.query.predicates import EquiJoinCondition, selectivity_join
 from repro.runtime import ShardedStreamEngine, StreamEngine
 from repro.runtime.engine import CHAIN_KINDS, QueryError
 from repro.streams.tuples import StreamTuple
+from tests.conftest import shard_engines
 
 
 #: A state of left ("A") tuples under an equi-join gets the segment key
@@ -137,11 +138,11 @@ def test_spilled_state_probe_uses_key_index():
 
 def test_spill_store_close_removes_segment_directory():
     store = SpillStore()
-    assert store.directory is None  # lazy: no tempdir until a segment exists
+    assert store._directory is None  # lazy: no tempdir until a segment exists
     state = SpilledState(store, UNKEYED, make_tuples(48), flush_rows=16)
     for tup in make_tuples(48):
         state.append(tup)  # three more flushes of 16 rows each
-    directory = store.directory
+    directory = store._directory
     assert directory is not None and os.path.isdir(directory)
     assert store.segments_written >= 4
     assert state.memory_bytes(256)[1] > 0
@@ -205,8 +206,8 @@ def test_engine_close_releases_spill_store():
         )
     )
     store = engine._spill_store
-    assert store is not None and store.directory is not None
-    directory = store.directory
+    assert store is not None and store._directory is not None
+    directory = store._directory
     engine.close()
     assert not os.path.exists(directory)
     assert engine._spill_store is None
@@ -224,7 +225,7 @@ def interleaved(count, spacing=0.01, key_domain=4):
 
 
 def spill_files(engine):
-    directory = engine._spill_store.directory
+    directory = engine._spill_store._directory
     return [os.path.join(directory, name) for name in os.listdir(directory)]
 
 
@@ -333,7 +334,7 @@ def test_every_way_out_releases_the_log(monkeypatch):
     assert engine._chain is None and spill_files(engine) == []
     tuples = [StreamTuple(t.stream, t.timestamp + 10.0, t.values) for t in tuples]
     refill()
-    directory = engine._spill_store.directory
+    directory = engine._spill_store._directory
     engine.close()
     assert not os.path.exists(directory)
 
@@ -363,7 +364,7 @@ def test_reshard_export_cut_releases_every_retiring_log():
         engine.add_query("Q", 1.5)
         engine.process_many(tuples[:400])
     sharded.flush()
-    retiring = [engine._spill_store.directory for engine in sharded.shard_engines]
+    retiring = [engine._spill_store._directory for engine in shard_engines(sharded)]
     assert all(os.listdir(directory) for directory in retiring)
     sharded.reshard(3)
     assert not any(os.path.exists(directory) for directory in retiring)
@@ -373,5 +374,5 @@ def test_reshard_export_cut_releases_every_retiring_log():
     assert sorted((j.left.seqno, j.right.seqno) for j in sharded.results("Q")) == sorted(
         (j.left.seqno, j.right.seqno) for j in reference.results("Q")
     )
-    assert any(engine._spill_store is not None for engine in sharded.shard_engines)
+    assert any(engine._spill_store is not None for engine in shard_engines(sharded))
     sharded.close()

@@ -17,7 +17,7 @@ from repro.streams.generators import (
     generate_join_workload,
     interleave,
 )
-from repro.streams.schema import SENSOR_READING_SCHEMA, Attribute, Schema
+from repro.streams.schema import Attribute, Schema
 from repro.streams.tuples import make_tuple
 
 
@@ -38,28 +38,6 @@ class TestSchema:
         schema = Schema("S", (Attribute("a"),))
         with pytest.raises(SchemaError):
             schema.attribute("zzz")
-
-    def test_tuple_size_sums_attribute_sizes(self):
-        schema = Schema("S", (Attribute("a", int, 4), Attribute("b", float, 8)))
-        assert schema.tuple_size_bytes == 12
-
-    def test_from_mapping_and_project(self):
-        schema = Schema.from_mapping("S", {"a": int, "b": float, "c": str})
-        projected = schema.project(["a", "c"])
-        assert projected.names() == ["a", "c"]
-
-    def test_renamed_keeps_attributes(self):
-        renamed = SENSOR_READING_SCHEMA.renamed("Temperature")
-        assert renamed.stream == "Temperature"
-        assert renamed.names() == SENSOR_READING_SCHEMA.names()
-
-    def test_validate_tuple_missing_and_unknown(self):
-        schema = Schema("S", (Attribute("a"),))
-        with pytest.raises(SchemaError):
-            schema.validate_tuple({})
-        with pytest.raises(SchemaError):
-            schema.validate_tuple({"a": 1.0, "zzz": 2.0})
-        schema.validate_tuple({"a": 1.0})
 
     def test_attribute_validate(self):
         attribute = Attribute("a", float)

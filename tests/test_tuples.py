@@ -38,14 +38,6 @@ class TestStreamTuple:
         second = make_tuple("A", 0.0, x=1)
         assert second.seqno > first.seqno
 
-    def test_with_values_returns_modified_copy(self):
-        tup = make_tuple("A", 1.0, x=1, y=2)
-        updated = tup.with_values(y=99)
-        assert updated["y"] == 99
-        assert updated["x"] == 1
-        assert tup["y"] == 2
-        assert updated.timestamp == tup.timestamp
-
     def test_age_relative_to_clock(self):
         tup = make_tuple("A", 2.0, x=1)
         assert tup.age(5.0) == pytest.approx(3.0)
@@ -79,8 +71,8 @@ class TestRefTuple:
         base = make_tuple("A", 1.0, x=1)
         male = RefTuple(base, MALE)
         female = RefTuple(base, FEMALE)
-        assert male.is_male() and not male.is_female()
-        assert female.is_female() and not female.is_male()
+        assert male.is_male() and male.gender == MALE
+        assert not female.is_male() and female.gender == FEMALE
         assert male.base is female.base
         assert male.timestamp == female.timestamp == 1.0
         assert male.stream == "A"

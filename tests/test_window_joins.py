@@ -119,14 +119,13 @@ class TestSlidingWindowJoin:
         join.process(make_tuple("B", 1.0, k=1), "right")
         join.process(make_tuple("B", 2.0, k=1), "right")
         assert join.state_size() == 3
-        assert len(join.left_state_tuples()) == 1
-        assert len(join.right_state_tuples()) == 2
+        assert (len(join._left_state), len(join._right_state)) == (1, 2)
 
     def test_cross_purge_removes_expired_tuples(self):
         join = SlidingWindowJoin(1.0, 1.0, CrossProductCondition())
         join.process(make_tuple("A", 0.0, k=1), "left")
         join.process(make_tuple("B", 5.0, k=1), "right")
-        assert join.left_state_tuples() == []
+        assert len(join._left_state) == 0
 
     def test_probe_cost_counted_per_candidate(self):
         metrics = MetricsCollector()
