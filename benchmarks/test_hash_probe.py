@@ -111,7 +111,7 @@ def test_hash_probe_engine_outputs_identical():
     live session with admissions mid-stream stays pair-identical."""
     outputs = {}
     for probe in ("nested_loop", "hash"):
-        engine = StreamEngine(CONDITION, batch_size=32, probe=probe)
+        engine = StreamEngine(CONDITION, probe=probe)
         engine.add_query("Q1", 3.0)
         for index, tup in enumerate(DATA.tuples):
             if index == len(DATA.tuples) // 2:

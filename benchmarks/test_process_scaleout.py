@@ -11,7 +11,7 @@ the shards.
 What is gated is the property the former wall-clock floor (process ≥ 0.35×
 serial) stood for — *no per-batch pipe round-trip* — counted, not timed:
 over the timed region every shipped batch is one ring push (``ceil(shard
-arrivals / batch_size)`` per shard, none falling back to the pipe) and the
+arrivals / engine.batch_size)`` per shard, none falling back to the pipe) and the
 pipe carries exactly the two barriers the driver asks for (``flush`` and
 ``pop_results_all``: one reply per shard each), however many batches there
 were.  The ratio itself is still recorded, ungated: 0.53–0.56× on 2 cores
@@ -44,7 +44,6 @@ RATE = 500  # tuples/s per stream
 DURATION = 8.0
 KEY_DOMAIN = 40_000  # sparse: probes scan, almost nothing joins
 WINDOW = 6.0
-BATCH_SIZE = 256
 SHARDS = 4
 #: Commands that cross the pipe in the timed region: one flush barrier and
 #: one batched result pull, each answered once per shard.
@@ -88,9 +87,7 @@ def _run(mode: str, rounds: int = 3) -> tuple[float, dict]:
     best = float("inf")
     outputs = None
     for _ in range(rounds):
-        kwargs: dict = dict(
-            shards=SHARDS, batch_size=BATCH_SIZE, probe="nested_loop"
-        )
+        kwargs: dict = dict(shards=SHARDS, probe="nested_loop")
         if mode == "process":
             kwargs["shard_mode"] = "process"
         with ShardedStreamEngine(CONDITION, **kwargs) as engine:
@@ -133,8 +130,9 @@ def test_process_scaleout_gate(results_dir, monkeypatch):
     # are read back to zero, so only the timed region's traffic is in them).
     counts = _count_transport(monkeypatch)
     with ShardedStreamEngine(
-        CONDITION, shards=SHARDS, batch_size=BATCH_SIZE, probe="nested_loop", shard_mode="process"
+        CONDITION, shards=SHARDS, probe="nested_loop", shard_mode="process"
     ) as engine:
+        block = engine.batch_size
         engine.add_query("Q", WINDOW)
         counts.update(ring_pushes=0, pipe_replies=0)
         engine.process_many(DATA)
@@ -151,7 +149,7 @@ def test_process_scaleout_gate(results_dir, monkeypatch):
 
     arrivals = len(DATA)
     speedup = serial_seconds / process_seconds
-    batches = sum(-(-count // BATCH_SIZE) for count in ingested)
+    batches = sum(-(-count // block) for count in ingested)
     payload = {
         "benchmark": "process_scaleout_equi_join",
         "arrivals": arrivals,
@@ -161,7 +159,7 @@ def test_process_scaleout_gate(results_dir, monkeypatch):
             "duration_seconds": DURATION,
             "window_seconds": WINDOW,
             "equi_key_domain": KEY_DOMAIN,
-            "batch_size": BATCH_SIZE,
+            "batch_size": block,
             "shards": SHARDS,
             "probe": "nested_loop",
             "joined_pairs": sum(len(v) for v in serial_out.values()),

@@ -43,6 +43,8 @@ WINDOWS = (0.5, 2.0, 6.0)
 DATA = generate_join_workload(rate_a=RATE, rate_b=RATE, duration=DURATION, seed=77)
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=KEY_DOMAIN)
 
+#: Arrivals per ``process_many`` call: a batch, after which the budget is enforced.
+QUANTUM = 32
 STATE_OVER_BUDGET_GATE = 10.0
 THROUGHPUT_GATE = 0.35
 
@@ -55,15 +57,14 @@ def _run_session(memory_budget: int | None) -> dict:
     for _ in range(2):
         engine = StreamEngine(
             CONDITION,
-            batch_size=32,
             probe="nested_loop",
             memory_budget_bytes=memory_budget,
         )
         for name, window in zip(("Q1", "Q2", "Q3"), WINDOWS):
             engine.add_query(name, window)
         start = time.perf_counter()
-        engine.process_many(DATA.tuples)
-        engine.flush()
+        for first in range(0, len(DATA.tuples), QUANTUM):
+            engine.process_many(DATA.tuples[first : first + QUANTUM])
         best = min(best, time.perf_counter() - start)
         outputs = [
             [(j.left.seqno, j.right.seqno) for j in engine.results(name)]

@@ -52,9 +52,9 @@ def main() -> None:
     tuples = drifting_stream()
     condition = EquiJoinCondition("join_key", "join_key", key_domain=KEY_DOMAIN)
 
-    session = ShardedStreamEngine(condition, shards=1, batch_size=32)
+    session = ShardedStreamEngine(condition, shards=1)
     session.add_query("Q", WINDOW)
-    reference = StreamEngine(condition, batch_size=32)
+    reference = StreamEngine(condition)
     reference.add_query("Q", WINDOW)
 
     print(f"{len(tuples)} arrivals over {tuples[-1].timestamp:.1f} stream-seconds")

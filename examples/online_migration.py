@@ -41,7 +41,7 @@ def main() -> None:
     data = generate_join_workload(rate_a=20, rate_b=20, duration=30.0, seed=3)
     tuples = data.tuples
 
-    engine = StreamEngine(condition, batch_size=32)
+    engine = StreamEngine(condition)
     engine.add_query("Q1", window=4.0)
     print(f"Initial session (one registered query, window 4 s): {engine.describe()}")
 

@@ -28,7 +28,7 @@ def main() -> None:
     condition = EquiJoinCondition("join_key", "join_key", key_domain=10)
 
     # -- 1. selections: shared push-down recomputed on admission/removal ----
-    engine = StreamEngine(condition, batch_size=32)
+    engine = StreamEngine(condition)
     warm = attribute_gt("value", 0.2, selectivity=0.8)
     hot = attribute_gt("value", 0.5, selectivity=0.5)
     very_hot = attribute_gt("value", 0.8, selectivity=0.2)
@@ -50,7 +50,7 @@ def main() -> None:
         print(f"  pushed σ' in front of slice {index + 1}: {left_text}")
 
     # -- 2. count windows: rank-based slices, same migrations ---------------
-    counts = StreamEngine(condition, batch_size=32, window_kind="count")
+    counts = StreamEngine(condition, window_kind="count")
     counts.add_query("C20", 20)
     print("\nCount windows")
     for index, tup in enumerate(tuples):
@@ -68,7 +68,7 @@ def main() -> None:
     print("\nHash probing")
     outputs = {}
     for probe in ("nested_loop", "hash"):
-        session = StreamEngine(condition, batch_size=32, probe=probe)
+        session = StreamEngine(condition, probe=probe)
         session.add_query("Q", window=4.0)
         session.process_many(tuples)
         session.flush()

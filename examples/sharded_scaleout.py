@@ -44,7 +44,7 @@ def main() -> None:
     print("Serial scale-out (same core, smaller per-shard state)")
     reference = None
     for shards in (1, 2, 4):
-        engine = ShardedStreamEngine(CONDITION, shards=shards, batch_size=64)
+        engine = ShardedStreamEngine(CONDITION, shards=shards)
         engine.add_query("Q", 3.0)
         start = time.perf_counter()
         engine.process_many(tuples)
@@ -61,7 +61,7 @@ def main() -> None:
 
     # -- 2. admission fan-out: one logical session, N chains ----------------
     print("\nAdmission fan-out")
-    session = ShardedStreamEngine(CONDITION, shards=4, batch_size=64)
+    session = ShardedStreamEngine(CONDITION, shards=4)
     session.add_query("umbrella", 3.0)
     hot = attribute_gt("value", 0.7, selectivity=0.3)
     for index, tup in enumerate(tuples):
@@ -83,7 +83,7 @@ def main() -> None:
     half = tuples[: len(tuples) // 2]
     hot = [make_tuple(t.stream, t.timestamp, join_key=7, value=0.5) for t in half]
     for label, stream in (("uniform keys", half), ("one hot key", hot)):
-        session = ShardedStreamEngine(CONDITION, shards=4, batch_size=64)
+        session = ShardedStreamEngine(CONDITION, shards=4)
         session.add_query("Q", 2.0)
         session.process_many(stream)
         totals = session.shard_ingest_totals()

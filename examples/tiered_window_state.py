@@ -25,16 +25,20 @@ from repro.streams.generators import generate_join_workload
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=40)
 WINDOWS = {"fast": 0.5, "mid": 2.0, "slow": 6.0}
 DATA = generate_join_workload(rate_a=90, rate_b=90, duration=8.0, seed=7)
+#: Arrivals per ``process_many`` call: a batch, after which the budget is enforced.
+QUANTUM = 32
+
+
+def feed(session, tuples) -> None:
+    for start in range(0, len(tuples), QUANTUM):
+        session.process_many(tuples[start : start + QUANTUM])
 
 
 def run_session(memory_budget: int | None) -> tuple[list, dict]:
-    engine = StreamEngine(
-        CONDITION, batch_size=32, memory_budget_bytes=memory_budget
-    )
+    engine = StreamEngine(CONDITION, memory_budget_bytes=memory_budget)
     for name, window in WINDOWS.items():
         engine.add_query(name, window)
-    engine.process_many(DATA.tuples)
-    engine.flush()
+    feed(engine, DATA.tuples)
     answers = [
         sorted((j.left.seqno, j.right.seqno) for j in engine.results(name))
         for name in WINDOWS
@@ -68,21 +72,18 @@ def main() -> None:
     print("  answers identical to the in-core session across all three windows")
 
     # -- 3. sharded: the budget splits per shard and follows resharding -----
-    session = ShardedStreamEngine(
-        CONDITION, shards=2, batch_size=32, memory_budget_bytes=budget
-    )
+    session = ShardedStreamEngine(CONDITION, shards=2, memory_budget_bytes=budget)
     session.add_query("fast", WINDOWS["fast"])
     session.add_query("slow", WINDOWS["slow"])
     half = len(DATA.tuples) // 2
-    session.process_many(DATA.tuples[:half])
+    feed(session, DATA.tuples[:half])
     print(
         f"\nSharded session: {budget:,} B total"
         f" -> {session.per_shard_memory_budget:,} B/shard at 2 shards"
     )
     session.reshard(4)
     print(f"  after reshard(4): {session.per_shard_memory_budget:,} B/shard")
-    session.process_many(DATA.tuples[half:])
-    session.flush()
+    feed(session, DATA.tuples[half:])
     merged = session.merged_snapshot()
     print(
         f"  merged: resident {merged['memory.resident_bytes']:,.0f} B, "

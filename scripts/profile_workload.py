@@ -18,9 +18,10 @@ schedule is not replayed — this profiles the resident query set.
 
 Frames to look for: on a time-window session the chain is ``chain.py
 (_slice_results)`` over ``columns.py (sweep)`` / ``(purge_cut)`` /
-``(probe)`` / ``(settle)`` and the routing is ``engine.py (_run_batch)``
-(since PR 18); a budgeted one (``equi_spill``) runs the same chain since
-PR 19 and adds the tier — ``spill.py (read)`` under ``columns.py (_thaw)``
+``(probe)`` (which places the hits and reads their verdicts) / ``(settle)`` and
+``columns.py (__init__)`` of the ``HitBlock``; the routing is ``columns.py
+(route)`` under ``engine.py (_run_batch)``; a budgeted one (``equi_spill``)
+runs the same chain since PR 19 and adds the tier — ``spill.py (read)`` under ``columns.py (_thaw)``
 with ``posix.pread`` / ``_pickle.loads`` / the ``StreamTuple`` constructor
 for the cold rows a batch reports, ``chain.py (evict_cold)`` over
 ``columns.py (evict)`` and ``spill.py (append)`` for the rows it makes cold.

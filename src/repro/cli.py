@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--rate", type=float, default=20.0, help="tuples/s per stream")
     runtime.add_argument("--duration", type=float, default=30.0, help="stream seconds")
     runtime.add_argument("--s1", type=float, default=0.2, help="join selectivity S1")
-    runtime.add_argument("--batch-size", type=int, default=32)
     runtime.add_argument("--seed", type=int, default=3)
     runtime.add_argument(
         "--windows",
@@ -449,14 +448,12 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             condition,
             shards=args.shards,
             shard_mode=args.shard_mode,
-            batch_size=args.batch_size,
             probe=args.probe,
             memory_budget_bytes=memory_budget,
         )
     else:
         engine = StreamEngine(
             condition,
-            batch_size=args.batch_size,
             window_kind=args.window_kind,
             probe=args.probe,
             memory_budget_bytes=memory_budget,
@@ -472,8 +469,8 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
         f", {args.shards} {args.shard_mode} shard(s)" if sharded else ""
     )
     lines = [
-        f"StreamEngine demo: {len(tuples)} arrivals, batch size "
-        f"{args.batch_size}, {args.window_kind} windows, {args.probe} probing"
+        f"StreamEngine demo: {len(tuples)} arrivals, "
+        f"{args.window_kind} windows, {args.probe} probing"
         f"{shard_note}",
         "",
     ]
@@ -501,6 +498,8 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
                 f"(operator request (--reshard))"
             )
         engine.process(tup)
+        if index % 32 == 31:  # the caller's quantum is the session's batch
+            engine.flush()
     engine.flush()
     lines.append("")
     for query in engine.queries():

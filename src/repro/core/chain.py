@@ -14,7 +14,8 @@ way for both window kinds: per stream one
 per slice boundary.  A raw arrival is appended once; rows leave storage off
 the chain's end only; a merge deletes a cursor; a batch is classified once and
 each column answers it with one 2-D probe mask per block of males for *all*
-slices, hit pairs binned to slices afterwards by their own male's cuts.  A
+slices, hit pairs placed in slices afterwards, as arrays, by their own male's
+cuts — one :class:`~repro.engine.columns.HitBlock` per batch.  A
 chain kind supplies only *where its cursors are*: this module's time chain
 advances them by cross-purge (one sweep per slice; ``split_slice`` duplicates
 a cursor and the shrunk slice re-purges lazily, as in Section 5.3), the count
@@ -37,18 +38,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import ceil
-from operator import itemgetter
 
 from repro.core.chain_base import SlicedChainBase, SliceResult, TimeChainBase
-from repro.engine.columns import ChainColumn, ProbeBinding
+from repro.engine.columns import ChainColumn, HitBlock, ProbeBinding
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
 from repro.engine.spill import ROW_METADATA_BYTES, SpillLog, SpillStore
-from repro.streams.tuples import JoinedTuple, StreamTuple
+from repro.streams.tuples import StreamTuple
 
 __all__ = ["CursorChain", "SlicedJoinChain", "SliceResult"]
-
-_ORDER = itemgetter(0)
 
 
 @lru_cache(maxsize=256)
@@ -63,10 +61,11 @@ class CursorChain(SlicedChainBase):
 
     Everything that does not depend on *where* the cursors are: the two
     :class:`~repro.engine.columns.ChainColumn` columns, the once-per-batch
-    classification, probing and the binning of hits, introspection, the cold
-    prefix of a memory budget, keyed extract/ingest and the migrations that
-    delete, add or free a range.  A kind provides ``_slice_results`` (extend,
-    place the cursors each male sees, :meth:`_probe`, ``settle``),
+    classification, the verdict bits of the session's filters, introspection,
+    the cold prefix of a memory budget, keyed extract/ingest and the
+    migrations that delete, add or free a range.  A kind provides
+    ``_slice_results`` (extend, place the cursors each male sees, probe,
+    ``settle``, one :class:`~repro.engine.columns.HitBlock`),
     ``split_slice`` and, where a load's own cursors are not its, ``_place``.
     """
 
@@ -103,31 +102,11 @@ class CursorChain(SlicedChainBase):
             arrivals[side].append(tup)
         return arrivals, places, preceding
 
-    def _probe(self, side, column, males, own, stops, place, bins) -> int:
-        """Probe ``column`` (of stream ``side``) with the other stream's
-        ``males`` — ``own[j]`` their cuts, deepest slice first — and put each
-        hit, keyed by its male's ``place`` in the batch, in its slice's bin.
-        Returns the comparisons an indexed column counted (else 0)."""
-        hits, counted = column.probe(males, own, stops)
-        if side:  # the right stream's column: its males are left tuples
-            for j, k, match in hits:
-                bins[k].append((place[j], JoinedTuple(males[j], match)))
-        else:
-            for j, k, match in hits:
-                bins[k].append((place[j], JoinedTuple(match, males[j])))
-        return counted
-
-    @staticmethod
-    def _in_arrival_order(bins: list[list], arrivals) -> list[tuple[int, list[JoinedTuple]]]:
-        """The non-empty bins as ``(slice, results)``, the two columns' runs
-        merged into arrival order (by place) when both streams arrived."""
-        results = []
-        for k, found in enumerate(bins):
-            if found:
-                if arrivals[0] and arrivals[1]:
-                    found.sort(key=_ORDER)
-                results.append((k, [joined for _, joined in found]))
-        return results
+    def assign_filters(self, left: list, right: list) -> None:
+        """The filters each stream's rows keep verdicts for, in verdict
+        column order (:meth:`~repro.engine.columns.ChainColumn.assign_filters`)."""
+        self._columns[0].assign_filters(left)
+        self._columns[1].assign_filters(right)
 
     # -- introspection ----------------------------------------------------------
     def state_sizes(self) -> list[int]:
@@ -232,7 +211,7 @@ class SlicedJoinChain(CursorChain, TimeChainBase):
     """
 
     # -- execution ------------------------------------------------------------
-    def _slice_results(self, batch: list[StreamTuple]) -> list[tuple[int, list[JoinedTuple]]]:
+    def _slice_results(self, batch: list[StreamTuple]) -> HitBlock:
         metrics, filters, streams = self.metrics, self._filters, self._streams
         # -- link 0 filters the raw arrivals; then the batch is classified once
         for stream, entry in zip(streams, filters[0]):
@@ -241,18 +220,19 @@ class SlicedJoinChain(CursorChain, TimeChainBase):
                 metrics.count(CostCategory.SELECT, sum(tup.stream == stream for tup in batch))
                 passes = entry.predicate.matches
                 batch = [tup for tup in batch if tup.stream != stream or passes(tup)]
+        ends = self._bounds[1:]
         if not batch:
-            return []
+            return HitBlock(len(ends))
         arrivals, places, preceding = self._classify(batch)
         reach = [self._reach(side, arrivals[side]) for side in (0, 1)]
+        verdicts = [column.judge(arrivals[side]) for side, column in enumerate(self._columns)]
         # -- per column: extend, one purge sweep per slice, one probe, free
-        ends = self._bounds[1:]
-        bins: list[list] = [[] for _ in ends]
+        parts = []
         crossed: list[list] = [[], []]
         purges = probes = 0
         for side, column in enumerate(self._columns):
             males = arrivals[1 - side]
-            size = column.extend(arrivals[side])
+            size = column.extend(arrivals[side], verdicts[side])
             if not males:
                 continue
             stops = [size + before for before in preceding[1 - side]]
@@ -264,14 +244,9 @@ class SlicedJoinChain(CursorChain, TimeChainBase):
                 ends,
                 [pair[side] and pair[side].predicate.matches for pair in filters],
             )
-            if reach[1 - side][len(cuts) - 1] is reach[1 - side][0]:
-                own = list(zip(*reversed(cuts)))  # every male swept every slice
-            else:
-                own = [[] for _ in males]
-                for who, slice_cuts in zip(reversed(reach[1 - side][: len(cuts)]), reversed(cuts)):
-                    for j, cut in zip(who, slice_cuts):
-                        own[j].append(cut)
-            probes += probed + self._probe(side, column, males, own, stops, places[1 - side], bins)
+            found = column.probe(males, cuts, stops)
+            parts.append((side, found, males, verdicts[1 - side], places[1 - side]))
+            probes += probed + found[-1]
             column.settle()
             purges += purged
         metrics.count(CostCategory.PURGE, purges)
@@ -294,7 +269,7 @@ class SlicedJoinChain(CursorChain, TimeChainBase):
             if not items:
                 break
             metrics.record_invocation(_slice_name(self._bounds[k], end), items)
-        return self._in_arrival_order(bins, arrivals)
+        return HitBlock(len(ends), parts)
 
     def _reach(self, side: int, males: list[StreamTuple]) -> list[list[int]]:
         """Per slice, the males (by index) of stream ``side`` that reach it: a

@@ -45,8 +45,7 @@ class SlicedChainBase:
     one window / boundary: float seconds, int ranks); ``_build(bounds)``
     (create the empty slices; the base keeps the boundary list); the kernel
     ``_slice_results(batch)`` — one FIFO batch through every slice, returning
-    ``(slice index, its results in arrival order)`` per slice that produced
-    any; ``state_tuples(stream)`` / ``state_sizes()``;
+    what :meth:`process_batch` does; ``state_tuples(stream)`` / ``state_sizes()``;
     ``extract_keyed_state`` / ``_ingest``; ``split_slice`` and the migration
     hooks ``_merge(index)`` / ``_append(old_end, end)`` / ``_drop_tail()``.  A
     chain a session builds also answers for the disk tier of a memory budget
@@ -118,21 +117,19 @@ class SlicedChainBase:
         """Feed one arriving tuple (in global timestamp order) through the
         whole chain; returns every joined result produced, tagged with the
         index of the slice that produced it."""
-        return self.process_batch([tup])
+        return list(self.process_batch([tup]))
 
-    def process_batch(self, tuples: Sequence[StreamTuple], binned: bool = False):
+    def process_batch(self, tuples: Sequence[StreamTuple]):
         """Feed a FIFO batch of arrivals through the chain.
 
-        Results come in slice-major order — all of slice 0's for the batch,
-        then slice 1's, … — the same *set* as per-tuple processing, in
-        arrival order within a slice.  Returned as tagged ``(slice index,
-        joined)`` pairs, or with ``binned=True`` as the kernel's ``(slice
-        index, [joined, ...])`` bins (a session routes a slice at a time).
+        Returns the kernel's results: an iterable of tagged ``(slice index,
+        joined)`` pairs in slice-major order — all of slice 0's for the
+        batch, then slice 1's, … — the same *set* as per-tuple processing,
+        in arrival order within a slice.  A cursor chain's is a
+        :class:`~repro.engine.columns.HitBlock`, which a session routes as
+        arrays.
         """
-        bins = self._slice_results(list(tuples))
-        if binned:
-            return bins
-        return [(index, joined) for index, results in bins for joined in results]
+        return self._slice_results(list(tuples))
 
     def process_all(self, tuples: Sequence[StreamTuple]) -> list[SliceResult]:
         """Feed a whole (timestamp-ordered) sequence of tuples, one at a time."""

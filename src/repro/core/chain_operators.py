@@ -17,12 +17,13 @@ tuples into the new one on the next probe).
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Any, Sequence
 
 from repro.core.chain_base import SliceResult, TimeChainBase
 from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.query.windows import WindowSlice
-from repro.streams.tuples import JoinedTuple, StreamTuple
+from repro.streams.tuples import StreamTuple
 
 __all__ = ["OperatorJoinChain"]
 
@@ -82,14 +83,10 @@ class OperatorJoinChain(TimeChainBase):
             # Punctuations are dropped: results return directly, not via a union.
         return results
 
-    def _slice_results(self, batch: list) -> list[tuple[int, list[JoinedTuple]]]:
+    def _slice_results(self, batch: list) -> list[SliceResult]:
         """Each arrival through :meth:`process`, regrouped slice-major
         (stably: a slice's results stay in arrival order)."""
-        bins: dict[int, list[JoinedTuple]] = {}
-        for tup in batch:
-            for index, joined in self.process(tup):
-                bins.setdefault(index, []).append(joined)
-        return sorted(bins.items())
+        return sorted((pair for tup in batch for pair in self.process(tup)), key=itemgetter(0))
 
     # -- introspection ----------------------------------------------------------
     def state_sizes(self) -> list[int]:

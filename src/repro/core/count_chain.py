@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 
 from repro.core.chain import CursorChain
-from repro.engine.columns import ChainColumn
+from repro.engine.columns import ChainColumn, HitBlock
 from repro.engine.errors import QueryError
 from repro.engine.metrics import CostCategory
-from repro.streams.tuples import JoinedTuple, StreamTuple
+from repro.streams.tuples import StreamTuple
 
 __all__ = ["CountSlicedJoinChain"]
 
@@ -70,27 +70,29 @@ class CountSlicedJoinChain(CursorChain):
         return int(boundary)
 
     # -- execution ------------------------------------------------------------
-    def _slice_results(self, batch: list[StreamTuple]) -> list[tuple[int, list[JoinedTuple]]]:
+    def _slice_results(self, batch: list[StreamTuple]) -> HitBlock:
         metrics = self.metrics
         arrivals, places, preceding = self._classify(batch)
         bounds = self._bounds
         ends = bounds[1:]
-        deepest_first = ends[::-1]
-        bins: list[list] = [[] for _ in ends]
+        parts = []
         #: Per slice: the inserts of this batch that found it full, both streams.
         overflow = [0] * len(ends)
         probes = 0
+        verdicts = [column.judge(arrivals[side]) for side, column in enumerate(self._columns)]
         for side, column in enumerate(self._columns):
             females, males = arrivals[side], arrivals[1 - side]
-            size = column.extend(females)
+            size = column.extend(females, verdicts[side])
             if males:
                 # Male j sees the rows before it; slice k of those is their
                 # ranks [start_k, end_k), whatever the batch adds later.
                 stops = [size + before for before in preceding[1 - side]]
-                own = [[max(0, stop - end) for end in deepest_first] for stop in stops]
-                probes += self._probe(side, column, males, own, stops, places[1 - side], bins)
+                cuts = [[max(0, stop - end) for stop in stops] for end in ends]
+                found = column.probe(males, cuts, stops)
+                parts.append((side, found, males, verdicts[1 - side], places[1 - side]))
+                probes += found[-1]
                 if self.probe != "hash":  # one comparison per row in sight
-                    probes += sum(stops) - sum(cuts[0] for cuts in own)
+                    probes += sum(stops) - sum(cuts[-1])
             for k, end in enumerate(ends):
                 overflow[k] += max(0, min(len(females), size + len(females) - end))
             self._place(column)
@@ -102,7 +104,7 @@ class CountSlicedJoinChain(CursorChain):
         for start, end, handed_down in zip(bounds, ends, overflow):
             metrics.record_invocation(f"count-slice[{start},{end})", items)
             items = len(batch) + handed_down
-        return self._in_arrival_order(bins, arrivals)
+        return HitBlock(len(ends), parts)
 
     def _place(self, column: ChainColumn) -> None:
         """Every cursor of ``column`` at its rank (no row of a count chain is

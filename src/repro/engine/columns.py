@@ -39,20 +39,23 @@ ranges.  A :class:`ColumnarState` is driven one call at a time.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict, deque
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 from operator import lt as _lt
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.engine.errors import MigrationError
+from repro.streams.tuples import JoinedTuple, StreamTuple
 
 __all__ = [
     "ChainColumn",
     "ColumnarState",
+    "HitBlock",
     "ProbeBinding",
+    "RouteTable",
     "key_level",
     "INT_EXACT_MAX",
     "FLOAT_EXACT_MAX",
@@ -80,6 +83,16 @@ _BLOCK_ELEMENTS = 32768
 _MISSING = object()
 #: What purging or probing an empty state returns (shared, never mutated).
 _NOTHING = ((), 0)
+_EMPTY = np.zeros(0, np.intp)
+
+
+def _rounded(values: Any, fill: int) -> np.ndarray:
+    """``values``, then ``fill`` up to a multiple of 64 entries, as intp.  A
+    batch's per-hit arrays take that length: numpy keeps freed buffers under
+    1 KiB by exact size, so arrays of every hit count would pin a few each."""
+    out = np.full(-(-len(values) // 64) * 64, fill, np.intp)
+    out[: len(values)] = values
+    return out
 
 
 def key_level(value: Any) -> int:
@@ -163,6 +176,8 @@ class ColumnarState:
     """
 
     __slots__ = ("binding", "_refs", "_ts", "_keys", "_head", "_key_level", "_index")
+    #: The numpy columns parallel to ``_refs`` (one left ``None`` is skipped).
+    _ARRAYS = ("_ts", "_keys")
 
     def __init__(self, binding: ProbeBinding, tuples: Iterable[Any] = ()) -> None:
         self.binding = binding
@@ -398,9 +413,10 @@ class ColumnarState:
         n = len(self._refs)
         live = n - head
         del self._refs[:head]
-        self._ts[:live] = self._ts[head:n].copy()
-        if self._keys is not None:
-            self._keys[:live] = self._keys[head:n].copy()
+        for name in self._ARRAYS:
+            array = getattr(self, name)
+            if array is not None:
+                array[:live] = array[head:n].copy()
         self._head = 0
 
     def _ensure_room(self, extra: int = 1) -> None:
@@ -414,27 +430,12 @@ class ColumnarState:
             if n + extra <= self._ts.shape[0]:
                 return
         capacity = max(_MIN_CAPACITY, 2 * self._ts.shape[0], n + extra)
-        ts = np.empty(capacity, dtype=np.float64)
-        ts[:n] = self._ts[:n]
-        self._ts = ts
-        if self._keys is not None:
-            keys = np.empty(capacity, dtype=np.float64)
-            keys[:n] = self._keys[:n]
-            self._keys = keys
-
-    def _extend(self, tuples: Sequence[Any], keys: Sequence[Any], level: int) -> None:
-        """Bulk :meth:`append` of tuples whose keys were vetted at ``level``
-        (``keys=None``: there is no key column to fill)."""
-        if not tuples:
-            return
-        self._ensure_room(len(tuples))  # may compact: offsets stay, positions move
-        refs = self._refs
-        n = len(refs)
-        refs.extend(tuples)
-        self._ts[n : len(refs)] = [tup.timestamp for tup in tuples]
-        if keys is not None:
-            self._keys[n : len(refs)] = keys
-            self._key_level = level
+        for name in self._ARRAYS:
+            array = getattr(self, name)
+            if array is not None:
+                grown = np.empty((capacity, *array.shape[1:]), dtype=array.dtype)
+                grown[:n] = array[:n]
+                setattr(self, name, grown)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<ColumnarState key={self.binding.key_attribute!r} size={len(self)}>"
@@ -470,13 +471,21 @@ class ChainColumn(ColumnarState):
     the one that moved it: a hit is judged by its own male's cuts, a link
     death is kept as ``row -> link`` in ``_died`` until :meth:`settle`, and
     nothing is freed before the batch's hits are out.
+
+    A row's verdicts (``_verdicts``, a column per filter) say which of
+    ``filters`` it passes (:meth:`assign_filters`), valid unless ``_stale``:
+    filled at :meth:`extend`, else at the row's first hit — never by a pass
+    over the rows, which would read the cold prefix back.
     """
 
-    __slots__ = ("cuts", "dead", "_died", "_gone", "log", "cold", "_cold_dead")
+    __slots__ = ("cuts", "dead", "_died", "_gone", "log", "cold", "_cold_dead", "filters",
+                 "_verdicts", "_stale")
+    _ARRAYS = ("_ts", "_keys", "_verdicts", "_stale")
 
     def __init__(self, binding: ProbeBinding, slices: Sequence[Sequence[Any]]) -> None:
         #: The cold rows' payloads; set by the chain before the first ``evict``.
         self.log: Any = None
+        self.filters: list[Any] = []  # per verdict column
         super().__init__(binding, slices)
 
     def load(self, slices: Sequence[Sequence[Any]]) -> None:
@@ -495,6 +504,13 @@ class ChainColumn(ColumnarState):
         offset = len(self._refs)
         self.cuts = [offset := offset - len(tuples) for tuples in slices]
         self.dead = [0] * len(slices)
+        self._forget()
+
+    def _forget(self) -> None:
+        """Every row's verdicts stale."""
+        capacity = self._ts.shape[0]
+        self._verdicts = np.zeros((capacity, max(1, len(self.filters))), bool)
+        self._stale = np.ones(capacity, bool)
 
     def _build_index(self, refs: list[Any]) -> Any:
         index = defaultdict(list)
@@ -520,19 +536,43 @@ class ChainColumn(ColumnarState):
         tops = [len(self), *self.cuts]
         return [top - cut - dead for top, cut, dead in zip(tops, self.cuts, self.dead)]
 
-    def extend(self, tuples: Sequence[Any]) -> int:
-        """Append a batch's arrivals; returns the live rows there were before.
-        The first key without an exact float64 form invalidates the key
-        column (probing then takes the scalar check) until the next ``load``."""
+    def assign_filters(self, filters: list[Any]) -> None:
+        """Keep a verdict column per filter, in this order; a change makes
+        every row stale."""
+        if list(map(id, filters)) != list(map(id, self.filters)):
+            self.filters = filters
+            self._forget()
+
+    def judge(self, tuples: Sequence[Any]) -> np.ndarray:
+        """The verdicts of ``tuples``, a row each."""
+        verdicts = np.zeros((len(tuples), self._verdicts.shape[1]), bool)
+        for bit, predicate in enumerate(self.filters):
+            verdicts[:, bit] = list(map(predicate.matches, tuples))
+        return verdicts
+
+    def extend(self, tuples: Sequence[Any], verdicts: np.ndarray) -> int:
+        """Append a batch's arrivals with their verdict bits (:meth:`judge`);
+        returns the live rows there were before.  The first key without an
+        exact float64 form invalidates the key column (probing then takes the
+        scalar check) until the next ``load``."""
         size = len(self)
+        if not tuples:
+            return size
         attribute = self.binding.key_attribute
-        keys, level = None, 0
-        if self._keys is not None and tuples:
+        self._ensure_room(len(tuples))  # may compact: offsets stay, positions move
+        n = len(self._refs)
+        self._refs.extend(tuples)
+        rows = slice(n, len(self._refs))
+        self._ts[rows] = [tup.timestamp for tup in tuples]
+        self._verdicts[rows] = verdicts
+        self._stale[rows] = False
+        if self._keys is not None:
             keys = [tup.values.get(attribute, _MISSING) for tup in tuples]
-            level = max(self._key_level, *map(key_level, keys))
-            if level >= 2:
-                self._keys = keys = None
-        self._extend(tuples, keys, level)
+            self._key_level = max(self._key_level, *map(key_level, keys))
+            if self._key_level >= 2:
+                self._keys = None
+            else:
+                self._keys[rows] = keys
         if self._index is not None:
             for row, tup in enumerate(tuples, self._gone + size):
                 self._index[tup.values.get(attribute, _MISSING)].append(row)
@@ -556,7 +596,8 @@ class ChainColumn(ColumnarState):
         copy).  A live row that crosses link ``k`` meets ``predicates[k]`` (a
         callable or ``None``) as installed now and, failing it, is dead from
         slice ``k`` on.  Returns ``(cuts, crossed, purge comparisons, probe
-        comparisons)``: per swept slice the running cut of each of its males,
+        comparisons)``: per swept slice the running cut of every male (one
+        that stopped short keeps its deepest),
         per link the live rows that ``(arrived, passed)``, and both counts as
         the operator chain charges them — a purge comparison per live row
         expelled plus each male's failing check, a probe comparison per live
@@ -624,111 +665,89 @@ class ChainColumn(ColumnarState):
                         probe += live
                     gone = expelled
                 dead[k] += entered_dead - (final - start - left[-1])
-            swept.append(cuts)
             if who is not everyone:
                 stops = list(stops)
                 for j, cut in zip(who, cuts):
                     stops[j] = cut
             else:
                 stops = cuts
+            swept.append(stops)
             top, new_top, alive = start, final, leaving
             cursors[k] = final
         return swept, crossed, purge, probe
 
     def probe(
         self, males: Sequence[Any], cuts: Sequence[Sequence[int]], stops: Sequence[int]
-    ) -> tuple[list[tuple[int, int, Any]], int]:
-        """The hits of a swept batch, by male, then by row.
-
-        ``cuts[j]`` are male ``j``'s own cuts, deepest slice first (so
-        ascending): it sees the live rows ``[cuts[j][0], stops[j])``, a row
-        in the slice that the number of its cuts above the row names.
-        Returns ``([(male, slice, stored tuple)], comparisons)`` — those of
-        an indexed column, one per bucket entry in a male's range (else 0:
-        :meth:`sweep` counted rows).  With a valid key column and every key
-        within the condition's ``mask_level``: one 2-D ``match_mask`` per
-        block of males (at most ``_BLOCK_ELEMENTS``, sized by the widest range
-        of the block), only the hit pairs placed; otherwise the same row
-        ranges meet the condition's bound scalar check.
-        """
-        binding = self.binding
-        refs, head, died = self._refs, self._head, self._died
-        hits: list[tuple[int, int, Any]] = []
-
-        def place(j: int, row: int) -> int:
-            """The slice male ``j`` sees live row ``row`` in, or -1."""
-            own = cuts[j]
-            if row < own[0] or row >= stops[j] or refs[head + row] is None:
-                return -1
-            k = len(own) - bisect_right(own, row)
-            return -1 if died and died.get(row, k + 1) <= k else k
-
+    ) -> tuple[np.ndarray, np.ndarray, list[Any], np.ndarray, int]:
+        """A swept batch's candidate hits by male, then row: ``(males,
+        slices, stored tuples, their verdicts, comparisons)``, of a
+        :func:`_rounded` length; a candidate in slice ``len(cuts)`` is no
+        hit.  Male ``j`` sees rows ``[cuts[-1][j], stops[j])``, ``cuts[k][j]``
+        its cut of slice ``k`` (:meth:`sweep`).  One 2-D ``match_mask`` per
+        block of males when every key has an exact float64 form, else the
+        bound scalar check (an indexed column: on its bucket, one comparison
+        per entry)."""
+        binding, lows, depth = self.binding, cuts[-1], len(self.cuts)
+        keys = [male.values.get(binding.probe_attribute, _MISSING) for male in males]
+        level = -1 if self._keys is None else max(self._key_level, *map(key_level, keys))
+        scalar = not 0 <= level <= binding.mask_level
+        js, rows = [], []
         if self._index is not None:
-            comparisons = 0
-            for j, male in enumerate(males):
-                bucket = self._index.get(male.values.get(binding.probe_attribute, _MISSING))
-                if not bucket:
-                    continue
-                first = bisect_left(bucket, self._gone + cuts[j][0])
-                found = []
-                for row in bucket[first : bisect_left(bucket, self._gone + stops[j], first)]:
-                    k = place(j, row - self._gone)
-                    if k >= 0:
-                        found.append((j, k, refs[head + row - self._gone]))
-                if found:
-                    comparisons += len(found)
-                    check = binding.bind(male)
-                    hits.extend(hit for hit in self._warm(found) if check(hit[2]))
-            return hits, comparisons
-        probe_keys = [male.values.get(binding.probe_attribute, _MISSING) for male in males]
-        level = -1 if self._keys is None else max(self._key_level, *map(key_level, probe_keys))
-        if not 0 <= level <= binding.mask_level:
-            # No exact mask: the same row ranges, row by row (a scalar check
-            # reads payloads, so every cold row is read once per batch).
-            if self.cold:
-                refs, head = self._thaw(refs[head:]), 0
-            for j, male in enumerate(males):
-                check = None
-                for row in range(cuts[j][0], stops[j]):
-                    k = place(j, row)
-                    if k >= 0:
-                        check = check or binding.bind(male)
-                        if check(refs[head + row]):
-                            hits.append((j, k, refs[head + row]))
-            return hits, 0
-        lows = [own[0] for own in cuts]
-        keys = self._keys[None, head : head + stops[-1]]
-        probes = np.array(probe_keys, dtype=np.float64)[:, None]
-        first = 0
-        while first < len(males):
-            # Males of one block differ in depth, so the deepest visible row
-            # is not monotone in j: size and bound the block by the minimum.
-            width = max(1, stops[-1] - min(lows[first:]))
-            last = min(len(males), first + max(1, _BLOCK_ELEMENTS // width))
-            lo, hi = min(lows[first:last]), stops[last - 1]
-            if hi > lo:
-                sel = binding.match_mask(probes[first:last], keys[:, lo:hi], level == 0)
-                rows, cols = divmod(np.flatnonzero(sel), hi - lo)
-                for j, row in zip(rows.tolist(), cols.tolist()):
-                    # place(), inlined: this loop runs once per mask hit.
-                    j += first
-                    row += lo
-                    own = cuts[j]
-                    ref = refs[head + row]
-                    if row < own[0] or row >= stops[j] or ref is None:
-                        continue
-                    k = len(own) - bisect_right(own, row)
-                    if not died or died.get(row, k + 1) > k:
-                        hits.append((j, k, ref))
-            first = last
-        return self._warm(hits), 0
-
-    def _warm(self, hits: list[tuple[int, int, Any]]) -> list[tuple[int, int, Any]]:
-        """Placed ``hits`` with the cold rows among them read back."""
-        if not self.cold:
-            return hits
-        refs = self._thaw([hit[2] for hit in hits])
-        return [(j, k, ref) for (j, k, _), ref in zip(hits, refs)]
+            for j, key in enumerate(keys):
+                bucket = self._index.get(key, ())
+                first = bisect_left(bucket, self._gone + lows[j])
+                found = bucket[first : bisect_left(bucket, self._gone + stops[j], first)]
+                js += [j] * len(found)
+                rows += [row - self._gone for row in found]
+        elif scalar:  # every row of each male's range
+            for j, (low, stop) in enumerate(zip(lows, stops)):
+                js += [j] * (stop - low)
+                rows += range(low, stop)
+        else:
+            column, first = self._keys[None, self._head :], 0
+            probes = np.array(keys, np.float64)[:, None]
+            while first < len(males):
+                # Males of one block differ in depth: size and bound it by the minimum.
+                width = max(1, stops[-1] - min(lows[first:]))
+                last = min(len(males), first + max(1, _BLOCK_ELEMENTS // width))
+                lo, hi = min(lows[first:last]), stops[last - 1]
+                if hi > lo:
+                    sel = binding.match_mask(probes[first:last], column[:, lo:hi], level == 0)
+                    block_js, block_rows = divmod(np.flatnonzero(sel), hi - lo)
+                    js.append(block_js + first)
+                    rows.append(block_rows + lo)
+                first = last
+            js, rows = (np.concatenate(a) if a else _EMPTY for a in (js, rows))
+        # Place each candidate: its slice is how many of its male's cuts lie
+        # above the row, unless the row is not live in a slice the male sees
+        # (before its range, or filtered at a link at or above it).  No tuple
+        # is read for a non-hit; cold payloads are read back.
+        js, rows = _rounded(js, 0), _rounded(rows, -1)  # row -1: before every cut
+        swept = len(cuts)
+        ks = np.full(len(js), swept)
+        for slice_cuts in np.array(cuts, np.intp):
+            ks[slice_cuts[js] <= rows] -= 1
+        valid = (ks < swept) & (rows < np.array(stops)[js])
+        if self._died:  # a row is in no slice from the link it died at on
+            valid &= np.array([self._died.get(row, swept) for row in rows.tolist()]) > ks
+        refs, head = self._refs, self._head
+        found = [refs[head + row] if ok else None for row, ok in zip(rows.tolist(), valid.tolist())]
+        ks[[ref is None for ref in found]] = depth  # a miss, or filtered at a link earlier
+        found = self._thaw(found) if self.cold else found
+        comparisons = int(np.count_nonzero(ks < depth)) if self._index is not None else 0
+        if scalar:
+            checks = list(map(binding.bind, males))
+            failed = [ref is not None and not checks[j](ref) for j, ref in zip(js.tolist(), found)]
+            ks[failed] = depth
+        # The hits' verdicts; a stale row's are computed now and kept.
+        at = rows + self._head
+        verdicts = self._verdicts[at]
+        stale = np.flatnonzero((ks < depth) & self._stale[at])
+        if len(stale) and self.filters:
+            verdicts[stale] = self.judge([found[i] for i in stale.tolist()])
+            self._verdicts[at[stale]] = verdicts[stale]
+            self._stale[at[stale]] = False
+        return js, ks, found, verdicts, comparisons
 
     def _thaw(self, refs: list[Any]) -> list[Any]:
         """``refs`` with every cold entry (a row id) replaced by that row's
@@ -796,3 +815,113 @@ class ChainColumn(ColumnarState):
                 self._cold_dead -= taken[:cold].count(None)
                 self.cold = max(0, cold - count)
                 self.log.free(self._gone)
+
+
+class HitBlock:
+    """A batch's results as arrays: entry ``i`` joins ``lefts[i]`` and
+    ``rights[i]`` in slice ``slices[i]`` at its male's time ``stamps[i]``,
+    with (left, right) ``seqnos`` and verdicts ``bits`` and the male's batch
+    ``places``; an entry in slice ``depth`` is no result.  Built from per
+    probed column ``(side, probe result, males, their verdicts, their
+    places)``, side 0 the left stream's column.  Iterated: ``(slice,
+    JoinedTuple)`` pairs slice-major, in arrival order."""
+
+    __slots__ = ("depth", "slices", "stamps", "places", "seqnos", "bits", "lefts", "rights")
+
+    def __init__(self, depth: int, parts: Sequence[tuple] = ()) -> None:
+        self.depth, self.lefts, self.rights = depth, [], []
+        arrays: list[list[np.ndarray]] = [[] for _ in range(7)]
+        for side, (js, ks, found, bits, _), males, male_bits, places in parts:
+            mine = list(map(males.__getitem__, js.tolist()))
+            male = (mine, np.array([male.seqno for male in males])[js], male_bits[js])
+            seqnos = map(getattr, found, repeat("seqno"), repeat(0))  # 0: no hit
+            stored = (found, np.array(list(seqnos)), bits)
+            left, right = (male, stored) if side else (stored, male)
+            self.lefts += left[0]
+            self.rights += right[0]
+            stamps = np.array([male.timestamp for male in males])[js]
+            at = np.array(places)[js]
+            for column, values in zip(arrays, (ks, stamps, at, *left[1:], *right[1:])):
+                column.append(values)
+        self.slices, self.stamps, self.places, lseq, lbits, rseq, rbits = (
+            np.concatenate(a) if a else _EMPTY for a in arrays
+        )
+        self.seqnos, self.bits = (lseq, rseq), (lbits, rbits)
+
+    def __iter__(self) -> Iterator[tuple[int, Any]]:
+        slices = self.slices.tolist()
+        for i in np.lexsort((self.places, self.slices)).tolist():
+            if slices[i] == self.depth:
+                break
+            yield slices[i], JoinedTuple(self.lefts[i], self.rights[i])
+
+
+class RouteTable:
+    """A session's routing as arrays, built from its ``routing``: per family
+    of queries asking the same checks, ``(taps, left residuals, right
+    residuals)`` — the members as ``(name, last slice tapped)``, a residual
+    per slice or ``None``.  ``filters``: per stream, the residuals whose
+    verdicts the routing reads, in verdict column order.  Entry ``depth`` of a
+    table is the slice of the entries that are no result."""
+
+    __slots__ = ("families", "filters")
+
+    def __init__(self, routing: Sequence[tuple], depth: int) -> None:
+        self.families, self.filters = [], ([], [])
+        for taps, *residuals in routing:
+            tapping = [sum(k <= last for _, last in taps) for k in range(depth + 1)]
+            checks = []  # per checked stream: its verdict column, where not, and SELECT per entry
+            for side, residual in enumerate(residuals):
+                checked = next((r for r in residual if r is not None), None)
+                if checked is not None:  # a family's residual is its query filter
+                    if checked not in self.filters[side]:
+                        self.filters[side].append(checked)
+                    bit = self.filters[side].index(checked)
+                    free = [r is None for r in residual] + [True]
+                    charge = [0 if skip else members for skip, members in zip(free, tapping)]
+                    checks.append((side, bit, np.array(free), np.array(charge)))
+            self.families.append((taps, max(last for _, last in taps), checks))
+
+    def route(self, block: HitBlock) -> tuple[list[tuple[str, list[Any]]], int]:
+        """``([(query, results)], SELECT comparisons)``: results in
+        ``(timestamp, left seqno, right seqno)`` order, one shared
+        :class:`JoinedTuple` each; ``SELECT`` as per-result checks charge it."""
+        if not len(block.slices):
+            return [], 0
+        order = np.lexsort((block.seqnos[1], block.seqnos[0], block.stamps))
+        slices = block.slices[order]
+        bits = [side[order] for side in block.bits]
+        select, passes, anyone = 0, [], np.zeros(len(order), bool)
+        for _, deepest, checks in self.families:
+            passed = slices <= deepest
+            for side, bit, free, charge in checks:
+                select += int(charge[slices][passed].sum())
+                passed &= free[slices] | bits[side][:, bit]
+            anyone |= passed
+            passes.append(passed)
+        where = np.flatnonzero(anyone)
+        picked = order[where].tolist()
+        lefts, rights = map(block.lefts.__getitem__, picked), map(block.rights.__getitem__, picked)
+        joined = list(map(JoinedTuple, lefts, rights))
+        where = _rounded(where, 0)  # the padding lies past ``joined``: compress stops there
+        received, deliveries = slices[where], []
+        for (taps, _, _), passed in zip(self.families, passes):
+            passed = passed[where]
+            for name, last in taps:
+                mine = list(compress(joined, ((received <= last) & passed).tolist()))
+                if mine:
+                    deliveries.append((name, mine))
+        return deliveries, select
+
+
+def _map_kernels() -> None:
+    """Route a one-entry block once, at import.  numpy maps a routine's
+    machine code (64–128 KiB of it) at its first call; this charges the
+    routing's routines to the import, not to the first session's growth."""
+    tup, flag, verdict = StreamTuple("", 0.0, {}, 0), object(), np.ones((1, 1), bool)
+    hit = (np.zeros(1, np.intp), np.zeros(1, np.intp), [tup], verdict, 0)
+    table = RouteTable([([("", 0)], [flag], [None])], 1)
+    table.route(HitBlock(1, [(1, hit, [tup], verdict, [0])]))
+
+
+_map_kernels()

@@ -58,22 +58,25 @@ whole window state.  The index is a property of the column
 (:mod:`repro.engine.columns`: posting lists of row ids, which no split or
 merge touches) and is rebuilt with whatever a keyed ingest loads.
 
-Arrivals are processed by the cursor chain's block kernel in batches of
-``batch_size`` (1 = per-tuple).  Per-query results are delivered
-in timestamp order (ties broken by sequence numbers), which makes the
-output independent of the batch size.
+The caller's quantum is the batch: ``process_many`` runs its arrivals as
+one (split at :data:`BLOCK`), ``process`` buffers until a barrier — flush,
+pull, admission, removal, introspection — and the chain's
+:class:`~repro.engine.columns.HitBlock` is routed as arrays.  Per-query
+results are delivered in timestamp order (ties broken by sequence
+numbers), which makes the output independent of where batches end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable
 
 from repro.core.chain import SlicedJoinChain
 from repro.core.chain_base import SlicedChainBase
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.core.pushdown import residual_predicate
+from repro.engine.columns import RouteTable
 from repro.engine.errors import ExecutionError, MigrationError, QueryError
 from repro.engine.metrics import CostCategory, MetricsCollector, append_bounded
 from repro.engine.spill import SpillStore, estimate_tuple_bytes
@@ -83,6 +86,7 @@ from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.streams.tuples import JoinedTuple, StreamTuple
 
 __all__ = [
+    "BLOCK",
     "EngineStats",
     "MigrationEvent",
     "RegisteredQuery",
@@ -91,12 +95,16 @@ __all__ = [
 
 _EPSILON = 1e-9
 
-#: One per-slice routing entry: ``(queries, left_res, right_res)`` — the
-#: queries whose taps of the slice ask for exactly the same checks.  Every
-#: result of a slice is inside the windows of the queries tapping it (each
-#: window is a boundary), so there is no window check; a residual predicate
-#: is None when already implied by the filter pushed below the slice.
-_Route = tuple[list[str], Predicate | None, Predicate | None]
+#: Arrivals one batch holds at most: what bounds a batch's transient memory.
+BLOCK = 1024
+
+#: One routing entry per family of queries asking the same checks: ``(taps,
+#: left residuals, right residuals)`` — ``taps`` the members as ``(name, last
+#: slice tapped)``, a residual per slice.  Every result of a slice is inside
+#: the windows of the queries tapping it (each window is a boundary), so
+#: there is no window check; a residual predicate is None when already
+#: implied by the filter pushed below the slice.
+_Route = tuple[list[tuple[str, int]], list[Predicate | None], list[Predicate | None]]
 
 
 #: The one decision ``window_kind`` makes: which chain class a session runs.
@@ -107,7 +115,6 @@ CHAIN_KINDS: dict[str, type[SlicedChainBase]] = {
     "count": CountSlicedJoinChain,
 }
 
-_ORDER_KEY = itemgetter(0)
 _NO_FILTER = TruePredicate()
 
 
@@ -189,9 +196,6 @@ class StreamEngine:
         :class:`~repro.query.query.QueryWorkload`).
     left_stream / right_stream:
         Names of the two input streams.
-    batch_size:
-        Number of arrivals grouped into one chain batch; 1 processes
-        per-tuple.  Results are independent of the batch size.
     metrics:
         Optional shared metrics collector for cost accounting.
     window_kind:
@@ -224,7 +228,6 @@ class StreamEngine:
         condition: JoinCondition,
         left_stream: str = "A",
         right_stream: str = "B",
-        batch_size: int = 32,
         metrics: MetricsCollector | None = None,
         window_kind: str = "time",
         probe: str = "nested_loop",
@@ -242,17 +245,18 @@ class StreamEngine:
         self.condition = condition
         self.left_stream = left_stream
         self.right_stream = right_stream
-        self.batch_size = max(1, int(batch_size))
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.window_kind = window_kind
         self.probe = probe
-        self.stats = EngineStats()
+        self._stats = EngineStats()
         self._chain: SlicedChainBase | None = None
         self._queries: dict[str, RegisteredQuery] = {}
         self._results: dict[str, list[JoinedTuple]] = {}
         self._pending: list[StreamTuple] = []
         self._last_timestamp = float("-inf")
-        self._routing: list[list[_Route]] = []
+        self._routing: list[_Route] = []
+        #: ``_routing`` as arrays, built when the first batch after a plan change needs it.
+        self._table: RouteTable | None = None
         self.memory_budget_bytes = memory_budget_bytes
         self._spill_store: SpillStore | None = None
         self._tuple_bytes: int | None = None
@@ -336,6 +340,7 @@ class StreamEngine:
             chain.release_spill()
             self._chain = None
             self._routing = []
+            self._table = None
             self._record_migration("teardown", query.window)
             return delivered
         if any(abs(q.window - query.window) <= _EPSILON for q in self._queries.values()):
@@ -369,8 +374,12 @@ class StreamEngine:
         return predicate
 
     # -- execution -------------------------------------------------------------
+    #: The most arrivals one batch holds (read-only).
+    batch_size = property(lambda self: BLOCK)
+
     def process(self, tup: StreamTuple) -> None:
-        """Ingest one arriving tuple (buffered until the batch fills).
+        """Ingest one arriving tuple (buffered until the next barrier or a
+        full block).
 
         Arrivals must come in timestamp order (equal timestamps are legal):
         every slice state is timestamp-ordered and purged from its head,
@@ -390,13 +399,16 @@ class StreamEngine:
             )
         self._last_timestamp = tup.timestamp
         self._pending.append(tup)
-        if len(self._pending) >= self.batch_size:
+        if len(self._pending) >= BLOCK:
             self._run_batch()
 
     def process_many(self, tuples: Iterable[StreamTuple]) -> None:
-        """Ingest a sequence of timestamp-ordered arrivals."""
+        """Ingest a sequence of timestamp-ordered arrivals as one batch
+        (split only at :data:`BLOCK` arrivals).  A refused tuple leaves the
+        arrivals before it buffered, as :meth:`process` would."""
         for tup in tuples:
             self.process(tup)
+        self._run_batch()
 
     def flush(self) -> None:
         """Process any buffered arrivals immediately (drain the batch)."""
@@ -411,8 +423,8 @@ class StreamEngine:
         if not batch:
             return
         self._pending = []
-        self.stats.arrivals += len(batch)
-        self.stats.batches += 1
+        self._stats.arrivals += len(batch)
+        self._stats.batches += 1
         metrics = self.metrics
         left_arrivals = sum(1 for tup in batch if tup.stream == self.left_stream)
         right_arrivals = len(batch) - left_arrivals
@@ -422,54 +434,21 @@ class StreamEngine:
         if chain is None:
             metrics.observe_time(batch[-1].timestamp)
             return  # No registered queries: arrivals pass through unjoined.
-        routing = self._routing
+        if self._table is None:
+            self._table = RouteTable(self._routing, chain.slice_count())
+            chain.assign_filters(*self._table.filters)
+        # SELECT stays charged per (result, query); each result delivered is
+        # one JoinedTuple, shared by the queries receiving it.
+        deliveries, select_count = self._table.route(chain.process_batch(batch))
         results = self._results
-        #: Per query: ``(order key, result)`` entries delivered by this batch.
-        block: dict[str, list] = {}
-        select_count = 0
-        # A slice's results are routed at once, once per distinct set of
-        # checks: SELECT stays charged per (result, query) — each step's
-        # survivors times the queries asking — while the order key is
-        # computed per result and a residual per distinct tuple of the bin.
-        for index, joined_results in chain.process_batch(batch, binned=True):
-            entries = []
-            for joined in joined_results:
-                left, right = joined.left, joined.right
-                entries.append(
-                    ((max(left.timestamp, right.timestamp), left.seqno, right.seqno), joined)
-                )
-            verdicts: dict = {}
-            for names, left_res, right_res in routing[index]:
-                chosen = entries
-                for residual, side in ((left_res, 0), (right_res, 1)):
-                    if residual is not None and chosen:
-                        select_count += len(chosen) * len(names)
-                        # Equal filters are one object (_shared).
-                        seen = verdicts.setdefault((id(residual), side), {})
-                        matches = residual.matches
-                        kept = []
-                        for entry in chosen:
-                            tup = entry[1].right if side else entry[1].left
-                            verdict = seen.get(id(tup))
-                            if verdict is None:
-                                verdict = seen[id(tup)] = bool(matches(tup))
-                            if verdict:
-                                kept.append(entry)
-                        chosen = kept
-                if chosen:
-                    for query_name in names:
-                        block.setdefault(query_name, []).extend(chosen)
         delivered = 0
-        for query_name, entries in block.items():
-            # Timestamp-ordered delivery (ties broken by sequence numbers)
-            # makes per-query output independent of the batch size.
-            entries.sort(key=_ORDER_KEY)
-            results[query_name].extend([joined for _, joined in entries])
-            metrics.record_emission(query_name, len(entries))
-            delivered += len(entries)
+        for query_name, joined in deliveries:
+            results[query_name].extend(joined)
+            metrics.record_emission(query_name, len(joined))
+            delivered += len(joined)
         if select_count:
             metrics.count(CostCategory.SELECT, select_count)
-        self.stats.results_delivered += delivered
+        self._stats.results_delivered += delivered
         if self._tuple_bytes is None:
             self._tuple_bytes = max(64, estimate_tuple_bytes(batch[0]))
         resident, spilled = chain.memory_bytes(self._tuple_bytes)
@@ -628,12 +607,21 @@ class StreamEngine:
         """Number of slices in the live chain (0 for an idle engine)."""
         return self._chain.slice_count() if self._chain is not None else 0
 
+    @property
+    def stats(self) -> EngineStats:
+        """The session's counters (buffered arrivals are run first)."""
+        self._drain()
+        return self._stats
+
     def state_size(self) -> int:
-        """Total tuples resident across the chain's join states."""
+        """Total tuples resident across the chain's join states (buffered
+        arrivals are run first)."""
+        self._drain()
         return self._chain.state_size() if self._chain is not None else 0
 
     def states_are_disjoint(self) -> bool:
         """Check the Lemma 1 property: per-stream slice states never overlap."""
+        self._drain()
         return self._chain.states_are_disjoint() if self._chain is not None else True
 
     def describe(self) -> str:
@@ -681,7 +669,8 @@ class StreamEngine:
     def _rebuild_routing(
         self, chain: SlicedChainBase, pushed: list[tuple[Predicate, Predicate]] | None
     ) -> None:
-        """Recompute the per-slice result routing after any migration.
+        """Recompute the result routing, per family of queries, after any
+        migration.
 
         A query taps every slice that ends inside its window — no slice
         straddles a window, every registered window being a boundary.  A
@@ -689,35 +678,31 @@ class StreamEngine:
         stronger than the disjunction pushed below the slice (σ' of
         Figure 10)."""
         trivial = TruePredicate()
-        routing: list[list[_Route]] = []
+        pushed = pushed or [(trivial, trivial)] * chain.slice_count()
+        ends = chain.boundaries[1:]
         # Equal filters are one object (_shared), so queries fall into
         # families asking for the same residuals.
         families: dict[tuple[int, int], list[RegisteredQuery]] = {}
         for query in self._queries.values():
             family = (id(query.left_filter), id(query.right_filter))
             families.setdefault(family, []).append(query)
-        for slice_index, end in enumerate(chain.boundaries[1:]):
-            if pushed is not None:
-                pushed_left, pushed_right = pushed[slice_index]
-            else:
-                pushed_left = pushed_right = trivial
-            slice_routes: list[_Route] = []
-            for members in families.values():
-                left_res = _residual(members[0].left_filter, pushed_left)
-                right_res = _residual(members[0].right_filter, pushed_right)
-                inside = [q.name for q in members if end <= q.window + _EPSILON]
-                if inside:
-                    slice_routes.append((inside, left_res, right_res))
-            routing.append(slice_routes)
-        self._routing = routing
+        self._routing = [
+            (
+                [(q.name, bisect_right(ends, q.window + _EPSILON) - 1) for q in members],
+                [_residual(members[0].left_filter, left) for left, _ in pushed],
+                [_residual(members[0].right_filter, right) for _, right in pushed],
+            )
+            for members in families.values()
+        ]
+        self._table = None
 
     def _record_migration(self, kind: str, boundary: float) -> None:
         append_bounded(
-            self.stats.migrations,
+            self._stats.migrations,
             MigrationEvent(
                 kind=kind,
                 boundary=boundary,
-                arrival_count=self.stats.arrivals,
+                arrival_count=self._stats.arrivals,
                 boundaries_after=self.boundaries,
             ),
         )
@@ -725,7 +710,7 @@ class StreamEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"<StreamEngine kind={self.window_kind} queries={len(self._queries)} "
-            f"slices={self.slice_count()} arrivals={self.stats.arrivals}>"
+            f"slices={self.slice_count()} arrivals={self._stats.arrivals}>"
         )
 
 

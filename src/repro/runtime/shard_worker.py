@@ -33,7 +33,6 @@ class ShardConfig:
     condition: JoinCondition
     left_stream: str = "A"
     right_stream: str = "B"
-    batch_size: int = 32
     window_kind: str = "time"
     probe: str = "nested_loop"
     system_overhead: float = 0.0
@@ -48,7 +47,6 @@ class ShardConfig:
             self.condition,
             left_stream=self.left_stream,
             right_stream=self.right_stream,
-            batch_size=self.batch_size,
             metrics=MetricsCollector(system_overhead=self.system_overhead),
             window_kind=self.window_kind,
             probe=self.probe,

@@ -65,7 +65,7 @@ from repro.engine.metrics import MetricsCollector, MetricsSnapshot
 from repro.engine.ring import DEFAULT_RING_CAPACITY
 from repro.operators.sliced_join import resolve_probe
 from repro.query.predicates import EquiJoinCondition, JoinCondition, Predicate, TruePredicate
-from repro.runtime.engine import EngineStats, RegisteredQuery, chain_class
+from repro.runtime.engine import BLOCK, EngineStats, RegisteredQuery, chain_class
 from repro.runtime.partition import (
     relayer,
     repartition,
@@ -104,6 +104,11 @@ class ReshardEvent:
         )
 
 
+def _merge_key(joined: JoinedTuple) -> tuple:
+    left, right = joined.left, joined.right  # read directly: no property call
+    return (max(left.timestamp, right.timestamp), left.seqno, right.seqno)
+
+
 # ---------------------------------------------------------------------------
 # Shard handles: what the session holds for each shard
 # ---------------------------------------------------------------------------
@@ -117,6 +122,10 @@ class _LocalShard:
     def push(self, tup: StreamTuple) -> None:
         """Ingest one arrival (the engine batches internally)."""
         self.engine.process(tup)
+
+    def ship(self) -> None:
+        """End of the caller's quantum: the engine runs what it buffered."""
+        self.engine.flush()
 
     def send(self, command: str, payload=None) -> None:
         """Run one command now; :meth:`recv` hands out its reply."""
@@ -188,11 +197,12 @@ class _WorkerShard:
         the next ``push`` or ``send`` ships it to the replacement worker.
         """
         self.buffer.append(tup)
-        if len(self.buffer) >= self.config.batch_size:
-            self._ship()
+        if len(self.buffer) >= BLOCK:
+            self.ship()
 
-    def _ship(self) -> None:
-        """Hand the buffered arrivals to the worker through its ring.
+    def ship(self) -> None:
+        """Hand the buffered arrivals to the worker through its ring (the
+        worker runs each record as one batch).
 
         A full ring spins (the worker is draining it on the other side); an
         encoding that can never fit falls back to the pipe behind an empty
@@ -228,7 +238,7 @@ class _WorkerShard:
     def send(self, command: str, payload=None) -> None:
         """Ship buffered arrivals, then the command (the worker drains its
         ring before executing it, so a reply covers every earlier arrival)."""
-        self._ship()
+        self.ship()
         self._pipe_send(command, payload)
 
     def recv(self) -> tuple[str, object]:
@@ -469,7 +479,7 @@ class ShardedStreamEngine:
         to disk, see :class:`StreamEngine`.  A :meth:`reshard` re-splits
         the session budget under the new modulus, so growing the session
         also grows nobody's total footprint.
-    batch_size / window_kind / probe / system_overhead:
+    window_kind / probe / system_overhead:
         Forwarded to every shard's engine, see :class:`StreamEngine`.
     """
 
@@ -484,7 +494,6 @@ class ShardedStreamEngine:
         shard_mode: str = "serial",
         left_stream: str = "A",
         right_stream: str = "B",
-        batch_size: int = 32,
         window_kind: str = "time",
         probe: str = "nested_loop",
         system_overhead: float = 0.0,
@@ -514,7 +523,6 @@ class ShardedStreamEngine:
         self.right_stream = right_stream
         self.window_kind = window_kind
         self.probe = probe
-        self.batch_size = max(1, int(batch_size))
         self.ring_capacity = int(ring_capacity)
         self.max_respawns = int(max_respawns)
         if memory_budget_bytes is not None:
@@ -529,7 +537,6 @@ class ShardedStreamEngine:
             condition=condition,
             left_stream=left_stream,
             right_stream=right_stream,
-            batch_size=self.batch_size,
             window_kind=window_kind,
             probe=probe,
             system_overhead=system_overhead,
@@ -603,8 +610,13 @@ class ShardedStreamEngine:
             raise died
         recovered = self._shards[index].respawn(died)
         for name, results in recovered.items():
-            self._carryover.setdefault(name, []).extend(results)
+            self._carry(name, results)
         self.metrics.record_respawn()
+
+    def _carry(self, name: str, results: list[JoinedTuple]) -> None:
+        """Add ``results`` to a query's carryover, kept in merge order (a
+        lone part of :meth:`_merge` is returned unsorted)."""
+        self._carryover[name] = self._merge([self._carryover.get(name, []), results])
 
     def _request_each(self, command: str, payloads: Sequence) -> list:
         """Fan one command out with a per-shard payload: the one path from
@@ -718,10 +730,20 @@ class ShardedStreamEngine:
         except ShardDied as died:
             self._respawn(index, died)  # the handle kept the arrival buffered
 
+    #: The most arrivals one shard's batch holds (read-only).
+    batch_size = property(lambda self: BLOCK)
+
     def process_many(self, tuples: Iterable[StreamTuple]) -> None:
-        """Ingest a sequence of timestamp-ordered arrivals."""
+        """Ingest a sequence of timestamp-ordered arrivals; each shard runs
+        its share as one batch.  A refused tuple leaves the arrivals before
+        it buffered, as :meth:`process` would."""
         for tup in tuples:
             self.process(tup)
+        for index, shard in enumerate(self._shards):
+            try:
+                shard.ship()
+            except ShardDied as died:
+                self._respawn(index, died)  # the handle kept the arrivals buffered
 
     def flush(self) -> None:
         """Process buffered arrivals on every shard (a cross-shard barrier)."""
@@ -779,11 +801,12 @@ class ShardedStreamEngine:
     @staticmethod
     def _merge(per_shard: Sequence[list[JoinedTuple]]) -> list[JoinedTuple]:
         """Deterministic global order: merge shard outputs by the same
-        ``(timestamp, seqno, seqno)`` key a single engine delivers in."""
-        return sorted(
-            itertools.chain.from_iterable(per_shard),
-            key=lambda j: (j.timestamp, j.left.seqno, j.right.seqno),
-        )
+        ``(timestamp, seqno, seqno)`` key a single engine delivers in (one
+        non-empty part is that order already, and is returned as it is)."""
+        parts = [part for part in per_shard if part]
+        if len(parts) <= 1:
+            return parts[0] if parts else []
+        return sorted(itertools.chain.from_iterable(parts), key=_merge_key)
 
     def results(self, name: str) -> list[JoinedTuple]:
         """A query's merged results so far (buffered arrivals included).
@@ -794,7 +817,7 @@ class ShardedStreamEngine:
         self._check_open()
         self.query(name)  # raises QueryError for an unknown name
         per_shard = self._request_all("results", name)
-        per_shard.append(self._carryover.get(name, []))
+        per_shard.append(list(self._carryover.get(name, [])))
         return self._merge(per_shard)
 
     def pop_results(self, name: str) -> list[JoinedTuple]:
@@ -990,7 +1013,7 @@ class ShardedStreamEngine:
             pending = self._merge([export["results"].get(name, []) for export in exports])
             if pending:
                 carried += len(pending)
-                self._carryover.setdefault(name, []).extend(pending)
+                self._carry(name, pending)
         return carried
 
     def _retire_counters(self, exports: Sequence[dict]) -> None:

@@ -51,19 +51,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "12"])
 
-    def test_only_a_session_has_a_batch_size(self, capsys):
+    def test_nothing_has_a_batch_size(self, capsys):
         """A static plan runs one arrival at a time; a session's batch is the
-        cursor kernel's."""
-        helps = {}
+        caller's quantum."""
         for command in ("compare", "runtime"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--help"])
-            helps[command] = capsys.readouterr().out
-        assert "--batch-size" not in helps["compare"]
-        assert "--batch-size" in helps["runtime"]
-        with pytest.raises(SystemExit) as usage:
-            build_parser().parse_args(["compare", "--batch-size", "8"])
-        assert usage.value.code == 2
+            assert "--batch-size" not in capsys.readouterr().out
+            with pytest.raises(SystemExit) as usage:
+                build_parser().parse_args([command, "--batch-size", "8"])
+            assert usage.value.code == 2
 
     def test_a_session_has_no_chain_selector(self, capsys):
         """A session's chain follows from its queries: nothing to switch on."""

@@ -267,13 +267,11 @@ def test_engine_columnar_equals_tuple_path_on_weird_keys(
     """
     condition = EquiJoinCondition("join_key", "join_key", key_domain=13)
     windows = {"Q1": 2.0, "Q2": 3.0} if window_kind == "time" else {"Q1": 3, "Q2": 5}
-    engine = StreamEngine(
-        condition, batch_size=batch_size, probe=probe, window_kind=window_kind
-    )
+    engine = StreamEngine(condition, probe=probe, window_kind=window_kind)
     for name, window in windows.items():
         engine.add_query(name, window)
-    engine.process_many(tuples)
-    engine.flush()
+    for start in range(0, len(tuples), batch_size):
+        engine.process_many(tuples[start : start + batch_size])
     delivered = {
         name: sorted((j.left.seqno, j.right.seqno) for j in engine.results(name))
         for name in windows

@@ -85,7 +85,7 @@ class TestCountDifferential:
         report = execute_plan(
             build_state_slice_plan(workload, window_kind="count"), stream_data.tuples
         )
-        engine = StreamEngine(workload.join_condition, batch_size=8, window_kind="count")
+        engine = StreamEngine(workload.join_condition, window_kind="count")
         for query in workload:
             engine.add_query(
                 query.name,

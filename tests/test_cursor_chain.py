@@ -136,9 +136,10 @@ def at_least(floor):
 
 
 def link_filters(floors, slices):
-    """One ``value >= floor`` pair per link; floor 0 passes everything."""
+    """One ``value >= floor`` pair per link; floor 0 passes everything (the
+    drawn floors repeat when the chain has more links than pairs)."""
     return [
-        (at_least(floors[2 * i]), at_least(floors[2 * i + 1]))
+        (at_least(floors[2 * i % len(floors)]), at_least(floors[(2 * i + 1) % len(floors)]))
         for i in range(slices)
     ]
 
@@ -315,7 +316,7 @@ def test_count_session_equals_the_per_item_count_operator_plan(
     report = execute_plan(
         build_state_slice_plan(workload, window_kind="count", probe=probe), tuples
     )
-    engine = StreamEngine(condition, batch_size=batch_size, window_kind="count", probe=probe)
+    engine = StreamEngine(condition, window_kind="count", probe=probe)
     for query in workload:
         engine.add_query(query.name, query.window)
     chain = engine._chain

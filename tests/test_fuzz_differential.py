@@ -2,7 +2,7 @@
 
 Each seeded scenario draws a random query set — windows (time- or
 count-based), per-stream selection predicates, an equi- or non-equi join
-condition, a probe algorithm and a batch size — plus a random add/remove
+condition, a probe algorithm and a feeding quantum — plus a random add/remove
 schedule, runs it through one shared :class:`~repro.runtime.StreamEngine`
 session, and asserts that every query's delivered results are *identical*
 to an independent per-query unshared baseline: a brute-force evaluation of
@@ -20,7 +20,7 @@ never removed, whose window is the scenario's largest and whose per-side
 predicate is the *weakest* in the scenario (the disjunction pushed in front
 of any slice then always admits every tuple any query can need, and the
 chain end never shrinks below any admissible window).  Within that
-discipline the schedules, predicates, windows, batch sizes and probe
+discipline the schedules, predicates, windows, quanta and probe
 algorithms are unconstrained — and the pushed-down filters still drop
 tuples no query needs, so the selection push-down machinery is exercised
 for real (scenarios whose weakest predicate is non-trivial shed state;
@@ -39,7 +39,7 @@ Sharded family
 The key-partitioned :class:`~repro.runtime.ShardedStreamEngine` is fuzzed
 *against the single engine* (not the brute-force baseline): an equi-join
 scenario is run through one unsharded session and one 2-4-shard session —
-each with an independently drawn batch size and probe algorithm — and every
+each with an independently drawn quantum and probe algorithm — and every
 query's delivered pairs must agree.  The umbrella discipline applies here
 too, for a subtler reason: what a mid-stream admission sees of the past is
 whatever the chain *happens to retain*, and retention is purge-driven —
@@ -66,6 +66,12 @@ must equal the never-resharded single engine's.  The umbrella discipline is
 load-bearing here for a third reason: repartitioning merges donor shards at
 *different* lazy-purge progress, so retention after a reshard is exactly as
 lazy as the laziest donor.
+
+Right after its first reshard every resharded scenario also admits a *late*
+query whose left filter no other query has, so its verdict bit is new: the
+rows it meets — ingested by the reshard, arrived before it, or cold under
+a drawn budget — get their verdicts at first need, and its results are
+checked against the unshared baseline as well as the single engine.
 """
 
 from __future__ import annotations
@@ -92,7 +98,11 @@ RESHARDED_SCENARIOS = 40
 TIME_WINDOWS = (1.0, 1.5, 2.0, 3.0, 4.0)
 COUNT_WINDOWS = (2, 3, 5, 8, 12)
 THRESHOLDS = (0.15, 0.3, 0.5, 0.7, 0.85)
-BATCH_SIZES = (1, 2, 5, 16, 64)
+#: Arrivals between two ``flush`` calls: where a scenario's batches end.
+QUANTA = (1, 2, 5, 16, 64)
+#: The late query of the resharded family (see the module docstring):
+#: stronger than every drawable threshold, so the umbrella implies it.
+LATE_FILTER = ComparisonPredicate("value", ">", 0.9, selectivity=0.1)
 #: Per-engine in-core state budgets: unbudgeted, tight (a few tuples stay
 #: resident — almost everything spills to the disk tier), and mid (spilling
 #: starts only when several windows' state piles up).  Every scenario draws
@@ -215,8 +225,8 @@ def baseline_count(tuples, condition, count, left_filter, right_filter, interval
 # One scenario
 # ---------------------------------------------------------------------------
 def run_scenario(seed: int, window_kind: str, **pinned) -> None:
-    """One seeded scenario; ``pinned`` overrides drawn session arguments
-    (``batch_size=``, ``memory_budget_bytes=``) after the draw, so the rest
+    """One seeded scenario; ``pinned`` overrides drawn arguments
+    (``quantum=``, ``memory_budget_bytes=``) after the draw, so the rest
     of the scenario is the seed's own."""
     rng = random.Random(seed)
     condition, key_domain = draw_condition(rng)
@@ -240,12 +250,11 @@ def run_scenario(seed: int, window_kind: str, **pinned) -> None:
         probe = rng.choice(("nested_loop", "hash", "auto"))
     else:
         probe = rng.choice(("nested_loop", "auto"))
-    batch_size = pinned.get("batch_size", rng.choice(BATCH_SIZES))
+    quantum = pinned.get("quantum", rng.choice(QUANTA))
     memory_budget = pinned.get("memory_budget_bytes", rng.choice(MEMORY_BUDGETS))
 
     engine = StreamEngine(
         condition,
-        batch_size=batch_size,
         window_kind=window_kind,
         probe=probe,
         memory_budget_bytes=memory_budget,
@@ -275,6 +284,8 @@ def run_scenario(seed: int, window_kind: str, **pinned) -> None:
                 right_filter=right_filters[qi],
             )
         engine.process(tup)
+        if (index + 1) % quantum == 0:
+            engine.flush()
     engine.flush()
     assert engine.states_are_disjoint(), f"seed {seed}: overlapping slice states"
     delivered["umbrella"] = engine.results("umbrella")
@@ -295,7 +306,7 @@ def run_scenario(seed: int, window_kind: str, **pinned) -> None:
     )
     label = (
         f"seed {seed} [{window_kind}] cond={condition.describe()} "
-        f"probe={probe} batch={batch_size} budget={memory_budget}"
+        f"probe={probe} quantum={quantum} budget={memory_budget}"
     )
     for name, window, left_filter, right_filter, interval in specs:
         got = [(j.left.seqno, j.right.seqno) for j in delivered[name]]
@@ -333,22 +344,22 @@ def run_sharded_scenario(seed: int) -> None:
     # A deterministic subset exercises the process driver (shared-memory
     # rings + worker processes); the rest stay serial for speed.
     shard_mode = "process" if seed % 7 == 3 else "serial"
+    quanta = {"single": rng.choice(QUANTA)}
     engines = {
         "single": StreamEngine(
             condition,
-            batch_size=rng.choice(BATCH_SIZES),
             probe=rng.choice(("nested_loop", "hash", "auto")),
-                memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
-        ),
-        "sharded": ShardedStreamEngine(
-            condition,
-            shards=shards,
-            shard_mode=shard_mode,
-            batch_size=rng.choice(BATCH_SIZES),
-            probe=rng.choice(("nested_loop", "hash", "auto")),
-                memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
+            memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
         ),
     }
+    quanta["sharded"] = rng.choice(QUANTA)
+    engines["sharded"] = ShardedStreamEngine(
+        condition,
+        shards=shards,
+        shard_mode=shard_mode,
+        probe=rng.choice(("nested_loop", "hash", "auto")),
+        memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
+    )
     admissions: dict[int, list[int]] = {}
     removals: dict[int, list[int]] = {}
     for qi, (admit, remove) in enumerate(schedule):
@@ -376,8 +387,10 @@ def run_sharded_scenario(seed: int) -> None:
                     left_filter=left_filters[qi],
                     right_filter=right_filters[qi],
                 )
-        for engine in engines.values():
+        for name, engine in engines.items():
             engine.process(tup)
+            if (index + 1) % quanta[name] == 0:
+                engine.flush()
     for name, engine in engines.items():
         engine.flush()
         delivered[name]["umbrella"] = engine.results("umbrella")
@@ -437,21 +450,22 @@ def run_resharded_scenario(seed: int) -> None:
     start_shards = rng.choice((1, 2, 3, 4))
     reshard_schedule = draw_reshard_schedule(rng, start_shards)
     reshards = dict(reshard_schedule)
+    quanta = {"single": rng.choice(QUANTA)}
     engines = {
         "single": StreamEngine(
             condition,
-            batch_size=rng.choice(BATCH_SIZES),
             probe=rng.choice(("nested_loop", "hash", "auto")),
-                memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
-        ),
-        "resharded": ShardedStreamEngine(
-            condition,
-            shards=start_shards,
-            batch_size=rng.choice(BATCH_SIZES),
-            probe=rng.choice(("nested_loop", "hash", "auto")),
-                memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
+            memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
         ),
     }
+    quanta["resharded"] = rng.choice(QUANTA)
+    engines["resharded"] = ShardedStreamEngine(
+        condition,
+        shards=start_shards,
+        probe=rng.choice(("nested_loop", "hash", "auto")),
+        memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
+    )
+    late_at = reshard_schedule[0][0]
     admissions: dict[int, list[int]] = {}
     removals: dict[int, list[int]] = {}
     for qi, (admit, remove) in enumerate(schedule):
@@ -471,6 +485,9 @@ def run_resharded_scenario(seed: int) -> None:
     for index, tup in enumerate(tuples):
         if index in reshards:
             sharded.reshard(reshards[index])
+        if index == late_at:
+            for engine in engines.values():
+                engine.add_query("late", TIME_WINDOWS[1], left_filter=LATE_FILTER)
         for qi in removals.get(index, ()):
             for name, engine in engines.items():
                 delivered[name][f"Q{qi}"] = engine.remove_query(f"Q{qi}")
@@ -482,14 +499,21 @@ def run_resharded_scenario(seed: int) -> None:
                     left_filter=left_filters[qi],
                     right_filter=right_filters[qi],
                 )
-        for engine in engines.values():
+        for name, engine in engines.items():
             engine.process(tup)
+            if (index + 1) % quanta[name] == 0:
+                engine.flush()
     for name, engine in engines.items():
         engine.flush()
         delivered[name]["umbrella"] = engine.results("umbrella")
         for qi, (admit, remove) in enumerate(schedule):
             if remove >= FOREVER:
                 delivered[name][f"Q{qi}"] = engine.results(f"Q{qi}")
+        delivered[name]["late"] = engine.results("late")
+        late = {(j.left.seqno, j.right.seqno) for j in delivered[name]["late"]}
+        assert late == baseline_time(
+            tuples, condition, TIME_WINDOWS[1], LATE_FILTER, None, (late_at, FOREVER)
+        ), f"seed {seed}: the late query of {name} differs from its unshared baseline"
 
     assert sharded.shards == reshard_schedule[-1][1]
     effective = 0  # a target equal to the current count is an unrecorded no-op
@@ -530,12 +554,12 @@ def test_fuzz_time_window_sessions(chunk):
 
 
 def test_fuzz_batch_size_one_sessions_on_the_cursor_chain():
-    """``batch_size=1`` on the default (unbudgeted, cursor-chain) session: the
+    """One-arrival batches on the default (unbudgeted) session: the
     block kernel of PR 15 made this shape 2x slower and nothing but a
     benchmark row said so; its *answers* are pinned here, its rate is
     recorded in ``docs/benchmarks.md``."""
     for seed in range(4000, 4020):
-        run_scenario(seed, "time", batch_size=1, memory_budget_bytes=None)
+        run_scenario(seed, "time", quantum=1, memory_budget_bytes=None)
 
 
 @pytest.mark.parametrize("chunk", range(8))
@@ -592,12 +616,12 @@ def test_pushed_filters_do_drop_state():
     condition = EquiJoinCondition("join_key", "join_key", key_domain=5)
     strong = ComparisonPredicate("value", ">", 0.5, selectivity=0.5)
 
-    filtered = StreamEngine(condition, batch_size=16)
+    filtered = StreamEngine(condition)
     filtered.add_query("Q", 4.0, left_filter=strong, right_filter=strong)
     filtered.process_many(tuples)
     filtered.flush()
 
-    unfiltered = StreamEngine(condition, batch_size=16)
+    unfiltered = StreamEngine(condition)
     unfiltered.add_query("Q", 4.0)
     unfiltered.process_many(tuples)
     unfiltered.flush()

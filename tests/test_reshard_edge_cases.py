@@ -64,13 +64,12 @@ def pairs(results):
     return sorted((j.left.seqno, j.right.seqno) for j in results)
 
 
-def run_with_reshards(tuples, schedule, shards=2, batch_size=8, probe="nested_loop"):
+def run_with_reshards(tuples, schedule, shards=2, quantum=8, probe="nested_loop"):
     """One single engine and one sharded engine over the same stream, with
-    the sharded one resharding per ``schedule`` ({arrival index: target N})."""
-    single = StreamEngine(CONDITION, batch_size=batch_size, probe=probe)
-    sharded = ShardedStreamEngine(
-        CONDITION, shards=shards, batch_size=batch_size, probe=probe
-    )
+    the sharded one resharding per ``schedule`` ({arrival index: target N});
+    both fed in quanta of ``quantum`` arrivals."""
+    single = StreamEngine(CONDITION, probe=probe)
+    sharded = ShardedStreamEngine(CONDITION, shards=shards, probe=probe)
     for engine in (single, sharded):
         engine.add_query("Q", 2.0)
         engine.add_query("R", 0.9)
@@ -80,6 +79,9 @@ def run_with_reshards(tuples, schedule, shards=2, batch_size=8, probe="nested_lo
             events.append(sharded.reshard(schedule[index]))
         single.process(tup)
         sharded.process(tup)
+        if (index + 1) % quantum == 0:
+            single.flush()
+            sharded.flush()
     single.flush()
     sharded.flush()
     return single, sharded, events
@@ -186,8 +188,8 @@ def test_one_reshard_under_drift_is_exact_and_bounded():
     exact — input and cut are deterministic) and the answer is unchanged."""
     tuples = make_drifting_stream()
     condition = EquiJoinCondition("join_key", "join_key", key_domain=180)
-    static = ShardedStreamEngine(condition, shards=1, batch_size=64)
-    elastic = ShardedStreamEngine(condition, shards=1, batch_size=64)
+    static = ShardedStreamEngine(condition, shards=1)
+    elastic = ShardedStreamEngine(condition, shards=1)
     events = []
     for engine in (static, elastic):
         engine.add_query("Q", 3.0)
@@ -213,7 +215,7 @@ def test_one_reshard_under_drift_is_exact_and_bounded():
 def test_results_delivered_before_the_reshard_are_carried():
     tuples = make_stream()
     half = len(tuples) // 2
-    sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
+    sharded = ShardedStreamEngine(CONDITION, shards=2)
     sharded.add_query("Q", 2.0)
     sharded.process_many(tuples[:half])
     sharded.flush()
@@ -231,7 +233,7 @@ def test_results_delivered_before_the_reshard_are_carried():
 
 def test_remove_query_returns_carried_results():
     tuples = make_stream()
-    sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
+    sharded = ShardedStreamEngine(CONDITION, shards=2)
     sharded.add_query("Q", 2.0)
     sharded.process_many(tuples[:120])
     sharded.flush()
@@ -242,7 +244,7 @@ def test_remove_query_returns_carried_results():
 
 def test_reshard_event_and_metrics_accounting():
     tuples = make_stream()
-    sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
+    sharded = ShardedStreamEngine(CONDITION, shards=2)
     sharded.add_query("Q", 2.0)
     sharded.process_many(tuples[:120])
     sharded.flush()
@@ -262,7 +264,7 @@ def test_reshard_event_and_metrics_accounting():
 
 
 def test_noop_reshard_is_not_recorded():
-    sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
+    sharded = ShardedStreamEngine(CONDITION, shards=2)
     sharded.add_query("Q", 2.0)
     tuples = make_stream(count=40)
     sharded.process_many(tuples)
@@ -277,7 +279,7 @@ def test_noop_reshard_is_not_recorded():
 
 
 def test_reshard_target_must_be_a_whole_number():
-    sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
+    sharded = ShardedStreamEngine(CONDITION, shards=2)
     sharded.add_query("Q", 2.0)
     with pytest.raises(ShardingError, match="whole number"):
         sharded.reshard("auto")  # the CLI flag value, passed through raw
@@ -308,7 +310,7 @@ def test_reshard_rejects_unpartitionable_targets():
 def test_reshard_waits_for_an_inflight_admission():
     """Admissions and reshards serialize: the reshard must observe either
     no admission or a fully fanned-out one, never half of one."""
-    sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
+    sharded = ShardedStreamEngine(CONDITION, shards=2)
     sharded.add_query("Q", 2.0)
     sharded.process_many(make_stream(count=60))
     entered = threading.Event()
@@ -342,7 +344,7 @@ def test_reshard_waits_for_an_inflight_admission():
 
 
 def test_reentrant_migration_raises_instead_of_deadlocking():
-    sharded = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
+    sharded = ShardedStreamEngine(CONDITION, shards=2)
     sharded.add_query("Q", 2.0)
     caught = []
     original = shard_engines(sharded)[0].add_query
@@ -362,10 +364,10 @@ def test_reentrant_migration_raises_instead_of_deadlocking():
 
 def test_process_mode_reshard_matches_serial():
     tuples = make_stream(count=160)
-    serial = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
+    serial = ShardedStreamEngine(CONDITION, shards=2)
     serial.add_query("Q", 2.0)
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=8
+        CONDITION, shards=2, shard_mode="process"
     ) as procs:
         procs.add_query("Q", 2.0)
         for index, tup in enumerate(tuples):
@@ -386,11 +388,11 @@ def test_process_mode_reshard_with_a_dead_worker_recovers():
     # path respawns it, recovers its state and undelivered results from the
     # parent-side replay journal, and the migration proceeds answer-intact.
     tuples = make_stream(count=160)
-    serial = ShardedStreamEngine(CONDITION, shards=2, batch_size=8)
+    serial = ShardedStreamEngine(CONDITION, shards=2)
     serial.add_query("Q", 2.0)
     serial.process_many(tuples)
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=8
+        CONDITION, shards=2, shard_mode="process"
     ) as engine:
         engine.add_query("Q", 2.0)
         engine.process_many(tuples[:80])
@@ -405,7 +407,7 @@ def test_process_mode_reshard_with_a_dead_worker_recovers():
 
 def test_process_mode_worker_death_exhausts_its_respawn_budget():
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=8, max_respawns=0
+        CONDITION, shards=2, shard_mode="process", max_respawns=0
     ) as engine:
         engine.add_query("Q", 2.0)
         engine.process_many(make_stream(count=40))
@@ -463,9 +465,9 @@ def test_reshard_resplits_the_spill_budget_and_deletes_retired_segments():
     import os
 
     tuples = make_stream(count=300)
-    single = StreamEngine(CONDITION, batch_size=8)
+    single = StreamEngine(CONDITION)
     sharded = ShardedStreamEngine(
-        CONDITION, shards=2, batch_size=8, memory_budget_bytes=8192
+        CONDITION, shards=2, memory_budget_bytes=8192
     )
     assert sharded.per_shard_memory_budget == 8192 // 2
     for engine in (single, sharded):
@@ -493,6 +495,9 @@ def test_reshard_resplits_the_spill_budget_and_deletes_retired_segments():
             assert sharded.per_shard_memory_budget == 8192
         single.process(tup)
         sharded.process(tup)
+        if (index + 1) % 8 == 0:  # a quantum of 8: the budget is enforced per batch
+            single.flush()
+            sharded.flush()
     single.flush()
     sharded.flush()
     for name in ("Q", "R"):

@@ -4,8 +4,8 @@ The central property (the migration-equivalence guarantee of Section 5.3):
 registering or deregistering a query mid-stream, which splits/merges the
 live slice boundaries, must deliver to every query exactly the results a
 fresh shared plan over the same stream suffix would deliver — nothing lost,
-nothing duplicated — and the delivered output must be independent of the
-engine's batch size.
+nothing duplicated — and the delivered output must be independent of where
+the caller's quanta cut the stream into batches.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import partial
 import pytest
 
 from repro.engine.errors import ExecutionError, PlanError, QueryError
-from repro.query.predicates import EquiJoinCondition, selectivity_join
+from repro.query.predicates import ComparisonPredicate, EquiJoinCondition, selectivity_join
 from repro.runtime import ShardedStreamEngine, StreamEngine
 from repro.streams.generators import generate_join_workload
 from repro.streams.tuples import make_tuple
@@ -49,6 +49,13 @@ def reference_pairs(tuples, window, later_range=None):
 
 def delivered_pairs(results):
     return [(j.left.seqno, j.right.seqno) for j in results]
+
+
+def feed(engine, index, tup, quantum):
+    """Ingest arrival ``index``; every ``quantum``-th one closes a batch."""
+    engine.process(tup)
+    if (index + 1) % quantum == 0:
+        engine.flush()
 
 
 @pytest.fixture(scope="module")
@@ -126,9 +133,9 @@ class TestAdmission:
 class TestMigrationEquivalence:
     """No lost or duplicated join results across split/merge migrations."""
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_split_then_merge_matches_fresh_plan(self, stream, batch_size):
-        engine = StreamEngine(CONDITION, batch_size=batch_size)
+    @pytest.mark.parametrize("quantum", [1, 7, 64])
+    def test_split_then_merge_matches_fresh_plan(self, stream, quantum):
+        engine = StreamEngine(CONDITION)
         engine.add_query("Qbig", 4.0)
         split_at = len(stream) // 3
         merge_at = 2 * len(stream) // 3
@@ -138,7 +145,7 @@ class TestMigrationEquivalence:
                 engine.add_query("Qsmall", 2.0)
             if index == merge_at:
                 small = engine.remove_query("Qsmall")
-            engine.process(tup)
+            feed(engine, index, tup, quantum)
         engine.flush()
 
         # The survivor sees the full-stream reference: the migrations were
@@ -157,15 +164,15 @@ class TestMigrationEquivalence:
             stream, 2.0, later_range=(split_at, merge_at)
         )
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_appended_window_fills_from_admission(self, stream, batch_size):
-        engine = StreamEngine(CONDITION, batch_size=batch_size)
+    @pytest.mark.parametrize("quantum", [1, 7, 64])
+    def test_appended_window_fills_from_admission(self, stream, quantum):
+        engine = StreamEngine(CONDITION)
         engine.add_query("Qbig", 2.0)
         extend_at = len(stream) // 2
         for index, tup in enumerate(stream):
             if index == extend_at:
                 engine.add_query("Qbigger", 4.0)
-            engine.process(tup)
+            feed(engine, index, tup, quantum)
         engine.flush()
 
         bigger = delivered_pairs(engine.results("Qbigger"))
@@ -195,8 +202,8 @@ class TestMigrationEquivalence:
 
     def test_output_identical_across_batch_sizes(self, stream):
         signatures = []
-        for batch_size in (1, 7, 64):
-            engine = StreamEngine(CONDITION, batch_size=batch_size)
+        for quantum in (1, 7, 64):
+            engine = StreamEngine(CONDITION)
             engine.add_query("Qbig", 4.0)
             removed = {}
             for index, tup in enumerate(stream):
@@ -206,7 +213,7 @@ class TestMigrationEquivalence:
                     removed["Qsmall"] = engine.remove_query("Qsmall")
                 if index == 3 * len(stream) // 4:
                     engine.add_query("Qbigger", 5.0)
-                engine.process(tup)
+                feed(engine, index, tup, quantum)
             engine.flush()
             signatures.append(
                 (
@@ -218,7 +225,7 @@ class TestMigrationEquivalence:
         assert signatures[0] == signatures[1] == signatures[2]
 
     def test_states_stay_disjoint_across_migrations(self, stream):
-        engine = StreamEngine(CONDITION, batch_size=16)
+        engine = StreamEngine(CONDITION)
         engine.add_query("Q1", 4.0)
         checkpoints = {
             len(stream) // 5: ("add", "Q2", 2.0),
@@ -287,7 +294,7 @@ class TestSelections:
         from repro.query.predicates import attribute_gt
 
         hot = attribute_gt("value", 0.6)
-        engine = StreamEngine(CONDITION, batch_size=16)
+        engine = StreamEngine(CONDITION)
         engine.add_query("Qall", 4.0)
         split_at = len(stream) // 3
         removed = None
@@ -311,6 +318,33 @@ class TestSelections:
         got = delivered_pairs(removed)
         assert len(got) == len(set(got))
         assert set(got) == expected
+
+    def test_seventy_distinct_filters_each_get_a_verdict(self, stream):
+        """More distinct filters than a machine word has bits: each query
+        delivers the brute-force reference filtered by its own predicate.
+        Half are admitted mid-stream, so their verdicts of the rows already
+        held are computed at first need."""
+        from repro.query.predicates import attribute_gt
+
+        filters = [attribute_gt("value", k / 70) for k in range(70)]
+        admit_at = len(stream) // 2
+        engine = StreamEngine(CONDITION)
+        for index, tup in enumerate(stream):
+            for k in range(35) if index == 0 else range(35, 70) if index == admit_at else ():
+                engine.add_query(f"Q{k}", 2.0 + k % 3, left_filter=filters[k])
+            engine.process(tup)
+        engine.flush()
+        by_seqno = {tup.seqno: tup for tup in stream}
+        references = {}
+        for k, hot in enumerate(filters):
+            later = None if k < 35 else (admit_at, len(stream))
+            key = (2.0 + k % 3, later)
+            if key not in references:
+                references[key] = reference_pairs(stream, *key)
+            expected = {(a, b) for a, b in references[key] if hot.matches(by_seqno[a])}
+            got = delivered_pairs(engine.results(f"Q{k}"))
+            assert len(got) == len(set(got))
+            assert set(got) == expected
 
 
 def reference_count_pairs(tuples, count, later_range=None):
@@ -368,11 +402,11 @@ class TestCountSessions:
         with pytest.raises(QueryError):
             engine.add_query("C1", 0)
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_split_then_merge_matches_fresh_plan(self, stream, batch_size):
+    @pytest.mark.parametrize("quantum", [1, 7, 64])
+    def test_split_then_merge_matches_fresh_plan(self, stream, quantum):
         """Admission inside a slice mid-stream: the small query immediately
         sees the retained rank history; the survivor sees everything."""
-        engine = StreamEngine(CONDITION, batch_size=batch_size, window_kind="count")
+        engine = StreamEngine(CONDITION, window_kind="count")
         engine.add_query("Cbig", 8)
         split_at = len(stream) // 3
         merge_at = 2 * len(stream) // 3
@@ -382,7 +416,7 @@ class TestCountSessions:
                 engine.add_query("Csmall", 3)
             if index == merge_at:
                 small = engine.remove_query("Csmall")
-            engine.process(tup)
+            feed(engine, index, tup, quantum)
         engine.flush()
 
         big = delivered_pairs(engine.results("Cbig"))
@@ -395,20 +429,20 @@ class TestCountSessions:
             stream, 3, later_range=(split_at, merge_at)
         )
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_appended_count_fills_from_admission(self, stream, batch_size):
+    @pytest.mark.parametrize("quantum", [1, 7, 64])
+    def test_appended_count_fills_from_admission(self, stream, quantum):
         """Tail append: a larger count window admitted mid-stream fills from
         the evictions of the old tail.  Ranks beyond the old chain end were
         already discarded, so the new query starts from the retained
         count-5 history and converges to the full count-9 answer — exactly
         the results a fresh shared plan over the suffix would produce."""
-        engine = StreamEngine(CONDITION, batch_size=batch_size, window_kind="count")
+        engine = StreamEngine(CONDITION, window_kind="count")
         engine.add_query("Cbig", 5)
         extend_at = len(stream) // 2
         for index, tup in enumerate(stream):
             if index == extend_at:
                 engine.add_query("Cbigger", 9)
-            engine.process(tup)
+            feed(engine, index, tup, quantum)
         engine.flush()
 
         bigger = delivered_pairs(engine.results("Cbigger"))
@@ -439,7 +473,7 @@ class TestCountSessions:
     def test_remove_largest_count_drops_tail(self, stream):
         """Largest-window removal: the tail rank slices are shed and the
         remaining query keeps producing exact results."""
-        engine = StreamEngine(CONDITION, batch_size=16, window_kind="count")
+        engine = StreamEngine(CONDITION, window_kind="count")
         engine.add_query("Csmall", 4)
         engine.add_query("Cbig", 10)
         half = len(stream) // 2
@@ -459,8 +493,8 @@ class TestCountSessions:
 
     def test_output_identical_across_batch_sizes(self, stream):
         signatures = []
-        for batch_size in (1, 7, 64):
-            engine = StreamEngine(CONDITION, batch_size=batch_size, window_kind="count")
+        for quantum in (1, 7, 64):
+            engine = StreamEngine(CONDITION, window_kind="count")
             engine.add_query("Cbig", 8)
             removed = {}
             for index, tup in enumerate(stream):
@@ -470,7 +504,7 @@ class TestCountSessions:
                     removed["Csmall"] = engine.remove_query("Csmall")
                 if index == 3 * len(stream) // 4:
                     engine.add_query("Cbigger", 11)
-                engine.process(tup)
+                feed(engine, index, tup, quantum)
             engine.flush()
             signatures.append(
                 (
@@ -482,7 +516,7 @@ class TestCountSessions:
         assert signatures[0] == signatures[1] == signatures[2]
 
     def test_states_stay_disjoint_across_migrations(self, stream):
-        engine = StreamEngine(CONDITION, batch_size=16, window_kind="count")
+        engine = StreamEngine(CONDITION, window_kind="count")
         engine.add_query("C1", 8)
         checkpoints = {
             len(stream) // 5: ("add", "C2", 3),
@@ -509,12 +543,12 @@ class TestCountSessions:
 
 class TestEngineAccounting:
     def test_stats_and_metrics(self, stream):
-        engine = StreamEngine(CONDITION, batch_size=8)
+        engine = StreamEngine(CONDITION)
         engine.add_query("Q1", 2.0)
         engine.process_many(stream[:100])
         engine.flush()
         assert engine.stats.arrivals == 100
-        assert engine.stats.batches >= 100 // 8
+        assert engine.stats.batches == 1  # the caller's quantum is the batch
         assert engine.metrics.tuples_ingested == 100
         # Memory is sampled per batch into O(1) gauges, not an ever-growing list.
         assert engine.metrics.snapshot()["memory.max"] > 0
@@ -524,7 +558,7 @@ class TestEngineAccounting:
 
     def test_out_of_order_arrival_is_rejected(self):
         """The binary-searched purge cut needs timestamp order; reject loudly."""
-        engine = StreamEngine(CONDITION, batch_size=4)
+        engine = StreamEngine(CONDITION)
         engine.add_query("Q1", 2.0)
         engine.process(make_tuple("A", 1.0, join_key=1))
         engine.process(make_tuple("B", 1.0, join_key=1))  # equal timestamps stay legal
@@ -543,11 +577,12 @@ class TestEngineAccounting:
                 for value in vars(metrics).values()
             )
 
-        engine = StreamEngine(CONDITION, batch_size=1)
+        engine = StreamEngine(CONDITION)
         engine.add_query("Q1", 0.05)
         sizes = {}
         for index in range(10**4):
             engine.process(make_tuple("AB"[index % 2], index * 0.01, join_key=index % 5))
+            engine.flush()
             if index + 1 in (10**2, 10**4):
                 engine.pop_results("Q1")
                 sizes[index + 1] = collector_size(engine.metrics)
@@ -568,7 +603,7 @@ class TestEngineAccounting:
         assert log[-2].boundary == 2.0  # cycle 299 admitted the 2 s window
 
     def test_pop_results_clears(self, stream):
-        engine = StreamEngine(CONDITION, batch_size=8)
+        engine = StreamEngine(CONDITION)
         engine.add_query("Q1", 2.0)
         engine.process_many(stream[:200])
         first = engine.pop_results("Q1")
@@ -646,3 +681,91 @@ def test_a_bad_probe_is_refused_at_construction(make_session):
     ):
         with pytest.raises(PlanError):
             make_session(condition, probe=probe)
+
+
+# ---------------------------------------------------------------------------
+# The caller's quantum is the batch: where it ends cannot change an answer
+# ---------------------------------------------------------------------------
+QUANTUM_STREAM = generate_join_workload(rate_a=100, rate_b=100, duration=16.0, seed=11).tuples
+QUANTUM_CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=60)
+#: Windows of three queries, per window kind: one plain, one with a left and
+#: one with a right selection (residual checks and verdict bits in play).
+QUANTUM_WINDOWS = {"time": (0.3, 0.8, 1.5), "count": (20, 60, 150)}
+
+
+def _quantum_session(kind, probe, budget, shards):
+    if shards:
+        return ShardedStreamEngine(
+            QUANTUM_CONDITION, shards=shards, probe=probe, memory_budget_bytes=budget
+        )
+    return StreamEngine(
+        QUANTUM_CONDITION, window_kind=kind, probe=probe, memory_budget_bytes=budget
+    )
+
+
+def _quantum_run(kind, probe, budget, shards, feed):
+    """Per-query output and the counters of one run."""
+    session = _quantum_session(kind, probe, budget, shards)
+    short, mid, long = QUANTUM_WINDOWS[kind]
+    session.add_query("plain", short)
+    session.add_query("left", mid, left_filter=ComparisonPredicate("value", ">", 0.4))
+    session.add_query("right", long, right_filter=ComparisonPredicate("value", ">", 0.6))
+    feed(session)
+    outputs = {name: delivered_pairs(session.results(name)) for name in ("plain", "left", "right")}
+    snapshot = session.merged_snapshot() if shards else session.metrics.snapshot()
+    session.close()
+    # Memory gauges and the spill observations follow where the batches end.
+    counters = {
+        key: value
+        for key, value in snapshot.items()
+        if not key.startswith(("memory.", "observations."))
+    }
+    return outputs, counters
+
+
+def _in_quanta(quantum):
+    def feed(session):
+        for start in range(0, len(QUANTUM_STREAM), quantum):
+            session.process_many(QUANTUM_STREAM[start : start + quantum])
+
+    return feed
+
+
+def _flush_each(session):
+    for tup in QUANTUM_STREAM:
+        session.process(tup)
+        session.flush()
+
+
+@pytest.mark.parametrize(
+    "kind, shards",
+    [("time", 0), ("count", 0), ("time", 2)],
+    ids=["time-engine", "count-engine", "time-2-serial-shards"],  # count windows do not shard
+)
+@pytest.mark.parametrize("budget", [None, 4096], ids=["in-core", "budget"])
+@pytest.mark.parametrize("probe", ["nested_loop", "hash"])
+def test_quantum_boundaries_cannot_change_an_answer(kind, shards, budget, probe):
+    """Quanta of 1, 7, 128 and 3 000 arrivals (the last crosses the 1 024
+    block) and a ``flush`` after every arrival: byte-identical per-query
+    output, equal ``PROBE`` / ``PURGE`` / ``SELECT`` / invocation counts.
+    And a refused tuple in the middle of a ``process_many`` call leaves the
+    arrivals before it buffered, delivered by the next barrier."""
+    assert len(QUANTUM_STREAM) > 3000
+    reference = _quantum_run(kind, probe, budget, shards, _flush_each)
+    assert sum(map(len, reference[0].values())) > 0
+    for quantum in (1, 7, 128, 3000):
+        assert _quantum_run(kind, probe, budget, shards, _in_quanta(quantum)) == reference, quantum
+
+    first, rest = QUANTUM_STREAM[:50], QUANTUM_STREAM[50:]
+    for refused, error in (
+        (make_tuple("C", first[-1].timestamp, join_key=1, value=0.5), QueryError),
+        (make_tuple("A", first[-1].timestamp - 0.5, join_key=1, value=0.5), ExecutionError),
+    ):
+
+        def feed(session, refused=refused, error=error):
+            with pytest.raises(error):
+                session.process_many([*first, refused, *rest[:10]])
+            session.flush()
+            session.process_many(rest)
+
+        assert _quantum_run(kind, probe, budget, shards, feed) == reference

@@ -37,7 +37,7 @@ def pairs(results):
 # The command table
 # ---------------------------------------------------------------------------
 def test_run_command_covers_the_whole_table():
-    config = ShardConfig(condition=CONDITION, batch_size=16)
+    config = ShardConfig(condition=CONDITION)
     engine = config.build()
     reference = config.build()
     exercised = set()

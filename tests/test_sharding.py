@@ -79,8 +79,8 @@ def test_partitioner_cross_type_equal_keys_co_shard():
 
 
 def test_sharded_joins_mixed_int_float_keys():
-    single = StreamEngine(CONDITION, batch_size=4)
-    sharded = ShardedStreamEngine(CONDITION, shards=4, batch_size=4)
+    single = StreamEngine(CONDITION)
+    sharded = ShardedStreamEngine(CONDITION, shards=4)
     arrivals = [
         make_tuple("A", 0.1, join_key=1, value=0.5),
         make_tuple("B", 0.2, join_key=1.0, value=0.5),
@@ -145,8 +145,8 @@ def _run_session(engine, admit_at=150, remove_at=300):
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_sharded_equals_single_engine(shards):
-    single = StreamEngine(CONDITION, batch_size=16)
-    sharded = ShardedStreamEngine(CONDITION, shards=shards, batch_size=16)
+    single = StreamEngine(CONDITION)
+    sharded = ShardedStreamEngine(CONDITION, shards=shards)
     removed_single = _run_session(single)
     removed_sharded = _run_session(sharded)
     assert pairs(removed_sharded) == pairs(removed_single)
@@ -156,7 +156,7 @@ def test_sharded_equals_single_engine(shards):
 
 
 def test_merged_output_order_is_deterministic():
-    sharded = ShardedStreamEngine(CONDITION, shards=3, batch_size=7)
+    sharded = ShardedStreamEngine(CONDITION, shards=3)
     _run_session(sharded)
     merged = sharded.results("umbrella")
     key = lambda j: (j.timestamp, j.left.seqno, j.right.seqno)  # noqa: E731
@@ -167,7 +167,7 @@ def test_merged_output_order_is_deterministic():
 
 
 def test_fanout_keeps_shard_boundaries_identical():
-    sharded = ShardedStreamEngine(CONDITION, shards=4, batch_size=16)
+    sharded = ShardedStreamEngine(CONDITION, shards=4)
     sharded.add_query("big", 4.0)
     sharded.add_query("small", 1.5)
     assert sharded.shard_boundaries() == [(0.0, 1.5, 4.0)] * 4
@@ -192,7 +192,7 @@ def test_unsupported_workloads_raise_or_fall_back():
         unsharded.reshard(2)
     unsharded.add_query("Q", 2.0)
     unsharded.process_many(DATA.tuples[:50])
-    single = StreamEngine(cross, batch_size=32)
+    single = StreamEngine(cross)
     single.add_query("Q", 2.0)
     single.process_many(DATA.tuples[:50])
     assert pairs(unsharded.results("Q")) == pairs(single.results("Q"))
@@ -218,7 +218,7 @@ def test_admission_surface_validation():
 # ---------------------------------------------------------------------------
 def test_out_of_order_arrival_is_rejected_session_wide():
     """A late arrival is refused even when it is in order for its own shard."""
-    engine = ShardedStreamEngine(CONDITION, shards=2, batch_size=4)
+    engine = ShardedStreamEngine(CONDITION, shards=2)
     engine.add_query("Q", 2.0)
     keys = {shard_for_key(key, 2): key for key in range(24)}  # one key per shard
     engine.process(make_tuple("A", 1.0, join_key=keys[0]))
@@ -253,7 +253,7 @@ def test_snapshot_aggregation_sums_counters():
 
 
 def test_shard_ingest_totals_expose_a_hot_key():
-    sharded = ShardedStreamEngine(CONDITION, shards=4, batch_size=16)
+    sharded = ShardedStreamEngine(CONDITION, shards=4)
     sharded.add_query("Q", 2.0)
     # every arrival carries the same key -> one hot shard
     hot = [
@@ -270,10 +270,10 @@ def test_shard_ingest_totals_expose_a_hot_key():
 # Process-parallel driver (correctness smoke)
 # ---------------------------------------------------------------------------
 def test_process_mode_matches_serial():
-    serial = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    serial = ShardedStreamEngine(CONDITION, shards=2)
     removed_serial = _run_session(serial)
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=16
+        CONDITION, shards=2, shard_mode="process"
     ) as process:
         removed_process = _run_session(process)
         assert pairs(removed_process) == pairs(removed_serial)
@@ -314,10 +314,11 @@ def test_process_mode_rejects_use_after_close():
 def test_introspection_is_a_barrier_in_both_modes(mode):
     """stats/state_size/... must reflect arrivals already handed to process()."""
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode=mode, batch_size=1000
+        CONDITION, shards=2, shard_mode=mode
     ) as engine:
         engine.add_query("Q", 3.0)
-        engine.process_many(DATA.tuples[:50])  # far below the batch size
+        for tup in DATA.tuples[:50]:  # buffered: far below a block
+            engine.process(tup)
         assert engine.stats.arrivals == 50
         assert engine.state_size() > 0
         assert engine.states_are_disjoint()
@@ -332,11 +333,11 @@ def test_failed_admission_leaves_the_session_working(mode):
     never leaves another shard's reply unread (the protocol stays in step)."""
     from repro.engine.errors import QueryError
 
-    reference = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    reference = ShardedStreamEngine(CONDITION, shards=2)
     reference.add_query("Q", 1.0)
     reference.process_many(DATA.tuples)
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode=mode, batch_size=16
+        CONDITION, shards=2, shard_mode=mode
     ) as engine:
         engine.add_query("Q", 1.0)
         engine.process_many(DATA.tuples[:100])
@@ -358,12 +359,12 @@ def test_process_mode_worker_kill_mid_stream_recovers():
     """A worker killed mid-stream (no reshard involved) is respawned and the
     session's final answer is exactly the serial driver's."""
     half = len(DATA.tuples) // 2
-    serial = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    serial = ShardedStreamEngine(CONDITION, shards=2)
     serial.add_query("Q", 3.0)
     serial.process_many(DATA.tuples)
     serial.flush()
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=16
+        CONDITION, shards=2, shard_mode="process"
     ) as engine:
         engine.add_query("Q", 3.0)
         engine.process_many(DATA.tuples[:half])
@@ -374,6 +375,30 @@ def test_process_mode_worker_kill_mid_stream_recovers():
         assert pairs(engine.results("Q")) == pairs(serial.results("Q"))
         assert engine.metrics.respawns == 1
         assert engine.merged_snapshot()["respawn.count"] == 1.0
+
+
+@pytest.mark.parametrize("then", ["kill-both", "reshard"])
+def test_process_mode_carryover_pops_in_merge_order(then):
+    """Two shards' recovered results (both workers killed, or one killed and
+    then a reshard) are carried over, and a pop before any new arrival
+    returns the carryover alone: in the serial driver's order, not as the
+    runs it was gathered in."""
+    serial = ShardedStreamEngine(CONDITION, shards=2)
+    serial.add_query("Q", 3.0)
+    serial.process_many(DATA.tuples)
+    with ShardedStreamEngine(CONDITION, shards=2, shard_mode="process") as engine:
+        engine.add_query("Q", 3.0)
+        engine.process_many(DATA.tuples)
+        engine.flush()
+        kill_worker(engine, 0)
+        if then == "kill-both":
+            kill_worker(engine, 1)
+        else:
+            engine.reshard(3)
+        popped = engine.pop_results("Q")
+        assert engine.metrics.respawns == (2 if then == "kill-both" else 1)
+    expected = serial.pop_results("Q")
+    assert [j.key() for j in popped] == [j.key() for j in expected]
 
 
 @pytest.mark.parametrize(
@@ -388,14 +413,13 @@ def test_process_mode_worker_killed_while_pushing_recovers(ring_capacity):
     pipe) is found dead by the push itself; the batch in flight is shipped
     to the replacement exactly once."""
     half = len(DATA.tuples) // 2
-    serial = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    serial = ShardedStreamEngine(CONDITION, shards=2)
     serial.add_query("Q", 3.0)
     serial.process_many(DATA.tuples)
     with ShardedStreamEngine(
         CONDITION,
         shards=2,
         shard_mode="process",
-        batch_size=16,
         ring_capacity=ring_capacity,
     ) as engine:
         engine.add_query("Q", 3.0)
@@ -413,11 +437,11 @@ def test_process_mode_worker_dying_inside_a_command_recovers():
     import signal
     import threading
 
-    serial = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    serial = ShardedStreamEngine(CONDITION, shards=2)
     serial.add_query("Q", 3.0)
     serial.process_many(DATA.tuples)
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=16
+        CONDITION, shards=2, shard_mode="process"
     ) as engine:
         engine.add_query("Q", 3.0)
         engine.process_many(DATA.tuples[:200])
@@ -452,9 +476,9 @@ def test_process_mode_kill_after_reshard_recovers():
         assert engine.shard_boundaries() == [(0.0, 1.0, 4.0)] * 3
         return {name: pairs(engine.results(name)) for name in ("big", "small")}
 
-    expected = drive(ShardedStreamEngine(CONDITION, shards=2, batch_size=16), False)
+    expected = drive(ShardedStreamEngine(CONDITION, shards=2), False)
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=16
+        CONDITION, shards=2, shard_mode="process"
     ) as engine:
         assert drive(engine, True) == expected
         assert engine.metrics.respawns == 1
@@ -486,10 +510,10 @@ def test_process_mode_kill_after_reshard_and_removal_recovers(removed):
         assert engine.shard_boundaries() == [(0.0, kept.window)] * 3
         return pairs(delivered)
 
-    expected = drive(ShardedStreamEngine(CONDITION, shards=2, batch_size=16), False)
+    expected = drive(ShardedStreamEngine(CONDITION, shards=2), False)
     assert expected
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=16
+        CONDITION, shards=2, shard_mode="process"
     ) as engine:
         assert drive(engine, True) == expected
         assert engine.metrics.respawns == 1
@@ -531,10 +555,10 @@ def test_process_mode_kill_after_reshard_and_admission_recovers(window):
         assert len(set(engine.shard_boundaries())) == 1
         return {name: pairs(results) for name, results in delivered.items()}
 
-    expected = drive(ShardedStreamEngine(CONDITION, shards=2, batch_size=16), False)
+    expected = drive(ShardedStreamEngine(CONDITION, shards=2), False)
     assert all(expected.values())
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=16
+        CONDITION, shards=2, shard_mode="process"
     ) as engine:
         assert drive(engine, True) == expected
         assert engine.metrics.respawns == 1
@@ -556,9 +580,9 @@ def test_process_mode_count_window_and_idle_journal_recover():
     """The journal's two other retention rules: rank-based for a count
     session (one shard only), and nothing at all while no query is
     registered."""
-    single = StreamEngine(CONDITION, batch_size=16, window_kind="count")
+    single = StreamEngine(CONDITION, window_kind="count")
     with ShardedStreamEngine(
-        CONDITION, shards=1, shard_mode="process", batch_size=16, window_kind="count"
+        CONDITION, shards=1, shard_mode="process", window_kind="count"
     ) as engine:
         engine.process_many(DATA.tuples[:40])  # chainless: builds no state
         single.process_many(DATA.tuples[:40])
@@ -591,11 +615,11 @@ def test_hash_probe_holds_across_reshard_and_respawn(mode):
     An indexed state hands a male its key bucket, so on an equi-join every
     probe comparison is a result; the default scan compares the whole state.
     """
-    plain = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    plain = ShardedStreamEngine(CONDITION, shards=2)
     plain.add_query("Q", 3.0)
     plain.process_many(DATA.tuples)
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode=mode, batch_size=16, probe="hash"
+        CONDITION, shards=2, shard_mode=mode, probe="hash"
     ) as engine:
         engine.add_query("Q", 3.0)
         engine.process_many(DATA.tuples[:150])
@@ -620,7 +644,7 @@ def test_hash_probe_holds_across_reshard_and_respawn(mode):
 # ---------------------------------------------------------------------------
 def test_pop_results_all_matches_per_query_pops():
     for mode in ("serial", "process"):
-        reference = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+        reference = ShardedStreamEngine(CONDITION, shards=2)
         reference.add_query("Q1", 2.0)
         reference.add_query("Q2", 3.0)
         reference.process_many(DATA.tuples)
@@ -629,7 +653,7 @@ def test_pop_results_all_matches_per_query_pops():
             name: pairs(reference.pop_results(name)) for name in ("Q1", "Q2")
         }
         with ShardedStreamEngine(
-            CONDITION, shards=2, shard_mode=mode, batch_size=16
+            CONDITION, shards=2, shard_mode=mode
         ) as engine:
             engine.add_query("Q1", 2.0)
             engine.add_query("Q2", 3.0)
@@ -645,12 +669,12 @@ def test_pop_results_all_matches_per_query_pops():
 def test_process_mode_tiny_ring_uses_pipe_fallback():
     """Batches that cannot fit the arrival ring take the marked pipe path
     without reordering against ring traffic."""
-    serial = ShardedStreamEngine(CONDITION, shards=2, batch_size=16)
+    serial = ShardedStreamEngine(CONDITION, shards=2)
     serial.add_query("Q", 3.0)
     serial.process_many(DATA.tuples)
     serial.flush()
     with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", batch_size=16, ring_capacity=64
+        CONDITION, shards=2, shard_mode="process", ring_capacity=64
     ) as engine:
         engine.add_query("Q", 3.0)
         engine.process_many(DATA.tuples)

@@ -172,7 +172,7 @@ def test_budgeted_engine_matches_unbudgeted_and_accounts_tiers():
 
     def run(budget):
         engine = StreamEngine(
-            condition, batch_size=16, memory_budget_bytes=budget
+            condition, memory_budget_bytes=budget
         )
         engine.add_query("Q", 2.0)
         engine.add_query("R", 0.7)
@@ -195,7 +195,7 @@ def test_budgeted_engine_matches_unbudgeted_and_accounts_tiers():
 
 def test_engine_close_releases_spill_store():
     condition = EquiJoinCondition("join_key", "join_key", key_domain=4)
-    engine = StreamEngine(condition, batch_size=16, memory_budget_bytes=1024)
+    engine = StreamEngine(condition, memory_budget_bytes=1024)
     # Two windows so the chain has a cold tail slice (the head never spills).
     engine.add_query("Q", 3.0)
     engine.add_query("R", 0.5)
@@ -245,7 +245,6 @@ def test_resident_estimate_stays_within_the_budget_or_the_rows_metadata(window_k
     keeps a hot head."""
     engine = StreamEngine(
         EquiJoinCondition("join_key", "join_key", key_domain=4),
-        batch_size=16,
         window_kind=window_kind,
         memory_budget_bytes=budget,
     )
@@ -277,7 +276,6 @@ def test_log_files_never_exceed_live_bytes_plus_a_segment_per_stream(monkeypatch
     for window_kind, (_, windows) in WINDOWS.items():
         engine = StreamEngine(
             EquiJoinCondition("join_key", "join_key", key_domain=4),
-            batch_size=16,
             window_kind=window_kind,
             memory_budget_bytes=4096,
         )
@@ -307,7 +305,6 @@ def test_every_way_out_releases_the_log(monkeypatch):
     monkeypatch.setattr(spill, "LOG_SEGMENT_BYTES", 1024)
     engine = StreamEngine(
         EquiJoinCondition("join_key", "join_key", key_domain=4),
-        batch_size=16,
         memory_budget_bytes=1024,
     )
     tuples = interleaved(300)
@@ -358,8 +355,8 @@ def test_reshard_export_cut_releases_every_retiring_log():
     and the new generation evicts into stores of its own."""
     condition = EquiJoinCondition("join_key", "join_key", key_domain=8)
     tuples = interleaved(300, key_domain=8)
-    reference = StreamEngine(condition, batch_size=8)
-    sharded = ShardedStreamEngine(condition, shards=2, batch_size=8, memory_budget_bytes=4096)
+    reference = StreamEngine(condition)
+    sharded = ShardedStreamEngine(condition, shards=2, memory_budget_bytes=4096)
     for engine in (reference, sharded):
         engine.add_query("Q", 1.5)
         engine.process_many(tuples[:400])
