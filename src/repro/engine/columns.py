@@ -15,8 +15,10 @@ parallel columns —
   is a forward sweep from the head, a slice's cursor or the previous male's
   cut, evaluating the *exact* scalar expression ``now - t >= end`` of the
   tuple-at-a-time path on Python floats: purge decisions are bit-identical.
-* ``keys`` — a ``float64`` array of the join-key attribute, used by
-  vectorized probing (see ``match_mask`` in :mod:`repro.query.predicates`).
+* ``keys`` — a ``float64`` array of the join-key attribute in the form the
+  condition compares it in (its ``column_key``: the key itself, or its
+  residue for a modular match), computed once per row as it enters and used
+  by vectorized probing (see ``match_mask`` in :mod:`repro.query.predicates`).
   Only values whose Python comparison semantics are exactly representable in
   a double go into the column (bools, ints with ``|v| <= 2**53``, floats);
   the first value outside that set permanently invalidates the column and
@@ -126,7 +128,8 @@ class ProbeBinding:
     orientation is re-derived per tuple: a state storing the condition's
     *left* tuples keeps the left attribute as its key, reads the right
     attribute off the probing tuple and binds the scalar fallback with
-    ``bind_right`` (and the mirror image for a state of right tuples).
+    ``bind_right`` (and the mirror image for a state of right tuples).  It
+    also keeps the condition's ``column_key``, the form the key column stores.
 
     ``indexed`` asks the in-core state for a per-key index in place of the
     key column (``probe="hash"``); ``equi`` says the condition is a plain
@@ -137,8 +140,8 @@ class ProbeBinding:
     """
 
     __slots__ = (
-        "key_attribute", "probe_attribute", "all_match", "match_mask", "mask_level", "bind",
-        "indexed", "equi",
+        "key_attribute", "probe_attribute", "all_match", "match_mask", "mask_level",
+        "column_key", "bind", "indexed", "equi",
     )
 
     def __init__(
@@ -156,6 +159,7 @@ class ProbeBinding:
         self.all_match = condition.columnar_all_match
         self.match_mask = condition.match_mask
         self.mask_level = condition.mask_level
+        self.column_key = condition.column_key
         self.bind = condition.bind_right if stores_left else condition.bind_left
         self.indexed = indexed
         self.equi = equi
@@ -219,6 +223,8 @@ class ColumnarState:
         keys = np.empty(capacity, dtype=np.float64)
         if n:
             keys[:n] = values
+            if self.binding.column_key is not None:
+                keys[:n] = self.binding.column_key(keys[:n])
         self._keys = keys
         self._key_level = level
 
@@ -264,6 +270,8 @@ class ColumnarState:
                 if value_level > self._key_level:
                     self._key_level = value_level
                 keys[n] = value
+                if self.binding.column_key is not None:
+                    keys[n] = self.binding.column_key(keys[n])
         elif self._index is not None:
             self._index[ref.values.get(self.binding.key_attribute, _MISSING)].append(ref)
 
@@ -573,6 +581,8 @@ class ChainColumn(ColumnarState):
                 self._keys = None
             else:
                 self._keys[rows] = keys
+                if self.binding.column_key is not None:
+                    self._keys[rows] = self.binding.column_key(self._keys[rows])
         if self._index is not None:
             for row, tup in enumerate(tuples, self._gone + size):
                 self._index[tup.values.get(attribute, _MISSING)].append(row)

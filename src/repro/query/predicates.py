@@ -280,16 +280,22 @@ class JoinCondition:
     #: condition has no mask and probing takes the bound per-tuple check.
     mask_level: int = -1
 
+    #: The form a key column stores its keys in, computed once per row as it
+    #: enters: a function of a float64 array of keys, or ``None`` for the
+    #: keys themselves.
+    column_key: Callable[[Any], Any] | None = None
+
     def match_mask(self, probe_key: Any, keys: Any, int_keys: bool) -> Any:
         """Vectorized probe: a boolean mask over a candidate key column.
 
         ``keys`` is the float64 key column of the resident candidates (built
-        on the *opposite* side's attribute of :attr:`columnar_attributes`);
-        ``probe_key`` is one probing key as a float, or an ``(m, 1)`` float64
-        column of them against a ``(1, n)`` row of ``keys`` for an ``(m, n)``
-        mask.  The caller vets every key on both sides against
-        :attr:`mask_level`; ``int_keys`` says all are arithmetic-safe
-        integers (level 0).  Must agree elementwise with the per-tuple check.
+        on the *opposite* side's attribute of :attr:`columnar_attributes`, in
+        the :attr:`column_key` form); ``probe_key`` is one probing key as a
+        float, or an ``(m, 1)`` float64 column of them against a ``(1, n)``
+        row of ``keys`` for an ``(m, n)`` mask.  The caller vets every key on
+        both sides against :attr:`mask_level`; ``int_keys`` says all are
+        arithmetic-safe integers (level 0).  Must agree elementwise with the
+        per-tuple check.
         """
         return None
 
@@ -419,6 +425,15 @@ class ModularMatchCondition(JoinCondition):
     uniform, so the selectivity is exactly ``threshold / domain``.  The
     experiment harness uses this to hit the paper's S1 values (0.025, 0.1,
     0.4) precisely.
+
+    A key column stores residues, ``key % domain`` (:meth:`column_key`), and
+    the mask compares them: probing key ``a`` matches the residues of the
+    rotated interval ``[(-a) % d, (-a) % d + t)`` modulo ``d``.  The mask
+    runs over level-0 keys only (ints and bools with ``|v| <= 2**40``), so
+    the residues and ``lo = (-a) % d`` are exact integers in ``[0, d)`` and
+    ``diff = residue - lo`` is an exact integer in ``(-d, d)``; three
+    comparisons of ``diff`` decide ``diff mod d < t`` for every ``t`` in
+    ``[0, d]`` (:meth:`match_mask`).
     """
 
     threshold: int
@@ -446,10 +461,16 @@ class ModularMatchCondition(JoinCondition):
     #: *both* sides; anything else takes the per-tuple check.
     mask_level = 0
 
+    def column_key(self, keys: Any) -> Any:
+        return keys % self.domain
+
     def match_mask(self, probe_key: Any, keys: Any, int_keys: bool) -> Any:
+        # A match is ``diff < t - d`` (the sum wrapped) or ``0 <= diff < t``:
+        # the bounds are ordered, so XOR keeps exactly those two runs.
         if not int_keys:
             return None
-        return (keys + probe_key) % self.domain < self.threshold
+        diff = keys - (-probe_key) % self.domain
+        return (diff < self.threshold - self.domain) ^ (diff < 0) ^ (diff < self.threshold)
 
     def matches(self, left: StreamTuple, right: StreamTuple) -> bool:
         return (left[self.attribute] + right[self.attribute]) % self.domain < self.threshold

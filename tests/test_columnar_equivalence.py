@@ -25,6 +25,7 @@ from repro.baselines.unshared import build_unshared_plan
 from repro.core.chain import SlicedJoinChain
 from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
+from repro.engine.columns import ChainColumn, ColumnarState, ProbeBinding
 from repro.engine.executor import execute_plan
 from repro.query.predicates import (
     ComparisonPredicate,
@@ -287,3 +288,58 @@ def test_engine_columnar_equals_tuple_path_on_weird_keys(
         )
         for name, window in windows.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# The modular mask over stored residues, through both probes
+# ---------------------------------------------------------------------------
+#: ``(domain, threshold)``: every threshold of the small domains, a spread of 1000's.
+MODULAR_SHAPES = [(d, t) for d in (1, 2, 7) for t in range(d + 1)] + [
+    (1000, t) for t in (0, 1, 25, 400, 999, 1000)
+]
+
+
+def modular_keys(domain: int):
+    """Level-0 keys, many of them not their own residue: negative keys,
+    multiples of the domain, the ±2**40 edge of exact arithmetic, bools."""
+    return st.one_of(
+        st.integers(-3 * domain - 5, 3 * domain + 5),
+        st.integers(-4, 4).map(lambda k: k * domain),
+        st.sampled_from([2**40, -(2**40), 2**40 - 1, 1 - 2**40, True, False]),
+    )
+
+
+@pytest.mark.parametrize("domain, threshold", MODULAR_SHAPES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), promote=st.booleans())
+def test_residue_mask_equals_modular_matches(domain, threshold, data, promote):
+    """``ModularMatchCondition``'s residue mask ≡ its ``matches``, through a
+    ``ColumnarState``'s scalar probe key and a ``ChainColumn``'s 2-D block
+    probe; residues enter at ``load`` and at ``append`` / ``extend``.  With
+    ``promote`` a float key arrives after residues were stored: the column
+    is level 1 and both probes answer through the scalar check."""
+    condition = ModularMatchCondition(threshold=threshold, domain=domain)
+    stored_keys = data.draw(st.lists(modular_keys(domain), min_size=1, max_size=40))
+    male_keys = data.draw(st.lists(modular_keys(domain), min_size=1, max_size=12))
+    if promote:
+        stored_keys.append(data.draw(st.sampled_from([2.0, -7.5, float(domain)])))
+    stored = [make_tuple("B", float(i), join_key=key) for i, key in enumerate(stored_keys)]
+    males = [make_tuple("A", float(len(stored)), join_key=key) for key in male_keys]
+    expected = [
+        [tup.seqno for tup in stored if condition.matches(male, tup)] for male in males
+    ]
+    half = len(stored) // 2  # loaded; the rest (and any float key) appended
+
+    state = ColumnarState(ProbeBinding(condition, stores_left=False), stored[:half])
+    for tup in stored[half:]:
+        state.append(tup)
+    assert [[tup.seqno for tup in state.probe(male)[0]] for male in males] == expected
+
+    column = ChainColumn(ProbeBinding(condition, stores_left=False), [stored[:half]])
+    column.extend(stored[half:], column.judge(stored[half:]))
+    js, ks, found, _, _ = column.probe(males, [[0] * len(males)], [len(stored)] * len(males))
+    got = [[] for _ in males]
+    for j, k, tup in zip(js.tolist(), ks.tolist(), found):
+        if k == 0:
+            got[j].append(tup.seqno)
+    assert got == expected

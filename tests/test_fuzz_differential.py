@@ -84,6 +84,7 @@ from repro.query.predicates import (
     ComparisonPredicate,
     CrossProductCondition,
     EquiJoinCondition,
+    ModularMatchCondition,
     Predicate,
     selectivity_join,
 )
@@ -134,12 +135,16 @@ def make_stream(rng: random.Random, key_domain: int) -> list[StreamTuple]:
 
 
 def draw_condition(rng: random.Random):
-    kind = rng.choice(("equi", "equi", "modular", "cross"))
+    kind = rng.choice(("equi", "equi", "modular", "wrapping", "cross"))
     if kind == "equi":
         domain = rng.choice((3, 5, 8))
         return EquiJoinCondition("join_key", "join_key", key_domain=domain), domain
     if kind == "modular":
         return selectivity_join(rng.choice((0.2, 0.35))), 10
+    if kind == "wrapping":
+        # Keys below 10 modulo 7: stored residues differ from the keys and
+        # key sums wrap, which the domain-1000 arm above never does.
+        return ModularMatchCondition(threshold=rng.choice((1, 3)), domain=7), 10
     return CrossProductCondition(), 10
 
 
