@@ -87,7 +87,7 @@ def _run(mode: str, rounds: int = 3) -> tuple[float, dict]:
     best = float("inf")
     outputs = None
     for _ in range(rounds):
-        kwargs: dict = dict(shards=SHARDS, probe="nested_loop")
+        kwargs: dict = dict(shards=SHARDS)
         if mode == "process":
             kwargs["shard_mode"] = "process"
         with ShardedStreamEngine(CONDITION, **kwargs) as engine:
@@ -129,9 +129,7 @@ def test_process_scaleout_gate(results_dir, monkeypatch):
     # One more process run, counted (admission happens before the counters
     # are read back to zero, so only the timed region's traffic is in them).
     counts = _count_transport(monkeypatch)
-    with ShardedStreamEngine(
-        CONDITION, shards=SHARDS, probe="nested_loop", shard_mode="process"
-    ) as engine:
+    with ShardedStreamEngine(CONDITION, shards=SHARDS, shard_mode="process") as engine:
         block = engine.batch_size
         engine.add_query("Q", WINDOW)
         counts.update(ring_pushes=0, pipe_replies=0)
@@ -161,7 +159,6 @@ def test_process_scaleout_gate(results_dir, monkeypatch):
             "equi_key_domain": KEY_DOMAIN,
             "batch_size": block,
             "shards": SHARDS,
-            "probe": "nested_loop",
             "joined_pairs": sum(len(v) for v in serial_out.values()),
         },
         "results": [

@@ -55,11 +55,7 @@ def _run_session(memory_budget: int | None) -> dict:
     outputs = None
     snapshot = None
     for _ in range(2):
-        engine = StreamEngine(
-            CONDITION,
-            probe="nested_loop",
-            memory_budget_bytes=memory_budget,
-        )
+        engine = StreamEngine(CONDITION, memory_budget_bytes=memory_budget)
         for name, window in zip(("Q1", "Q2", "Q3"), WINDOWS):
             engine.add_query(name, window)
         start = time.perf_counter()
@@ -103,7 +99,6 @@ def test_spill_gate(results_dir):
             "rate_per_stream": RATE,
             "duration_seconds": DURATION,
             "equi_key_domain": KEY_DOMAIN,
-            "probe": "nested_loop",
         },
         "memory_budget_bytes": budget,
         "peak_resident_bytes": {

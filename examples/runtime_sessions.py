@@ -1,6 +1,6 @@
-"""Runtime sessions: selections, count windows and hash probing.
+"""Runtime sessions: selections and count windows.
 
-Three short scenarios on top of :class:`repro.runtime.StreamEngine`, the
+Two short scenarios on top of :class:`repro.runtime.StreamEngine`, the
 live session API (see ``examples/online_migration.py`` for the migration
 basics):
 
@@ -10,8 +10,6 @@ basics):
    hold exactly the disjunction of the *current* queries' predicates.
 2. **Count windows** — the same admission protocol over rank-based slices
    ("the N most recent tuples of each stream").
-3. **Hash probing** — an equi-join session with per-slice hash indexes;
-   the outputs are identical to nested-loop probing, only cheaper.
 
 Run with:  python examples/runtime_sessions.py
 """
@@ -63,21 +61,6 @@ def main() -> None:
     print(f"  session: {counts.describe()}")
     print(f"  C20: {len(counts.results('C20'))} results; "
           f"migrations {[e.kind for e in counts.stats.migrations]}")
-
-    # -- 3. hash probing: identical answers, indexed probes -----------------
-    print("\nHash probing")
-    outputs = {}
-    for probe in ("nested_loop", "hash"):
-        session = StreamEngine(condition, probe=probe)
-        session.add_query("Q", window=4.0)
-        session.process_many(tuples)
-        session.flush()
-        outputs[probe] = [
-            (j.left.seqno, j.right.seqno) for j in session.results("Q")
-        ]
-        probes = session.metrics.comparisons.get("probe", 0)
-        print(f"  {probe:12s}: {len(outputs[probe])} results, {probes} probe comparisons")
-    print(f"  identical outputs: {outputs['nested_loop'] == outputs['hash']}")
 
 
 if __name__ == "__main__":

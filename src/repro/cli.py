@@ -8,17 +8,17 @@ Exposes the most common tasks without writing Python:
     python -m repro figure   17 --panels b e --rates 20 40
     python -m repro figure   11
     python -m repro table    2
-    python -m repro optimize --queries 12 --windows small-large --probe hash
+    python -m repro optimize --queries 12 --windows small-large
     python -m repro chains   --queries 12 --windows small-large --rate 60
     python -m repro cost     --rho 0.25 --ssigma 0.2 --s1 0.1
     python -m repro runtime  --stats
 
 ``compare`` runs every sharing strategy on one configuration; ``figure`` and
 ``table`` regenerate the paper's figures/tables; ``optimize`` runs the chain
-optimizers — hash-probe-aware when asked — and prices the candidates under
-the analytical cost model (``chains`` is its older, cost-silent sibling);
-``cost`` evaluates the analytical two-query cost model; ``runtime`` demos a
-live session admitting queries mid-stream.
+optimizers and prices the candidates under the analytical cost model
+(``chains`` is its older, cost-silent sibling); ``cost`` evaluates the
+analytical two-query cost model; ``runtime`` demos a live session admitting
+queries mid-stream.
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--ssigma", type=float, default=0.5, help="filter selectivity Sσ")
     compare.add_argument("--time-scale", type=float, default=0.1, help="time scaling factor")
     compare.add_argument("--seed", type=int, default=7)
-    compare.add_argument(
-        "--probe",
-        choices=("nested_loop", "hash", "auto"),
-        default="nested_loop",
-        help="join probe algorithm; hash/auto build an equi-join workload "
-        "whose key domain approximates --s1 and optimize with the "
-        "hash-probe cost model",
-    )
 
     figure = subparsers.add_parser("figure", help="regenerate a figure (11, 17, 18, 19)")
     figure.add_argument("number", type=int, choices=(11, 17, 18, 19))
@@ -114,14 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--ssigma", type=float, default=1.0)
     optimize.add_argument("--csys", type=float, default=0.25, help="per-operator overhead")
     optimize.add_argument("--time-scale", type=float, default=1.0)
-    optimize.add_argument(
-        "--probe",
-        choices=("nested_loop", "hash", "auto"),
-        default="nested_loop",
-        help="probe algorithm the session will execute with; hash/auto "
-        "switch the workload to an equi-join and the optimizer to the "
-        "hash-probe cost model (probe term scaled by S1)",
-    )
 
     cost = subparsers.add_parser("cost", help="evaluate the two-query analytical cost model")
     cost.add_argument("--rate", type=float, default=50.0)
@@ -155,13 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "most-recent-N windows",
     )
     runtime.add_argument(
-        "--probe",
-        choices=("nested_loop", "hash", "auto"),
-        default="nested_loop",
-        help="slice probe algorithm; hash/auto switch the session to an "
-        "equi-join condition and index every slice on the join key",
-    )
-    runtime.add_argument(
         "--ssigma",
         type=float,
         default=1.0,
@@ -174,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="key-partition the session across N StreamEngine shards "
         "(equi-join time-window workloads; the demo switches to an "
-        "equi-join condition approximating --s1, as --probe hash does)",
+        "equi-join condition approximating --s1)",
     )
     runtime.add_argument(
         "--shard-mode",
@@ -223,7 +200,6 @@ def _cmd_compare(args: argparse.Namespace) -> str:
         filter_selectivity=args.ssigma,
         time_scale=args.time_scale,
         seed=args.seed,
-        probe=args.probe,
     )
     strategies = (
         "unshared",
@@ -340,7 +316,6 @@ def _cmd_optimize(args: argparse.Namespace) -> str:
         filter_selectivity=args.ssigma,
         time_scale=args.time_scale,
         system_overhead=args.csys,
-        probe=args.probe,
     )
     workload = make_workload(config)
     params = chain_parameters(workload, config)
@@ -355,14 +330,9 @@ def _cmd_optimize(args: argparse.Namespace) -> str:
         ]
         for name, chain in (("Mem-Opt", mem_opt), ("CPU-Opt", cpu_opt))
     ]
-    probe_note = (
-        f"hash (probe term scaled by S1={workload.join_condition.selectivity:g})"
-        if params.hash_probe
-        else "nested loops (the paper's model)"
-    )
     return (
         f"workload: {config.label()}\n"
-        f"cost model: Csys={args.csys:g}, probe model: {probe_note}\n\n"
+        f"cost model: Csys={args.csys:g}, probe model: nested loops (the paper's model)\n\n"
         + format_table(["chain", "slices", "CPU (cmp/s)", "state (KB)"], rows)
         + f"\n\nMem-Opt chain:\n{mem_opt.describe()}"
         + f"\n\nCPU-Opt chain:\n{cpu_opt.describe()}"
@@ -426,11 +396,10 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
     except ValueError as exc:
         raise SystemExit(f"error: --memory-budget: {exc}") from None
     value_generator = None
-    if sharded or args.probe in ("hash", "auto"):
-        # Hash probing and sharding both need an equi-key; approximate the
-        # requested S1 with the key-domain size (uniform keys match with
-        # probability 1/domain) and draw the synthetic keys from that same
-        # domain.
+    if sharded:
+        # Sharding needs an equi-key; approximate the requested S1 with the
+        # key-domain size (uniform keys match with probability 1/domain) and
+        # draw the synthetic keys from that same domain.
         domain = equi_key_domain(args.s1)
         condition = EquiJoinCondition("join_key", "join_key", key_domain=domain)
         value_generator = equi_value_generator(domain)
@@ -448,14 +417,12 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             condition,
             shards=args.shards,
             shard_mode=args.shard_mode,
-            probe=args.probe,
             memory_budget_bytes=memory_budget,
         )
     else:
         engine = StreamEngine(
             condition,
             window_kind=args.window_kind,
-            probe=args.probe,
             memory_budget_bytes=memory_budget,
         )
     unit = engine.chain_class.window_unit
@@ -470,8 +437,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
     )
     lines = [
         f"StreamEngine demo: {len(tuples)} arrivals, "
-        f"{args.window_kind} windows, {args.probe} probing"
-        f"{shard_note}",
+        f"{args.window_kind} windows{shard_note}",
         "",
     ]
     reshard_at = len(tuples) // 2 if args.reshard is not None else None

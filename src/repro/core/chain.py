@@ -70,12 +70,11 @@ class CursorChain(SlicedChainBase):
     """
 
     def _build(self, bounds: list) -> None:
-        indexed = self.probe == "hash"
         slices = [[] for _ in bounds[1:]]
         self._streams = (self.left_stream, self.right_stream)
         #: Per stream (left, right): the column its tuples live in.
         self._columns = tuple(
-            ChainColumn(ProbeBinding(self.condition, stores_left, indexed), slices)
+            ChainColumn(ProbeBinding(self.condition, stores_left), slices)
             for stores_left in (True, False)
         )
 
@@ -206,8 +205,7 @@ class SlicedJoinChain(CursorChain, TimeChainBase):
     the slices ``[0, 2)`` and ``[2, 4)`` (the first must be 0, strictly
     increasing); ``condition`` is shared by every slice; ``left_stream`` /
     ``right_stream`` name the inputs; ``metrics`` is an optional shared
-    collector; ``probe`` is ``"nested_loop"``, ``"hash"`` (equi-joins only:
-    per-key posting lists of row numbers, two bisects per male) or ``"auto"``.
+    collector.
     """
 
     # -- execution ------------------------------------------------------------
@@ -246,7 +244,7 @@ class SlicedJoinChain(CursorChain, TimeChainBase):
             )
             found = column.probe(males, cuts, stops)
             parts.append((side, found, males, verdicts[1 - side], places[1 - side]))
-            probes += probed + found[-1]
+            probes += probed
             column.settle()
             purges += purged
         metrics.count(CostCategory.PURGE, purges)

@@ -25,7 +25,6 @@ from typing import Sequence
 from repro.engine.errors import ChainError, MigrationError, QueryError
 from repro.engine.metrics import MetricsCollector
 from repro.operators.selection import StreamFilter
-from repro.operators.sliced_join import resolve_probe
 from repro.query.predicates import JoinCondition, Predicate, TruePredicate
 from repro.query.windows import WindowSlice
 from repro.streams.tuples import JoinedTuple, StreamTuple
@@ -68,7 +67,6 @@ class SlicedChainBase:
         left_stream: str = "A",
         right_stream: str = "B",
         metrics: MetricsCollector | None = None,
-        probe: str = "nested_loop",
     ) -> None:
         bounds = [self._coerce_boundary(b) for b in boundaries]
         if len(bounds) < 2:
@@ -81,9 +79,6 @@ class SlicedChainBase:
         self.left_stream = left_stream
         self.right_stream = right_stream
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        #: The *resolved* probe kind of every slice, fixed at construction
-        #: (``"auto"`` is decided here against the condition).
-        self.probe = resolve_probe(probe, condition)
         self._bounds = bounds
         self._build(bounds)
 
@@ -170,9 +165,8 @@ class SlicedChainBase:
         ``state`` must have one entry per slice of this chain (the donor
         chain must therefore hold the same boundaries — the admission
         fan-out invariant of a sharded session).  Each slice merges the
-        incoming tuples with its resident ones in that order and rebuilds
-        its hash index when probing is indexed.  Returns the total number
-        of tuples spliced in.
+        incoming tuples with its resident ones in that order.  Returns the
+        total number of tuples spliced in.
         """
         if len(state) != self.slice_count():
             raise MigrationError(

@@ -46,7 +46,6 @@ class OperatorJoinChain(TimeChainBase):
             condition=self.condition,
             left_stream=self.left_stream,
             right_stream=self.right_stream,
-            probe=self.probe,
             name=f"slice[{start:g},{end:g})",
         )
         join.bind_metrics(self.metrics)
@@ -127,7 +126,6 @@ class OperatorJoinChain(TimeChainBase):
         join.slice = WindowSlice(join.slice.start, boundary)
 
     def _merge(self, index: int) -> None:
-        # An indexed state rebuilds its key index as ``load_state`` loads it.
         keep, absorb = self.joins[index : index + 2]
         for stream in (self.left_stream, self.right_stream):
             keep.load_state(stream, absorb.state_tuples(stream) + keep.state_tuples(stream))

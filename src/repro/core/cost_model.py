@@ -51,11 +51,6 @@ class TwoQuerySettings:
         Sσ, selectivity of the selection σA of Q2.
     join_selectivity:
         S1, join selectivity (output / Cartesian product).
-    hash_probe:
-        When True every probe term is scaled by S1: a hash-indexed probe
-        examines only the matching equi-key bucket (an expected ``S1``
-        fraction of the opposite state) instead of the whole state.  The
-        paper's equations assume nested loops (the default).
     """
 
     arrival_rate: float
@@ -64,7 +59,6 @@ class TwoQuerySettings:
     tuple_size: float = 1.0
     filter_selectivity: float = 0.5
     join_selectivity: float = 0.1
-    hash_probe: bool = False
 
     def __post_init__(self) -> None:
         if self.arrival_rate <= 0:
@@ -85,11 +79,6 @@ class TwoQuerySettings:
     def window_ratio(self) -> float:
         """ρ = W1 / W2 ∈ (0, 1)."""
         return self.window_small / self.window_large
-
-    @property
-    def probe_factor(self) -> float:
-        """Fraction of the opposite state a probing tuple examines."""
-        return self.join_selectivity if self.hash_probe else 1.0
 
 
 @dataclass(frozen=True)
@@ -116,7 +105,7 @@ def selection_pullup_cost(settings: TwoQuerySettings) -> CostEstimate:
 
     memory_terms = (2 * lam * w2 * mt,)
     cpu_terms = (
-        2 * lam * lam * w2 * settings.probe_factor,  # join probing
+        2 * lam * lam * w2,        # join probing
         2 * lam,                   # cross-purge
         2 * lam * lam * w2 * s1,   # routing (per joined result)
         2 * lam * lam * w2 * s1,   # selection above the join (per joined result)
@@ -148,11 +137,10 @@ def selection_pushdown_cost(settings: TwoQuerySettings) -> CostEstimate:
         (2 - s_sigma) * lam * w1 * mt,   # state of join 1 (A tuples failing σ + B)
         (1 + s_sigma) * lam * w2 * mt,   # state of join 2 (A tuples passing σ + B)
     )
-    probe_factor = settings.probe_factor
     cpu_terms = (
-        lam,                                                  # splitting stream A
-        2 * (1 - s_sigma) * lam * lam * w1 * probe_factor,    # probing in join 1
-        2 * s_sigma * lam * lam * w2 * probe_factor,          # probing in join 2
+        lam,                                   # splitting stream A
+        2 * (1 - s_sigma) * lam * lam * w1,    # probing in join 1
+        2 * s_sigma * lam * lam * w2,          # probing in join 2
         3 * lam,                               # cross-purge
         2 * s_sigma * lam * lam * w2 * s1,     # routing of join-2 results
         2 * lam * lam * w1 * s1,               # union of Q1 results
@@ -184,11 +172,10 @@ def state_slice_cost(settings: TwoQuerySettings) -> CostEstimate:
         2 * lam * w1 * mt,                       # slice [0, W1): both streams
         (1 + s_sigma) * lam * (w2 - w1) * mt,    # slice [W1, W2): σ(A) + B
     )
-    probe_factor = settings.probe_factor
     cpu_terms = (
-        2 * lam * lam * w1 * probe_factor,                   # probing in slice 1
+        2 * lam * lam * w1,                      # probing in slice 1
         lam,                                     # filter σA between the slices
-        2 * lam * lam * s_sigma * (w2 - w1) * probe_factor,  # probing in slice 2
+        2 * lam * lam * s_sigma * (w2 - w1),     # probing in slice 2
         4 * lam,                                 # cross-purge (two slices)
         2 * lam,                                 # union (punctuation-driven merge)
         2 * lam * lam * s1 * w1,                 # filter σ'A on slice-1 results for Q2
@@ -218,20 +205,8 @@ def state_slice_savings(settings: TwoQuerySettings) -> Savings:
     The paper expresses the savings in terms of ρ = W1/W2, Sσ and S1 (λ is
     omitted because its effect is negligible for two queries); the closed
     forms below are the paper's, and they agree with recomputing the ratios
-    from Equations 1-3 directly (a property test checks this).  The closed
-    forms assume nested-loop probing; with ``hash_probe`` the ratios are
-    recomputed numerically from the (probe-scaled) cost estimates instead.
+    from Equations 1-3 directly (a property test checks this).
     """
-    if settings.hash_probe:
-        pullup = selection_pullup_cost(settings)
-        pushdown = selection_pushdown_cost(settings)
-        sliced = state_slice_cost(settings)
-        return Savings(
-            memory_vs_pullup=(pullup.memory - sliced.memory) / pullup.memory,
-            memory_vs_pushdown=(pushdown.memory - sliced.memory) / pushdown.memory,
-            cpu_vs_pullup=(pullup.cpu - sliced.cpu) / pullup.cpu,
-            cpu_vs_pushdown=(pushdown.cpu - sliced.cpu) / pushdown.cpu,
-        )
     rho = settings.window_ratio
     s_sigma = settings.filter_selectivity
     s1 = settings.join_selectivity

@@ -90,9 +90,7 @@ class CountSlicedJoinChain(CursorChain):
                 cuts = [[max(0, stop - end) for stop in stops] for end in ends]
                 found = column.probe(males, cuts, stops)
                 parts.append((side, found, males, verdicts[1 - side], places[1 - side]))
-                probes += found[-1]
-                if self.probe != "hash":  # one comparison per row in sight
-                    probes += sum(stops) - sum(cuts[-1])
+                probes += sum(stops) - sum(cuts[-1])  # one comparison per row in sight
             for k, end in enumerate(ends):
                 overflow[k] += max(0, min(len(females), size + len(females) - end))
             self._place(column)

@@ -50,11 +50,6 @@ class ChainCostParameters:
         tuple (moving tuples through queues, scheduling context switches).
     tuple_size:
         Tuple size in KB (scales memory only).
-    hash_probe:
-        When True the probe term models the hash-indexed probe path of the
-        sliced joins: a probing tuple examines only its equi-key bucket, an
-        expected ``S1`` fraction of the sliced state, instead of the whole
-        state (nested loops, the paper's default).
 
     A session's memory budget is not a parameter: what it moves to disk is a
     row offset of each stream's column, the same for every slicing, and a
@@ -65,7 +60,6 @@ class ChainCostParameters:
     arrival_rate_right: float = 50.0
     system_overhead: float = 0.5
     tuple_size: float = 1.0
-    hash_probe: bool = False
 
     def __post_init__(self) -> None:
         if self.arrival_rate_left <= 0 or self.arrival_rate_right <= 0:
@@ -148,12 +142,9 @@ def slice_cpu_cost(
     rate_right = params.arrival_rate_right * s_right
     length = slice_spec.length
 
-    # Probing: left males probe the right state and vice versa.  Nested
-    # loops examine the whole opposite state; the hash probe path examines
-    # one equi-key bucket, an expected S1 fraction of it.
+    # Probing: left males probe the right state and vice versa, each
+    # examining the whole opposite state (nested loops).
     probe = rate_left * rate_right * length + rate_right * rate_left * length
-    if params.hash_probe:
-        probe *= join_selectivity
     # Cross-purging: one comparison per male per slice.
     purge = rate_left + rate_right
     # Pushed-down selections: one evaluation per original tuple that reaches

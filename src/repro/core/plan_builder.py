@@ -49,7 +49,6 @@ def build_state_slice_plan(
     push_selections: bool = True,
     plan_name: str = "state-slice",
     window_kind: str = "time",
-    probe: str = "nested_loop",
 ) -> QueryPlan:
     """Build the shared state-slice plan for a workload.
 
@@ -70,13 +69,9 @@ def build_state_slice_plan(
     window_kind:
         ``"time"`` (default) or ``"count"`` — the interpretation of every
         query window (seconds vs most-recent-N tuple ranks).
-    probe:
-        Probe algorithm of every sliced join: ``"nested_loop"`` (the
-        paper's cost model), ``"hash"`` (equi-join conditions only) or
-        ``"auto"``.
     """
     if window_kind == "count":
-        return _build_count_state_slice_plan(workload, chain, plan_name, probe)
+        return _build_count_state_slice_plan(workload, chain, plan_name)
     if window_kind != "time":
         raise ConfigurationError(
             f"window_kind must be 'time' or 'count', got {window_kind!r}"
@@ -84,7 +79,7 @@ def build_state_slice_plan(
     chain = chain or build_mem_opt_chain(workload)
     plan = QueryPlan(plan_name)
 
-    joins = _add_chain_joins(plan, workload, chain, probe)
+    joins = _add_chain_joins(plan, workload, chain)
     _wire_chain(plan, workload, chain, joins, push_selections)
     _wire_entries(plan, workload, chain, joins, push_selections)
     _wire_outputs(plan, workload, chain, joins, push_selections)
@@ -93,7 +88,7 @@ def build_state_slice_plan(
 
 
 def _add_chain_joins(
-    plan: QueryPlan, workload: QueryWorkload, chain: ChainSpec, probe: str
+    plan: QueryPlan, workload: QueryWorkload, chain: ChainSpec
 ) -> list[SlicedBinaryJoin]:
     joins = []
     for index, slice_spec in enumerate(chain.slices):
@@ -103,7 +98,6 @@ def _add_chain_joins(
             condition=workload.join_condition,
             left_stream=workload.left_stream,
             right_stream=workload.right_stream,
-            probe=probe,
             name=f"slice_{index + 1}",
         )
         plan.add_operator(join)
@@ -115,7 +109,6 @@ def _build_count_state_slice_plan(
     workload: QueryWorkload,
     chain: ChainSpec | None,
     plan_name: str,
-    probe: str,
 ) -> QueryPlan:
     """The count-window variant: a Mem-Opt chain of count-sliced joins."""
     chain = chain or build_mem_opt_chain(workload)
@@ -138,7 +131,6 @@ def _build_count_state_slice_plan(
             condition=workload.join_condition,
             left_stream=workload.left_stream,
             right_stream=workload.right_stream,
-            probe=probe,
             name=f"slice_{index + 1}",
         )
         plan.add_operator(join)

@@ -23,9 +23,7 @@ parallel columns —
   a double go into the column (bools, ints with ``|v| <= 2**53``, floats);
   the first value outside that set permanently invalidates the column and
   probing falls back to per-tuple checks, so correctness never depends on
-  lossy conversions.  Built for ``probe="hash"``, a state keeps a per-key
-  index instead (``key -> resident tuples``, or ``key -> row numbers`` in a
-  chain column), maintained by every call that adds or removes rows.
+  lossy conversions.
 * ``refs`` — the parallel Python list of the resident
   :class:`~repro.streams.tuples.StreamTuple` payload references.  Columns
   are an internal acceleration structure: everything that leaves the state
@@ -41,8 +39,6 @@ ranges.  A :class:`ColumnarState` is driven one call at a time.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import defaultdict, deque
 from itertools import accumulate, compress, repeat
 from operator import lt as _lt
 from typing import Any, Iterable, Iterator, Sequence
@@ -131,26 +127,18 @@ class ProbeBinding:
     ``bind_right`` (and the mirror image for a state of right tuples).  It
     also keeps the condition's ``column_key``, the form the key column stores.
 
-    ``indexed`` asks the in-core state for a per-key index in place of the
-    key column (``probe="hash"``); ``equi`` says the condition is a plain
-    equi-join, the only kind whose dict-lookup semantics an equality index
-    reproduces — read only by the per-slice tier kept in
-    :mod:`repro.engine.spill`, which indexes its segments on it regardless of
-    ``indexed``; no chain or join sets it.
+    ``equi`` says the condition is a plain equi-join, the only kind whose
+    dict-lookup semantics an equality index reproduces — read only by the
+    per-slice tier kept in :mod:`repro.engine.spill`, which indexes its
+    segments on it; no chain or join sets it.
     """
 
     __slots__ = (
         "key_attribute", "probe_attribute", "all_match", "match_mask", "mask_level",
-        "column_key", "bind", "indexed", "equi",
+        "column_key", "bind", "equi",
     )
 
-    def __init__(
-        self,
-        condition: Any,
-        stores_left: bool,
-        indexed: bool = False,
-        equi: bool = False,
-    ) -> None:
+    def __init__(self, condition: Any, stores_left: bool, equi: bool = False) -> None:
         own, other = condition.columnar_attributes or (None, None)
         if not stores_left:
             own, other = other, own
@@ -161,7 +149,6 @@ class ProbeBinding:
         self.mask_level = condition.mask_level
         self.column_key = condition.column_key
         self.bind = condition.bind_right if stores_left else condition.bind_left
-        self.indexed = indexed
         self.equi = equi
 
 
@@ -173,13 +160,13 @@ class ColumnarState:
     binding:
         The :class:`ProbeBinding` of the stream this state stores: which
         attribute to keep as the key column (none when the condition has no
-        columnar form — probing then uses the per-tuple fallback) or to
-        index on, and how a probing tuple is matched against it.
+        columnar form — probing then uses the per-tuple fallback) and how a
+        probing tuple is matched against it.
     tuples:
         Initial resident tuples, oldest first.
     """
 
-    __slots__ = ("binding", "_refs", "_ts", "_keys", "_head", "_key_level", "_index")
+    __slots__ = ("binding", "_refs", "_ts", "_keys", "_head", "_key_level")
     #: The numpy columns parallel to ``_refs`` (one left ``None`` is skipped).
     _ARRAYS = ("_ts", "_keys")
 
@@ -201,13 +188,7 @@ class ColumnarState:
         self._ts = ts
         self._keys = None
         self._key_level = 0
-        self._index = None
         attribute = self.binding.key_attribute
-        if self.binding.indexed:
-            # The index supplies the candidates, so a key column would go
-            # unused.
-            self._index = self._build_index(refs)
-            return
         if attribute is None:
             return
         level = 0
@@ -227,14 +208,6 @@ class ColumnarState:
                 keys[:n] = self.binding.column_key(keys[:n])
         self._keys = keys
         self._key_level = level
-
-    def _build_index(self, refs: list[Any]) -> Any:
-        """``key -> resident tuples`` (oldest first) over freshly loaded rows."""
-        index = defaultdict(deque)
-        attribute = self.binding.key_attribute
-        for ref in refs:
-            index[ref.values.get(attribute, _MISSING)].append(ref)
-        return index
 
     # -- deque-compatible surface --------------------------------------------
     def __len__(self) -> int:
@@ -272,8 +245,6 @@ class ColumnarState:
                 keys[n] = value
                 if self.binding.column_key is not None:
                     keys[n] = self.binding.column_key(keys[n])
-        elif self._index is not None:
-            self._index[ref.values.get(self.binding.key_attribute, _MISSING)].append(ref)
 
     def popleft(self) -> Any:
         head = self._head
@@ -283,8 +254,6 @@ class ColumnarState:
         ref = refs[head]
         refs[head] = None
         self._head = head + 1
-        if self._index is not None:
-            self._unindex((ref,))
         self._maybe_compact()
         return ref
 
@@ -303,15 +272,10 @@ class ColumnarState:
         return self.take(cut), cut + (cut < size)
 
     def candidates(self, probing: Any) -> Any:
-        """The resident tuples a scalar probe by ``probing`` must examine.
-
-        Every resident tuple, or the probing key's bucket when indexed —
-        what the literal per-item Figure-9 path walks candidate by candidate.
-        """
-        if self._index is None:
-            return self._refs[self._head :]
-        key = probing.values.get(self.binding.probe_attribute, _MISSING)
-        return self._index.get(key, ())
+        """The resident tuples a scalar probe by ``probing`` must examine:
+        every one — what the literal per-item Figure-9 path walks candidate
+        by candidate."""
+        return self._refs[self._head :]
 
     def probe(self, probing: Any) -> tuple[Any, int]:
         """The resident tuples matching ``probing``, oldest first.
@@ -319,9 +283,9 @@ class ColumnarState:
         Returns ``(matches, comparison count)`` — the count is the number of
         candidates a scalar probe would have examined.  One vectorized mask
         over the key column when the condition and both keys have an exact
-        columnar form; the index bucket when indexed; otherwise (float64-
-        hostile keys, conditions without a columnar form) the condition's
-        pre-bound scalar predicate, bound only when this fallback runs.
+        columnar form; otherwise (float64-hostile keys, conditions without a
+        columnar form) the condition's pre-bound scalar predicate, bound only
+        when this fallback runs.
         """
         refs = self._refs
         head = self._head
@@ -341,11 +305,8 @@ class ColumnarState:
                 return [refs[row] for row in hits.tolist()], n - head
         elif binding.all_match:
             return refs[head:], n - head
-        candidates = self.candidates(probing)
-        if not candidates:
-            return _NOTHING
         check = binding.bind(probing)
-        return [tup for tup in candidates if check(tup)], len(candidates)
+        return [tup for tup in refs[head:] if check(tup)], n - head
 
     # -- columnar accessors ---------------------------------------------------
     def purge_cut(
@@ -391,22 +352,8 @@ class ColumnarState:
         for i in range(head, head + count):
             refs[i] = None
         self._head = head + count
-        if self._index is not None:
-            self._unindex(taken)
         self._maybe_compact()
         return taken
-
-    def _unindex(self, oldest: Iterable[Any]) -> None:
-        """Drop departing head tuples (oldest first) from the key index."""
-        index = self._index
-        attribute = self.binding.key_attribute
-        for ref in oldest:
-            if ref is not None:  # a chain column's filtered row left the index then
-                key = ref.values.get(attribute, _MISSING)
-                bucket = index[key]
-                del bucket[0]
-                if not bucket:
-                    del index[key]  # empty buckets are deleted eagerly
 
     # -- storage management ---------------------------------------------------
     def _maybe_compact(self) -> None:
@@ -460,8 +407,8 @@ class ChainColumn(ColumnarState):
     cursor at once.  A row filtered at a link keeps its place and drops its
     payload (``None`` in ``refs``); ``dead[i]`` counts such rows inside slice
     ``i``, and a slice without any is counted by cursor arithmetic alone.
-    With ``probe="hash"`` the index maps a key to the *row ids* of its live
-    rows — rows ever dropped (``_gone``) plus offset, which nothing moves.
+    A row's id is rows ever dropped (``_gone``) plus its offset, which
+    nothing moves.
 
     Under a memory budget the oldest live rows ``[0, cold)`` are *cold*: they
     keep their timestamp and key, so purging, cursor arithmetic and the probe
@@ -469,7 +416,7 @@ class ChainColumn(ColumnarState):
     (a :class:`~repro.engine.spill.SpillLog`) and their ``refs`` entry is the
     row id to read it by.  Only rows that are reported are read back
     (:meth:`_thaw`): the placed hits of a batch, rows meeting a link filter,
-    :meth:`slices`; an indexed column also reads the rows it unindexes.
+    :meth:`slices`.
 
     One batch is ``extend`` → ``sweep`` → ``probe`` → ``settle``; a count
     chain, whose cursors are arithmetic on row counts, sets ``cuts`` itself
@@ -519,13 +466,6 @@ class ChainColumn(ColumnarState):
         capacity = self._ts.shape[0]
         self._verdicts = np.zeros((capacity, max(1, len(self.filters))), bool)
         self._stale = np.ones(capacity, bool)
-
-    def _build_index(self, refs: list[Any]) -> Any:
-        index = defaultdict(list)
-        attribute = self.binding.key_attribute
-        for row, ref in enumerate(refs):
-            index[ref.values.get(attribute, _MISSING)].append(row)
-        return index
 
     def slices(self) -> list[list[Any]]:
         """The live tuples of every slice, head slice first, oldest first
@@ -583,9 +523,6 @@ class ChainColumn(ColumnarState):
                 self._keys[rows] = keys
                 if self.binding.column_key is not None:
                     self._keys[rows] = self.binding.column_key(self._keys[rows])
-        if self._index is not None:
-            for row, tup in enumerate(tuples, self._gone + size):
-                self._index[tup.values.get(attribute, _MISSING)].append(row)
         return size
 
     def sweep(
@@ -611,7 +548,7 @@ class ChainColumn(ColumnarState):
         per link the live rows that ``(arrived, passed)``, and both counts as
         the operator chain charges them — a purge comparison per live row
         expelled plus each male's failing check, a probe comparison per live
-        row in a male's range (0 for an indexed column: :meth:`probe` counts).
+        row in a male's range.
         """
         cursors, dead, died = self.cuts, self.dead, self._died
         refs, head = self._refs, self._head
@@ -653,8 +590,7 @@ class ChainColumn(ColumnarState):
             if not (dead[k] or entered_dead):
                 # No dead row in sight: both counts are cursor arithmetic.
                 purge += final - start + sum(map(_lt, cuts, stops_k))
-                if self._index is None:
-                    probe += sum(stops_k) - sum(cuts)
+                probe += sum(stops_k) - sum(cuts)
                 leaving = None
             else:
                 leaving = [
@@ -671,8 +607,7 @@ class ChainColumn(ColumnarState):
                         stop - top if entered is None else entered[stop - top]
                     )
                     purge += expelled - gone + (live > 0)
-                    if self._index is None:
-                        probe += live
+                    probe += live
                     gone = expelled
                 dead[k] += entered_dead - (final - start - left[-1])
             if who is not everyone:
@@ -688,28 +623,20 @@ class ChainColumn(ColumnarState):
 
     def probe(
         self, males: Sequence[Any], cuts: Sequence[Sequence[int]], stops: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, list[Any], np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, list[Any], np.ndarray]:
         """A swept batch's candidate hits by male, then row: ``(males,
-        slices, stored tuples, their verdicts, comparisons)``, of a
-        :func:`_rounded` length; a candidate in slice ``len(cuts)`` is no
-        hit.  Male ``j`` sees rows ``[cuts[-1][j], stops[j])``, ``cuts[k][j]``
-        its cut of slice ``k`` (:meth:`sweep`).  One 2-D ``match_mask`` per
-        block of males when every key has an exact float64 form, else the
-        bound scalar check (an indexed column: on its bucket, one comparison
-        per entry)."""
+        slices, stored tuples, their verdicts)``, of a :func:`_rounded`
+        length; a candidate in slice ``len(cuts)`` is no hit.  Male ``j``
+        sees rows ``[cuts[-1][j], stops[j])``, ``cuts[k][j]`` its cut of
+        slice ``k`` (:meth:`sweep`).  One 2-D ``match_mask`` per block of
+        males when every key has an exact float64 form, else the bound
+        scalar check."""
         binding, lows, depth = self.binding, cuts[-1], len(self.cuts)
         keys = [male.values.get(binding.probe_attribute, _MISSING) for male in males]
         level = -1 if self._keys is None else max(self._key_level, *map(key_level, keys))
         scalar = not 0 <= level <= binding.mask_level
         js, rows = [], []
-        if self._index is not None:
-            for j, key in enumerate(keys):
-                bucket = self._index.get(key, ())
-                first = bisect_left(bucket, self._gone + lows[j])
-                found = bucket[first : bisect_left(bucket, self._gone + stops[j], first)]
-                js += [j] * len(found)
-                rows += [row - self._gone for row in found]
-        elif scalar:  # every row of each male's range
+        if scalar:  # every row of each male's range
             for j, (low, stop) in enumerate(zip(lows, stops)):
                 js += [j] * (stop - low)
                 rows += range(low, stop)
@@ -744,7 +671,6 @@ class ChainColumn(ColumnarState):
         found = [refs[head + row] if ok else None for row, ok in zip(rows.tolist(), valid.tolist())]
         ks[[ref is None for ref in found]] = depth  # a miss, or filtered at a link earlier
         found = self._thaw(found) if self.cold else found
-        comparisons = int(np.count_nonzero(ks < depth)) if self._index is not None else 0
         if scalar:
             checks = list(map(binding.bind, males))
             failed = [ref is not None and not checks[j](ref) for j, ref in zip(js.tolist(), found)]
@@ -757,7 +683,7 @@ class ChainColumn(ColumnarState):
             verdicts[stale] = self.judge([found[i] for i in stale.tolist()])
             self._verdicts[at[stale]] = verdicts[stale]
             self._stale[at[stale]] = False
-        return js, ks, found, verdicts, comparisons
+        return js, ks, found, verdicts
 
     def _thaw(self, refs: list[Any]) -> list[Any]:
         """``refs`` with every cold entry (a row id) replaced by that row's
@@ -801,18 +727,7 @@ class ChainColumn(ColumnarState):
         a link, and every row purged off the chain's end."""
         refs, head, cold = self._refs, self._head, self.cold
         count = self.cuts[-1]
-        if cold and self._index is not None:
-            # The index is keyed by payload: read back the rows about to leave it.
-            rows = [*{*range(min(count, cold)), *(row for row in self._died if row < cold)}]
-            for row, ref in zip(rows, self._thaw([refs[head + row] for row in rows])):
-                refs[head + row] = ref
         for row in self._died:
-            if self._index is not None:
-                key = refs[head + row].values.get(self.binding.key_attribute, _MISSING)
-                bucket = self._index[key]
-                del bucket[bisect_left(bucket, self._gone + row)]
-                if not bucket:
-                    del self._index[key]
             refs[head + row] = None
         if cold:
             self._cold_dead += sum(row < cold for row in self._died)
@@ -841,7 +756,7 @@ class HitBlock:
     def __init__(self, depth: int, parts: Sequence[tuple] = ()) -> None:
         self.depth, self.lefts, self.rights = depth, [], []
         arrays: list[list[np.ndarray]] = [[] for _ in range(7)]
-        for side, (js, ks, found, bits, _), males, male_bits, places in parts:
+        for side, (js, ks, found, bits), males, male_bits, places in parts:
             mine = list(map(males.__getitem__, js.tolist()))
             male = (mine, np.array([male.seqno for male in males])[js], male_bits[js])
             seqnos = map(getattr, found, repeat("seqno"), repeat(0))  # 0: no hit
@@ -929,7 +844,7 @@ def _map_kernels() -> None:
     machine code (64–128 KiB of it) at its first call; this charges the
     routing's routines to the import, not to the first session's growth."""
     tup, flag, verdict = StreamTuple("", 0.0, {}, 0), object(), np.ones((1, 1), bool)
-    hit = (np.zeros(1, np.intp), np.zeros(1, np.intp), [tup], verdict, 0)
+    hit = (np.zeros(1, np.intp), np.zeros(1, np.intp), [tup], verdict)
     table = RouteTable([([("", 0)], [flag], [None])], 1)
     table.route(HitBlock(1, [(1, hit, [tup], verdict, [0])]))
 

@@ -364,10 +364,10 @@ class SpilledState:
         self.store = store
         self.binding = binding
         #: Attribute of the per-segment key index.  Only a plain equi-join
-        #: may use the equality index (its dict-lookup semantics are exactly
-        #: those of the in-core hash probe); any other condition — including
-        #: value-based ones that expose key attributes — gets full scans,
-        #: with the bound predicate doing the matching.
+        #: may use the equality index (a dict lookup by its key); any other
+        #: condition — including value-based ones that expose key
+        #: attributes — gets full scans, with the bound predicate doing the
+        #: matching.
         self.key_attribute = binding.key_attribute if binding.equi else None
         self.flush_rows = int(flush_rows)
         self._segments: list[_Segment] = []

@@ -79,16 +79,8 @@ class ExperimentConfig:
     seed: int = 7
     system_overhead: float = 0.25
     memory_sample_interval: int = 4
-    #: Probe algorithm of every join: "nested_loop" (the paper's cost
-    #: model), "hash" (builds an equi-join workload whose key-domain size
-    #: approximates the requested S1) or "auto".
-    probe: str = "nested_loop"
 
     def __post_init__(self) -> None:
-        if self.probe not in ("nested_loop", "hash", "auto"):
-            raise ConfigurationError(
-                f"probe must be 'nested_loop', 'hash' or 'auto', got {self.probe!r}"
-            )
         if self.rate <= 0:
             raise ConfigurationError("rate must be positive")
         if self.time_scale <= 0:
@@ -121,14 +113,11 @@ class ExperimentConfig:
         return replace(self, rate=rate)
 
     def label(self) -> str:
-        label = (
+        return (
             f"{self.window_distribution}, {self.query_count} queries, "
             f"S1={self.join_selectivity:g}, Ssigma={self.filter_selectivity:g}, "
             f"rate={self.rate:g}/s, time_scale={self.time_scale:g}"
         )
-        if self.probe != "nested_loop":
-            label += f", probe={self.probe}"
-        return label
 
 
 def default_three_query_config(

@@ -23,16 +23,9 @@ from repro.engine.executor import execute_plan
 from repro.engine.metrics import RunReport
 from repro.engine.plan import QueryPlan
 from repro.experiments.config import ExperimentConfig
-from repro.operators.sliced_join import resolve_probe
-from repro.query.predicates import EquiJoinCondition
 from repro.query.query import QueryWorkload
 from repro.query.workload import build_workload
-from repro.streams.generators import (
-    TwoStreamWorkload,
-    equi_key_domain,
-    equi_value_generator,
-    generate_join_workload,
-)
+from repro.streams.generators import TwoStreamWorkload, generate_join_workload
 
 __all__ = [
     "STRATEGIES",
@@ -46,57 +39,45 @@ __all__ = [
 ]
 
 
-def _uses_hash(workload: QueryWorkload, config: ExperimentConfig) -> bool:
-    return resolve_probe(config.probe, workload.join_condition) == "hash"
-
-
-def _join_algorithm(workload: QueryWorkload, config: ExperimentConfig) -> str:
-    return "hash" if _uses_hash(workload, config) else "nested_loop"
-
-
 def chain_parameters(
     workload: QueryWorkload, config: ExperimentConfig
 ) -> ChainCostParameters:
     """The chain cost-model parameters implied by an experiment config.
 
     Everything is declared by the configuration: configured arrival
-    rates, the configured ``Csys``, and a probe term matching how the built
-    plans will actually probe (``hash_probe`` whenever the configuration
-    resolves to hash probing), so the CPU-Opt search prices the same
-    execution the run performs.
+    rates and the configured ``Csys``.
     """
     return ChainCostParameters(
         arrival_rate_left=config.rate,
         arrival_rate_right=config.rate,
         system_overhead=config.system_overhead,
-        hash_probe=_uses_hash(workload, config),
     )
 
 
 def _state_slice_mem_opt(workload: QueryWorkload, config: ExperimentConfig) -> QueryPlan:
     chain = build_mem_opt_chain(workload)
     return build_state_slice_plan(
-        workload, chain=chain, plan_name="state-slice-mem-opt", probe=config.probe
+        workload, chain=chain, plan_name="state-slice-mem-opt"
     )
 
 
 def _state_slice_cpu_opt(workload: QueryWorkload, config: ExperimentConfig) -> QueryPlan:
     chain = build_cpu_opt_chain(workload, chain_parameters(workload, config))
     return build_state_slice_plan(
-        workload, chain=chain, plan_name="state-slice-cpu-opt", probe=config.probe
+        workload, chain=chain, plan_name="state-slice-cpu-opt"
     )
 
 
 def _pullup(workload: QueryWorkload, config: ExperimentConfig) -> QueryPlan:
-    return build_pullup_plan(workload, algorithm=_join_algorithm(workload, config))
+    return build_pullup_plan(workload)
 
 
 def _pushdown(workload: QueryWorkload, config: ExperimentConfig) -> QueryPlan:
-    return build_pushdown_plan(workload, algorithm=_join_algorithm(workload, config))
+    return build_pushdown_plan(workload)
 
 
 def _unshared(workload: QueryWorkload, config: ExperimentConfig) -> QueryPlan:
-    return build_unshared_plan(workload, algorithm=_join_algorithm(workload, config))
+    return build_unshared_plan(workload)
 
 
 #: Registry of named strategies usable by the harness and benchmarks.
@@ -157,47 +138,23 @@ def make_workload(config: ExperimentConfig) -> QueryWorkload:
     selectivity.  When ``filter_selectivity`` is 1 no query has a selection
     (the Section 7.3 setting).  Window sizes come pre-scaled from the
     configuration (see :mod:`repro.experiments.config`).
-
-    With ``probe="hash"`` (or ``"auto"``) the join condition is an equi-join
-    on the synthetic key — hash probing needs an equi-key — whose domain
-    size approximates the requested S1 (uniform keys match with probability
-    ``1/domain``).
     """
     windows = config.windows()
     selectivities = [1.0] + [config.filter_selectivity] * (len(windows) - 1)
-    join_condition = None
-    if config.probe in ("hash", "auto"):
-        join_condition = EquiJoinCondition(
-            "join_key",
-            "join_key",
-            key_domain=equi_key_domain(config.join_selectivity),
-        )
     return build_workload(
         windows,
         join_selectivity=config.join_selectivity,
         filter_selectivities=selectivities,
-        join_condition=join_condition,
     )
 
 
 def make_stream_data(config: ExperimentConfig) -> TwoStreamWorkload:
-    """Generate the synthetic two-stream input for a configuration.
-
-    For hash-probing configurations the synthetic key is drawn from the same
-    domain the equi-join condition declares, so the executed join
-    selectivity matches the S1 the optimizer prices with.
-    """
-    value_generator = None
-    if config.probe in ("hash", "auto"):
-        value_generator = equi_value_generator(
-            equi_key_domain(config.join_selectivity)
-        )
+    """Generate the synthetic two-stream input for a configuration."""
     return generate_join_workload(
         rate_a=config.rate,
         rate_b=config.rate,
         duration=config.effective_duration(),
         seed=config.seed,
-        value_generator=value_generator,
     )
 
 

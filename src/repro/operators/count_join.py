@@ -232,7 +232,7 @@ class SharedCountJoin(Operator):
 class CountSlicedBinaryJoin(SlicedJoinBase):
     """One slice ``[rank_start, rank_end)`` of a count-based sliced-join chain.
 
-    Ports, slice states and probe configuration are those of
+    Ports, slice states and probe orientation are those of
     :class:`~repro.operators.sliced_join.SlicedJoinBase`, shared with the
     time-sliced :class:`~repro.operators.sliced_join.SlicedBinaryJoin`;
     what differs is eviction — a rank slice never purges on probe, it
@@ -246,14 +246,13 @@ class CountSlicedBinaryJoin(SlicedJoinBase):
         condition: JoinCondition,
         left_stream: str = "A",
         right_stream: str = "B",
-        probe: str = "nested_loop",
         name: str | None = None,
     ) -> None:
         if rank_start < 0 or rank_end <= rank_start:
             raise PlanError(
                 f"invalid rank slice [{rank_start}, {rank_end}) for {name!r}"
             )
-        super().__init__(condition, left_stream, right_stream, probe, name)
+        super().__init__(condition, left_stream, right_stream, name)
         self.rank_start = int(rank_start)
         self.rank_end = int(rank_end)
 

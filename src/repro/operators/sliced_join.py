@@ -37,7 +37,7 @@ from repro.engine.columns import ColumnarState, ProbeBinding
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
-from repro.query.predicates import EquiJoinCondition, JoinCondition
+from repro.query.predicates import JoinCondition
 from repro.query.windows import WindowSlice
 from repro.streams.tuples import (
     FEMALE,
@@ -53,24 +53,7 @@ __all__ = [
     "SlicedJoinBase",
     "SlicedOneWayJoin",
     "SlicedBinaryJoin",
-    "resolve_probe",
 ]
-
-
-def resolve_probe(probe: str, condition: JoinCondition) -> str:
-    """Resolve a probe algorithm name against a join condition.
-
-    ``"auto"`` picks hash probing for equi-joins and nested loops otherwise;
-    ``"hash"`` requires an :class:`~repro.query.predicates.EquiJoinCondition`
-    (the per-slice index buckets tuples by the equi-key).
-    """
-    if probe == "auto":
-        return "hash" if isinstance(condition, EquiJoinCondition) else "nested_loop"
-    if probe not in ("nested_loop", "hash"):
-        raise PlanError(f"unknown probe algorithm {probe!r}")
-    if probe == "hash" and not isinstance(condition, EquiJoinCondition):
-        raise PlanError("hash probing requires an equi-join condition")
-    return probe
 
 
 class KeyedStateMixin:
@@ -79,9 +62,8 @@ class KeyedStateMixin:
     The repartition primitive of the operator reference chain (a session's
     cursor chain answers :meth:`repro.runtime.sharding.ShardedStreamEngine.reshard`
     from its columns): the host keeps its resident tuples in a per-stream
-    ``_states`` map and replaces a state wholesale via ``load_state`` (an
-    indexed state rebuilds its key index as it loads), which is all this
-    mixin requires.
+    ``_states`` map and replaces a state wholesale via ``load_state``, which
+    is all this mixin requires.
     """
 
     def extract_state(self, stream: str, predicate=None) -> list[StreamTuple]:
@@ -91,8 +73,7 @@ class KeyedStateMixin:
         states with ``predicate=None`` and buckets them by key in the
         coordinator; a keyed ``predicate`` supports donor-side filtering
         (e.g. splitting one slice's state by key in place).  The remaining
-        tuples keep their arrival order and, when probing is indexed, the
-        hash index is rebuilt to match.
+        tuples keep their arrival order.
         """
         state = self._states[stream]
         if predicate is None:
@@ -113,8 +94,7 @@ class KeyedStateMixin:
         The receiving half of the repartition primitive: ``tuples`` (the
         extract of another shard's same-boundary slice) are merged with the
         resident tuples in global ``(timestamp, seqno)`` order — the order
-        the purge loop relies on.  The hash index, when enabled, is rebuilt.
-        Returns the number of tuples spliced in.
+        the purge loop relies on.  Returns the number of tuples spliced in.
         """
         incoming = list(tuples)
         if not incoming:
@@ -227,8 +207,8 @@ def _scan_purge(state, now: float, end: float) -> tuple[list[StreamTuple], int]:
 class SlicedJoinBase(Operator):
     """What the time- and count-sliced binary joins share.
 
-    Per-stream slice states behind one protocol, the probe configuration
-    with its orientation fixed per stream at construction, state
+    Per-stream slice states behind one protocol, the probe orientation
+    fixed per stream at construction, state
     introspection and the literal per-item Figure-9 path.  Subclasses keep
     what actually differs: a time slice cross-purges on probe (and, as the
     operator chain's slice, re-loads states under migrations), a rank slice
@@ -254,14 +234,12 @@ class SlicedJoinBase(Operator):
         condition: JoinCondition,
         left_stream: str,
         right_stream: str,
-        probe: str,
         name: str | None,
     ) -> None:
         super().__init__(name)
         self.condition = condition
         self.left_stream = left_stream
         self.right_stream = right_stream
-        self.probe = resolve_probe(probe, condition)
         #: Per stream: ``(stream whose state its males probe, whether the
         #: male is the condition's left side)`` — which also decides whether
         #: a result is ``(male, match)`` or ``(match, male)``.
@@ -269,14 +247,13 @@ class SlicedJoinBase(Operator):
             left_stream: (right_stream, True),
             right_stream: (left_stream, False),
         }
-        # Everything orientation-dependent — the key attribute a state keeps
-        # (or indexes, for ``probe="hash"``), the attribute read off the
-        # probing male, which ``bind_*`` the scalar fallback uses — is fixed
-        # here, once per stream, and travels with the state.
-        indexed = self.probe == "hash"
+        # Everything orientation-dependent — the key attribute a state keeps,
+        # the attribute read off the probing male, which ``bind_*`` the scalar
+        # fallback uses — is fixed here, once per stream, and travels with the
+        # state.
         self._bindings = {
-            left_stream: ProbeBinding(condition, True, indexed),
-            right_stream: ProbeBinding(condition, False, indexed),
+            left_stream: ProbeBinding(condition, True),
+            right_stream: ProbeBinding(condition, False),
         }
         self._states: dict[str, Any] = {
             stream: ColumnarState(binding) for stream, binding in self._bindings.items()
@@ -336,8 +313,8 @@ class SlicedJoinBase(Operator):
     ) -> list[Emission]:
         """Probe the opposite state candidate by candidate, then propagate.
 
-        ``condition.matches`` per candidate the state hands out (all of it,
-        or the male's key bucket), one ``PROBE`` comparison each.
+        ``condition.matches`` per tuple of the opposite state, one ``PROBE``
+        comparison each.
         """
         tup = ref.base
         opposite, male_is_left = self._oriented(tup.stream)
@@ -370,13 +347,6 @@ class SlicedBinaryJoin(KeyedStateMixin, SlicedJoinBase):
         Pairwise join condition.
     left_stream, right_stream:
         Stream names used to decide which state a reference tuple belongs to.
-    probe:
-        ``"nested_loop"`` (the paper's cost model, and the default),
-        ``"hash"`` (equi-joins only: each sliced state keeps a key → tuples
-        index, so a male probes one bucket instead of the whole state), or
-        ``"auto"``.  The index is a property of the state: maintained under
-        insert and cross-purge, rebuilt when :meth:`load_state` replaces a
-        state wholesale.
     """
 
     def __init__(
@@ -387,10 +357,9 @@ class SlicedBinaryJoin(KeyedStateMixin, SlicedJoinBase):
         left_stream: str = "A",
         right_stream: str = "B",
         enforce_bounds: bool = False,
-        probe: str = "nested_loop",
         name: str | None = None,
     ) -> None:
-        super().__init__(condition, left_stream, right_stream, probe, name)
+        super().__init__(condition, left_stream, right_stream, name)
         self.slice = WindowSlice(window_start, window_end)
         self.enforce_bounds = enforce_bounds
 
@@ -398,8 +367,7 @@ class SlicedBinaryJoin(KeyedStateMixin, SlicedJoinBase):
         """Replace one stream's sliced state (migration helper).
 
         Every migration path of the operator chain (merge, keyed
-        extract/ingest) funnels through here; an indexed state rebuilds its
-        key index as it loads, so probing stays correct across migrations.
+        extract/ingest) funnels through here.
         """
         self._states[stream] = ColumnarState(self._bindings[stream], tuples)
 

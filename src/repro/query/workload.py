@@ -152,20 +152,16 @@ def build_workload(
     left_stream: str = "A",
     right_stream: str = "B",
     name_prefix: str = "Q",
-    join_condition=None,
 ) -> QueryWorkload:
     """Build a workload with the given windows and selectivities.
 
     ``filter_selectivities`` gives the selectivity Sσ of the selection on the
     left stream for each query; ``None`` or a value of 1.0 means the query
     has no selection.  Filters are placed on the left stream only, matching
-    the paper's experiments (σ(A) ⋈ B).  ``join_condition`` overrides the
-    default modular-match condition (e.g. an equi-join for hash probing —
-    the experiment harness approximates the requested S1 with the key-domain
-    size there).
+    the paper's experiments (σ(A) ⋈ B).  Every query joins on the
+    modular-match condition of ``join_selectivity``.
     """
-    if join_condition is None:
-        join_condition = selectivity_join(join_selectivity)
+    join_condition = selectivity_join(join_selectivity)
     count = len(windows)
     if filter_selectivities is None:
         filter_selectivities = [1.0] * count

@@ -51,13 +51,6 @@ N" ranks, silently redefining every query's window.  Count-window
 selections are therefore applied to each query's results (window semantics:
 the N most recent *arrivals*, selections filter the answers).
 
-**Hash probing** — ``probe="hash"`` (equi-join conditions only, or
-``"auto"``; the constructor default is ``"nested_loop"``) keeps a per-key
-index on the equi-key, so a probing tuple examines one bucket instead of the
-whole window state.  The index is a property of the column
-(:mod:`repro.engine.columns`: posting lists of row ids, which no split or
-merge touches) and is rebuilt with whatever a keyed ingest loads.
-
 The caller's quantum is the batch: ``process_many`` runs its arrivals as
 one (split at :data:`BLOCK`), ``process`` buffers until a barrier — flush,
 pull, admission, removal, introspection — and the chain's
@@ -80,7 +73,6 @@ from repro.engine.columns import RouteTable
 from repro.engine.errors import ExecutionError, MigrationError, QueryError
 from repro.engine.metrics import CostCategory, MetricsCollector, append_bounded
 from repro.engine.spill import SpillStore, estimate_tuple_bytes
-from repro.operators.sliced_join import resolve_probe
 from repro.query.predicates import JoinCondition, Predicate, TruePredicate
 from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.streams.tuples import JoinedTuple, StreamTuple
@@ -203,10 +195,6 @@ class StreamEngine:
         :class:`~repro.core.chain.SlicedJoinChain`, or ``"count"`` for
         most-recent-N-tuples windows over a
         :class:`~repro.core.count_chain.CountSlicedJoinChain`.
-    probe:
-        Probe algorithm of every slice: ``"nested_loop"`` (the paper's cost
-        model, and the default), ``"hash"`` (equi-join conditions only) or
-        ``"auto"`` (hash for equi-joins, nested loop otherwise).
     memory_budget_bytes:
         Optional in-core state budget.  After every batch, while the resident
         estimate exceeds it, the chain moves its oldest state to an on-disk
@@ -218,10 +206,13 @@ class StreamEngine:
         everything in core.
     """
 
-    #: Slice state is always columnar (:mod:`repro.engine.columns`); this
-    #: constant exists only because ``bench/workloads.resolved_knobs`` reads
-    #: ``session.columnar``, and goes with the next ``benchmark`` PR.
+    #: Slice state is always columnar (:mod:`repro.engine.columns`) and a
+    #: slice probes by nested loop, the paper's cost model; these constants
+    #: exist only because ``bench/workloads.resolved_knobs`` reads
+    #: ``session.columnar`` / ``session.probe``, and go with the next
+    #: ``benchmark`` PR.
     columnar = "auto"
+    probe = "nested_loop"
 
     def __init__(
         self,
@@ -230,12 +221,10 @@ class StreamEngine:
         right_stream: str = "B",
         metrics: MetricsCollector | None = None,
         window_kind: str = "time",
-        probe: str = "nested_loop",
         memory_budget_bytes: int | None = None,
     ) -> None:
         #: The chain class this session builds (read-only; from ``window_kind``).
         self.chain_class = chain_class(window_kind)
-        resolve_probe(probe, condition)  # refuse a bad probe= now, not at admission
         if memory_budget_bytes is not None:
             memory_budget_bytes = int(memory_budget_bytes)
             if memory_budget_bytes <= 0:
@@ -247,7 +236,6 @@ class StreamEngine:
         self.right_stream = right_stream
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.window_kind = window_kind
-        self.probe = probe
         self._stats = EngineStats()
         self._chain: SlicedChainBase | None = None
         self._queries: dict[str, RegisteredQuery] = {}
@@ -285,14 +273,13 @@ class StreamEngine:
         window = self.chain_class.normalize_window(name, window)
         self._drain()
         if self._chain is None:
-            # The one site a session's chain kind and probe kind are decided.
+            # The one site a session's chain kind is decided.
             self._chain = self.chain_class(
                 [0, window],
                 self.condition,
                 left_stream=self.left_stream,
                 right_stream=self.right_stream,
                 metrics=self.metrics,
-                probe=self.probe,
             )
             self._record_migration("create", window)
         else:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.engine.errors import ExecutionError
-from repro.engine.metrics import MetricsCollector
 from repro.engine.ring import SpscRing
 from repro.query.predicates import JoinCondition
 from repro.runtime.engine import StreamEngine
@@ -34,8 +33,6 @@ class ShardConfig:
     left_stream: str = "A"
     right_stream: str = "B"
     window_kind: str = "time"
-    probe: str = "nested_loop"
-    system_overhead: float = 0.0
     #: Per-shard in-core state budget (the session budget split over the
     #: current shard count); re-derived by every
     #: :meth:`~repro.runtime.sharding.ShardedStreamEngine.reshard`.
@@ -47,9 +44,7 @@ class ShardConfig:
             self.condition,
             left_stream=self.left_stream,
             right_stream=self.right_stream,
-            metrics=MetricsCollector(system_overhead=self.system_overhead),
             window_kind=self.window_kind,
-            probe=self.probe,
             memory_budget_bytes=self.memory_budget_bytes,
         )
 

@@ -63,7 +63,6 @@ from typing import Iterable, Sequence
 from repro.engine.errors import ExecutionError, MigrationError, QueryError, ShardingError
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
 from repro.engine.ring import DEFAULT_RING_CAPACITY
-from repro.operators.sliced_join import resolve_probe
 from repro.query.predicates import EquiJoinCondition, JoinCondition, Predicate, TruePredicate
 from repro.runtime.engine import BLOCK, EngineStats, RegisteredQuery, chain_class
 from repro.runtime.partition import (
@@ -479,13 +478,14 @@ class ShardedStreamEngine:
         to disk, see :class:`StreamEngine`.  A :meth:`reshard` re-splits
         the session budget under the new modulus, so growing the session
         also grows nobody's total footprint.
-    window_kind / probe / system_overhead:
+    window_kind:
         Forwarded to every shard's engine, see :class:`StreamEngine`.
     """
 
-    #: See :attr:`StreamEngine.columnar` — read by
-    #: ``bench/workloads.resolved_knobs``; goes with the next ``benchmark`` PR.
+    #: See :attr:`StreamEngine.columnar` / :attr:`StreamEngine.probe` — read
+    #: by ``bench/workloads.resolved_knobs``; go with the next ``benchmark`` PR.
     columnar = "auto"
+    probe = "nested_loop"
 
     def __init__(
         self,
@@ -495,8 +495,6 @@ class ShardedStreamEngine:
         left_stream: str = "A",
         right_stream: str = "B",
         window_kind: str = "time",
-        probe: str = "nested_loop",
-        system_overhead: float = 0.0,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         max_respawns: int = 3,
         memory_budget_bytes: int | None = None,
@@ -509,7 +507,6 @@ class ShardedStreamEngine:
             )
         #: The chain class every shard's engine builds (from ``window_kind``).
         self.chain_class = chain_class(window_kind)
-        resolve_probe(probe, condition)  # refuse a bad probe= before any shard exists
         problem = unpartitionable_reason(condition, self.chain_class)
         if shards > 1 and problem is not None:
             raise ShardingError(
@@ -522,7 +519,6 @@ class ShardedStreamEngine:
         self.left_stream = left_stream
         self.right_stream = right_stream
         self.window_kind = window_kind
-        self.probe = probe
         self.ring_capacity = int(ring_capacity)
         self.max_respawns = int(max_respawns)
         if memory_budget_bytes is not None:
@@ -538,8 +534,6 @@ class ShardedStreamEngine:
             left_stream=left_stream,
             right_stream=right_stream,
             window_kind=window_kind,
-            probe=probe,
-            system_overhead=system_overhead,
             memory_budget_bytes=self._per_shard_budget(self.shards),
         )
         if isinstance(condition, EquiJoinCondition):
@@ -897,7 +891,7 @@ class ShardedStreamEngine:
            generation's chain boundaries and pushed-down filters: both
            follow from the query set alone), and splice their bucket in
            (:meth:`StreamEngine.ingest_keyed_state` — per-slice
-           ``(timestamp, seqno)`` merge, hash indexes rebuilt).
+           ``(timestamp, seqno)`` merge).
 
         Ingestion resumes against the new generation, whose per-shard
         counters (:meth:`shard_ingest_totals`) start from zero under the new

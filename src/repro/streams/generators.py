@@ -261,11 +261,10 @@ def generate_join_workload(
 def equi_key_domain(join_selectivity: float) -> int:
     """Key-domain size whose uniform equi-keys match with probability S1.
 
-    Hash probing needs an equi-key, so hash workloads approximate a
-    requested join selectivity with ``1/domain``.  Every consumer (the
-    experiment harness, the CLI runtime demo) must use this one helper for
-    both the join condition *and* the data generator, so the executed S1
-    always matches the S1 the optimizer prices with.
+    Sharding needs an equi-key, so sharded workloads approximate a
+    requested join selectivity with ``1/domain``.  A consumer (the CLI
+    runtime demo) uses this one helper for both the join condition *and*
+    the data generator, so the executed S1 is the S1 it asked for.
     """
     if not 0.0 < join_selectivity <= 1.0:
         raise ConfigurationError(

@@ -53,13 +53,20 @@ class TestParser:
 
     def test_nothing_has_a_batch_size(self, capsys):
         """A static plan runs one arrival at a time; a session's batch is the
-        caller's quantum."""
-        for command in ("compare", "runtime"):
+        caller's quantum.  Nor is there a probe to pick: a slice probes by
+        nested loop."""
+        for command, flag, value in (
+            ("compare", "--batch-size", "8"),
+            ("runtime", "--batch-size", "8"),
+            ("compare", "--probe", "hash"),
+            ("optimize", "--probe", "hash"),
+            ("runtime", "--probe", "hash"),
+        ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--help"])
-            assert "--batch-size" not in capsys.readouterr().out
+            assert flag not in capsys.readouterr().out
             with pytest.raises(SystemExit) as usage:
-                build_parser().parse_args([command, "--batch-size", "8"])
+                build_parser().parse_args([command, flag, value])
             assert usage.value.code == 2
 
     def test_a_session_has_no_chain_selector(self, capsys):
@@ -122,6 +129,13 @@ class TestCommands:
         assert "state-slice" in out
         assert "selection-pullup" in out
 
+    def test_compare_labels_no_probe(self, capsys):
+        """The state-slice strategies run the one probe: no probe kind
+        appears in the configuration label."""
+        out = run_cli(capsys, "compare", "--rate", "15", "--time-scale", "0.05")
+        assert "probe=" not in out
+        assert "state-slice-cpu-opt" in out
+
     def test_figure_11_command(self, capsys):
         out = run_cli(capsys, "figure", "11")
         assert "Figure 11(a)" in out
@@ -175,40 +189,13 @@ class TestOptimizeCommand:
         assert "nested loops" in out
         assert "CPU (cmp/s)" in out
 
-    def test_optimize_hash_probe_model(self, capsys):
+    def test_optimize_prices_the_nested_loop_only(self, capsys):
+        """The cost model has one probe term: the paper's nested loop."""
         out = run_cli(
-            capsys,
-            "optimize",
-            "--queries",
-            "3",
-            "--windows",
-            "uniform",
-            "--probe",
-            "hash",
-            "--s1",
-            "0.1",
+            capsys, "optimize", "--queries", "3", "--windows", "uniform", "--s1", "0.1"
         )
-        assert "probe model: hash" in out
-        assert "probe=hash" in out  # config label carries the probe kind
-
-    def test_optimize_hash_merges_more_than_nested(self, capsys):
-        """Hash probing shrinks the probe term, so at equal Csys the
-        CPU-Opt search merges at least as aggressively as nested loops."""
-        args = [
-            "optimize",
-            "--queries", "12", "--windows", "uniform",
-            "--rate", "10", "--s1", "0.05", "--csys", "2.0",
-        ]
-        nested = run_cli(capsys, *args)
-        hashed = run_cli(capsys, *args, "--probe", "hash")
-
-        def cpu_opt_slices(out: str) -> int:
-            for line in out.splitlines():
-                if line.startswith("CPU-Opt"):
-                    return int(line.split()[1])
-            raise AssertionError(out)
-
-        assert cpu_opt_slices(hashed) <= cpu_opt_slices(nested)
+        assert "probe model: nested loops" in out
+        assert "hash" not in out
 
 
 class TestRuntimeCommand:
@@ -356,19 +343,3 @@ class TestRuntimeCommand:
     def test_runtime_sharded_rejects_adaptive(self):
         with pytest.raises(SystemExit):
             main(["runtime", "--shards", "2", "--adaptive", "--duration", "4"])
-
-
-class TestCompareProbe:
-    def test_compare_hash_probe(self, capsys):
-        out = run_cli(
-            capsys,
-            "compare",
-            "--rate",
-            "15",
-            "--time-scale",
-            "0.05",
-            "--probe",
-            "hash",
-        )
-        assert "probe=hash" in out
-        assert "state-slice-cpu-opt" in out

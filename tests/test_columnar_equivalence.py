@@ -2,10 +2,9 @@
 
 Slice state has one in-core representation (``repro.engine.columns``): a
 session's cursor chain runs the block kernel over it (``ChainColumn.sweep`` /
-``probe`` — forward purge cuts, vectorized mask, key index, bound scalar
-fallback) while the operators' per-item ``process()`` path stays the literal
-scalar Figure-9 loop over a state's deque surface (``condition.matches`` per
-candidate).  The properties here hold the kernel to that reference and to
+``probe`` — forward purge cuts, vectorized mask, bound scalar fallback) while
+the operators' per-item ``process()`` path stays the literal scalar Figure-9
+loop over a state's deque surface (``condition.matches`` per candidate).  The properties here hold the kernel to that reference and to
 the independent ``repro.baselines.unshared`` oracle: same pairs, same
 per-slice attribution, same resident state, same probe/purge comparison
 counts — at every batch size, for every condition shape, and for payload
@@ -255,11 +254,8 @@ def test_count_chain_columnar_equals_tuple_path(tuples, ranks, kind, batch_size)
     tuples=stream_events(keys=WEIRD_KEYS),
     batch_size=st.sampled_from(BATCH_SIZES),
     window_kind=st.sampled_from(["time", "count"]),
-    probe=st.sampled_from(["nested_loop", "hash"]),
 )
-def test_engine_columnar_equals_tuple_path_on_weird_keys(
-    tuples, batch_size, window_kind, probe
-):
+def test_engine_columnar_equals_tuple_path_on_weird_keys(tuples, batch_size, window_kind):
     """Engine sessions agree even when keys defeat the float64 columns.
 
     Strings, bools and ints past 2**53 all force the columnar layout's
@@ -268,7 +264,7 @@ def test_engine_columnar_equals_tuple_path_on_weird_keys(
     """
     condition = EquiJoinCondition("join_key", "join_key", key_domain=13)
     windows = {"Q1": 2.0, "Q2": 3.0} if window_kind == "time" else {"Q1": 3, "Q2": 5}
-    engine = StreamEngine(condition, probe=probe, window_kind=window_kind)
+    engine = StreamEngine(condition, window_kind=window_kind)
     for name, window in windows.items():
         engine.add_query(name, window)
     for start in range(0, len(tuples), batch_size):
@@ -280,7 +276,7 @@ def test_engine_columnar_equals_tuple_path_on_weird_keys(
     assert delivered == _unshared(condition, windows, tuples, window_kind)
 
     chain_cls = SlicedJoinChain if window_kind == "time" else CountSlicedJoinChain
-    chain = chain_cls([0, *windows.values()], condition, probe=probe)
+    chain = chain_cls([0, *windows.values()], condition)
     reference = chain.process_all(tuples)
     assert delivered == {
         name: sorted(
@@ -337,7 +333,7 @@ def test_residue_mask_equals_modular_matches(domain, threshold, data, promote):
 
     column = ChainColumn(ProbeBinding(condition, stores_left=False), [stored[:half]])
     column.extend(stored[half:], column.judge(stored[half:]))
-    js, ks, found, _, _ = column.probe(males, [[0] * len(males)], [len(stored)] * len(males))
+    js, ks, found, _ = column.probe(males, [[0] * len(males)], [len(stored)] * len(males))
     got = [[] for _ in males]
     for j, k, tup in zip(js.tolist(), ks.tolist(), found):
         if k == 0:

@@ -193,41 +193,3 @@ class TestFigure11Grids:
         )
         assert high["cpu_saving_vs_pullup_pct"] > low["cpu_saving_vs_pullup_pct"]
 
-
-class TestHashProbeModel:
-    def _settings(self, hash_probe: bool) -> TwoQuerySettings:
-        return TwoQuerySettings(
-            arrival_rate=50,
-            window_small=15,
-            window_large=60,
-            filter_selectivity=0.5,
-            join_selectivity=0.1,
-            hash_probe=hash_probe,
-        )
-
-    def test_probe_factor_scales_probe_terms_only(self):
-        nested = self._settings(hash_probe=False)
-        hashed = self._settings(hash_probe=True)
-        assert nested.probe_factor == 1.0
-        assert hashed.probe_factor == pytest.approx(0.1)
-        for cost_fn in (
-            selection_pullup_cost,
-            selection_pushdown_cost,
-            state_slice_cost,
-        ):
-            full = cost_fn(nested)
-            cheap = cost_fn(hashed)
-            assert cheap.cpu < full.cpu
-            assert cheap.memory == full.memory  # probing never touches state
-
-    def test_hash_savings_recomputed_numerically(self):
-        hashed = self._settings(hash_probe=True)
-        savings = state_slice_savings(hashed)
-        pullup = selection_pullup_cost(hashed)
-        sliced = state_slice_cost(hashed)
-        assert savings.cpu_vs_pullup == pytest.approx(
-            (pullup.cpu - sliced.cpu) / pullup.cpu
-        )
-        # Memory ratios are probe-independent, so they match the closed form.
-        nested = state_slice_savings(self._settings(hash_probe=False))
-        assert savings.memory_vs_pullup == pytest.approx(nested.memory_vs_pullup)

@@ -18,14 +18,10 @@ from repro.core.plan_builder import build_state_slice_plan
 from repro.core.slices import ChainSpec, SliceSpec
 from repro.engine.errors import ChainError, ConfigurationError, QueryError
 from repro.engine.executor import execute_plan
-from repro.query.predicates import (
-    EquiJoinCondition,
-    selectivity_filter,
-    selectivity_join,
-)
+from repro.query.predicates import selectivity_filter, selectivity_join
 from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.runtime import StreamEngine
-from repro.streams.generators import SelectivityValueGenerator, generate_join_workload
+from repro.streams.generators import generate_join_workload
 from tests.conftest import joined_keys, result_keys
 
 BUILDERS = {
@@ -99,32 +95,6 @@ class TestCountDifferential:
             assert joined_keys(engine.results(query.name)) == joined_keys(
                 report.results[query.name]
             ), query.name
-
-    def test_hash_probe_count_chain_agrees_with_nested_loop(self):
-        condition = EquiJoinCondition("join_key", "join_key", key_domain=6)
-        workload = QueryWorkload(
-            [
-                ContinuousQuery("Q1", window=5, join_condition=condition),
-                ContinuousQuery("Q2", window=12, join_condition=condition),
-            ]
-        )
-        data = generate_join_workload(
-            rate_a=15,
-            rate_b=15,
-            duration=6.0,
-            seed=31,
-            value_generator=lambda: SelectivityValueGenerator(key_domain=6),
-        )
-        nested = execute_plan(
-            build_state_slice_plan(workload, window_kind="count", probe="nested_loop"),
-            data.tuples,
-        )
-        hashed = execute_plan(
-            build_state_slice_plan(workload, window_kind="count", probe="hash"),
-            data.tuples,
-        )
-        assert result_keys(hashed.results) == result_keys(nested.results)
-        assert all(len(keys) > 0 for keys in result_keys(hashed.results).values())
 
     def test_state_slice_count_plan_uses_less_state_than_pullup(self, stream_data):
         """Theorem 3's memory claim carries over to rank slices: the chain

@@ -64,33 +64,30 @@ from tests.test_columnar_equivalence import BLOCK_BATCH_SIZES, WEIRD_KEYS, slici
 #: Keys a float64 column cannot hold exactly, that still add and compare.
 HOSTILE_NUMBERS = [0, 1, 2, 3, 3.5, -1, True, False, 2**53 + 1, 2**53 + 2, -(2**40) - 7]
 
-#: kind -> (condition, join keys to draw from, probe kinds that are legal).
+#: kind -> (condition, join keys to draw from).
 KINDS = {
     "equi": (
         lambda: EquiJoinCondition("join_key", "join_key", key_domain=7),
         WEIRD_KEYS[:6] * 3 + WEIRD_KEYS,
-        ["nested_loop", "hash"],
     ),
     "modular": (
         lambda: ModularMatchCondition(threshold=3, domain=7, attribute="join_key"),
         HOSTILE_NUMBERS[:4] * 4 + HOSTILE_NUMBERS,
-        ["nested_loop"],
     ),
-    "cross": (lambda: CrossProductCondition(), WEIRD_KEYS, ["nested_loop"]),
+    "cross": (lambda: CrossProductCondition(), WEIRD_KEYS),
     "theta": (
         lambda: ThetaJoinCondition(lambda a, b: a["join_key"] <= b["join_key"]),
         HOSTILE_NUMBERS,
-        ["nested_loop"],
     ),
 }
 
 
 @st.composite
 def scenarios(draw, max_events: int = 140):
-    """A condition kind, a legal probe kind and timestamp-ordered arrivals
-    (ties allowed) whose ``value`` the link filters select on."""
+    """A condition kind and timestamp-ordered arrivals (ties allowed) whose
+    ``value`` the link filters select on."""
     kind = draw(st.sampled_from(sorted(KINDS)))
-    make_condition, keys, probes = KINDS[kind]
+    make_condition, keys = KINDS[kind]
     count = draw(st.integers(min_value=2, max_value=max_events))
     now = 0.0
     tuples = []
@@ -104,7 +101,7 @@ def scenarios(draw, max_events: int = 140):
                 value=draw(st.integers(0, 4)),
             )
         )
-    return make_condition, draw(st.sampled_from(probes)), tuples
+    return make_condition, tuples
 
 
 #: ``evict_cold`` budgets at ``TUPLE_BYTES`` a hot tuple (a cold row: 32 B):
@@ -187,10 +184,9 @@ def assert_same_state(cursor, operators):
 def test_cursor_chain_equals_per_item_operator_chain(
     batch_size, scenario, boundaries, floors, budgets
 ):
-    make_condition, probe, tuples = scenario
+    make_condition, tuples = scenario
     cursor, operators = (
-        cls(boundaries, make_condition(), probe=probe)
-        for cls in (SlicedJoinChain, OperatorJoinChain)
+        cls(boundaries, make_condition()) for cls in (SlicedJoinChain, OperatorJoinChain)
     )
     for chain in (cursor, operators):
         chain.set_link_filters(link_filters(floors, len(boundaries) - 1))
@@ -266,10 +262,9 @@ def test_cursor_chain_equals_operator_chain_under_migrations(
     the module docstring for why not the per-name invocations).  A drawn
     budget is enforced before each step, so every migration also runs over a
     partly or wholly cold column."""
-    make_condition, probe, tuples = scenario
+    make_condition, tuples = scenario
     cursor, operators = (
-        cls(boundaries, make_condition(), probe=probe)
-        for cls in (SlicedJoinChain, OperatorJoinChain)
+        cls(boundaries, make_condition()) for cls in (SlicedJoinChain, OperatorJoinChain)
     )
     store = SpillStore()
     steps = iter(schedule)
@@ -308,15 +303,13 @@ def test_count_session_equals_the_per_item_count_operator_plan(
     enforced between batches) against ``CountSlicedBinaryJoin`` operators run
     one tuple at a time: the same results per registered count and, count
     for count, the same ``PROBE`` and ``PURGE`` totals — whatever is cold."""
-    make_condition, probe, tuples = scenario
+    make_condition, tuples = scenario
     condition = make_condition()
     workload = QueryWorkload(
         [ContinuousQuery(f"Q{count}", window=count, join_condition=condition) for count in counts]
     )
-    report = execute_plan(
-        build_state_slice_plan(workload, window_kind="count", probe=probe), tuples
-    )
-    engine = StreamEngine(condition, window_kind="count", probe=probe)
+    report = execute_plan(build_state_slice_plan(workload, window_kind="count"), tuples)
+    engine = StreamEngine(condition, window_kind="count")
     for query in workload:
         engine.add_query(query.name, query.window)
     chain = engine._chain
@@ -341,7 +334,7 @@ def test_count_migrations_move_no_row():
     """Membership is the rank: a split, a merge and an append insert or delete
     a boundary and nothing else — the column holds the same objects in the
     same order, regrouped — and only a drop-tail frees rows."""
-    chain = CountSlicedJoinChain([0, 4, 10], EQUI, probe="hash")
+    chain = CountSlicedJoinChain([0, 4, 10], EQUI)
     rows = [arrival("AB"[step % 2], 0.1 * step, key=step % 3) for step in range(30)]
     chain.process_batch(rows)
     a_rows = rows[0::2][-10:]  # the ten newest of stream A, oldest first
@@ -387,12 +380,11 @@ def arrival(stream, timestamp, value=1, key=1):
     return make_tuple(stream, timestamp, join_key=key, value=value)
 
 
-@pytest.mark.parametrize("probe", ["nested_loop", "hash"])
-def test_a_row_leaving_a_slice_mid_batch_stays_visible_to_the_earlier_males(probe):
+def test_a_row_leaving_a_slice_mid_batch_stays_visible_to_the_earlier_males():
     """(a) One batch purges ``b`` from slice 0 to slice 1 and then off the
     chain's end; the males before each move still see it where it was.
     Freeing at purge time loses both results."""
-    chain = SlicedJoinChain([0, 1, 2], EQUI, probe=probe)
+    chain = SlicedJoinChain([0, 1, 2], EQUI)
     b = arrival("B", 0.0)
     chain.process_batch([b])
     males = [arrival("A", 0.5), arrival("A", 1.5), arrival("A", 2.5)]
@@ -403,13 +395,12 @@ def test_a_row_leaving_a_slice_mid_batch_stays_visible_to_the_earlier_males(prob
     assert chain.state_tuples("B") == [[], []]
 
 
-@pytest.mark.parametrize("probe", ["nested_loop", "hash"])
-def test_a_row_filtered_at_a_link_mid_batch_is_judged_by_each_males_own_cuts(probe):
+def test_a_row_filtered_at_a_link_mid_batch_is_judged_by_each_males_own_cuts():
     """(a) ``b`` fails link 1's filter when the second male purges it there:
     the first male of the same batch still joins it in slice 0, the second
     must not see it in slice 1 (applying the death at once loses the first
     result; never applying it invents the second)."""
-    chain = SlicedJoinChain([0, 1, 2], EQUI, probe=probe)
+    chain = SlicedJoinChain([0, 1, 2], EQUI)
     chain.set_link_filters([(None, None), (None, at_least(2))])
     b = arrival("B", 0.0, value=1)
     chain.process_batch([b])
@@ -512,13 +503,12 @@ def test_a_block_is_bounded_by_the_minimum_over_its_males(monkeypatch):
     assert counters(cursor) == counters(operators)
 
 
-@pytest.mark.parametrize("probe", ["nested_loop", "hash"])
-def test_compaction_rebases_nothing_and_posting_lists_survive_it(probe):
+def test_compaction_rebases_nothing():
     """(f) The extend may compact the column in the middle of a run: cursors
-    and dead-row offsets count from the oldest stored row, and posting lists
-    hold row ids that neither compaction nor a drop off the end changes."""
+    and dead-row offsets count from the oldest stored row, which compaction
+    does not change."""
     cursor, operators = (
-        cls([0, 0.5, 1.0, 2.0], EQUI, probe=probe) for cls in (SlicedJoinChain, OperatorJoinChain)
+        cls([0, 0.5, 1.0, 2.0], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain)
     )
     for chain in (cursor, operators):
         chain.set_link_filters([(None, None), (None, None), (at_least(1), at_least(2))])
@@ -538,10 +528,6 @@ def test_compaction_rebases_nothing_and_posting_lists_survive_it(probe):
     assert counters(cursor) == counters(operators)
     for column in cursor._columns:
         assert column._gone > 100  # rows did leave off the end
-        if probe == "hash":
-            live = [row for rows in column._index.values() for row in rows]
-            assert len(live) == sum(column.sizes())
-            assert all(column._refs[column._head + row - column._gone] is not None for row in live)
 
 
 def test_a_state_that_is_not_time_layered_is_refused():
@@ -595,29 +581,9 @@ def test_a_cold_row_is_judged_at_a_link_through_the_tier_and_never_reported_agai
     assert counters(cursor) == counters(operators)
 
 
-def test_an_indexed_column_unindexes_cold_rows_leaving_off_the_end(store):
-    """(h) ``probe="hash"`` finds a departing row's bucket by its key, which
-    for a cold row is in the log: without the read-back ``_unindex`` meets a
-    row id (``AttributeError``), and skipping cold rows leaves their ids in
-    the posting lists for good."""
-    cursor, operators = (
-        cls([0, 1, 2], EQUI, probe="hash") for cls in (SlicedJoinChain, OperatorJoinChain)
-    )
-    for chain in (cursor, operators):
-        chain.set_link_filters([(None, None), (None, at_least(2))])
-    rows = [arrival("B", 0.1 * step, value=step % 4, key=step % 3) for step in range(9)]
-    feed(cursor, operators, rows)
-    freeze(cursor, store)
-    feed(cursor, operators, [arrival("A", 1.45, key=1)])  # cold rows die at link 1
-    feed(cursor, operators, [arrival("A", 2.35, key=2), arrival("A", 5.0, key=0)])  # all leave
-    assert_same_state(cursor, operators)
-    assert counters(cursor) == counters(operators)
-    assert cursor._columns[1]._index == {} and len(cursor._columns[1]) == 0
-
-
 @pytest.mark.parametrize("hostile", [False, True])
 def test_the_scalar_check_reads_cold_rows_back(store, hostile):
-    """(i) Without an exact mask — a condition that has none, or an equi-join
+    """(h) Without an exact mask — a condition that has none, or an equi-join
     whose key column a string just invalidated — the bound scalar check needs
     payloads: handed a row id it raises, and skipping cold rows loses their
     matches."""
@@ -635,7 +601,7 @@ def test_the_scalar_check_reads_cold_rows_back(store, hostile):
 
 
 def test_keyed_extract_and_ingest_over_a_half_cold_column(store):
-    """(j) ``extract_keyed_state(predicate)`` judges cold rows as tuples and
+    """(i) ``extract_keyed_state(predicate)`` judges cold rows as tuples and
     reloads the column hot (the log's files go); ``ingest`` merges into a
     column that is cold again.  Taking row ids for tuples raises; reloading
     without releasing the log leaks its files."""
@@ -659,7 +625,7 @@ def test_keyed_extract_and_ingest_over_a_half_cold_column(store):
 
 
 def test_introspection_leaves_the_tier_as_it_found_it(store):
-    """(k) ``state_tuples`` / ``states_are_disjoint`` read cold rows without
+    """(j) ``state_tuples`` / ``states_are_disjoint`` read cold rows without
     re-warming them: same cursor, same row ids in ``refs``, same files, and
     the estimate a budget is held to does not move."""
     chain, hot = (SlicedJoinChain([0, 1, 2], EQUI) for _ in range(2))
@@ -684,7 +650,7 @@ def test_introspection_leaves_the_tier_as_it_found_it(store):
 
 
 def test_a_cold_row_comes_back_exactly(store):
-    """(l) Stream, timestamp (its type included), values and seqno round-trip
+    """(k) Stream, timestamp (its type included), values and seqno round-trip
     through the log: a result built from a cold row equals the one built from
     the tuple that arrived."""
     condition = CrossProductCondition()

@@ -2,7 +2,7 @@
 
 Each seeded scenario draws a random query set — windows (time- or
 count-based), per-stream selection predicates, an equi- or non-equi join
-condition, a probe algorithm and a feeding quantum — plus a random add/remove
+condition and a feeding quantum — plus a random add/remove
 schedule, runs it through one shared :class:`~repro.runtime.StreamEngine`
 session, and asserts that every query's delivered results are *identical*
 to an independent per-query unshared baseline: a brute-force evaluation of
@@ -20,8 +20,8 @@ never removed, whose window is the scenario's largest and whose per-side
 predicate is the *weakest* in the scenario (the disjunction pushed in front
 of any slice then always admits every tuple any query can need, and the
 chain end never shrinks below any admissible window).  Within that
-discipline the schedules, predicates, windows, quanta and probe
-algorithms are unconstrained — and the pushed-down filters still drop
+discipline the schedules, predicates, windows and quanta are
+unconstrained — and the pushed-down filters still drop
 tuples no query needs, so the selection push-down machinery is exercised
 for real (scenarios whose weakest predicate is non-trivial shed state;
 see ``test_pushed_filters_do_drop_state``).
@@ -29,17 +29,17 @@ see ``test_pushed_filters_do_drop_state``).
 The suite runs 220 scenarios (140 time-window, 80 count-window), seeded and
 deterministic, plus 60 sharded and 40 resharded scenarios (see below).
 Slice state has one in-core representation (``repro.engine.columns``) and
-one cold one (``repro.engine.spill``); every scenario draws the probe
-algorithm and a memory budget, so the oracle covers the vectorized mask,
-the key index and the segment index, and in the sharded and resharded
-families the two engines draw them independently.
+one cold one (``repro.engine.spill``); every scenario draws a memory
+budget, so the oracle covers the vectorized mask, the scalar fallback and
+the disk tier, and in the sharded and resharded families the two engines
+draw it independently.
 
 Sharded family
 --------------
 The key-partitioned :class:`~repro.runtime.ShardedStreamEngine` is fuzzed
 *against the single engine* (not the brute-force baseline): an equi-join
 scenario is run through one unsharded session and one 2-4-shard session —
-each with an independently drawn quantum and probe algorithm — and every
+each with an independently drawn quantum and budget — and every
 query's delivered pairs must agree.  The umbrella discipline applies here
 too, for a subtler reason: what a mid-stream admission sees of the past is
 whatever the chain *happens to retain*, and retention is purge-driven —
@@ -108,7 +108,7 @@ LATE_FILTER = ComparisonPredicate("value", ">", 0.9, selectivity=0.1)
 #: resident — almost everything spills to the disk tier), and mid (spilling
 #: starts only when several windows' state piles up).  Every scenario draws
 #: one per engine, composing the spill path with admission/removal
-#: schedules, both probe algorithms and reshards.
+#: schedules and reshards.
 MEMORY_BUDGETS = (None, 2048, 32768)
 ARRIVALS = 110
 FOREVER = 10**9
@@ -251,17 +251,12 @@ def run_scenario(seed: int, window_kind: str, **pinned) -> None:
     umbrella_left = weakest(left_filters)
     umbrella_right = weakest(right_filters)
 
-    if isinstance(condition, EquiJoinCondition):
-        probe = rng.choice(("nested_loop", "hash", "auto"))
-    else:
-        probe = rng.choice(("nested_loop", "auto"))
     quantum = pinned.get("quantum", rng.choice(QUANTA))
     memory_budget = pinned.get("memory_budget_bytes", rng.choice(MEMORY_BUDGETS))
 
     engine = StreamEngine(
         condition,
         window_kind=window_kind,
-        probe=probe,
         memory_budget_bytes=memory_budget,
     )
     engine.add_query(
@@ -311,7 +306,7 @@ def run_scenario(seed: int, window_kind: str, **pinned) -> None:
     )
     label = (
         f"seed {seed} [{window_kind}] cond={condition.describe()} "
-        f"probe={probe} quantum={quantum} budget={memory_budget}"
+        f"quantum={quantum} budget={memory_budget}"
     )
     for name, window, left_filter, right_filter, interval in specs:
         got = [(j.left.seqno, j.right.seqno) for j in delivered[name]]
@@ -353,7 +348,6 @@ def run_sharded_scenario(seed: int) -> None:
     engines = {
         "single": StreamEngine(
             condition,
-            probe=rng.choice(("nested_loop", "hash", "auto")),
             memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
         ),
     }
@@ -362,7 +356,6 @@ def run_sharded_scenario(seed: int) -> None:
         condition,
         shards=shards,
         shard_mode=shard_mode,
-        probe=rng.choice(("nested_loop", "hash", "auto")),
         memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
     )
     admissions: dict[int, list[int]] = {}
@@ -459,7 +452,6 @@ def run_resharded_scenario(seed: int) -> None:
     engines = {
         "single": StreamEngine(
             condition,
-            probe=rng.choice(("nested_loop", "hash", "auto")),
             memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
         ),
     }
@@ -467,7 +459,6 @@ def run_resharded_scenario(seed: int) -> None:
     engines["resharded"] = ShardedStreamEngine(
         condition,
         shards=start_shards,
-        probe=rng.choice(("nested_loop", "hash", "auto")),
         memory_budget_bytes=rng.choice(MEMORY_BUDGETS),
     )
     late_at = reshard_schedule[0][0]

@@ -64,12 +64,12 @@ def pairs(results):
     return sorted((j.left.seqno, j.right.seqno) for j in results)
 
 
-def run_with_reshards(tuples, schedule, shards=2, quantum=8, probe="nested_loop"):
+def run_with_reshards(tuples, schedule, shards=2, quantum=8):
     """One single engine and one sharded engine over the same stream, with
     the sharded one resharding per ``schedule`` ({arrival index: target N});
     both fed in quanta of ``quantum`` arrivals."""
-    single = StreamEngine(CONDITION, probe=probe)
-    sharded = ShardedStreamEngine(CONDITION, shards=shards, probe=probe)
+    single = StreamEngine(CONDITION)
+    sharded = ShardedStreamEngine(CONDITION, shards=shards)
     for engine in (single, sharded):
         engine.add_query("Q", 2.0)
         engine.add_query("R", 0.9)
@@ -122,15 +122,6 @@ def test_grow_then_shrink_mid_stream():
         tuples, {100: 4, 200: 2}, shards=1
     )
     assert [e.new_shards for e in events] == [4, 2]
-    for name in ("Q", "R"):
-        assert pairs(sharded.results(name)) == pairs(single.results(name))
-
-
-def test_hash_probe_indexes_survive_resharding():
-    tuples = make_stream()
-    single, sharded, _ = run_with_reshards(
-        tuples, {80: 3, 160: 2}, shards=2, probe="hash"
-    )
     for name in ("Q", "R"):
         assert pairs(sharded.results(name)) == pairs(single.results(name))
 
@@ -422,7 +413,7 @@ def test_process_mode_worker_death_exhausts_its_respawn_budget():
 # The extract/ingest primitives
 # ---------------------------------------------------------------------------
 def test_operator_extract_and_ingest_by_key_predicate():
-    join = SlicedBinaryJoin(0.0, 2.0, CONDITION, probe="hash")
+    join = SlicedBinaryJoin(0.0, 2.0, CONDITION)
     tuples = make_stream(count=40, spacing=0.01)
     for tup in tuples:
         join.process(tup, "left" if tup.stream == "A" else "right")
@@ -437,7 +428,7 @@ def test_operator_extract_and_ingest_by_key_predicate():
         # Ingest splices them back in (timestamp, seqno) order.
         assert join.ingest_state(stream, taken[stream]) == len(taken[stream])
         assert join.state_tuples(stream) == before[stream]
-    # The rebuilt hash index still probes correctly.
+    # The reloaded state still probes correctly.
     probe = make_tuple("A", 2.0, join_key=tuples[-1]["join_key"], value=0.0)
     emitted = [e for e in join.process(probe, "left") if e[0] == "output"]
     expected = [

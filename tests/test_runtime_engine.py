@@ -14,9 +14,10 @@ from functools import partial
 
 import pytest
 
-from repro.engine.errors import ExecutionError, PlanError, QueryError
+from repro.engine.errors import ExecutionError, QueryError
 from repro.query.predicates import ComparisonPredicate, EquiJoinCondition, selectivity_join
 from repro.runtime import ShardedStreamEngine, StreamEngine
+from repro.runtime.shard_worker import ShardConfig
 from repro.streams.generators import generate_join_workload
 from repro.streams.tuples import make_tuple
 
@@ -669,18 +670,17 @@ def test_a_foreign_stream_is_refused_before_it_is_buffered(make_session):
             partial(ShardedStreamEngine, shards=1, shard_mode="process"),
             id="1-shard-process",
         ),
+        pytest.param(ShardConfig, id="shard-config"),
     ],
 )
 def test_a_bad_probe_is_refused_at_construction(make_session):
-    """An unknown ``probe=``, or ``"hash"`` on a condition without an
-    equi-key, fails the constructor — not every later admission (or, in a
-    sharded session, one wrapped copy of the error per shard)."""
-    for condition, probe in (
-        (EquiJoinCondition("k", "k"), "bogus"),
-        (selectivity_join(0.1), "hash"),
-    ):
-        with pytest.raises(PlanError):
-            make_session(condition, probe=probe)
+    """A slice has one probe, the nested loop: ``probe=`` is no argument of
+    either session or of a shard's config, so any value — the old
+    ``"nested_loop"`` / ``"hash"`` / ``"auto"`` included — is a ``TypeError``
+    before a shard exists."""
+    for probe in ("nested_loop", "hash", "auto"):
+        with pytest.raises(TypeError, match="probe"):
+            make_session(EquiJoinCondition("k", "k"), probe=probe)
 
 
 # ---------------------------------------------------------------------------
@@ -693,19 +693,15 @@ QUANTUM_CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=60)
 QUANTUM_WINDOWS = {"time": (0.3, 0.8, 1.5), "count": (20, 60, 150)}
 
 
-def _quantum_session(kind, probe, budget, shards):
+def _quantum_session(kind, budget, shards):
     if shards:
-        return ShardedStreamEngine(
-            QUANTUM_CONDITION, shards=shards, probe=probe, memory_budget_bytes=budget
-        )
-    return StreamEngine(
-        QUANTUM_CONDITION, window_kind=kind, probe=probe, memory_budget_bytes=budget
-    )
+        return ShardedStreamEngine(QUANTUM_CONDITION, shards=shards, memory_budget_bytes=budget)
+    return StreamEngine(QUANTUM_CONDITION, window_kind=kind, memory_budget_bytes=budget)
 
 
-def _quantum_run(kind, probe, budget, shards, feed):
+def _quantum_run(kind, budget, shards, feed):
     """Per-query output and the counters of one run."""
-    session = _quantum_session(kind, probe, budget, shards)
+    session = _quantum_session(kind, budget, shards)
     short, mid, long = QUANTUM_WINDOWS[kind]
     session.add_query("plain", short)
     session.add_query("left", mid, left_filter=ComparisonPredicate("value", ">", 0.4))
@@ -743,18 +739,17 @@ def _flush_each(session):
     ids=["time-engine", "count-engine", "time-2-serial-shards"],  # count windows do not shard
 )
 @pytest.mark.parametrize("budget", [None, 4096], ids=["in-core", "budget"])
-@pytest.mark.parametrize("probe", ["nested_loop", "hash"])
-def test_quantum_boundaries_cannot_change_an_answer(kind, shards, budget, probe):
+def test_quantum_boundaries_cannot_change_an_answer(kind, shards, budget):
     """Quanta of 1, 7, 128 and 3 000 arrivals (the last crosses the 1 024
     block) and a ``flush`` after every arrival: byte-identical per-query
     output, equal ``PROBE`` / ``PURGE`` / ``SELECT`` / invocation counts.
     And a refused tuple in the middle of a ``process_many`` call leaves the
     arrivals before it buffered, delivered by the next barrier."""
     assert len(QUANTUM_STREAM) > 3000
-    reference = _quantum_run(kind, probe, budget, shards, _flush_each)
+    reference = _quantum_run(kind, budget, shards, _flush_each)
     assert sum(map(len, reference[0].values())) > 0
     for quantum in (1, 7, 128, 3000):
-        assert _quantum_run(kind, probe, budget, shards, _in_quanta(quantum)) == reference, quantum
+        assert _quantum_run(kind, budget, shards, _in_quanta(quantum)) == reference, quantum
 
     first, rest = QUANTUM_STREAM[:50], QUANTUM_STREAM[50:]
     for refused, error in (
@@ -768,4 +763,4 @@ def test_quantum_boundaries_cannot_change_an_answer(kind, shards, budget, probe)
             session.flush()
             session.process_many(rest)
 
-        assert _quantum_run(kind, probe, budget, shards, feed) == reference
+        assert _quantum_run(kind, budget, shards, feed) == reference

@@ -604,42 +604,6 @@ def test_process_mode_count_window_and_idle_journal_recover():
 
 
 # ---------------------------------------------------------------------------
-# The probe kind is fixed at construction
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["serial", "process"])
-def test_hash_probe_holds_across_reshard_and_respawn(mode):
-    """All a fixed-at-construction probe has to guarantee: every shard
-    generation — after ``reshard(3)`` and, in process mode, after a worker
-    respawn — holds indexed slice states and answers like the default scan.
-
-    An indexed state hands a male its key bucket, so on an equi-join every
-    probe comparison is a result; the default scan compares the whole state.
-    """
-    plain = ShardedStreamEngine(CONDITION, shards=2)
-    plain.add_query("Q", 3.0)
-    plain.process_many(DATA.tuples)
-    with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode=mode, probe="hash"
-    ) as engine:
-        engine.add_query("Q", 3.0)
-        engine.process_many(DATA.tuples[:150])
-        engine.reshard(3)
-        if mode == "process":
-            kill_worker(engine, 0)
-        engine.process_many(DATA.tuples[150:])
-        assert pairs(engine.results("Q")) == pairs(plain.results("Q"))
-        assert engine.metrics.respawns == (1 if mode == "process" else 0)
-        assert engine.probe == "hash"
-        snapshots = engine.shard_snapshots()
-        assert len(snapshots) == 3
-        probed = [snapshot.get("comparisons.probe", 0.0) for snapshot in snapshots]
-        assert probed == [snapshot.get("emitted.Q", 0.0) for snapshot in snapshots]
-        assert sum(probed) > 0
-    scanned = sum(s["comparisons.probe"] for s in plain.shard_snapshots())
-    assert scanned > sum(s["emitted.Q"] for s in plain.shard_snapshots())
-
-
-# ---------------------------------------------------------------------------
 # Batched result pulls
 # ---------------------------------------------------------------------------
 def test_pop_results_all_matches_per_query_pops():

@@ -5,16 +5,16 @@ about *how* a slice's tuples are stored and probed lives behind one small
 protocol — ``append``, ``purge(now, end) -> (purged, comparisons)``,
 ``probe(probing) -> (matches, comparisons)``, ``candidates``, the
 deque-compatible read surface, ``load`` — answered by
-:class:`~repro.engine.columns.ColumnarState` (plain and key-indexed) in
-core and :class:`~repro.engine.spill.SpilledState` on the disk tier.
+:class:`~repro.engine.columns.ColumnarState` in core and
+:class:`~repro.engine.spill.SpilledState` on the disk tier.
 
 One hypothesis schedule of ``append`` / ``purge`` / ``probe`` / ``popleft``
-/ ``load`` drives all three against a plain Python list, asserting
+/ ``load`` drives both against a plain Python list, asserting
 contents, order, matches and comparison counts after every step.  Keys
 include everything a float64 key column cannot hold — ``"red"``, ``True``,
 ``2**53 + 1``, a missing attribute — so the vectorized mask, its
-invalidation, the bound scalar fallback, the key index and the segment
-index all face the same oracle.  (The block kernel lives in ``ChainColumn``
+invalidation, the bound scalar fallback and the segment index all face the
+same oracle.  (The block kernel lives in ``ChainColumn``
 only and is held to the per-item operator chain by
 ``tests/test_cursor_chain.py``.)
 """
@@ -107,10 +107,6 @@ def states_of(kind, stores_left, store):
     states["spilled"] = SpilledState(
         store, ProbeBinding(condition, stores_left, equi=equi), flush_rows=4
     )
-    if equi:
-        states["indexed"] = ColumnarState(
-            ProbeBinding(condition, stores_left, indexed=True, equi=True)
-        )
     return states
 
 

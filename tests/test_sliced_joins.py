@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.chain import SlicedJoinChain
+from repro.core.count_chain import CountSlicedJoinChain
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory, MetricsCollector
+from repro.operators.count_join import CountSlicedBinaryJoin
 from repro.operators.join import OneWayWindowJoin
 from repro.operators.sliced_join import SlicedBinaryJoin, SlicedOneWayJoin
-from repro.query.predicates import CrossProductCondition, EquiJoinCondition
+from repro.query.predicates import (
+    CrossProductCondition,
+    EquiJoinCondition,
+    selectivity_join,
+)
 from repro.streams.generators import generate_join_workload
 from repro.streams.tuples import FEMALE, MALE, Punctuation, RefTuple, make_tuple
 from tests.conftest import joined_keys
@@ -152,3 +159,23 @@ class TestSlicedBinaryJoin:
         join = SlicedBinaryJoin(0.0, 1.0, CrossProductCondition())
         punct = Punctuation(2.0)
         assert join.process(punct, "chain") == [("punct", punct)]
+
+    def test_a_theta_join_takes_no_probe(self):
+        """A slice probes by nested loop whatever its condition: a theta join
+        is offered no hash probe, nor any other."""
+        with pytest.raises(TypeError, match="probe"):
+            SlicedBinaryJoin(0.0, 2.0, selectivity_join(0.5), probe="hash")
+        SlicedBinaryJoin(0.0, 2.0, selectivity_join(0.5))
+
+    def test_no_probe_kind_is_accepted(self):
+        """``probe=`` is no argument of a sliced join or a cursor chain, so
+        an unknown kind is refused like a known one."""
+        condition = EquiJoinCondition("key", "key", key_domain=4)
+        for build in (
+            lambda: SlicedBinaryJoin(0.0, 2.0, condition, probe="btree"),
+            lambda: CountSlicedBinaryJoin(0, 2, condition, probe="btree"),
+            lambda: SlicedJoinChain([0.0, 1.0, 2.0], condition, probe="btree"),
+            lambda: CountSlicedJoinChain([0, 2, 4], condition, probe="btree"),
+        ):
+            with pytest.raises(TypeError, match="probe"):
+                build()
