@@ -38,6 +38,7 @@ REFERENCES = {  # units only tests reach, and the tests that use each as a refer
     "PassThrough": "test_plan_and_executors, test_engine_primitives: plan wiring, operator base",
     "ThetaJoinCondition": "test_cursor_chain, test_slice_state_protocol: maskless probe",
     "OperatorJoinChain": "test_cursor_chain: the per-item reference",
+    "CountWindowJoin": "test_count_windows, test_columnar_equivalence: the regular count join",
 }
 
 

@@ -6,62 +6,26 @@ each joined result to the queries whose window constraint (and residual
 filter) it satisfies.
 
 The per-result routing cost and the unfiltered large-window state are the
-two inefficiencies the paper quantifies in Equation 1.
-
-With ``window_kind="count"`` the same strategy is built over a
-:class:`~repro.operators.count_join.SharedCountJoin`: one join with the
-largest registered count, dispatching each joined pair in-operator (a
-pair's rank distance is not derivable downstream, so the "router" must live
-where the probe depth is known).
+two inefficiencies the paper quantifies in Equation 1.  Windows are time
+windows, as in every static baseline.
 """
 
 from __future__ import annotations
 
-from repro.engine.errors import ConfigurationError
 from repro.engine.plan import QueryPlan
-from repro.operators.count_join import CountTap, SharedCountJoin
 from repro.operators.join import SlidingWindowJoin
 from repro.operators.router import Route, Router
 from repro.query.query import QueryWorkload
-from repro.query.windows import as_count
 
 __all__ = ["build_pullup_plan"]
 
 _EPSILON = 1e-9
 
 
-def _build_count_pullup_plan(
-    workload: QueryWorkload, algorithm: str, plan_name: str
-) -> QueryPlan:
-    if algorithm != "nested_loop":
-        raise ConfigurationError(
-            f"count-window baselines support nested-loop probing only, got {algorithm!r}"
-        )
-    plan = QueryPlan(plan_name)
-    taps = [
-        CountTap(
-            port=query.name,
-            count=as_count(query.window, context=f"window of query {query.name!r}"),
-            left_filter=query.left_filter,
-            right_filter=query.right_filter,
-        )
-        for query in workload
-    ]
-    join = SharedCountJoin(taps, workload.join_condition, name="shared_join")
-    plan.add_operator(join)
-    plan.add_entry(workload.left_stream, join, "left")
-    plan.add_entry(workload.right_stream, join, "right")
-    for query in workload:
-        plan.add_output(query.name, join, query.name)
-    plan.validate()
-    return plan
-
-
 def build_pullup_plan(
     workload: QueryWorkload,
     algorithm: str = "nested_loop",
     plan_name: str = "selection-pullup",
-    window_kind: str = "time",
 ) -> QueryPlan:
     """Build the selection pull-up shared plan for a workload.
 
@@ -69,12 +33,6 @@ def build_pullup_plan(
     ("Filtered PullUp" in [10]): the join itself runs without any filtering,
     exactly as the naive strategy prescribes.
     """
-    if window_kind == "count":
-        return _build_count_pullup_plan(workload, algorithm, plan_name)
-    if window_kind != "time":
-        raise ConfigurationError(
-            f"window_kind must be 'time' or 'count', got {window_kind!r}"
-        )
     plan = QueryPlan(plan_name)
     max_window = workload.max_window
     join = SlidingWindowJoin(

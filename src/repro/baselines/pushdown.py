@@ -19,7 +19,8 @@ The builder supports the workload shape used throughout the paper's
 analysis and experiments: selections on the left stream only, and a single
 distinct selection predicate across the filtered queries.  Other shapes
 raise :class:`~repro.engine.errors.ConfigurationError` (the paper notes the
-strategy needs ``m·n`` joins in general, which it never evaluates).
+strategy needs ``m·n`` joins in general, which it never evaluates).  Windows
+are time windows, as in every static baseline.
 """
 
 from __future__ import annotations
@@ -70,27 +71,8 @@ def build_pushdown_plan(
     workload: QueryWorkload,
     algorithm: str = "nested_loop",
     plan_name: str = "selection-pushdown",
-    window_kind: str = "time",
 ) -> QueryPlan:
-    """Build the stream-partition (selection push-down) shared plan.
-
-    With ``window_kind="count"`` the strategy degenerates to the shared
-    count join of the pull-up plan: partitioning a stream by a predicate
-    redefines which tuples occupy the most recent N ranks, so stream
-    partition cannot preserve count-window semantics (count windows range
-    over raw arrivals; selections filter answers only — the convention
-    shared with a ``window_kind="count"`` session, :mod:`repro.runtime.engine`).
-    """
-    if window_kind == "count":
-        from repro.baselines.pullup import build_pullup_plan
-
-        return build_pullup_plan(
-            workload, algorithm=algorithm, plan_name=plan_name, window_kind="count"
-        )
-    if window_kind != "time":
-        raise ConfigurationError(
-            f"window_kind must be 'time' or 'count', got {window_kind!r}"
-        )
+    """Build the stream-partition (selection push-down) shared plan."""
     unfiltered, filtered = _classify_queries(workload)
     plan = QueryPlan(plan_name)
 

@@ -374,6 +374,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
         selectivity_join,
     )
     from repro.runtime import ShardedStreamEngine, StreamEngine
+    from repro.runtime.engine import chain_class
     from repro.streams.generators import (
         equi_key_domain,
         equi_value_generator,
@@ -425,7 +426,7 @@ def _cmd_runtime(args: argparse.Namespace) -> str:
             window_kind=args.window_kind,
             memory_budget_bytes=memory_budget,
         )
-    unit = engine.chain_class.window_unit
+    unit = chain_class(args.window_kind).window_unit
     tuples = data.tuples
     windows = args.windows or [4.0]
     if args.window_kind == "count":

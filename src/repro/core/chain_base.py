@@ -5,8 +5,8 @@
   kernel), introspection, the Section 5.3 migrations as templates over small
   hooks (*split* differs per kind and stays in the subclasses), the keyed
   extract/ingest pair behind live resharding, and the facts the runtime asks
-  instead of comparing ``window_kind`` strings (``window_unit`` …
-  ``shard_refusal``, ``normalize_window``).
+  instead of comparing ``window_kind`` strings (``window_unit``,
+  ``pushes_selections``, ``normalize_window``).
 * :class:`TimeChainBase` — what the two time chains (the cursor chain and its
   operator reference) share: seconds as boundaries and selection push-down
   (Section 6), one :class:`~repro.operators.selection.StreamFilter` pair per
@@ -56,9 +56,6 @@ class SlicedChainBase:
     window_unit: str
     #: Whether selections may be pushed into the links (Section 6).
     pushes_selections = False
-    #: Why a session over this chain kind may not run on more than one shard
-    #: (the refusal's text), or ``None``.
-    shard_refusal: str | None = None
 
     def __init__(
         self,

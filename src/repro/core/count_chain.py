@@ -43,13 +43,9 @@ class CountSlicedJoinChain(CursorChain):
         The join condition shared by every slice.
     """
 
+    # A rank — unlike a timestamp gap — cannot be read off a filtered stream,
+    # so nothing is pushed into the links (``docs/invariants.md``).
     window_unit = " rows"
-    # A rank — unlike a timestamp gap — cannot be read off a filtered stream
-    # or a shard's subsequence (``docs/invariants.md``).
-    shard_refusal = (
-        "count windows rank tuples over the whole stream, not a shard's "
-        "subsequence"
-    )
 
     # -- chain-base hooks -----------------------------------------------------
     @classmethod

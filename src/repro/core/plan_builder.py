@@ -6,23 +6,24 @@ selections pushed onto the chain queues, per-slice routers where a merged
 slice serves several windows, and one order-preserving union per query that
 taps more than one slice.
 
-With ``window_kind="count"`` the same plan shape is built over
-:class:`~repro.operators.count_join.CountSlicedBinaryJoin` slices — the one
-place those operators run, and, executed one tuple at a time, the per-item
-reference a count session's cursor chain
-(:class:`~repro.core.count_chain.CountSlicedJoinChain`) is held to — under
-the two structural restrictions of rank-based windows (the same ones the
-runtime layer documents for ``window_kind="count"``, :mod:`repro.runtime.engine`):
-the chain must be Mem-Opt — a merged slice's results cannot be re-split by
-rank at routing time — and selections are applied to each query's results
-only, never pushed into the chain (a pushed filter would redefine which
-tuples occupy the most recent N ranks).
+``window_kind="count"`` builds the same plan over
+:class:`~repro.operators.count_join.CountSlicedBinaryJoin` slices — the
+per-item reference a count session's cursor chain
+(:class:`~repro.core.count_chain.CountSlicedJoinChain`) is held to.  The
+window kind is decided once, in :func:`build_state_slice_plan`: it picks
+the slice operator, and for ranks it requires a Mem-Opt chain (a merged
+slice's results cannot be re-split by rank at routing time) and applies
+selections to each query's results only (a filter pushed into the chain
+would redefine which tuples occupy the most recent N ranks) — the
+semantics of a ``window_kind="count"`` session, :mod:`repro.runtime.engine`.
 
 The resulting :class:`~repro.engine.plan.QueryPlan` has one named output per
 query of the workload (:func:`repro.engine.executor.execute_plan` runs it).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.core.mem_opt import build_mem_opt_chain
 from repro.core.pushdown import pushed_filters, residual_filters
@@ -32,7 +33,7 @@ from repro.engine.plan import QueryPlan
 from repro.operators.count_join import CountSlicedBinaryJoin
 from repro.operators.router import Route, Router
 from repro.operators.selection import Selection, StreamFilter
-from repro.operators.sliced_join import SlicedBinaryJoin
+from repro.operators.sliced_join import SlicedBinaryJoin, SlicedJoinBase
 from repro.operators.union import OrderedUnion
 from repro.query.predicates import TruePredicate
 from repro.query.query import QueryWorkload
@@ -70,16 +71,25 @@ def build_state_slice_plan(
         ``"time"`` (default) or ``"count"`` — the interpretation of every
         query window (seconds vs most-recent-N tuple ranks).
     """
-    if window_kind == "count":
-        return _build_count_state_slice_plan(workload, chain, plan_name)
-    if window_kind != "time":
+    chain = chain or build_mem_opt_chain(workload)
+    if window_kind == "time":
+        make_slice = SlicedBinaryJoin
+    elif window_kind == "count":
+        if not chain.is_memory_optimal:
+            raise ChainError(
+                "count-window chains must be Mem-Opt (one slice per registered "
+                "count): a merged slice's results cannot be re-split by rank at "
+                "routing time"
+            )
+        make_slice = _rank_slice
+        push_selections = False
+    else:
         raise ConfigurationError(
             f"window_kind must be 'time' or 'count', got {window_kind!r}"
         )
-    chain = chain or build_mem_opt_chain(workload)
     plan = QueryPlan(plan_name)
 
-    joins = _add_chain_joins(plan, workload, chain)
+    joins = _add_chain_joins(plan, workload, chain, make_slice)
     _wire_chain(plan, workload, chain, joins, push_selections)
     _wire_entries(plan, workload, chain, joins, push_selections)
     _wire_outputs(plan, workload, chain, joins, push_selections)
@@ -87,14 +97,25 @@ def build_state_slice_plan(
     return plan
 
 
+def _rank_slice(start: float, end: float, **kwargs) -> CountSlicedBinaryJoin:
+    """A count slice: ``end`` must be a whole rank (the previous slice's
+    ``end`` vetted ``start``), or :class:`QueryError`."""
+    return CountSlicedBinaryJoin(
+        int(start), as_count(end, context="chain boundary"), **kwargs
+    )
+
+
 def _add_chain_joins(
-    plan: QueryPlan, workload: QueryWorkload, chain: ChainSpec
-) -> list[SlicedBinaryJoin]:
+    plan: QueryPlan,
+    workload: QueryWorkload,
+    chain: ChainSpec,
+    make_slice: Callable[..., SlicedJoinBase],
+) -> list[SlicedJoinBase]:
     joins = []
     for index, slice_spec in enumerate(chain.slices):
-        join = SlicedBinaryJoin(
-            window_start=slice_spec.start,
-            window_end=slice_spec.end,
+        join = make_slice(
+            slice_spec.start,
+            slice_spec.end,
             condition=workload.join_condition,
             left_stream=workload.left_stream,
             right_stream=workload.right_stream,
@@ -105,95 +126,11 @@ def _add_chain_joins(
     return joins
 
 
-def _build_count_state_slice_plan(
-    workload: QueryWorkload,
-    chain: ChainSpec | None,
-    plan_name: str,
-) -> QueryPlan:
-    """The count-window variant: a Mem-Opt chain of count-sliced joins."""
-    chain = chain or build_mem_opt_chain(workload)
-    if not chain.is_memory_optimal:
-        raise ChainError(
-            "count-window chains must be Mem-Opt (one slice per registered "
-            "count): a merged slice's results cannot be re-split by rank at "
-            "routing time"
-        )
-    boundaries = [
-        as_count(boundary, context="chain boundary") for boundary in chain.boundaries()[1:]
-    ]
-    plan = QueryPlan(plan_name)
-    joins: list[CountSlicedBinaryJoin] = []
-    previous = 0
-    for index, end in enumerate(boundaries):
-        join = CountSlicedBinaryJoin(
-            rank_start=previous,
-            rank_end=end,
-            condition=workload.join_condition,
-            left_stream=workload.left_stream,
-            right_stream=workload.right_stream,
-            name=f"slice_{index + 1}",
-        )
-        plan.add_operator(join)
-        joins.append(join)
-        previous = end
-    plan.add_entry(workload.left_stream, joins[0], "left")
-    plan.add_entry(workload.right_stream, joins[0], "right")
-    for index in range(len(joins) - 1):
-        plan.connect(joins[index], "next", joins[index + 1], "chain")
-
-    # Per-slice result routing: a query taps every slice inside its count.
-    # The Mem-Opt invariant makes rank checks unnecessary; only residual
-    # selections (always the query's own — nothing is pushed) need a router.
-    union_inputs: dict[str, list[tuple[str, str]]] = {q.name: [] for q in workload}
-    for index, join in enumerate(joins):
-        routes: list[Route] = []
-        direct: list[str] = []
-        for query in workload:
-            if query.window < join.rank_end - _EPSILON:
-                continue  # The slice is beyond this query's count.
-            if query.has_selection:
-                routes.append(
-                    Route(
-                        port=query.name,
-                        left_filter=query.left_filter,
-                        right_filter=query.right_filter,
-                    )
-                )
-            else:
-                direct.append(query.name)
-        if routes:
-            router = Router(routes, name=f"router_{index + 1}")
-            plan.add_operator(router)
-            plan.connect(join, "output", router, "in")
-            for route in routes:
-                union_inputs[route.port].append((router.name, route.port))
-        for query_name in direct:
-            union_inputs[query_name].append((join.name, "output"))
-
-    for query in workload:
-        completing_index = boundaries.index(as_count(query.window))
-        sources = union_inputs[query.name]
-        if len(sources) == 1:
-            source_name, source_port = sources[0]
-            plan.add_output(query.name, source_name, source_port)
-            continue
-        union = OrderedUnion(name=f"union_{query.name}")
-        plan.add_operator(union)
-        for source_name, source_port in sources:
-            plan.connect(source_name, source_port, union, "in")
-        # The propagated male of the query's last slice acts as the
-        # punctuation that lets the union release sorted results.
-        plan.connect(joins[completing_index], "punct", union, "in")
-        plan.add_output(query.name, union, "out")
-    plan.validate()
-    return plan
-
-
 def _wire_entries(
     plan: QueryPlan,
     workload: QueryWorkload,
     chain: ChainSpec,
-    joins: list[SlicedBinaryJoin],
+    joins: list[SlicedJoinBase],
     push_selections: bool,
 ) -> None:
     """Connect the raw stream arrivals to the head of the chain.
@@ -224,7 +161,7 @@ def _wire_chain(
     plan: QueryPlan,
     workload: QueryWorkload,
     chain: ChainSpec,
-    joins: list[SlicedBinaryJoin],
+    joins: list[SlicedJoinBase],
     push_selections: bool,
 ) -> None:
     """Connect slice i's ``next`` queue to slice i+1, inserting σ' filters."""
@@ -259,7 +196,7 @@ def _wire_outputs(
     plan: QueryPlan,
     workload: QueryWorkload,
     chain: ChainSpec,
-    joins: list[SlicedBinaryJoin],
+    joins: list[SlicedJoinBase],
     push_selections: bool,
 ) -> None:
     """Route slice results to per-query unions and register the query outputs."""

@@ -17,15 +17,6 @@ the same way" (Section 2).  This module provides that extension:
   arrives), so the female copy both inserts and hands the overflowing tuple
   to the next slice; the male copy only probes and propagates.
 
-* :class:`SharedCountJoin` — the count-window analogue of the selection
-  pull-up strategy (Section 3.1): one join with the *largest* registered
-  count dispatches each joined pair directly to the queries it belongs to.
-  A time-window router re-checks ``|Ta - Tb| < W`` on the joined pair
-  itself, but a pair's *rank distance* is not derivable downstream — only
-  the join knows how deep in the state the matched partner sat — so the
-  per-query dispatch happens inside the operator, one output port per
-  registered tap.
-
 The sliced operator is what a *static* count plan is built from
 (:func:`repro.core.plan_builder.build_state_slice_plan` with
 ``window_kind="count"``) and the per-item reference of a count session's
@@ -36,14 +27,13 @@ same slices as rank ranges of one column per stream and builds no operator.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Sequence
+from typing import Any, Deque
 
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
 from repro.operators.sliced_join import SlicedJoinBase
-from repro.query.predicates import JoinCondition, Predicate, TruePredicate
+from repro.query.predicates import JoinCondition
 from repro.streams.tuples import (
     FEMALE,
     JoinedTuple,
@@ -52,7 +42,7 @@ from repro.streams.tuples import (
     StreamTuple,
 )
 
-__all__ = ["CountWindowJoin", "CountSlicedBinaryJoin", "CountTap", "SharedCountJoin"]
+__all__ = ["CountWindowJoin", "CountSlicedBinaryJoin"]
 
 
 class CountWindowJoin(Operator):
@@ -114,118 +104,6 @@ class CountWindowJoin(Operator):
         return (
             f"A[rows {self.count_left}] ⋈ B[rows {self.count_right}] on "
             f"{self.condition.describe()}"
-        )
-
-
-@dataclass(frozen=True)
-class CountTap:
-    """One query tapping a :class:`SharedCountJoin`.
-
-    ``count`` is the query's count window (its pair is routed when the
-    matched partner sat among the ``count`` newest opposite tuples at probe
-    time); the filters are the query's selections, applied *above* the join
-    as pull-up sharing prescribes (count windows range over raw arrivals,
-    so selections can only filter answers — see
-    :class:`repro.runtime.engine.StreamEngine`).
-    """
-
-    port: str
-    count: int
-    left_filter: Predicate = field(default_factory=TruePredicate)
-    right_filter: Predicate = field(default_factory=TruePredicate)
-
-    def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise PlanError(f"tap {self.port!r} needs a positive count, got {self.count}")
-
-
-class SharedCountJoin(Operator):
-    """Count-window join shared by several queries (pull-up sharing).
-
-    Keeps the ``max(count)`` newest tuples of each stream; an arriving tuple
-    probes the whole opposite state (the pull-up inefficiency the paper's
-    Equation 1 quantifies) and each matching pair is dispatched to every tap
-    whose count covers the matched partner's depth and whose filters accept
-    the pair.  Cost accounting mirrors the time-window pull-up plan: one
-    ``probe`` comparison per candidate, one ``route`` comparison per
-    (matched pair, tap with a count smaller than the shared one), one
-    ``select`` comparison per residual filter evaluation.
-    """
-
-    input_ports = ("left", "right")
-
-    def __init__(
-        self,
-        taps: Sequence[CountTap],
-        condition: JoinCondition,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(name)
-        if not taps:
-            raise PlanError("SharedCountJoin requires at least one tap")
-        ports = [tap.port for tap in taps]
-        if len(ports) != len(set(ports)):
-            raise PlanError(f"duplicate tap ports: {ports}")
-        self.taps = list(taps)
-        self.condition = condition
-        self.shared_count = max(tap.count for tap in taps)
-        self.output_ports = tuple(ports)
-        self._left_state: Deque[StreamTuple] = deque()
-        self._right_state: Deque[StreamTuple] = deque()
-
-    def state_size(self) -> int:
-        return len(self._left_state) + len(self._right_state)
-
-    def process(self, item: Any, port: str) -> list[Emission]:
-        self.metrics.record_invocation(self.name)
-        if isinstance(item, Punctuation):
-            return []
-        if port == "left":
-            return self._handle(item, from_left=True)
-        if port == "right":
-            return self._handle(item, from_left=False)
-        raise PlanError(f"unexpected port {port!r} for {self.name!r}")
-
-    def _handle(self, tup: StreamTuple, from_left: bool) -> list[Emission]:
-        own_state = self._left_state if from_left else self._right_state
-        other_state = self._right_state if from_left else self._left_state
-        emissions: list[Emission] = []
-        size = len(other_state)
-        shared_count = self.shared_count
-        # Probe oldest-first (matching CountWindowJoin) so per-tap emission
-        # order is identical to an unshared per-query join; ``depth`` is the
-        # candidate's recency rank (1 = newest opposite tuple).
-        for index, candidate in enumerate(other_state):
-            self.metrics.count(CostCategory.PROBE)
-            depth = size - index
-            left, right = (tup, candidate) if from_left else (candidate, tup)
-            if not self.condition.matches(left, right):
-                continue
-            for tap in self.taps:
-                if tap.count < shared_count:
-                    self.metrics.count(CostCategory.ROUTE)
-                    if depth > tap.count:
-                        continue
-                if not isinstance(tap.left_filter, TruePredicate):
-                    self.metrics.count(CostCategory.SELECT)
-                    if not tap.left_filter.matches(left):
-                        continue
-                if not isinstance(tap.right_filter, TruePredicate):
-                    self.metrics.count(CostCategory.SELECT)
-                    if not tap.right_filter.matches(right):
-                        continue
-                emissions.append((tap.port, JoinedTuple(left, right)))
-        own_state.append(tup)
-        if len(own_state) > shared_count:
-            self.metrics.count(CostCategory.PURGE)
-            own_state.popleft()
-        return emissions
-
-    def describe(self) -> str:
-        taps = ", ".join(f"{tap.port}[rows {tap.count}]" for tap in self.taps)
-        return (
-            f"shared A[rows {self.shared_count}] ⋈ B[rows {self.shared_count}] "
-            f"on {self.condition.describe()} -> {taps}"
         )
 
 

@@ -201,7 +201,6 @@ class SlidingWindowJoin(Operator):
         _, purge_comparisons = other_state.purge_expired(tup.timestamp, other_window)
         self.metrics.count(CostCategory.PURGE, purge_comparisons)
         # 2. Probe the opposite window.
-        emissions: list[Emission] = []
         hash_probe = self.algorithm == "hash"
         probe_value = None
         if hash_probe and isinstance(self.condition, EquiJoinCondition):
@@ -211,11 +210,16 @@ class SlidingWindowJoin(Operator):
                 else self.condition.right_attribute
             ]
         candidates = other_state.candidates(probe_value, hash_probe)
-        for candidate in candidates:
-            self.metrics.count(CostCategory.PROBE)
-            left, right = (tup, candidate) if from_left else (candidate, tup)
-            if self.condition.matches(left, right):
-                emissions.append(("output", JoinedTuple(left, right)))
+        self.metrics.count(CostCategory.PROBE, len(candidates))
+        emissions: list[Emission] = []
+        # Bound only when there is a candidate: a tuple lacking the join
+        # attribute fails where ``condition.matches`` would have.
+        if candidates and from_left:
+            check = self.condition.bind_left(tup)
+            emissions = [("output", JoinedTuple(tup, c)) for c in candidates if check(c)]
+        elif candidates:
+            check = self.condition.bind_right(tup)
+            emissions = [("output", JoinedTuple(c, tup)) for c in candidates if check(c)]
         # 3. Insert into the own window.
         own_state.insert(tup)
         return emissions

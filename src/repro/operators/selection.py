@@ -1,16 +1,15 @@
 """Selection (filter) operators.
 
-Three variants are provided:
+Two variants are provided:
 
 * :class:`Selection` — the plain σ operator over stream tuples.
 * :class:`StreamFilter` — a selection placed *inside* a sliced-join chain
   (Figure 10/15 of the paper): it filters only the reference tuples of one
   stream and lets everything else (the other stream's tuples, punctuations)
   pass untouched.
-* :class:`JoinedFilter` — a residual selection over joined results, used
-  when a query's predicate is stronger than the predicate already pushed
-  below the slice that produced the result (the σ' operators of
-  Figures 10 and 15).
+
+The residual σ' selections over joined results are routes of a
+:class:`~repro.operators.router.Router`.
 """
 
 from __future__ import annotations
@@ -19,10 +18,10 @@ from typing import Any
 
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
-from repro.query.predicates import Predicate, TruePredicate
-from repro.streams.tuples import JoinedTuple, Punctuation, RefTuple
+from repro.query.predicates import Predicate
+from repro.streams.tuples import Punctuation, RefTuple
 
-__all__ = ["Selection", "StreamFilter", "JoinedFilter"]
+__all__ = ["Selection", "StreamFilter"]
 
 
 class Selection(Operator):
@@ -101,48 +100,3 @@ class StreamFilter(Operator):
 
     def describe(self) -> str:
         return f"σ[{self.stream}: {self.predicate.describe()}] (in-chain)"
-
-
-class JoinedFilter(Operator):
-    """Residual selection over joined results.
-
-    ``left_predicate`` / ``right_predicate`` are evaluated against the left /
-    right component of each joined tuple.  Trivial (always-true) predicates
-    cost nothing, so plans only pay for the residual checks they genuinely
-    need — matching the σ' term of the paper's Equation 3.
-    """
-
-    input_ports = ("in",)
-    output_ports = ("out",)
-
-    def __init__(
-        self,
-        left_predicate: Predicate | None = None,
-        right_predicate: Predicate | None = None,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(name)
-        self.left_predicate = left_predicate or TruePredicate()
-        self.right_predicate = right_predicate or TruePredicate()
-
-    def process(self, item: Any, port: str) -> list[Emission]:
-        self.metrics.record_invocation(self.name)
-        if isinstance(item, Punctuation):
-            return [("out", item)]
-        if not isinstance(item, JoinedTuple):
-            return [("out", item)]
-        if not isinstance(self.left_predicate, TruePredicate):
-            self.metrics.count(CostCategory.SELECT)
-            if not self.left_predicate.matches(item.left):
-                return []
-        if not isinstance(self.right_predicate, TruePredicate):
-            self.metrics.count(CostCategory.SELECT)
-            if not self.right_predicate.matches(item.right):
-                return []
-        return [("out", item)]
-
-    def describe(self) -> str:
-        return (
-            f"σ'[left: {self.left_predicate.describe()}, "
-            f"right: {self.right_predicate.describe()}]"
-        )

@@ -313,20 +313,24 @@ class SlicedJoinBase(Operator):
     ) -> list[Emission]:
         """Probe the opposite state candidate by candidate, then propagate.
 
-        ``condition.matches`` per tuple of the opposite state, one ``PROBE``
-        comparison each.
+        One ``PROBE`` comparison per tuple of the opposite state; the
+        condition, bound to the male, tests each candidate inside the slice
+        (bound only when there is one, so a male lacking the join attribute
+        fails where ``condition.matches`` would have).
         """
         tup = ref.base
         opposite, male_is_left = self._oriented(tup.stream)
-        for candidate in self._states[opposite].candidates(tup):
-            self.metrics.count(CostCategory.PROBE)
-            if contains_offset is not None and not contains_offset(
-                tup.timestamp - candidate.timestamp
-            ):
-                continue
-            left, right = (tup, candidate) if male_is_left else (candidate, tup)
-            if self.condition.matches(left, right):
-                emissions.append(("output", JoinedTuple(left, right)))
+        candidates = self._states[opposite].candidates(tup)
+        self.metrics.count(CostCategory.PROBE, len(candidates))
+        if contains_offset is not None:
+            timestamp = tup.timestamp
+            candidates = [c for c in candidates if contains_offset(timestamp - c.timestamp)]
+        if candidates and male_is_left:
+            check = self.condition.bind_left(tup)
+            emissions.extend(("output", JoinedTuple(tup, c)) for c in candidates if check(c))
+        elif candidates:
+            check = self.condition.bind_right(tup)
+            emissions.extend(("output", JoinedTuple(c, tup)) for c in candidates if check(c))
         # Propagate the male copy to the next join and punctuate the union.
         emissions.append(("next", ref))
         emissions.append(("punct", Punctuation(tup.timestamp, source=self.name)))

@@ -49,7 +49,9 @@ migration moves no row.  Selections are *not* pushed into a count
 chain: a pushed filter would change which tuples occupy the "most recent
 N" ranks, silently redefining every query's window.  Count-window
 selections are therefore applied to each query's results (window semantics:
-the N most recent *arrivals*, selections filter the answers).
+the N most recent *arrivals*, selections filter the answers).  A count
+session is never sharded: :class:`~repro.runtime.sharding.ShardedStreamEngine`
+is time-window only.
 
 The caller's quantum is the batch: ``process_many`` runs its arrivals as
 one (split at :data:`BLOCK`), ``process`` buffers until a barrier — flush,

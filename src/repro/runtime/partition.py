@@ -2,9 +2,9 @@
 
 Everything here is a pure function of its arguments — no session, no
 transport, no shard mode.  :func:`shard_for_key` places an arrival,
-:func:`unpartitionable_reason` says whether a workload has a partition key
-at all, :func:`repartition` re-buckets the exported window state of one
-shard generation under a new modulus (the data half of
+:func:`unpartitionable_reason` says whether a join condition has a
+partition key at all, :func:`repartition` re-buckets the exported window
+state of one shard generation under a new modulus (the data half of
 :meth:`~repro.runtime.sharding.ShardedStreamEngine.reshard`), and
 :func:`relayer` regroups one shard's state when a query leaves after it
 was taken (the base a crash recovery replays from).
@@ -52,16 +52,15 @@ def shard_for_key(key: object, shards: int) -> int:
     return zlib.crc32(data) % shards
 
 
-def unpartitionable_reason(condition: JoinCondition, chain) -> str | None:
+def unpartitionable_reason(condition: JoinCondition) -> str | None:
     """Why a session cannot run more than one shard, or ``None`` if it can.
 
-    Sharding is answer-preserving only for equi-key workloads whose chain
-    (class or instance) states no ``shard_refusal``: a non-equi condition has
-    no partition key, and a count window's rank spans the whole stream.
+    Sharding is answer-preserving only for equi-key workloads: a non-equi
+    condition has no partition key.
     """
     if not isinstance(condition, EquiJoinCondition):
         return f"condition {condition.describe()!r} has no equi-key to partition on"
-    return chain.shard_refusal
+    return None
 
 
 def repartition(

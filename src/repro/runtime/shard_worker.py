@@ -16,23 +16,27 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.engine.errors import ExecutionError
-from repro.engine.ring import SpscRing
+from repro.engine.ring import DEFAULT_RING_CAPACITY, SpscRing
 from repro.query.predicates import JoinCondition
 from repro.runtime.engine import StreamEngine
 from repro.streams.tuples import decode_batch
 
 __all__ = ["COMMANDS", "ShardConfig", "reply_to", "run_command", "spawn_worker"]
 
+#: Bytes of one worker's shared-memory arrival ring (read at each spawn).  A
+#: batch whose encoding can never fit falls back to the pipe without losing
+#: the arrival order.
+RING_CAPACITY = DEFAULT_RING_CAPACITY
+
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Everything needed to build one shard's engine (picklable, so the
-    process driver can ship it to a spawned worker)."""
+    """Everything needed to build one shard's time-window engine (picklable,
+    so the process driver can ship it to a spawned worker)."""
 
     condition: JoinCondition
     left_stream: str = "A"
     right_stream: str = "B"
-    window_kind: str = "time"
     #: Per-shard in-core state budget (the session budget split over the
     #: current shard count); re-derived by every
     #: :meth:`~repro.runtime.sharding.ShardedStreamEngine.reshard`.
@@ -44,7 +48,6 @@ class ShardConfig:
             self.condition,
             left_stream=self.left_stream,
             right_stream=self.right_stream,
-            window_kind=self.window_kind,
             memory_budget_bytes=self.memory_budget_bytes,
         )
 
@@ -220,9 +223,9 @@ def worker_main(conn, config: ShardConfig, ring: SpscRing) -> None:  # pragma: n
     ring.close()
 
 
-def spawn_worker(config: ShardConfig, ring_capacity: int):
+def spawn_worker(config: ShardConfig):
     """Start one worker process; returns ``(pipe, ring, process)``."""
-    ring = SpscRing(ring_capacity)
+    ring = SpscRing(RING_CAPACITY)
     parent_conn, child_conn = multiprocessing.Pipe()
     worker = multiprocessing.Process(
         target=worker_main, args=(child_conn, config, ring), daemon=True

@@ -36,11 +36,12 @@ unsharded answer.
   dies mid-stream is respawned and its state recovered from the handle's
   replay journal (see :meth:`_WorkerShard.respawn`).
 
-Sharding is answer-preserving only for equi-key workloads over time-based
-windows.  Non-equi conditions have no partition key, and a count window's
-rank ("the N most recent arrivals") is defined over the *whole* stream, not
-a shard's subsequence — both therefore raise :class:`ShardingError` for
-``shards > 1`` (pass ``shards=1`` to run them unsharded).
+A sharded session is time-window only (a count window's rank — "the N most
+recent arrivals" — is defined over the *whole* stream, not a shard's
+subsequence; count windows run on :class:`StreamEngine`).  Sharding is
+answer-preserving only for equi-key workloads: a non-equi condition has no
+partition key and raises :class:`ShardingError` for ``shards > 1`` (pass
+``shards=1`` to run it unsharded).
 
 The shard count is the caller's: the constructor's ``shards`` and every
 :meth:`ShardedStreamEngine.reshard` target; nothing here picks one.  The
@@ -52,19 +53,20 @@ their public names are re-exported here.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Iterable, Sequence
 
+from repro.core.chain import SlicedJoinChain
 from repro.engine.errors import ExecutionError, MigrationError, QueryError, ShardingError
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
-from repro.engine.ring import DEFAULT_RING_CAPACITY
 from repro.query.predicates import EquiJoinCondition, JoinCondition, Predicate, TruePredicate
-from repro.runtime.engine import BLOCK, EngineStats, RegisteredQuery, chain_class
+from repro.runtime.engine import BLOCK, EngineStats, RegisteredQuery
 from repro.runtime.partition import (
     relayer,
     repartition,
@@ -80,6 +82,26 @@ __all__ = [
     "ShardedStreamEngine",
     "shard_for_key",
 ]
+
+#: How many times one shard's dead worker may be replaced before the session
+#: gives up (read at each respawn; see :meth:`_WorkerShard.respawn`).
+MAX_RESPAWNS = 3
+
+
+def _shard_count(value) -> int:
+    """``value`` as a shard count: a finite whole number of at least 1 (not
+    a bool), else :class:`ShardingError`."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value != int(value)
+        or value < 1
+    ):
+        raise ShardingError(
+            f"shard count must be a whole number of at least 1, got {value!r}"
+        )
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -151,30 +173,25 @@ class _WorkerShard:
     of arrivals not yet shipped) and the crash-recovery plane: a replay
     journal of shipped arrivals (bounded by twice the largest window),
     per-query admission and delivery frontiers expressed as push positions,
-    the state this worker generation started from, and the respawn budget.
-    The plane is kept in step by :meth:`_observe`, from the commands the
-    worker acknowledged.
+    the state this worker generation started from, and the respawns spent
+    out of :data:`MAX_RESPAWNS`.  The plane is kept in step by
+    :meth:`_observe`, from the commands the worker acknowledged.
     """
 
-    def __init__(
-        self, index: int, config: ShardConfig, ring_capacity: int, max_respawns: int
-    ) -> None:
+    def __init__(self, index: int, config: ShardConfig) -> None:
         self.index = index
         self.config = config
-        self.ring_capacity = ring_capacity
-        self.max_respawns = max_respawns
         self.respawns = 0
         self.buffer: list[StreamTuple] = []
         #: Acknowledged admissions: name -> the ``add`` payload that made it.
         self.queries: dict[str, tuple] = {}
         self._inflight: tuple[str, object] = ("", None)
         self._restart_journal()
-        self.pipe, self.ring, self.worker = spawn_worker(config, ring_capacity)
+        self.pipe, self.ring, self.worker = spawn_worker(config)
 
     def _restart_journal(self) -> None:
         """Begin a worker generation: nothing pushed, nothing to replay."""
         self.journal: deque[tuple[int, StreamTuple]] = deque()
-        self.journal_counts: dict[str, int] = {}
         self.pushed = 0
         self.admitted = {name: 0 for name in self.queries}
         self.delivered = {name: 0 for name in self.queries}
@@ -310,31 +327,22 @@ class _WorkerShard:
         """Journal shipped arrivals, then trim to the retention horizon.
 
         Twice the largest registered window: any undelivered result whose
-        male is within the last window of stream time (or the last ``N``
-        ranks, for a count session) still has every joinable partner inside
-        the journal — partners reach at most one window further back.
+        male is within the last window of stream time still has every
+        joinable partner inside the journal — partners reach at most one
+        window further back.
         """
         journal = self.journal
-        counts = self.journal_counts
         for tup in tuples:
             self.pushed += 1
             journal.append((self.pushed, tup))
-            counts[tup.stream] = counts.get(tup.stream, 0) + 1
         horizon = 2.0 * max((query[1] for query in self.queries.values()), default=0.0)
         if horizon <= 0:
             # No queries: chainless arrivals build no state and no results.
             journal.clear()
-            counts.clear()
             return
-        by_time = self.config.window_kind == "time"
         latest = journal[-1][1].timestamp
-        while journal:
-            head = journal[0][1]
-            age = latest - head.timestamp if by_time else counts[head.stream] - 1
-            if age < horizon:
-                break
+        while journal and journal[0][1].age(latest) >= horizon:
             journal.popleft()
-            counts[head.stream] -= 1
 
     def _recover(self):
         """Rebuild the dead worker's engine state from the journal.
@@ -418,16 +426,16 @@ class _WorkerShard:
         exactly.
         """
         self.respawns += 1
-        if self.respawns > self.max_respawns:
+        if self.respawns > MAX_RESPAWNS:
             raise ExecutionError(
                 f"shard {self.index}: worker died and exhausted its "
-                f"{self.max_respawns} respawns; close the session"
+                f"{MAX_RESPAWNS} respawns; close the session"
             ) from died
         if self.worker.is_alive():  # a broken pipe does not imply a dead process
             self.worker.terminate()
         self._release()
         state, recovered = self._recover()
-        self.pipe, self.ring, self.worker = spawn_worker(self.config, self.ring_capacity)
+        self.pipe, self.ring, self.worker = spawn_worker(self.config)
         # The recovered state is the replacement's generation base: restart
         # the journal from it, then replay the admissions over the pipe.
         self._restart_journal()
@@ -451,26 +459,19 @@ class ShardedStreamEngine:
         :class:`~repro.query.predicates.EquiJoinCondition` — the equi-key is
         the partition key.
     shards:
-        Number of inner engines.  ``1`` degenerates to a single unsharded
-        engine (any condition or window kind); more raise
-        :class:`ShardingError` for workloads that cannot be partitioned
-        (non-equi condition, count windows).
+        Number of inner engines, a whole number of at least 1
+        (:class:`ShardingError` otherwise).  ``1`` degenerates to a single
+        unsharded engine (any condition); more raise :class:`ShardingError`
+        for a non-equi condition.
     shard_mode:
         ``"serial"`` (default) runs the shards in the calling thread — the
         in-thread form of the same handle, not a speed-up (``bench/README.md``,
         row ``sharded_serial``); ``"process"`` starts one worker process per
         shard and pushes ``encode_batch`` records of the arrivals through a
-        shared-memory ring (conditions and predicates must then be
-        picklable; close the session with :meth:`close` or use it as a
-        context manager).
-    ring_capacity:
-        Bytes of one worker's shared-memory arrival ring (process mode).
-        Batches whose encoding can never fit fall back to the pipe without
-        losing the arrival order.
-    max_respawns:
-        How many times one shard's dead worker may be replaced before the
-        session gives up (see :meth:`_WorkerShard.respawn` for what a
-        replacement recovers).
+        shared-memory ring of :data:`~repro.runtime.shard_worker.RING_CAPACITY`
+        bytes (conditions and predicates must then be picklable; close the
+        session with :meth:`close` or use it as a context manager).  A dead
+        worker is replaced up to :data:`MAX_RESPAWNS` times.
     memory_budget_bytes:
         Optional *session-level* in-core state budget.  Split evenly over
         the live shard count — each shard engine enforces
@@ -478,8 +479,8 @@ class ShardedStreamEngine:
         to disk, see :class:`StreamEngine`.  A :meth:`reshard` re-splits
         the session budget under the new modulus, so growing the session
         also grows nobody's total footprint.
-    window_kind:
-        Forwarded to every shard's engine, see :class:`StreamEngine`.
+
+    Windows are time windows (:class:`~repro.core.chain.SlicedJoinChain`).
     """
 
     #: See :attr:`StreamEngine.columnar` / :attr:`StreamEngine.probe` — read
@@ -494,20 +495,14 @@ class ShardedStreamEngine:
         shard_mode: str = "serial",
         left_stream: str = "A",
         right_stream: str = "B",
-        window_kind: str = "time",
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-        max_respawns: int = 3,
         memory_budget_bytes: int | None = None,
     ) -> None:
-        if shards < 1:
-            raise ShardingError(f"shard count must be at least 1, got {shards}")
+        shards = _shard_count(shards)
         if shard_mode not in ("serial", "process"):
             raise ShardingError(
                 f"shard_mode must be 'serial' or 'process', got {shard_mode!r}"
             )
-        #: The chain class every shard's engine builds (from ``window_kind``).
-        self.chain_class = chain_class(window_kind)
-        problem = unpartitionable_reason(condition, self.chain_class)
+        problem = unpartitionable_reason(condition)
         if shards > 1 and problem is not None:
             raise ShardingError(
                 f"cannot run {shards} shards: {problem} (pass shards=1 to run "
@@ -518,9 +513,6 @@ class ShardedStreamEngine:
         self.shard_mode = shard_mode
         self.left_stream = left_stream
         self.right_stream = right_stream
-        self.window_kind = window_kind
-        self.ring_capacity = int(ring_capacity)
-        self.max_respawns = int(max_respawns)
         if memory_budget_bytes is not None:
             memory_budget_bytes = int(memory_budget_bytes)
             if memory_budget_bytes <= 0:
@@ -533,7 +525,6 @@ class ShardedStreamEngine:
             condition=condition,
             left_stream=left_stream,
             right_stream=right_stream,
-            window_kind=window_kind,
             memory_budget_bytes=self._per_shard_budget(self.shards),
         )
         if isinstance(condition, EquiJoinCondition):
@@ -568,15 +559,7 @@ class ShardedStreamEngine:
         self._session_lock = threading.Lock()
         self._lock_owner: int | None = None
         # The one place the shard mode matters: which handle a shard gets.
-        self._make_shard = (
-            partial(
-                _WorkerShard,
-                ring_capacity=self.ring_capacity,
-                max_respawns=self.max_respawns,
-            )
-            if shard_mode == "process"
-            else _LocalShard
-        )
+        self._make_shard = _WorkerShard if shard_mode == "process" else _LocalShard
         self._shards = [self._make_shard(index, self.config) for index in range(shards)]
 
     @contextmanager
@@ -765,7 +748,7 @@ class ShardedStreamEngine:
             self._check_open()
             if name in self._queries:
                 raise QueryError(f"query {name!r} is already registered")
-            window = self.chain_class.normalize_window(name, window)
+            window = SlicedJoinChain.normalize_window(name, window)
             self._request_all("add", (name, window, left_filter, right_filter))
             query = RegisteredQuery(
                 name,
@@ -905,9 +888,9 @@ class ShardedStreamEngine:
         Parameters
         ----------
         target:
-            The new shard count.  ``1`` is the degenerate single engine;
-            values above 1 require an equi-join time-window session (the
-            same constraint as constructing a sharded session).
+            The new shard count, a whole number of at least 1.  ``1`` is the
+            degenerate single engine; values above 1 require an equi-join
+            condition (the same constraint as constructing a sharded session).
 
         Returns
         -------
@@ -920,8 +903,8 @@ class ShardedStreamEngine:
         Raises
         ------
         ShardingError
-            If ``target`` is not partitionable (non-equi condition or count
-            windows with ``target > 1``) or not positive.
+            If ``target`` is not a whole number of at least 1, or is above 1
+            for a non-equi condition.
         MigrationError
             If called re-entrantly from within another session migration on
             the same thread (admissions and reshards serialize).
@@ -929,20 +912,10 @@ class ShardedStreamEngine:
             If the session is closed, or a process-mode worker died — the
             session is then in an undefined state and must be closed.
         """
-        if (
-            isinstance(target, bool)
-            or not isinstance(target, (int, float))
-            or target != int(target)
-        ):
-            raise ShardingError(
-                f"shard count must be a whole number, got {target!r}"
-            )
-        target = int(target)
+        target = _shard_count(target)
         with self._serialized("reshard"):
             self._check_open()
-            if target < 1:
-                raise ShardingError(f"shard count must be at least 1, got {target}")
-            problem = unpartitionable_reason(self.condition, self.chain_class)
+            problem = unpartitionable_reason(self.condition)
             if target > 1 and problem is not None:
                 raise ShardingError(f"cannot reshard to {target} shards: {problem}")
             old = self.shards

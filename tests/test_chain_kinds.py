@@ -1,11 +1,12 @@
 """What a session asks of its chain kind, pinned for both kinds.
 
 ``window_kind`` picks a chain class once (``repro.runtime.engine.CHAIN_KINDS``);
-window validation, push-down and the partitioning refusal are facts of
-that class.  These tests drive a time and a count session through the calls
-that used to branch on the string and pin what each answers — including
-every count-session refusal and its message — and hold every session kind to
-the one chain it may have: the Mem-Opt chain of its registered windows.
+window validation and push-down are facts of that class.  These tests
+drive a time and a count session through the calls that used to branch on
+the string and pin what each answers — including every count-session
+refusal and its message — and hold every session kind to the one chain it
+may have: the Mem-Opt chain of its registered windows.  A sharded session
+is time-window only and takes no ``window_kind``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.errors import QueryError, ShardingError
+from repro.engine.errors import QueryError
 from repro.query.predicates import EquiJoinCondition, attribute_gt
-from repro.runtime import ShardedStreamEngine, StreamEngine
+from repro.runtime import ShardConfig, ShardedStreamEngine, StreamEngine
 from repro.streams.generators import generate_join_workload
 from tests.conftest import shard_engines
 
@@ -73,8 +74,6 @@ def test_window_refusal_messages():
     assert count.add_query("q", 4.0).window == 4  # whole floats are counts
     with pytest.raises(QueryError, match="window_kind must be 'time' or 'count'"):
         StreamEngine(CONDITION, window_kind="rows")
-    with pytest.raises(QueryError, match="window_kind must be 'time' or 'count'"):
-        ShardedStreamEngine(CONDITION, shards=2, window_kind="rows")
 
 
 @pytest.mark.parametrize("kind", SESSIONS)
@@ -133,19 +132,13 @@ def test_count_session_walk_pins_the_refusals():
 
 
 def test_count_sessions_are_refused_more_than_one_shard():
-    reason = (
-        "count windows rank tuples over the whole stream, not a shard's subsequence"
-    )
-    with pytest.raises(ShardingError) as refusal:
-        ShardedStreamEngine(CONDITION, shards=2, window_kind="count")
-    assert str(refusal.value) == (
-        f"cannot run 2 shards: {reason} (pass shards=1 to run unsharded)"
-    )
-    single = ShardedStreamEngine(CONDITION, shards=1, window_kind="count")
-    with pytest.raises(ShardingError) as refusal:
-        single.reshard(2)
-    assert str(refusal.value) == f"cannot reshard to 2 shards: {reason}"
-    # The same session over time windows is partitionable: it reshards.
+    """A sharded session is time-window only: ``window_kind=`` is no
+    argument of it or of its shards' config, whatever the kind."""
+    for kind in ("count", "time", "rows"):
+        with pytest.raises(TypeError, match="window_kind"):
+            ShardedStreamEngine(CONDITION, shards=1, window_kind=kind)
+        with pytest.raises(TypeError, match="window_kind"):
+            ShardConfig(CONDITION, window_kind=kind)
     assert ShardedStreamEngine(CONDITION, shards=1).reshard(2).new_shards == 2
 
 

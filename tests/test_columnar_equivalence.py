@@ -26,6 +26,7 @@ from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.engine.columns import ChainColumn, ColumnarState, ProbeBinding
 from repro.engine.executor import execute_plan
+from repro.operators.count_join import CountWindowJoin
 from repro.query.predicates import (
     ComparisonPredicate,
     CrossProductCondition,
@@ -127,13 +128,24 @@ def _batched(chain, tuples, batch_size):
 
 
 def _unshared(condition, windows, tuples, window_kind="time"):
-    """Per-query pairs of the independent no-sharing baseline plan."""
-    workload = QueryWorkload(
-        [ContinuousQuery(name, window, condition) for name, window in windows.items()]
-    )
-    report = execute_plan(build_unshared_plan(workload, window_kind=window_kind), tuples)
+    """Per-query pairs of independent regular joins: the no-sharing baseline
+    plan for time windows, one :class:`CountWindowJoin` per count window."""
+    if window_kind == "count":
+        results = {}
+        for name, count in windows.items():
+            join = CountWindowJoin(count, count, condition)
+            results[name] = [
+                item
+                for tup in tuples
+                for _, item in join.process(tup, "left" if tup.stream == "A" else "right")
+            ]
+    else:
+        workload = QueryWorkload(
+            [ContinuousQuery(name, window, condition) for name, window in windows.items()]
+        )
+        results = execute_plan(build_unshared_plan(workload), tuples).results
     return {
-        name: sorted((j.left.seqno, j.right.seqno) for j in report.results[name])
+        name: sorted((j.left.seqno, j.right.seqno) for j in results[name])
         for name in windows
     }
 

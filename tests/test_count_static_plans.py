@@ -1,10 +1,9 @@
-"""Differential checks for count-window plans in the static layers.
+"""The static count-window plan: ``build_state_slice_plan(window_kind="count")``.
 
-The runtime layer has supported count windows since PR 2; this suite covers
-the static builders added by the statistics-plane PR: ``plan_builder`` and
-all three baselines must build count-window plans whose per-query answers
-are identical to each other, to the per-query unshared reference, and to a
-live ``window_kind="count"`` :class:`StreamEngine` session over the same arrivals.
+It is the per-item reference of a count session's chain, so its per-query
+answers must equal a live ``window_kind="count"`` :class:`StreamEngine`
+session over the same arrivals.  The static baselines are time-window only:
+``window_kind=`` is not one of their arguments.
 """
 
 from __future__ import annotations
@@ -18,17 +17,12 @@ from repro.core.plan_builder import build_state_slice_plan
 from repro.core.slices import ChainSpec, SliceSpec
 from repro.engine.errors import ChainError, ConfigurationError, QueryError
 from repro.engine.executor import execute_plan
+from repro.operators.count_join import CountSlicedBinaryJoin
 from repro.query.predicates import selectivity_filter, selectivity_join
 from repro.query.query import ContinuousQuery, QueryWorkload
 from repro.runtime import StreamEngine
 from repro.streams.generators import generate_join_workload
-from tests.conftest import joined_keys, result_keys
-
-BUILDERS = {
-    "unshared": build_unshared_plan,
-    "selection-pullup": build_pullup_plan,
-    "selection-pushdown": build_pushdown_plan,
-}
+from tests.conftest import joined_keys
 
 
 def count_workload(with_selections: bool = True) -> QueryWorkload:
@@ -58,24 +52,6 @@ def stream_data():
 
 
 class TestCountDifferential:
-    @pytest.mark.parametrize("with_selections", [True, False])
-    def test_all_strategies_agree_with_unshared(self, stream_data, with_selections):
-        workload = count_workload(with_selections)
-        reference = execute_plan(
-            build_unshared_plan(workload, window_kind="count"), stream_data.tuples
-        )
-        expected = result_keys(reference.results)
-        assert all(len(keys) > 0 for keys in expected.values())
-        for name, builder in BUILDERS.items():
-            report = execute_plan(
-                builder(workload, window_kind="count"), stream_data.tuples
-            )
-            assert result_keys(report.results) == expected, name
-        sliced = execute_plan(
-            build_state_slice_plan(workload, window_kind="count"), stream_data.tuples
-        )
-        assert result_keys(sliced.results) == expected
-
     def test_static_plan_matches_runtime_count_engine(self, stream_data):
         workload = count_workload()
         report = execute_plan(
@@ -96,17 +72,19 @@ class TestCountDifferential:
                 report.results[query.name]
             ), query.name
 
-    def test_state_slice_count_plan_uses_less_state_than_pullup(self, stream_data):
+    def test_count_plan_state_obeys_theorem_3(self, stream_data):
         """Theorem 3's memory claim carries over to rank slices: the chain
-        holds each stream's max-count suffix exactly once."""
+        holds each stream's max-count suffix exactly once, so at most
+        ``2 × largest count`` tuples."""
         workload = count_workload()
-        sliced = execute_plan(
-            build_state_slice_plan(workload, window_kind="count"), stream_data.tuples
+        plan = build_state_slice_plan(workload, window_kind="count")
+        report = execute_plan(plan, stream_data.tuples)
+        assert all(
+            isinstance(operator, CountSlicedBinaryJoin)
+            for name, operator in plan.operators.items()
+            if name.startswith("slice_")
         )
-        unshared = execute_plan(
-            build_unshared_plan(workload, window_kind="count"), stream_data.tuples
-        )
-        assert sliced.steady_state_memory < unshared.steady_state_memory
+        assert 0 < report.max_state_memory <= 2 * workload.max_window
 
 
 class TestCountPlanValidation:
@@ -115,8 +93,6 @@ class TestCountPlanValidation:
         workload = QueryWorkload(
             [ContinuousQuery("Q1", window=2.5, join_condition=condition)]
         )
-        with pytest.raises(QueryError):
-            build_unshared_plan(workload, window_kind="count")
         with pytest.raises(QueryError):
             build_state_slice_plan(workload, window_kind="count")
 
@@ -132,19 +108,11 @@ class TestCountPlanValidation:
         with pytest.raises(ChainError):
             build_state_slice_plan(workload, chain=merged, window_kind="count")
 
-    def test_hash_algorithm_rejected_for_count_baselines(self):
-        workload = count_workload(with_selections=False)
-        for builder in (build_unshared_plan, build_pullup_plan):
-            with pytest.raises(ConfigurationError):
-                builder(workload, algorithm="hash", window_kind="count")
-
     def test_unknown_window_kind_rejected(self):
         workload = count_workload(with_selections=False)
-        for builder in (
-            build_unshared_plan,
-            build_pullup_plan,
-            build_pushdown_plan,
-            build_state_slice_plan,
-        ):
-            with pytest.raises(ConfigurationError):
-                builder(workload, window_kind="sideways")
+        with pytest.raises(ConfigurationError):
+            build_state_slice_plan(workload, window_kind="sideways")
+        for builder in (build_unshared_plan, build_pullup_plan, build_pushdown_plan):
+            for kind in ("count", "time", "sideways"):
+                with pytest.raises(TypeError, match="window_kind"):
+                    builder(workload, window_kind=kind)

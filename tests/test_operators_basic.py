@@ -7,10 +7,10 @@ import pytest
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory, MetricsCollector
 from repro.operators.router import Route, Router
-from repro.operators.selection import JoinedFilter, Selection, StreamFilter
+from repro.operators.selection import Selection, StreamFilter
 from repro.operators.split import Split
 from repro.operators.union import BagUnion, OrderedUnion
-from repro.query.predicates import ComparisonPredicate, attribute_gt
+from repro.query.predicates import attribute_gt
 from repro.streams.tuples import FEMALE, MALE, JoinedTuple, Punctuation, RefTuple, make_tuple
 
 
@@ -64,30 +64,6 @@ class TestStreamFilter:
         assert chain_filter.process(make_tuple("A", 0.0, value=0.2), "in") == []
         kept = make_tuple("B", 0.0, value=0.2)
         assert chain_filter.process(kept, "in") == [("out", kept)]
-
-
-class TestJoinedFilter:
-    def test_applies_left_and_right_predicates(self):
-        residual = JoinedFilter(
-            left_predicate=attribute_gt("value", 0.5),
-            right_predicate=ComparisonPredicate("value", "<", 0.5),
-        )
-        good = JoinedTuple(make_tuple("A", 0.0, value=0.9), make_tuple("B", 0.0, value=0.1))
-        bad = JoinedTuple(make_tuple("A", 0.0, value=0.9), make_tuple("B", 0.0, value=0.9))
-        assert residual.process(good, "in") == [("out", good)]
-        assert residual.process(bad, "in") == []
-
-    def test_trivial_predicates_cost_nothing(self):
-        metrics = MetricsCollector()
-        residual = JoinedFilter()
-        residual.bind_metrics(metrics)
-        residual.process(joined(0.0, 1.0), "in")
-        assert metrics.comparisons.get(CostCategory.SELECT, 0) == 0
-
-    def test_non_joined_items_pass_through(self):
-        residual = JoinedFilter(left_predicate=attribute_gt("value", 0.5))
-        tup = make_tuple("A", 0.0, value=0.1)
-        assert residual.process(tup, "in") == [("out", tup)]
 
 
 class TestSplit:

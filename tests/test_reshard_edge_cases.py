@@ -33,7 +33,7 @@ from repro.core.chain import SlicedJoinChain
 from repro.engine.errors import ExecutionError, MigrationError, ShardingError
 from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.query.predicates import CrossProductCondition, EquiJoinCondition
-from repro.runtime import ShardedStreamEngine, StreamEngine
+from repro.runtime import ShardedStreamEngine, StreamEngine, sharding
 from repro.streams.tuples import make_tuple
 from tests.conftest import kill_worker, shard_engines
 
@@ -289,13 +289,31 @@ def test_reshard_rejects_unpartitionable_targets():
     non_equi.add_query("Q", 1.0)
     with pytest.raises(ShardingError, match="equi-key"):
         non_equi.reshard(2)
-    counts = ShardedStreamEngine(CONDITION, shards=1, window_kind="count")
-    counts.add_query("Q", 5)
-    with pytest.raises(ShardingError, match="count windows"):
-        counts.reshard(2)
     sharded = ShardedStreamEngine(CONDITION, shards=2)
     with pytest.raises(ShardingError, match="at least 1"):
         sharded.reshard(0)
+
+
+@pytest.mark.parametrize("entry", ["constructor", "reshard"])
+@pytest.mark.parametrize("count", [True, 2.5, float("inf"), float("nan"), "3", 0], ids=repr)
+def test_shard_counts_are_validated_one_way(entry, count):
+    """The constructor's ``shards`` and a ``reshard`` target pass one check:
+    a bool, a fraction, a non-finite value, a string or a count below 1 is
+    a ShardingError, never a raw TypeError/ValueError/OverflowError."""
+    with pytest.raises(ShardingError, match="whole number of at least 1"):
+        if entry == "constructor":
+            ShardedStreamEngine(CONDITION, shards=count)
+        else:
+            ShardedStreamEngine(CONDITION, shards=2).reshard(count)
+
+
+@pytest.mark.parametrize("knob", ["ring_capacity", "max_respawns"])
+def test_process_transport_knobs_are_module_constants(knob):
+    """The ring size and the respawn budget are module constants
+    (``shard_worker.RING_CAPACITY``, ``sharding.MAX_RESPAWNS``), not
+    session arguments."""
+    with pytest.raises(TypeError, match=knob):
+        ShardedStreamEngine(CONDITION, shards=1, **{knob: 8})
 
 
 def test_reshard_waits_for_an_inflight_admission():
@@ -396,10 +414,9 @@ def test_process_mode_reshard_with_a_dead_worker_recovers():
         assert engine.metrics.respawns == 1
 
 
-def test_process_mode_worker_death_exhausts_its_respawn_budget():
-    with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", max_respawns=0
-    ) as engine:
+def test_process_mode_worker_death_exhausts_its_respawn_budget(monkeypatch):
+    monkeypatch.setattr(sharding, "MAX_RESPAWNS", 0)
+    with ShardedStreamEngine(CONDITION, shards=2, shard_mode="process") as engine:
         engine.add_query("Q", 2.0)
         engine.process_many(make_stream(count=40))
         engine.flush()

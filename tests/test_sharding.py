@@ -32,7 +32,7 @@ from repro.query.predicates import (
     EquiJoinCondition,
     attribute_gt,
 )
-from repro.runtime import ShardedStreamEngine, StreamEngine, shard_for_key
+from repro.runtime import ShardedStreamEngine, StreamEngine, shard_for_key, shard_worker
 from repro.runtime.partition import relayer
 from repro.streams.generators import SelectivityValueGenerator, generate_join_workload
 from repro.streams.tuples import make_tuple
@@ -182,8 +182,6 @@ def test_unsupported_workloads_raise_or_fall_back():
     cross = CrossProductCondition()
     with pytest.raises(ShardingError, match="equi-key"):
         ShardedStreamEngine(cross, shards=2)
-    with pytest.raises(ShardingError, match="count windows"):
-        ShardedStreamEngine(CONDITION, shards=2, window_kind="count")
     with pytest.raises(TypeError):
         ShardedStreamEngine(cross, shards=4, on_unsupported="fallback")  # knob deleted
     # The unsharded path for such workloads is shards=1.
@@ -408,20 +406,16 @@ def test_process_mode_carryover_pops_in_merge_order(then):
         pytest.param(64, id="oversize-pipe-batch"),  # no batch fits: marker + pipe
     ],
 )
-def test_process_mode_worker_killed_while_pushing_recovers(ring_capacity):
+def test_process_mode_worker_killed_while_pushing_recovers(ring_capacity, monkeypatch):
     """A worker that dies with nobody draining its ring (or reading its
     pipe) is found dead by the push itself; the batch in flight is shipped
     to the replacement exactly once."""
+    monkeypatch.setattr(shard_worker, "RING_CAPACITY", ring_capacity)
     half = len(DATA.tuples) // 2
     serial = ShardedStreamEngine(CONDITION, shards=2)
     serial.add_query("Q", 3.0)
     serial.process_many(DATA.tuples)
-    with ShardedStreamEngine(
-        CONDITION,
-        shards=2,
-        shard_mode="process",
-        ring_capacity=ring_capacity,
-    ) as engine:
+    with ShardedStreamEngine(CONDITION, shards=2, shard_mode="process") as engine:
         engine.add_query("Q", 3.0)
         engine.process_many(DATA.tuples[:half])
         engine.flush()
@@ -576,21 +570,22 @@ def test_relayer_regroups_onto_a_subset_and_refuses_anything_else():
         relayer(state[:2], [1.0, 2.0, 4.0], [1.0])
 
 
-def test_process_mode_count_window_and_idle_journal_recover():
-    """The journal's two other retention rules: rank-based for a count
-    session (one shard only), and nothing at all while no query is
-    registered."""
-    single = StreamEngine(CONDITION, window_kind="count")
-    with ShardedStreamEngine(
-        CONDITION, shards=1, shard_mode="process", window_kind="count"
-    ) as engine:
+def test_process_mode_idle_journal_recovers():
+    """The journal keeps nothing while no query is registered, then two
+    windows of stream time, and a worker recovers from what it kept."""
+    single = StreamEngine(CONDITION)
+    with ShardedStreamEngine(CONDITION, shards=2, shard_mode="process") as engine:
         engine.process_many(DATA.tuples[:40])  # chainless: builds no state
         single.process_many(DATA.tuples[:40])
         engine.flush()
-        assert not engine._shards[0].journal
+        assert not any(shard.journal for shard in engine._shards)
         for session in (single, engine):
-            session.add_query("Q", 12)
+            session.add_query("Q", 0.5)
             session.process_many(DATA.tuples[40:200])
+        engine.flush()
+        for shard in engine._shards:
+            kept = [tup.timestamp for _, tup in shard.journal]
+            assert kept and kept[-1] - kept[0] < 2 * 0.5
         # Results are pulled every 16 arrivals: an undelivered result older
         # than the journal's retention (two windows) dies with its worker.
         assert pairs(engine.pop_results("Q")) == pairs(single.pop_results("Q"))
@@ -630,16 +625,15 @@ def test_pop_results_all_matches_per_query_pops():
             assert engine.results("Q1") == []
 
 
-def test_process_mode_tiny_ring_uses_pipe_fallback():
+def test_process_mode_tiny_ring_uses_pipe_fallback(monkeypatch):
     """Batches that cannot fit the arrival ring take the marked pipe path
     without reordering against ring traffic."""
+    monkeypatch.setattr(shard_worker, "RING_CAPACITY", 64)
     serial = ShardedStreamEngine(CONDITION, shards=2)
     serial.add_query("Q", 3.0)
     serial.process_many(DATA.tuples)
     serial.flush()
-    with ShardedStreamEngine(
-        CONDITION, shards=2, shard_mode="process", ring_capacity=64
-    ) as engine:
+    with ShardedStreamEngine(CONDITION, shards=2, shard_mode="process") as engine:
         engine.add_query("Q", 3.0)
         engine.process_many(DATA.tuples)
         engine.flush()
