@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Documentation gate for CI (stdlib only).
 
-Two checks, both required by the docs job in ``.github/workflows/ci.yml``:
+Three checks, all required by the docs job in ``.github/workflows/ci.yml``:
 
 1. **Link check** — every relative Markdown link in ``docs/*.md`` and
    ``README.md`` must resolve to an existing file, and a ``#fragment`` on a
    Markdown target must match a heading in that file (GitHub-style slugs).
    External (``http``/``https``/``mailto``) links are not fetched.
 
-2. **Module docstrings** — every module under ``src/repro/`` must open with
+2. **Gate pointers** — every ``path.py::name`` (or ``path.py::Class::name``)
+   in the same files must name a ``def`` or ``class`` of that file (a gate
+   test, or the helper it uses), found with ``ast``.
+
+3. **Module docstrings** — every module under ``src/repro/`` must open with
    a docstring; the docs manual points into the code, so an undocumented
    module is a dead end.
 
@@ -29,6 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 FENCE = re.compile(r"```.*?```", re.DOTALL)
+#: ``tests/test_x.py::name`` / ``tests/test_x.py::Class::name``, repo-relative.
+POINTER = re.compile(r"([\w./-]+\.py)((?:::\w+)+)")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def github_slug(heading: str) -> str:
@@ -71,6 +78,29 @@ def check_links(files: list[Path]) -> list[str]:
     return problems
 
 
+def resolves(path: Path, names: list[str]) -> bool:
+    """Whether ``names`` lead from the module at ``path`` to a def or class,
+    each nested in the one before."""
+    if not path.is_file():
+        return False
+    node = ast.parse(path.read_text(encoding="utf-8"))
+    for name in names:
+        node = next((child for child in node.body if isinstance(child, DEFS) and child.name == name), None)
+        if node is None:
+            return False
+    return True
+
+
+def check_pointers(files: list[Path]) -> list[str]:
+    """Resolve every ``path.py::name`` pointer in ``files``."""
+    problems = []
+    for source in files:
+        for match in POINTER.finditer(source.read_text(encoding="utf-8")):
+            if not resolves(ROOT / match.group(1), match.group(2).split("::")[1:]):
+                problems.append(f"{source}: dead pointer -> {match.group(0)}")
+    return problems
+
+
 def check_module_docstrings(package_dir: Path) -> list[str]:
     """Every module under ``package_dir`` must open with a docstring."""
     problems = []
@@ -84,12 +114,13 @@ def check_module_docstrings(package_dir: Path) -> list[str]:
 
 
 def main() -> int:
-    """Run both checks; print findings; return a process exit code."""
+    """Run the checks; print findings; return a process exit code."""
     docs = sorted((ROOT / "docs").glob("*.md"))
     if not docs:
         print("docs/: no Markdown files found", file=sys.stderr)
         return 1
     problems = check_links(docs + [ROOT / "README.md"])
+    problems += check_pointers(docs + [ROOT / "README.md"])
     problems += check_module_docstrings(ROOT / "src" / "repro")
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -97,7 +128,7 @@ def main() -> int:
         print(f"{len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
     checked = len(docs) + 1
-    print(f"docs OK: {checked} Markdown files link-checked, all modules documented")
+    print(f"docs OK: {checked} Markdown files link- and pointer-checked, all modules documented")
     return 0
 
 

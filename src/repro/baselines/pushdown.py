@@ -45,7 +45,7 @@ def _classify_queries(
     """Split the workload into unfiltered and filtered queries, validating shape."""
     unfiltered: list[ContinuousQuery] = []
     filtered: list[ContinuousQuery] = []
-    predicate_description: str | None = None
+    predicate = None
     for query in workload:
         if not isinstance(query.right_filter, TruePredicate):
             raise ConfigurationError(
@@ -55,13 +55,12 @@ def _classify_queries(
         if isinstance(query.left_filter, TruePredicate):
             unfiltered.append(query)
             continue
-        description = query.left_filter.describe()
-        if predicate_description is None:
-            predicate_description = description
-        elif description != predicate_description:
+        if predicate is None:
+            predicate = query.left_filter
+        elif query.left_filter != predicate:
             raise ConfigurationError(
                 "the stream-partition baseline supports a single distinct selection "
-                f"predicate; found both {predicate_description!r} and {description!r}"
+                f"predicate; found both {predicate.describe()!r} and {query.left_filter.describe()!r}"
             )
         filtered.append(query)
     return unfiltered, filtered

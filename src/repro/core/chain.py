@@ -20,6 +20,8 @@ chain kind supplies only *where its cursors are*: this module's time chain
 advances them by cross-purge (one sweep per slice; ``split_slice`` duplicates
 a cursor and the shrunk slice re-purges lazily, as in Section 5.3), the count
 chain (:mod:`repro.core.count_chain`) computes them from row counts.
+A pushed-down filter meets a row once, as it arrives: a link passes a row,
+male or female, when the verdict bit of one of its σ' disjuncts is set.
 Comparison counts, per-slice and per-filter invocations and the pushed-down
 selections' ``SELECT`` charges come from cursor arithmetic and equal, count
 for count, those of the operator pipeline,
@@ -44,6 +46,7 @@ from repro.engine.columns import ChainColumn, HitBlock, ProbeBinding
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
 from repro.engine.spill import ROW_METADATA_BYTES, SpillLog, SpillStore
+from repro.query.predicates import OrPredicate
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["CursorChain", "SlicedJoinChain", "SliceResult"]
@@ -101,11 +104,27 @@ class CursorChain(SlicedChainBase):
             arrivals[side].append(tup)
         return arrivals, places, preceding
 
+    _residuals: tuple[list, list] = ([], [])
+
     def assign_filters(self, left: list, right: list) -> None:
-        """The filters each stream's rows keep verdicts for, in verdict
-        column order (:meth:`~repro.engine.columns.ChainColumn.assign_filters`)."""
-        self._columns[0].assign_filters(left)
-        self._columns[1].assign_filters(right)
+        """The routing residuals each stream's rows keep verdicts for
+        (``_residuals``), in a routing table's bit order (:meth:`_register`)."""
+        self._residuals = (left, right)
+        self._register()
+
+    def _register(self) -> None:
+        """Give each column a verdict column per residual, then per disjunct
+        of an installed link filter not among them (a link's σ' ORs shared
+        query filters), and per link the columns it ORs — idempotent, so a
+        batch calls it to see the links a migration left."""
+        links = self.link_filters()
+        for side, column in enumerate(self._columns):
+            filters, bits = list(self._residuals[side]), []
+            for predicate in (pair[side] for pair in links):
+                disjuncts = predicate.children if isinstance(predicate, OrPredicate) else (predicate,)
+                filters += [disjunct for disjunct in disjuncts if disjunct not in (*filters, None)]
+                bits.append(None if predicate is None else list(map(filters.index, disjuncts)))
+            column.assign_filters(filters, bits)
 
     # -- introspection ----------------------------------------------------------
     def state_sizes(self) -> list[int]:
@@ -210,37 +229,36 @@ class SlicedJoinChain(CursorChain, TimeChainBase):
 
     # -- execution ------------------------------------------------------------
     def _slice_results(self, batch: list[StreamTuple]) -> HitBlock:
-        metrics, filters, streams = self.metrics, self._filters, self._streams
-        # -- link 0 filters the raw arrivals; then the batch is classified once
-        for stream, entry in zip(streams, filters[0]):
-            if entry is not None and batch:
+        metrics, filters, columns, streams = self.metrics, self._filters, self._columns, self._streams
+        self._register()
+        verdicts = [column.judge([tup for tup in batch if tup.stream == stream])
+                    for stream, column in zip(streams, columns)]
+        # -- link 0 filters the raw arrivals by their verdicts; then the batch is classified once
+        for side, (stream, entry) in enumerate(zip(streams, filters[0])):
+            passing = columns[side].passes(verdicts[side], 0)
+            if passing is not None and batch:
                 metrics.record_invocation(entry.name, len(batch))
-                metrics.count(CostCategory.SELECT, sum(tup.stream == stream for tup in batch))
-                passes = entry.predicate.matches
-                batch = [tup for tup in batch if tup.stream != stream or passes(tup)]
+                metrics.count(CostCategory.SELECT, len(verdicts[side]))
+                verdicts[side] = verdicts[side][passing]
+                passed = iter(passing.tolist())
+                batch = [tup for tup in batch if tup.stream != stream or next(passed)]
+        arrivals, places, preceding = self._classify(batch)
         ends = self._bounds[1:]
         if not batch:
             return HitBlock(len(ends))
-        arrivals, places, preceding = self._classify(batch)
-        reach = [self._reach(side, arrivals[side]) for side in (0, 1)]
-        verdicts = [column.judge(arrivals[side]) for side, column in enumerate(self._columns)]
+        reach = [self._reach(side, verdicts[side]) for side in (0, 1)]
         # -- per column: extend, one purge sweep per slice, one probe, free
         parts = []
         crossed: list[list] = [[], []]
         purges = probes = 0
-        for side, column in enumerate(self._columns):
+        for side, column in enumerate(columns):
             males = arrivals[1 - side]
             size = column.extend(arrivals[side], verdicts[side])
             if not males:
                 continue
             stops = [size + before for before in preceding[1 - side]]
             cuts, crossed[side], purged, probed = column.sweep(
-                size,
-                [male.timestamp for male in males],
-                stops,
-                reach[1 - side],
-                ends,
-                [pair[side] and pair[side].predicate.matches for pair in filters],
+                size, [male.timestamp for male in males], stops, reach[1 - side], ends
             )
             found = column.probe(males, cuts, stops)
             parts.append((side, found, males, verdicts[1 - side], places[1 - side]))
@@ -269,19 +287,21 @@ class SlicedJoinChain(CursorChain, TimeChainBase):
             metrics.record_invocation(_slice_name(self._bounds[k], end), items)
         return HitBlock(len(ends), parts)
 
-    def _reach(self, side: int, males: list[StreamTuple]) -> list[list[int]]:
+    def _reach(self, side: int, verdicts) -> list[list[int]]:
         """Per slice, the males (by index) of stream ``side`` that reach it: a
-        male's depth is fixed by the link filters of its own stream, each
-        charged one ``SELECT`` per male copy it sees (Equation 3).  An entry
-        no filter shortened is the same list object as ``reach[0]``."""
-        who = list(range(len(males)))
+        male's depth is fixed by its verdicts at the link filters of its own
+        stream, each charged one ``SELECT`` per male copy it sees (Equation
+        3).  An entry no filter shortened is the same list object as
+        ``reach[0]``."""
+        column = self._columns[side]
+        who = list(range(len(verdicts)))
         reach = [who]
-        for pair in self._filters[1:]:
-            entry = pair[side]
-            if entry is not None and who:
+        for link in range(1, len(column.links)):
+            passing = column.passes(verdicts, link)
+            if passing is not None and who:
                 self.metrics.count(CostCategory.SELECT, len(who))
-                passes = entry.predicate.matches
-                who = [j for j in who if passes(males[j])]
+                passing = passing.tolist()
+                who = [j for j in who if passing[j]]
             reach.append(who)
         return reach
 

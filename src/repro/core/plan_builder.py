@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.mem_opt import build_mem_opt_chain
-from repro.core.pushdown import pushed_filters, residual_filters
+from repro.core.pushdown import ResidualFilters, pushed_filters, residual_filters
 from repro.core.slices import ChainSpec
 from repro.engine.errors import ChainError, ConfigurationError
 from repro.engine.plan import QueryPlan
@@ -140,21 +140,14 @@ def _wire_entries(
     input before the first join, as in Figure 15 (σ'_1).
     """
     head = joins[0]
-    filters = pushed_filters(workload, chain.slices[0])
-    if push_selections and not isinstance(filters.left, TruePredicate):
-        selection = Selection(filters.left, name="entry_filter_left")
-        plan.add_operator(selection)
-        plan.add_entry(workload.left_stream, selection, "in")
-        plan.connect(selection, "out", head, "left")
-    else:
-        plan.add_entry(workload.left_stream, head, "left")
-    if push_selections and not isinstance(filters.right, TruePredicate):
-        selection = Selection(filters.right, name="entry_filter_right")
-        plan.add_operator(selection)
-        plan.add_entry(workload.right_stream, selection, "in")
-        plan.connect(selection, "out", head, "right")
-    else:
-        plan.add_entry(workload.right_stream, head, "right")
+    for side, stream, predicate in _sides(workload, pushed_filters(workload, chain.slices[0])):
+        if push_selections and not isinstance(predicate, TruePredicate):
+            selection = Selection(predicate, name=f"entry_filter_{side}")
+            plan.add_operator(selection)
+            plan.add_entry(stream, selection, "in")
+            plan.connect(selection, "out", head, side)
+        else:
+            plan.add_entry(stream, head, side)
 
 
 def _wire_chain(
@@ -169,27 +162,19 @@ def _wire_chain(
         upstream = joins[index]
         downstream = joins[index + 1]
         source_op, source_port = upstream, "next"
-        if push_selections:
-            filters = pushed_filters(workload, chain.slices[index + 1])
-            if not isinstance(filters.left, TruePredicate):
-                chain_filter = StreamFilter(
-                    filters.left,
-                    stream=workload.left_stream,
-                    name=f"chain_filter_left_{index + 2}",
-                )
-                plan.add_operator(chain_filter)
-                plan.connect(source_op, source_port, chain_filter, "in")
-                source_op, source_port = chain_filter, "out"
-            if not isinstance(filters.right, TruePredicate):
-                chain_filter = StreamFilter(
-                    filters.right,
-                    stream=workload.right_stream,
-                    name=f"chain_filter_right_{index + 2}",
-                )
+        pushed = _sides(workload, pushed_filters(workload, chain.slices[index + 1])) if push_selections else ()
+        for side, stream, predicate in pushed:
+            if not isinstance(predicate, TruePredicate):
+                chain_filter = StreamFilter(predicate, stream=stream, name=f"chain_filter_{side}_{index + 2}")
                 plan.add_operator(chain_filter)
                 plan.connect(source_op, source_port, chain_filter, "in")
                 source_op, source_port = chain_filter, "out"
         plan.connect(source_op, source_port, downstream, "chain")
+
+
+def _sides(workload: QueryWorkload, filters) -> tuple:
+    """``(port, stream, pushed predicate)`` of the left side, then the right."""
+    return (("left", workload.left_stream, filters.left), ("right", workload.right_stream, filters.right))
 
 
 def _wire_outputs(
@@ -209,31 +194,20 @@ def _wire_outputs(
         direct: list[str] = []
         for query in tapping:
             needs_window_check = query.window < slice_spec.end - _EPSILON
-            residual = residual_filters(workload, chain, query, index)
-            if push_selections and residual.is_trivial and not needs_window_check:
-                direct.append(query.name)
-                continue
-            if not push_selections:
-                # Without push-down every query applies its own filter to the
-                # results it receives.
-                left_filter = query.left_filter
-                right_filter = query.right_filter
-            else:
-                left_filter = residual.left
-                right_filter = residual.right
-            if (
-                not needs_window_check
-                and isinstance(left_filter, TruePredicate)
-                and isinstance(right_filter, TruePredicate)
-            ):
+            residual = (  # without push-down a query applies its own filters to what it receives
+                residual_filters(workload, chain, query, index)
+                if push_selections
+                else ResidualFilters(query.left_filter, query.right_filter)
+            )
+            if not needs_window_check and residual.is_trivial:
                 direct.append(query.name)
                 continue
             routes.append(
                 Route(
                     port=query.name,
                     window=query.window if needs_window_check else None,
-                    left_filter=left_filter,
-                    right_filter=right_filter,
+                    left_filter=residual.left,
+                    right_filter=residual.right,
                 )
             )
         if routes:

@@ -77,16 +77,13 @@ def pushed_filters(workload: QueryWorkload, slice_spec: SliceSpec) -> SliceFilte
 def residual_predicate(query_filter: Predicate, pushed: Predicate) -> Predicate:
     """The filter a query must still apply given what was already pushed down.
 
-    When the pushed predicate is exactly the query's own predicate the
-    residual is trivially true (no re-evaluation needed); otherwise the
-    query's predicate is re-applied.  Structural equality is approximated by
-    comparing the describe() forms, which is exact for predicates built from
-    the same workload objects.  Shared by the static plan builder and the
+    When the pushed predicate equals the query's own predicate (``==``, as
+    :func:`~repro.query.predicates.disjunction` dedupes) the residual is
+    trivially true (no re-evaluation needed); otherwise the query's
+    predicate is re-applied.  Shared by the static plan builder and the
     runtime engine's per-slice result routing.
     """
-    if isinstance(query_filter, TruePredicate):
-        return TruePredicate()
-    if query_filter.describe() == pushed.describe():
+    if isinstance(query_filter, TruePredicate) or query_filter == pushed:
         return TruePredicate()
     return query_filter
 

@@ -45,7 +45,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.engine.errors import MigrationError
+from repro.engine.errors import ChainError, MigrationError
 from repro.streams.tuples import JoinedTuple, StreamTuple
 
 __all__ = [
@@ -82,6 +82,8 @@ _MISSING = object()
 #: What purging or probing an empty state returns (shared, never mutated).
 _NOTHING = ((), 0)
 _EMPTY = np.zeros(0, np.intp)
+#: ``_died`` of a live row whose verdicts are valid / stale (any other value: a dead row).
+_LIVE, _STALE = 65535, 65534
 
 
 def _rounded(values: Any, fill: int) -> np.ndarray:
@@ -404,19 +406,19 @@ class ChainColumn(ColumnarState):
     cross-purge advances a cursor and moves nothing.  Offsets count from the
     oldest stored row, which compaction does not change; rows leave storage
     off the chain's end only (:meth:`settle`), and that step rebases every
-    cursor at once.  A row filtered at a link keeps its place and drops its
-    payload (``None`` in ``refs``); ``dead[i]`` counts such rows inside slice
-    ``i``, and a slice without any is counted by cursor arithmetic alone.
-    A row's id is rows ever dropped (``_gone``) plus its offset, which
-    nothing moves.
+    cursor at once.  A row filtered at a link keeps its place, is marked in
+    ``_died`` and drops its payload (``None`` in ``refs``); ``dead[i]``
+    counts such rows inside slice ``i``, and a slice without any is counted
+    by cursor arithmetic alone.  A row's id is rows ever dropped (``_gone``)
+    plus its offset, which nothing moves.
 
     Under a memory budget the oldest live rows ``[0, cold)`` are *cold*: they
     keep their timestamp and key, so purging, cursor arithmetic and the probe
     mask run over them as over any row, but their payload lives in ``log``
     (a :class:`~repro.engine.spill.SpillLog`) and their ``refs`` entry is the
     row id to read it by.  Only rows that are reported are read back
-    (:meth:`_thaw`): the placed hits of a batch, rows meeting a link filter,
-    :meth:`slices`.
+    (:meth:`_thaw`): the placed hits of a batch, :meth:`slices` — and a row
+    whose verdicts are stale, once, to be judged.
 
     One batch is ``extend`` → ``sweep`` → ``probe`` → ``settle``; a count
     chain, whose cursors are arithmetic on row counts, sets ``cuts`` itself
@@ -424,23 +426,26 @@ class ChainColumn(ColumnarState):
     row that leaves a slice during the batch (purged deeper, filtered at a link,
     purged off the end) stays visible in its old slice to the males before
     the one that moved it: a hit is judged by its own male's cuts, a link
-    death is kept as ``row -> link`` in ``_died`` until :meth:`settle`, and
-    nothing is freed before the batch's hits are out.
+    death is kept in ``_died`` as the link's index until :meth:`settle`
+    makes it 0, and nothing is freed before the batch's hits are out.
 
     A row's verdicts (``_verdicts``, a column per filter) say which of
-    ``filters`` it passes (:meth:`assign_filters`), valid unless ``_stale``:
-    filled at :meth:`extend`, else at the row's first hit — never by a pass
-    over the rows, which would read the cold prefix back.
+    ``filters`` it passes (:meth:`assign_filters`), valid unless its
+    ``_died`` is ``_STALE``: filled at :meth:`extend`, else when the row
+    first crosses a filtered link or is hit.  They are the only place a
+    filter meets a row: link ``k`` passes a row if any of its columns
+    ``links[k]`` does (:meth:`passes`).
     """
 
-    __slots__ = ("cuts", "dead", "_died", "_gone", "log", "cold", "_cold_dead", "filters",
-                 "_verdicts", "_stale")
-    _ARRAYS = ("_ts", "_keys", "_verdicts", "_stale")
+    __slots__ = ("cuts", "dead", "_died", "_fresh", "_gone", "log", "cold", "_cold_dead",
+                 "filters", "links", "_verdicts")
+    _ARRAYS = ("_ts", "_keys", "_verdicts", "_died")
 
     def __init__(self, binding: ProbeBinding, slices: Sequence[Sequence[Any]]) -> None:
         #: The cold rows' payloads; set by the chain before the first ``evict``.
         self.log: Any = None
         self.filters: list[Any] = []  # per verdict column
+        self.links: list[Any] = []  # per link: the verdict columns it ORs, or None
         super().__init__(binding, slices)
 
     def load(self, slices: Sequence[Sequence[Any]]) -> None:
@@ -450,9 +455,9 @@ class ChainColumn(ColumnarState):
             self.log.free(float("inf"))
         #: Live rows ``[0, cold)`` are cold; ``_cold_dead`` of them hold no payload.
         self.cold = self._cold_dead = 0
-        self._gone = 0
-        self._died: dict[int, int] = {}
+        self._gone, self._fresh = 0, []  # _fresh: per link crossed, the rows it filtered this batch
         super().load([tup for tuples in reversed(slices) for tup in tuples])
+        self._died = np.full(self._ts.shape[0], _STALE, np.uint16)
         stamps = self._ts[: len(self._refs)]
         if (stamps[1:] < stamps[:-1]).any():
             raise MigrationError("slice states are not time-layered: a deeper slice holds a younger tuple")
@@ -463,9 +468,8 @@ class ChainColumn(ColumnarState):
 
     def _forget(self) -> None:
         """Every row's verdicts stale."""
-        capacity = self._ts.shape[0]
-        self._verdicts = np.zeros((capacity, max(1, len(self.filters))), bool)
-        self._stale = np.ones(capacity, bool)
+        self._verdicts = np.zeros((self._ts.shape[0], max(1, len(self.filters))), bool)
+        self._died[self._died == _LIVE] = _STALE
 
     def slices(self) -> list[list[Any]]:
         """The live tuples of every slice, head slice first, oldest first
@@ -484,9 +488,10 @@ class ChainColumn(ColumnarState):
         tops = [len(self), *self.cuts]
         return [top - cut - dead for top, cut, dead in zip(tops, self.cuts, self.dead)]
 
-    def assign_filters(self, filters: list[Any]) -> None:
-        """Keep a verdict column per filter, in this order; a change makes
-        every row stale."""
+    def assign_filters(self, filters: list[Any], links: list[Any]) -> None:
+        """Keep a verdict column per filter, in this order (a change makes
+        every row stale), and per link the columns it ORs (``None``: no filter)."""
+        self.links = links
         if list(map(id, filters)) != list(map(id, self.filters)):
             self.filters = filters
             self._forget()
@@ -497,6 +502,11 @@ class ChainColumn(ColumnarState):
         for bit, predicate in enumerate(self.filters):
             verdicts[:, bit] = list(map(predicate.matches, tuples))
         return verdicts
+
+    def passes(self, verdicts: np.ndarray, link: int) -> np.ndarray | None:
+        """Per row of ``verdicts``, whether it passes ``link`` (``None``: no filter)."""
+        bits = self.links[link]
+        return None if bits is None else verdicts[:, bits].any(axis=1)
 
     def extend(self, tuples: Sequence[Any], verdicts: np.ndarray) -> int:
         """Append a batch's arrivals with their verdict bits (:meth:`judge`);
@@ -513,7 +523,7 @@ class ChainColumn(ColumnarState):
         rows = slice(n, len(self._refs))
         self._ts[rows] = [tup.timestamp for tup in tuples]
         self._verdicts[rows] = verdicts
-        self._stale[rows] = False
+        self._died[rows] = _LIVE
         if self._keys is not None:
             keys = [tup.values.get(attribute, _MISSING) for tup in tuples]
             self._key_level = max(self._key_level, *map(key_level, keys))
@@ -532,7 +542,6 @@ class ChainColumn(ColumnarState):
         stops: Sequence[int],
         reach: Sequence[Sequence[int]],
         ends: Sequence[float],
-        predicates: Sequence[Any],
     ) -> tuple[list[list[int]], list[tuple[int, int]], int, int]:
         """One batch's cross-purges: per slice one forward sweep.
 
@@ -540,43 +549,32 @@ class ChainColumn(ColumnarState):
         ``nows[j]``) sees the first ``stops[j]`` rows and purges, with
         ``ends[k]``, every slice ``k`` with ``j in reach[k]`` (``reach[0]`` is
         every male; a deeper entry that *is* ``reach[0]`` says so without a
-        copy).  A live row that crosses link ``k`` meets ``predicates[k]`` (a
-        callable or ``None``) as installed now and, failing it, is dead from
-        slice ``k`` on.  Returns ``(cuts, crossed, purge comparisons, probe
-        comparisons)``: per swept slice the running cut of every male (one
-        that stopped short keeps its deepest),
-        per link the live rows that ``(arrived, passed)``, and both counts as
-        the operator chain charges them — a purge comparison per live row
-        expelled plus each male's failing check, a probe comparison per live
-        row in a male's range.
+        copy).  A live row that crosses link ``k`` passes it or not by its
+        verdicts (:meth:`_cross`) and, failing, is dead from slice ``k`` on.
+        Returns ``(cuts, crossed, purge comparisons, probe comparisons)``:
+        per swept slice the running cut of every male (one that stopped
+        short keeps its deepest), per link the live rows that ``(arrived,
+        passed)``, and both counts as the operator chain charges them — a
+        purge comparison per live row expelled plus each male's failing
+        check, a probe comparison per live row in a male's range.
         """
-        cursors, dead, died = self.cuts, self.dead, self._died
-        refs, head = self._refs, self._head
+        cursors, dead, head = self.cuts, self.dead, self._head
         everyone = reach[0]
         swept: list[list[int]] = []
         crossed = [(0, 0)]
         purge = probe = 0
         # Rows ``[top, new_top)`` entered the slice in this batch; ``alive``
         # flags them, ``None`` standing for "all of them".
-        top, new_top, alive = size, len(refs) - head, None
+        top, new_top, alive = size, len(self._refs) - head, None
         for k, who in enumerate(reach):
             start = cursors[k]
             if k:
-                arrived = passed = new_top - top if alive is None else sum(alive)
-                predicate = predicates[k]
-                if predicate is not None and arrived:
-                    if alive is None:
-                        alive = [True] * arrived
-                    crossing = refs[head + top : head + new_top]
-                    if top < self.cold:
-                        crossing = self._thaw(crossing)  # judged through the tier
-                    for offset, ref in enumerate(crossing):
-                        if alive[offset] and not predicate(ref):
-                            alive[offset] = False
-                            died[top + offset] = k
-                    passed = sum(alive)
+                arrived = passed = new_top - top if alive is None else int(np.count_nonzero(alive))
+                if self.links[k] is not None and arrived:
+                    alive = self._cross(k, top, new_top, alive)
+                    passed = int(np.count_nonzero(alive))
                 crossed.append((arrived, passed))
-            entered_dead = 0 if alive is None else len(alive) - sum(alive)
+            entered_dead = 0 if alive is None else len(alive) - passed
             if not who:
                 dead[k] += entered_dead
                 break
@@ -593,12 +591,9 @@ class ChainColumn(ColumnarState):
                 probe += sum(stops_k) - sum(cuts)
                 leaving = None
             else:
-                leaving = [
-                    ref is not None and row not in died
-                    for row, ref in enumerate(refs[head + start : head + final], start)
-                ]
-                left = [0, *accumulate(leaving)]
-                entered = None if alive is None else [0, *accumulate(alive)]
+                leaving = self._died[head + start : head + final] >= _STALE
+                left = [0, *accumulate(leaving.tolist())]
+                entered = None if alive is None else [0, *accumulate(alive.tolist())]
                 live_before = top - start - dead[k]
                 gone = 0
                 for cut, stop in zip(cuts, stops_k):
@@ -620,6 +615,22 @@ class ChainColumn(ColumnarState):
             top, new_top, alive = start, final, leaving
             cursors[k] = final
         return swept, crossed, purge, probe
+
+    def _cross(self, link: int, top: int, new_top: int, alive: np.ndarray | None) -> np.ndarray:
+        """Which rows ``[top, new_top)`` (``alive`` ones; ``None``: all) pass ``link`` by their
+        verdicts (a stale row judged from its tuple, read back if cold); marks the others dead."""
+        if link >= _STALE:
+            raise ChainError(f"a filtered chain holds at most {_STALE - 1} links")
+        rows = slice(self._head + top, self._head + new_top)
+        alive = np.ones(new_top - top, bool) if alive is None else alive
+        at = np.flatnonzero((self._died[rows] == _STALE) & alive) + rows.start
+        self._verdicts[at] = self.judge(self._thaw([self._refs[i] for i in at.tolist()]))
+        self._died[at] = _LIVE
+        passing = self.passes(self._verdicts[rows], link)
+        fails = alive & ~passing
+        self._died[rows][fails] = link
+        self._fresh.append(np.flatnonzero(fails) + top)
+        return alive & passing
 
     def probe(
         self, males: Sequence[Any], cuts: Sequence[Sequence[int]], stops: Sequence[int]
@@ -664,26 +675,22 @@ class ChainColumn(ColumnarState):
         ks = np.full(len(js), swept)
         for slice_cuts in np.array(cuts, np.intp):
             ks[slice_cuts[js] <= rows] -= 1
-        valid = (ks < swept) & (rows < np.array(stops)[js])
-        if self._died:  # a row is in no slice from the link it died at on
-            valid &= np.array([self._died.get(row, swept) for row in rows.tolist()]) > ks
         refs, head = self._refs, self._head
+        # A row is in no slice from the link it died at on (0: a batch before).
+        valid = (ks < swept) & (rows < np.array(stops)[js]) & (self._died[rows + head] > ks)
         found = [refs[head + row] if ok else None for row, ok in zip(rows.tolist(), valid.tolist())]
-        ks[[ref is None for ref in found]] = depth  # a miss, or filtered at a link earlier
+        ks[~valid] = depth
         found = self._thaw(found) if self.cold else found
         if scalar:
             checks = list(map(binding.bind, males))
             failed = [ref is not None and not checks[j](ref) for j, ref in zip(js.tolist(), found)]
             ks[failed] = depth
         # The hits' verdicts; a stale row's are computed now and kept.
-        at = rows + self._head
-        verdicts = self._verdicts[at]
-        stale = np.flatnonzero((ks < depth) & self._stale[at])
-        if len(stale) and self.filters:
-            verdicts[stale] = self.judge([found[i] for i in stale.tolist()])
-            self._verdicts[at[stale]] = verdicts[stale]
-            self._stale[at[stale]] = False
-        return js, ks, found, verdicts
+        at = rows + head
+        stale = np.flatnonzero((ks < depth) & (self._died[at] == _STALE))
+        self._verdicts[at[stale]] = self.judge([found[i] for i in stale.tolist()])
+        self._died[at[stale]] = _LIVE
+        return js, ks, found, self._verdicts[at]
 
     def _thaw(self, refs: list[Any]) -> list[Any]:
         """``refs`` with every cold entry (a row id) replaced by that row's
@@ -727,11 +734,11 @@ class ChainColumn(ColumnarState):
         a link, and every row purged off the chain's end."""
         refs, head, cold = self._refs, self._head, self.cold
         count = self.cuts[-1]
-        for row in self._died:
+        fresh, self._fresh = np.concatenate(self._fresh) if self._fresh else _EMPTY, []
+        self._died[fresh + head] = 0
+        self._cold_dead += int(np.count_nonzero(fresh < cold))
+        for row in fresh.tolist():
             refs[head + row] = None
-        if cold:
-            self._cold_dead += sum(row < cold for row in self._died)
-        self._died.clear()
         if count:
             taken = self.take(count)
             self._gone += count
@@ -847,6 +854,11 @@ def _map_kernels() -> None:
     hit = (np.zeros(1, np.intp), np.zeros(1, np.intp), [tup], verdict)
     table = RouteTable([([("", 0)], [flag], [None])], 1)
     table.route(HitBlock(1, [(1, hit, [tup], verdict, [0])]))
+    # ... and a sweep's: a link's pass mask over the bits, the marks in ``_died``.
+    passing, died = verdict[:, [0]].any(axis=1), np.full(1, _LIVE, np.uint16)
+    died[passing & ~passing] = 1
+    np.count_nonzero(died[np.zeros(1, np.intp)] > np.zeros(1, np.intp)) + np.count_nonzero(died >= _STALE)
+    died[died == _LIVE] = _STALE
 
 
 _map_kernels()

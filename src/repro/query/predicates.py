@@ -220,27 +220,16 @@ def selectivity_filter(selectivity: float, attribute: str = "value") -> Predicat
     return ComparisonPredicate(attribute, ">", 1.0 - selectivity, selectivity)
 
 
-def _dedupe(predicates: list[Predicate]) -> list[Predicate]:
-    """Drop structurally identical predicates (compared by describe())."""
-    seen: set[str] = set()
-    unique = []
-    for predicate in predicates:
-        key = predicate.describe()
-        if key not in seen:
-            seen.add(key)
-            unique.append(predicate)
-    return unique
-
-
 def disjunction(predicates: Iterable[Predicate]) -> Predicate:
     """OR-combine predicates, simplifying trivial cases and duplicates.
 
     Duplicate elimination matters for the selection push-down of Section 6:
     when several queries share the same predicate, the per-slice disjunction
     collapses back to that predicate, so no residual re-evaluation is needed
-    on their results.
+    on their results.  Duplicates are equal (``==``), not merely printed alike.
     """
-    children = _dedupe(list(predicates))
+    predicates = list(predicates)
+    children = [p for i, p in enumerate(predicates) if p not in predicates[:i]]
     if not children:
         return TruePredicate()
     if any(isinstance(p, TruePredicate) for p in children):

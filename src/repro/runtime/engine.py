@@ -35,11 +35,12 @@ Three dimensions of the paper's query model are admitted:
 stream.  On every admission or removal the engine re-derives the shared
 push-down placement: the disjunction σ'_i of the predicates of all queries
 whose window reaches slice ``i`` is spliced into the chain link in front of
-that slice (as :class:`~repro.operators.selection.StreamFilter` operators),
-and each query applies its *residual* predicate to the results it taps —
-re-evaluated only where the pushed disjunction is weaker than the query's
-own predicate.  Filter splicing rides the same drain-and-splice migration,
-so the placement stays optimal as the query set evolves.
+that slice, and each query applies its *residual* predicate to the results
+it taps — re-evaluated only where the pushed disjunction is weaker than the
+query's own predicate.  Both read verdict bits, each distinct filter judged
+once per row (:class:`~repro.engine.columns.ChainColumn`).  Filter splicing
+rides the same drain-and-splice migration, so the placement stays optimal
+as the query set evolves.
 
 **Count-based windows** — ``window_kind="count"`` runs the same admission
 protocol over a :class:`~repro.core.count_chain.CountSlicedJoinChain`,

@@ -411,9 +411,10 @@ def test_a_row_filtered_at_a_link_mid_batch_is_judged_by_each_males_own_cuts():
 
 
 def test_a_female_meets_the_filter_installed_when_it_crosses_uncharged():
-    """(b) Nothing is evaluated at arrival or at ``set_link_filters``: the
-    filter a row meets is the one installed when it crosses the link, and
-    only male copies are charged ``SELECT``."""
+    """(b) A row that arrived before a filter was installed has no verdict
+    for it, and ``set_link_filters`` judges nothing: the filter a row meets
+    is the one installed when it crosses the link, judged then from its
+    tuple, and only male copies are charged ``SELECT``."""
     calls = []
 
     class Spy(Predicate):
@@ -559,17 +560,21 @@ def freeze(chain, store):
 
 
 def test_a_cold_row_is_judged_at_a_link_through_the_tier_and_never_reported_again(store):
-    """(g) A cold row crossing a filtering link is read back and meets the
-    predicate as a tuple (handing the filter the row id raises; skipping the
-    cold rows keeps ``low`` alive); the row that fails drops its place in the
-    log's accounting with its payload and no later male reads it."""
+    """(g) A cold row crossing a filtering link meets it by the verdict bits
+    taken when it arrived: the tier is read only for the hit the crossing
+    male reports (judging by reading ``low`` and ``high`` back reads three
+    rows; skipping the cold rows keeps ``low`` alive); the row that fails
+    drops its place in the log's accounting with its payload and no later
+    male reads it."""
     cursor, operators = (cls([0, 1, 2], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain))
     for chain in (cursor, operators):
         chain.set_link_filters([(None, None), (None, at_least(2))])
     low, high = arrival("B", 0.0, value=1), arrival("B", 0.1, value=3)
     feed(cursor, operators, [low, high])
     freeze(cursor, store)
+    reads = store.cold_reads
     feed(cursor, operators, [arrival("A", 1.5)])  # both cross link 1; ``low`` fails it
+    assert store.cold_reads == reads + 1  # ``high``, for its hit
     assert cursor.state_tuples("B") == [[], [high]]
     column = cursor._columns[1]
     assert column._refs[column._head : column._head + 2] == [None, column._gone + 1]
@@ -577,6 +582,24 @@ def test_a_cold_row_is_judged_at_a_link_through_the_tier_and_never_reported_agai
     reads = store.cold_reads
     feed(cursor, operators, [arrival("A", 1.6), arrival("A", 1.7)])
     assert store.cold_reads == reads + 1  # ``high``, once for the batch; ``low`` never
+    assert_same_state(cursor, operators)
+    assert counters(cursor) == counters(operators)
+
+
+def test_a_stale_cold_row_is_read_back_once_to_be_judged_at_a_link(store):
+    """(g') The stale twin of (g): the filter is installed after the rows
+    went cold, so they have no verdict for it.  The crossing reads each row
+    back once, judges it as a tuple and keeps the verdict."""
+    cursor, operators = (cls([0, 1, 2], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain))
+    low, high = arrival("B", 0.0, value=1), arrival("B", 0.1, value=3)
+    feed(cursor, operators, [low, high])
+    freeze(cursor, store)
+    for chain in (cursor, operators):
+        chain.set_link_filters([(None, None), (None, at_least(2))])
+    reads = store.cold_reads
+    feed(cursor, operators, [arrival("A", 1.5, key=2)])  # both cross link 1, no hit
+    assert store.cold_reads == reads + 2
+    assert cursor._columns[1]._died[cursor._columns[1]._head + 1] == columns._LIVE  # ``high``'s verdict kept
     assert_same_state(cursor, operators)
     assert counters(cursor) == counters(operators)
 

@@ -10,6 +10,7 @@ the caller's quanta cut the stream into batches.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -346,6 +347,66 @@ class TestSelections:
             got = delivered_pairs(engine.results(f"Q{k}"))
             assert len(got) == len(set(got))
             assert set(got) == expected
+
+    def test_filters_that_print_alike_are_still_two_filters(self, stream):
+        """Two instances of a ``Predicate`` subclass without a ``describe``
+        of its own print alike; deduplicated by that form, the pushed σ'
+        kept only the first and the other query's residual was dropped, so
+        the stricter query received the looser one's results."""
+        from repro.query.predicates import Predicate
+
+        class Above(Predicate):
+            def __init__(self, floor):
+                self.floor = floor
+
+            def matches(self, tup):
+                return tup["value"] >= self.floor
+
+        filters = {"Qloose": (Above(0.2), 1.0), "Qstrict": (Above(0.6), 2.0)}
+        shared = StreamEngine(CONDITION)
+        for name, (left, window) in filters.items():
+            shared.add_query(name, window, left_filter=left)
+        shared.process_many(stream)
+        for name, (left, window) in filters.items():
+            alone = StreamEngine(CONDITION)
+            alone.add_query(name, window, left_filter=left)
+            alone.process_many(stream)
+            expected = delivered_pairs(alone.results(name))
+            assert expected and delivered_pairs(shared.results(name)) == expected
+
+    def test_each_filter_is_judged_once_per_arrival_of_its_stream(self):
+        """The verdict bits taken as a row is appended are the only place a
+        filter meets it: routing, link 0, a male's depth and a female's
+        crossing of a deeper link all read them.  ``equi_shared``'s query
+        shape — a 0.5 left filter on every second query, a 0.2 right filter
+        on every fourth, windows up to 16 s, so the deepest link filters
+        both streams — over four largest windows of batches."""
+        calls = Counter()
+
+        class Counted(ComparisonPredicate):
+            def matches(self, tup):
+                calls[id(self)] += 1
+                return super().matches(tup)
+
+        left, right = Counted("value", ">", 0.5, 0.5), Counted("value", ">", 0.8, 0.2)
+        engine = StreamEngine(CONDITION)
+        windows = (0.5, 1, 1.5, 2, 3, 4, 5, 6, 8, 10, 12, 16)
+        for index, window in enumerate(windows):
+            engine.add_query(
+                f"q{index:02d}",
+                window,
+                left_filter=left if index % 2 else None,
+                right_filter=right if index % 4 == 3 else None,
+            )
+        assert all(engine.link_filters()[-1])
+        arrivals = generate_join_workload(rate_a=6, rate_b=6, duration=4 * 16.0, seed=5).tuples
+        for index, tup in enumerate(arrivals):
+            feed(engine, index, tup, 16)
+        engine.flush()
+        assert calls == {
+            id(left): sum(tup.stream == "A" for tup in arrivals),
+            id(right): sum(tup.stream == "B" for tup in arrivals),
+        }
 
 
 def reference_count_pairs(tuples, count, later_range=None):
