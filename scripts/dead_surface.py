@@ -15,10 +15,19 @@ fails, and so does a ``REFERENCES`` entry that is reached anyway or whose
 tests do not mention it.  ``--table`` prints each reached unit with what
 reached it.  An unbound ``__all__`` entry fails too.
 
+The walk matches names, not owners: a method of a reached class passes when
+any reached code mentions its name, so a method that shares its name with
+another class's called method passes however dead it is, and a dunder passes
+with its class.  That is how the operators' scalar state protocol outlived
+its last caller (``ColumnarState.probe`` passed on ``ChainColumn.probe``'s
+name, ``purge`` / ``append`` / ``popleft`` on other classes').  Audit such
+names by hand.
+
 Also holds the package's layering: ``src/repro/`` imports only the standard
 library, ``repro`` itself and numpy (the one declared dependency); numpy is
 imported by ``engine/columns.py`` alone; and nothing under ``repro/query/``
-imports ``repro.engine.columns``.
+or ``repro/operators/`` imports ``repro.engine.columns`` (the columns are the
+cursor chain's; an operator keeps tuples).
 """
 
 import ast
@@ -29,6 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src/repro")
 ROOTS = ("bench", "benchmarks", "examples", "scripts/profile_workload.py")
+#: Subpackages that must not import ``repro.engine.columns``.
+COLUMN_FREE = ("query", "operators")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFS = (ast.ClassDef, *FUNCTIONS)
 REFERENCES = {  # units only tests reach, and the tests that use each as a reference or oracle
@@ -131,8 +142,10 @@ def layering_problems(where, tree):
                 yield f"{where}: imports numpy (only engine/columns.py may)"
         elif top != "repro" and top not in sys.stdlib_module_names:
             yield f"{where}: imports {module!r}, neither stdlib, repro nor numpy"
-        elif module == "repro.engine.columns" and PACKAGE / "query" in where.parents:
-            yield f"{where}: repro.query must not import repro.engine.columns"
+        elif module == "repro.engine.columns":
+            for part in COLUMN_FREE:
+                if PACKAGE / part in where.parents:
+                    yield f"{where}: repro.{part} must not import repro.engine.columns"
 
 
 def unbound_exports(where, tree):

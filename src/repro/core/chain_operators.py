@@ -2,10 +2,10 @@
 
 :class:`OperatorJoinChain` manages one
 :class:`~repro.operators.sliced_join.SlicedBinaryJoin` per slice
-(``self.joins``), each with its own pair of slice states, and moves reference
-tuples between them item by item: ``process(tup)`` is the paper's Figure 9,
-comparison for comparison, and a batch is its arrivals processed one after
-the other.  No session builds it: it is the reference the cursor chain
+(``self.joins``), each with its own deque of tuples per stream, and moves
+reference tuples between them item by item: ``process(tup)`` is the paper's
+Figure 9, comparison for comparison, and a batch is its arrivals processed
+one after the other.  No session builds it: it is the reference the cursor chain
 (:class:`~repro.core.chain.SlicedJoinChain`, what every time-window session
 runs) is fuzzed against.  The time-window facts (seconds, link filters) are
 shared with the cursor chain through

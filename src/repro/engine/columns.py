@@ -1,15 +1,13 @@
-"""The in-core window state: columnar (struct-of-arrays) blocks.
+"""The in-core window state of a cursor chain: columnar (struct-of-arrays) blocks.
 
-:class:`ColumnarState` is one stream's state in one slice *operator* — the
-static plans and the per-item reference chain — behind the scalar slice-state
-protocol (``append``, ``purge``, ``probe``, ``candidates``, the
-deque-compatible read surface, ``load``), so the join operators keep only the
-male/female protocol of Figure 9 and never ask what a state is.
-:class:`ChainColumn` is the same columns holding one stream's state for a
-*whole* cursor chain — what every session runs, time or count windows — its
-slices row ranges between cursors and, under a memory budget, its oldest
-rows' payloads in a log on disk.  Either is a timestamp-ordered container of
-parallel columns —
+:class:`ChainColumn` holds one stream's state for a *whole* cursor chain —
+what every session runs, time or count windows — its slices row ranges
+between cursors and, under a memory budget, its oldest rows' payloads in a
+log on disk.  :class:`ColumnarState` is its storage base: the columns, their
+bulk ``load``, the forward purge sweep (``purge_cut``), ``take`` and
+compaction.  No slice operator uses either (an operator keeps a deque of
+tuples, Figure 9).  The state is a timestamp-ordered container of parallel
+columns —
 
 * ``timestamps`` — a ``float64`` array, used by cross-purging.  The purge
   is a forward sweep from the head, a slice's cursor or the previous male's
@@ -31,10 +29,9 @@ parallel columns —
   ``refs``, and state always crosses migration boundaries as plain tuple
   lists (see ``docs/invariants.md``).
 
-The block kernel lives in :class:`ChainColumn` only: ``sweep`` / ``probe``
-take a whole batch over every slice, vectorized when every key involved has
-an exact float64 form and otherwise the bound scalar check over the same row
-ranges.  A :class:`ColumnarState` is driven one call at a time.
+The block kernel is :class:`ChainColumn`'s: ``sweep`` / ``probe`` take a
+whole batch over every slice, vectorized when every key involved has an exact
+float64 form and otherwise the bound scalar check over the same row ranges.
 """
 
 from __future__ import annotations
@@ -79,8 +76,6 @@ _PURGE_CHUNK = 32
 _BLOCK_ELEMENTS = 32768
 
 _MISSING = object()
-#: What purging or probing an empty state returns (shared, never mutated).
-_NOTHING = ((), 0)
 _EMPTY = np.zeros(0, np.intp)
 #: ``_died`` of a live row whose verdicts are valid / stale (any other value: a dead row).
 _LIVE, _STALE = 65535, 65534
@@ -136,8 +131,7 @@ class ProbeBinding:
     """
 
     __slots__ = (
-        "key_attribute", "probe_attribute", "all_match", "match_mask", "mask_level",
-        "column_key", "bind", "equi",
+        "key_attribute", "probe_attribute", "match_mask", "mask_level", "column_key", "bind", "equi",
     )
 
     def __init__(self, condition: Any, stores_left: bool, equi: bool = False) -> None:
@@ -146,7 +140,6 @@ class ProbeBinding:
             own, other = other, own
         self.key_attribute = own
         self.probe_attribute = other
-        self.all_match = condition.columnar_all_match
         self.match_mask = condition.match_mask
         self.mask_level = condition.mask_level
         self.column_key = condition.column_key
@@ -155,7 +148,8 @@ class ProbeBinding:
 
 
 class ColumnarState:
-    """A timestamp-ordered slice state stored as parallel columns.
+    """A timestamp-ordered state stored as parallel columns: the storage of
+    a :class:`ChainColumn`.
 
     Parameters
     ----------
@@ -176,7 +170,6 @@ class ColumnarState:
         self.binding = binding
         self.load(tuples)
 
-    # -- bulk (re)build -------------------------------------------------------
     def load(self, tuples: Iterable[Any]) -> None:
         """Replace the resident set, rebuilding every column in one pass."""
         refs = list(tuples)
@@ -211,108 +204,12 @@ class ColumnarState:
         self._keys = keys
         self._key_level = level
 
-    # -- deque-compatible surface --------------------------------------------
     def __len__(self) -> int:
         return len(self._refs) - self._head
 
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._refs[self._head :])
-
-    def __getitem__(self, index: int) -> Any:
-        if index < 0:
-            index += len(self)
-        position = self._head + index
-        if position < self._head or position >= len(self._refs):
-            raise IndexError("state index out of range")
-        return self._refs[position]
-
-    def append(self, ref: Any) -> None:
-        refs = self._refs
-        n = len(refs)
-        if n == self._ts.shape[0]:
-            self._ensure_room()
-            refs = self._refs
-            n = len(refs)
-        refs.append(ref)
-        self._ts[n] = ref.timestamp
-        keys = self._keys
-        if keys is not None:
-            value = ref.values.get(self.binding.key_attribute, _MISSING)
-            value_level = key_level(value)
-            if value_level >= 2:
-                self._keys = None
-            else:
-                if value_level > self._key_level:
-                    self._key_level = value_level
-                keys[n] = value
-                if self.binding.column_key is not None:
-                    keys[n] = self.binding.column_key(keys[n])
-
-    def popleft(self) -> Any:
-        head = self._head
-        refs = self._refs
-        if head >= len(refs):
-            raise IndexError("pop from an empty state")
-        ref = refs[head]
-        refs[head] = None
-        self._head = head + 1
-        self._maybe_compact()
-        return ref
-
-    # -- the slice-state protocol ----------------------------------------------
-    def purge(self, now: float, end: float) -> tuple[Any, int]:
-        """Expel every head tuple with ``now - t >= end``.
-
-        Returns ``(purged tuples oldest-first, comparison count)``: one
-        comparison per purged head, plus the failing check when tuples
-        remain — the count of the literal scan loop.
-        """
-        size = len(self._refs) - self._head
-        if not size:
-            return _NOTHING
-        (cut,) = self.purge_cut((now,), (size,), end)
-        return self.take(cut), cut + (cut < size)
-
-    def candidates(self, probing: Any) -> Any:
-        """The resident tuples a scalar probe by ``probing`` must examine:
-        every one — what the literal per-item Figure-9 path walks candidate
-        by candidate."""
-        return self._refs[self._head :]
-
-    def probe(self, probing: Any) -> tuple[Any, int]:
-        """The resident tuples matching ``probing``, oldest first.
-
-        Returns ``(matches, comparison count)`` — the count is the number of
-        candidates a scalar probe would have examined.  One vectorized mask
-        over the key column when the condition and both keys have an exact
-        columnar form; otherwise (float64-hostile keys, conditions without a
-        columnar form) the condition's pre-bound scalar predicate, bound only
-        when this fallback runs.
-        """
-        refs = self._refs
-        head = self._head
-        n = len(refs)
-        if n == head:
-            return _NOTHING
-        binding = self.binding
-        keys = self._keys
-        if keys is not None:
-            probe_key = probing.values.get(binding.probe_attribute, _MISSING)
-            level = max(self._key_level, key_level(probe_key))
-            if level <= binding.mask_level:
-                sel = binding.match_mask(float(probe_key), keys[head:n], level == 0)
-                hits = np.nonzero(sel)[0]
-                if head:
-                    hits += head
-                return [refs[row] for row in hits.tolist()], n - head
-        elif binding.all_match:
-            return refs[head:], n - head
-        check = binding.bind(probing)
-        return [tup for tup in refs[head:] if check(tup)], n - head
-
     # -- columnar accessors ---------------------------------------------------
     def purge_cut(
-        self, nows: Sequence[float], stops: Sequence[int], end: float, start: int = 0
+        self, nows: Sequence[float], stops: Sequence[int], end: float, start: int
     ) -> list[int]:
         """Running purge cuts of a run of probing timestamps, one forward sweep.
 
@@ -321,8 +218,7 @@ class ColumnarState:
         *exact* scalar expression of the tuple-at-a-time purge loop, ``now -
         t >= end`` on Python floats, resuming at the previous probe's cut, so
         purge decisions are bit-identical.  Removes nothing (:meth:`take`).
-        ``start`` is the live row the sweep begins at: a slice boundary of a
-        :class:`ChainColumn`, the head of a one-slice state.
+        ``start`` is the live row the sweep begins at: a slice's cursor.
         """
         ts = self._ts
         head = self._head
@@ -510,13 +406,10 @@ class ChainColumn(ColumnarState):
 
     def extend(self, tuples: Sequence[Any], verdicts: np.ndarray) -> int:
         """Append a batch's arrivals with their verdict bits (:meth:`judge`);
-        returns the live rows there were before.  The first key without an
-        exact float64 form invalidates the key column (probing then takes the
-        scalar check) until the next ``load``."""
+        returns the live rows there were before."""
         size = len(self)
         if not tuples:
             return size
-        attribute = self.binding.key_attribute
         self._ensure_room(len(tuples))  # may compact: offsets stay, positions move
         n = len(self._refs)
         self._refs.extend(tuples)
@@ -525,7 +418,7 @@ class ChainColumn(ColumnarState):
         self._verdicts[rows] = verdicts
         self._died[rows] = _LIVE
         if self._keys is not None:
-            keys = [tup.values.get(attribute, _MISSING) for tup in tuples]
+            keys = [tup.values.get(self.binding.key_attribute, _MISSING) for tup in tuples]
             self._key_level = max(self._key_level, *map(key_level, keys))
             if self._key_level >= 2:
                 self._keys = None

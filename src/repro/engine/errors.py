@@ -17,6 +17,7 @@ __all__ = [
     "MigrationError",
     "ConfigurationError",
     "ShardingError",
+    "check_arrival_order",
 ]
 
 
@@ -38,6 +39,20 @@ class QueryError(ReproError):
 
 class ExecutionError(ReproError):
     """The executor encountered an inconsistent runtime condition."""
+
+
+def check_arrival_order(timestamp: float, last: float) -> float:
+    """``timestamp``, if an arrival stamped with it may follow the last
+    accepted one (``last``; ``-inf`` before the first): only when
+    ``timestamp >= last``, so a NaN timestamp is always refused.  Slice
+    states are timestamp-ordered and purged from their head, which an
+    out-of-order tuple would silently mis-cut."""
+    if not timestamp >= last:
+        raise ExecutionError(
+            f"out-of-order arrival: timestamp {timestamp!r} does not follow "
+            f"the last accepted one ({last!r})"
+        )
+    return timestamp
 
 
 class ChainError(ReproError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Any, Iterable
 
-from repro.engine.errors import ExecutionError
+from repro.engine.errors import ExecutionError, check_arrival_order
 from repro.engine.metrics import MetricsCollector, RunReport
 from repro.engine.plan import QueryPlan
 from repro.streams.tuples import StreamTuple
@@ -66,7 +66,7 @@ class ImmediateExecutor:
         self.results: dict[str, list[Any]] = {name: [] for name in plan.output_names()}
         self._arrivals_seen = 0
         self._last_sampled_arrival = 0
-        self._last_timestamp = 0.0
+        self._last_timestamp = float("-inf")
         # Precomputed lookup tables: the naive per-emission scans over the
         # plan's edge/output lists dominate the routing cost otherwise.
         self._operators = plan.operators
@@ -91,7 +91,7 @@ class ImmediateExecutor:
             strategy=strategy or self.plan.name,
             metrics=self.metrics,
             results=self.results,
-            duration=self._last_timestamp,
+            duration=self._last_timestamp if self._arrivals_seen else 0.0,
         )
 
     def process_arrival(self, tup: StreamTuple) -> None:
@@ -107,11 +107,7 @@ class ImmediateExecutor:
                 f"no entry point registered for stream {tup.stream!r} in plan "
                 f"{self.plan.name!r}"
             )
-        if self._arrivals_seen and tup.timestamp < self._last_timestamp:
-            raise ExecutionError(
-                f"out-of-order arrival: timestamp {tup.timestamp!r} is lower than "
-                f"the last accepted one ({self._last_timestamp!r})"
-            )
+        check_arrival_order(tup.timestamp, self._last_timestamp)
         self.metrics.record_ingest()
         self._drain(deque((operator_name, port, tup) for operator_name, port in entries))
         self._arrivals_seen += 1

@@ -26,6 +26,7 @@ from typing import Any, Deque
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
+from repro.operators.sliced_join import _scan_purge
 from repro.query.predicates import EquiJoinCondition, JoinCondition
 from repro.streams.tuples import JoinedTuple, Punctuation, StreamTuple
 
@@ -56,26 +57,21 @@ class _WindowState:
             self.index[tup[self.key_attribute]].append(tup)
 
     def purge_expired(self, now: float, window: float) -> tuple[list[StreamTuple], int]:
-        """Remove tuples with ``now - ts >= window``.
+        """Remove tuples with ``now - ts >= window`` (the purge loop of the
+        sliced joins) and drop them from the hash index.
 
         Returns the purged tuples (oldest first) and the number of timestamp
         comparisons performed (purged count + 1 for the surviving head, or
         just the purged count when the state empties).
         """
-        purged: list[StreamTuple] = []
-        comparisons = 0
-        while self.tuples:
-            comparisons += 1
-            head = self.tuples[0]
-            if now - head.timestamp >= window:
-                purged.append(self.tuples.popleft())
-                if self.index is not None:
-                    bucket = self.index[head[self.key_attribute]]
-                    bucket.popleft()
-                    if not bucket:
-                        del self.index[head[self.key_attribute]]
-            else:
-                break
+        purged, comparisons = _scan_purge(self.tuples, now, window)
+        if self.index is not None:
+            for tup in purged:
+                key = tup[self.key_attribute]
+                bucket = self.index[key]
+                bucket.popleft()
+                if not bucket:
+                    del self.index[key]
         return purged, comparisons
 
     def candidates(self, probe_key: Any, hash_probe: bool) -> list[StreamTuple]:

@@ -25,15 +25,17 @@ emitted; the order-preserving union uses it to release sorted output
 These operators run in the static figure/table plans and, as
 :class:`~repro.core.chain_operators.OperatorJoinChain`, as the per-item
 reference of the runtime: a session builds no slice operator (its chain keeps
-every slice as a row range of one column per stream, disk tier included), so
-the operators' states are always in core.
+every slice as a row range of one column per stream, disk tier included).  A
+slice's state per stream is what Figure 9 draws, a ``deque`` of tuples in
+arrival order: purged from the head, probed tuple by tuple, appended at the
+tail.  It shares no storage code with the cursor chain it is the reference of.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Iterable
 
-from repro.engine.columns import ColumnarState, ProbeBinding
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
 from repro.engine.operator import Emission, Operator
@@ -133,20 +135,12 @@ class SlicedOneWayJoin(Operator):
         window_start: float,
         window_end: float,
         condition: JoinCondition,
-        enforce_bounds: bool = False,
         name: str | None = None,
     ) -> None:
         super().__init__(name)
         self.slice = WindowSlice(window_start, window_end)
         self.condition = condition
-        #: When True, the probe step re-checks the slice bounds on every
-        #: candidate pair.  Inside a well-formed chain this is redundant
-        #: (Lemma 1) and disabled so the CPU accounting matches the paper.
-        self.enforce_bounds = enforce_bounds
-        # The state holds left-stream (A) tuples, so the key column is
-        # built on the left attribute; the probing B tuple supplies the
-        # right attribute's value.
-        self._state = ColumnarState(ProbeBinding(condition, stores_left=True))
+        self._state: deque[StreamTuple] = deque()
 
     # -- state introspection ----------------------------------------------------
     def state_size(self) -> int:
@@ -173,10 +167,6 @@ class SlicedOneWayJoin(Operator):
         # 2. Probe: join the arriving B tuple against the remaining state.
         for candidate in self._state:
             self.metrics.count(CostCategory.PROBE)
-            if self.enforce_bounds and not self.slice.contains_offset(
-                item.timestamp - candidate.timestamp
-            ):
-                continue
             if self.condition.matches(candidate, item):
                 emissions.append(("output", JoinedTuple(candidate, item)))
         # 3. Propagate the B tuple to the next join in the chain.
@@ -188,8 +178,8 @@ class SlicedOneWayJoin(Operator):
         return f"A{self.slice.describe()} s⋉ B on {self.condition.describe()}"
 
 
-def _scan_purge(state, now: float, end: float) -> tuple[list[StreamTuple], int]:
-    """The literal purge loop of Figures 6 and 9 over the deque surface.
+def _scan_purge(state: deque, now: float, end: float) -> tuple[list[StreamTuple], int]:
+    """The literal purge loop of Figures 6 and 9 over a deque of tuples.
 
     Pops every head tuple with ``now - t >= end``; the comparison count is
     one per purged head plus the failing check when tuples remain.
@@ -207,12 +197,11 @@ def _scan_purge(state, now: float, end: float) -> tuple[list[StreamTuple], int]:
 class SlicedJoinBase(Operator):
     """What the time- and count-sliced binary joins share.
 
-    Per-stream slice states behind one protocol, the probe orientation
-    fixed per stream at construction, state
-    introspection and the literal per-item Figure-9 path.  Subclasses keep
-    what actually differs: a time slice cross-purges on probe (and, as the
-    operator chain's slice, re-loads states under migrations), a rank slice
-    overflows on insert.
+    A deque of tuples per stream, the probe orientation fixed per stream at
+    construction, state introspection and the literal per-item Figure-9
+    path.  Subclasses keep what actually differs: a time slice cross-purges
+    on probe (and, as the operator chain's slice, re-loads states under
+    migrations), a rank slice overflows on insert.
 
     Ports
     -----
@@ -247,17 +236,7 @@ class SlicedJoinBase(Operator):
             left_stream: (right_stream, True),
             right_stream: (left_stream, False),
         }
-        # Everything orientation-dependent — the key attribute a state keeps,
-        # the attribute read off the probing male, which ``bind_*`` the scalar
-        # fallback uses — is fixed here, once per stream, and travels with the
-        # state.
-        self._bindings = {
-            left_stream: ProbeBinding(condition, True),
-            right_stream: ProbeBinding(condition, False),
-        }
-        self._states: dict[str, Any] = {
-            stream: ColumnarState(binding) for stream, binding in self._bindings.items()
-        }
+        self._states: dict[str, deque[StreamTuple]] = {left_stream: deque(), right_stream: deque()}
 
     def _oriented(self, stream: str) -> tuple[str, bool]:
         try:
@@ -308,23 +287,18 @@ class SlicedJoinBase(Operator):
     def _process_female(self, tup: StreamTuple) -> list[Emission]:
         raise NotImplementedError
 
-    def _probe_and_propagate(
-        self, ref: RefTuple, emissions: list[Emission], contains_offset=None
-    ) -> list[Emission]:
-        """Probe the opposite state candidate by candidate, then propagate.
+    def _probe_and_propagate(self, ref: RefTuple, emissions: list[Emission]) -> list[Emission]:
+        """Probe the opposite state tuple by tuple, then propagate.
 
-        One ``PROBE`` comparison per tuple of the opposite state; the
-        condition, bound to the male, tests each candidate inside the slice
-        (bound only when there is one, so a male lacking the join attribute
-        fails where ``condition.matches`` would have).
+        One ``PROBE`` comparison per resident tuple of the opposite state;
+        the condition, bound to the male, tests each (bound only when there
+        is one, so a male lacking the join attribute fails where
+        ``condition.matches`` would have).
         """
         tup = ref.base
         opposite, male_is_left = self._oriented(tup.stream)
-        candidates = self._states[opposite].candidates(tup)
+        candidates = self._states[opposite]
         self.metrics.count(CostCategory.PROBE, len(candidates))
-        if contains_offset is not None:
-            timestamp = tup.timestamp
-            candidates = [c for c in candidates if contains_offset(timestamp - c.timestamp)]
         if candidates and male_is_left:
             check = self.condition.bind_left(tup)
             emissions.extend(("output", JoinedTuple(tup, c)) for c in candidates if check(c))
@@ -360,12 +334,10 @@ class SlicedBinaryJoin(KeyedStateMixin, SlicedJoinBase):
         condition: JoinCondition,
         left_stream: str = "A",
         right_stream: str = "B",
-        enforce_bounds: bool = False,
         name: str | None = None,
     ) -> None:
         super().__init__(condition, left_stream, right_stream, name)
         self.slice = WindowSlice(window_start, window_end)
-        self.enforce_bounds = enforce_bounds
 
     def load_state(self, stream: str, tuples: Iterable[StreamTuple]) -> None:
         """Replace one stream's sliced state (migration helper).
@@ -373,7 +345,7 @@ class SlicedBinaryJoin(KeyedStateMixin, SlicedJoinBase):
         Every migration path of the operator chain (merge, keyed
         extract/ingest) funnels through here.
         """
-        self._states[stream] = ColumnarState(self._bindings[stream], tuples)
+        self._states[stream] = deque(tuples)
 
     # -- execution (Figure 9) ----------------------------------------------------------
     # Kept defined here for ``bench/trace.py``, which wraps it by owning class; nothing calls it.
@@ -387,9 +359,7 @@ class SlicedBinaryJoin(KeyedStateMixin, SlicedJoinBase):
         self.metrics.count(CostCategory.PURGE, comparisons)
         emissions: list[Emission] = [("next", RefTuple(head, FEMALE)) for head in purged]
         # 2./3. Probe it, propagate the male copy.
-        return self._probe_and_propagate(
-            ref, emissions, self.slice.contains_offset if self.enforce_bounds else None
-        )
+        return self._probe_and_propagate(ref, emissions)
 
     def _process_female(self, tup: StreamTuple) -> list[Emission]:
         # Insert: the female copy fills its own sliced state.

@@ -260,9 +260,6 @@ class JoinCondition:
     #: its key column for vectorized probing, or ``None`` when the condition
     #: has no columnar form (probing falls back to the bound per-tuple check).
     columnar_attributes: tuple[str, str] | None = None
-    #: True when every candidate matches regardless of keys (cross product),
-    #: so the columnar probe can skip mask evaluation entirely.
-    columnar_all_match: bool = False
 
     #: Highest :func:`~repro.engine.columns.key_level`, over the stored *and*
     #: the probing keys, at which :meth:`match_mask` is exact; ``-1`` when the
@@ -333,8 +330,6 @@ class CrossProductCondition(JoinCondition):
     """
 
     selectivity: float = 1.0
-
-    columnar_all_match = True
 
     def matches(self, left: StreamTuple, right: StreamTuple) -> bool:
         return True

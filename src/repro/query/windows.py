@@ -60,9 +60,5 @@ class WindowSlice:
     def length(self) -> float:
         return self.end - self.start
 
-    def contains_offset(self, offset: float) -> bool:
-        """True when ``offset = T_probe - T_state`` falls inside the slice."""
-        return self.start <= offset < self.end
-
     def describe(self) -> str:
         return f"[{self.start:g}, {self.end:g})"

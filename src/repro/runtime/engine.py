@@ -73,7 +73,7 @@ from repro.core.chain_base import SlicedChainBase
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.core.pushdown import residual_predicate
 from repro.engine.columns import RouteTable
-from repro.engine.errors import ExecutionError, MigrationError, QueryError
+from repro.engine.errors import MigrationError, QueryError, check_arrival_order
 from repro.engine.metrics import CostCategory, MetricsCollector, append_bounded
 from repro.engine.spill import SpillStore, estimate_tuple_bytes
 from repro.query.predicates import JoinCondition, Predicate, TruePredicate
@@ -382,12 +382,7 @@ class StreamEngine:
                 f"session joins streams {sorted((self.left_stream, self.right_stream))}, "
                 f"got a tuple of stream {tup.stream!r}"
             )
-        if tup.timestamp < self._last_timestamp:
-            raise ExecutionError(
-                f"out-of-order arrival: timestamp {tup.timestamp!r} is lower than "
-                f"the last accepted one ({self._last_timestamp!r})"
-            )
-        self._last_timestamp = tup.timestamp
+        self._last_timestamp = check_arrival_order(tup.timestamp, self._last_timestamp)
         self._pending.append(tup)
         if len(self._pending) >= BLOCK:
             self._run_batch()

@@ -63,7 +63,13 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from repro.core.chain import SlicedJoinChain
-from repro.engine.errors import ExecutionError, MigrationError, QueryError, ShardingError
+from repro.engine.errors import (
+    ExecutionError,
+    MigrationError,
+    QueryError,
+    ShardingError,
+    check_arrival_order,
+)
 from repro.engine.metrics import MetricsCollector, MetricsSnapshot
 from repro.query.predicates import EquiJoinCondition, JoinCondition, Predicate, TruePredicate
 from repro.runtime.engine import BLOCK, EngineStats, RegisteredQuery
@@ -538,7 +544,7 @@ class ShardedStreamEngine:
             self._key_attrs = None
         self._queries: dict[str, RegisteredQuery] = {}
         self._arrivals = 0
-        self._clock = 0.0
+        self._clock = float("-inf")  # the last accepted timestamp
         self._closed = False
         # Set while a generation is being built: a worker death in there
         # cannot be recovered (see _build_generation), so it is not retried.
@@ -694,14 +700,9 @@ class ShardedStreamEngine:
         engine would then accept it.
         """
         self._check_open()
-        if tup.timestamp < self._clock and self._arrivals:
-            raise ExecutionError(
-                f"out-of-order arrival: timestamp {tup.timestamp!r} is lower than "
-                f"the last accepted one ({self._clock!r})"
-            )
+        self._clock = check_arrival_order(tup.timestamp, self._clock)
         index = self.shard_of(tup)
         self._arrivals += 1
-        self._clock = tup.timestamp
         try:
             self._shards[index].push(tup)
         except ShardDied as died:
@@ -927,7 +928,7 @@ class ShardedStreamEngine:
                     resident_tuples=0,
                     carried_results=0,
                     arrivals=self._arrivals,
-                    stream_time=self._clock,
+                    stream_time=self._clock if self._arrivals else 0.0,
                 )
             exports = self._export_shards()
             stream_time = max(

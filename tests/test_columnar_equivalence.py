@@ -1,15 +1,16 @@
 """Property tests: the columnar batch kernel is invisible in the output.
 
-Slice state has one in-core representation (``repro.engine.columns``): a
-session's cursor chain runs the block kernel over it (``ChainColumn.sweep`` /
-``probe`` — forward purge cuts, vectorized mask, bound scalar fallback) while
-the operators' per-item ``process()`` path stays the literal scalar Figure-9
-loop over a state's deque surface (``condition.matches`` per candidate).  The properties here hold the kernel to that reference and to
-the independent ``repro.baselines.unshared`` oracle: same pairs, same
-per-slice attribution, same resident state, same probe/purge comparison
-counts — at every batch size, for every condition shape, and for payload
-values the float64 key columns cannot represent exactly (strings, bools,
-huge ints — the fallback paths).
+A session's cursor chain runs the block kernel over one column per stream
+(``repro.engine.columns``: ``ChainColumn.sweep`` / ``probe`` — forward purge
+cuts, vectorized mask, bound scalar fallback) while the operators' per-item
+``process()`` path stays the literal scalar Figure-9 loop over a deque of
+tuples per slice and stream (the bound condition per candidate).  The
+properties here hold the kernel to that reference and to the independent
+``repro.baselines.unshared`` oracle: same pairs, same per-slice attribution,
+same resident state, same probe/purge comparison counts — at every batch
+size, for every condition shape, and for payload values the float64 key
+columns cannot represent exactly (strings, bools, huge ints — the fallback
+paths).
 
 These are the differential properties that make "byte-identical outputs"
 a checked invariant instead of a code-review claim.
@@ -24,7 +25,7 @@ from repro.baselines.unshared import build_unshared_plan
 from repro.core.chain import SlicedJoinChain
 from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
-from repro.engine.columns import ChainColumn, ColumnarState, ProbeBinding
+from repro.engine.columns import ChainColumn, ProbeBinding
 from repro.engine.executor import execute_plan
 from repro.operators.count_join import CountWindowJoin
 from repro.query.predicates import (
@@ -210,8 +211,8 @@ def _counters(chain):
 def test_block_kernel_equals_per_item_with_ties_bounds_and_link_filters(
     batch_size, tuples, boundaries, kind, floors
 ):
-    """Equal timestamps, ``enforce_bounds`` and pushed-down link filters: the
-    batch path returns the per-item results *and* the per-item counters."""
+    """Equal timestamps and pushed-down link filters: the batch path returns
+    the per-item results *and* the per-item counters."""
     condition = CONDITIONS[kind]()
     links = [
         (
@@ -224,8 +225,6 @@ def test_block_kernel_equals_per_item_with_ties_bounds_and_link_filters(
     for _ in range(2):
         chain = OperatorJoinChain(boundaries, condition)
         chain.set_link_filters(links)
-        for join in chain.joins:
-            join.enforce_bounds = True
         chains.append(chain)
     per_item, batched = chains
     reference = per_item.process_all(tuples)
@@ -322,10 +321,10 @@ def modular_keys(domain: int):
 @given(data=st.data(), promote=st.booleans())
 def test_residue_mask_equals_modular_matches(domain, threshold, data, promote):
     """``ModularMatchCondition``'s residue mask ≡ its ``matches``, through a
-    ``ColumnarState``'s scalar probe key and a ``ChainColumn``'s 2-D block
-    probe; residues enter at ``load`` and at ``append`` / ``extend``.  With
-    ``promote`` a float key arrives after residues were stored: the column
-    is level 1 and both probes answer through the scalar check."""
+    ``ChainColumn``'s 2-D block probe; residues enter at ``load`` and at
+    ``extend``.  With ``promote`` a float key arrives after residues were
+    stored: the column is level 1 and the probe answers through the scalar
+    check."""
     condition = ModularMatchCondition(threshold=threshold, domain=domain)
     stored_keys = data.draw(st.lists(modular_keys(domain), min_size=1, max_size=40))
     male_keys = data.draw(st.lists(modular_keys(domain), min_size=1, max_size=12))
@@ -336,12 +335,7 @@ def test_residue_mask_equals_modular_matches(domain, threshold, data, promote):
     expected = [
         [tup.seqno for tup in stored if condition.matches(male, tup)] for male in males
     ]
-    half = len(stored) // 2  # loaded; the rest (and any float key) appended
-
-    state = ColumnarState(ProbeBinding(condition, stores_left=False), stored[:half])
-    for tup in stored[half:]:
-        state.append(tup)
-    assert [[tup.seqno for tup in state.probe(male)[0]] for male in males] == expected
+    half = len(stored) // 2  # loaded; the rest (and any float key) extended
 
     column = ChainColumn(ProbeBinding(condition, stores_left=False), [stored[:half]])
     column.extend(stored[half:], column.judge(stored[half:]))

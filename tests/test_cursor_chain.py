@@ -60,6 +60,7 @@ from repro.runtime import StreamEngine
 from repro.streams.tuples import StreamTuple, make_tuple
 from tests.conftest import result_keys
 from tests.test_columnar_equivalence import BLOCK_BATCH_SIZES, WEIRD_KEYS, slicings
+from tests.test_slice_state_protocol import MISSING, LooseEqui
 
 #: Keys a float64 column cannot hold exactly, that still add and compare.
 HOSTILE_NUMBERS = [0, 1, 2, 3, 3.5, -1, True, False, 2**53 + 1, 2**53 + 2, -(2**40) - 7]
@@ -79,6 +80,12 @@ KINDS = {
         lambda: ThetaJoinCondition(lambda a, b: a["join_key"] <= b["join_key"]),
         HOSTILE_NUMBERS,
     ),
+    # A tuple without the join attribute (MISSING: none is set) equals only
+    # another such tuple; its key invalidates a column's key mask.
+    "loose": (
+        lambda: LooseEqui("join_key", "join_key", key_domain=7),
+        [0, 1, 2, MISSING] * 3 + WEIRD_KEYS[:6],
+    ),
 }
 
 
@@ -93,14 +100,9 @@ def scenarios(draw, max_events: int = 140):
     tuples = []
     for _ in range(count):
         now += draw(st.sampled_from([0.0, 0.0, 0.01, 0.1, 0.3, 0.6]))
-        tuples.append(
-            make_tuple(
-                draw(st.sampled_from("AB")),
-                now,
-                join_key=draw(st.sampled_from(keys)),
-                value=draw(st.integers(0, 4)),
-            )
-        )
+        stream, key = draw(st.sampled_from("AB")), draw(st.sampled_from(keys))
+        values = {} if key is MISSING else {"join_key": key}
+        tuples.append(make_tuple(stream, now, value=draw(st.integers(0, 4)), **values))
     return make_condition, tuples
 
 

@@ -166,14 +166,23 @@ class TestImmediateExecutor:
     def test_out_of_order_arrival_is_refused(self):
         """A lower timestamp than the last accepted one raises, as a session
         does (it used to be clamped and silently mis-purged); equal
-        timestamps stay legal."""
+        timestamps stay legal.  A NaN timestamp follows nothing, the first
+        arrival included (``t < nan`` is false: it used to be accepted)."""
         executor = ImmediateExecutor(simple_plan())
         executor.process_arrival(make_tuple("A", 5.0, value=0.9))
         executor.process_arrival(make_tuple("B", 5.0, value=0.9))
         with pytest.raises(ExecutionError, match="out-of-order arrival"):
             executor.process_arrival(make_tuple("A", 0.5, value=0.9))
+        with pytest.raises(ExecutionError, match="out-of-order arrival"):
+            executor.process_arrival(make_tuple("A", float("nan"), value=0.9))
+        with pytest.raises(ExecutionError, match="out-of-order arrival"):
+            executor.process_arrival(make_tuple("B", 1.0, value=0.9))  # the clock stayed at 5
         assert len(executor.results["Q"]) == 1
         assert executor.metrics.tuples_ingested == 2
+        fresh = ImmediateExecutor(simple_plan())
+        with pytest.raises(ExecutionError, match="out-of-order arrival"):
+            fresh.process_arrival(make_tuple("A", float("nan"), value=0.9))
+        assert fresh.run([]).duration == 0.0
 
 
 def test_union_output_is_sorted_under_synchronous_execution():

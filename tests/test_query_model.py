@@ -33,10 +33,6 @@ class TestWindows:
             WindowSlice(2, 2)
         slice_ = WindowSlice(1.0, 3.0)
         assert slice_.length == 2.0
-        assert slice_.contains_offset(1.0)
-        assert slice_.contains_offset(2.9)
-        assert not slice_.contains_offset(3.0)
-        assert not slice_.contains_offset(0.5)
 
 
 class TestContinuousQuery:

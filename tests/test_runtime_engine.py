@@ -619,7 +619,10 @@ class TestEngineAccounting:
         assert engine.stats.results_delivered == len(engine.results("Q1"))
 
     def test_out_of_order_arrival_is_rejected(self):
-        """The binary-searched purge cut needs timestamp order; reject loudly."""
+        """The purge cut needs timestamp order; reject loudly.  A NaN
+        timestamp follows nothing, the first arrival included (``t < nan``
+        is false, so it used to switch the check off for the rest of the
+        session)."""
         engine = StreamEngine(CONDITION)
         engine.add_query("Q1", 2.0)
         engine.process(make_tuple("A", 1.0, join_key=1))
@@ -627,8 +630,15 @@ class TestEngineAccounting:
         with pytest.raises(ExecutionError, match="out-of-order"):
             engine.process(make_tuple("A", 0.5, join_key=1))
         engine.process(make_tuple("A", 1.5, join_key=1))  # the refused tuple left no trace
+        with pytest.raises(ExecutionError, match="out-of-order"):
+            engine.process(make_tuple("A", float("nan"), join_key=1))
+        with pytest.raises(ExecutionError, match="out-of-order"):
+            engine.process(make_tuple("B", 1.2, join_key=1))  # the clock stayed at 1.5
         engine.flush()
         assert engine.stats.arrivals == 3
+        fresh = StreamEngine(CONDITION)
+        with pytest.raises(ExecutionError, match="out-of-order"):
+            fresh.process(make_tuple("A", float("nan"), join_key=1))
 
     def test_collector_size_is_flat_in_session_length(self):
         """10**4 batches leave the collector as big as 10**2 did."""

@@ -227,8 +227,17 @@ def test_out_of_order_arrival_is_rejected_session_wide():
         engine.process(make_tuple("A", 1.5, join_key=keys[1]))
     engine.process(make_tuple("A", 2.0, join_key=keys[1]))  # equal timestamps stay legal
     engine.process(make_tuple("B", 2.5, join_key=keys[1]))
+    # A NaN timestamp follows nothing (``t < nan`` is false: it used to be
+    # accepted and switch the check off), and leaves the clock at 2.5.
+    with pytest.raises(ExecutionError, match="out-of-order"):
+        engine.process(make_tuple("A", float("nan"), join_key=keys[1]))
+    with pytest.raises(ExecutionError, match="out-of-order"):
+        engine.process(make_tuple("B", 1.0, join_key=keys[1]))
     engine.flush()
     assert len(engine.results("Q")) == 2
+    fresh = ShardedStreamEngine(CONDITION, shards=2)
+    with pytest.raises(ExecutionError, match="out-of-order"):
+        fresh.process(make_tuple("A", float("nan"), join_key=keys[0]))  # the first arrival too
 
 
 def test_snapshot_aggregation_sums_counters():

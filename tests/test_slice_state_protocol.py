@@ -1,22 +1,17 @@
-"""Model test of the slice-state protocol itself.
+"""Model test of the disk tier's per-slice state protocol.
 
-The sliced joins keep only the male/female protocol of Figure 9; everything
-about *how* a slice's tuples are stored and probed lives behind one small
+:class:`~repro.engine.spill.SpilledState` answers a small slice-state
 protocol — ``append``, ``purge(now, end) -> (purged, comparisons)``,
 ``probe(probing) -> (matches, comparisons)``, ``candidates``, the
-deque-compatible read surface, ``load`` — answered by
-:class:`~repro.engine.columns.ColumnarState` in core and
-:class:`~repro.engine.spill.SpilledState` on the disk tier.
-
-One hypothesis schedule of ``append`` / ``purge`` / ``probe`` / ``popleft``
-/ ``load`` drives both against a plain Python list, asserting
-contents, order, matches and comparison counts after every step.  Keys
-include everything a float64 key column cannot hold — ``"red"``, ``True``,
-``2**53 + 1``, a missing attribute — so the vectorized mask, its
-invalidation, the bound scalar fallback and the segment index all face the
-same oracle.  (The block kernel lives in ``ChainColumn``
-only and is held to the per-item operator chain by
-``tests/test_cursor_chain.py``.)
+deque-compatible read surface, ``load`` — over segment files and an
+in-core tail.  One hypothesis schedule of ``append`` / ``purge`` /
+``probe`` / ``popleft`` / ``load`` drives it against a plain Python list,
+asserting contents, order, matches and comparison counts after every step.
+Keys include everything a segment's key index must not trip over —
+``"red"``, ``True``, ``2**53 + 1``, a missing attribute — so the index,
+the full scans and the bound scalar check all face the same oracle.  (The
+cursor chain's columns are held to the per-item operator chain, whose
+states are deques, by ``tests/test_cursor_chain.py``.)
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.columns import ColumnarState, ProbeBinding
+from repro.engine.columns import ProbeBinding
 from repro.engine.spill import SpilledState, SpillStore
 from repro.query.predicates import (
     CrossProductCondition,
@@ -100,16 +95,6 @@ def setting(kind, stores_left):
     return CONDITIONS[kind], keys, stored_stream, probing_stream, own, other
 
 
-def states_of(kind, stores_left, store):
-    """Every state kind that answers the protocol for this condition."""
-    condition, equi = CONDITIONS[kind], kind == "equi"
-    states = {"plain": ColumnarState(ProbeBinding(condition, stores_left, equi=equi))}
-    states["spilled"] = SpilledState(
-        store, ProbeBinding(condition, stores_left, equi=equi), flush_rows=4
-    )
-    return states
-
-
 @pytest.mark.parametrize("stores_left", [True, False], ids=["stores-left", "stores-right"])
 @pytest.mark.parametrize("kind", sorted(CONDITIONS))
 @settings(max_examples=60, deadline=None)
@@ -118,7 +103,7 @@ def test_states_agree_with_a_plain_list(kind, stores_left, ops):
     condition, keys, stored_stream, probing_stream, own, other = setting(kind, stores_left)
     equi = kind == "equi"
     store = SpillStore()
-    states = states_of(kind, stores_left, store)
+    state = SpilledState(store, ProbeBinding(condition, stores_left, equi=equi), flush_rows=4)
     model: list[StreamTuple] = []
     clock = 0.0
 
@@ -131,46 +116,38 @@ def test_states_agree_with_a_plain_list(kind, stores_left, ops):
                 clock += amount
                 tup = make(stored_stream, clock, own, keys[number])
                 model.append(tup)
-                for state in states.values():
-                    state.append(tup)
+                state.append(tup)
             elif op == "probe":
                 probing = make(probing_stream, clock, other, keys[number])
                 key = probing.values.get(other, MISSING)
                 want = seqnos(t for t in model if condition.matches(*oriented(probing, t)))
-                bucket = sum(1 for t in model if t.values.get(own, MISSING) == key)
-                for name, state in states.items():
-                    if not equi or (name == "spilled" and key is MISSING):
-                        scanned = len(model)  # no usable key: every row is a candidate
-                    else:
-                        scanned = len(model) if name == "plain" else bucket
-                    matches, comparisons = state.probe(probing)
-                    assert (seqnos(matches), comparisons) == (want, scanned), name
-                    assert len(state.candidates(probing)) == scanned, name
+                if not equi or key is MISSING:
+                    scanned = len(model)  # no usable key: every row is a candidate
+                else:
+                    scanned = sum(1 for t in model if t.values.get(own, MISSING) == key)
+                matches, comparisons = state.probe(probing)
+                assert (seqnos(matches), comparisons) == (want, scanned)
+                assert len(state.candidates(probing)) == scanned
             elif op == "purge":
                 now, end = clock + number, amount
                 cut = 0
                 while cut < len(model) and now - model[cut].timestamp >= end:
                     cut += 1
                 want, model = seqnos(model[:cut]), model[cut:]
-                for name, state in states.items():
-                    purged, comparisons = state.purge(now, end)
-                    assert seqnos(purged) == want, name
-                    assert comparisons == cut + (1 if model else 0), name
+                purged, comparisons = state.purge(now, end)
+                assert seqnos(purged) == want
+                assert comparisons == cut + (1 if model else 0)
             elif op == "popleft":
                 if not model:
                     continue
-                want = model.pop(0).seqno
-                for name, state in states.items():
-                    assert state.popleft().seqno == want, name
+                assert state.popleft().seqno == model.pop(0).seqno
             else:  # load: keep the rows the bitmask selects, in order
                 model = [t for i, t in enumerate(model) if number >> (i % 8) & 1]
-                for state in states.values():
-                    state.load(model)
-            for name, state in states.items():
-                assert len(state) == len(model), name
-                assert seqnos(state) == seqnos(model), name
-                if model:
-                    assert state[0].seqno == model[0].seqno, name
-                    assert state[-1].seqno == model[-1].seqno, name
+                state.load(model)
+            assert len(state) == len(model)
+            assert seqnos(state) == seqnos(model)
+            if model:
+                assert state[0].seqno == model[0].seqno
+                assert state[-1].seqno == model[-1].seqno
     finally:
         store.close()

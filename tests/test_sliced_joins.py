@@ -65,13 +65,6 @@ class TestSlicedOneWayJoin:
         ports = [port for port, _ in out]
         assert ports.index("purged") < ports.index("output") < ports.index("propagated")
 
-    def test_enforce_bounds_checks_lower_window(self):
-        strict = SlicedOneWayJoin(1.0, 3.0, CrossProductCondition(), enforce_bounds=True)
-        # Directly insert a tuple that is too fresh for the [1, 3) slice.
-        strict.process(make_tuple("A", 1.9, k=1), "left")
-        out = strict.process(make_tuple("B", 2.0, k=1), "right")
-        assert [item for port, item in out if port == "output"] == []
-
     def test_punctuations_forwarded(self):
         join = SlicedOneWayJoin(0.0, 1.0, CrossProductCondition())
         punct = Punctuation(1.0)
