@@ -13,8 +13,13 @@ then feeds ``N`` more arrivals in delivery quanta twice over:
 
 cProfile charges every Python-level call but none of the work inside numpy,
 so it overstates call-heavy code: use it to *find* candidates and
-``bench/run.py`` to *measure* them (``docs/benchmarks.md``).  A churn
-schedule is not replayed — this profiles the resident query set.
+``bench/run.py`` to *measure* them (``docs/benchmarks.md``).
+
+``--churn`` replays the workload's churn schedule (``Run.migrate()`` before
+each quantum, as ``bench/driver.py`` does; the quantum rate still times the
+feed alone) and prints, before the cProfile rows, the per-call wall time of a
+reshard and of its stages over the timed pass: ``repartition``, each shard's
+``ingest_keyed_state`` and each ``add_query`` of the admission replay.
 
 Frames to look for: on a time-window session the chain is ``chain.py
 (_slice_results)`` over ``columns.py (sweep)`` / ``(purge_cut)`` /
@@ -33,8 +38,10 @@ import argparse
 import cProfile
 import pstats
 import sys
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
+from statistics import median
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,12 +49,65 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from bench import workloads  # noqa: E402
 from bench.driver import Run, fast  # noqa: E402
+from repro.runtime import StreamEngine, sharding  # noqa: E402
 
 #: cProfile rows printed.
 TOP_ROWS = 20
+#: What ``--churn`` times per call: ``(label, owner, method)``; every stage
+#: but the reshard only while a reshard runs.
+STAGES = (
+    ("reshard", sharding.ShardedStreamEngine, "reshard"),
+    ("repartition", sharding, "repartition"),
+    ("ingest_keyed_state", StreamEngine, "ingest_keyed_state"),
+    ("admission replay (add_query)", StreamEngine, "add_query"),
+)
 
 
-def profile(name: str, arrivals: int, seed: int, warm_s: float) -> float:
+@contextmanager
+def stage_timers():
+    """Wrap every ``STAGES`` method; yields ``{label: [wall seconds per call]}``."""
+    seconds: dict[str, list[float]] = {label: [] for label, _, _ in STAGES}
+    reshards: list[None] = []  # one entry per reshard running
+
+    def timed(label, original):
+        def call(*args, **kwargs):
+            outermost = label == "reshard"
+            if outermost:
+                reshards.append(None)
+            start = perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                if reshards:
+                    seconds[label].append(perf_counter() - start)
+                if outermost:
+                    reshards.pop()
+
+        return call
+
+    originals = [getattr(owner, method) for _, owner, method in STAGES]
+    for (label, owner, method), original in zip(STAGES, originals):
+        setattr(owner, method, timed(label, original))
+    try:
+        yield seconds
+    finally:
+        for (_, owner, method), original in zip(STAGES, originals):
+            setattr(owner, method, original)
+
+
+def print_stages(seconds: dict[str, list[float]]) -> None:
+    for label, samples in seconds.items():
+        if samples:
+            ms = sorted(1e3 * sample for sample in samples)
+            print(
+                f"# {label}: {len(ms)} calls, median {median(ms):.2f} ms "
+                f"(min {ms[0]:.2f}, max {ms[-1]:.2f}), {sum(ms):.1f} ms in all"
+            )
+        else:
+            print(f"# {label}: no call in the timed pass")
+
+
+def profile(name: str, arrivals: int, seed: int, warm_s: float, churn: bool = False) -> float:
     """Run both passes over workload ``name``; returns the fastest-decile rate."""
     run = Run(workloads.WORKLOADS[name])  # the benchmark's own session set-up and feed
     run.setup()
@@ -59,21 +119,31 @@ def profile(name: str, arrivals: int, seed: int, warm_s: float) -> float:
             for _ in range(-(-count // size)):
                 yield list(islice(stream, size))
 
+        def migrate() -> None:
+            if churn:
+                run.migrate()
+
         for quantum in quanta(int(warm_s * workloads.ARRIVALS_PER_STREAM_SECOND)):
+            migrate()
             run.feed(quantum)
         seconds = []
-        for quantum in quanta(arrivals):
-            start = perf_counter()
-            run.feed(quantum)
-            seconds.append(perf_counter() - start)
+        with stage_timers() as stages:
+            for quantum in quanta(arrivals):
+                migrate()
+                start = perf_counter()
+                run.feed(quantum)
+                seconds.append(perf_counter() - start)
         rate = size / fast(seconds)
         print(
             f"# {name}: {len(seconds)} quanta of {size} after {warm_s:g} warm stream-seconds; "
             f"fastest-decile quantum rate {rate:.0f} arrivals/s"
         )
+        if churn:
+            print_stages(stages)
         profiler = cProfile.Profile()
         for quantum in quanta(arrivals):
             profiler.enable()
+            migrate()
             run.feed(quantum)
             profiler.disable()
         pstats.Stats(profiler).strip_dirs().sort_stats("tottime").print_stats(TOP_ROWS)
@@ -90,8 +160,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--warm-s", type=float, default=20.0, help="untimed stream-seconds fed first"
     )
+    parser.add_argument(
+        "--churn", action="store_true", help="replay the churn schedule; time the reshard stages"
+    )
     args = parser.parse_args(argv)
-    profile(args.workload, args.arrivals, args.seed, args.warm_s)
+    if args.churn and workloads.WORKLOADS[args.workload].churn is None:
+        parser.error(f"workload {args.workload!r} has no churn schedule")
+    profile(args.workload, args.arrivals, args.seed, args.warm_s, args.churn)
     return 0
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import ceil
+from operator import attrgetter
 
 from repro.core.chain_base import SlicedChainBase, SliceResult, TimeChainBase
 from repro.engine.columns import ChainColumn, HitBlock, ProbeBinding
@@ -50,6 +51,8 @@ from repro.query.predicates import OrPredicate
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["CursorChain", "SlicedJoinChain", "SliceResult"]
+
+_ARRIVAL = attrgetter("timestamp", "seqno")  # the order within a slice
 
 
 @lru_cache(maxsize=256)
@@ -189,12 +192,10 @@ class CursorChain(SlicedChainBase):
         for stream, column in zip(self._streams, self._columns):
             incoming = [entry.get(stream, ()) for entry in state]
             if any(incoming):
-                column.load(
-                    [
-                        sorted([*resident, *new], key=lambda tup: (tup.timestamp, tup.seqno))
-                        for resident, new in zip(column.slices(), incoming)
-                    ]
-                )
+                residents = column.slices()
+                if any(residents) or not column.load_increasing(incoming):
+                    column.load([sorted([*resident, *new], key=_ARRIVAL)
+                                 for resident, new in zip(residents, incoming)])
                 self._place(column)
                 moved += sum(map(len, incoming))
         return moved

@@ -186,18 +186,16 @@ class ColumnarState:
         attribute = self.binding.key_attribute
         if attribute is None:
             return
-        level = 0
-        values: list[float] = []
-        for ref in refs:
-            value = ref.values.get(attribute, _MISSING)
-            value_level = key_level(value)
-            if value_level > level:
-                level = value_level
-                if level >= 2:
-                    return  # column stays invalid (self._keys is None)
-            values.append(float(value))
         keys = np.empty(capacity, dtype=np.float64)
+        level = 0
         if n:
+            values = [ref.values.get(attribute, _MISSING) for ref in refs]
+            if set(map(type, values)) == {int}:  # plain ints: the extremes say it
+                level = max(key_level(min(values)), key_level(max(values)))
+            else:
+                level = max(map(key_level, values))
+            if level >= 2:
+                return  # column stays invalid (self._keys is None)
             keys[:n] = values
             if self.binding.column_key is not None:
                 keys[:n] = self.binding.column_key(keys[:n])
@@ -361,6 +359,16 @@ class ChainColumn(ColumnarState):
         self.cuts = [offset := offset - len(tuples) for tuples in slices]
         self.dead = [0] * len(slices)
         self._forget()
+
+    def load_increasing(self, slices: Sequence[Sequence[Any]]) -> bool:
+        """:meth:`load` ``slices``; whether their timestamps strictly increase
+        (no two tie: a ``(timestamp, seqno)`` sort would keep them as given)."""
+        try:
+            self.load(slices)
+        except MigrationError:
+            return False
+        stamps = self._ts[: len(self._refs)]
+        return int(np.count_nonzero(stamps[:-1] < stamps[1:])) >= len(stamps) - 1
 
     def _forget(self) -> None:
         """Every row's verdicts stale."""

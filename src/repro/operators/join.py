@@ -21,7 +21,7 @@ purged tuple plus one for the first non-expired tuple (category ``purge``).
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Any, Deque
+from typing import Any, Collection, Deque
 
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory
@@ -74,11 +74,12 @@ class _WindowState:
                     del self.index[key]
         return purged, comparisons
 
-    def candidates(self, probe_key: Any, hash_probe: bool) -> list[StreamTuple]:
-        """Tuples to probe: the matching hash bucket, or the whole window."""
+    def candidates(self, probe_key: Any, hash_probe: bool) -> Collection[StreamTuple]:
+        """Tuples to probe, not a copy: the matching hash bucket, or the whole
+        window (a probe only reads them, before anything is inserted)."""
         if hash_probe and self.index is not None:
-            return list(self.index.get(probe_key, ()))
-        return list(self.tuples)
+            return self.index.get(probe_key, ())
+        return self.tuples
 
 
 class OneWayWindowJoin(Operator):

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
-from collections import defaultdict
+from itertools import repeat
+from operator import attrgetter, itemgetter, ne
 from typing import Iterable, Mapping, Sequence
 
 from repro.engine.errors import MigrationError
@@ -26,6 +27,10 @@ __all__ = ["relayer", "repartition", "shard_for_key", "unpartitionable_reason"]
 #: One shard's keyed window state: per slice (head first), per stream, the
 #: resident tuples oldest first (``StreamEngine.extract_keyed_state``).
 KeyedState = list[dict[str, list[StreamTuple]]]
+
+_VALUES = attrgetter("values")
+_STAMP = attrgetter("timestamp")
+_SEQNO = attrgetter("seqno")
 
 
 def shard_for_key(key: object, shards: int) -> int:
@@ -86,35 +91,59 @@ def repartition(
     (walking oldest -> newest, depth only ever shrinks): a shallower slice
     re-purges the tuple on the next probe, whereas a deeper slice is not
     tapped by small-window queries and would lose results.
+
+    Each stream is gathered once with every tuple's donor and depth, each
+    distinct key is hashed once (:func:`_homes`), and one stable
+    ``(timestamp, seqno)`` sort of the stream orders the walk that places
+    it.  No container is allocated per tuple: enough of them set off a
+    garbage collection over the session's whole heap inside the pause.
     """
     slice_count = max((len(state) for state in exports), default=0)
-    tagged: dict[tuple[int, str], list[tuple[StreamTuple, int]]] = defaultdict(list)
-    moved = 0
-    resident = 0
-    for old_index, state in enumerate(exports):
-        for depth, entry in enumerate(state):
-            for stream, tuples in entry.items():
-                for tup in tuples:
-                    resident += 1
-                    new_index = (
-                        shard_for_key(tup[key_attrs[stream]], target)
-                        if target > 1
-                        else 0
-                    )
-                    if new_index != old_index:
-                        moved += 1
-                    tagged[new_index, stream].append((tup, depth))
     buckets: list[KeyedState] = [
         [{stream: [] for stream in streams} for _ in range(slice_count)]
         for _ in range(target)
     ]
-    for (new_index, stream), entries in tagged.items():
-        entries.sort(key=lambda e: (e[0].timestamp, e[0].seqno))
-        depth = slice_count  # oldest first; depth only shrinks
-        for tup, donor_depth in entries:
-            depth = min(depth, donor_depth)
-            buckets[new_index][depth][stream].append(tup)
+    memo: dict = {}  # per distinct key, its new shard
+    moved = resident = 0
+    for stream in streams:
+        tuples, depths, donors = [], [], []  # per tuple: itself, its slice, its shard
+        for donor, state in enumerate(exports):
+            for depth, entry in enumerate(state):
+                run = entry.get(stream, ())
+                tuples += run
+                depths += repeat(depth, len(run))
+                donors += repeat(donor, len(run))
+        if target > 1:
+            homes = _homes(list(map(itemgetter(key_attrs[stream]), map(_VALUES, tuples))), target, memo)
+        else:
+            homes = [0] * len(tuples)
+        resident += len(tuples)
+        moved += sum(map(ne, homes, donors))
+        # One stable (timestamp, seqno) sort of the stream, as two stable
+        # passes over float / int keys: a bucket's tuples keep the order a
+        # sort of that bucket alone gives them, ties in donor order.
+        order = sorted(range(len(tuples)), key=list(map(_SEQNO, tuples)).__getitem__)
+        order.sort(key=list(map(_STAMP, tuples)).__getitem__)
+        lists = [[entry[stream] for entry in bucket] for bucket in buckets]
+        floor = [slice_count] * target  # per bucket, oldest first: depth only shrinks
+        for row in order:
+            home, depth = homes[row], depths[row]
+            if depth < floor[home]:
+                floor[home] = depth
+            lists[home][floor[home]].append(tuples[row])
     return buckets, moved, resident
+
+
+def _homes(keys: list, target: int, memo: dict) -> list[int]:
+    """``shard_for_key(key, target)`` per key, each distinct key hashed once
+    into ``memo`` (exact: equal keys co-shard, so ``1``, ``1.0`` and ``True``
+    share an entry); with an unhashable key, per key."""
+    try:
+        for key in set(keys).difference(memo):
+            memo[key] = shard_for_key(key, target)
+        return list(map(memo.__getitem__, keys))
+    except TypeError:
+        return [shard_for_key(key, target) for key in keys]
 
 
 def relayer(

@@ -41,3 +41,32 @@ def test_a_budgeted_workload_shows_the_same_kernel_and_the_tiers_read_back():
     assert any("spill.py" in row and "(read)" in row for row in rows)
     assert not any("sliced_join.py" in row for row in rows)
 
+
+
+def test_churn_replays_the_schedule_and_times_each_reshard_stage():
+    """``--churn`` migrates before every quantum as ``bench/driver.py`` does:
+    0.5 warm stream-seconds are 4 quanta, so the timed 32 hold the reshard
+    before quantum 32 (2 -> 4 shards) and the profiled 32 the one before 64."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "churn", "--churn", "--arrivals", "4096", "--warm-s", "0.5"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.strip().splitlines()
+    assert header.startswith("# churn: 32 quanta of 128")
+    stages = [row for row in rows if row.startswith("# ")]
+    assert [row.split(":")[0] for row in stages] == [
+        "# reshard", "# repartition", "# ingest_keyed_state", "# admission replay (add_query)"
+    ]
+    assert stages[0].startswith("# reshard: 1 calls, median ")
+    assert stages[2].startswith("# ingest_keyed_state: 4 calls")  # one per new shard
+    assert rows.index(stages[-1]) < min(i for i, row in enumerate(rows) if "Ordered by" in row)
+
+
+def test_churn_needs_a_schedule():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "equi_shared", "--churn"], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 2 and "no churn schedule" in done.stderr

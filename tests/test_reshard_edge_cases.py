@@ -18,7 +18,8 @@ deterministically:
   recovered from the parent-side replay journal (an :class:`ExecutionError`
   only once the respawn budget is spent);
 * the keyed extract/ingest primitives at the operator, chain and engine
-  layers that the reshard orchestration is built from.
+  layers that the reshard orchestration is built from, and
+  :func:`repartition` against its per-tuple reference form.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import defaultdict
 
 import pytest
 
@@ -34,7 +36,8 @@ from repro.engine.errors import ExecutionError, MigrationError, ShardingError
 from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.query.predicates import CrossProductCondition, EquiJoinCondition
 from repro.runtime import ShardedStreamEngine, StreamEngine, sharding
-from repro.streams.tuples import make_tuple
+from repro.runtime.partition import relayer, repartition, shard_for_key
+from repro.streams.tuples import StreamTuple, make_tuple
 from tests.conftest import kill_worker, shard_engines
 
 CONDITION = EquiJoinCondition("join_key", "join_key", key_domain=8)
@@ -464,6 +467,121 @@ def test_chain_ingest_requires_matching_boundaries():
     assert donor.state_size() == 0
     with pytest.raises(MigrationError, match="identical boundaries"):
         chain.ingest_keyed_state(state)
+
+
+def reference_repartition(exports, target, key_attrs, streams):
+    """:func:`repartition` one tuple at a time: hash every tuple, sort every
+    bucket with a Python key, walk it placing each tuple at the running
+    minimum of its donors' depths."""
+    slice_count = max((len(state) for state in exports), default=0)
+    tagged = defaultdict(list)
+    moved = resident = 0
+    for old_index, state in enumerate(exports):
+        for depth, entry in enumerate(state):
+            for stream, tuples in entry.items():
+                for tup in tuples:
+                    resident += 1
+                    new_index = shard_for_key(tup[key_attrs[stream]], target) if target > 1 else 0
+                    moved += new_index != old_index
+                    tagged[new_index, stream].append((tup, depth))
+    buckets = [[{s: [] for s in streams} for _ in range(slice_count)] for _ in range(target)]
+    for (new_index, stream), entries in tagged.items():
+        entries.sort(key=lambda e: (e[0].timestamp, e[0].seqno))
+        depth = slice_count
+        for tup, donor_depth in entries:
+            depth = min(depth, donor_depth)
+            buckets[new_index][depth][stream].append(tup)
+    return buckets, moved, resident
+
+
+def random_exports(rng):
+    """Donors sharing a slice count, each time-layered but cut at its own
+    purge depths; timestamps on a coarse grid (ties), seqnos duplicated or
+    running against time, keys ``1`` / ``1.0`` / ``True`` among others, empty
+    streams and donors, and now and then a list-valued key."""
+    slice_count = rng.randint(1, 4)
+    exports = []
+    for _ in range(rng.randint(1, 4)):
+        state = [{} for _ in range(slice_count)]
+        for stream, attribute in (("A", "k"), ("B", "j")):
+            count = rng.choice([0, 1, 5, 12])
+            stamps = sorted(rng.choice([0.5, 1.0, 1.0, 2.5, rng.uniform(0, 3)]) for _ in range(count))
+            seqnos = [rng.choice([rng.randint(0, 6), 100 - n, n]) for n in range(count)]
+            keys = [rng.choice([1, 1.0, True, 0, -0.0, False, 3.5, 2, "x", 10**20]) for _ in range(count)]
+            if count and rng.random() < 0.05:
+                keys[rng.randrange(count)] = [1, 2]
+            tuples = [StreamTuple(stream, *row) for row in zip(stamps, ({attribute: k} for k in keys), seqnos)]
+            cuts = sorted(rng.randint(0, count) for _ in range(slice_count - 1))
+            for depth, (low, high) in enumerate(zip([0, *cuts], [*cuts, count])):
+                state[slice_count - 1 - depth][stream] = tuples[low:high]  # oldest deepest
+        exports.append(state if rng.random() > 0.1 else [{} for _ in range(slice_count)])
+    return exports
+
+
+def placement(buckets):
+    """Every bucket's lists as tuple identities: ties must land in the same order."""
+    return [[{stream: list(map(id, tuples)) for stream, tuples in entry.items()} for entry in bucket]
+            for bucket in buckets]
+
+
+def test_repartition_matches_the_per_tuple_reference():
+    rng = random.Random(35)
+    key_attrs = {"A": "k", "B": "j"}
+    for _ in range(600):
+        exports, target = random_exports(rng), rng.randint(1, 5)
+        buckets, moved, resident = repartition(exports, target, key_attrs, ("A", "B"))
+        expected, moved_expected, resident_expected = reference_repartition(exports, target, key_attrs, ("A", "B"))
+        assert (moved, resident) == (moved_expected, resident_expected)
+        assert placement(buckets) == placement(expected)
+
+
+def arrivals(*rows, stream="A"):
+    """``(timestamp, seqno)`` rows as tuples of ``stream``."""
+    return [StreamTuple(stream, stamp, {"join_key": seqno % 3}, seqno) for stamp, seqno in rows]
+
+
+def merged(resident, incoming):
+    """What an ingest must leave: per slice, both sorted in arrival order."""
+    return [sorted([*old, *new], key=lambda tup: (tup.timestamp, tup.seqno))
+            for old, new in zip(resident, incoming)]
+
+
+#: Slices handed to an ingest (head first): (a) strictly ordered, (b) tied
+#: timestamps with their seqnos reversed, (c) ``relayer``'s shallow-to-deep
+#: concatenation of base slices ending at 0.5 / 1 / 2 onto windows 1 / 2.
+INCOMING = {
+    "ordered": [{"A": arrivals((3.0, 5), (3.5, 6))}, {"A": arrivals((1.0, 1), (2.0, 2))}],
+    "tied": [{"A": arrivals((3.0, 9), (3.0, 8), (3.0, 7))}, {"A": arrivals((1.0, 4), (1.0, 3), (2.0, 2))}],
+    "relayered": relayer(
+        [{"A": arrivals((3.5, 9), (3.8, 10))}, {"A": arrivals((3.0, 7), (3.2, 8))},
+         {"A": arrivals((1.0, 1), (2.5, 4))}],
+        [0.5, 1.0, 2.0], [1.0, 2.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCOMING))
+@pytest.mark.parametrize("resident", [False, True], ids=["empty", "non_empty"])
+def test_ingest_ends_with_the_sorted_merge(case, resident):
+    """An empty chain keeps strictly ordered slices as given and sorts the
+    rest; a chain already holding tuples merges — all end the same."""
+    chain = SlicedJoinChain([0, 1, 2], CONDITION)
+    if resident:
+        chain.ingest_keyed_state([{"A": arrivals((3.0, 6), (3.9, 11))}, {"A": arrivals((1.5, 3))}])
+    before = chain.state_tuples("A")
+    incoming = [entry["A"] for entry in INCOMING[case]]
+    assert chain.ingest_keyed_state(INCOMING[case]) == sum(map(len, incoming))
+    assert chain.state_tuples("A") == merged(before, incoming)
+    assert chain.state_tuples("B") == [[], []]
+
+
+@pytest.mark.parametrize("resident", [False, True], ids=["empty", "non_empty"])
+def test_ingest_refuses_a_younger_tuple_in_a_deeper_slice(resident):
+    chain = SlicedJoinChain([0, 1, 2], CONDITION)
+    if resident:
+        chain.ingest_keyed_state([{"A": arrivals((3.0, 6))}, {"A": arrivals((1.5, 3))}])
+    with pytest.raises(MigrationError, match="time-layered"):
+        chain.ingest_keyed_state([{"A": arrivals((1.0, 1))}, {"A": arrivals((2.0, 2))}])
 
 
 # ---------------------------------------------------------------------------
