@@ -5,7 +5,7 @@ live session API (see ``examples/online_migration.py`` for the migration
 basics):
 
 1. **Selections** — queries carrying per-stream predicates register and
-   deregister mid-stream; the engine re-derives the shared selection
+   deregister mid-stream; the engine updates the shared selection
    push-down (Section 6) on every migration, so the in-chain filters always
    hold exactly the disjunction of the *current* queries' predicates.
 2. **Count windows** — the same admission protocol over rank-based slices
@@ -36,7 +36,7 @@ def main() -> None:
     print(f"  session: {engine.describe()}")
     for index, tup in enumerate(tuples):
         if index == len(tuples) // 2:
-            # Splits [0, 4) at 2 s *and* re-derives the pushed filters: the
+            # Splits [0, 4) at 2 s *and* updates the pushed filters: the
             # front filter gains Qpeak's predicate in its disjunction.
             engine.add_query("Qpeak", window=2.0, left_filter=very_hot)
         engine.process(tup)

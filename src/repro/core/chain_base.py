@@ -94,10 +94,12 @@ class SlicedChainBase:
     def _on_slice_removed(self, index: int) -> None:
         """The slice at ``index`` was removed (migration bookkeeping hook)."""
 
-    def set_link_filters(self, predicates: Sequence[tuple]) -> None:
-        """Install pushed-down predicates, one ``(left, right)`` pair per link:
-        all ``(None, None)`` unless the chain :attr:`pushes_selections`."""
-        if any(pair != (None, None) for pair in predicates):
+    def set_link_filters(self, predicates: Sequence[tuple] | dict[int, tuple]) -> None:
+        """Install pushed-down predicates, one ``(left, right)`` pair per link
+        (or ``{link: pair}`` for some links): all ``(None, None)`` unless the
+        chain :attr:`pushes_selections`."""
+        pairs = predicates.values() if isinstance(predicates, dict) else predicates
+        if any(pair != (None, None) for pair in pairs):
             raise ChainError(f"{type(self).__name__} carries no pushed-down selections")
 
     def link_filters(self) -> list[tuple]:
@@ -300,33 +302,39 @@ class TimeChainBase(SlicedChainBase):
         del self._filters[index]
 
     def set_link_filters(
-        self, predicates: Sequence[tuple[Predicate | None, Predicate | None]]
+        self,
+        predicates: Sequence[tuple[Predicate | None, Predicate | None]]
+        | dict[int, tuple[Predicate | None, Predicate | None]],
     ) -> None:
         """Install the pushed-down σ' predicates, one pair per link.
 
         ``predicates[i]`` is the ``(left, right)`` pair guarding the queue in
         front of slice ``i``; ``None`` (or a ``TruePredicate``) removes the
-        filter.  The owner — :class:`repro.runtime.engine.StreamEngine` —
-        recomputes the placement after every migration.  Resident state is
-        not re-evaluated: a tuple meets a link's filter when it crosses it.
+        filter.  A sequence covers every link; a ``{link: pair}`` dict only
+        the links it names, the others keeping their filters — how the owner,
+        :class:`repro.runtime.engine.StreamEngine`, splices the links a
+        migration changed.  Resident state is not re-evaluated: a tuple meets
+        a link's filter when it crosses it.
         """
         starts = self._bounds[:-1]
-        if len(predicates) != len(starts):
+        if isinstance(predicates, dict):
+            changes = predicates.items()
+        elif len(predicates) != len(starts):
             raise ChainError(f"expected {len(starts)} filter pairs, got {len(predicates)}")
-        filters = []
-        for start, pair in zip(starts, predicates):
+        else:
+            changes = enumerate(predicates)
+        for index, pair in changes:
             installed = []
             for stream, predicate in zip((self.left_stream, self.right_stream), pair):
                 if predicate is None or isinstance(predicate, TruePredicate):
                     installed.append(None)
                     continue
                 stream_filter = StreamFilter(
-                    predicate, stream=stream, name=f"σ'[{stream}]@{start:g}"
+                    predicate, stream=stream, name=f"σ'[{stream}]@{starts[index]:g}"
                 )
                 stream_filter.bind_metrics(self.metrics)
                 installed.append(stream_filter)
-            filters.append(tuple(installed))
-        self._filters = filters
+            self._filters[index] = tuple(installed)
 
     def link_filters(self) -> list[tuple[Predicate | None, Predicate | None]]:
         """The installed pushed-down predicates, one pair per link."""

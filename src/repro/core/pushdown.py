@@ -32,6 +32,8 @@ __all__ = [
     "ResidualFilters",
 ]
 
+_TRUE = TruePredicate()
+
 
 @dataclass(frozen=True)
 class SliceFilters:
@@ -84,7 +86,7 @@ def residual_predicate(query_filter: Predicate, pushed: Predicate) -> Predicate:
     runtime engine's per-slice result routing.
     """
     if isinstance(query_filter, TruePredicate) or query_filter == pushed:
-        return TruePredicate()
+        return _TRUE
     return query_filter
 
 

@@ -226,10 +226,15 @@ def disjunction(predicates: Iterable[Predicate]) -> Predicate:
     Duplicate elimination matters for the selection push-down of Section 6:
     when several queries share the same predicate, the per-slice disjunction
     collapses back to that predicate, so no residual re-evaluation is needed
-    on their results.  Duplicates are equal (``==``), not merely printed alike.
+    on their results.  Duplicates are equal (``==``), not merely printed alike;
+    the first of each is kept.  Hashable children are deduplicated by a dict,
+    an unhashable one sends them all through a pairwise scan.
     """
     predicates = list(predicates)
-    children = [p for i, p in enumerate(predicates) if p not in predicates[:i]]
+    try:
+        children = list(dict.fromkeys(predicates))
+    except TypeError:
+        children = [p for i, p in enumerate(predicates) if p not in predicates[:i]]
     if not children:
         return TruePredicate()
     if any(isinstance(p, TruePredicate) for p in children):
@@ -240,7 +245,6 @@ def disjunction(predicates: Iterable[Predicate]) -> Predicate:
     if len(children) == 1:
         return children[0]
     return OrPredicate(children)
-
 
 
 # ---------------------------------------------------------------------------

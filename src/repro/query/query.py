@@ -113,7 +113,7 @@ class QueryWorkload:
                     f"but {reference.name!r} joins "
                     f"{reference.left_stream}/{reference.right_stream}"
                 )
-            if query.join_condition.describe() != reference.join_condition.describe():
+            if query.join_condition != reference.join_condition:
                 raise QueryError(
                     "all queries in a workload must share the join condition; "
                     f"{query.name!r} uses {query.join_condition.describe()!r} but "

@@ -32,15 +32,16 @@ and fuzzed against a per-query unshared baseline by
 Three dimensions of the paper's query model are admitted:
 
 **Selections** (Section 6) — a query may carry a predicate per input
-stream.  On every admission or removal the engine re-derives the shared
-push-down placement: the disjunction σ'_i of the predicates of all queries
-whose window reaches slice ``i`` is spliced into the chain link in front of
-that slice, and each query applies its *residual* predicate to the results
-it taps — re-evaluated only where the pushed disjunction is weaker than the
-query's own predicate.  Both read verdict bits, each distinct filter judged
-once per row (:class:`~repro.engine.columns.ChainColumn`).  Filter splicing
-rides the same drain-and-splice migration, so the placement stays optimal
-as the query set evolves.
+stream.  The disjunction σ'_i of the distinct filters of all queries whose
+window reaches slice ``i`` sits in the chain link in front of that slice, and
+each query applies its *residual* predicate to the results it taps —
+re-evaluated only where the pushed disjunction is weaker than the query's own
+predicate.  Both read verdict bits, each distinct filter judged once per row
+(:class:`~repro.engine.columns.ChainColumn`).  Filter splicing rides the same
+drain-and-splice migration and is as local as the boundary move: per side,
+each distinct filter keeps the ``(window, name)`` of the queries carrying it,
+so a migration rebuilds only the σ' of the links whose distinct filters
+changed, and only the residuals behind them.
 
 **Count-based windows** — ``window_kind="count"`` runs the same admission
 protocol over a :class:`~repro.core.count_chain.CountSlicedJoinChain`,
@@ -64,8 +65,9 @@ numbers), which makes the output independent of where batches end.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from repro.core.chain import SlicedJoinChain
@@ -76,8 +78,7 @@ from repro.engine.columns import RouteTable
 from repro.engine.errors import MigrationError, QueryError, check_arrival_order
 from repro.engine.metrics import CostCategory, MetricsCollector, append_bounded
 from repro.engine.spill import SpillStore, estimate_tuple_bytes
-from repro.query.predicates import JoinCondition, Predicate, TruePredicate
-from repro.query.query import ContinuousQuery, QueryWorkload
+from repro.query.predicates import JoinCondition, Predicate, TruePredicate, disjunction
 from repro.streams.tuples import JoinedTuple, StreamTuple
 
 __all__ = [
@@ -112,6 +113,10 @@ CHAIN_KINDS: dict[str, type[SlicedChainBase]] = {
 
 _NO_FILTER = TruePredicate()
 
+#: A query reaches the link in front of a slice when its window is at least
+#: the slice start plus this (as ``QueryWorkload.slice_filter`` reads it).
+_REACH = 1e-12
+
 
 def chain_class(window_kind: str) -> type[SlicedChainBase]:
     """The chain class behind ``window_kind`` (:class:`QueryError` if unknown)."""
@@ -139,6 +144,24 @@ class RegisteredQuery:
         return not isinstance(self.left_filter, TruePredicate) or not isinstance(
             self.right_filter, TruePredicate
         )
+
+
+class _Colour:
+    """One distinct filter of one side and the queries carrying it.
+
+    ``carriers`` are their ``(window, name)`` keys, ascending: the filter is a
+    disjunct of a link's σ' while its last carrier reaches the link, placed
+    by its first carrier that does (the order ``QueryWorkload.slice_filter``
+    gives).  ``residuals`` holds, per link, what its carriers re-check on
+    that slice's results (``None``: implied by the σ').
+    """
+
+    __slots__ = ("filter", "carriers", "residuals")
+
+    def __init__(self, predicate: Predicate) -> None:
+        self.filter = predicate
+        self.carriers: list[tuple[float, str]] = []
+        self.residuals: list[Predicate | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -246,6 +269,15 @@ class StreamEngine:
         self._pending: list[StreamTuple] = []
         self._last_timestamp = float("-inf")
         self._routing: list[_Route] = []
+        # The selection placement, (re)made with the chain (add_query):
+        #: per side (left, right), the distinct filters by ``id``;
+        self._colours: tuple[dict[int, _Colour], dict[int, _Colour]]
+        #: per side, per link, the σ' pushed in front of the slice and its
+        #: disjuncts' ids in order (``None`` when one is TRUE, as then σ' is);
+        self._pushed: tuple[list, list]
+        self._disjuncts: tuple[list, list]
+        #: every registered filter but the no-filter, by equality (_shared).
+        self._shared_filters: dict[Predicate, Predicate]
         #: ``_routing`` as arrays, built when the first batch after a plan change needs it.
         self._table: RouteTable | None = None
         self.memory_budget_bytes = memory_budget_bytes
@@ -268,13 +300,14 @@ class StreamEngine:
         sees every stored tuple that falls inside its window — exactly the
         results of a fresh shared plan over the remaining stream suffix.
         ``left_filter`` / ``right_filter`` are optional selection predicates
-        over the respective input stream; the engine re-derives the shared
-        push-down placement as part of the same migration.
+        over the respective input stream; the same migration splices the
+        shared push-down placement on the links whose filters it changes.
         """
         if name in self._queries:
             raise QueryError(f"query {name!r} is already registered")
         window = self.chain_class.normalize_window(name, window)
         self._drain()
+        inserted = None
         if self._chain is None:
             # The one site a session's chain kind is decided.
             self._chain = self.chain_class(
@@ -285,12 +318,16 @@ class StreamEngine:
                 metrics=self.metrics,
             )
             self._record_migration("create", window)
+            self._colours, self._pushed, self._disjuncts = ({}, {}), ([], []), ([], [])
+            self._shared_filters = {}
+            inserted = 0
         else:
             chain = self._chain
             boundaries = chain.boundaries
             if window > boundaries[-1] + _EPSILON:
                 chain.append_slice(window)
                 self._record_migration("append", window)
+                inserted = chain.slice_count() - 1
             elif all(abs(window - b) > _EPSILON for b in boundaries):
                 index = chain.slice_index_containing(window)
                 if index is None:  # pragma: no cover - boundaries are contiguous
@@ -299,12 +336,14 @@ class StreamEngine:
                     )
                 chain.split_slice(index, window)
                 self._record_migration("split", window)
+                inserted = index + 1
         query = RegisteredQuery(
-            name, window, self.stats.arrivals, self._shared(left_filter), self._shared(right_filter)
+            name, window, self._stats.arrivals,
+            self._shared(left_filter), self._shared(right_filter),
         )
         self._queries[name] = query
         self._results[name] = []
-        self._refresh_plan()
+        self._splice(query, True, inserted)
         return query
 
     def remove_query(self, name: str) -> list[JoinedTuple]:
@@ -312,8 +351,9 @@ class StreamEngine:
 
         Boundaries no longer needed by any remaining query are merged away
         (or the tail slice is dropped when the largest window leaves), and
-        the pushed-down filters are re-derived for the remaining queries;
-        those queries keep producing exactly the same results.
+        the pushed-down filters of the links the query reached are updated
+        for the remaining queries; those queries keep producing exactly the
+        same results.
         """
         try:
             query = self._queries.pop(name)
@@ -333,14 +373,14 @@ class StreamEngine:
             self._table = None
             self._record_migration("teardown", query.window)
             return delivered
+        deleted = None
         if any(abs(q.window - query.window) <= _EPSILON for q in self._queries.values()):
-            self._refresh_plan()  # another query still needs the boundary
-            return delivered
-        max_window = max(q.window for q in self._queries.values())
-        if query.window > max_window + _EPSILON:
+            pass  # another query still needs the boundary
+        elif query.window > max(q.window for q in self._queries.values()) + _EPSILON:
             # The largest window left: shed the tail slice — its state is
             # too old for every remaining query, and the new largest window
             # is the boundary in front of it.
+            deleted = chain.slice_count() - 1
             chain.drop_tail_slice()
             self._record_migration("drop-tail", query.window)
         else:
@@ -348,7 +388,8 @@ class StreamEngine:
             if index is not None and index < chain.slice_count() - 1:
                 chain.merge_slices(index)
                 self._record_migration("merge", query.window)
-        self._refresh_plan()
+                deleted = index + 1
+        self._splice(query, False, deleted)
         return delivered
 
     def _shared(self, predicate: Predicate | None) -> Predicate:
@@ -357,11 +398,11 @@ class StreamEngine:
         table can tell by identity which queries re-check the same residual."""
         if predicate is None:
             return _NO_FILTER
-        for query in self._queries.values():
-            for known in (query.left_filter, query.right_filter):
-                if known is not _NO_FILTER and known == predicate:
-                    return known
-        return predicate
+        try:
+            return self._shared_filters.setdefault(predicate, predicate)
+        except TypeError:  # unhashable: an equal registered filter is found by a scan
+            known = (colour.filter for colours in self._colours for colour in colours.values())
+            return next((f for f in known if f is not _NO_FILTER and f == predicate), predicate)
 
     # -- execution -------------------------------------------------------------
     #: The most arrivals one batch holds (read-only).
@@ -561,25 +602,6 @@ class StreamEngine:
         except KeyError:
             raise QueryError(f"no registered query named {name!r}") from None
 
-    def workload(self) -> QueryWorkload:
-        """The registered queries as a static :class:`QueryWorkload`."""
-        if not self._queries:
-            raise QueryError("the engine has no registered queries")
-        return QueryWorkload(
-            [
-                ContinuousQuery(
-                    name=query.name,
-                    window=query.window,
-                    join_condition=self.condition,
-                    left_filter=query.left_filter,
-                    right_filter=query.right_filter,
-                    left_stream=self.left_stream,
-                    right_stream=self.right_stream,
-                )
-                for query in self._queries.values()
-            ]
-        )
-
     def link_filters(self) -> list[tuple[Predicate | None, Predicate | None]]:
         """The pushed-down predicates currently installed, one pair per link.
 
@@ -623,63 +645,99 @@ class StreamEngine:
         return f"StreamEngine ({', '.join(parts)}) chain: {self._chain.describe()}"
 
     # -- internals -------------------------------------------------------------
-    def _refresh_plan(self) -> None:
-        """Re-derive the pushed-down filters and result routing.
+    def _splice(self, query: RegisteredQuery, admitted: bool, link: int | None) -> None:
+        """The splice half of drain-and-splice for the selection placement
+        and the routing, after ``query`` was admitted (or removed) and the
+        migration inserted (or deleted) chain link ``link``, if any.
 
-        Called after every admission and removal — the splice
-        half of drain-and-splice for the selection placement: the σ'
-        disjunctions in front of each slice and the per-query residuals
-        both depend on the current query set *and* the current boundaries.
-        The per-slice pushed pairs are derived once and feed both halves,
-        so the installed filters and the residual routing cannot drift
-        apart.
-        """
+        Per side, the query's filter gets (or loses) a carrier.  That changes
+        the filter's first carrier at exactly the links the query reaches and
+        its preceding carrier does not, so only those links (and an inserted
+        one) can see their σ' change; a σ' is rebuilt where its disjuncts
+        changed, a residual where its σ' changed or its filter is new, and
+        the chain gets the changed links' filters only.  The σ' and residuals
+        equal a full re-derivation from the registered queries
+        (``tests/test_plan_splice.py``)."""
         chain = self._chain
         assert chain is not None  # teardown clears the routing itself
-        pushed: list[tuple[Predicate, Predicate]] | None = None
-        if chain.pushes_selections and any(
-            query.has_selection for query in self._queries.values()
-        ):
-            workload = self.workload()
-            pushed = [
-                (
-                    workload.slice_filter(start, side="left"),
-                    workload.slice_filter(start, side="right"),
-                )
-                for start in chain.boundaries[:-1]
-            ]
-        chain.set_link_filters(pushed or [(None, None)] * chain.slice_count())
-        self._rebuild_routing(chain, pushed)
-
-    def _rebuild_routing(
-        self, chain: SlicedChainBase, pushed: list[tuple[Predicate, Predicate]] | None
-    ) -> None:
-        """Recompute the result routing, per family of queries, after any
-        migration.
-
-        A query taps every slice that ends inside its window — no slice
-        straddles a window, every registered window being a boundary.  A
-        residual predicate is attached wherever the query's own selection is
-        stronger than the disjunction pushed below the slice (σ' of
-        Figure 10)."""
-        trivial = TruePredicate()
-        pushed = pushed or [(trivial, trivial)] * chain.slice_count()
-        ends = chain.boundaries[1:]
-        # Equal filters are one object (_shared), so queries fall into
-        # families asking for the same residuals.
+        bounds = chain.boundaries
+        starts, ends = bounds[:-1], bounds[1:]
+        pushes = chain.pushes_selections
+        key, reached = (query.window, query.name), _links_reached(starts, query.window)
+        install: set[int] = set()
+        sides = zip((0, 1), self._colours, self._pushed, self._disjuncts)
+        for side, colours, pushed, disjuncts in sides:
+            if link is not None and admitted:
+                # As the chain installed it: no filter, disjuncts unknown.
+                pushed.insert(link, _NO_FILTER)
+                disjuncts.insert(link, ())
+                for colour in colours.values():
+                    colour.residuals.insert(link, None)
+            elif link is not None:
+                for entries in [pushed, disjuncts] + [c.residuals for c in colours.values()]:
+                    del entries[link]
+            predicate = query.right_filter if side else query.left_filter
+            colour = colours.get(id(predicate))
+            if colour is None:
+                colour = colours[id(predicate)] = _Colour(predicate)
+            carriers = colour.carriers
+            at = bisect_left(carriers, key)
+            # The links the query reaches and its filter's previous carrier
+            # does not: where the filter's first carrier changes.
+            touched = range(_links_reached(starts, carriers[at - 1][0]) if at else 0, reached)
+            if link is not None and admitted and link not in touched:
+                touched = [*touched, link]  # a split's link: the query stops in front of it
+            if admitted:
+                carriers.insert(at, key)
+            else:
+                del carriers[at]
+                if not carriers:
+                    self._drop_colour(side, colour)
+            resigned = []
+            for k in touched:
+                ids, members = _link_disjuncts(colours, starts[k]) if pushes else (None, ())
+                if ids != disjuncts[k]:
+                    disjuncts[k] = ids
+                    sigma = _NO_FILTER if ids is None else disjunction(members)
+                    if sigma is not pushed[k]:
+                        pushed[k] = sigma
+                        install.add(k)
+                    resigned.append(k)
+            for colour in colours.values():
+                if colour.residuals is None:
+                    colour.residuals = [_residual(colour.filter, sigma) for sigma in pushed]
+                else:
+                    for k in resigned:
+                        colour.residuals[k] = _residual(colour.filter, pushed[k])
+        if install:
+            left, right = self._pushed
+            chain.set_link_filters({k: (left[k], right[k]) for k in install})
         families: dict[tuple[int, int], list[RegisteredQuery]] = {}
-        for query in self._queries.values():
-            family = (id(query.left_filter), id(query.right_filter))
-            families.setdefault(family, []).append(query)
+        for member in self._queries.values():
+            family = (id(member.left_filter), id(member.right_filter))
+            families.setdefault(family, []).append(member)
+        left, right = self._colours
         self._routing = [
             (
                 [(q.name, bisect_right(ends, q.window + _EPSILON) - 1) for q in members],
-                [_residual(members[0].left_filter, left) for left, _ in pushed],
-                [_residual(members[0].right_filter, right) for _, right in pushed],
+                left[family[0]].residuals,
+                right[family[1]].residuals,
             )
-            for members in families.values()
+            for family, members in families.items()
         ]
         self._table = None
+
+    def _drop_colour(self, side: int, colour: _Colour) -> None:
+        """Drop a filter the last carrier on ``side`` left, and its shared
+        object once neither side carries it."""
+        predicate = colour.filter
+        del self._colours[side][id(predicate)]
+        if id(predicate) not in self._colours[1 - side]:
+            try:
+                if self._shared_filters.get(predicate) is predicate:
+                    del self._shared_filters[predicate]
+            except TypeError:  # unhashable: never registered
+                pass
 
     def _record_migration(self, kind: str, boundary: float) -> None:
         append_bounded(
@@ -697,6 +755,28 @@ class StreamEngine:
             f"<StreamEngine kind={self.window_kind} queries={len(self._queries)} "
             f"slices={self.slice_count()} arrivals={self._stats.arrivals}>"
         )
+
+
+def _links_reached(starts: list[float], window: float) -> int:
+    """How many links, from the first, a query of ``window`` reaches."""
+    return bisect_right(starts, window, key=lambda start: start + _REACH)
+
+
+def _link_disjuncts(
+    colours: dict[int, _Colour], start: float
+) -> tuple[tuple[int, ...] | None, list[Predicate]]:
+    """The distinct filters reaching the link at ``start``, by first carrier,
+    and their ids (``None`` if one is TRUE: then so is the σ')."""
+    past = start + _REACH
+    firsts = []
+    for colour in colours.values():
+        carriers = colour.carriers
+        if carriers[-1][0] >= past:
+            if isinstance(colour.filter, TruePredicate):
+                return None, []
+            firsts.append((carriers[bisect_left(carriers, (past,))], colour.filter))
+    members = [predicate for _, predicate in sorted(firsts, key=itemgetter(0))]
+    return tuple(map(id, members)), members
 
 
 def _residual(query_filter: Predicate, pushed: Predicate) -> Predicate | None:

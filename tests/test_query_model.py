@@ -8,6 +8,7 @@ import pytest
 from repro.engine.errors import ConfigurationError, QueryError
 from repro.query.predicates import (
     EquiJoinCondition,
+    ThetaJoinCondition,
     TruePredicate,
     selectivity_filter,
     selectivity_join,
@@ -105,6 +106,31 @@ class TestQueryWorkload:
                     ContinuousQuery("Q2", window=2.0, join_condition=selectivity_join(0.25)),
                 ]
             )
+
+    def test_conditions_that_print_alike_are_not_one_condition(self):
+        """Queries share a join condition when the conditions are equal
+        (``==``), not when they describe alike: two theta joins over
+        different callables both print ``theta``."""
+        below = ThetaJoinCondition(lambda a, b: a["k"] < b["k"])
+        above = ThetaJoinCondition(lambda a, b: a["k"] > b["k"])
+        assert below.describe() == above.describe()
+        with pytest.raises(QueryError, match="share the join condition"):
+            QueryWorkload(
+                [
+                    ContinuousQuery("Q1", window=1.0, join_condition=below),
+                    ContinuousQuery("Q2", window=2.0, join_condition=above),
+                ]
+            )
+        # Equal conditions built twice are one condition.
+        for first, second in ((selectivity_join(0.5), selectivity_join(0.5)),
+                              (below, ThetaJoinCondition(below.function))):
+            workload = QueryWorkload(
+                [
+                    ContinuousQuery("Q1", window=1.0, join_condition=first),
+                    ContinuousQuery("Q2", window=2.0, join_condition=second),
+                ]
+            )
+            assert workload.join_condition == second
 
     def test_empty_workload_rejected(self):
         with pytest.raises(QueryError):

@@ -682,14 +682,6 @@ class TestEngineAccounting:
         assert first
         assert engine.results("Q1") == []
 
-    def test_workload_snapshot(self):
-        engine = StreamEngine(CONDITION)
-        engine.add_query("Q2", 4.0)
-        engine.add_query("Q1", 2.0)
-        workload = engine.workload()
-        assert workload.window_sizes() == [2.0, 4.0]
-        assert workload.names() == ["Q1", "Q2"]
-
 
 @pytest.mark.parametrize(
     "make_session",
