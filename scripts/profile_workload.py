@@ -5,7 +5,8 @@
 the session of ``bench.workloads.WORKLOADS[NAME]`` on constructor defaults
 (exactly as ``bench/run.py`` does), admits its resident queries, feeds
 ``--warm-s`` stream-seconds untimed so every slice is at its steady size, and
-then feeds ``N`` more arrivals in delivery quanta twice over:
+then feeds ``N`` more arrivals in delivery quanta twice over (three times
+with ``--stages``):
 
 * unprofiled, timing each quantum, and prints the fastest-decile quantum
   rate (the estimator ``bench/`` reports; see its README);
@@ -21,15 +22,26 @@ feed alone) and prints, before the cProfile rows, the per-call wall time of a
 reshard and of its stages over the timed pass: ``repartition``, each shard's
 ``ingest_keyed_state`` and each ``add_query`` of the admission replay.
 
+``--stages`` feeds the ``N`` arrivals a third time with a wall-clock timer
+around each method of ``KERNEL`` and prints, per method, the share of the
+quanta's wall time spent inside it (summed over the pass, and the median of
+the per-quantum shares) and its mean milliseconds a quantum, before the
+cProfile rows.  Shares are inclusive and nest: ``purge_cut`` runs inside
+``sweep``, ``SpillLog.read`` inside ``_thaw``, which runs inside ``probe``
+(and ``slices``).  The timers cost a few tenths of a microsecond per call,
+which the shares include.
+
 Frames to look for: on a time-window session the chain is ``chain.py
-(_slice_results)`` over ``columns.py (sweep)`` / ``(purge_cut)`` /
-``(probe)`` (which places the hits and reads their verdicts) / ``(settle)`` and
-``columns.py (__init__)`` of the ``HitBlock``; the routing is ``columns.py
-(route)`` under ``engine.py (_run_batch)``; a budgeted one (``equi_spill``)
-runs the same chain since PR 19 and adds the tier — ``spill.py (read)`` under ``columns.py (_thaw)``
-with ``posix.pread`` / ``_pickle.loads`` / the ``StreamTuple`` constructor
-for the cold rows a batch reports, ``chain.py (evict_cold)`` over
-``columns.py (evict)`` and ``spill.py (append)`` for the rows it makes cold.
+(_slice_results)`` over ``columns.py (sweep)`` / ``(purge_cut)`` / ``(probe)``
+(which places the candidates, keeps the hits and gathers their tuples and
+verdicts) / ``(settle)`` and ``columns.py (__init__)`` of the ``HitBlock``;
+the routing is ``columns.py (route)`` under ``engine.py (_run_batch)``, with
+``columns.py (joined)`` over ``tuples.py (build_all)`` building the delivered
+``JoinedTuple``s; a budgeted one (``equi_spill``) runs the same chain and adds
+the tier — ``spill.py (read)`` under ``columns.py (_thaw)`` with
+``posix.pread`` / ``_pickle.loads`` / ``tuples.py (build_all)`` for the cold
+rows a batch reports, ``chain.py (evict_cold)`` over ``columns.py (evict)``
+and ``spill.py (append)`` for the rows it makes cold.
 """
 
 from __future__ import annotations
@@ -49,6 +61,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from bench import workloads  # noqa: E402
 from bench.driver import Run, fast  # noqa: E402
+from repro.engine.columns import ChainColumn, ColumnarState, HitBlock, RouteTable  # noqa: E402
+from repro.engine.spill import SpillLog  # noqa: E402
 from repro.runtime import StreamEngine, sharding  # noqa: E402
 
 #: cProfile rows printed.
@@ -61,12 +75,25 @@ STAGES = (
     ("ingest_keyed_state", StreamEngine, "ingest_keyed_state"),
     ("admission replay (add_query)", StreamEngine, "add_query"),
 )
+#: What ``--stages`` times in every call: a batch's kernel, from the purge
+#: sweep to the routed deliveries, and the disk tier's read-back.
+KERNEL = (
+    ("sweep", ChainColumn, "sweep"),
+    ("purge_cut", ColumnarState, "purge_cut"),
+    ("probe", ChainColumn, "probe"),
+    ("HitBlock.__init__", HitBlock, "__init__"),
+    ("RouteTable.route", RouteTable, "route"),
+    ("_thaw", ChainColumn, "_thaw"),
+    ("SpillLog.read", SpillLog, "read"),
+)
 
 
 @contextmanager
-def stage_timers():
-    """Wrap every ``STAGES`` method; yields ``{label: [wall seconds per call]}``."""
-    seconds: dict[str, list[float]] = {label: [] for label, _, _ in STAGES}
+def stage_timers(stages=STAGES, gated: bool = True):
+    """Wrap every method of ``stages``; yields ``{label: [wall seconds per
+    call]}``.  ``gated``: time a stage only while a reshard runs (the
+    reshard itself always)."""
+    seconds: dict[str, list[float]] = {label: [] for label, _, _ in stages}
     reshards: list[None] = []  # one entry per reshard running
 
     def timed(label, original):
@@ -78,20 +105,20 @@ def stage_timers():
             try:
                 return original(*args, **kwargs)
             finally:
-                if reshards:
+                if reshards or not gated:
                     seconds[label].append(perf_counter() - start)
                 if outermost:
                     reshards.pop()
 
         return call
 
-    originals = [getattr(owner, method) for _, owner, method in STAGES]
-    for (label, owner, method), original in zip(STAGES, originals):
+    originals = [getattr(owner, method) for _, owner, method in stages]
+    for (label, owner, method), original in zip(stages, originals):
         setattr(owner, method, timed(label, original))
     try:
         yield seconds
     finally:
-        for (_, owner, method), original in zip(STAGES, originals):
+        for (_, owner, method), original in zip(stages, originals):
             setattr(owner, method, original)
 
 
@@ -107,8 +134,23 @@ def print_stages(seconds: dict[str, list[float]]) -> None:
             print(f"# {label}: no call in the timed pass")
 
 
-def profile(name: str, arrivals: int, seed: int, warm_s: float, churn: bool = False) -> float:
-    """Run both passes over workload ``name``; returns the fastest-decile rate."""
+def print_shares(quanta: list[float], inside: list[dict[str, float]]) -> None:
+    """Per ``KERNEL`` method, its share of the quanta's wall time: ``quanta``
+    holds each quantum's seconds, ``inside`` the seconds each method took in it."""
+    total = sum(quanta)
+    for label, _, _ in KERNEL:
+        spent = [stages[label] for stages in inside]
+        shares = [100 * part / whole for part, whole in zip(spent, quanta)]
+        print(
+            f"# stage {label}: {100 * sum(spent) / total:.1f} % of the quanta's wall time "
+            f"(median per quantum {median(shares):.1f} %, {1e3 * sum(spent) / len(quanta):.3f} ms a quantum)"
+        )
+
+
+def profile(
+    name: str, arrivals: int, seed: int, warm_s: float, churn: bool = False, stages: bool = False
+) -> float:
+    """Run every pass over workload ``name``; returns the fastest-decile rate."""
     run = Run(workloads.WORKLOADS[name])  # the benchmark's own session set-up and feed
     run.setup()
     try:
@@ -127,7 +169,7 @@ def profile(name: str, arrivals: int, seed: int, warm_s: float, churn: bool = Fa
             migrate()
             run.feed(quantum)
         seconds = []
-        with stage_timers() as stages:
+        with stage_timers() as reshard_seconds:
             for quantum in quanta(arrivals):
                 migrate()
                 start = perf_counter()
@@ -139,7 +181,18 @@ def profile(name: str, arrivals: int, seed: int, warm_s: float, churn: bool = Fa
             f"fastest-decile quantum rate {rate:.0f} arrivals/s"
         )
         if churn:
-            print_stages(stages)
+            print_stages(reshard_seconds)
+        if stages:
+            timed, inside = [], []
+            with stage_timers(KERNEL, gated=False) as calls:
+                for quantum in quanta(arrivals):
+                    migrate()
+                    before = {label: len(samples) for label, samples in calls.items()}
+                    start = perf_counter()
+                    run.feed(quantum)
+                    timed.append(perf_counter() - start)
+                    inside.append({label: sum(samples[before[label]:]) for label, samples in calls.items()})
+            print_shares(timed, inside)
         profiler = cProfile.Profile()
         for quantum in quanta(arrivals):
             profiler.enable()
@@ -163,10 +216,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--churn", action="store_true", help="replay the churn schedule; time the reshard stages"
     )
+    parser.add_argument(
+        "--stages", action="store_true", help="print each kernel method's share of the quanta's wall time"
+    )
     args = parser.parse_args(argv)
     if args.churn and workloads.WORKLOADS[args.workload].churn is None:
         parser.error(f"workload {args.workload!r} has no churn schedule")
-    profile(args.workload, args.arrivals, args.seed, args.warm_s, args.churn)
+    profile(args.workload, args.arrivals, args.seed, args.warm_s, args.churn, args.stages)
     return 0
 
 

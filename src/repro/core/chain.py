@@ -118,8 +118,8 @@ class CursorChain(SlicedChainBase):
     def _register(self) -> None:
         """Give each column a verdict column per residual, then per disjunct
         of an installed link filter not among them (a link's σ' ORs shared
-        query filters), and per link the columns it ORs — idempotent, so a
-        batch calls it to see the links a migration left."""
+        query filters), and per link the columns it ORs: at :meth:`assign_filters`
+        and the first batch after the links change, not at each change."""
         links = self.link_filters()
         for side, column in enumerate(self._columns):
             filters, bits = list(self._residuals[side]), []
@@ -228,10 +228,15 @@ class SlicedJoinChain(CursorChain, TimeChainBase):
     collector.
     """
 
+    #: The link filters the columns last learnt (:meth:`CursorChain._register`).
+    _linked: list = []
+
     # -- execution ------------------------------------------------------------
     def _slice_results(self, batch: list[StreamTuple]) -> HitBlock:
         metrics, filters, columns, streams = self.metrics, self._filters, self._columns, self._streams
-        self._register()
+        if self._linked != filters:  # set_link_filters or a migration changed the links
+            self._register()
+            self._linked = list(filters)
         verdicts = [column.judge([tup for tup in batch if tup.stream == stream])
                     for stream, column in zip(streams, columns)]
         # -- link 0 filters the raw arrivals by their verdicts; then the batch is classified once

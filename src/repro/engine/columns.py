@@ -36,14 +36,16 @@ float64 form and otherwise the bound scalar check over the same row ranges.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, repeat
-from operator import lt as _lt
+from collections import Counter
+from itertools import accumulate, compress
+from operator import attrgetter, lt as _lt
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.engine.errors import ChainError, MigrationError
-from repro.streams.tuples import JoinedTuple, StreamTuple
+from repro.query.predicates import EquiJoinCondition, TruePredicate
+from repro.streams.tuples import JoinedTuple, StreamTuple, build_all
 
 __all__ = [
     "ChainColumn",
@@ -76,16 +78,17 @@ _PURGE_CHUNK = 32
 _BLOCK_ELEMENTS = 32768
 
 _MISSING = object()
+_SEQNO, _TIMESTAMP = attrgetter("seqno"), attrgetter("timestamp")
 _EMPTY = np.zeros(0, np.intp)
 #: ``_died`` of a live row whose verdicts are valid / stale (any other value: a dead row).
 _LIVE, _STALE = 65535, 65534
 
 
-def _rounded(values: Any, fill: int) -> np.ndarray:
-    """``values``, then ``fill`` up to a multiple of 64 entries, as intp.  A
-    batch's per-hit arrays take that length: numpy keeps freed buffers under
-    1 KiB by exact size, so arrays of every hit count would pin a few each."""
-    out = np.full(-(-len(values) // 64) * 64, fill, np.intp)
+def _rounded(values: Any, fill: int, size: int | None = None) -> np.ndarray:
+    """``values``, then ``fill`` up to a multiple of 64 entries (``size`` at least), as
+    intp.  A batch's per-hit arrays take that length: numpy keeps freed buffers
+    under 1 KiB by exact size, so arrays of every hit count would pin a few each."""
+    out = np.full(-(-max(len(values), size or 0) // 64) * 64, fill, np.intp)
     out[: len(values)] = values
     return out
 
@@ -536,13 +539,13 @@ class ChainColumn(ColumnarState):
     def probe(
         self, males: Sequence[Any], cuts: Sequence[Sequence[int]], stops: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray, list[Any], np.ndarray]:
-        """A swept batch's candidate hits by male, then row: ``(males,
-        slices, stored tuples, their verdicts)``, of a :func:`_rounded`
-        length; a candidate in slice ``len(cuts)`` is no hit.  Male ``j``
-        sees rows ``[cuts[-1][j], stops[j])``, ``cuts[k][j]`` its cut of
-        slice ``k`` (:meth:`sweep`).  One 2-D ``match_mask`` per block of
-        males when every key has an exact float64 form, else the bound
-        scalar check."""
+        """A swept batch's hits by male, then row: ``(males, slices, stored
+        tuples, their verdicts)``, the arrays of a :func:`_rounded` length
+        (padding: male 0 in slice ``len(self.cuts)``), a stored tuple per
+        hit.  Male ``j`` sees rows ``[cuts[-1][j], stops[j])``, ``cuts[k][j]``
+        its cut of slice ``k`` (:meth:`sweep`).  One 2-D ``match_mask`` per
+        block of males when every key has an exact float64 form, else the
+        bound scalar check."""
         binding, lows, depth = self.binding, cuts[-1], len(self.cuts)
         keys = [male.values.get(binding.probe_attribute, _MISSING) for male in males]
         level = -1 if self._keys is None else max(self._key_level, *map(key_level, keys))
@@ -569,25 +572,26 @@ class ChainColumn(ColumnarState):
             js, rows = (np.concatenate(a) if a else _EMPTY for a in (js, rows))
         # Place each candidate: its slice is how many of its male's cuts lie
         # above the row, unless the row is not live in a slice the male sees
-        # (before its range, or filtered at a link at or above it).  No tuple
-        # is read for a non-hit; cold payloads are read back.
-        js, rows = _rounded(js, 0), _rounded(rows, -1)  # row -1: before every cut
-        swept = len(cuts)
-        ks = np.full(len(js), swept)
-        for slice_cuts in np.array(cuts, np.intp):
-            ks[slice_cuts[js] <= rows] -= 1
-        refs, head = self._refs, self._head
+        # (before its range, or filtered at a link at or above it).
+        count, swept, refs, head = len(js), len(cuts), self._refs, self._head
+        js, rows = _rounded(js, 0, count + 1), _rounded(rows, -1, count + 1)  # row -1 pads
+        cut, ks = np.array(cuts, np.intp), np.empty(len(js), np.intp)
+        step = max(1, _BLOCK_ELEMENTS // swept)  # candidates per 2-D comparison with the cuts
+        for i in range(0, len(js), step):
+            np.sum(cut[:, js[i : i + step]] > rows[i : i + step], axis=0, out=ks[i : i + step])
         # A row is in no slice from the link it died at on (0: a batch before).
         valid = (ks < swept) & (rows < np.array(stops)[js]) & (self._died[rows + head] > ks)
-        found = [refs[head + row] if ok else None for row, ok in zip(rows.tolist(), valid.tolist())]
-        ks[~valid] = depth
-        found = self._thaw(found) if self.cold else found
+        hits = np.flatnonzero(valid)
+        found = list(map(refs.__getitem__, (rows[hits] + head).tolist()))
+        found = self._thaw(found) if self.cold else found  # no tuple is read for a non-hit
         if scalar:
             checks = list(map(binding.bind, males))
-            failed = [ref is not None and not checks[j](ref) for j, ref in zip(js.tolist(), found)]
-            ks[failed] = depth
+            passed = [bool(checks[j](ref)) for j, ref in zip(js[hits].tolist(), found)]  # a mask
+            hits, found = hits[passed], list(compress(found, passed))
+        hits = _rounded(hits, count)
+        js, ks, at = js[hits], ks[hits], rows[hits] + head
+        ks[len(found) :] = depth
         # The hits' verdicts; a stale row's are computed now and kept.
-        at = rows + head
         stale = np.flatnonzero((ks < depth) & (self._died[at] == _STALE))
         self._verdicts[at[stale]] = self.judge([found[i] for i in stale.tolist()])
         self._died[at[stale]] = _LIVE
@@ -651,42 +655,42 @@ class ChainColumn(ColumnarState):
 
 
 class HitBlock:
-    """A batch's results as arrays: entry ``i`` joins ``lefts[i]`` and
-    ``rights[i]`` in slice ``slices[i]`` at its male's time ``stamps[i]``,
-    with (left, right) ``seqnos`` and verdicts ``bits`` and the male's batch
-    ``places``; an entry in slice ``depth`` is no result.  Built from per
-    probed column ``(side, probe result, males, their verdicts, their
-    places)``, side 0 the left stream's column.  Iterated: ``(slice,
-    JoinedTuple)`` pairs slice-major, in arrival order."""
+    """A batch's results as arrays: entry ``i`` joins ``tuples[pairs[0][i]]`` and
+    ``tuples[pairs[1][i]]`` (per probed column its males, then its hits) in slice
+    ``slices[i]`` at its male's time ``stamps[i]``, with (left, right) ``seqnos``
+    and verdicts ``bits`` and the male's batch ``places``; an entry in slice
+    ``depth`` is no result.  Built from per probed column ``(side, probe result,
+    males, their verdicts, their places)``, side 0 the left stream's column.
+    Iterated: ``(slice, JoinedTuple)`` pairs slice-major, in arrival order."""
 
-    __slots__ = ("depth", "slices", "stamps", "places", "seqnos", "bits", "lefts", "rights")
+    __slots__ = ("depth", "slices", "stamps", "places", "seqnos", "bits", "tuples", "pairs")
 
     def __init__(self, depth: int, parts: Sequence[tuple] = ()) -> None:
-        self.depth, self.lefts, self.rights = depth, [], []
-        arrays: list[list[np.ndarray]] = [[] for _ in range(7)]
+        self.depth, self.tuples = depth, []
+        arrays: list[list[np.ndarray]] = [[] for _ in range(9)]
         for side, (js, ks, found, bits), males, male_bits, places in parts:
-            mine = list(map(males.__getitem__, js.tolist()))
-            male = (mine, np.array([male.seqno for male in males])[js], male_bits[js])
-            seqnos = map(getattr, found, repeat("seqno"), repeat(0))  # 0: no hit
-            stored = (found, np.array(list(seqnos)), bits)
+            base = len(self.tuples)  # of the males, then of the hits
+            self.tuples += [*males, *found]
+            male = (js + base, np.array(list(map(_SEQNO, males)))[js], male_bits[js])
+            seqnos = _rounded(list(map(_SEQNO, found)), 0, len(js))
+            stored = (np.arange(len(js)) + (base + len(males)), seqnos, bits)
             left, right = (male, stored) if side else (stored, male)
-            self.lefts += left[0]
-            self.rights += right[0]
-            stamps = np.array([male.timestamp for male in males])[js]
-            at = np.array(places)[js]
-            for column, values in zip(arrays, (ks, stamps, at, *left[1:], *right[1:])):
+            stamps = np.array(list(map(_TIMESTAMP, males)))[js]
+            for column, values in zip(arrays, (ks, stamps, np.array(places)[js], *left, *right)):
                 column.append(values)
-        self.slices, self.stamps, self.places, lseq, lbits, rseq, rbits = (
-            np.concatenate(a) if a else _EMPTY for a in arrays
-        )
-        self.seqnos, self.bits = (lseq, rseq), (lbits, rbits)
+        columns = [np.concatenate(a) if a else _EMPTY for a in arrays]
+        self.slices, self.stamps, self.places, *sides = columns
+        self.pairs, self.seqnos, self.bits = sides[::3], sides[1::3], sides[2::3]
+
+    def joined(self, entries: np.ndarray) -> list[JoinedTuple]:
+        """The :class:`JoinedTuple` of each of ``entries``, built in bulk."""
+        sides = (map(self.tuples.__getitem__, at[entries].tolist()) for at in self.pairs)
+        return build_all(JoinedTuple, len(entries), *sides)
 
     def __iter__(self) -> Iterator[tuple[int, Any]]:
-        slices = self.slices.tolist()
-        for i in np.lexsort((self.places, self.slices)).tolist():
-            if slices[i] == self.depth:
-                break
-            yield slices[i], JoinedTuple(self.lefts[i], self.rights[i])
+        hits = int(np.count_nonzero(self.slices < self.depth))
+        order = np.lexsort((self.places, self.slices))[:hits]
+        return zip(self.slices[order].tolist(), self.joined(order))
 
 
 class RouteTable:
@@ -694,15 +698,18 @@ class RouteTable:
     of queries asking the same checks, ``(taps, left residuals, right
     residuals)`` — the members as ``(name, last slice tapped)``, a residual
     per slice or ``None``.  ``filters``: per stream, the residuals whose
-    verdicts the routing reads, in verdict column order.  Entry ``depth`` of a
-    table is the slice of the entries that are no result."""
+    verdicts the routing reads, in verdict column order; ``names``: every
+    family's members, in order.  Entry ``depth`` of a table is the slice of
+    the entries that are no result."""
 
-    __slots__ = ("families", "filters")
+    __slots__ = ("families", "filters", "names")
 
     def __init__(self, routing: Sequence[tuple], depth: int) -> None:
-        self.families, self.filters = [], ([], [])
+        self.families, self.filters, self.names = [], ([], []), []
         for taps, *residuals in routing:
-            tapping = [sum(k <= last for _, last in taps) for k in range(depth + 1)]
+            lasts = [last for _, last in taps]
+            ending = Counter(lasts)  # members by last slice; tapping[k]: by slice k or deeper
+            tapping = list(accumulate(ending[k] for k in range(depth, -1, -1)))[::-1]
             checks = []  # per checked stream: its verdict column, where not, and SELECT per entry
             for side, residual in enumerate(residuals):
                 checked = next((r for r in residual if r is not None), None)
@@ -713,7 +720,8 @@ class RouteTable:
                     free = [r is None for r in residual] + [True]
                     charge = [0 if skip else members for skip, members in zip(free, tapping)]
                     checks.append((side, bit, np.array(free), np.array(charge)))
-            self.families.append((taps, max(last for _, last in taps), checks))
+            self.names += [name for name, _ in taps]
+            self.families.append((np.array(lasts, np.intp)[:, None], max(lasts), checks))
 
     def route(self, block: HitBlock) -> tuple[list[tuple[str, list[Any]]], int]:
         """``([(query, results)], SELECT comparisons)``: results in
@@ -725,36 +733,40 @@ class RouteTable:
         slices = block.slices[order]
         bits = [side[order] for side in block.bits]
         select, passes, anyone = 0, [], np.zeros(len(order), bool)
-        for _, deepest, checks in self.families:
+        for lasts, deepest, checks in self.families:
             passed = slices <= deepest
             for side, bit, free, charge in checks:
                 select += int(charge[slices][passed].sum())
                 passed &= free[slices] | bits[side][:, bit]
             anyone |= passed
-            passes.append(passed)
+            passes.append((slices <= lasts) & passed)  # a row per member
         where = np.flatnonzero(anyone)
-        picked = order[where].tolist()
-        lefts, rights = map(block.lefts.__getitem__, picked), map(block.rights.__getitem__, picked)
-        joined = list(map(JoinedTuple, lefts, rights))
-        where = _rounded(where, 0)  # the padding lies past ``joined``: compress stops there
-        received, deliveries = slices[where], []
-        for (taps, _, _), passed in zip(self.families, passes):
-            passed = passed[where]
-            for name, last in taps:
-                mine = list(compress(joined, ((received <= last) & passed).tolist()))
-                if mine:
-                    deliveries.append((name, mine))
-        return deliveries, select
+        joined = block.joined(order[where])
+        # Per member a row: which of ``joined`` it receives (the padding past it: none).
+        receives = np.concatenate(passes)[:, _rounded(where, 0)]
+        receives[:, len(joined) :] = False
+        member_entry = np.flatnonzero(receives)
+        delivered = list(map(joined.__getitem__, (member_entry % receives.shape[1]).tolist()))
+        ends = np.cumsum(np.count_nonzero(receives, axis=1)).tolist()
+        return [
+            (name, delivered[start:end])
+            for name, start, end in zip(self.names, [0, *ends], ends) if end > start
+        ], select
 
 
 def _map_kernels() -> None:
-    """Route a one-entry block once, at import.  numpy maps a routine's
-    machine code (64–128 KiB of it) at its first call; this charges the
-    routing's routines to the import, not to the first session's growth."""
-    tup, flag, verdict = StreamTuple("", 0.0, {}, 0), object(), np.ones((1, 1), bool)
-    hit = (np.zeros(1, np.intp), np.zeros(1, np.intp), [tup], verdict)
-    table = RouteTable([([("", 0)], [flag], [None])], 1)
-    table.route(HitBlock(1, [(1, hit, [tup], verdict, [0])]))
+    """Probe a one-row column, by mask and by the scalar check, and route and
+    iterate its hit once, at import.  numpy maps a routine's machine code
+    (64–128 KiB of it) at its first call; this charges the kernel's routines
+    to the import, not to the first session's growth."""
+    condition, flag, verdict = EquiJoinCondition("k", "k"), TruePredicate(), np.ones((1, 1), bool)
+    for key in (0, ""):  # a string key leaves the column no key column: the scalar check
+        tup = StreamTuple("", 0.0, {"k": key}, 0)
+        column = ChainColumn(ProbeBinding(condition, True), [[tup]])
+        column.assign_filters([flag], [None])
+        block = HitBlock(1, [(0, column.probe([tup], [[0]], [1]), [tup], verdict, [0])])
+        RouteTable([([("", 0)], [flag], [None])], 1).route(block)
+        list(block)
     # ... and a sweep's: a link's pass mask over the bits, the marks in ``_died``.
     passing, died = verdict[:, [0]].any(axis=1), np.full(1, _LIVE, np.uint16)
     died[passing & ~passing] = 1

@@ -38,7 +38,7 @@ from itertools import accumulate
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.engine.columns import ProbeBinding
-from repro.streams.tuples import StreamTuple, decode_batch, encode_batch
+from repro.streams.tuples import StreamTuple, build_all, decode_batch, encode_batch
 
 __all__ = [
     "SpillStore",
@@ -196,7 +196,7 @@ class SpillLog:
     def read(self, rows: Sequence[int]) -> list[StreamTuple]:
         """The tuples of ``rows`` (ascending ids of rows with a payload)."""
         self.store.cold_reads += len(rows)
-        tuples: list[StreamTuple] = []
+        records: list[bytes] = []
         segments = iter(self._segments)
         end = -1  # the row the segment in hand ends before
         for row in rows:
@@ -204,9 +204,8 @@ class SpillLog:
                 first, offsets, file = next(segments)
                 fd, end = file.fileno(), first + len(offsets) - 1
             start = offsets[row - first]
-            record = os.pread(fd, offsets[row - first + 1] - start, start)
-            tuples.append(StreamTuple(*pickle.loads(record)))
-        return tuples
+            records.append(os.pread(fd, offsets[row - first + 1] - start, start))
+        return build_all(StreamTuple, len(rows), *zip(*map(pickle.loads, records)))
 
     def free(self, row: float) -> None:
         """Every row below ``row`` is gone: unlink the files holding no other."""

@@ -24,8 +24,9 @@ from __future__ import annotations
 import itertools
 import pickle
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "StreamTuple",
@@ -35,6 +36,7 @@ __all__ = [
     "FEMALE",
     "Punctuation",
     "make_tuple",
+    "build_all",
     "encode_batch",
     "decode_batch",
 ]
@@ -178,6 +180,17 @@ class Punctuation:
 def make_tuple(stream: str, timestamp: float, **values: Any) -> StreamTuple:
     """Convenience constructor used heavily in tests and examples."""
     return StreamTuple(stream=stream, timestamp=timestamp, values=values)
+
+
+def build_all(cls: type, count: int, *columns: Iterable[Any]) -> list[Any]:
+    """``[cls(*row) for row in zip(*columns)]`` for ``count`` rows of a frozen
+    slots dataclass (a column per field, no defaults) without a Python call
+    per record: ``object.__new__`` and each slot's member-descriptor
+    ``__set__``, which frozenness does not guard, run under C-level ``map``s."""
+    made = list(map(object.__new__, itertools.repeat(cls, count)))
+    for name, values in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, made, values), maxlen=0)
+    return made
 
 
 # -- columnar wire format -------------------------------------------------------

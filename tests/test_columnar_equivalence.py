@@ -18,6 +18,12 @@ a checked invariant instead of a code-review claim.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +33,7 @@ from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.engine.columns import ChainColumn, ProbeBinding
 from repro.engine.executor import execute_plan
+from repro.engine.spill import SpillLog, SpillStore
 from repro.operators.count_join import CountWindowJoin
 from repro.query.predicates import (
     ComparisonPredicate,
@@ -345,3 +352,91 @@ def test_residue_mask_equals_modular_matches(domain, threshold, data, promote):
         if k == 0:
             got[j].append(tup.seqno)
     assert got == expected
+
+
+#: Per probe path, a condition and stored keys: the equality mask, the residue
+#: mask, and the scalar fallback (a string key leaves no key column).
+PROBE_PATHS = {
+    "equi": (EquiJoinCondition("join_key", "join_key"), [0, 1, 2, 1, 0, 2, 1, 1]),
+    "modular": (ModularMatchCondition(threshold=3, domain=7), [0, 3, 5, 6, 1, 9, 4, 13]),
+    "scalar": (EquiJoinCondition("join_key", "join_key"), ["red", 1, "red", 0, 1, "blue", 1, 0]),
+}
+
+
+@pytest.mark.parametrize("cold", [0, 5])
+@pytest.mark.parametrize("path", sorted(PROBE_PATHS))
+def test_probe_returns_the_hits_only(path, cold):
+    """``ChainColumn.probe`` hands back a stored tuple per hit and none for a
+    candidate that is no hit: ``len(found)`` is the count of ``ks < depth``,
+    the arrays past it are padding (slice ``depth``), and each cold row hit
+    is read back once."""
+    condition, keys = PROBE_PATHS[path]
+    stored = [make_tuple("B", 0.1 * i, join_key=key) for i, key in enumerate(keys)]
+    column = ChainColumn(ProbeBinding(condition, stores_left=False), [stored[5:], stored[2:5], stored[:2]])
+    store = SpillStore()
+    if cold:
+        column.log = SpillLog(store)
+        column.evict(cold)
+    males = [make_tuple("A", 1.0, join_key=key) for key in keys[:4]]
+    stops = [4, 6, 7, 8]  # male j sees rows [0, stops[j]), arrival order; the cuts are 5, 2, 0
+    hits = [
+        (j, sum(cut > row for cut in column.cuts), row)
+        for j, male in enumerate(males) for row in range(stops[j]) if condition.matches(male, stored[row])
+    ]
+    js, ks, found, verdicts = column.probe(males, [[cut] * len(males) for cut in column.cuts], stops)
+    store.close()
+    count = int(np.count_nonzero(ks < 3))
+    assert len(found) == count == len(hits) > 0 and None not in found
+    assert [(j, k, tup.seqno) for j, k, tup in zip(js.tolist(), ks.tolist(), found)] == [
+        (j, k, stored[row].seqno) for j, k, row in hits
+    ]
+    assert len(js) == len(ks) == len(verdicts) and len(js) % 64 == 0 and set(ks[count:].tolist()) <= {3}
+    assert store.cold_reads == len({row for _, _, row in hits if row < cold})
+
+
+#: Feeds a ``bench/`` workload's session after its set-up and prints how many
+#: KiB of numpy's core module's code became resident meanwhile.
+MAPPED_CODE = """
+import re, sys
+from itertools import islice
+from bench import workloads
+from bench.driver import Run
+
+
+def resident_kib():
+    kib, mapping = 0, ""
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):
+                mapping = line.split()[-1]
+            elif line.startswith("Rss:") and "_multiarray_umath" in mapping:
+                kib += int(line.split()[1])
+    return kib
+
+
+run = Run(workloads.WORKLOADS[sys.argv[1]])
+run.setup()
+stream, before = workloads.arrivals(3), resident_kib()
+for _ in range(int(3 * workloads.ARRIVALS_PER_STREAM_SECOND) // workloads.QUANTUM):
+    run.feed(list(islice(stream, workloads.QUANTUM)))
+print(resident_kib() - before)
+run.session.close()
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="needs /proc/self/smaps")
+@pytest.mark.parametrize("workload", ["equi_shared", "equi_spill"])
+def test_an_equi_session_runs_no_numpy_routine_the_import_did_not_map(workload):
+    """numpy maps a routine's machine code at its first call, and a session
+    that calls one first after its set-up counts it as its own memory growth
+    (``rss_growth_mb``).  ``columns._map_kernels`` probes, places, routes
+    and iterates a hit at import, by mask and by the scalar check, so three
+    stream-seconds of an equi-join session — filters, routing, cold rows
+    read back — map no more of numpy's code."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", MAPPED_CODE, workload], capture_output=True, text=True, timeout=120,
+        cwd=root, env={**os.environ, "PYTHONPATH": f"{root / 'src'}:{root}"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == 0

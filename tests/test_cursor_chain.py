@@ -40,7 +40,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.chain import SlicedJoinChain
+from repro.core.chain import CursorChain, SlicedJoinChain
 from repro.core.chain_operators import OperatorJoinChain
 from repro.core.count_chain import CountSlicedJoinChain
 from repro.core.plan_builder import build_state_slice_plan
@@ -692,3 +692,28 @@ def test_a_cold_row_comes_back_exactly(store):
     assert found == stored and all(a is not b for a, b in zip(found, stored))
     assert [type(tup.timestamp) for tup in found] == [int, float, float]
     assert chain.state_tuples("R") == [stored]
+
+
+def test_a_batch_learns_the_links_only_after_they_change(monkeypatch):
+    """``CursorChain._register`` rebuilds every column's filter list: a batch
+    calls it only when ``set_link_filters`` or a migration changed the links
+    since the last, and the columns then hold the installed links."""
+    registered = []
+    register = CursorChain._register
+    monkeypatch.setattr(CursorChain, "_register", lambda chain: registered.append(1) or register(chain))
+    chain = SlicedJoinChain([0, 1, 2], EQUI)
+    clock = iter(0.1 * step for step in range(100))
+
+    def batch():
+        chain.process_batch([arrival("B", next(clock), value=1), arrival("A", next(clock), value=3)])
+        return len(registered)
+
+    assert [batch(), batch()] == [1, 1]  # the first batch learns the links, the next nothing
+    chain.set_link_filters([(None, None), (None, at_least(2))])
+    assert [batch(), batch()] == [2, 2]
+    chain.split_slice(0, 0.5)
+    assert [batch(), batch()] == [3, 3]
+    chain.merge_slices(0)
+    chain.append_slice(3)
+    assert [batch(), batch()] == [4, 4]
+    assert chain._columns[1].links == [None, [0], None]  # link 1 keeps its filter, the new link has none

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.engine.columns import RouteTable
 from repro.engine.errors import PlanError
 from repro.engine.metrics import CostCategory, MetricsCollector, RunReport
 from repro.engine.operator import Operator, PassThrough
@@ -142,3 +144,39 @@ class TestOperatorBase:
         operator = PassThrough(name="p")
         assert operator.state_size() == 0
         assert operator.flush() == []
+
+
+@st.composite
+def routings(draw):
+    """A chain depth and per family of queries its members ``(name, last
+    slice tapped)`` and per stream a residual per slice (``None``: unchecked)."""
+    depth = draw(st.integers(1, 12))
+    flags = [object(), object()]
+    families = []
+    for family in range(draw(st.integers(1, 4))):
+        lasts = draw(st.lists(st.integers(0, depth - 1), min_size=1, max_size=8))
+        residuals = [
+            [draw(st.sampled_from([None, flag])) for _ in range(depth)] if draw(st.booleans()) else [None] * depth
+            for flag in flags
+        ]
+        families.append(([(f"q{family}.{i}", last) for i, last in enumerate(lasts)], *residuals))
+    return depth, families
+
+
+@settings(max_examples=60, deadline=None)
+@given(routings())
+def test_route_table_charges_a_check_once_per_member_tapping_the_slice(routing):
+    """A family's ``SELECT`` charge in slice ``k`` is its members whose last
+    slice is ``k`` or deeper, where the slice checks a residual: the counts
+    the table takes per member's last slice equal the per-slice sum."""
+    depth, families = routing
+    table = RouteTable(families, depth)
+    assert table.names == [name for taps, *_ in families for name, _ in taps]
+    for (taps, *residuals), (lasts, deepest, checks) in zip(families, table.families):
+        tapping = [sum(k <= last for _, last in taps) for k in range(depth + 1)]
+        assert lasts[:, 0].tolist() == [last for _, last in taps] and deepest == max(lasts[:, 0])
+        expected = [
+            (side, [0 if r is None else n for r, n in zip(residual, tapping)] + [0])
+            for side, residual in enumerate(residuals) if any(r is not None for r in residual)
+        ]
+        assert [(side, charge.tolist()) for side, _, _, charge in checks] == expected

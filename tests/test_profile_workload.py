@@ -42,6 +42,29 @@ def test_a_budgeted_workload_shows_the_same_kernel_and_the_tiers_read_back():
     assert not any("sliced_join.py" in row for row in rows)
 
 
+def test_stages_prints_each_kernel_methods_share_of_the_quanta():
+    """``--stages`` times ``KERNEL``'s methods over a third pass and prints a
+    share per method, in that order, before the cProfile rows; a budgeted
+    workload past its budget spends some of it reading the log back."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "equi_spill", "--stages", "--arrivals", "512", "--warm-s", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.strip().splitlines()
+    stages = [row for row in rows if row.startswith("# stage ")]
+    assert [row.split(":")[0] for row in stages] == [
+        f"# stage {label}" for label in
+        ("sweep", "purge_cut", "probe", "HitBlock.__init__", "RouteTable.route", "_thaw", "SpillLog.read")
+    ]
+    shares = {row.split(":")[0][8:]: float(row.split(": ")[1].split(" %")[0]) for row in stages}
+    assert all(0 <= share <= 100 for share in shares.values())
+    assert shares["purge_cut"] <= shares["sweep"] and shares["SpillLog.read"] <= shares["_thaw"]
+    assert shares["probe"] > 0 and shares["RouteTable.route"] > 0 and shares["SpillLog.read"] > 0
+    assert rows.index(stages[-1]) < min(i for i, row in enumerate(rows) if "Ordered by" in row)
+
 
 def test_churn_replays_the_schedule_and_times_each_reshard_stage():
     """``--churn`` migrates before every quantum as ``bench/driver.py`` does:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.streams.tuples import (
@@ -11,6 +14,7 @@ from repro.streams.tuples import (
     Punctuation,
     RefTuple,
     StreamTuple,
+    build_all,
     make_tuple,
 )
 
@@ -91,3 +95,50 @@ class TestPunctuation:
 
     def test_default_source_is_empty(self):
         assert Punctuation(1.0).source == ""
+
+
+class FrozenValues(dict):
+    """A payload that hashes, so the records holding it do."""
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+
+def hashed(record):
+    """``hash(record)``, or the type of the error hashing raises."""
+    try:
+        return hash(record)
+    except TypeError as error:
+        return type(error)
+
+
+class TestBuildAll:
+    """``build_all`` makes, in bulk, the records the constructor makes."""
+
+    @pytest.mark.parametrize("payload", [dict, FrozenValues])
+    @pytest.mark.parametrize("kind", [StreamTuple, JoinedTuple])
+    def test_records_equal_hash_and_pickle_as_constructed_and_stay_frozen(self, kind, payload):
+        a = StreamTuple("A", 1.0, payload(k=1, v="x"), 7)
+        b = StreamTuple("B", 2.5, payload(k=1), 8)
+        rows = [(a.stream, a.timestamp, a.values, a.seqno), (b.stream, b.timestamp, b.values, b.seqno)]
+        if kind is JoinedTuple:
+            rows = [(a, b), (b, a)]
+        built = build_all(kind, len(rows), *zip(*rows))
+        made = [kind(*row) for row in rows]
+        assert built == made and [type(record) for record in built] == [kind, kind]
+        for record, reference in zip(built, made):
+            assert hashed(record) == hashed(reference)
+            assert hashed(record) is not TypeError or payload is dict
+            assert pickle.dumps(record) == pickle.dumps(reference)
+            assert pickle.loads(pickle.dumps(record)) == reference
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, kind.__slots__[0], None)
+
+    def test_no_rows_no_columns(self):
+        assert build_all(StreamTuple, 0) == []
+
+    def test_a_built_record_takes_no_default(self):
+        """Every field comes from its column: a stream tuple's seqno is not
+        drawn from the counter."""
+        (built,) = build_all(StreamTuple, 1, ["A"], [0.0], [{}], [-3])
+        assert built.seqno == -3 and built == StreamTuple("A", 0.0, {}, -3)
