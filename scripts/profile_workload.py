@@ -39,7 +39,8 @@ the routing is ``columns.py (route)`` under ``engine.py (_run_batch)``, with
 ``columns.py (joined)`` over ``tuples.py (build_all)`` building the delivered
 ``JoinedTuple``s; a budgeted one (``equi_spill``) runs the same chain and adds
 the tier — ``spill.py (read)`` under ``columns.py (_thaw)`` with
-``posix.pread`` / ``_pickle.loads`` / ``tuples.py (build_all)`` for the cold
+``spill.py (_gather)`` over ``posix.preadv`` / ``columns.py (unpack_records)``
+/ ``tuples.py (build_all)`` for the cold
 rows a batch reports, ``chain.py (evict_cold)`` over ``columns.py (evict)``
 and ``spill.py (append)`` for the rows it makes cold.
 """

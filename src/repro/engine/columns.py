@@ -36,15 +36,15 @@ float64 form and otherwise the bound scalar check over the same row ranges.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import accumulate, compress
 from operator import attrgetter, lt as _lt
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.engine.errors import ChainError, MigrationError
-from repro.query.predicates import EquiJoinCondition, TruePredicate
+from repro.query.predicates import EquiJoinCondition, ModularMatchCondition, TruePredicate
 from repro.streams.tuples import JoinedTuple, StreamTuple, build_all
 
 __all__ = [
@@ -54,6 +54,8 @@ __all__ = [
     "ProbeBinding",
     "RouteTable",
     "key_level",
+    "pack_records",
+    "unpack_records",
     "INT_EXACT_MAX",
     "FLOAT_EXACT_MAX",
 ]
@@ -82,6 +84,9 @@ _SEQNO, _TIMESTAMP = attrgetter("seqno"), attrgetter("timestamp")
 _EMPTY = np.zeros(0, np.intp)
 #: ``_died`` of a live row whose verdicts are valid / stale (any other value: a dead row).
 _LIVE, _STALE = 65535, 65534
+#: The ``refs`` entry of every cold row with a payload: its id, the record's
+#: name in the log, is ``_gone`` plus its offset.
+_COLD = type("Cold", (), {"__slots__": (), "__repr__": lambda self: "<cold>"})()
 
 
 def _rounded(values: Any, fill: int, size: int | None = None) -> np.ndarray:
@@ -312,8 +317,9 @@ class ChainColumn(ColumnarState):
     Under a memory budget the oldest live rows ``[0, cold)`` are *cold*: they
     keep their timestamp and key, so purging, cursor arithmetic and the probe
     mask run over them as over any row, but their payload lives in ``log``
-    (a :class:`~repro.engine.spill.SpillLog`) and their ``refs`` entry is the
-    row id to read it by.  Only rows that are reported are read back
+    (a :class:`~repro.engine.spill.SpillLog`) under their row id, and their
+    ``refs`` entry is the one shared ``_COLD`` (no object per row).  Only rows
+    that are reported are read back
     (:meth:`_thaw`): the placed hits of a batch, :meth:`slices` — and a row
     whose verdicts are stale, once, to be judged.
 
@@ -383,7 +389,11 @@ class ChainColumn(ColumnarState):
         (cold rows read from the log, which stays as it was)."""
         refs, head = self._refs, self._head
         if self.cold:
-            refs, head = self._thaw(refs[head:]), 0
+            refs, head = refs[head:], 0
+            held = np.flatnonzero([ref is _COLD for ref in refs[: self.cold]])
+            warm = [_COLD] * len(held)
+            self._thaw(held, warm)
+            deque(map(refs.__setitem__, held.tolist(), warm), maxlen=0)
         tops = [len(refs) - head, *self.cuts]
         return [
             [ref for ref in refs[head + cut : head + top] if ref is not None]
@@ -528,7 +538,10 @@ class ChainColumn(ColumnarState):
         rows = slice(self._head + top, self._head + new_top)
         alive = np.ones(new_top - top, bool) if alive is None else alive
         at = np.flatnonzero((self._died[rows] == _STALE) & alive) + rows.start
-        self._verdicts[at] = self.judge(self._thaw([self._refs[i] for i in at.tolist()]))
+        stale = list(map(self._refs.__getitem__, at.tolist()))
+        if self.cold:
+            self._thaw(at - self._head, stale)
+        self._verdicts[at] = self.judge(stale)
         self._died[at] = _LIVE
         passing = self.passes(self._verdicts[rows], link)
         fails = alive & ~passing
@@ -583,7 +596,8 @@ class ChainColumn(ColumnarState):
         valid = (ks < swept) & (rows < np.array(stops)[js]) & (self._died[rows + head] > ks)
         hits = np.flatnonzero(valid)
         found = list(map(refs.__getitem__, (rows[hits] + head).tolist()))
-        found = self._thaw(found) if self.cold else found  # no tuple is read for a non-hit
+        if self.cold:  # no tuple is read for a non-hit
+            self._thaw(rows[hits], found)
         if scalar:
             checks = list(map(binding.bind, males))
             passed = [bool(checks[j](ref)) for j, ref in zip(js[hits].tolist(), found)]  # a mask
@@ -597,26 +611,25 @@ class ChainColumn(ColumnarState):
         self._died[at[stale]] = _LIVE
         return js, ks, found, self._verdicts[at]
 
-    def _thaw(self, refs: list[Any]) -> list[Any]:
-        """``refs`` with every cold entry (a row id) replaced by that row's
-        tuple, each distinct row read from the log once."""
-        rows = sorted({ref for ref in refs if type(ref) is int})
-        if not rows:
-            return refs
-        warm = dict(zip(rows, self.log.read(rows)))
-        return [warm[ref] if type(ref) is int else ref for ref in refs]
+    def _thaw(self, rows: np.ndarray, found: list[Any]) -> None:
+        """Put in ``found``, in place of each cold one of ``rows`` (live rows with
+        a payload, ``found`` their ``refs`` entries), its tuple: each distinct
+        row read from the log once."""
+        cold = np.flatnonzero(rows < self.cold)
+        if len(cold):
+            ids, where = np.unique(rows[cold], return_inverse=True)
+            tuples = self.log.read(ids + self._gone)
+            deque(map(found.__setitem__, cold.tolist(), map(tuples.__getitem__, where.tolist())), maxlen=0)
 
     def evict(self, count: int) -> int:
         """Make the ``count`` oldest hot rows cold: their payloads go to the
-        log, their ``refs`` entries become row ids.  Returns how many payloads
+        log, their ``refs`` entries become ``_COLD``.  Returns how many payloads
         were written (a row filtered at a link has none)."""
         start = self._head + self.cold
         run = self._refs[start : start + count]
-        row = self._gone + self.cold
-        self.log.append(row, run)
-        marks = [None if ref is None else mark for mark, ref in enumerate(run, row)]
-        self._refs[start : start + len(run)] = marks
-        dead = marks.count(None)
+        self.log.append(self._gone + self.cold, run)
+        dead = run.count(None)
+        self._refs[start : start + len(run)] = [None if ref is None else _COLD for ref in run]
         self.cold += len(run)
         self._cold_dead += dead
         return len(run) - dead
@@ -652,6 +665,26 @@ class ChainColumn(ColumnarState):
                 self._cold_dead -= taken[:cold].count(None)
                 self.cold = max(0, cold - count)
                 self.log.free(self._gone)
+
+
+def pack_records(fields: Sequence[list[Any]], floats: Container[int], rows: list[bool]) -> np.ndarray:
+    """The fixed-width records of a :class:`~repro.engine.spill.SpillLog`:
+    an int64 word per field (``floats``: those stored as float64 bits) and a
+    row per entry of ``rows``, holding the values of ``fields`` at the true
+    entries, in order, and zeros at the others."""
+    words = np.zeros((len(rows), len(fields)), np.int64)
+    reals, at = words.view(np.float64), np.flatnonzero(rows)
+    for k, field in enumerate(fields):
+        (reals if k in floats else words)[at, k] = field
+    return words
+
+
+def unpack_records(data: bytes, at: np.ndarray, width: int, floats: Container[int]) -> list[list[Any]]:
+    """Per field, the values of records ``at`` of ``data``, records of ``width``
+    words that :func:`pack_records` wrote."""
+    gathered = np.frombuffer(data, np.int64).reshape(-1, width)[at]
+    reals = gathered.view(np.float64)
+    return [(reals if k in floats else gathered)[:, k].tolist() for k in range(width)]
 
 
 class HitBlock:
@@ -755,18 +788,26 @@ class RouteTable:
 
 
 def _map_kernels() -> None:
-    """Probe a one-row column, by mask and by the scalar check, and route and
-    iterate its hit once, at import.  numpy maps a routine's machine code
-    (64–128 KiB of it) at its first call; this charges the kernel's routines
-    to the import, not to the first session's growth."""
-    condition, flag, verdict = EquiJoinCondition("k", "k"), TruePredicate(), np.ones((1, 1), bool)
-    for key in (0, ""):  # a string key leaves the column no key column: the scalar check
+    """Probe a one-row column, by an equi mask, a modular mask and the scalar
+    check, and route and iterate its hit once, at import.  numpy maps a
+    routine's machine code (64–128 KiB of it) at its first call; this charges
+    the kernel's routines to the import, not to the first session's growth."""
+    equi, flag, verdict = EquiJoinCondition("k", "k"), TruePredicate(), np.ones((1, 1), bool)
+    # A string key leaves the column no key column: the scalar check.
+    for condition, key in ((equi, 0), (equi, ""), (ModularMatchCondition(1, 2, "k"), 0)):
         tup = StreamTuple("", 0.0, {"k": key}, 0)
         column = ChainColumn(ProbeBinding(condition, True), [[tup]])
         column.assign_filters([flag], [None])
         block = HitBlock(1, [(0, column.probe([tup], [[0]], [1]), [tup], verdict, [0])])
         RouteTable([([("", 0)], [flag], [None])], 1).route(block)
         list(block)
+    # ... the cold path's: records packed, a span of them gathered, a batch's
+    # cold hits deduped (numpy sorts 8 or more entries out of order with code
+    # of its own) and found in the log's segments ...
+    rows = np.arange(8)[::-1]
+    unpack_records(pack_records([[0.0] * 8, [0] * 8], {0}, [True] * 8).tobytes(), rows, 2, {0})
+    ids, _ = np.unique(rows[np.flatnonzero(rows < 8)], return_inverse=True)
+    ids.searchsorted([4, 8]), ids.searchsorted(4)
     # ... and a sweep's: a link's pass mask over the bits, the marks in ``_died``.
     passing, died = verdict[:, [0]].any(axis=1), np.full(1, _LIVE, np.uint16)
     died[passing & ~passing] = 1

@@ -8,10 +8,19 @@ The lazy-purge sliced chain stratifies its state by age, so "cold" is simply
   counters (segments written, evictions, cold rows decoded).
 * :class:`SpillLog` — the tier of every session, time or count windows: per
   stream, the payloads of a :class:`~repro.engine.columns.ChainColumn`'s cold
-  prefix, one pickled record per row.  Timestamps and keys of cold rows stay
-  in the column, so purges, cursors and the probe mask never touch the log; it
-  is read by row id, for the rows a batch reports (``docs/architecture.md``,
-  *The disk tier*).
+  prefix, one record per row.  Timestamps and keys of cold rows stay in the
+  column, so purges, cursors and the probe mask never touch the log; it is
+  read by row id, for the rows a batch reports (``docs/architecture.md``,
+  *The disk tier*).  A row of the layout the log learns from its first
+  ``int`` / ``float`` row is a fixed-width record ``timestamp, seqno,
+  value…`` (32 B for ``join_key, value``): its offset is arithmetic, and a
+  read takes a batch's rows of a segment in spans of at most
+  :data:`READ_SPAN_BYTES`, one ``pread`` and one numpy gather each, and
+  builds their payloads and tuples in bulk.  Any other row (another stream or
+  attribute order, a ``bool`` / ``str`` / huge-int / nested value, a
+  non-``dict`` payload) is a pickled record in a segment of that format,
+  read one ``pread`` each.  The column keeps no object per cold row: its
+  ``refs`` entry is one shared mark, and the row id is arithmetic too.
 * :class:`SpilledState` / :class:`SpillableJoinMixin` — PR 8's per-slice tier
   (a slice operator's state as mmap'd segment files behind the slice-state
   protocol).  No session, chain or operator uses it any more; see the note
@@ -34,10 +43,12 @@ import tempfile
 import weakref
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
+from collections import deque
+from itertools import accumulate, compress, groupby, repeat
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.engine.columns import ProbeBinding
+from repro.engine.columns import ProbeBinding, pack_records, unpack_records
 from repro.streams.tuples import StreamTuple, build_all, decode_batch, encode_batch
 
 __all__ = [
@@ -66,6 +77,14 @@ ROW_METADATA_BYTES = 32
 #: A :class:`SpillLog` starts a new segment file once the current one holds
 #: this many bytes: what the files on disk may exceed the live rows by.
 LOG_SEGMENT_BYTES = 256 * 1024
+
+#: A read of fixed-width records coalesces the wanted rows of a segment into
+#: spans of at most this many bytes, one ``pread`` and one gather each: its
+#: scratch stays bounded however much of the log one batch reports.
+READ_SPAN_BYTES = 64 * 1024
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_STREAM, _TIMESTAMP, _SEQNO, _VALUES = map(attrgetter, ("stream", "timestamp", "seqno", "values"))
 
 _SUFFIXES = {"": 1, "K": 1024, "M": 1024**2, "G": 1024**3}
 
@@ -152,66 +171,195 @@ class SpillStore:
 
 
 
+class _LogFile:
+    """One segment file of a :class:`SpillLog`: rows ``[first, end)`` in
+    ``size`` bytes, as fixed-width records (``offsets`` is ``None``) or as
+    pickled ones (record ``i`` is bytes ``[offsets[i], offsets[i + 1])``)."""
+
+    __slots__ = ("first", "end", "size", "offsets", "file")
+
+    def __init__(self, path: str, first: int, fixed: bool) -> None:
+        self.first = self.end = first
+        self.size = 0
+        self.offsets = None if fixed else array("q", [0])
+        self.file = open(path, "w+b", buffering=0)
+
+
+def _shape(tup: StreamTuple) -> tuple | None:
+    """What a fixed-width layout fixes of a row: its stream, its attribute
+    names in order and each field's exact type, timestamp and seqno first
+    (``None``: the payload is no ``dict``)."""
+    values = tup.values
+    if type(values) is not dict:
+        return None
+    return tup.stream, (*values,), type(tup.timestamp), type(tup.seqno), *map(type, values.values())
+
+
 class SpillLog:
     """One stream's cold payloads: an append-only log of one record per row,
     cut into segment files of :data:`LOG_SEGMENT_BYTES`.
 
     A row is named by the id its :class:`~repro.engine.columns.ChainColumn`
-    gives it; ids are consecutive, so a record is found by arithmetic.  Row
-    boundaries live in memory (a store is process-local), a read is one
-    ``pread`` of exactly one record (nothing is mapped, so cold bytes never
-    count as resident), and a file is unlinked once every row in it is freed.
+    gives it; ids are consecutive.  The first row whose fields are all plain
+    ``int`` / ``float`` fixes the log's *layout* — its stream, attribute
+    names in order and field types: a row of that layout (ints within int64)
+    is a fixed-width record ``timestamp, seqno, value…`` of 8-byte words,
+    found by arithmetic and read in bulk (:meth:`read`).  Any other row —
+    another stream or attribute order, a non-``dict`` payload, a ``bool`` /
+    ``str`` / huge-int / nested value — is a pickled record, in a segment of
+    that format; a change of format starts a new segment.  Nothing is mapped
+    (reads are positional, ``pread`` / ``preadv``, so cold bytes never count
+    as resident), and a file is unlinked once every row in it is freed.
     """
 
-    __slots__ = ("store", "_segments")
+    __slots__ = ("store", "_segments", "_shape", "_floats", "_empty", "_scratch")
 
     def __init__(self, store: SpillStore) -> None:
         self.store = store
-        #: Oldest first, ``(first row, offsets, file)``: record ``i`` of a
-        #: segment is row ``first + i``, bytes ``[offsets[i], offsets[i + 1])``.
-        self._segments: list[tuple[int, array, Any]] = []
+        #: Oldest first, each one's ``first`` the previous one's ``end``.
+        self._segments: list[_LogFile] = []
+        #: The layout once a row fixes it: the row's :func:`_shape`, which
+        #: words are floats, and an empty payload in attribute order.
+        self._shape: tuple | None = None
+        self._floats: frozenset[int] = frozenset()
+        self._empty: dict[str, None] = {}
+        #: What a span is read into, allocated at the first read (a fresh
+        #: buffer per span would leave the heap fragmented).
+        self._scratch: memoryview | None = None
 
-    def append(self, row: int, tuples: Iterable[StreamTuple | None]) -> None:
+    def append(self, row: int, tuples: Sequence[StreamTuple | None]) -> None:
         """Write the records of rows ``row``, ``row + 1``, … — ``None`` (a
-        row filtered at a link: no payload) as an empty record."""
-        records = [
-            b"" if tup is None else pickle.dumps(
-                (tup.stream, tup.timestamp, tup.values, tup.seqno), pickle.HIGHEST_PROTOCOL
-            )
-            for tup in tuples
-        ]
-        segments = self._segments
+        row filtered at a link: no payload) as an empty record, of the
+        format in hand."""
+        tuples = list(tuples)
+        fixed, words = self._pack(tuples)
         done = 0
-        while done < len(records):
-            if not segments or segments[-1][1][-1] >= LOG_SEGMENT_BYTES:
-                path = self.store.new_segment_path()
-                segments.append((row + done, array("q", [0]), open(path, "w+b", buffering=0)))
-            _, offsets, file = segments[-1]
-            ends = list(accumulate(map(len, records[done:]), initial=offsets[-1]))[1:]
-            fit = bisect_left(ends, LOG_SEGMENT_BYTES) + 1  # up to the record that fills it
-            offsets.extend(ends[:fit])
-            file.write(b"".join(records[done : done + fit]))
-            done += fit
+        for fits, run in groupby(None if tup is None else fits for tup, fits in zip(tuples, fixed)):
+            stop = done + len(list(run))
+            if fits is None:
+                fits = self._segments[-1].offsets is None if self._segments else self._shape is not None
+            while done < stop:
+                done += self._write(row + done, fits, words[done:stop], tuples[done:stop])
 
-    def read(self, rows: Sequence[int]) -> list[StreamTuple]:
-        """The tuples of ``rows`` (ascending ids of rows with a payload)."""
+    def _pack(self, tuples: list[StreamTuple | None]) -> tuple[list[bool], Any]:
+        """Per row, whether it is a record of the layout (fixed by the first
+        row that can be one), and the records as rows of int64 words (zeros
+        for the other rows)."""
+        if self._shape is None:
+            for shape in map(_shape, filter(None, tuples)):
+                if shape is not None and all(kind in (int, float) for kind in shape[2:]):
+                    self._shape, self._empty = shape, dict.fromkeys(shape[1])
+                    self._floats = frozenset(k for k, kind in enumerate(shape[2:]) if kind is float)
+                    break
+            else:
+                return [False] * len(tuples), pack_records([], self._floats, [False] * len(tuples))
+        fixed = [tup is not None for tup in tuples]
+        fields = self._fields(list(compress(tuples, fixed)))
+        if fields is None:  # a row of another shape among them: judge them one by one
+            fixed = [tup is not None and _shape(tup) == self._shape for tup in tuples]
+            fields = self._fields(list(compress(tuples, fixed)))
+        ints = [field for k, field in enumerate(fields) if k not in self._floats and field]
+        if any(min(field) < _INT64_MIN or max(field) > _INT64_MAX for field in ints):
+            at = list(compress(range(len(tuples)), fixed))
+            for field in ints:  # a row holding an int beyond int64 is pickled
+                for i, value in zip(at, field):
+                    fixed[i] = fixed[i] and _INT64_MIN <= value <= _INT64_MAX
+            fields = self._fields(list(compress(tuples, fixed)))
+        return fixed, pack_records(fields, self._floats, fixed)
+
+    def _fields(self, rows: list[StreamTuple]) -> list[list[Any]] | None:
+        """Per field of the layout (timestamp, seqno, each attribute) its values
+        in ``rows``, or ``None`` unless every row is of the layout: a bulk check,
+        a set per property."""
+        stream, names, *kinds = self._shape
+        payloads = list(map(_VALUES, rows))
+        if not (
+            {*map(_STREAM, rows)} <= {stream}
+            and {*map(type, payloads)} <= {dict}
+            and {*map(tuple, payloads)} <= {names}
+        ):
+            return None
+        fields = [list(map(_TIMESTAMP, rows)), list(map(_SEQNO, rows))]
+        fields += [list(map(itemgetter(name), payloads)) for name in names]
+        return fields if all({*map(type, field)} <= {kind} for field, kind in zip(fields, kinds)) else None
+
+    def _write(self, row: int, fixed: bool, words: Any, tuples: list[StreamTuple | None]) -> int:
+        """Write records of rows ``row``, … (all of one format) to the segment
+        in hand, or to a new one if it is full or of the other format; returns
+        how many went (up to the record that fills the segment)."""
+        segments = self._segments
+        last = segments[-1] if segments else None
+        if last is None or (last.offsets is None) is not fixed or last.size >= LOG_SEGMENT_BYTES:
+            segments.append(_LogFile(self.store.new_segment_path(), row, fixed))
+        segment = segments[-1]
+        if fixed:
+            width = words.shape[1] * 8
+            count = min(len(words), -(-(LOG_SEGMENT_BYTES - segment.size) // width))
+            segment.file.write(words[:count])
+            segment.size += count * width
+        else:
+            records = [
+                b"" if tup is None else pickle.dumps(
+                    (tup.stream, tup.timestamp, tup.values, tup.seqno), pickle.HIGHEST_PROTOCOL
+                )
+                for tup in tuples
+            ]
+            ends = list(accumulate(map(len, records), initial=segment.size))[1:]
+            count = min(len(records), bisect_left(ends, LOG_SEGMENT_BYTES) + 1)
+            segment.offsets.extend(ends[:count])
+            segment.file.write(b"".join(records[:count]))
+            segment.size = ends[count - 1]
+        segment.end += count
+        return count
+
+    def read(self, rows: Any) -> list[StreamTuple]:
+        """The tuples of ``rows`` (an intp array of ascending distinct ids of
+        rows with a payload)."""
         self.store.cold_reads += len(rows)
-        records: list[bytes] = []
-        segments = iter(self._segments)
-        end = -1  # the row the segment in hand ends before
-        for row in rows:
-            while row >= end:
-                first, offsets, file = next(segments)
-                fd, end = file.fileno(), first + len(offsets) - 1
-            start = offsets[row - first]
-            records.append(os.pread(fd, offsets[row - first + 1] - start, start))
-        return build_all(StreamTuple, len(rows), *zip(*map(pickle.loads, records)))
+        segments = self._segments
+        ends = rows.searchsorted([segment.end for segment in segments]).tolist()
+        tuples: list[StreamTuple] = []
+        for segment, low, high in zip(segments, [0, *ends], ends):
+            if high > low:
+                part = rows[low:high] - segment.first
+                tuples += (self._gather if segment.offsets is None else self._unpickle)(segment, part)
+        return tuples
+
+    def _gather(self, segment: _LogFile, part: Any) -> list[StreamTuple]:
+        """The fixed-width records ``part`` (ascending rows of ``segment``): per
+        span of at most :data:`READ_SPAN_BYTES` one ``pread`` and one gather,
+        then a list per field and the tuples built in bulk."""
+        shape, count, words = self._shape, len(part), len(self._shape) - 2
+        if self._scratch is None:
+            self._scratch = memoryview(bytearray(READ_SPAN_BYTES))
+        span, fd, first = READ_SPAN_BYTES // (8 * words), segment.file.fileno(), 0
+        stamps, seqnos, *fields = columns = [[] for _ in range(words)]
+        while first < count:
+            low = int(part[first])
+            last = int(part.searchsorted(low + span))
+            data = self._scratch[: (int(part[last - 1]) + 1 - low) * 8 * words]
+            os.preadv(fd, [data], low * 8 * words)
+            unpacked = unpack_records(data, part[first:last] - low, words, self._floats)
+            for column, values in zip(columns, unpacked):
+                column += values
+            first = last
+        payloads = list(map(dict.copy, repeat(self._empty, count)))
+        for name, values in zip(shape[1], fields):
+            deque(map(dict.__setitem__, payloads, repeat(name, count), values), maxlen=0)
+        return build_all(StreamTuple, count, repeat(shape[0], count), stamps, payloads, seqnos)
+
+    @staticmethod
+    def _unpickle(segment: _LogFile, part: Any) -> list[StreamTuple]:
+        """The pickled records ``part`` of ``segment``: a ``pread`` each."""
+        fd, offsets = segment.file.fileno(), segment.offsets
+        records = [os.pread(fd, offsets[i + 1] - offsets[i], offsets[i]) for i in part.tolist()]
+        return build_all(StreamTuple, len(part), *zip(*map(pickle.loads, records)))
 
     def free(self, row: float) -> None:
         """Every row below ``row`` is gone: unlink the files holding no other."""
         segments = self._segments
-        while segments and segments[0][0] + len(segments[0][1]) - 1 <= row:
-            file = segments.pop(0)[2]
+        while segments and segments[0].end <= row:
+            file = segments.pop(0).file
             file.close()
             try:
                 os.unlink(file.name)
@@ -220,8 +368,13 @@ class SpillLog:
 
     def live_bytes(self, row: int) -> int:
         """Bytes of the records from ``row``, the oldest row kept, on."""
-        first, offsets, _ = self._segments[0]
-        return sum(segment[1][-1] for segment in self._segments) - offsets[row - first]
+        oldest = self._segments[0]
+        skipped = row - oldest.first
+        if oldest.offsets is None:
+            skipped *= 8 * (len(self._shape) - 2)
+        else:
+            skipped = oldest.offsets[skipped]
+        return sum(segment.size for segment in self._segments) - skipped
 
 
 # From here to the end of the module: the per-slice tier count sessions ran

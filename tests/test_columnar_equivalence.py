@@ -425,14 +425,15 @@ run.session.close()
 
 
 @pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="needs /proc/self/smaps")
-@pytest.mark.parametrize("workload", ["equi_shared", "equi_spill"])
-def test_an_equi_session_runs_no_numpy_routine_the_import_did_not_map(workload):
+@pytest.mark.parametrize("workload", ["equi_shared", "equi_spill", "theta_scan"])
+def test_a_session_runs_no_numpy_routine_the_import_did_not_map(workload):
     """numpy maps a routine's machine code at its first call, and a session
     that calls one first after its set-up counts it as its own memory growth
     (``rss_growth_mb``).  ``columns._map_kernels`` probes, places, routes
-    and iterates a hit at import, by mask and by the scalar check, so three
-    stream-seconds of an equi-join session — filters, routing, cold rows
-    read back — map no more of numpy's code."""
+    and iterates a hit at import, by an equi mask, a modular mask and the
+    scalar check, and packs, gathers and dedupes cold records, so three
+    stream-seconds of a session — filters, routing, a modular condition,
+    cold rows written and read back — map no more of numpy's code."""
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, "-c", MAPPED_CODE, workload], capture_output=True, text=True, timeout=120,

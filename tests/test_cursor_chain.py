@@ -115,7 +115,7 @@ BUDGETS = [None, None, 0, 200, 1500, 6000]
 
 def evict(chain, store, budget):
     """Enforce a drawn budget on the cursor chain, then recount the tier: the
-    cold prefix holds row ids or nothing, the hot rows tuples or nothing, and
+    cold prefix holds the shared cold mark or nothing, the hot rows tuples or nothing, and
     the estimate's terms are what a row-by-row count finds."""
     if budget is not None:
         resident, _ = chain.evict_cold(store, budget, TUPLE_BYTES)
@@ -124,7 +124,7 @@ def evict(chain, store, budget):
     for column in chain._columns:
         live = column._refs[column._head :]
         cold, hot = live[: column.cold], live[column.cold :]
-        assert all(ref is None or type(ref) is int for ref in cold)
+        assert all(ref is None or ref is columns._COLD for ref in cold)
         assert all(ref is None or type(ref) is StreamTuple for ref in hot)
         assert column._cold_dead == cold.count(None)
         assert column.tiers()[:2] == (sum(ref is not None for ref in hot), len(cold))
@@ -579,7 +579,7 @@ def test_a_cold_row_is_judged_at_a_link_through_the_tier_and_never_reported_agai
     assert store.cold_reads == reads + 1  # ``high``, for its hit
     assert cursor.state_tuples("B") == [[], [high]]
     column = cursor._columns[1]
-    assert column._refs[column._head : column._head + 2] == [None, column._gone + 1]
+    assert column._refs[column._head : column._head + 2] == [None, columns._COLD]
     evict(cursor, store, None)
     reads = store.cold_reads
     feed(cursor, operators, [arrival("A", 1.6), arrival("A", 1.7)])
@@ -610,7 +610,7 @@ def test_a_stale_cold_row_is_read_back_once_to_be_judged_at_a_link(store):
 def test_the_scalar_check_reads_cold_rows_back(store, hostile):
     """(h) Without an exact mask — a condition that has none, or an equi-join
     whose key column a string just invalidated — the bound scalar check needs
-    payloads: handed a row id it raises, and skipping cold rows loses their
+    payloads: handed a cold mark it raises, and skipping cold rows loses their
     matches."""
     condition = EQUI if hostile else ThetaJoinCondition(lambda a, b: a["join_key"] <= b["join_key"])
     cursor, operators = (cls([0, 1, 2], condition) for cls in (SlicedJoinChain, OperatorJoinChain))
@@ -628,7 +628,7 @@ def test_the_scalar_check_reads_cold_rows_back(store, hostile):
 def test_keyed_extract_and_ingest_over_a_half_cold_column(store):
     """(i) ``extract_keyed_state(predicate)`` judges cold rows as tuples and
     reloads the column hot (the log's files go); ``ingest`` merges into a
-    column that is cold again.  Taking row ids for tuples raises; reloading
+    column that is cold again.  Taking cold marks for tuples raises; reloading
     without releasing the log leaks its files."""
     cursor, operators = (cls([0, 1, 2], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain))
     rows = [arrival("AB"[step % 2], 0.1 * step, key=step % 3) for step in range(24)]
@@ -651,7 +651,7 @@ def test_keyed_extract_and_ingest_over_a_half_cold_column(store):
 
 def test_introspection_leaves_the_tier_as_it_found_it(store):
     """(j) ``state_tuples`` / ``states_are_disjoint`` read cold rows without
-    re-warming them: same cursor, same row ids in ``refs``, same files, and
+    re-warming them: same cursor, same cold marks in ``refs``, same files, and
     the estimate a budget is held to does not move."""
     chain, hot = (SlicedJoinChain([0, 1, 2], EQUI) for _ in range(2))
     rows = [arrival("AB"[step % 2], 0.1 * step) for step in range(16)]

@@ -14,12 +14,18 @@ per-item reference).
 
 from __future__ import annotations
 
+import math
 import os
+import struct
+from collections import OrderedDict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.chain import CursorChain
 from repro.engine import spill
+from repro.engine import columns
 from repro.engine.columns import ProbeBinding
 from repro.engine.spill import (
     ROW_METADATA_BYTES,
@@ -27,7 +33,7 @@ from repro.engine.spill import (
     SpillStore,
     parse_memory_budget,
 )
-from repro.query.predicates import EquiJoinCondition, selectivity_join
+from repro.query.predicates import ComparisonPredicate, EquiJoinCondition, selectivity_join
 from repro.runtime import ShardedStreamEngine, StreamEngine
 from repro.runtime.engine import CHAIN_KINDS, QueryError
 from repro.streams.tuples import StreamTuple
@@ -151,6 +157,104 @@ def test_spill_store_close_removes_segment_directory():
     store.close()  # idempotent
 
 
+# -- SpillLog: both record formats round-trip exactly --------------------------
+
+#: Rows of the layout a log learns (an int key and a float value, in this
+#: order) come most often, so runs of fixed-width records form between the
+#: rows that must be pickled.
+EDGE_INTS = [0, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**70]
+EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]
+ODD_VALUES = st.one_of(
+    st.booleans(), st.text(max_size=3), st.none(), st.sampled_from(EDGE_INTS),
+    st.lists(st.integers(), max_size=2), st.tuples(st.floats()), st.dictionaries(st.text(max_size=1), st.integers()),
+)
+
+
+@st.composite
+def log_rows(draw):
+    """A row of the log's stream ``A``: ``None`` (no payload), the layout's
+    shape (an int key past int64 included), or a payload that is not (a
+    ``bool`` key, odd values, missing or reordered attributes, another
+    stream, a non-``dict`` mapping, an int timestamp)."""
+    kind = draw(st.sampled_from(
+        ["fixed"] * 6 + ["none", "flag", "odd", "order", "missing", "stream", "mapping", "stamp"]
+    ))
+    if kind == "none":
+        return None
+    key = draw(st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(EDGE_INTS)))
+    value = draw(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)))
+    values = {"join_key": key, "value": value}
+    stream, timestamp = "A", draw(st.floats(0, 1e9))
+    if kind == "flag":
+        values["join_key"] = draw(st.booleans())
+    elif kind == "odd":
+        values[draw(st.sampled_from(sorted(values)))] = draw(ODD_VALUES)
+    elif kind == "order":
+        values = {"value": value, "join_key": key}
+    elif kind == "missing":
+        del values["value"]
+    elif kind == "stream":
+        stream = "B"
+    elif kind == "mapping":
+        values = OrderedDict(values)
+    elif kind == "stamp":
+        timestamp = int(timestamp)
+    return StreamTuple(stream, timestamp, values, draw(st.integers(0, 2**63 - 1)))
+
+
+def exactly(a, b):
+    """``a`` and ``b`` are the same value of the same type: floats bit for bit
+    (``-0.0``, every NaN), mappings key order included."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, StreamTuple):
+        return all(exactly(getattr(a, name), getattr(b, name)) for name in StreamTuple.__slots__)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(exactly(a[key], b[key]) for key in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(exactly, a, b))
+    return a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(log_rows(), min_size=1, max_size=60),
+    chunks=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+    first=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_a_log_reads_back_every_row_exactly_in_either_format(rows, chunks, first, data):
+    """Appended in chunks across 96 B segments, every row with a payload reads
+    back as appended — type for type, ``-0.0`` and NaN bit for bit, key order
+    kept — in any ascending subset, before and after a ``free``; the live
+    bytes are the files' bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spill, "LOG_SEGMENT_BYTES", 96)
+        patch.setattr(spill, "READ_SPAN_BYTES", 64)  # two 32 B records a span
+        store, done, reads = SpillStore(), 0, 0
+        log = spill.SpillLog(store)
+        while done < len(rows):
+            size = chunks[done % len(chunks)]
+            log.append(first + done, rows[done : done + size])
+            done += size
+        held = [first + i for i, row in enumerate(rows) if row is not None]
+        for cut in (first, data.draw(st.integers(first, first + len(rows)), label="freed below")):
+            log.free(cut)
+            kept = [row for row in held if row >= cut]
+            wanted = sorted(data.draw(st.sets(st.sampled_from(kept))) if kept else [])
+            for ids in (wanted, kept):
+                read, reads = log.read(np.array(ids, np.intp)), reads + len(ids)
+                assert len(read) == len(ids)
+                assert all(exactly(rows[row - first], tup) for row, tup in zip(ids, read))
+            files = [os.path.join(store._directory, name) for name in os.listdir(store._directory)]
+            oldest = log._segments[0].first if log._segments else None
+            assert sum(map(os.path.getsize, files)) == (log.live_bytes(oldest) if files else 0)
+        assert store.cold_reads == reads
+        store.close()
+
+
 # -- engine-level budget contract ----------------------------------------------
 
 
@@ -267,6 +371,30 @@ def test_resident_estimate_stays_within_the_budget_or_the_rows_metadata(window_k
     engine.close()
 
 
+def test_a_cold_row_holds_no_object_of_its_own_and_fits_its_metadata_estimate():
+    """A cold row's ``refs`` entry is the one shared cold mark (``None``: no
+    payload), and its in-core bytes are its entries in the column arrays
+    (timestamp, key, ``_died``, a verdict byte per filter) plus a list slot:
+    within the ``ROW_METADATA_BYTES`` a budget charges it, with no offsets
+    entry, as every record is fixed-width."""
+    engine = StreamEngine(
+        EquiJoinCondition("join_key", "join_key", key_domain=4), memory_budget_bytes=2048
+    )
+    some = ComparisonPredicate("join_key", ">=", 1)  # filters a row in four at link 1
+    engine.add_query("Q", 1.5, left_filter=some, right_filter=some)
+    engine.add_query("R", 0.4)
+    engine.process_many(interleaved(400))
+    engine.flush()
+    for column in engine._chain._columns:
+        cold = column._refs[column._head : column._head + column.cold]
+        assert column.cold > 100 and None in cold and set(map(id, cold)) == {id(None), id(columns._COLD)}
+        assert all(segment.offsets is None for segment in column.log._segments)
+        arrays = (column._ts, column._keys, column._died, column._verdicts)
+        per_row = sum(array.itemsize * (array.size // len(array)) for array in arrays)
+        assert column._verdicts.shape[1] >= 1 and per_row + struct.calcsize("P") <= ROW_METADATA_BYTES
+    engine.close()
+
+
 def test_log_files_never_exceed_live_bytes_plus_a_segment_per_stream(monkeypatch):
     """Over 25 window lengths the files on disk stay within the live spilled
     bytes plus one segment per stream: a segment is unlinked as soon as every
@@ -302,7 +430,7 @@ def test_every_way_out_releases_the_log(monkeypatch):
     """``drop_tail_slice``, a reload (``ChainColumn.load``: keyed extract and
     ingest), query teardown and ``close()`` each delete the files of the rows
     they discard or re-materialize."""
-    monkeypatch.setattr(spill, "LOG_SEGMENT_BYTES", 1024)
+    monkeypatch.setattr(spill, "LOG_SEGMENT_BYTES", 512)  # 16 of its 32 B records a file
     engine = StreamEngine(
         EquiJoinCondition("join_key", "join_key", key_domain=4),
         memory_budget_bytes=1024,
@@ -321,7 +449,7 @@ def test_every_way_out_releases_the_log(monkeypatch):
     engine.remove_query("Q")  # drop-tail: what stays is the 0.5 s head
     assert all(column.cuts == [0] for column in engine._chain._columns)
     spilled = engine._chain.memory_bytes(engine._tuple_bytes)[1]
-    assert spilled <= sum(map(os.path.getsize, spill_files(engine))) <= spilled + 2 * (1024 + 128)
+    assert spilled <= sum(map(os.path.getsize, spill_files(engine))) <= spilled + 2 * (512 + 128)
     assert len(spill_files(engine)) < 12
     state = engine.extract_keyed_state()  # the export cut of a reshard
     assert spill_files(engine) == [] and engine.state_size() == 0
