@@ -170,19 +170,12 @@ class CursorChain(SlicedChainBase):
             column.release()
 
     # -- keyed state repartition ------------------------------------------------
-    def extract_keyed_state(self, predicate=None) -> list[dict[str, list[StreamTuple]]]:
+    def extract_keyed_state(self) -> list[dict[str, list[StreamTuple]]]:
         state = [{} for _ in self._bounds[1:]]
         for stream, column in zip(self._streams, self._columns):
             taken = column.slices()
-            kept: list[list] = [[] for _ in taken]
-            if predicate is not None:
-                resident, taken = taken, [[] for _ in taken]
-                for k, tuples in enumerate(resident):
-                    for tup in tuples:
-                        (taken[k] if predicate(tup) else kept[k]).append(tup)
-            if predicate is None or any(taken):
-                column.load(kept)
-                self._place(column)
+            column.load([[] for _ in taken])
+            self._place(column)
             for entry, tuples in zip(state, taken):
                 entry[stream] = tuples
         return state

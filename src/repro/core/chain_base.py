@@ -157,12 +157,11 @@ class SlicedChainBase:
 
         The receiving half of the repartition primitive behind
         :meth:`repro.runtime.sharding.ShardedStreamEngine.reshard`; the donor
-        half, ``extract_keyed_state(predicate=None)``, removes and returns
-        the resident tuples matching ``predicate`` (``None``: all) as one
-        ``{stream: [tuples]}`` map per slice, head slice first, each list in
-        the ``(timestamp, seqno)`` arrival order every purge relies on.
-        ``state`` must have one entry per slice of this chain (the donor
-        chain must therefore hold the same boundaries — the admission
+        half, ``extract_keyed_state()``, removes and returns every resident
+        tuple as one ``{stream: [tuples]}`` map per slice, head slice first,
+        each list in the ``(timestamp, seqno)`` arrival order every purge
+        relies on.  ``state`` must have one entry per slice of this chain (the
+        donor chain must therefore hold the same boundaries — the admission
         fan-out invariant of a sharded session).  Each slice merges the
         incoming tuples with its resident ones in that order.  Returns the
         total number of tuples spliced in.

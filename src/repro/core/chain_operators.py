@@ -95,10 +95,10 @@ class OperatorJoinChain(TimeChainBase):
         return [join.state_tuples(stream) for join in self.joins]
 
     # -- keyed state repartition ------------------------------------------------
-    def extract_keyed_state(self, predicate=None) -> list[dict[str, list[StreamTuple]]]:
+    def extract_keyed_state(self) -> list[dict[str, list[StreamTuple]]]:
         return [
             {
-                stream: join.extract_state(stream, predicate)
+                stream: join.extract_state(stream)
                 for stream in (self.left_stream, self.right_stream)
             }
             for join in self.joins

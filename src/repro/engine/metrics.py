@@ -31,8 +31,9 @@ __all__ = [
 ]
 
 #: Entries an observability log keeps (the newest win).  An always-on session
-#: appends to its migration and policy logs forever, and a sharded session
-#: ships the migration log whole on every ``stats`` read.
+#: appends to its migration log, and a sharded one to its reshard log, for as
+#: long as it runs; a sharded session ships the migration log whole on every
+#: ``stats`` read.
 LOG_LIMIT = 256
 
 
@@ -185,7 +186,8 @@ class MetricsCollector:
         self.tuples_ingested = 0
         #: Per-stream ingest counters (populated when callers pass a stream).
         self.ingested: dict[str, int] = defaultdict(int)
-        #: Free-form monotone counters (a session's ``spill.*`` deltas).
+        #: Free-form monotone counters (a session's ``engine.batches`` and
+        #: its disk tier's ``spill.*`` counts).
         #: Observations are bookkeeping, not simulated work: they never enter
         #: ``cpu_cost``.
         self.observations: dict[str, float] = defaultdict(float)
@@ -343,32 +345,6 @@ class MetricsCollector:
         if cost <= 0:
             return 0.0
         return self.total_emitted / cost
-
-    def merge(self, other: "MetricsCollector") -> None:
-        """Fold another collector's counters into this one."""
-        for key, value in other.comparisons.items():
-            self.comparisons[key] += value
-        for key, value in other.invocations.items():
-            self.invocations[key] += value
-        for key, value in other.emitted.items():
-            self.emitted[key] += value
-        for key, value in other.ingested.items():
-            self.ingested[key] += value
-        for key, value in other.observations.items():
-            self.observations[key] += value
-        self.memory_samples.extend(other.memory_samples)
-        if other._memory_readings:
-            self._memory_readings += other._memory_readings
-            self._memory_tuples_sum += other._memory_tuples_sum
-            self._memory_tuples_max = max(self._memory_tuples_max, other._memory_tuples_max)
-            self._resident_bytes = other._resident_bytes
-            self._spilled_bytes = other._spilled_bytes
-            self._resident_bytes_max = max(self._resident_bytes_max, other._resident_bytes_max)
-        self.tuples_ingested += other.tuples_ingested
-        self.reshards += other.reshards
-        self.reshard_tuples_moved += other.reshard_tuples_moved
-        self.respawns += other.respawns
-        self.observe_time(other.last_timestamp)
 
     def snapshot(self) -> MetricsSnapshot:
         """Point-in-time view of every counter (a flat ``{key: float}`` map).

@@ -4,8 +4,9 @@ The lazy-purge sliced chain stratifies its state by age, so "cold" is simply
 *the oldest rows*.  This module provides the cold half:
 
 * :class:`SpillStore` — one per engine: a lazily-created temporary
-  directory holding append-only segment files, plus the session-wide spill
-  counters (segments written, evictions, cold rows decoded).
+  directory holding append-only segment files.  Its counters (segments
+  written, evictions, cold rows decoded) are ``spill.*`` observations of the
+  engine's :class:`~repro.engine.metrics.MetricsCollector`.
 * :class:`SpillLog` — the tier of every session, time or count windows: per
   stream, the payloads of a :class:`~repro.engine.columns.ChainColumn`'s cold
   prefix, one record per row.  Timestamps and keys of cold rows stay in the
@@ -49,6 +50,7 @@ from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.engine.columns import ProbeBinding, pack_records, unpack_records
+from repro.engine.metrics import MetricsCollector
 from repro.streams.tuples import StreamTuple, build_all, decode_batch, encode_batch
 
 __all__ = [
@@ -123,25 +125,42 @@ def estimate_tuple_bytes(tup: StreamTuple) -> int:
     return size
 
 
+def _observed(name: str) -> property:
+    """A store counter kept only as the ``name`` observation of the store's
+    collector: reading it reads the observation, ``+=`` adds to it."""
+
+    def read(store: "SpillStore") -> int:
+        return int(store.metrics.observations.get(name, 0))
+
+    def add(store: "SpillStore", value: int) -> None:
+        store.metrics.observe(name, value - read(store))
+
+    return property(read, add)
+
+
 class SpillStore:
-    """Holder of one engine's spill segments and spill counters.
+    """Holder of one engine's spill segments.
 
     The backing directory is created lazily on the first segment write and
     removed by :meth:`close` (or by garbage collection, via a finalizer —
     segments are an execution-time cache, never a persistence layer).
     """
 
+    #: Segment files written over the store's lifetime (monotone).
+    segments_written = _observed("spill.segments")
+    #: Moves to the disk tier by budget enforcement (monotone): rows whose
+    #: payload went to a :class:`SpillLog`.
+    evictions = _observed("spill.evictions")
+    #: Rows decoded back from segment files (monotone).
+    cold_reads = _observed("spill.cold_reads")
+
     def __init__(self) -> None:
         self._directory: str | None = None
         self._finalizer: weakref.finalize | None = None
         self._sequence = 0
-        #: Segment files written over the store's lifetime (monotone).
-        self.segments_written = 0
-        #: Moves to the disk tier by budget enforcement (monotone): rows whose
-        #: payload went to a :class:`SpillLog`.
-        self.evictions = 0
-        #: Rows decoded back from segment files (monotone).
-        self.cold_reads = 0
+        #: Where the counters above live: a session sets its own collector
+        #: here, so they are observations of its snapshot as they happen.
+        self.metrics = MetricsCollector()
 
     def _ensure_directory(self) -> str:
         if self._directory is None:

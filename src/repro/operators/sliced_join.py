@@ -68,26 +68,14 @@ class KeyedStateMixin:
     is all this mixin requires.
     """
 
-    def extract_state(self, stream: str, predicate=None) -> list[StreamTuple]:
-        """Remove and return one stream's resident tuples matching ``predicate``.
+    def extract_state(self, stream: str) -> list[StreamTuple]:
+        """Remove and return one stream's resident tuples, in arrival order.
 
         The donor half of the repartition primitive: a reshard exports whole
-        states with ``predicate=None`` and buckets them by key in the
-        coordinator; a keyed ``predicate`` supports donor-side filtering
-        (e.g. splitting one slice's state by key in place).  The remaining
-        tuples keep their arrival order.
+        states and buckets them by key in the coordinator.
         """
-        state = self._states[stream]
-        if predicate is None:
-            extracted = list(state)
-            self.load_state(stream, ())
-            return extracted
-        extracted: list[StreamTuple] = []
-        kept: list[StreamTuple] = []
-        for tup in state:
-            (extracted if predicate(tup) else kept).append(tup)
-        if extracted:
-            self.load_state(stream, kept)
+        extracted = list(self._states[stream])
+        self.load_state(stream, ())
         return extracted
 
     def ingest_state(self, stream: str, tuples: Iterable[StreamTuple]) -> int:

@@ -68,7 +68,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.core.chain import SlicedJoinChain
 from repro.core.chain_base import SlicedChainBase
@@ -176,7 +176,8 @@ class MigrationEvent:
 
 @dataclass
 class EngineStats:
-    """Aggregate counters of one engine session."""
+    """A session's counters as read: built from its metrics snapshot, which
+    is where they are kept."""
 
     arrivals: int = 0
     batches: int = 0
@@ -185,22 +186,17 @@ class EngineStats:
     migrations: list[MigrationEvent] = field(default_factory=list)
 
     @classmethod
-    def aggregate(cls, stats: Iterable["EngineStats"]) -> "EngineStats":
-        """Fold the stats of several shard sessions into one global view.
-
-        Counters sum; the migration history is taken from the first session
-        — a sharded engine fans every admission out to all shards, so the
-        shards' migration sequences are replicas of each other (only the
-        per-shard ``arrival_count`` stamps differ).
-        """
-        merged = cls()
-        for entry in stats:
-            merged.arrivals += entry.arrivals
-            merged.batches += entry.batches
-            merged.results_delivered += entry.results_delivered
-            if not merged.migrations:
-                merged.migrations = list(entry.migrations)
-        return merged
+    def read(
+        cls, snapshot: Mapping[str, float], migrations: list[MigrationEvent]
+    ) -> "EngineStats":
+        """The counters of ``snapshot`` (one session's, or a sharded
+        session's merged view) beside a migration log."""
+        return cls(
+            arrivals=int(snapshot.get("ingested.total", 0)),
+            batches=int(snapshot.get("observations.engine.batches", 0)),
+            results_delivered=int(snapshot.get("emitted.total", 0)),
+            migrations=list(migrations),
+        )
 
 
 class StreamEngine:
@@ -214,8 +210,6 @@ class StreamEngine:
         :class:`~repro.query.query.QueryWorkload`).
     left_stream / right_stream:
         Names of the two input streams.
-    metrics:
-        Optional shared metrics collector for cost accounting.
     window_kind:
         ``"time"`` (default) for sliding windows in seconds over a
         :class:`~repro.core.chain.SlicedJoinChain`, or ``"count"`` for
@@ -245,7 +239,6 @@ class StreamEngine:
         condition: JoinCondition,
         left_stream: str = "A",
         right_stream: str = "B",
-        metrics: MetricsCollector | None = None,
         window_kind: str = "time",
         memory_budget_bytes: int | None = None,
     ) -> None:
@@ -260,9 +253,12 @@ class StreamEngine:
         self.condition = condition
         self.left_stream = left_stream
         self.right_stream = right_stream
-        self.metrics = metrics if metrics is not None else MetricsCollector()
+        #: The one store of the session's counters: :attr:`stats` and the
+        #: disk tier's ``spill.*`` counts are read from it.
+        self.metrics = MetricsCollector()
         self.window_kind = window_kind
-        self._stats = EngineStats()
+        #: The newest :data:`~repro.engine.metrics.LOG_LIMIT` migrations.
+        self._migrations: list[MigrationEvent] = []
         self._chain: SlicedChainBase | None = None
         self._queries: dict[str, RegisteredQuery] = {}
         self._results: dict[str, list[JoinedTuple]] = {}
@@ -283,7 +279,6 @@ class StreamEngine:
         self.memory_budget_bytes = memory_budget_bytes
         self._spill_store: SpillStore | None = None
         self._tuple_bytes: int | None = None
-        self._spill_reported: dict[str, int] = {}
 
     # -- admission -------------------------------------------------------------
     def add_query(
@@ -338,7 +333,7 @@ class StreamEngine:
                 self._record_migration("split", window)
                 inserted = index + 1
         query = RegisteredQuery(
-            name, window, self._stats.arrivals,
+            name, window, self.metrics.tuples_ingested,
             self._shared(left_filter), self._shared(right_filter),
         )
         self._queries[name] = query
@@ -449,9 +444,8 @@ class StreamEngine:
         if not batch:
             return
         self._pending = []
-        self._stats.arrivals += len(batch)
-        self._stats.batches += 1
         metrics = self.metrics
+        metrics.observe("engine.batches")
         left_arrivals = sum(1 for tup in batch if tup.stream == self.left_stream)
         right_arrivals = len(batch) - left_arrivals
         metrics.record_ingest(left_arrivals, self.left_stream)
@@ -467,14 +461,11 @@ class StreamEngine:
         # one JoinedTuple, shared by the queries receiving it.
         deliveries, select_count = self._table.route(chain.process_batch(batch))
         results = self._results
-        delivered = 0
         for query_name, joined in deliveries:
             results[query_name].extend(joined)
             metrics.record_emission(query_name, len(joined))
-            delivered += len(joined)
         if select_count:
             metrics.count(CostCategory.SELECT, select_count)
-        self._stats.results_delivered += delivered
         if self._tuple_bytes is None:
             self._tuple_bytes = max(64, estimate_tuple_bytes(batch[0]))
         resident, spilled = chain.memory_bytes(self._tuple_bytes)
@@ -483,34 +474,13 @@ class StreamEngine:
             # Move cold state out until the estimate fits (the chain says what).
             if self._spill_store is None:
                 self._spill_store = SpillStore()
+                self._spill_store.metrics = metrics
             resident, spilled = chain.evict_cold(self._spill_store, budget, self._tuple_bytes)
         metrics.sample_memory(
             batch[-1].timestamp, chain.state_size(), resident, spilled
         )
-        self._report_spill_counters()
 
     # -- tiered state (memory budget) -------------------------------------------
-    def _report_spill_counters(self) -> None:
-        """Publish the store's counter deltas as metric observations.
-
-        Observations are counters in the snapshot (diff/aggregate-safe), so
-        per-window estimates and sharded merges see monotone values.
-        """
-        store = self._spill_store
-        if store is None:
-            return
-        reported = self._spill_reported
-        metrics = self.metrics
-        for name, value in (
-            ("spill.segments", store.segments_written),
-            ("spill.evictions", store.evictions),
-            ("spill.cold_reads", store.cold_reads),
-        ):
-            delta = value - reported.get(name, 0)
-            if delta > 0:
-                metrics.observe(name, delta)
-                reported[name] = value
-
     def close(self) -> None:
         """Release the disk tier: segment files and the store directory.
 
@@ -545,20 +515,19 @@ class StreamEngine:
         return delivered
 
     # -- keyed state repartition (live resharding) ------------------------------
-    def extract_keyed_state(self, predicate=None) -> list[dict[str, list[StreamTuple]]]:
-        """Drain, then remove and return resident tuples matching ``predicate``.
+    def extract_keyed_state(self) -> list[dict[str, list[StreamTuple]]]:
+        """Drain, then remove and return every resident tuple.
 
         One ``{stream: [tuples]}`` map per slice, in chain order — the donor
         half of the repartition primitive behind
-        :meth:`repro.runtime.sharding.ShardedStreamEngine.reshard`.
-        ``predicate`` is evaluated per resident tuple; ``None`` extracts
-        everything.  An idle engine (no queries, hence no chain) returns an
-        empty list.
+        :meth:`repro.runtime.sharding.ShardedStreamEngine.reshard`.  Cold
+        rows read back count as ``spill.cold_reads``.  An idle engine (no
+        queries, hence no chain) returns an empty list.
         """
         self._drain()
         if self._chain is None:
             return []
-        return self._chain.extract_keyed_state(predicate)
+        return self._chain.extract_keyed_state()
 
     def ingest_keyed_state(
         self, state: "list[dict[str, list[StreamTuple]]]"
@@ -616,9 +585,10 @@ class StreamEngine:
 
     @property
     def stats(self) -> EngineStats:
-        """The session's counters (buffered arrivals are run first)."""
+        """The session's counters, read from :attr:`metrics` (buffered
+        arrivals are run first)."""
         self._drain()
-        return self._stats
+        return EngineStats.read(self.metrics.snapshot(), self._migrations)
 
     def state_size(self) -> int:
         """Total tuples resident across the chain's join states (buffered
@@ -741,11 +711,11 @@ class StreamEngine:
 
     def _record_migration(self, kind: str, boundary: float) -> None:
         append_bounded(
-            self._stats.migrations,
+            self._migrations,
             MigrationEvent(
                 kind=kind,
                 boundary=boundary,
-                arrival_count=self._stats.arrivals,
+                arrival_count=self.metrics.tuples_ingested,
                 boundaries_after=self.boundaries,
             ),
         )
@@ -753,7 +723,7 @@ class StreamEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"<StreamEngine kind={self.window_kind} queries={len(self._queries)} "
-            f"slices={self.slice_count()} arrivals={self._stats.arrivals}>"
+            f"slices={self.slice_count()} arrivals={self.metrics.tuples_ingested}>"
         )
 
 

@@ -70,9 +70,9 @@ from repro.engine.errors import (
     ShardingError,
     check_arrival_order,
 )
-from repro.engine.metrics import MetricsCollector, MetricsSnapshot
+from repro.engine.metrics import MetricsCollector, MetricsSnapshot, append_bounded
 from repro.query.predicates import EquiJoinCondition, JoinCondition, Predicate, TruePredicate
-from repro.runtime.engine import BLOCK, EngineStats, RegisteredQuery
+from repro.runtime.engine import BLOCK, EngineStats, MigrationEvent, RegisteredQuery
 from repro.runtime.partition import (
     relayer,
     repartition,
@@ -552,13 +552,15 @@ class ShardedStreamEngine:
         #: Session-level collector: reshard events and moved-tuple accounting
         #: (per-shard work lives in the shard engines' own collectors).
         self.metrics = MetricsCollector()
-        #: Reshard history, newest last (see :class:`ReshardEvent`).
+        #: The newest :data:`~repro.engine.metrics.LOG_LIMIT` reshards, newest
+        #: last (see :class:`ReshardEvent`).
         self.reshard_events: list[ReshardEvent] = []
         # Carryover views across reshard generations: undelivered per-query
-        # results and retired EngineStats/metrics counters.
+        # results, retired metrics counters and the oldest generation's
+        # migration log (later generations replay the same admissions).
         self._carryover: dict[str, list[JoinedTuple]] = {}
-        self._stats_base: EngineStats | None = None
         self._snapshot_base: MetricsSnapshot | None = None
+        self._migrations: list[MigrationEvent] = []
         # Admissions, removals and reshards serialize on this lock (a reshard
         # must never observe a half-fanned-out admission); the owner check
         # turns same-thread re-entry into an error instead of a deadlock.
@@ -962,7 +964,7 @@ class ShardedStreamEngine:
                 arrivals=self._arrivals,
                 stream_time=stream_time,
             )
-            self.reshard_events.append(event)
+            append_bounded(self.reshard_events, event)
             return event
 
     def _export_shards(self) -> list[dict]:
@@ -986,15 +988,13 @@ class ShardedStreamEngine:
 
     def _retire_counters(self, exports: Sequence[dict]) -> None:
         """Fold the retiring generation's counters into the session-level
-        bases.
+        base, and keep its migration log if no older generation left one.
 
         Memory gauges are dropped: generations overlap in time, so their
         occupancies must not sum.
         """
-        stats_parts = [export["stats"] for export in exports]
-        if self._stats_base is not None:
-            stats_parts.insert(0, self._stats_base)
-        self._stats_base = EngineStats.aggregate(stats_parts)
+        if not self._migrations:
+            self._migrations = exports[0]["stats"].migrations
         snapshot_parts = [export["snapshot"] for export in exports]
         if self._snapshot_base is not None:
             snapshot_parts.insert(0, self._snapshot_base)
@@ -1043,17 +1043,15 @@ class ShardedStreamEngine:
 
     @property
     def stats(self) -> EngineStats:
-        """Aggregated session counters (migrations from the first shard —
-        the fan-out keeps every shard's migration sequence identical).
-
-        Counters of generations retired by :meth:`reshard` are included;
-        the migration history shown is the oldest generation's (each
-        reshard replays admissions, so later generations repeat it).
+        """The session's counters, read from :meth:`merged_snapshot` (so
+        generations retired by :meth:`reshard` are included), and the
+        migration history of the first shard — the fan-out keeps every
+        shard's migration sequence identical.  After a reshard the history
+        shown is the oldest generation's (each reshard replays admissions, so
+        later generations repeat it).
         """
-        current = self._shard_states("stats")
-        if self._stats_base is not None:
-            current.insert(0, self._stats_base)
-        return EngineStats.aggregate(current)
+        migrations = self._migrations or self._shard_states("stats")[0].migrations
+        return EngineStats.read(self.merged_snapshot(), migrations)
 
     @property
     def boundaries(self) -> tuple[float, ...]:

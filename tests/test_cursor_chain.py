@@ -203,7 +203,7 @@ def test_cursor_chain_equals_per_item_operator_chain(
     store.close()
 
 
-OPERATIONS = ["split", "merge", "merge0", "append", "drop", "filters", "extract", "extract_all"]
+OPERATIONS = ["split", "merge", "merge0", "append", "drop", "filters", "extract"]
 
 
 def migrate(chain, operation, fraction, floors):
@@ -227,13 +227,20 @@ def migrate(chain, operation, fraction, floors):
     elif operation == "filters":
         chain.set_link_filters(link_filters(floors, slices))
     else:
-        predicate = None if operation == "extract_all" else (lambda tup: tup.seqno % 3 == index % 3)
-        state = chain.extract_keyed_state(predicate)
-        if predicate is not None:
-            assert all(predicate(tup) for entry in state for tuples in entry.values() for tup in tuples)
-        assert chain.ingest_keyed_state(state) == sum(
-            len(tuples) for entry in state for tuples in entry.values()
-        )
+        state = chain.extract_keyed_state()
+        assert chain.state_size() == 0
+        # Back in two parts, the second into a non-empty column.
+        for part in (True, False):
+            share = [
+                {
+                    stream: [tup for tup in tuples if (tup.seqno % 3 == index % 3) == part]
+                    for stream, tuples in entry.items()
+                }
+                for entry in state
+            ]
+            assert chain.ingest_keyed_state(share) == sum(
+                len(tuples) for entry in share for tuples in entry.values()
+            )
         return state
     return True
 
@@ -626,23 +633,28 @@ def test_the_scalar_check_reads_cold_rows_back(store, hostile):
 
 
 def test_keyed_extract_and_ingest_over_a_half_cold_column(store):
-    """(i) ``extract_keyed_state(predicate)`` judges cold rows as tuples and
-    reloads the column hot (the log's files go); ``ingest`` merges into a
-    column that is cold again.  Taking cold marks for tuples raises; reloading
-    without releasing the log leaks its files."""
+    """(i) ``extract_keyed_state()`` reads cold rows back as tuples and
+    empties the column (the log's files go); ``ingest`` merges into a
+    non-empty column that is half cold again.  Taking cold marks for tuples
+    raises; reloading without releasing the log leaks its files."""
     cursor, operators = (cls([0, 1, 2], EQUI) for cls in (SlicedJoinChain, OperatorJoinChain))
     rows = [arrival("AB"[step % 2], 0.1 * step, key=step % 3) for step in range(24)]
     feed(cursor, operators, rows)
     cursor.evict_cold(store, 12 * TUPLE_BYTES, TUPLE_BYTES)
     assert all(0 < column.cold < len(column) for column in cursor._columns)
     assert len(os.listdir(store._directory)) == 2  # one log per stream
-    moved = [chain.extract_keyed_state(lambda tup: tup["join_key"] == 2) for chain in (cursor, operators)]
+    moved = [chain.extract_keyed_state() for chain in (cursor, operators)]
     assert moved[0] == moved[1] and all(entry["A"] and entry["B"] for entry in moved[0])
-    assert os.listdir(store._directory) == []
+    assert os.listdir(store._directory) == [] and cursor.state_size() == 0
     assert_same_state(cursor, operators)
-    freeze(cursor, store)
+    refill = [arrival("AB"[step % 2], 2.32 + 0.01 * step, key=step % 3) for step in range(8)]
+    feed(cursor, operators, refill)
+    cursor.evict_cold(store, 6 * TUPLE_BYTES, TUPLE_BYTES)
+    assert all(0 < column.cold < len(column) for column in cursor._columns)
     for chain, state in zip((cursor, operators), moved):
-        assert chain.ingest_keyed_state(state) == 7
+        assert chain.ingest_keyed_state(state) == sum(
+            len(tuples) for entry in state for tuples in entry.values()
+        )
     assert os.listdir(store._directory) == []
     assert_same_state(cursor, operators)
     feed(cursor, operators, [arrival("A", 2.45, key=1), arrival("B", 2.5, key=2)])

@@ -57,20 +57,6 @@ class TestMetricsCollector:
     def test_service_rate_zero_cost(self):
         assert MetricsCollector().service_rate() == 0.0
 
-    def test_merge_folds_counters(self):
-        first = MetricsCollector()
-        first.count(CostCategory.PROBE, 5)
-        first.record_emission("Q1", 2)
-        second = MetricsCollector()
-        second.count(CostCategory.PROBE, 7)
-        second.record_invocation("op")
-        second.record_memory_sample(1.0, 3)
-        first.merge(second)
-        assert first.comparisons[CostCategory.PROBE] == 12
-        assert first.total_invocations == 1
-        assert len(first.memory_samples) == 1
-        assert first.max_state_memory() == 3
-
     def test_memory_gauges_are_constant_size(self):
         """A live session's per-batch readings must not accumulate.
 

@@ -32,6 +32,7 @@ from collections import defaultdict
 import pytest
 
 from repro.core.chain import SlicedJoinChain
+from repro.engine import metrics
 from repro.engine.errors import ExecutionError, MigrationError, ShardingError
 from repro.operators.sliced_join import SlicedBinaryJoin
 from repro.query.predicates import CrossProductCondition, EquiJoinCondition
@@ -272,6 +273,26 @@ def test_noop_reshard_is_not_recorded():
     assert sharded.metrics.reshards == 0
 
 
+def test_reshards_keep_the_oldest_migration_history_and_the_newest_events(monkeypatch):
+    """``stats.migrations`` stays the first generation's history (each later
+    generation replays its admissions at arrival 0), and ``reshard_events``
+    keeps the newest ``LOG_LIMIT`` reshards, as the migration log does."""
+    monkeypatch.setattr(metrics, "LOG_LIMIT", 3)
+    sharded = ShardedStreamEngine(CONDITION, shards=2)
+    sharded.add_query("Q", 2.0)
+    sharded.process_many(make_stream(count=40))
+    sharded.add_query("R", 1.0)
+    history = sharded.stats.migrations
+    assert [(event.kind, event.arrival_count > 0) for event in history] == [
+        ("create", False),
+        ("split", True),
+    ]
+    events = [sharded.reshard(target) for target in (3, 2, 4, 1, 2)]
+    assert sharded.reshard_events == events[-3:]
+    assert sharded.stats.migrations == history
+    sharded.close()
+
+
 def test_reshard_target_must_be_a_whole_number():
     sharded = ShardedStreamEngine(CONDITION, shards=2)
     sharded.add_query("Q", 2.0)
@@ -432,21 +453,20 @@ def test_process_mode_worker_death_exhausts_its_respawn_budget(monkeypatch):
 # ---------------------------------------------------------------------------
 # The extract/ingest primitives
 # ---------------------------------------------------------------------------
-def test_operator_extract_and_ingest_by_key_predicate():
+def test_operator_extract_and_ingest_whole_state():
     join = SlicedBinaryJoin(0.0, 2.0, CONDITION)
     tuples = make_stream(count=40, spacing=0.01)
     for tup in tuples:
         join.process(tup, "left" if tup.stream == "A" else "right")
     before = {s: join.state_tuples(s) for s in ("A", "B")}
-    taken = {
-        s: join.extract_state(s, lambda t: t["join_key"] % 2 == 0)
-        for s in ("A", "B")
-    }
+    taken = {s: join.extract_state(s) for s in ("A", "B")}
     for stream in ("A", "B"):
-        assert all(t["join_key"] % 2 == 0 for t in taken[stream])
-        assert all(t["join_key"] % 2 == 1 for t in join.state_tuples(stream))
-        # Ingest splices them back in (timestamp, seqno) order.
-        assert join.ingest_state(stream, taken[stream]) == len(taken[stream])
+        assert taken[stream] == before[stream] and join.state_tuples(stream) == []
+        # Ingest splices them back in (timestamp, seqno) order, the odd keys
+        # into a state already holding the even ones.
+        for odd in (0, 1):
+            part = [t for t in taken[stream] if t["join_key"] % 2 == odd]
+            assert join.ingest_state(stream, part) == len(part)
         assert join.state_tuples(stream) == before[stream]
     # The reloaded state still probes correctly.
     probe = make_tuple("A", 2.0, join_key=tuples[-1]["join_key"], value=0.0)

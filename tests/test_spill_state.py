@@ -501,3 +501,24 @@ def test_reshard_export_cut_releases_every_retiring_log():
     )
     assert any(engine._spill_store is not None for engine in shard_engines(sharded))
     sharded.close()
+
+
+def test_a_reshard_export_counts_the_cold_rows_it_reads():
+    """The export cut reads every cold row of the retiring shards back into
+    tuples; the session's merged snapshot counts those reads as
+    ``spill.cold_reads``, as it counts a batch's (the counter lives in each
+    shard's collector, and the retired collectors are folded in)."""
+    condition = EquiJoinCondition("join_key", "join_key", key_domain=8)
+    sharded = ShardedStreamEngine(condition, shards=2, memory_budget_bytes=4096)
+    sharded.add_query("Q", 1.5)
+    sharded.process_many(interleaved(200, key_domain=8))
+    before = sharded.merged_snapshot().get("observations.spill.cold_reads", 0.0)
+    cold = sum(
+        column._refs[column._head :].count(columns._COLD)
+        for engine in shard_engines(sharded)
+        for column in engine._chain._columns
+    )
+    assert cold > 0
+    sharded.reshard(3)
+    assert sharded.merged_snapshot().get("observations.spill.cold_reads", 0.0) == before + cold
+    sharded.close()

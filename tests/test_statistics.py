@@ -55,14 +55,3 @@ class TestSnapshotDiff:
         metrics.record_invocation("late_op", 2)
         delta = metrics.snapshot().diff(before)
         assert delta["invocations.late_op"] == 2.0
-
-    def test_merge_folds_new_counters(self):
-        first = MetricsCollector()
-        second = MetricsCollector()
-        second.record_ingest(4, stream="A")
-        second.observe("x", 2)
-        second.observe_time(7.0)
-        first.merge(second)
-        assert first.ingested["A"] == 4
-        assert first.observations["x"] == 2
-        assert first.last_timestamp == 7.0
