@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.memory_study import FIGURE_17_PANELS, run_panel
-from repro.experiments.report import format_memory_points
+from repro.experiments.figures import FIGURES, run_panel
+from repro.experiments.report import format_points
 
 #: Rates swept per panel.  The paper uses (20, 40, 60, 80); trimming the
 #: sweep keeps the full six-panel benchmark suite under a couple of minutes.
@@ -24,20 +24,20 @@ RATES = (20, 40, 60, 80)
 TIME_SCALE = 0.1
 
 
-@pytest.mark.parametrize("panel", sorted(FIGURE_17_PANELS))
+@pytest.mark.parametrize("panel", sorted(FIGURES[17].panels))
 def test_fig17_state_memory(panel, benchmark, write_result):
     points = benchmark.pedantic(
         run_panel,
-        kwargs={"panel": panel, "rates": RATES, "time_scale": TIME_SCALE},
+        kwargs={"figure": 17, "panel": panel, "rates": RATES, "time_scale": TIME_SCALE},
         rounds=1,
         iterations=1,
     )
-    windows, s1, s_sigma = FIGURE_17_PANELS[panel]
+    windows, s1, s_sigma = FIGURES[17].panels[panel]
     header = (
         f"Figure 17({panel}): windows={windows}, S1={s1}, Ssigma={s_sigma}, "
         f"time_scale={TIME_SCALE}\n"
     )
-    write_result(f"fig17{panel}_memory", header + format_memory_points(points, panel))
+    write_result(f"fig17{panel}_memory", header + format_points(points, 17, panel))
 
     by_key = {(p.strategy, p.rate): p.memory_tuples for p in points}
     for rate in RATES:

@@ -12,28 +12,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.cpu_study import FIGURE_18_PANELS, run_panel
-from repro.experiments.report import format_service_rate_points
+from repro.experiments.figures import FIGURES, run_panel
+from repro.experiments.report import format_points
 
 RATES = (20, 40, 60, 80)
 TIME_SCALE = 0.1
 
 
-@pytest.mark.parametrize("panel", sorted(FIGURE_18_PANELS))
+@pytest.mark.parametrize("panel", sorted(FIGURES[18].panels))
 def test_fig18_service_rate(panel, benchmark, write_result):
     points = benchmark.pedantic(
         run_panel,
-        kwargs={"panel": panel, "rates": RATES, "time_scale": TIME_SCALE},
+        kwargs={"figure": 18, "panel": panel, "rates": RATES, "time_scale": TIME_SCALE},
         rounds=1,
         iterations=1,
     )
-    windows, s1, s_sigma = FIGURE_18_PANELS[panel]
+    windows, s1, s_sigma = FIGURES[18].panels[panel]
     header = (
         f"Figure 18({panel}): windows={windows}, S1={s1}, Ssigma={s_sigma}, "
         f"time_scale={TIME_SCALE}\n"
     )
     write_result(
-        f"fig18{panel}_service_rate", header + format_service_rate_points(points, panel)
+        f"fig18{panel}_service_rate", header + format_points(points, 18, panel)
     )
 
     by_key = {(p.strategy, p.rate): p.service_rate for p in points}

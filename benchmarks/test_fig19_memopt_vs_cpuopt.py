@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.chain_study import FIGURE_19_PANELS, chain_shapes, run_panel
-from repro.experiments.report import format_chain_points
+from repro.experiments.figures import FIGURES, run_panel
+from repro.experiments.report import format_points
 
 RATES = (20, 40, 60, 80)
 TIME_SCALE = 0.04
@@ -23,23 +23,28 @@ TIME_SCALE = 0.04
 PANEL_RATES = {"d": (20, 40, 60), "e": (20, 40)}
 
 
-@pytest.mark.parametrize("panel", sorted(FIGURE_19_PANELS))
+@pytest.mark.parametrize("panel", sorted(FIGURES[19].panels))
 def test_fig19_memopt_vs_cpuopt(panel, benchmark, write_result):
     rates = PANEL_RATES.get(panel, RATES)
     points = benchmark.pedantic(
         run_panel,
-        kwargs={"panel": panel, "rates": rates, "time_scale": TIME_SCALE},
+        kwargs={"figure": 19, "panel": panel, "rates": rates, "time_scale": TIME_SCALE},
         rounds=1,
         iterations=1,
     )
-    windows, query_count = FIGURE_19_PANELS[panel]
-    shapes = chain_shapes(panel, rate=rates[-1], time_scale=TIME_SCALE)
+    windows, query_count = FIGURES[19].panels[panel]
+    # The chains the two strategies ran at the top rate.
+    slices = {p.strategy: p.slices for p in points if p.rate == rates[-1]}
+    shapes = {
+        "mem_opt_slices": slices["state-slice-mem-opt"],
+        "cpu_opt_slices": slices["state-slice-cpu-opt"],
+    }
     header = (
         f"Figure 19({panel}): windows={windows}, queries={query_count}, S1=0.025, "
         f"time_scale={TIME_SCALE}\n"
         f"chain shapes: {shapes}\n"
     )
-    write_result(f"fig19{panel}_memopt_vs_cpuopt", header + format_chain_points(points, panel))
+    write_result(f"fig19{panel}_memopt_vs_cpuopt", header + format_points(points, 19, panel))
 
     by_key = {(p.strategy, p.rate): p.service_rate for p in points}
     for rate in rates:

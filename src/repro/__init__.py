@@ -3,8 +3,7 @@ Optimization of Window-based Stream Queries" (Wang et al., VLDB 2006).
 
 The package is organised in layers:
 
-* :mod:`repro.streams` — tuple model, schemas and synthetic stream
-  generators;
+* :mod:`repro.streams` — tuple model and synthetic stream generators;
 * :mod:`repro.engine` — the DSMS micro-kernel (operators, plans, the one
   synchronous executor, cost accounting);
 * :mod:`repro.operators` — stream operators, including the sliced window

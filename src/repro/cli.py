@@ -9,16 +9,14 @@ Exposes the most common tasks without writing Python:
     python -m repro figure   11
     python -m repro table    2
     python -m repro optimize --queries 12 --windows small-large
-    python -m repro chains   --queries 12 --windows small-large --rate 60
     python -m repro cost     --rho 0.25 --ssigma 0.2 --s1 0.1
     python -m repro runtime  --stats
 
 ``compare`` runs every sharing strategy on one configuration; ``figure`` and
 ``table`` regenerate the paper's figures/tables; ``optimize`` runs the chain
-optimizers and prices the candidates under the analytical cost model
-(``chains`` is its older, cost-silent sibling); ``cost`` evaluates the
-analytical two-query cost model; ``runtime`` demos a live session admitting
-queries mid-stream.
+optimizers, prints both chains and prices them under the analytical cost
+model; ``cost`` evaluates the analytical two-query cost model; ``runtime``
+demos a live session admitting queries mid-stream.
 """
 
 from __future__ import annotations
@@ -36,20 +34,11 @@ from repro.core.cost_model import (
 )
 from repro.core.cpu_opt import build_cpu_opt_chain
 from repro.core.mem_opt import build_mem_opt_chain
-from repro.core.merge_graph import ChainCostParameters
 from repro.experiments.analytical import figure_11a, figure_11b, figure_11c
-from repro.experiments.chain_study import run_panel as chain_panel
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.cpu_study import run_panel as cpu_panel
-from repro.experiments.harness import compare_strategies, make_workload
-from repro.experiments.memory_study import run_panel as memory_panel
-from repro.experiments.report import (
-    format_chain_points,
-    format_memory_points,
-    format_service_rate_points,
-    format_table,
-    format_trace,
-)
+from repro.experiments.config import STREAM_RATES, ExperimentConfig
+from repro.experiments.figures import FIGURES, run_panel
+from repro.experiments.harness import chain_parameters, compare_strategies, make_workload
+from repro.experiments.report import format_points, format_table, format_trace
 from repro.experiments.traces import table_2_trace
 
 __all__ = ["main", "build_parser"]
@@ -82,17 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = subparsers.add_parser("table", help="regenerate a table (2)")
     table.add_argument("number", type=int, choices=(2,))
-
-    chains = subparsers.add_parser(
-        "chains", help="show the Mem-Opt and CPU-Opt chains for a workload"
-    )
-    chains.add_argument("--queries", type=int, default=12)
-    chains.add_argument("--windows", default="small-large")
-    chains.add_argument("--rate", type=float, default=40.0)
-    chains.add_argument("--s1", type=float, default=0.025)
-    chains.add_argument("--ssigma", type=float, default=1.0)
-    chains.add_argument("--csys", type=float, default=0.25, help="per-operator overhead")
-    chains.add_argument("--time-scale", type=float, default=1.0)
 
     optimize = subparsers.add_parser(
         "optimize",
@@ -246,32 +224,11 @@ def _cmd_figure(args: argparse.Namespace) -> str:
                 ["surface", "max %"], rows))
         return "\n\n".join(sections)
 
-    panels = args.panels
-    rates = tuple(args.rates) if args.rates else (20, 40, 60, 80)
-    if args.number == 17:
-        panels = panels or ["b"]
-        scale = args.time_scale or 0.1
-        parts = []
-        for panel in panels:
-            points = memory_panel(panel, rates=rates, time_scale=scale)
-            parts.append(f"Figure 17({panel}):\n" + format_memory_points(points, panel))
-        return "\n\n".join(parts)
-    if args.number == 18:
-        panels = panels or ["b"]
-        scale = args.time_scale or 0.1
-        parts = []
-        for panel in panels:
-            points = cpu_panel(panel, rates=rates, time_scale=scale)
-            parts.append(
-                f"Figure 18({panel}):\n" + format_service_rate_points(points, panel)
-            )
-        return "\n\n".join(parts)
-    panels = panels or ["c"]
-    scale = args.time_scale or 0.04
+    rates = tuple(args.rates or STREAM_RATES)
     parts = []
-    for panel in panels:
-        points = chain_panel(panel, rates=rates, time_scale=scale)
-        parts.append(f"Figure 19({panel}):\n" + format_chain_points(points, panel))
+    for panel in args.panels or [FIGURES[args.number].default_panel]:
+        points = run_panel(args.number, panel, rates, args.time_scale)
+        parts.append(f"Figure {args.number}({panel}):\n" + format_points(points, args.number, panel))
     return "\n\n".join(parts)
 
 
@@ -279,34 +236,8 @@ def _cmd_table(args: argparse.Namespace) -> str:
     return "Table 2 (regenerated trace):\n" + format_trace(table_2_trace())
 
 
-def _cmd_chains(args: argparse.Namespace) -> str:
-    config = ExperimentConfig(
-        rate=args.rate,
-        window_distribution=args.windows,
-        query_count=args.queries,
-        join_selectivity=args.s1,
-        filter_selectivity=args.ssigma,
-        time_scale=args.time_scale,
-        system_overhead=args.csys,
-    )
-    workload = make_workload(config)
-    params = ChainCostParameters(
-        arrival_rate_left=config.rate,
-        arrival_rate_right=config.rate,
-        system_overhead=config.system_overhead,
-    )
-    mem_opt = build_mem_opt_chain(workload)
-    cpu_opt = build_cpu_opt_chain(workload, params)
-    return (
-        f"workload: {config.label()}\n\n"
-        f"Mem-Opt chain ({len(mem_opt)} slices):\n{mem_opt.describe()}\n\n"
-        f"CPU-Opt chain ({len(cpu_opt)} slices, Csys={args.csys:g}):\n{cpu_opt.describe()}"
-    )
-
-
 def _cmd_optimize(args: argparse.Namespace) -> str:
     from repro.core.merge_graph import chain_cpu_cost, chain_memory_cost
-    from repro.experiments.harness import chain_parameters
 
     config = ExperimentConfig(
         rate=args.rate,
@@ -557,7 +488,6 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "figure": _cmd_figure,
     "table": _cmd_table,
-    "chains": _cmd_chains,
     "optimize": _cmd_optimize,
     "cost": _cmd_cost,
     "runtime": _cmd_runtime,

@@ -84,6 +84,13 @@ class CursorChain(SlicedChainBase):
             for stores_left in (True, False)
         )
 
+    #: The name a slice's invocations are counted under, from its bounds.
+    _slice_name = staticmethod(_slice_name)
+
+    def _retire_slices(self, index: int, count: int = 1) -> None:
+        starts = self._bounds[index : index + count + 1]
+        self.metrics.retire(map(self._slice_name, starts, starts[1:]))
+
     def _place(self, column: ChainColumn) -> None:
         """Put ``column``'s cursors where this kind keeps them, after a load —
         which leaves them at the ends of the lists it was given: a time

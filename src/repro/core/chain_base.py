@@ -88,6 +88,11 @@ class SlicedChainBase:
     def _describe_slice(self, start, end) -> str:
         return f"[{start:g},{end:g})"
 
+    def _retire_slices(self, index: int, count: int = 1) -> None:
+        """Slices ``index`` to ``index + count`` are about to lose their
+        bounds (migration hook): a chain that names a slice by its bounds
+        retires those names from its collector."""
+
     def _on_slice_inserted(self, index: int) -> None:
         """A slice was inserted at ``index`` (migration bookkeeping hook)."""
 
@@ -184,6 +189,7 @@ class SlicedChainBase:
             raise MigrationError(
                 f"cannot merge slice {index}: it has no successor in the chain"
             )
+        self._retire_slices(index, 2)
         self._merge(index)
         del self._bounds[index + 1]
         self._on_slice_removed(index + 1)
@@ -212,6 +218,7 @@ class SlicedChainBase:
         every remaining window)."""
         if self.slice_count() < 2:
             raise MigrationError("cannot drop the only slice of a chain")
+        self._retire_slices(self.slice_count() - 1)
         self._drop_tail()
         self._bounds.pop()
         self._on_slice_removed(self.slice_count())
@@ -227,6 +234,7 @@ class SlicedChainBase:
                 f"split boundary {boundary:g} must lie strictly inside "
                 f"{self._describe_slice(start, end)}"
             )
+        self._retire_slices(index)
         self._bounds.insert(index + 1, boundary)
         self._on_slice_inserted(index + 1)
 
@@ -298,7 +306,9 @@ class TimeChainBase(SlicedChainBase):
         self._filters.insert(index, (None, None))
 
     def _on_slice_removed(self, index: int) -> None:
-        del self._filters[index]
+        gone = [entry.name for entry in self._filters.pop(index) if entry is not None]
+        if gone:
+            self.metrics.retire(gone)
 
     def set_link_filters(
         self,
@@ -333,6 +343,9 @@ class TimeChainBase(SlicedChainBase):
                 )
                 stream_filter.bind_metrics(self.metrics)
                 installed.append(stream_filter)
+            for old, new in zip(self._filters[index], installed):
+                if old is not None and new is None:
+                    self.metrics.retire((old.name,))
             self._filters[index] = tuple(installed)
 
     def link_filters(self) -> list[tuple[Predicate | None, Predicate | None]]:

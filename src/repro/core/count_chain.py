@@ -47,6 +47,10 @@ class CountSlicedJoinChain(CursorChain):
     # so nothing is pushed into the links (``docs/invariants.md``).
     window_unit = " rows"
 
+    @staticmethod
+    def _slice_name(start: int, end: int) -> str:
+        return f"count-slice[{start},{end})"
+
     # -- chain-base hooks -----------------------------------------------------
     @classmethod
     def normalize_window(cls, name: str, window: float) -> int:
@@ -96,7 +100,7 @@ class CountSlicedJoinChain(CursorChain):
         # slice before it handed down
         items = len(batch)
         for start, end, handed_down in zip(bounds, ends, overflow):
-            metrics.record_invocation(f"count-slice[{start},{end})", items)
+            metrics.record_invocation(self._slice_name(start, end), items)
             items = len(batch) + handed_down
         return HitBlock(len(ends), parts)
 

@@ -11,7 +11,7 @@ A brute-force optimizer over all 2^(N-1) boundary subsets is also provided;
 it is exponential and only used by tests to certify optimality.
 
 The search prices *static* plans (``state-slice-cpu-opt``, Figure 19,
-``repro chains`` / ``repro optimize``) in the paper's simulated cost.  No
+``repro optimize``) in the paper's simulated cost.  No
 session calls it: a live chain has no per-operator ``Csys`` to save by
 merging and stays the Mem-Opt chain (:mod:`repro.runtime.engine`).
 """

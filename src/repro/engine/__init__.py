@@ -8,7 +8,6 @@ from repro.engine.errors import (
     PlanError,
     QueryError,
     ReproError,
-    SchemaError,
 )
 from repro.engine.executor import ImmediateExecutor, execute_plan
 from repro.engine.metrics import CostCategory, MetricsCollector, RunReport, StateMemorySample
@@ -17,7 +16,6 @@ from repro.engine.plan import Edge, Entry, Output, QueryPlan
 
 __all__ = [
     "ReproError",
-    "SchemaError",
     "PlanError",
     "QueryError",
     "ExecutionError",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 __all__ = [
     "ReproError",
-    "SchemaError",
     "PlanError",
     "QueryError",
     "ExecutionError",
@@ -23,10 +22,6 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class for every error raised by the repro package."""
-
-
-class SchemaError(ReproError):
-    """A stream schema was malformed or an attribute reference is invalid."""
 
 
 class PlanError(ReproError):

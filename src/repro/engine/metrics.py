@@ -168,6 +168,9 @@ class MetricsCollector:
         self.invocations: dict[str, int] = defaultdict(int)
         #: Number of tuples emitted per named query output.
         self.emitted: dict[str, int] = defaultdict(int)
+        #: What the names :meth:`retire` dropped had counted (in the totals).
+        self._retired_invocations = 0
+        self._retired_emitted = 0
         #: Retained samples of total join-state occupancy — only what
         #: :meth:`record_memory_sample` keeps for the finite static runs
         #: (:meth:`steady_state_memory` reads their tail).  A live session
@@ -216,6 +219,16 @@ class MetricsCollector:
         """
         if amount:
             self.invocations[operator_name] += amount
+
+    def retire(self, invocations: Iterable[str] = (), emitted: Iterable[str] = ()) -> None:
+        """Drop the per-name counts of names nothing counts under any more (a
+        migrated chain's old slices and links, a removed query): their
+        counts stay in the totals.  Called at migrations and removals, never
+        per batch, so a session's collector holds live names only."""
+        for name in invocations:
+            self._retired_invocations += self.invocations.pop(name, 0)
+        for name in emitted:
+            self._retired_emitted += self.emitted.pop(name, 0)
 
     def record_emission(self, output_name: str, amount: int = 1) -> None:
         self.emitted[output_name] += amount
@@ -298,11 +311,11 @@ class MetricsCollector:
 
     @property
     def total_invocations(self) -> int:
-        return sum(self.invocations.values())
+        return sum(self.invocations.values()) + self._retired_invocations
 
     @property
     def total_emitted(self) -> int:
-        return sum(self.emitted.values())
+        return sum(self.emitted.values()) + self._retired_emitted
 
     def cpu_cost(self, system_overhead: float | None = None) -> float:
         """Total CPU cost = comparisons + Csys * operator invocations."""

@@ -1,7 +1,6 @@
 """Evaluation harness regenerating every figure and table of the paper."""
 
 from repro.experiments.analytical import figure_11a, figure_11b, figure_11c
-from repro.experiments.chain_study import FIGURE_19_PANELS, chain_shapes
 from repro.experiments.config import (
     FILTER_SELECTIVITIES,
     JOIN_SELECTIVITIES,
@@ -10,7 +9,7 @@ from repro.experiments.config import (
     default_multi_query_config,
     default_three_query_config,
 )
-from repro.experiments.cpu_study import FIGURE_18_PANELS
+from repro.experiments.figures import FIGURES, Point, run_panel
 from repro.experiments.harness import (
     STRATEGIES,
     StrategyResult,
@@ -20,11 +19,8 @@ from repro.experiments.harness import (
     make_workload,
     run_strategy,
 )
-from repro.experiments.memory_study import FIGURE_17_PANELS
 from repro.experiments.report import (
-    format_chain_points,
-    format_memory_points,
-    format_service_rate_points,
+    format_points,
     format_table,
     format_trace,
 )
@@ -34,10 +30,9 @@ __all__ = [
     "figure_11a",
     "figure_11b",
     "figure_11c",
-    "FIGURE_17_PANELS",
-    "FIGURE_18_PANELS",
-    "FIGURE_19_PANELS",
-    "chain_shapes",
+    "FIGURES",
+    "Point",
+    "run_panel",
     "ExperimentConfig",
     "STREAM_RATES",
     "FILTER_SELECTIVITIES",
@@ -52,9 +47,7 @@ __all__ = [
     "make_workload",
     "run_strategy",
     "format_table",
-    "format_memory_points",
-    "format_service_rate_points",
-    "format_chain_points",
+    "format_points",
     "format_trace",
     "PAPER_TABLE_2",
     "table_2_trace",

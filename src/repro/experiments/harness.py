@@ -23,6 +23,7 @@ from repro.engine.executor import execute_plan
 from repro.engine.metrics import RunReport
 from repro.engine.plan import QueryPlan
 from repro.experiments.config import ExperimentConfig
+from repro.operators.sliced_join import SlicedJoinBase
 from repro.query.query import QueryWorkload
 from repro.query.workload import build_workload
 from repro.streams.generators import TwoStreamWorkload, generate_join_workload
@@ -98,6 +99,8 @@ class StrategyResult:
     strategy: str
     config: ExperimentConfig
     report: RunReport
+    #: Slices of the chain the strategy's plan ran (0 for a plan without one).
+    slices: int
 
     @property
     def memory(self) -> float:
@@ -114,20 +117,6 @@ class StrategyResult:
     @property
     def output_count(self) -> int:
         return self.report.metrics.total_emitted
-
-    def row(self) -> dict[str, float | str]:
-        return {
-            "strategy": self.strategy,
-            "rate": self.config.rate,
-            "windows": self.config.window_distribution,
-            "queries": self.config.query_count,
-            "S1": self.config.join_selectivity,
-            "Ssigma": self.config.filter_selectivity,
-            "memory_tuples": round(self.memory, 1),
-            "cpu_comparisons": round(self.cpu_cost, 1),
-            "service_rate": round(self.service_rate, 6),
-            "outputs": self.output_count,
-        }
 
 
 def make_workload(config: ExperimentConfig) -> QueryWorkload:
@@ -184,7 +173,8 @@ def run_strategy(
         memory_sample_interval=config.memory_sample_interval,
         retain_results=retain_results,
     )
-    return StrategyResult(strategy=strategy, config=config, report=report)
+    slices = sum(isinstance(operator, SlicedJoinBase) for operator in plan)
+    return StrategyResult(strategy, config, report, slices)
 
 
 def compare_strategies(

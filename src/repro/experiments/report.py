@@ -10,16 +10,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from repro.experiments.chain_study import ChainPoint
-from repro.experiments.cpu_study import ServiceRatePoint
-from repro.experiments.memory_study import MemoryPoint
+from repro.experiments.figures import FIGURES, Point
 from repro.experiments.traces import TraceRow
 
 __all__ = [
     "format_table",
-    "format_memory_points",
-    "format_service_rate_points",
-    "format_chain_points",
+    "format_points",
     "format_trace",
 ]
 
@@ -40,50 +36,25 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def _by_rate(points: Iterable, value_attr: str) -> dict[float, dict[str, float]]:
+def format_points(points: Sequence[Point], figure: int, panel: str) -> str:
+    """One panel of Figure 17, 18 or 19 as a text table: rate vs the figure's
+    plotted quantity per strategy, and each strategy's chain length where
+    the figure compares chains."""
+    spec = FIGURES[figure]
+    selected = [p for p in points if p.panel == panel]
+    strategies = sorted({p.strategy for p in selected})
     series: dict[float, dict[str, float]] = defaultdict(dict)
-    for point in points:
-        series[point.rate][point.strategy] = getattr(point, value_attr)
-    return dict(sorted(series.items()))
-
-
-def format_memory_points(points: Sequence[MemoryPoint], panel: str) -> str:
-    """Figure 17 panel as a text table: rate vs per-strategy tuples in state."""
-    selected = [p for p in points if p.panel == panel]
-    strategies = sorted({p.strategy for p in selected})
-    series = _by_rate(selected, "memory_tuples")
+    for point in selected:
+        series[point.rate][point.strategy] = getattr(point, spec.plotted)
     rows = [
-        [f"{rate:g}"] + [f"{series[rate].get(s, float('nan')):.1f}" for s in strategies]
-        for rate in series
-    ]
-    return format_table(["rate (tuples/s)"] + strategies, rows)
-
-
-def format_service_rate_points(points: Sequence[ServiceRatePoint], panel: str) -> str:
-    """Figure 18 panel as a text table: rate vs per-strategy service rate."""
-    selected = [p for p in points if p.panel == panel]
-    strategies = sorted({p.strategy for p in selected})
-    series = _by_rate(selected, "service_rate")
-    rows = [
-        [f"{rate:g}"] + [f"{series[rate].get(s, float('nan')):.5f}" for s in strategies]
-        for rate in series
-    ]
-    return format_table(["rate (tuples/s)"] + strategies, rows)
-
-
-def format_chain_points(points: Sequence[ChainPoint], panel: str) -> str:
-    """Figure 19 panel as a text table: rate vs Mem-Opt / CPU-Opt service rate."""
-    selected = [p for p in points if p.panel == panel]
-    strategies = sorted({p.strategy for p in selected})
-    series = _by_rate(selected, "service_rate")
-    slice_counts = {p.strategy: p.slice_count for p in selected}
-    rows = [
-        [f"{rate:g}"] + [f"{series[rate].get(s, float('nan')):.5f}" for s in strategies]
-        for rate in series
+        [f"{rate:g}"] + [f"{series[rate].get(s, float('nan')):.{spec.digits}f}" for s in strategies]
+        for rate in sorted(series)
     ]
     table = format_table(["rate (tuples/s)"] + strategies, rows)
-    shapes = ", ".join(f"{s}: {slice_counts[s]} slices" for s in strategies)
-    return f"{table}\n({shapes})"
+    if not spec.shows_slices:
+        return table
+    slices = {p.strategy: p.slices for p in selected}
+    return table + "\n(" + ", ".join(f"{s}: {slices[s]} slices" for s in strategies) + ")"
 
 
 def format_trace(rows: Sequence[TraceRow]) -> str:

@@ -367,6 +367,7 @@ class StreamEngine:
             self._routing = []
             self._table = None
             self._record_migration("teardown", query.window)
+            self.metrics.retire(list(self.metrics.invocations), (name,))
             return delivered
         deleted = None
         if any(abs(q.window - query.window) <= _EPSILON for q in self._queries.values()):
@@ -385,6 +386,7 @@ class StreamEngine:
                 self._record_migration("merge", query.window)
                 deleted = index + 1
         self._splice(query, False, deleted)
+        self.metrics.retire(emitted=(name,))
         return delivered
 
     def _shared(self, predicate: Predicate | None) -> Predicate:
@@ -710,6 +712,7 @@ class StreamEngine:
                 pass
 
     def _record_migration(self, kind: str, boundary: float) -> None:
+        self.metrics.observe("engine.migrations")
         append_bounded(
             self._migrations,
             MigrationEvent(

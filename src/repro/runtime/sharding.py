@@ -556,11 +556,14 @@ class ShardedStreamEngine:
         #: last (see :class:`ReshardEvent`).
         self.reshard_events: list[ReshardEvent] = []
         # Carryover views across reshard generations: undelivered per-query
-        # results, retired metrics counters and the oldest generation's
-        # migration log (later generations replay the same admissions).
+        # results, retired metrics counters and the retired generations'
+        # migration log, which the current generation's log continues after
+        # its first ``_replayed`` entries (the replay of the admissions it
+        # was built on).
         self._carryover: dict[str, list[JoinedTuple]] = {}
         self._snapshot_base: MetricsSnapshot | None = None
         self._migrations: list[MigrationEvent] = []
+        self._replayed = 0
         # Admissions, removals and reshards serialize on this lock (a reshard
         # must never observe a half-fanned-out admission); the owner check
         # turns same-thread re-entry into an error instead of a deadlock.
@@ -838,8 +841,9 @@ class ShardedStreamEngine:
         """The per-shard snapshots folded into one global counter view.
 
         Counters of shard generations retired by :meth:`reshard` are folded
-        in (their memory gauges are not — two generations overlap in time),
-        as are the session-level reshard counters.  Pass ``snapshots`` (a
+        in (their memory gauges are not — two generations overlap in time —
+        and their per-name counts only into the totals), as are the
+        session-level reshard counters.  Pass ``snapshots`` (a
         prior :meth:`shard_snapshots` value) to reuse one fetch across
         several derived views — in process mode every fresh fetch is a
         flush plus one round-trip per worker."""
@@ -988,26 +992,28 @@ class ShardedStreamEngine:
 
     def _retire_counters(self, exports: Sequence[dict]) -> None:
         """Fold the retiring generation's counters into the session-level
-        base, and keep its migration log if no older generation left one.
+        base, and what its migration log added into the session's.
 
         Memory gauges are dropped: generations overlap in time, so their
-        occupancies must not sum.
+        occupancies must not sum.  So are per-name counts (their totals
+        stay): the names are a generation's slices, links and queries.  The
+        next generation's log starts with one entry per boundary of this
+        generation's chain, the replay of its admissions
+        (:meth:`_since_replay`).
         """
-        if not self._migrations:
-            self._migrations = exports[0]["stats"].migrations
+        log = exports[0]["stats"].migrations
+        for event in self._since_replay(log, exports[0]["snapshot"]):
+            append_bounded(self._migrations, event)
+        self._replayed = max(len(log[-1].boundaries_after) - 1, 0) if log else 0
         snapshot_parts = [export["snapshot"] for export in exports]
         if self._snapshot_base is not None:
             snapshot_parts.insert(0, self._snapshot_base)
-        snapshot_base = MetricsSnapshot.aggregate(snapshot_parts)
-        for gauge in (
-            "memory.average",
-            "memory.max",
-            "memory.resident_bytes",
-            "memory.spilled_bytes",
-            "memory.max_resident_bytes",
-        ):
-            snapshot_base.pop(gauge, None)
-        self._snapshot_base = snapshot_base
+        base = MetricsSnapshot.aggregate(snapshot_parts)
+        for key in list(base):
+            per_name = key.startswith(("invocations.", "emitted.")) and not key.endswith(".total")
+            if per_name or key in MetricsSnapshot._ADDITIVE_GAUGES:
+                del base[key]
+        self._snapshot_base = base
 
     def _build_generation(
         self, buckets: "list[list[dict[str, list[StreamTuple]]]]"
@@ -1046,12 +1052,26 @@ class ShardedStreamEngine:
         """The session's counters, read from :meth:`merged_snapshot` (so
         generations retired by :meth:`reshard` are included), and the
         migration history of the first shard — the fan-out keeps every
-        shard's migration sequence identical.  After a reshard the history
-        shown is the oldest generation's (each reshard replays admissions, so
-        later generations repeat it).
+        shard's migration sequence identical — after the retired
+        generations', the newest ``LOG_LIMIT`` entries.  A reshard's replay
+        of the admissions is not a migration and is not shown.
         """
-        migrations = self._migrations or self._shard_states("stats")[0].migrations
-        return EngineStats.read(self.merged_snapshot(), migrations)
+        snapshots = self.shard_snapshots()
+        migrations = list(self._migrations)
+        log = self._shard_states("stats")[0].migrations
+        for event in self._since_replay(log, snapshots[0]):
+            append_bounded(migrations, event)
+        return EngineStats.read(self.merged_snapshot(snapshots), migrations)
+
+    def _since_replay(
+        self, log: list[MigrationEvent], snapshot: MetricsSnapshot
+    ) -> list[MigrationEvent]:
+        """The entries of a generation's migration log (its first shard's,
+        beside that shard's snapshot) that follow the replay of the
+        admissions the generation was built on: what of the replay the
+        bounded log still holds is the replay less what the log dropped."""
+        dropped = int(snapshot.get("observations.engine.migrations", 0)) - len(log)
+        return log[max(self._replayed - dropped, 0) :]
 
     @property
     def boundaries(self) -> tuple[float, ...]:

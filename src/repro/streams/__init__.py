@@ -1,4 +1,4 @@
-"""Stream substrate: tuple model, schemas and synthetic generators."""
+"""Stream substrate: tuple model and synthetic generators."""
 
 from repro.streams.generators import (
     PeriodicArrivals,
@@ -10,7 +10,6 @@ from repro.streams.generators import (
     generate_join_workload,
     interleave,
 )
-from repro.streams.schema import Attribute, Schema, SENSOR_READING_SCHEMA
 from repro.streams.tuples import (
     FEMALE,
     MALE,
@@ -22,9 +21,6 @@ from repro.streams.tuples import (
 )
 
 __all__ = [
-    "Attribute",
-    "Schema",
-    "SENSOR_READING_SCHEMA",
     "StreamTuple",
     "JoinedTuple",
     "RefTuple",

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.engine.errors import ConfigurationError
-from repro.streams.schema import Attribute, Schema
 from repro.streams.tuples import StreamTuple
 
 __all__ = [
@@ -97,9 +96,6 @@ class ValueGenerator:
     def generate(self, rng: random.Random) -> dict[str, object]:
         raise NotImplementedError
 
-    def schema(self, stream: str) -> Schema:
-        raise NotImplementedError
-
 
 @dataclass
 class SelectivityValueGenerator(ValueGenerator):
@@ -126,12 +122,6 @@ class SelectivityValueGenerator(ValueGenerator):
         }
         payload.update(self.extra_attributes)
         return payload
-
-    def schema(self, stream: str) -> Schema:
-        attributes = [Attribute("join_key", int, 4), Attribute("value", float, 8)]
-        for name in self.extra_attributes:
-            attributes.append(Attribute(name, object, 8))
-        return Schema(stream=stream, attributes=tuple(attributes))
 
 
 @dataclass

@@ -26,7 +26,7 @@ import pickle
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "StreamTuple",
@@ -77,9 +77,6 @@ class StreamTuple:
 
     def get(self, attribute: str, default: Any = None) -> Any:
         return self.values.get(attribute, default)
-
-    def attributes(self) -> Iterator[str]:
-        return iter(self.values)
 
     def age(self, now: float) -> float:
         """Age of the tuple relative to clock time ``now`` (seconds)."""

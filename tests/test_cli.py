@@ -102,9 +102,14 @@ class TestCommands:
         assert "a1" in out
 
     def test_chains_command(self, capsys):
+        """There is no ``chains`` command: ``optimize`` prints both chains,
+        their slice counts and their costs."""
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["chains"])
+        assert refused.value.code == 2
         out = run_cli(
             capsys,
-            "chains",
+            "optimize",
             "--queries",
             "12",
             "--windows",
@@ -112,8 +117,9 @@ class TestCommands:
             "--csys",
             "4.0",
         )
-        assert "Mem-Opt chain (12 slices)" in out
-        assert "CPU-Opt chain" in out
+        assert re.search(r"^Mem-Opt\s+12\s", out, re.M)
+        assert "Mem-Opt chain:" in out
+        assert "CPU-Opt chain:" in out
 
     def test_compare_command(self, capsys):
         out = run_cli(

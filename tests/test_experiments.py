@@ -6,8 +6,6 @@ import pytest
 
 from repro.engine.errors import ConfigurationError
 from repro.experiments.analytical import default_grid, figure_11a, figure_11b, figure_11c
-from repro.experiments.chain_study import FIGURE_19_PANELS, chain_shapes
-from repro.experiments.chain_study import run_panel as run_chain_panel
 from repro.experiments.config import (
     FILTER_SELECTIVITIES,
     JOIN_SELECTIVITIES,
@@ -16,8 +14,7 @@ from repro.experiments.config import (
     default_multi_query_config,
     default_three_query_config,
 )
-from repro.experiments.cpu_study import FIGURE_18_PANELS
-from repro.experiments.cpu_study import run_panel as run_cpu_panel
+from repro.experiments.figures import FIGURES, run_panel
 from repro.experiments.harness import (
     STRATEGIES,
     build_plan,
@@ -26,15 +23,7 @@ from repro.experiments.harness import (
     make_workload,
     run_strategy,
 )
-from repro.experiments.memory_study import FIGURE_17_PANELS
-from repro.experiments.memory_study import run_panel as run_memory_panel
-from repro.experiments.report import (
-    format_chain_points,
-    format_memory_points,
-    format_service_rate_points,
-    format_table,
-    format_trace,
-)
+from repro.experiments.report import format_points, format_table, format_trace
 from repro.experiments.traces import PAPER_TABLE_2, table_2_full_outputs, table_2_trace
 
 FAST = ExperimentConfig(rate=20, time_scale=0.05, query_count=3, seed=3)
@@ -113,13 +102,6 @@ class TestHarness:
             == results["selection-pullup"].report.metrics.total_emitted
         )
 
-    def test_strategy_result_row(self):
-        result = run_strategy("state-slice", FAST)
-        row = result.row()
-        assert row["strategy"] == "state-slice"
-        assert row["rate"] == FAST.rate
-        assert row["outputs"] > 0
-
 
 class TestFigure11:
     def test_grid_axes_are_open_unit_interval(self):
@@ -189,7 +171,7 @@ class TestMeasuredFigures:
     """Small-scale sanity runs of the Figure 17/18/19 harnesses."""
 
     def test_figure_17_panel_shape_and_ranking(self):
-        points = run_memory_panel("b", rates=(20, 40), time_scale=0.05)
+        points = run_panel(17, "b", rates=(20, 40), time_scale=0.05)
         assert {p.strategy for p in points} == {
             "selection-pullup",
             "state-slice",
@@ -207,22 +189,25 @@ class TestMeasuredFigures:
         assert by_strategy[("state-slice", 40)] > by_strategy[("state-slice", 20)]
 
     def test_figure_18_panel_state_slice_competitive(self):
-        points = run_cpu_panel("f", rates=(40,), time_scale=0.05)
+        points = run_panel(18, "f", rates=(40,), time_scale=0.05)
         rates = {p.strategy: p.service_rate for p in points}
         assert rates["state-slice"] > rates["selection-pullup"]
         assert rates["state-slice"] >= rates["selection-pushdown"] * 0.95
 
     def test_figure_19_panel_cpu_opt_wins_on_skewed_windows(self):
-        points = run_chain_panel("c", rates=(40,), time_scale=0.04)
+        points = run_panel(19, "c", rates=(40,), time_scale=0.04)
         rates = {p.strategy: p.service_rate for p in points}
         assert rates["state-slice-cpu-opt"] >= rates["state-slice-mem-opt"]
-        shapes = chain_shapes("c", rate=40, time_scale=0.04)
-        assert shapes["cpu_opt_slices"] < shapes["mem_opt_slices"]
+        # Each point carries the chain its strategy ran: Mem-Opt has one
+        # slice per distinct window, CPU-Opt merges some of them.
+        slices = {p.strategy: p.slices for p in points}
+        assert slices["state-slice-mem-opt"] == 12
+        assert slices["state-slice-cpu-opt"] < slices["state-slice-mem-opt"]
 
     def test_panel_tables_cover_figures(self):
-        assert set(FIGURE_17_PANELS) == set("abcdef")
-        assert set(FIGURE_18_PANELS) == set("abcdef")
-        assert set(FIGURE_19_PANELS) == set("abcde")
+        assert set(FIGURES[17].panels) == set("abcdef")
+        assert set(FIGURES[18].panels) == set("abcdef")
+        assert set(FIGURES[19].panels) == set("abcde")
 
 
 class TestReportFormatting:
@@ -233,12 +218,13 @@ class TestReportFormatting:
         assert lines[0].startswith("a")
 
     def test_figure_formatters_render(self):
-        memory_points = run_memory_panel("a", rates=(20,), time_scale=0.05)
-        assert "state-slice" in format_memory_points(memory_points, "a")
-        cpu_points = run_cpu_panel("a", rates=(20,), time_scale=0.05)
-        assert "rate" in format_service_rate_points(cpu_points, "a")
-        chain_points = run_chain_panel("a", rates=(20,), time_scale=0.04)
-        assert "slices" in format_chain_points(chain_points, "a")
+        memory_points = run_panel(17, "a", rates=(20,), time_scale=0.05)
+        assert "state-slice" in format_points(memory_points, 17, "a")
+        cpu_points = run_panel(18, "a", rates=(20,), time_scale=0.05)
+        assert "rate" in format_points(cpu_points, 18, "a")
+        assert "slices" not in format_points(cpu_points, 18, "a")
+        chain_points = run_panel(19, "a", rates=(20,), time_scale=0.04)
+        assert "slices" in format_points(chain_points, 19, "a")
 
     def test_format_trace(self):
         assert "Queue" in format_trace(table_2_trace())

@@ -274,9 +274,10 @@ def test_noop_reshard_is_not_recorded():
 
 
 def test_reshards_keep_the_oldest_migration_history_and_the_newest_events(monkeypatch):
-    """``stats.migrations`` stays the first generation's history (each later
-    generation replays its admissions at arrival 0), and ``reshard_events``
-    keeps the newest ``LOG_LIMIT`` reshards, as the migration log does."""
+    """With no migration after the first reshard, ``stats.migrations`` stays
+    the first generation's history (each later generation's replay of the
+    admissions is skipped), and ``reshard_events`` keeps the newest
+    ``LOG_LIMIT`` reshards, as the migration log does."""
     monkeypatch.setattr(metrics, "LOG_LIMIT", 3)
     sharded = ShardedStreamEngine(CONDITION, shards=2)
     sharded.add_query("Q", 2.0)
@@ -290,6 +291,42 @@ def test_reshards_keep_the_oldest_migration_history_and_the_newest_events(monkey
     events = [sharded.reshard(target) for target in (3, 2, 4, 1, 2)]
     assert sharded.reshard_events == events[-3:]
     assert sharded.stats.migrations == history
+    sharded.close()
+
+
+def test_migrations_after_a_reshard_continue_the_history(monkeypatch):
+    """``stats.migrations`` is the history of an unsharded session fed the
+    same admissions: a migration after a reshard is in it, the replay of the
+    admissions a reshard builds its generation on is not, and the log keeps
+    the newest ``LOG_LIMIT`` entries across generations."""
+    sharded = ShardedStreamEngine(CONDITION, shards=2)
+    single = StreamEngine(CONDITION)
+
+    def history(session):
+        return [(e.kind, e.boundary, e.boundaries_after) for e in session.stats.migrations]
+
+    for session in (sharded, single):
+        session.add_query("Q", 2.0)
+        session.process_many(make_stream(count=40))
+    sharded.reshard(3)
+    for session in (sharded, single):
+        session.add_query("R", 1.0)
+    assert sharded.boundaries == single.boundaries == (0.0, 1.0, 2.0)
+    assert history(sharded) == history(single)
+    assert [kind for kind, _, _ in history(sharded)] == ["create", "split"]
+    sharded.reshard(2)
+    sharded.reshard(4)
+    for session in (sharded, single):
+        session.remove_query("Q")
+        session.add_query("S", 3.0)
+    assert history(sharded) == history(single)
+    monkeypatch.setattr(metrics, "LOG_LIMIT", 3)
+    for target in (3, 1):
+        sharded.reshard(target)
+        for session in (sharded, single):
+            session.add_query(f"T{target}", target / 2)
+    assert len(history(sharded)) == 3
+    assert history(sharded) == history(single)
     sharded.close()
 
 

@@ -662,6 +662,33 @@ class TestEngineAccounting:
         assert sizes[10**4] == sizes[10**2]
         assert engine.metrics.snapshot()["memory.max"] > 0
 
+    def test_per_name_counters_are_kept_for_live_names_only(self, stream):
+        """200 admit/run/remove cycles of a filtered query with a new window
+        leave per-name keys for the live slice and query only, and no
+        migration changes a total: every invocation and result still counts."""
+        engine = StreamEngine(CONDITION)
+        engine.add_query("anchor", 1.0)
+        delivered, seen = 0, set()
+        arrivals = iter(stream)
+        for cycle in range(200):
+            totals = engine.metrics.total_invocations, engine.metrics.total_emitted
+            engine.add_query(
+                f"guest{cycle}", 2.0 + cycle / 100, left_filter=ComparisonPredicate("value", ">", 0.5)
+            )
+            assert (engine.metrics.total_invocations, engine.metrics.total_emitted) == totals
+            engine.process_many([next(arrivals) for _ in range(3)])
+            seen.update(engine.metrics.invocations)
+            totals = engine.metrics.total_invocations, engine.metrics.total_emitted
+            delivered += len(engine.remove_query(f"guest{cycle}"))
+            assert (engine.metrics.total_invocations, engine.metrics.total_emitted) == totals
+        delivered += len(engine.results("anchor"))
+        assert "σ'[A]@1" in seen and "slice[1,3.99)" in seen
+        assert set(engine.metrics.invocations) == {"slice[0,1)"}
+        assert set(engine.metrics.emitted) == {"anchor"}
+        snapshot = engine.metrics.snapshot()
+        assert snapshot["emitted.total"] == engine.stats.results_delivered == delivered > 0
+        assert snapshot["invocations.total"] == engine.metrics.total_invocations > 3 * 200
+
     def test_migration_log_keeps_the_newest_256(self):
         """300 admit/remove cycles (≥ 2 events each) leave a bounded log."""
         engine = StreamEngine(CONDITION)

@@ -1,4 +1,4 @@
-"""Unit tests for schemas and synthetic stream generation."""
+"""Unit tests for synthetic stream generation."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.engine.errors import ConfigurationError, SchemaError
+from repro.engine.errors import ConfigurationError
 from repro.streams.generators import (
     JOIN_KEY_DOMAIN,
     PeriodicArrivals,
@@ -17,33 +17,7 @@ from repro.streams.generators import (
     generate_join_workload,
     interleave,
 )
-from repro.streams.schema import Attribute, Schema
 from repro.streams.tuples import make_tuple
-
-
-class TestSchema:
-    def test_attribute_lookup(self):
-        schema = Schema("S", (Attribute("a", int, 4), Attribute("b", float, 8)))
-        assert schema.attribute("a").dtype is int
-        assert "b" in schema
-        assert "c" not in schema
-        assert schema.names() == ["a", "b"]
-        assert len(schema) == 2
-
-    def test_duplicate_attribute_names_rejected(self):
-        with pytest.raises(SchemaError):
-            Schema("S", (Attribute("a"), Attribute("a")))
-
-    def test_unknown_attribute_raises(self):
-        schema = Schema("S", (Attribute("a"),))
-        with pytest.raises(SchemaError):
-            schema.attribute("zzz")
-
-    def test_attribute_validate(self):
-        attribute = Attribute("a", float)
-        assert attribute.validate(1.5)
-        assert attribute.validate(2)
-        assert not attribute.validate(None)
 
 
 class TestArrivalProcesses:
@@ -107,8 +81,6 @@ class TestStreamGeneration:
         generator = SelectivityValueGenerator(extra_attributes={"pad": "x"})
         payload = generator.generate(random.Random(0))
         assert payload["pad"] == "x"
-        schema = generator.schema("A")
-        assert "pad" in schema
 
     def test_join_workload_is_globally_ordered(self):
         workload = generate_join_workload(rate_a=30, rate_b=20, duration=5.0, seed=2)

@@ -46,10 +46,6 @@ class TestStreamTuple:
         tup = make_tuple("A", 2.0, x=1)
         assert tup.age(5.0) == pytest.approx(3.0)
 
-    def test_attributes_iterates_names(self):
-        tup = make_tuple("A", 0.0, x=1, y=2)
-        assert sorted(tup.attributes()) == ["x", "y"]
-
 
 class TestJoinedTuple:
     def test_timestamp_is_max_of_components(self):
