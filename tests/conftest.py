@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import pytest
 
@@ -94,6 +95,31 @@ def kill_worker(session, index: int) -> None:
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
+#: Seconds one test may run (the slowest takes ~3): a test left waiting on a
+#: stuck worker process fails by name, with the stack it waited in, instead
+#: of stalling the rest of the suite.
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(Exception):
+    """A test ran past :data:`TEST_TIME_LIMIT_S` (not an ``OSError``, so no
+    transport error handler takes it for a dead worker)."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"the test ran past its {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture
 def cross_condition():
     return CrossProductCondition()

@@ -14,7 +14,7 @@ from repro.experiments.config import (
     default_multi_query_config,
     default_three_query_config,
 )
-from repro.experiments.figures import FIGURES, run_panel
+from repro.experiments.figures import FIGURES, Point, run_panel
 from repro.experiments.harness import (
     STRATEGIES,
     build_plan,
@@ -204,6 +204,17 @@ class TestMeasuredFigures:
         assert slices["state-slice-mem-opt"] == 12
         assert slices["state-slice-cpu-opt"] < slices["state-slice-mem-opt"]
 
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
+    def test_every_strategy_of_a_point_answers_the_same_queries(self, figure):
+        """The strategies of one point read the same stream and answer the
+        same queries, so they deliver the same number of results."""
+        spec = FIGURES[figure]
+        time_scale = 0.02 if figure == 19 else 0.05
+        points = run_panel(figure, spec.default_panel, rates=(20,), time_scale=time_scale)
+        assert [p.strategy for p in points] == list(spec.strategies)
+        assert len({p.outputs for p in points}) == 1
+        assert points[0].outputs > 0
+
     def test_panel_tables_cover_figures(self):
         assert set(FIGURES[17].panels) == set("abcdef")
         assert set(FIGURES[18].panels) == set("abcdef")
@@ -225,6 +236,30 @@ class TestReportFormatting:
         assert "slices" not in format_points(cpu_points, 18, "a")
         chain_points = run_panel(19, "a", rates=(20,), time_scale=0.04)
         assert "slices" in format_points(chain_points, 19, "a")
+
+    def test_format_points_prints_each_figures_field_digits_and_trailer(self):
+        """Figure 17 prints memory to one decimal, 18 and 19 the service rate
+        to five, and only 19 names each strategy's chain length."""
+
+        def point(strategy, rate, slices):
+            return Point("x", strategy, rate, 12.34, 0.123456, 99.0, 7, slices)
+
+        for figure, cell in ((17, "12.3"), (18, "0.12346"), (19, "0.12346")):
+            strategies = FIGURES[figure].strategies
+            points = [point(s, r, i + 3) for r in (20, 40) for i, s in enumerate(strategies)]
+            lines = format_points(points, figure, "x").splitlines()
+            assert lines[0].split() == ["rate", "(tuples/s)", *sorted(strategies)]
+            assert [line.split() for line in lines[2:4]] == [
+                [f"{rate}"] + [cell] * len(strategies) for rate in (20, 40)
+            ]
+            trailer = lines[4:]
+            if figure == 19:
+                assert trailer == [
+                    "(state-slice-cpu-opt: 4 slices, state-slice-mem-opt: 3 slices)"
+                ]
+            else:
+                assert trailer == []
+        assert format_points([point("state-slice", 20, 0)], 17, "y").splitlines()[2:] == []
 
     def test_format_trace(self):
         assert "Queue" in format_trace(table_2_trace())

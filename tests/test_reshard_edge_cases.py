@@ -258,6 +258,39 @@ def test_reshard_event_and_metrics_accounting():
     assert sharded.stats.arrivals == 120
 
 
+def test_a_reshard_keeps_per_name_counters_of_the_live_generation_only():
+    """The merged view's per-name keys are the current generation's (its
+    live slices and queries); the retired generation's counts stay in the
+    totals, so a total is the sum over both generations."""
+    tuples = make_stream()
+    sharded = ShardedStreamEngine(CONDITION, shards=2)
+    sharded.add_query("Q", 2.0)
+    sharded.add_query("R", 1.0)
+    sharded.process_many(tuples[:120])
+
+    def per_name(snapshot, prefix):
+        return {
+            key: value
+            for key, value in snapshot.items()
+            if key.startswith(prefix) and not key.endswith(".total")
+        }
+
+    before = sharded.merged_snapshot()
+    assert set(per_name(before, "emitted.")) == {"emitted.Q", "emitted.R"}
+    sharded.reshard(3)
+    sharded.remove_query("R")
+    sharded.process_many(tuples[120:])
+    after = sharded.merged_snapshot()
+    assert set(per_name(after, "invocations.")) == {"invocations.slice[0,2)"}
+    assert set(per_name(after, "emitted.")) == {"emitted.Q"}
+    for prefix in ("invocations.", "emitted."):
+        assert after[prefix + "total"] == before[prefix + "total"] + sum(
+            per_name(after, prefix).values()
+        )
+    assert after["emitted.total"] == sharded.stats.results_delivered
+    sharded.close()
+
+
 def test_noop_reshard_is_not_recorded():
     sharded = ShardedStreamEngine(CONDITION, shards=2)
     sharded.add_query("Q", 2.0)

@@ -689,6 +689,28 @@ class TestEngineAccounting:
         assert snapshot["emitted.total"] == engine.stats.results_delivered == delivered > 0
         assert snapshot["invocations.total"] == engine.metrics.total_invocations > 3 * 200
 
+    def test_a_count_session_keeps_per_name_counters_for_live_names_only(self, stream):
+        """A count chain names its slices by row ranges: 50 admit/run/remove
+        cycles of a query with a new row window leave the anchor's slice and
+        query only, and the totals count every invocation and result."""
+        engine = StreamEngine(CONDITION, window_kind="count")
+        engine.add_query("anchor", 4)
+        delivered, seen = 0, set()
+        arrivals = iter(stream)
+        for cycle in range(50):
+            engine.add_query(f"guest{cycle}", 6 + cycle)
+            engine.process_many([next(arrivals) for _ in range(5)])
+            seen.update(engine.metrics.invocations)
+            totals = engine.metrics.total_invocations, engine.metrics.total_emitted
+            delivered += len(engine.remove_query(f"guest{cycle}"))
+            assert (engine.metrics.total_invocations, engine.metrics.total_emitted) == totals
+        delivered += len(engine.results("anchor"))
+        assert "count-slice[4,55)" in seen
+        assert set(engine.metrics.invocations) == {"count-slice[0,4)"}
+        assert set(engine.metrics.emitted) == {"anchor"}
+        assert engine.metrics.total_emitted == engine.stats.results_delivered == delivered > 0
+        assert engine.metrics.total_invocations > 5 * 50
+
     def test_migration_log_keeps_the_newest_256(self):
         """300 admit/remove cycles (≥ 2 events each) leave a bounded log."""
         engine = StreamEngine(CONDITION)
